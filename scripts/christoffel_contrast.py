@@ -19,7 +19,7 @@ import sys
 
 from mpmath import mp
 
-from muntz import build_weighted_domain, christoffel_remez, power_exponents, workbits
+from muntz import build_weighted_domain, christoffel_remez, gram, power_exponents, workbits
 
 
 def growth_table(bits: int, rho: str, grid: int):
@@ -29,7 +29,7 @@ def growth_table(bits: int, rho: str, grid: int):
     for label, beta in (("squares", 2), ("linear", 1)):
         lam = power_exponents(1, beta, 20, bits)
         for section in (5, 10, 15, 20):
-            c = christoffel_remez(domain, lam, section, rho, grid, bits)
+            c = christoffel_remez(gram(domain, lam, section, bits), rho, grid)
             print(f"{label:>10}  {section:>3}  {float(c):>14.6e}")
     print()
 
@@ -46,7 +46,7 @@ def shape_table(bits: int, rho: str, grid: int):
     print(f"{'shape':>10}  {'measure':>8}  {'c_10':>14}")
     for label, intervals in shapes.items():
         wd = build_weighted_domain(intervals, [(1, 0)] * len(intervals), bits)
-        c = christoffel_remez(wd, lam, 10, rho, grid, bits)
+        c = christoffel_remez(gram(wd, lam, 10, bits), rho, grid)
         print(f"{label:>10}  {float(wd.total_measure):>8.3f}  {float(c):>14.6e}")
     print()
 

@@ -39,7 +39,7 @@ def main() -> int:
 
     rows = []
     with workbits(args.bits):
-        base = wd.r_w - mp.mpf(args.epsilon)
+        base = wd.r_a - mp.mpf(args.epsilon)
         for section in range(2, args.max_N + 1):
             g = gram(wd, lam, section, args.bits)
             ratios = [

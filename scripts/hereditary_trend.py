@@ -11,7 +11,7 @@ gap below the right endpoint, where the margin behavior is exploratory.
 import argparse
 import sys
 
-from muntz import build_weighted_domain, gram, hereditary_check, power_exponents
+from muntz import build_weighted_domain, gram, hereditary_sweep, power_exponents
 
 
 DOMAINS = {
@@ -33,13 +33,7 @@ def main() -> int:
         wd = build_weighted_domain(intervals, [(1, 0)] * len(intervals), args.bits)
         for section in range(2, args.max_N + 1):
             g = gram(wd, lam, section, args.bits)
-            worst = None
-            for mask in range(2 ** section):
-                n2 = tuple(i + 1 for i in range(section) if mask & (1 << i))
-                n1 = tuple(i + 1 for i in range(section) if not mask & (1 << i))
-                rep = hereditary_check(g, (n1, n2))
-                if worst is None or rep.min_singular_value < worst:
-                    worst = rep.min_singular_value
+            worst = min(rep.min_singular_value for rep in hereditary_sweep(g))
             print(
                 f"{label:>12}  {section:>3}  {2 ** section:>10}  {float(worst):>14.6e}"
             )

@@ -5,9 +5,7 @@ operator experiments, each checkable against classical closed forms.
 """
 
 from .domain import (
-    Interval,
     WeightedDomain,
-    WeightPiece,
     build_weighted_domain,
     domain_from_json,
     domain_to_json,
@@ -50,6 +48,7 @@ from .operator import (
     eigen_check,
     finite_sections,
     hereditary_check,
+    hereditary_sweep,
     inverse_principal_minor,
 )
 from .precision import DEFAULT_PRECISION_BITS, fmt, to_mpf, workbits

@@ -5,8 +5,13 @@ that block reproduces the report byte for byte.  All numbers serialize
 as decimal strings at a digit count derived from the working precision;
 binary floats never appear in the output.
 
+One pipeline serves every command: load the config, resolve the
+precision, parse and validate every input the command reads (listed in
+``COMMANDS``), factor its one Gram section, compute, and emit.
+
 Exit codes: 0 success, 2 validation or config problems, 3 numerical
-failures that more precision might fix.
+failures that more precision might fix.  No config, however malformed,
+makes ``run`` raise.
 """
 
 from __future__ import annotations
@@ -17,31 +22,21 @@ import io
 import json
 import os
 import sys
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Optional
 
 from mpmath import mp
 
-from . import duals as duals_mod
-from . import momentsolve, operator, series
+from . import duals, momentsolve, operator, series
 from .domain import domain_from_json, domain_to_json
-from .errors import MalformedConfig, MuntzError, NumericalError, ValidationError
+from .errors import MalformedConfig, MuntzError, NumericalError
 from .exponents import exponents_from_json, exponents_to_json
-from .gram import gram
-from .precision import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, fmt, to_mpf, workbits
-
-COMMANDS = (
-    "validate",
-    "gram",
-    "distances",
-    "duals",
-    "expand",
-    "remez",
-    "moments",
-    "operator",
-    "hereditary",
-)
+from .gram import GramMatrix, gram
+from .precision import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS
+from .precision import fmt, to_fraction, to_int
 
 ENV_PRECISION = "MUNTZ_PRECISION_BITS"
+REQUIRED = object()
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -49,507 +44,324 @@ def _load_config(path: Optional[str]) -> dict:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError as exc:
-        raise MalformedConfig(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedConfig(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise MalformedConfig("config root must be a JSON object")
-    return cfg
-
-
-def _resolve_precision(cfg: dict, args) -> int:
-    # flag > environment > config > default
-    if getattr(args, "precision_bits", None):
-        bits = args.precision_bits
-    elif os.environ.get(ENV_PRECISION):
-        try:
-            bits = int(os.environ[ENV_PRECISION])
-        except ValueError as exc:
-            raise MalformedConfig(f"{ENV_PRECISION} is not an integer") from exc
-    else:
-        bits = int(cfg.get("precision_bits", DEFAULT_PRECISION_BITS))
-    if bits < 64:
-        raise MalformedConfig("precision_bits must be at least 64")
-    return bits
-
-
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise MalformedConfig(f"config is missing required block {key!r}")
-    return cfg[key]
-
-
-def _parse_int_list(text) -> list:
-    if isinstance(text, list):
-        return [int(v) for v in text]
-    try:
-        return [int(tok) for tok in str(text).split(",") if tok.strip()]
+            return _expect(json.load(fh), dict, "config root")
+    except OSError as exc:
+        raise MalformedConfig(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:
-        raise MalformedConfig(f"bad integer list {text!r}") from exc
+        raise MalformedConfig(f"config is not valid JSON: {exc}") from exc
 
 
-def _build_inputs(cfg: dict, bits: int):
-    wd = domain_from_json(_require(cfg, "domain"), bits)
-    lam = exponents_from_json(_require(cfg, "exponents"), bits)
-    return wd, lam
+def _resolve_precision(cfg: dict, args) -> tuple:
+    """(precision_bits, max_precision_bits): flag > environment > config >
+    default, where a null config value counts as not given."""
+    given = (args.precision_bits, os.environ.get(ENV_PRECISION) or None,
+             cfg.get("precision_bits"), DEFAULT_PRECISION_BITS)
+    bits = to_int(next(v for v in given if v is not None))
+    if bits < MIN_PRECISION_BITS:
+        raise MalformedConfig(f"precision_bits must be at least {MIN_PRECISION_BITS}")
+    top = cfg.get("max_precision_bits")
+    return bits, to_int(MAX_PRECISION_BITS if top is None else top)
+
+
+def _expect(raw, kind: type, name: str):
+    if not isinstance(raw, kind):
+        raise MalformedConfig(f"{name} must be a JSON {'object' if kind is dict else 'list'}")
+    return raw
+
+
+@dataclass(frozen=True)
+class Param:
+    """One input of a command: its config ``key`` ("block.key" inside a
+    block), the argparse keywords of its overriding ``--name`` flag (or
+    None), ``parse(raw, inputs)`` for a given value (None is not given),
+    the ``default`` (a value, a function of the inputs, or REQUIRED) and
+    ``echo``, which writes the value into the report's config."""
+
+    name: str
+    key: str
+    parse: Callable[[Any, "_Inputs"], Any]
+    default: Any = None
+    flag: Optional[dict] = None
+    echo: Optional[Callable[[Any], Any]] = None
+
+
+class _Inputs:
+    """One report's inputs, each resolved on first attribute access, and
+    the builder of its Gram sections."""
+
+    def __init__(self, cfg: dict, args, params):
+        self.cfg, self.args = cfg, args
+        self.params = {p.name: p for p in params}
+        self.bits, self.max_bits = _resolve_precision(cfg, args)
+        self.used_bits = 0
+
+    def __getattr__(self, name):
+        param = self.__dict__.get("params", {}).get(name)
+        if param is None:
+            raise AttributeError(name)
+        raw = getattr(self.args, name) if param.flag is not None else None
+        if raw is None:
+            block, _, key = param.key.rpartition(".")
+            cfg = self.cfg.get(block) if block else self.cfg
+            raw = None if cfg is None else _expect(cfg, dict, block).get(key)
+        if raw is not None:
+            value = param.parse(raw, self)
+        elif param.default is REQUIRED:
+            raise MalformedConfig(f"config is missing required block {param.key!r}")
+        else:
+            value = param.default(self) if callable(param.default) else param.default
+        setattr(self, name, value)
+        return value
+
+    def echo(self) -> dict:
+        """The config as given, with every resolved input written back."""
+        config = dict(self.cfg, precision_bits=self.bits)
+        blocks = {}
+        for param in self.params.values():
+            value = getattr(self, param.name)
+            if param.echo is not None and value is not None:
+                block, _, key = param.key.rpartition(".")
+                (blocks.setdefault(block, {}) if block else config)[key] = param.echo(value)
+        config.update(blocks)
+        return config
+
+    def section(self, n: int) -> GramMatrix:
+        g = gram(self.wd, self.lam, n, self.bits, self.max_bits)
+        self.used_bits = max(self.used_bits, g.precision_bits)
+        return g
+
+    def sections(self, sizes, top: GramMatrix):
+        """Sections of these sizes, built as consumed; ``top`` serves its own."""
+        for n in sizes:
+            yield top if n == top.n else self.section(n)
+
+
+def _ints(raw) -> list:
+    """Integers from a JSON list or a comma-separated string."""
+    if not isinstance(raw, list):
+        raw = [tok for tok in str(raw).split(",") if tok.strip()]
+    return [to_int(v) for v in raw]
+
+
+def _real(raw, _):
+    """A real number, kept as given so that the echo shows it unchanged."""
+    to_fraction(raw)
+    return raw
+
+
+def _bounded(n: int, top: int) -> int:
+    if not 1 <= n <= top:
+        raise MalformedConfig(f"size or index {n} outside 1..{top}")
+    return n
+
+
+def _sizes(raw, inputs) -> list:
+    """Section sizes, strictly increasing."""
+    sizes = [_bounded(n, len(inputs.lam)) for n in _ints(raw)]
+    if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise MalformedConfig(f"need strictly increasing section sizes, got {sizes}")
+    return sizes
+
+
+def _sweep(raw, inputs):
+    if not isinstance(raw, bool):
+        raise MalformedConfig("sweep must be true or false")
+    if raw and inputs.N > 12:
+        raise MalformedConfig("partition sweep limited to N <= 12")
+    return raw or None
+
+
+def _partition_side(raw, inputs):
+    """One side of the partition; a sweep reads neither side."""
+    return None if inputs.sweep else sorted(set(_ints(raw)))
+
+
+WD = Param("wd", "domain", lambda raw, i: domain_from_json(raw, i.bits), REQUIRED)
+LAM = Param("lam", "exponents", lambda raw, i: exponents_from_json(raw, i.bits), REQUIRED)
+N = Param("N", "N", lambda raw, i: _bounded(to_int(raw), len(i.lam)), lambda i: len(i.lam),
+          {"type": int}, int)
+N_LIST = Param("N_list", "N_list", _sizes, None, {}, list)
+N_LIST_ALL = replace(N_LIST, default=lambda i: [len(i.lam)])
+INDEX = Param("n", "n", lambda raw, i: _bounded(to_int(raw), i.N_list[0]), 1, {"type": int}, int)
+REL_TOL = Param("rel_tol", "rel_tol", _real, "0.01", {}, str)
+EPSILON = Param("epsilon", "epsilon", _real, None, {}, str)
+RHO = Param("rho", "rho", _real, REQUIRED, {}, str)
+GRID = Param("grid_points", "grid_points", lambda raw, i: to_int(raw), 1000, {"type": int}, int)
+TARGET = Param("target", "target", lambda raw, i: series.target_from_json(
+    raw, i.lam, i.wd, i.bits), REQUIRED)
+DATA = Param("data", "d", lambda raw, i: momentsolve.build_moment_data(
+    i.wd, i.lam, _expect(raw, list, "d"), i.bits), REQUIRED)
+OPERATOR = Param("operator", "operator", lambda raw, i: operator.operator_from_json(
+    raw, i.lam, i.N, i.bits), REQUIRED)
+N1 = Param("n1", "partition.N1", _partition_side, lambda i: _partition_side([], i),
+           {"help": "comma-separated power indices"}, list)
+N2 = replace(N1, name="n2", key="partition.N2", flag={"help": "comma-separated dual indices"})
+SWEEP = Param("sweep", "sweep", _sweep, None, {"action": "store_true", "default": None}, bool)
+
+
+# -- per-command results: mpf values, rendered at the section's precision --------
+
+
+def _validate(i: _Inputs, g) -> dict:
+    return {"r_A": i.wd.r_a, "r_w": i.wd.r_a, "total_measure": i.wd.total_measure,
+            "weight_mass": i.wd.weight_mass, "exponent_count": len(i.lam), "gap": i.lam.gap,
+            "summability_tag": i.lam.summability_tag}
+
+
+def _gram(i: _Inputs, g: GramMatrix) -> dict:
+    entries = [[g.entries[r, c] for c in range(g.n)] for r in range(g.n)]
+    rows = [[r + 1, c + 1, entries[r][c]] for r in range(g.n) for c in range(g.n)]
+    return {"n": g.n, "entries": entries, "rows": rows}
+
+
+def _distances(i: _Inputs, g: GramMatrix) -> dict:
+    rep = duals.distance_sweep(i.sections(i.N_list, g), i.n, i.rel_tol, i.bits)
+    oracle = {"applicable": False, "reason": "closed form needs [0,1] with unit weight"}
+    if i.wd.is_unit_lebesgue:
+        oracle = {"applicable": True,
+                  "source": "classical closed-form distance on [0,1], unit weight",
+                  "values": {str(m): fmt(duals.oracle_distance(i.lam, i.n, m, i.bits), i.bits)
+                             for m in i.N_list}}
+    results = {"n": i.n, "stabilized": rep.stabilized, "limit_estimate": rep.limit_estimate,
+               "sections": rep.sections, "rows": rep.sections, "oracle": oracle,
+               "exponent_slopes": rep.exponent_slopes()}
+    if i.epsilon is not None:
+        cert = duals.lower_bound_certificate(rep, i.epsilon)
+        results["certificate"] = {"epsilon": str(i.epsilon), **vars(cert)}
+    return results
+
+
+def _duals(i: _Inputs, g: GramMatrix) -> dict:
+    fam, n = duals.dual_family(g), g.n
+    return {
+        "coefficient_columns": [[fam.coeffs[r, c] for r in range(n)] for c in range(n)],
+        "norms": fam.norms, "distances": fam.distances,
+        "max_biorthogonality_residual": duals.biorthogonality_residual(g, fam),
+        "rows": [[k + 1, fam.norms[k], fam.distances[k]] for k in range(n)],
+    }
+
+
+def _expand(i: _Inputs, g: GramMatrix) -> dict:
+    proj, residual = series.project(g, i.target)
+    results = {"coefficients": proj.coeffs, "residual": residual,
+               "rows": [[k + 1, c] for k, c in enumerate(proj.coeffs)]}
+    if i.N_list is not None:
+        table = series.coefficient_convergence(i.sections(i.N_list, g), i.target, i.bits)
+        results["convergence"] = _render({
+            "section_sizes": table.section_sizes, "coefficient_rows": table.rows,
+            "diffs": table.diffs, "cauchy_flags": table.cauchy_flags}, i.bits)
+    return results
+
+
+def _remez(i: _Inputs, g: GramMatrix) -> dict:
+    values = [series.christoffel_remez(s, i.rho, i.grid_points) for s in i.sections(i.N_list, g)]
+    return {"rho": str(i.rho), "grid_points": i.grid_points, "rows": list(zip(i.N_list, values))}
+
+
+def _moments(i: _Inputs, g: GramMatrix) -> dict:
+    solution, residuals = momentsolve.solve_moments(g, i.data)
+    results = {
+        "fitted_a": i.data.fitted_a, "fitted_C": i.data.fitted_c, "growth_ok": i.data.growth_ok,
+        "coefficients": solution.coeffs, "residuals": residuals,
+        "rows": [[k + 1, solution.coeffs[k], residuals[k]] for k in range(g.n)],
+    }
+    if i.N_list is not None:
+        cert = momentsolve.convergence_certificate(i.sections(i.N_list, g), i.data)
+        results["certificate"] = _render(vars(cert), i.bits)
+    return results
+
+
+def _operator(i: _Inputs, g: GramMatrix) -> dict:
+    spec, rep = i.operator, operator.eigen_check(i.operator, g)
+    return {"apply_demo": operator.apply_demo(spec, g), "kind": spec.kind, "rho": spec.rho,
+            "u": spec.u[:g.n], "rows": rep.tail_bounds, **vars(rep)}
+
+
+def _hereditary(i: _Inputs, g: GramMatrix) -> dict:
+    reports = (operator.hereditary_sweep(g) if i.sweep
+               else [operator.hereditary_check(g, (i.n1, i.n2))])
+    rows = [[",".join(map(str, rep.n1)) or "-", ",".join(map(str, rep.n2)) or "-",
+             rep.mixed_matrix_det, rep.min_singular_value, rep.nonsingular] for rep in reports]
+    if i.sweep:
+        return {"partitions": len(rows), "rows": rows,
+                "min_over_partitions": min(rep.min_singular_value for rep in reports)}
+    return {"mixed_matrix_det": reports[0].mixed_matrix_det, "rows": rows,
+            "min_singular_value": reports[0].min_singular_value,
+            "nonsingular": reports[0].nonsingular}
+
+
+def _render(obj, bits: int):
+    """The results with every mpf as a decimal string at ``bits``."""
+    if isinstance(obj, mp.mpf):
+        return fmt(obj, bits)
+    if isinstance(obj, dict):
+        return {key: _render(value, bits) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_render(value, bits) for value in obj]
+    return obj
+
+
+@dataclass(frozen=True)
+class Command:
+    """A command's results function, every input it reads, and the column
+    names of its table.  A command with a table factors the section of
+    size N, or of the largest size in N_list when it reads no N."""
+
+    results: Callable[[_Inputs, Optional[GramMatrix]], dict]
+    params: tuple
+    columns: Optional[list] = None
+
+
+COMMANDS = {
+    "validate": Command(_validate, (replace(WD, echo=domain_to_json),
+                                    replace(LAM, echo=exponents_to_json))),
+    "gram": Command(_gram, (WD, LAM, N), ["i", "j", "value"]),
+    "distances": Command(_distances, (WD, LAM, N_LIST_ALL, INDEX, REL_TOL, EPSILON),
+                         ["N", "distance"]),
+    "duals": Command(_duals, (WD, LAM, N), ["n", "norm", "distance"]),
+    "expand": Command(_expand, (WD, LAM, N, N_LIST, TARGET), ["n", "coefficient"]),
+    "remez": Command(_remez, (WD, LAM, N_LIST_ALL, RHO, GRID), ["N", "c_N"]),
+    "moments": Command(_moments, (WD, LAM, DATA, replace(N, default=lambda i: len(i.data.d)),
+                                  N_LIST), ["n", "coefficient", "residual"]),
+    "operator": Command(_operator, (WD, LAM, N, OPERATOR), ["m", "tail_bound"]),
+    "hereditary": Command(_hereditary, (WD, LAM, N, N1, N2, SWEEP),
+                          ["N1", "N2", "det", "min_singular_value", "nonsingular"]),
+}
 
 
 def _emit(report: dict, args) -> None:
-    if getattr(args, "format", "json") == "csv":
-        text = _to_csv(report)
+    results = report["results"]
+    if args.format == "csv":
+        if "rows" not in results:
+            raise MalformedConfig("this command has no tabular output; use --format json")
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([results["columns"], *results["rows"]])
+        text = buf.getvalue()
     else:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
-
-
-def _to_csv(report: dict) -> str:
-    rows = report.get("results", {}).get("rows")
-    if rows is None:
-        raise MalformedConfig("this command has no tabular output; use --format json")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = report["results"].get("columns")
-    if header:
-        writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def _base_report(command: str, cfg: dict, bits: int) -> dict:
-    resolved = dict(cfg)
-    resolved["precision_bits"] = bits
-    return {"command": command, "config": resolved, "results": {}}
-
-
-# -- subcommand implementations ---------------------------------------------
-
-
-def _cmd_validate(cfg: dict, args) -> dict:
-    bits = _resolve_precision(cfg, args)
-    wd, lam = _build_inputs(cfg, bits)
-    report = _base_report("validate", cfg, bits)
-    report["config"]["domain"] = domain_to_json(wd)
-    report["config"]["exponents"] = exponents_to_json(lam)
-    report["results"] = {
-        "r_A": fmt(wd.r_a, bits),
-        "r_w": fmt(wd.r_w, bits),
-        "total_measure": fmt(wd.total_measure, bits),
-        "weight_mass": fmt(wd.weight_mass, bits),
-        "exponent_count": len(lam),
-        "gap": fmt(lam.gap, bits),
-        "summability_tag": lam.summability_tag,
-    }
-    return report
-
-
-def _cmd_gram(cfg: dict, args) -> dict:
-    bits = _resolve_precision(cfg, args)
-    wd, lam = _build_inputs(cfg, bits)
-    n = int(getattr(args, "N", None) or cfg.get("N") or len(lam))
-    g = gram(wd, lam, n, bits, int(cfg.get("max_precision_bits", MAX_PRECISION_BITS)))
-    report = _base_report("gram", cfg, bits)
-    report["config"]["N"] = n
-    ub = g.precision_bits
-    report["results"] = {
-        "n": g.n,
-        "precision_bits_used": ub,
-        "cond_estimate": fmt(g.cond_estimate, ub),
-        "entries": [[fmt(g.entries[i, j], ub) for j in range(g.n)] for i in range(g.n)],
-        "columns": ["i", "j", "value"],
-        "rows": [
-            [i + 1, j + 1, fmt(g.entries[i, j], ub)]
-            for i in range(g.n)
-            for j in range(g.n)
-        ],
-    }
-    return report
-
-
-def _oracle_block(wd, lam, n, sizes, bits):
-    if not wd.is_unit_lebesgue:
-        return {"applicable": False, "reason": "closed form needs [0,1] with unit weight"}
-    values = {
-        str(size): fmt(duals_mod.oracle_distance(lam, n, size, bits), bits)
-        for size in sizes
-    }
-    return {
-        "applicable": True,
-        "source": "classical closed-form distance on [0,1], unit weight",
-        "values": values,
-    }
-
-
-def _cmd_distances(cfg: dict, args) -> dict:
-    bits = _resolve_precision(cfg, args)
-    wd, lam = _build_inputs(cfg, bits)
-    n = int(getattr(args, "n", None) or cfg.get("n") or 1)
-    sizes = _parse_int_list(getattr(args, "N_list", None) or cfg.get("N_list") or [len(lam)])
-    rel_tol = getattr(args, "rel_tol", None) or cfg.get("rel_tol", "0.01")
-    report_obj = duals_mod.distance_sweep(wd, lam, n, sizes, rel_tol, bits)
-    ub = report_obj.precision_bits
-    g_last = gram(wd, lam, sizes[-1], bits)
-    report = _base_report("distances", cfg, bits)
-    report["config"].update({"n": n, "N_list": sizes, "rel_tol": str(rel_tol)})
-    results = {
-        "precision_bits_used": ub,
-        "cond_estimate": fmt(g_last.cond_estimate, ub),
-        "n": n,
-        "stabilized": report_obj.stabilized,
-        "limit_estimate": fmt(report_obj.limit_estimate, ub),
-        "sections": [[size, fmt(d, ub)] for size, d in report_obj.sections],
-        "exponent_slopes": [
-            [size, fmt(s, ub)] for size, s in report_obj.exponent_slopes()
-        ],
-        "oracle": _oracle_block(wd, lam, n, sizes, bits),
-        "columns": ["N", "distance"],
-        "rows": [[size, fmt(d, ub)] for size, d in report_obj.sections],
-    }
-    eps = getattr(args, "epsilon", None) or cfg.get("epsilon")
-    if eps is not None:
-        cert = duals_mod.lower_bound_certificate(report_obj, eps)
-        report["config"]["epsilon"] = str(eps)
-        results["certificate"] = {
-            "epsilon": str(eps),
-            "u_epsilon": fmt(cert.u_epsilon, ub),
-            "passed": cert.passed,
-            "stable": cert.stable,
-            "section_ratios": [[size, fmt(r, ub)] for size, r in cert.section_ratios],
-        }
-    report["results"] = results
-    return report
-
-
-def _cmd_duals(cfg: dict, args) -> dict:
-    bits = _resolve_precision(cfg, args)
-    wd, lam = _build_inputs(cfg, bits)
-    n = int(getattr(args, "N", None) or cfg.get("N") or len(lam))
-    g = gram(wd, lam, n, bits)
-    fam = duals_mod.dual_family(g)
-    ub = g.precision_bits
-    with workbits(ub):
-        biorth = max(
-            abs(sum(g.entries[m, k] * fam.coeffs[k, j] for k in range(n)) - (1 if m == j else 0))
-            for m in range(n)
-            for j in range(n)
-        )
-    report = _base_report("duals", cfg, bits)
-    report["config"]["N"] = n
-    report["results"] = {
-        "precision_bits_used": ub,
-        "cond_estimate": fmt(g.cond_estimate, ub),
-        "coefficient_columns": [
-            [fmt(fam.coeffs[i, j], ub) for i in range(n)] for j in range(n)
-        ],
-        "norms": [fmt(v, ub) for v in fam.norms],
-        "distances": [fmt(v, ub) for v in fam.distances],
-        "max_biorthogonality_residual": fmt(biorth, ub),
-        "columns": ["n", "norm", "distance"],
-        "rows": [
-            [k + 1, fmt(fam.norms[k], ub), fmt(fam.distances[k], ub)] for k in range(n)
-        ],
-    }
-    return report
-
-
-def _target_from_config(cfg: dict, lam, wd, bits: int):
-    block = _require(cfg, "target")
-    kind = block.get("kind")
-    if kind == "pure_power":
-        return series.TargetFunction.pure_power(block["mu"], bits)
-    if kind == "muntz_combo":
-        coeffs = [to_mpf(v, bits) for v in block["coeffs"]]
-        combo = series.MuntzSeries(
-            lam_ref=lam, coeffs=tuple(coeffs), radius=wd.r_w, precision_bits=bits
-        )
-        return series.TargetFunction.muntz_combo(combo)
-    raise MalformedConfig(f"unknown target kind {kind!r}")
-
-
-def _cmd_expand(cfg: dict, args) -> dict:
-    bits = _resolve_precision(cfg, args)
-    wd, lam = _build_inputs(cfg, bits)
-    n = int(getattr(args, "N", None) or cfg.get("N") or len(lam))
-    target = _target_from_config(cfg, lam, wd, bits)
-    proj, residual = series.project(wd, lam, n, target, bits)
-    g = gram(wd, lam, n, bits)
-    report = _base_report("expand", cfg, bits)
-    report["config"]["N"] = n
-    results = {
-        "precision_bits_used": proj.precision_bits,
-        "cond_estimate": fmt(g.cond_estimate, g.precision_bits),
-        "coefficients": [fmt(c, proj.precision_bits) for c in proj.coeffs],
-        "residual": fmt(residual, proj.precision_bits),
-        "columns": ["n", "coefficient"],
-        "rows": [[k + 1, fmt(c, proj.precision_bits)] for k, c in enumerate(proj.coeffs)],
-    }
-    sizes = getattr(args, "N_list", None) or cfg.get("N_list")
-    if sizes:
-        sizes = _parse_int_list(sizes)
-        table = series.coefficient_convergence(wd, lam, target, sizes, bits)
-        results["convergence"] = {
-            "section_sizes": list(table.section_sizes),
-            "coefficient_rows": [
-                [size, [fmt(c, bits) for c in coeffs]] for size, coeffs in table.rows
-            ],
-            "diffs": [[fmt(d, bits) for d in dk] for dk in table.diffs],
-            "cauchy_flags": list(table.cauchy_flags),
-        }
-        report["config"]["N_list"] = sizes
-    report["results"] = results
-    return report
-
-
-def _cmd_remez(cfg: dict, args) -> dict:
-    bits = _resolve_precision(cfg, args)
-    wd, lam = _build_inputs(cfg, bits)
-    rho = getattr(args, "rho", None) or _require(cfg, "rho")
-    grid_points = int(getattr(args, "grid_points", None) or cfg.get("grid_points", 1000))
-    sizes = _parse_int_list(getattr(args, "N_list", None) or cfg.get("N_list") or [len(lam)])
-    rows = []
-    for size in sizes:
-        c = series.christoffel_remez(wd, lam, size, rho, grid_points, bits)
-        rows.append([size, fmt(c, bits)])
-    g_last = gram(wd, lam, sizes[-1], bits)
-    report = _base_report("remez", cfg, bits)
-    report["config"].update(
-        {"rho": str(rho), "grid_points": grid_points, "N_list": sizes}
-    )
-    report["results"] = {
-        "precision_bits_used": bits,
-        "cond_estimate": fmt(g_last.cond_estimate, g_last.precision_bits),
-        "rho": str(rho),
-        "grid_points": grid_points,
-        "columns": ["N", "c_N"],
-        "rows": rows,
-    }
-    return report
-
-
-def _cmd_moments(cfg: dict, args) -> dict:
-    bits = _resolve_precision(cfg, args)
-    wd, lam = _build_inputs(cfg, bits)
-    d_values = _require(cfg, "d")
-    data = momentsolve.build_moment_data(wd, lam, d_values, bits)
-    n = int(getattr(args, "N", None) or cfg.get("N") or len(d_values))
-    solution, residuals = momentsolve.solve_moments(wd, lam, data, n, bits)
-    ub = solution.precision_bits
-    g = gram(wd, lam, n, bits)
-    report = _base_report("moments", cfg, bits)
-    report["config"]["N"] = n
-    results = {
-        "precision_bits_used": ub,
-        "cond_estimate": fmt(g.cond_estimate, g.precision_bits),
-        "fitted_a": fmt(data.fitted_a, ub),
-        "fitted_C": fmt(data.fitted_c, ub),
-        "growth_ok": data.growth_ok,
-        "coefficients": [fmt(c, ub) for c in solution.coeffs],
-        "residuals": [fmt(r, ub) for r in residuals],
-        "columns": ["n", "coefficient", "residual"],
-        "rows": [
-            [k + 1, fmt(solution.coeffs[k], ub), fmt(residuals[k], ub)]
-            for k in range(n)
-        ],
-    }
-    sizes = getattr(args, "N_list", None) or cfg.get("N_list")
-    if sizes:
-        sizes = _parse_int_list(sizes)
-        cert = momentsolve.convergence_certificate(wd, lam, data, sizes, bits)
-        results["certificate"] = {
-            "section_sizes": list(cert.section_sizes),
-            "partial_sums": [fmt(v, bits) for v in cert.partial_sums],
-            "solution_norms": [fmt(v, bits) for v in cert.solution_norms],
-            "ratios": [fmt(v, bits) for v in cert.ratios],
-            "growth_ok": cert.growth_ok,
-        }
-        report["config"]["N_list"] = sizes
-    report["results"] = results
-    return report
-
-
-def _operator_from_config(cfg: dict, lam, n: int, bits: int):
-    block = _require(cfg, "operator")
-    kind = block.get("kind", "dilation")
-    rho = block.get("rho")
-    if rho is None:
-        raise MalformedConfig("operator block needs a rho value")
-    if kind == "dilation":
-        return operator.dilation_operator(lam, rho, max(n, int(block.get("count", n))), bits)
-    if kind == "diagonal_list":
-        return operator.diagonal_operator(block["u"], rho, bits)
-    raise MalformedConfig(f"unknown operator kind {kind!r}")
-
-
-def _apply_demo(wd, lam, spec, n: int, bits: int) -> list:
-    """Evaluate the operator action on the all-ones series at three
-    sample points; for the dilation kind this matches f(rho x)."""
-    with workbits(bits):
-        ones = series.MuntzSeries(
-            lam_ref=lam,
-            coeffs=tuple(mp.mpf(1) for _ in range(n)),
-            radius=wd.r_w,
-            precision_bits=bits,
-        )
-        acted = operator.apply(spec, ones)
-        rows = []
-        for q in ("0.25", "0.5", "0.75"):
-            x = wd.r_w * mp.mpf(q)
-            lifted = series.evaluate(acted, x, bits)
-            direct = series.evaluate(ones, x * spec.rho, bits)
-            rows.append(
-                {
-                    "x": fmt(x, bits),
-                    "Tf_x": fmt(lifted, bits),
-                    "f_rho_x": fmt(direct, bits),
-                    "abs_diff": fmt(abs(lifted - direct), bits),
-                }
-            )
-        return rows
-
-
-def _cmd_operator(cfg: dict, args) -> dict:
-    bits = _resolve_precision(cfg, args)
-    wd, lam = _build_inputs(cfg, bits)
-    n = int(getattr(args, "N", None) or cfg.get("N") or len(lam))
-    g = gram(wd, lam, n, bits)
-    spec = _operator_from_config(cfg, lam, n, bits)
-    rep = operator.eigen_check(spec, g)
-    ub = g.precision_bits
-    report = _base_report("operator", cfg, bits)
-    report["config"]["N"] = n
-    demo = _apply_demo(wd, lam, spec, n, ub)
-    report["results"] = {
-        "precision_bits_used": ub,
-        "cond_estimate": fmt(g.cond_estimate, ub),
-        "apply_demo": demo,
-        "kind": spec.kind,
-        "rho": fmt(spec.rho, ub),
-        "u": [fmt(v, ub) for v in spec.u[:n]],
-        "eigen_ok": rep.eigen_ok,
-        "adjoint_eigen_ok": rep.adjoint_eigen_ok,
-        "simplicity_ok": rep.simplicity_ok,
-        "kernel_trivial_ok": rep.kernel_trivial_ok,
-        "normality_defect": fmt(rep.normality_defect, ub),
-        "max_adjoint_residual": fmt(rep.max_adjoint_residual, ub),
-        "tail_bounds": [[m, fmt(b, ub)] for m, b in rep.tail_bounds],
-        "tail_decay_ok": rep.tail_decay_ok,
-        "columns": ["m", "tail_bound"],
-        "rows": [[m, fmt(b, ub)] for m, b in rep.tail_bounds],
-    }
-    return report
-
-
-def _cmd_hereditary(cfg: dict, args) -> dict:
-    bits = _resolve_precision(cfg, args)
-    wd, lam = _build_inputs(cfg, bits)
-    n = int(getattr(args, "N", None) or cfg.get("N") or len(lam))
-    g = gram(wd, lam, n, bits)
-    ub = g.precision_bits
-    report = _base_report("hereditary", cfg, bits)
-    report["config"]["N"] = n
-    if getattr(args, "sweep", False) or cfg.get("sweep"):
-        if n > 12:
-            raise MalformedConfig("partition sweep limited to N <= 12")
-        rows = []
-        worst = None
-        for mask in range(2 ** n):
-            n2 = tuple(i + 1 for i in range(n) if mask & (1 << i))
-            n1 = tuple(i + 1 for i in range(n) if not mask & (1 << i))
-            rep = operator.hereditary_check(g, (n1, n2))
-            rows.append(
-                [
-                    ",".join(map(str, n1)) or "-",
-                    ",".join(map(str, n2)) or "-",
-                    fmt(rep.mixed_matrix_det, ub),
-                    fmt(rep.min_singular_value, ub),
-                    rep.nonsingular,
-                ]
-            )
-            if worst is None or rep.min_singular_value < worst:
-                worst = rep.min_singular_value
-        report["config"]["sweep"] = True
-        report["results"] = {
-            "precision_bits_used": ub,
-            "cond_estimate": fmt(g.cond_estimate, ub),
-            "partitions": len(rows),
-            "min_over_partitions": fmt(worst, ub),
-            "columns": ["N1", "N2", "det", "min_singular_value", "nonsingular"],
-            "rows": rows,
-        }
-        return report
-
-    block = cfg.get("partition") or {}
-    n1 = _parse_int_list(getattr(args, "n1", None) or block.get("N1") or [])
-    n2 = _parse_int_list(getattr(args, "n2", None) or block.get("N2") or [])
-    rep = operator.hereditary_check(g, (n1, n2))
-    report["config"]["partition"] = {"N1": list(rep.n1), "N2": list(rep.n2)}
-    report["results"] = {
-        "precision_bits_used": ub,
-        "cond_estimate": fmt(g.cond_estimate, ub),
-        "mixed_matrix_det": fmt(rep.mixed_matrix_det, ub),
-        "min_singular_value": fmt(rep.min_singular_value, ub),
-        "nonsingular": rep.nonsingular,
-        "columns": ["N1", "N2", "det", "min_singular_value", "nonsingular"],
-        "rows": [
-            [
-                ",".join(map(str, rep.n1)) or "-",
-                ",".join(map(str, rep.n2)) or "-",
-                fmt(rep.mixed_matrix_det, ub),
-                fmt(rep.min_singular_value, ub),
-                rep.nonsingular,
-            ]
-        ],
-    }
-    return report
-
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "gram": _cmd_gram,
-    "distances": _cmd_distances,
-    "duals": _cmd_duals,
-    "expand": _cmd_expand,
-    "remez": _cmd_remez,
-    "moments": _cmd_moments,
-    "operator": _cmd_operator,
-    "hereditary": _cmd_hereditary,
-}
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise MalformedConfig(f"cannot write {args.out}: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="muntz",
-        description="Arbitrary-precision toolkit for weighted power systems.",
-    )
+        prog="muntz", description="Arbitrary-precision toolkit for weighted power systems.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config path")
         p.add_argument("--precision-bits", dest="precision_bits", type=int)
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        if name in ("gram", "duals", "expand", "moments", "operator", "hereditary"):
-            p.add_argument("--N", dest="N", type=int)
-        if name in ("distances", "expand", "remez", "moments"):
-            p.add_argument("--N-list", dest="N_list")
-        if name == "distances":
-            p.add_argument("--n", dest="n", type=int)
-            p.add_argument("--rel-tol", dest="rel_tol")
-            p.add_argument("--epsilon", dest="epsilon")
-        if name == "remez":
-            p.add_argument("--rho", dest="rho")
-            p.add_argument("--grid-points", dest="grid_points", type=int)
-        if name == "hereditary":
-            p.add_argument("--n1", dest="n1", help="comma-separated power indices")
-            p.add_argument("--n2", dest="n2", help="comma-separated dual indices")
-            p.add_argument("--sweep", action="store_true")
+        for param in command.params:
+            if param.flag is not None:
+                p.add_argument("--" + param.name.replace("_", "-"), **param.flag)
     return parser
 
 
@@ -560,17 +372,24 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    command = COMMANDS[args.command]
     try:
-        cfg = _load_config(args.config)
-        report = _HANDLERS[args.command](cfg, args)
-        _emit(report, args)
+        inputs = _Inputs(_load_config(args.config), args, command.params)
+        for param in command.params:
+            getattr(inputs, param.name)
+        g = None
+        if command.columns:
+            g = inputs.section(inputs.N if "N" in inputs.params else inputs.N_list[-1])
+        results = command.results(inputs, g)
+        if g is not None:
+            results.update(precision_bits_used=inputs.used_bits, cond_estimate=g.cond_estimate,
+                           columns=command.columns)
+        results = _render(results, g.precision_bits if g else inputs.bits)
+        _emit({"command": args.command, "config": inputs.echo(), "results": results}, args)
         return 0
-    except NumericalError as exc:
+    except MuntzError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 3
-    except (ValidationError, MuntzError) as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NumericalError) else 2
 
 
 def main() -> None:

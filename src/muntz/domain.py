@@ -22,24 +22,14 @@ from .errors import (
     OverlappingIntervals,
     ValidationError,
 )
-from .precision import DEFAULT_PRECISION_BITS, Real, mpf_from_fraction, to_fraction, workbits
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi] on the nonnegative half-line, lo < hi."""
-
-    lo: mpmath.mpf
-    hi: mpmath.mpf
-
-
-@dataclass(frozen=True)
-class WeightPiece:
-    """Weight coeff * x**power on one interval; power > -1 keeps the
-    integral finite down to x = 0."""
-
-    coeff: mpmath.mpf
-    power: mpmath.mpf
+from .precision import (
+    DEFAULT_PRECISION_BITS,
+    Real,
+    frac_str,
+    mpf_from_fraction,
+    to_fraction,
+    workbits,
+)
 
 
 @dataclass(frozen=True)
@@ -48,19 +38,15 @@ class WeightedDomain:
 
     Attributes
     ----------
-    intervals, weights : parallel tuples, sorted by increasing endpoints.
-    r_a : essential supremum of the set (largest right endpoint).
-    r_w : weighted essential supremum; equals r_a because the weight is
+    r_a : essential supremum of the set (largest right endpoint).  It is
+        also the weighted essential supremum r_w, because the weight is
         strictly positive on every interval.
     total_measure : Lebesgue measure of the union.
     weight_mass : integral of the weight over the union.
     precision_bits : mantissa width the displayed mpf fields were built at.
     """
 
-    intervals: Tuple[Interval, ...]
-    weights: Tuple[WeightPiece, ...]
     r_a: mpmath.mpf
-    r_w: mpmath.mpf
     total_measure: mpmath.mpf
     weight_mass: mpmath.mpf
     precision_bits: int
@@ -91,7 +77,7 @@ def build_weighted_domain(
     intervals : sequence of (lo, hi) pairs; pairwise disjoint once sorted.
         Shared endpoints count as overlap and are rejected, not merged.
     weights : sequence of (coeff, power) pairs, one per interval.
-    precision_bits : width at which the stored mpf views are rendered.
+    precision_bits : width at which the stored mpf fields are rendered.
 
     Raises
     ------
@@ -134,19 +120,8 @@ def build_weighted_domain(
         mass = mp.mpf(0)
         for lo_f, hi_f, c_f, p_f in pieces:
             mass += _piece_moment(lo_f, hi_f, c_f, p_f, mp.mpf(0), precision_bits)
-        ivs = tuple(
-            Interval(mpf_from_fraction(lo, precision_bits), mpf_from_fraction(hi, precision_bits))
-            for lo, hi, _, _ in pieces
-        )
-        wps = tuple(
-            WeightPiece(mpf_from_fraction(c, precision_bits), mpf_from_fraction(p, precision_bits))
-            for _, _, c, p in pieces
-        )
         return WeightedDomain(
-            intervals=ivs,
-            weights=wps,
             r_a=mpf_from_fraction(r_a, precision_bits),
-            r_w=mpf_from_fraction(r_a, precision_bits),
             total_measure=mpf_from_fraction(total, precision_bits),
             weight_mass=mass,
             precision_bits=precision_bits,
@@ -204,15 +179,10 @@ def domain_to_json(wd: WeightedDomain) -> dict:
     """Inverse of ``domain_from_json``; values as exact decimal strings."""
     return {
         "intervals": [
-            {"lo": _frac_str(lo), "hi": _frac_str(hi)} for lo, hi, _, _ in wd.pieces
+            {"lo": frac_str(lo), "hi": frac_str(hi)} for lo, hi, _, _ in wd.pieces
         ],
         "weights": [
-            {"coeff": _frac_str(c), "power": _frac_str(p)} for _, _, c, p in wd.pieces
+            {"coeff": frac_str(c), "power": frac_str(p)} for _, _, c, p in wd.pieces
         ],
     }
 
-
-def _frac_str(fr: Fraction) -> str:
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    return f"{fr.numerator}/{fr.denominator}"

@@ -14,15 +14,14 @@ is an independent oracle for everything the linear algebra produces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 import mpmath
 from mpmath import mp
 
-from .domain import WeightedDomain
 from .errors import BadEpsilon, IndexOutOfRange, ValidationError
 from .exponents import ExponentSequence
-from .gram import GramMatrix, gram, gram_inverse, gram_inverse_column
+from .gram import GramMatrix, gram_inverse, gram_inverse_column
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 
 
@@ -43,7 +42,7 @@ class DualFamily:
     precision_bits: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistanceReport:
     """Distances of one fixed index across growing section sizes."""
 
@@ -54,8 +53,6 @@ class DistanceReport:
     stabilized: bool
     limit_estimate: mpmath.mpf
     precision_bits: int
-    epsilon: Optional[mpmath.mpf] = None
-    u_epsilon: Optional[mpmath.mpf] = None
 
     def exponent_slopes(self) -> List[Tuple[int, mpmath.mpf]]:
         """(N, log D_n^(N) / lam_n) pairs; the effective decay base is
@@ -94,6 +91,18 @@ def dual_family(g: GramMatrix) -> DualFamily:
     )
 
 
+def biorthogonality_residual(g: GramMatrix, fam: DualFamily) -> mpmath.mpf:
+    """max |(G C)_mj - delta_mj| over the section: how far the dual
+    coefficient columns C are from inverting the Gram matrix."""
+    n = g.n
+    with workbits(g.precision_bits):
+        return max(
+            abs(sum(g.entries[m, k] * fam.coeffs[k, j] for k in range(n)) - (1 if m == j else 0))
+            for m in range(n)
+            for j in range(n)
+        )
+
+
 def distance(g: GramMatrix, n: int) -> mpmath.mpf:
     """Distance from the n-th section power to the span of the others."""
     if not 1 <= n <= g.n:
@@ -129,47 +138,45 @@ def oracle_distance(
 
 
 def distance_sweep(
-    wd: WeightedDomain,
-    lam: ExponentSequence,
+    sections: Iterable[GramMatrix],
     n: int,
-    section_sizes: Sequence[int],
     rel_tol: Real,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> DistanceReport:
-    """Track D_n across increasing section sizes.
+    """Track D_n across factored sections of strictly increasing size.
 
-    The values are nonincreasing (larger span, smaller distance);
-    stabilized is set when the final relative decrease drops below
-    rel_tol.  The last value doubles as the limit estimate.
+    The sections are consumed one at a time, so a lazy iterable keeps
+    only the section in use alive.  The values are nonincreasing (larger
+    span, smaller distance); stabilized is set when the final relative
+    decrease, compared at ``precision_bits``, drops below rel_tol.  The
+    last value doubles as the limit estimate.
     """
-    sizes = list(section_sizes)
-    if not sizes:
-        raise ValidationError("need at least one section size")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValidationError("section sizes must be strictly increasing")
-    if n > sizes[0]:
-        raise ValidationError(f"target index {n} exceeds the smallest section {sizes[0]}")
-
     tol = to_mpf(rel_tol, precision_bits)
-    sections = []
+    distances = []
     used_bits = precision_bits
-    for size in sizes:
-        g = gram(wd, lam, size, precision_bits)
+    g = None
+    for g in sections:
+        if not distances and n > g.n:
+            raise ValidationError(f"target index {n} exceeds the smallest section {g.n}")
+        if distances and g.n <= distances[-1][0]:
+            raise ValidationError("section sizes must be strictly increasing")
         used_bits = max(used_bits, g.precision_bits)
-        sections.append((size, distance(g, n)))
+        distances.append((g.n, distance(g, n)))
+    if g is None:
+        raise ValidationError("need at least one section size")
 
     with workbits(used_bits):
         stabilized = False
-        if len(sections) >= 2:
-            d_prev, d_last = sections[-2][1], sections[-1][1]
+        if len(distances) >= 2:
+            d_prev, d_last = distances[-2][1], distances[-1][1]
             stabilized = (d_prev - d_last) / d_prev < tol
         return DistanceReport(
             n=n,
-            lam_n=lam.values_at(used_bits)[n - 1],
-            r_w=wd.r_w,
-            sections=tuple(sections),
+            lam_n=g.lam.values_at(used_bits)[n - 1],
+            r_w=g.domain.r_a,
+            sections=tuple(distances),
             stabilized=stabilized,
-            limit_estimate=sections[-1][1],
+            limit_estimate=distances[-1][1],
             precision_bits=used_bits,
         )
 
@@ -177,10 +184,9 @@ def distance_sweep(
 def lower_bound_certificate(report: DistanceReport, epsilon: Real) -> LowerBoundCertificate:
     """Fit the lower-bound constant from a distance report.
 
-    Fills report.epsilon and report.u_epsilon as a side effect.  The fit
-    is empirical: u is the smallest recorded ratio, positivity is the
-    falsifiable claim, and stability (< 50% spread across sections) is
-    reported alongside rather than asserted.
+    The fit is empirical: u is the smallest recorded ratio, positivity
+    is the falsifiable claim, and stability (< 50% spread across
+    sections) is reported alongside rather than asserted.
     """
     bits = report.precision_bits
     with workbits(bits):
@@ -192,8 +198,6 @@ def lower_bound_certificate(report: DistanceReport, epsilon: Real) -> LowerBound
         u = min(r for _, r in ratios)
         hi = max(r for _, r in ratios)
         stable = (hi - u) / hi < mp.mpf(1) / 2 if hi > 0 else False
-        report.epsilon = eps
-        report.u_epsilon = u
         return LowerBoundCertificate(
             u_epsilon=u,
             passed=u > 0,

@@ -17,6 +17,12 @@ class NumericalError(MuntzError):
     """Numerical failure that more precision might fix."""
 
 
+# -- numeric input -------------------------------------------------------
+
+class NotANumber(ValidationError):
+    """An input that should be a real or an integer does not parse as one."""
+
+
 # -- domain construction -------------------------------------------------
 
 class OverlappingIntervals(ValidationError):

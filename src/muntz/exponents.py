@@ -16,7 +16,15 @@ import mpmath
 from mpmath import mp
 
 from .errors import MalformedConfig, NonIncreasing, NonPositive, ValidationError
-from .precision import DEFAULT_PRECISION_BITS, Real, mpf_from_fraction, to_fraction, workbits
+from .precision import (
+    DEFAULT_PRECISION_BITS,
+    Real,
+    frac_str,
+    mpf_from_fraction,
+    to_fraction,
+    to_int,
+    workbits,
+)
 
 SUMMABLE = "summable_certified"
 NONSUMMABLE = "nonsummable_certified"
@@ -86,11 +94,13 @@ def build_exponents(
     if isinstance(spec, dict):
         kind = spec.get("kind")
         if kind == "explicit":
-            return explicit_exponents(spec.get("values", []), precision_bits)
+            if not isinstance(spec.get("values"), list):
+                raise MalformedConfig("explicit exponents need a values list")
+            return explicit_exponents(spec["values"], precision_bits)
         if kind == "power":
             try:
                 return power_exponents(
-                    spec["c"], spec["beta"], int(spec["count"]), precision_bits
+                    spec["c"], spec["beta"], to_int(spec["count"]), precision_bits
                 )
             except KeyError as exc:
                 raise MalformedConfig(f"power generator missing field {exc}") from exc
@@ -165,14 +175,9 @@ def exponents_to_json(lam: ExponentSequence) -> dict:
         gen = lam.generator
         return {
             "kind": "power",
-            "c": _frac_str(gen.c),
-            "beta": _frac_str(gen.beta),
+            "c": frac_str(gen.c),
+            "beta": frac_str(gen.beta),
             "count": gen.count,
         }
-    return {"kind": "explicit", "values": [_frac_str(v) for v in lam.raw]}
+    return {"kind": "explicit", "values": [frac_str(v) for v in lam.raw]}
 
-
-def _frac_str(fr: Fraction) -> str:
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    return f"{fr.numerator}/{fr.denominator}"

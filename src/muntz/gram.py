@@ -32,7 +32,8 @@ class GramMatrix:
     assembly finally succeeded at (>= the requested width when escalation
     kicked in).  ``cond_estimate`` is the squared ratio of extreme
     diagonal entries of the factor: a cheap lower bound on the condition
-    number, used as the escalation guard.  Treated as immutable.
+    number, used as the escalation guard.  ``lam`` and ``domain`` are the
+    sequence and domain the section was cut from.  Treated as immutable.
     """
 
     n: int
@@ -41,6 +42,7 @@ class GramMatrix:
     cond_estimate: mpmath.mpf
     precision_bits: int
     lams: Tuple[mpmath.mpf, ...]
+    lam: ExponentSequence
     domain: WeightedDomain
 
 
@@ -89,6 +91,7 @@ def gram(
                         cond_estimate=cond,
                         precision_bits=bits,
                         lams=tuple(lams),
+                        lam=lam,
                         domain=wd,
                     )
                 last_failure = "condition"

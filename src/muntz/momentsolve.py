@@ -10,7 +10,7 @@ convergent infinite-section limit (a below the domain radius).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
@@ -18,7 +18,7 @@ from mpmath import mp
 from .domain import WeightedDomain
 from .errors import ValidationError
 from .exponents import ExponentSequence
-from .gram import gram, solve_spd
+from .gram import GramMatrix, solve_spd
 from .duals import dual_family
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 from .series import MuntzSeries
@@ -87,28 +87,22 @@ def build_moment_data(
             d=dv,
             fitted_a=a,
             fitted_c=c,
-            growth_ok=a < wd.r_w,
+            growth_ok=a < wd.r_a,
             precision_bits=precision_bits,
         )
 
 
-def solve_moments(
-    wd: WeightedDomain,
-    lam: ExponentSequence,
-    data: MomentData,
-    section: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> Tuple[MuntzSeries, List[mpmath.mpf]]:
-    """Solve the leading-section moment equations exactly.
+def solve_moments(g: GramMatrix, data: MomentData) -> Tuple[MuntzSeries, List[mpmath.mpf]]:
+    """Solve the moment equations of a factored section exactly.
 
     Returns the coefficient-form solution and the per-equation residuals
     <f, x**lam_n> - d_n, which sit at rounding level for any data.  The
     solver runs regardless of growth_ok; the flag only predicts whether
     growing sections stay bounded.
     """
+    section = g.n
     if section > len(data.d):
         raise ValidationError(f"section {section} exceeds {len(data.d)} moment values")
-    g = gram(wd, lam, section, precision_bits)
     bits = g.precision_bits
     with workbits(bits):
         rhs = list(data.d[:section])
@@ -118,7 +112,7 @@ def solve_moments(
             attained = mp.fsum(g.entries[i, j] * coeffs[j] for j in range(section))
             residuals.append(attained - rhs[i])
         series = MuntzSeries(
-            lam_ref=lam, coeffs=tuple(coeffs), radius=wd.r_w, precision_bits=bits
+            lam_ref=g.lam, coeffs=tuple(coeffs), radius=g.domain.r_a, precision_bits=bits
         )
         return series, residuals
 
@@ -140,20 +134,21 @@ class ConvergenceCertificate:
 
 
 def convergence_certificate(
-    wd: WeightedDomain,
-    lam: ExponentSequence,
-    data: MomentData,
-    section_sizes: Sequence[int],
-    precision_bits: int = DEFAULT_PRECISION_BITS,
+    sections: Iterable[GramMatrix], data: MomentData
 ) -> ConvergenceCertificate:
-    """Tabulate sum_{n<=N} |d_n| ||r_n^(N)|| and solution norms over N."""
-    sizes = list(section_sizes)
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValidationError("section sizes must be strictly increasing")
+    """Tabulate sum_{n<=N} |d_n| ||r_n^(N)|| and solution norms over
+    factored sections of strictly increasing size, consumed one at a
+    time.  The ratios are taken at the data's precision."""
+    sizes = []
     sums = []
     norms = []
-    for size in sizes:
-        g = gram(wd, lam, size, precision_bits)
+    for g in sections:
+        size = g.n
+        if sizes and size <= sizes[-1]:
+            raise ValidationError("section sizes must be strictly increasing")
+        if size > len(data.d):
+            raise ValidationError(f"section {size} exceeds {len(data.d)} moment values")
+        sizes.append(size)
         fam = dual_family(g)
         with workbits(g.precision_bits):
             sums.append(
@@ -162,7 +157,7 @@ def convergence_certificate(
             coeffs = solve_spd(g, list(data.d[:size]))
             norm_sq = mp.fsum(coeffs[k] * data.d[k] for k in range(size))
             norms.append(mp.sqrt(norm_sq) if norm_sq > 0 else mp.mpf(0))
-    with workbits(precision_bits):
+    with workbits(data.precision_bits):
         ratios = tuple(b / a if a != 0 else mp.mpf(0) for a, b in zip(sums, sums[1:]))
     return ConvergenceCertificate(
         section_sizes=tuple(sizes),

@@ -14,7 +14,7 @@ hereditary completeness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
@@ -24,13 +24,14 @@ from .errors import (
     BoundViolation,
     DuplicateEigenvalue,
     LengthMismatch,
+    MalformedConfig,
     ValidationError,
     ZeroEigenvalue,
 )
 from .exponents import ExponentSequence
 from .gram import GramMatrix, gram_inverse, gram_inverse_column, solve_spd
-from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
-from .series import MuntzSeries
+from .precision import DEFAULT_PRECISION_BITS, Real, to_int, to_mpf, workbits
+from .series import MuntzSeries, evaluate
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,30 @@ def diagonal_operator(
         raise ValidationError(f"rho = {rho_m} must lie in (0, 1)")
     uv = tuple(to_mpf(x, precision_bits) for x in u)
     return OperatorSpec(u=uv, rho=rho_m, kind="diagonal_list")
+
+
+def operator_from_json(
+    obj: dict,
+    lam: ExponentSequence,
+    n: int,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
+) -> OperatorSpec:
+    """Build from {"kind": "dilation", "rho": "0.5", "count": 20}, whose
+    count defaults to and is raised to n, or from
+    {"kind": "diagonal_list", "rho": "0.5", "u": [...]}."""
+    if not isinstance(obj, dict):
+        raise MalformedConfig("operator must be a JSON object")
+    kind, rho = obj.get("kind", "dilation"), obj.get("rho")
+    if rho is None:
+        raise MalformedConfig("operator block needs a rho value")
+    if kind == "dilation":
+        count = n if obj.get("count") is None else max(n, to_int(obj["count"]))
+        return dilation_operator(lam, rho, count, precision_bits)
+    if kind == "diagonal_list":
+        if not isinstance(obj.get("u"), list):
+            raise MalformedConfig("diagonal_list operator needs a u list")
+        return diagonal_operator(obj["u"], rho, precision_bits)
+    raise MalformedConfig(f"unknown operator kind {kind!r}")
 
 
 def _validate_against(spec: OperatorSpec, g: GramMatrix) -> Tuple[mpmath.mpf, ...]:
@@ -198,6 +223,22 @@ def apply(spec: OperatorSpec, s: MuntzSeries) -> MuntzSeries:
     )
 
 
+def apply_demo(spec: OperatorSpec, g: GramMatrix) -> List[dict]:
+    """The operator on the all-ones series of the section, at x = r_A/4,
+    r_A/2 and 3 r_A/4, beside f(rho x); for the dilation kind the two
+    agree to rounding."""
+    bits, radius = g.precision_bits, g.domain.r_a
+    rows = []
+    with workbits(bits):
+        ones = MuntzSeries(g.lam, tuple(mp.mpf(1) for _ in range(g.n)), radius, bits)
+        acted = apply(spec, ones)
+        for q in ("0.25", "0.5", "0.75"):
+            x = radius * mp.mpf(q)
+            tf, f = evaluate(acted, x, bits), evaluate(ones, x * spec.rho, bits)
+            rows.append({"x": x, "Tf_x": tf, "f_rho_x": f, "abs_diff": abs(tf - f)})
+    return rows
+
+
 @dataclass(frozen=True)
 class MixedSystemReport:
     """Nonsingularity data for one mixed system of powers and duals."""
@@ -245,6 +286,20 @@ def hereditary_check(
             min_singular_value=smin,
             nonsingular=smin > mp.mpf(2) ** (-(bits // 2)),
         )
+
+
+def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
+    """hereditary_check over all 2**N partitions of the section.
+
+    Partition ``mask`` puts index i + 1 in N2 (duals) when bit i is set,
+    and the reports come in increasing mask order.
+    """
+    reports = []
+    for mask in range(2 ** g.n):
+        n2 = [i + 1 for i in range(g.n) if mask & (1 << i)]
+        n1 = [i + 1 for i in range(g.n) if not mask & (1 << i)]
+        reports.append(hereditary_check(g, (n1, n2)))
+    return reports
 
 
 def inverse_principal_minor(g: GramMatrix, n2: Iterable[int]) -> mpmath.mpf:

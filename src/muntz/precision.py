@@ -16,6 +16,8 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import from_rational
 
+from .errors import NotANumber
+
 DEFAULT_PRECISION_BITS = 256
 MAX_PRECISION_BITS = 4096
 MIN_PRECISION_BITS = 64
@@ -32,25 +34,42 @@ def to_fraction(x: Real) -> Fraction:
     """Exact rational capture of a numeric input.
 
     Decimal strings parse exactly ("0.1" -> 1/10); floats contribute their
-    exact binary value; mpf values are man * 2**exp, also exact.
+    exact binary value; mpf values are man * 2**exp, also exact.  Anything
+    else, including booleans and non-finite values, raises NotANumber.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
-        raise TypeError("boolean is not a number")
+        raise NotANumber("boolean is not a number")
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x.strip())
-    if isinstance(x, float):
-        return Fraction(x)
+    if isinstance(x, (str, float)):
+        try:
+            return Fraction(x.strip() if isinstance(x, str) else x)
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise NotANumber(f"{x!r} is not a finite number") from exc
     if isinstance(x, mpmath.mpf):
         sign, man, exp, _ = x._mpf_
         if man == 0 and exp != 0:
-            raise ValueError("cannot capture non-finite value as rational")
+            raise NotANumber("cannot capture non-finite value as rational")
         frac = Fraction(man) * Fraction(2) ** exp
         return -frac if sign else frac
-    raise TypeError(f"cannot interpret {type(x).__name__} as a real number")
+    raise NotANumber(f"cannot interpret {type(x).__name__} as a real number")
+
+
+def to_int(x: Real) -> int:
+    """An integer input given as an int or an integral decimal string."""
+    fr = to_fraction(x)
+    if fr.denominator != 1:
+        raise NotANumber(f"{x!r} is not an integer")
+    return fr.numerator
+
+
+def frac_str(fr: Fraction) -> str:
+    """Exact decimal-free rendering: "3" or "1/2"."""
+    if fr.denominator == 1:
+        return str(fr.numerator)
+    return f"{fr.numerator}/{fr.denominator}"
 
 
 def mpf_from_fraction(fr: Fraction, bits: int) -> mpmath.mpf:

@@ -9,7 +9,7 @@ free of quadrature error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 import mpmath
 from mpmath import mp
@@ -18,12 +18,13 @@ from .domain import WeightedDomain, power_moment
 from .errors import (
     IndexOutOfRange,
     LengthMismatch,
+    MalformedConfig,
     NegativeResidualSquared,
     OutsideRadius,
     ValidationError,
 )
-from .exponents import ExponentSequence
-from .gram import forward_substitution, gram, solve_spd
+from .exponents import ExponentSequence, explicit_exponents
+from .gram import GramMatrix, forward_substitution, gram, solve_spd
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 
 
@@ -61,6 +62,29 @@ class TargetFunction:
     @staticmethod
     def muntz_combo(series: MuntzSeries) -> "TargetFunction":
         return TargetFunction(kind="muntz_combo", series=series)
+
+
+def target_from_json(
+    obj: dict,
+    lam: ExponentSequence,
+    wd: WeightedDomain,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
+) -> TargetFunction:
+    """Build from {"kind": "pure_power", "mu": "1.5"} or
+    {"kind": "muntz_combo", "coeffs": [...]} (coefficients over lam on wd)."""
+    if not isinstance(obj, dict):
+        raise MalformedConfig("target must be a JSON object")
+    kind = obj.get("kind")
+    if kind == "pure_power":
+        if obj.get("mu") is None:
+            raise MalformedConfig("pure_power target needs a mu value")
+        return TargetFunction.pure_power(obj["mu"], precision_bits)
+    if kind == "muntz_combo":
+        if not isinstance(obj.get("coeffs"), list):
+            raise MalformedConfig("muntz_combo target needs a coeffs list")
+        coeffs = tuple(to_mpf(v, precision_bits) for v in obj["coeffs"])
+        return TargetFunction.muntz_combo(MuntzSeries(lam, coeffs, wd.r_a, precision_bits))
+    raise MalformedConfig(f"unknown target kind {kind!r}")
 
 
 def evaluate(s: MuntzSeries, x: Real, precision_bits: Optional[int] = None) -> mpmath.mpf:
@@ -115,21 +139,14 @@ def _settle_residual_sq(value, bits: int):
     )
 
 
-def project(
-    wd: WeightedDomain,
-    lam: ExponentSequence,
-    section: int,
-    f: TargetFunction,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> Tuple[MuntzSeries, mpmath.mpf]:
-    """Best approximation of the target in the leading section span.
+def project(g: GramMatrix, f: TargetFunction) -> Tuple[MuntzSeries, mpmath.mpf]:
+    """Best approximation of the target in the span of a factored section.
 
     Coefficients solve G c = b with b_k = <f, x**lam_k>; the squared
     residual is <f, f> - b^T c, which vanishes for targets already in
     the span.
     """
-    g = gram(wd, lam, section, precision_bits)
-    bits = g.precision_bits
+    wd, bits = g.domain, g.precision_bits
     with workbits(bits):
         b = [_target_moment(wd, f, lam_k, bits) for lam_k in g.lams]
         c = solve_spd(g, b)
@@ -138,7 +155,7 @@ def project(
         )
         res = mp.sqrt(_settle_residual_sq(res_sq, bits))
         series = MuntzSeries(
-            lam_ref=lam, coeffs=tuple(c), radius=wd.r_w, precision_bits=bits
+            lam_ref=g.lam, coeffs=tuple(c), radius=wd.r_a, precision_bits=bits
         )
         return series, res
 
@@ -160,23 +177,27 @@ class ConvergenceTable:
 
 
 def coefficient_convergence(
-    wd: WeightedDomain,
-    lam: ExponentSequence,
+    sections: Iterable[GramMatrix],
     f: TargetFunction,
-    section_sizes: Sequence[int],
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> ConvergenceTable:
-    """Project at each section size and track per-index coefficients."""
-    sizes = list(section_sizes)
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValidationError("section sizes must be strictly increasing")
+    """Project onto factored sections of strictly increasing size and
+    track per-index coefficients.
+
+    The sections are consumed one at a time; the coefficient differences
+    are taken at ``precision_bits``.
+    """
     rows = []
     residuals = []
-    for size in sizes:
-        series, res = project(wd, lam, size, f, precision_bits)
-        rows.append((size, series.coeffs))
+    for g in sections:
+        if rows and g.n <= rows[-1][0]:
+            raise ValidationError("section sizes must be strictly increasing")
+        series, res = project(g, f)
+        rows.append((g.n, series.coeffs))
         residuals.append(res)
-    n_tracked = sizes[0]
+    if not rows:
+        raise ValidationError("need at least one section size")
+    n_tracked = rows[0][0]
     diffs = []
     flags = []
     with workbits(precision_bits):
@@ -186,7 +207,7 @@ def coefficient_convergence(
             diffs.append(dk)
             flags.append(all(b <= a for a, b in zip(dk, dk[1:])))
     return ConvergenceTable(
-        section_sizes=tuple(sizes),
+        section_sizes=tuple(size for size, _ in rows),
         rows=tuple(rows),
         diffs=tuple(diffs),
         cauchy_flags=tuple(flags),
@@ -215,8 +236,6 @@ def removal_test(
         raise ValidationError("combination extends beyond the section")
 
     bits = precision_bits
-    from .exponents import explicit_exponents  # local to avoid cycle at import time
-
     full = lam.values_at(bits)[:section]
     kept = [v for i, v in enumerate(full) if i != n - 1]
     reduced_lam = explicit_exponents(kept, bits)
@@ -231,18 +250,11 @@ def removal_test(
             precision_bits=bits,
         )
         target = TargetFunction.muntz_combo(stripped_series)
-        _, res = project(wd, reduced_lam, section - 1, target, bits)
+        _, res = project(gram(wd, reduced_lam, section - 1, bits), target)
         return res
 
 
-def christoffel_remez(
-    wd: WeightedDomain,
-    lam: ExponentSequence,
-    section: int,
-    rho: Real,
-    grid_points: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> mpmath.mpf:
+def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
     """Grid maximum of the section's pointwise-to-norm constant on [0, rho].
 
     The kernel K(x) = v(x)^T G^-1 v(x) with v(x)_k = x**lam_k is the
@@ -253,7 +265,6 @@ def christoffel_remez(
     """
     if grid_points < 2:
         raise ValidationError("grid needs at least two points")
-    g = gram(wd, lam, section, precision_bits)
     bits = g.precision_bits
     with workbits(bits):
         rho_m = to_mpf(rho, bits)
@@ -262,7 +273,7 @@ def christoffel_remez(
         best = mp.mpf(0)
         for j in range(grid_points):
             x = rho_m * j / (grid_points - 1)
-            v = [x ** g.lams[k] for k in range(section)]
+            v = [x ** g.lams[k] for k in range(g.n)]
             y = forward_substitution(g.chol, v)
             kernel = mp.fsum(t ** 2 for t in y)
             if kernel > best:

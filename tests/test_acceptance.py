@@ -27,7 +27,7 @@ from muntz import (
     evaluate,
     explicit_exponents,
     gram,
-    hereditary_check,
+    hereditary_sweep,
     inverse_principal_minor,
     oracle_distance,
     power_exponents,
@@ -36,7 +36,7 @@ from muntz import (
     workbits,
 )
 
-from conftest import rel_err
+from conftest import rel_err, sections
 
 UNIT = build_weighted_domain([(0, 1)], [(1, 0)])
 SQUARES = power_exponents(1, 2, 20)
@@ -86,7 +86,7 @@ def test_criterion_02_hand_derived_fixture():
     with workbits(320):
         checks.append(rel_err(distance(g, 1), 1 / mp.sqrt(mp.mpf(180))) < REL_30)
         checks.append(rel_err(distance(g, 2), 1 / mp.sqrt(mp.mpf(252))) < REL_30)
-    series, residual = project(UNIT, lam, 2, TargetFunction.pure_power(1), 256)
+    series, residual = project(gram(UNIT, lam, 2, 256), TargetFunction.pure_power(1))
     checks.append(rel_err(series.coeffs[0], 3) < REL_30)
     checks.append(rel_err(series.coeffs[1], Fraction(-21, 10)) < REL_30)
     with workbits(320):
@@ -204,14 +204,14 @@ def test_criterion_06_moment_solver():
             ]
         data = build_moment_data(UNIT, lam, d, 256)
         ok = ok and data.fitted_a <= mp.mpf("0.5")
-        _, residuals = solve_moments(UNIT, lam, data, 10, 256)
+        _, residuals = solve_moments(gram(UNIT, lam, 10, 256), data)
         with workbits(256):
             worst = max(worst, max(abs(r) for r in residuals))
     with workbits(300):
         ok = ok and worst < mp.mpf(2) ** (-128)
     lam23 = explicit_exponents([2, 3])
     data = build_moment_data(UNIT, lam23, [1, 0], 256)
-    series, _ = solve_moments(UNIT, lam23, data, 2, 256)
+    series, _ = solve_moments(gram(UNIT, lam23, 2, 256), data)
     fixture_ok = (
         rel_err(series.coeffs[0], 180) < REL_30
         and rel_err(series.coeffs[1], -210) < REL_30
@@ -233,12 +233,11 @@ def test_criterion_07_hereditary_completeness():
     worst = mp.mpf(0)
     for wd in (UNIT, two_piece):
         g = gram(wd, SQUARES, 8, 256)
-        for mask in range(2 ** 8):
-            n2 = tuple(i + 1 for i in range(8) if mask & (1 << i))
-            n1 = tuple(i + 1 for i in range(8) if not mask & (1 << i))
-            rep = hereditary_check(g, (n1, n2))
+        reports = hereditary_sweep(g)
+        ok = ok and len(reports) == 2 ** 8
+        for rep in reports:
             ok = ok and rep.nonsingular and rep.mixed_matrix_det > 0
-            err = rel_err(rep.mixed_matrix_det, inverse_principal_minor(g, n2))
+            err = rel_err(rep.mixed_matrix_det, inverse_principal_minor(g, rep.n2))
             worst = max(worst, err)
             ok = ok and err < REL_25
     elapsed = time.time() - start
@@ -284,22 +283,22 @@ def test_criterion_09_christoffel_monotonicity():
     # nested grids (shared spacing) so the rho comparison is a subset max
     rho_grid = [("0.125", 251), ("0.25", 501), ("0.5", 1001)]
     by_rho = [
-        christoffel_remez(domain_half, SQUARES, 10, rho, pts, 256)
+        christoffel_remez(gram(domain_half, SQUARES, 10, 256), rho, pts)
         for rho, pts in rho_grid
     ]
     mono_rho = all(b >= a for a, b in zip(by_rho, by_rho[1:]))
     by_section = [
-        christoffel_remez(domain_half, SQUARES, n, "0.5", 251, 256)
+        christoffel_remez(gram(domain_half, SQUARES, n, 256), "0.5", 251)
         for n in (2, 4, 6, 8, 10)
     ]
     mono_section = all(b >= a for a, b in zip(by_section, by_section[1:]))
     # recorded contrast: linear exponents grow much faster than squares
     linear = power_exponents(1, 1, 20)
     with workbits(256):
-        ratio_sq = christoffel_remez(domain_half, SQUARES, 20, "0.5", 251, 256) / \
-            christoffel_remez(domain_half, SQUARES, 10, "0.5", 251, 256)
-        ratio_lin = christoffel_remez(domain_half, linear, 20, "0.5", 251, 256) / \
-            christoffel_remez(domain_half, linear, 10, "0.5", 251, 256)
+        ratio_sq = christoffel_remez(gram(domain_half, SQUARES, 20, 256), "0.5", 251) / \
+            christoffel_remez(gram(domain_half, SQUARES, 10, 256), "0.5", 251)
+        ratio_lin = christoffel_remez(gram(domain_half, linear, 20, 256), "0.5", 251) / \
+            christoffel_remez(gram(domain_half, linear, 10, 256), "0.5", 251)
     contrast = ratio_lin > ratio_sq
     report(
         9,
@@ -314,7 +313,7 @@ def test_criterion_10_coefficient_convergence():
     # so every section recovers it exactly and the differences sit at the
     # rounding floor
     f = TargetFunction.pure_power(1, 256)
-    flat = coefficient_convergence(UNIT, SQUARES, f, [2, 4, 6, 8, 10], 256)
+    flat = coefficient_convergence(sections(UNIT, SQUARES, [2, 4, 6, 8, 10], 256), f, 256)
     with workbits(256):
         floor = mp.mpf(2) ** (-128)
         flat_ok = all(d < floor for d in flat.diffs[0])
@@ -324,7 +323,7 @@ def test_criterion_10_coefficient_convergence():
     # squares with the unit power removed: x sits outside every section,
     # and the leading-coefficient updates shrink monotonically
     shifted = explicit_exponents([k * k for k in range(2, 14)])
-    table = coefficient_convergence(UNIT, shifted, f, [2, 4, 6, 8, 10], 256)
+    table = coefficient_convergence(sections(UNIT, shifted, [2, 4, 6, 8, 10], 256), f, 256)
     diffs = table.diffs[0]
     decreasing = all(b < a for a, b in zip(diffs, diffs[1:]))
     report(

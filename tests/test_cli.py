@@ -1,11 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import tempfile
 
+import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from muntz import workbits
-from muntz.cli import run
+from muntz.cli import COMMANDS, run
 
 from conftest import rel_err
 
@@ -192,3 +196,160 @@ def test_operator_cli(tmp_path):
     assert res["simplicity_ok"] and res["kernel_trivial_ok"]
     with workbits(300):
         assert mp.mpf(res["normality_defect"]) > 0
+
+
+UNIT = {
+    "intervals": [{"lo": "0", "hi": "1"}],
+    "weights": [{"coeff": "1", "power": "0"}],
+}
+LINEAR_40 = {"kind": "power", "c": "1", "beta": "1", "count": 40}
+SQUARES_4 = {"kind": "power", "c": "1", "beta": "2", "count": 4}
+
+# Each input once crashed run() with a traceback or was silently accepted.
+CONTRACT_CASES = {
+    "count_not_a_number": (["validate"], {"exponents": {"kind": "power", "c": "1", "beta": "1",
+                                                        "count": "abc"}}),
+    "explicit_exponent_not_a_number": (["validate"], {"exponents": {
+        "kind": "explicit", "values": ["1", "2", "x"]}}),
+    "pure_power_without_mu": (["expand"], {"target": {"kind": "pure_power"}}),
+    "combo_coeffs_not_a_list": (["expand"], {"target": {"kind": "muntz_combo", "coeffs": "abc"}}),
+    "moment_value_not_a_number": (["moments"], {"d": ["1", "q"]}),
+    "rho_not_a_number": (["remez"], {"rho": "zz"}),
+    "operator_count_not_a_number": (["operator"], {"operator": {"kind": "dilation", "rho": "0.5",
+                                                                "count": "x"}}),
+    "precision_not_a_number": (["gram"], {"precision_bits": "abc"}),
+    "max_precision_not_a_number": (["gram"], {"max_precision_bits": "q"}),
+    "boolean_for_a_number": (["remez"], {"rho": True}),
+    "flag_N_zero": (["gram", "--N", "0"], {}),
+    "flag_n_zero": (["distances", "--n", "0"], {}),
+    "flag_precision_zero": (["gram", "--precision-bits", "0"], {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_malformed_input_exits_2(tmp_path, case):
+    argv, extra = CONTRACT_CASES[case]
+    cfg = {"domain": UNIT, "exponents": SQUARES_4, "target": {"kind": "pure_power", "mu": "1"},
+           "d": ["1", "0.5"], "rho": "0.5", "operator": {"kind": "dilation", "rho": "0.5"}}
+    cfg.update(extra)
+    rc, out = invoke([*argv, "--config", write_config(tmp_path, **cfg)])
+    assert rc == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("problem", ["config_is_a_directory", "config_not_utf8",
+                                     "out_in_missing_directory"])
+def test_unreadable_config_or_unwritable_out_exits_2(tmp_path, problem):
+    argv = ["validate", "--config", write_config(tmp_path)]
+    if problem == "config_is_a_directory":
+        argv[2] = str(tmp_path)
+    elif problem == "config_not_utf8":
+        (tmp_path / "bin.json").write_bytes(b"\xff\xfe\x00")
+        argv[2] = str(tmp_path / "bin.json")
+    else:
+        argv += ["--out", str(tmp_path / "missing" / "report.json")]
+    assert invoke(argv) == (2, "")
+
+
+def test_max_precision_applies_to_every_command(tmp_path):
+    # N = 40 linear exponents need 512 bits; a 256-bit ceiling must fail
+    cfg = write_config(tmp_path, exponents=LINEAR_40, max_precision_bits=256)
+    rc, _ = invoke(["duals", "--config", cfg, "--N", "40"])
+    assert rc == 3
+
+
+def test_remez_reports_the_precision_it_used(tmp_path):
+    cfg = write_config(tmp_path, exponents=LINEAR_40)
+    rc, out = invoke(["remez", "--config", cfg, "--N-list", "40", "--rho", "0.5",
+                      "--grid-points", "2"])
+    assert rc == 0
+    res = json.loads(out)["results"]
+    assert res["precision_bits_used"] == 512
+    assert len(res["rows"][0][1].replace(".", "")) > 100  # formatted at 512 bits
+
+
+def test_each_section_factored_once(tmp_path, monkeypatch):
+    import muntz.cli
+
+    built = []
+    real_gram = muntz.cli.gram
+
+    def counting_gram(wd, lam, n, *args):
+        built.append(n)
+        return real_gram(wd, lam, n, *args)
+
+    monkeypatch.setattr(muntz.cli, "gram", counting_gram)
+    cfg = write_config(tmp_path, exponents=SQUARES_4, d=["1", "0.5", "0.25", "0.125"])
+    rc, _ = invoke(["moments", "--config", cfg, "--N", "4", "--N-list", "2,3,4"])
+    assert rc == 0
+    assert sorted(built) == [2, 3, 4]
+
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 6),
+    st.sampled_from(["abc", "", "1", "0.5", "2", "-1", "1/0", "nan", "inf", "1e3", "3,1"]),
+    st.lists(st.integers(-1, 6), max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "lo", "rho"]), st.integers(0, 2), max_size=2),
+)
+NUMBER = st.sampled_from(["0.5", "0.25", "1", "-0.5", 2, 0.75])
+
+
+def _mostly(valid):
+    """Valid values nine times in ten, so that reports get past parsing."""
+    return st.integers(0, 9).flatmap(lambda k: valid if k else JUNK)
+
+
+DOMAIN = _mostly(st.one_of(st.just(UNIT), st.just(UNIT), st.fixed_dictionaries({
+    "intervals": st.lists(st.fixed_dictionaries({"lo": _mostly(NUMBER), "hi": _mostly(NUMBER)}),
+                          min_size=1, max_size=2),
+    "weights": st.lists(st.fixed_dictionaries({"coeff": _mostly(NUMBER),
+                                               "power": _mostly(NUMBER)}), min_size=1, max_size=2),
+})))
+EXPONENTS = _mostly(st.one_of(
+    st.just(SQUARES_4),
+    st.fixed_dictionaries({"kind": st.just("power"), "c": _mostly(NUMBER),
+                           "beta": _mostly(NUMBER), "count": _mostly(st.integers(1, 6))}),
+    st.fixed_dictionaries({"kind": st.just("explicit"),
+                           "values": _mostly(st.lists(_mostly(NUMBER), max_size=6))}),
+))
+CONFIG = st.fixed_dictionaries({"domain": DOMAIN, "exponents": EXPONENTS}, optional={
+    "precision_bits": _mostly(st.sampled_from([64, 128, "256"])),
+    "max_precision_bits": _mostly(st.sampled_from([64, 256, 4096])),
+    "target": _mostly(st.fixed_dictionaries(
+        {"kind": st.sampled_from(["pure_power", "muntz_combo", "other"])},
+        optional={"mu": _mostly(NUMBER), "coeffs": _mostly(st.lists(_mostly(NUMBER)))})),
+    "operator": _mostly(st.fixed_dictionaries(
+        {"kind": st.sampled_from(["dilation", "diagonal_list", "other"])},
+        optional={"rho": _mostly(NUMBER), "count": _mostly(st.integers(0, 6)),
+                  "u": _mostly(st.lists(_mostly(NUMBER)))})),
+    "d": _mostly(st.lists(_mostly(NUMBER), max_size=6)),
+    "partition": _mostly(st.fixed_dictionaries({}, optional={
+        "N1": _mostly(st.lists(st.integers(0, 6))), "N2": _mostly(st.lists(st.integers(0, 6)))})),
+    "N": _mostly(st.integers(1, 6)),
+    "N_list": _mostly(st.sampled_from(["1,2", [2, 3], "3", [1, 1]])),
+    "n": _mostly(st.integers(1, 3)),
+    "rel_tol": _mostly(NUMBER),
+    "epsilon": _mostly(NUMBER),
+    "rho": _mostly(NUMBER),
+    "grid_points": _mostly(st.integers(1, 5)),
+    "sweep": _mostly(st.booleans()),
+})
+FLAGS = st.lists(st.sampled_from([
+    ["--N", "3"], ["--N", "0"], ["--N-list", "1,2"], ["--N-list", "2,1"], ["--n", "0"],
+    ["--n", "2"], ["--format", "csv"], ["--sweep"], ["--precision-bits", "0"],
+    ["--precision-bits", "64"], ["--rho", "0.5"], ["--grid-points", "3"], ["--epsilon", "0.1"],
+    ["--n1", "1"], ["--n2", "2,x"], ["--rel-tol", "x"],
+]), max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(sorted(COMMANDS)), cfg=CONFIG, flags=FLAGS)
+def test_config_fuzz_keeps_exit_contract(command, cfg, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        rc, _ = invoke([command, *sum(flags, []), "--config", path])
+    assert rc in (0, 2, 3)

@@ -1,0 +1,117 @@
+"""Report bytes locked per subcommand.
+
+Each case runs one small report (N <= 6) in-process and compares the
+SHA-256 of its stdout with a recorded digest.  A change that alters any
+report byte fails here; such a change must say so and re-record the
+digest it meant to change.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from muntz.cli import run
+
+UNIT = {
+    "intervals": [{"lo": "0", "hi": "1"}],
+    "weights": [{"coeff": "1", "power": "0"}],
+}
+TWO_PIECE = {
+    "intervals": [{"lo": "0", "hi": "0.5"}, {"lo": "0.6", "hi": "1"}],
+    "weights": [{"coeff": "1", "power": "0"}, {"coeff": "2", "power": "0.5"}],
+}
+SQUARES = {"kind": "power", "c": "1", "beta": "2", "count": 6}
+SQRT = {"kind": "power", "c": "1", "beta": "1/2", "count": 6}
+EXPLICIT = {"kind": "explicit", "values": ["1", "2.5", "4", "7"]}
+
+
+def _config(domain, exponents, **extra):
+    return {"domain": domain, "exponents": exponents, "precision_bits": 256, **extra}
+
+
+CONFIGS = {
+    "unit_squares": _config(
+        UNIT,
+        SQUARES,
+        target={"kind": "pure_power", "mu": "1.5"},
+        d=["1", "0.5", "0.25", "0.125", "0.0625", "0.03125"],
+        operator={"kind": "dilation", "rho": "0.5"},
+        rho="0.75",
+        grid_points=41,
+        partition={"N1": [3, 1], "N2": [2, 4]},
+    ),
+    "two_piece_sqrt": _config(
+        TWO_PIECE,
+        SQRT,
+        target={"kind": "muntz_combo", "coeffs": ["1", "-2", "0.5"]},
+        operator={"kind": "diagonal_list", "rho": "0.5", "u": ["0.4", "0.1", "0.05", "0.01"]},
+    ),
+    "two_piece_explicit": _config(TWO_PIECE, EXPLICIT, d=["2", "-1", "0.5", "0"]),
+}
+
+CASES = {
+    "validate": ("unit_squares", ["validate"]),
+    "validate_explicit": ("two_piece_explicit", ["validate"]),
+    "gram": ("two_piece_sqrt", ["gram", "--N", "4"]),
+    "gram_csv": ("two_piece_sqrt", ["gram", "--N", "3", "--format", "csv"]),
+    "distances": ("unit_squares", ["distances", "--n", "2", "--N-list", "3,4,6",
+                                   "--epsilon", "0.1"]),
+    "distances_csv": ("two_piece_sqrt", ["distances", "--n", "1", "--N-list", "2,5",
+                                         "--format", "csv"]),
+    "duals": ("two_piece_sqrt", ["duals", "--N", "5"]),
+    "duals_csv": ("unit_squares", ["duals", "--N", "4", "--format", "csv"]),
+    "expand": ("unit_squares", ["expand", "--N", "5", "--N-list", "2,3,5"]),
+    "expand_combo_csv": ("two_piece_sqrt", ["expand", "--N", "4", "--format", "csv"]),
+    "remez": ("unit_squares", ["remez", "--N-list", "2,4,6"]),
+    "remez_csv": ("two_piece_sqrt", ["remez", "--N-list", "3,5", "--rho", "0.9",
+                                     "--grid-points", "21", "--format", "csv"]),
+    "moments": ("unit_squares", ["moments", "--N", "6", "--N-list", "2,4,6"]),
+    "moments_csv": ("two_piece_explicit", ["moments", "--format", "csv"]),
+    "operator": ("unit_squares", ["operator", "--N", "5"]),
+    "operator_csv": ("two_piece_sqrt", ["operator", "--N", "4", "--format", "csv"]),
+    "hereditary": ("unit_squares", ["hereditary", "--N", "4"]),
+    "hereditary_csv": ("two_piece_explicit", ["hereditary", "--n1", "2", "--n2", "1,3,4",
+                                              "--format", "csv"]),
+    "hereditary_sweep": ("two_piece_sqrt", ["hereditary", "--N", "3", "--sweep"]),
+    "hereditary_sweep_csv": ("unit_squares", ["hereditary", "--N", "4", "--sweep",
+                                              "--format", "csv"]),
+}
+
+DIGESTS = {
+    "distances": "2eb31557b2a89b6d619f19772151a6c68b0fa976b995f609c32e9aa9b1295c97",
+    "distances_csv": "e606cd12be4fae73c320bb565c8343ded23acfc09849b9c3b55ee0be7fd08192",
+    "duals": "9d1840d6e0a5063cabdcd006bcc6b859f75d7a072e0b3fc35f0cd0dea2f0c664",
+    "duals_csv": "d14eced16e8c2040a278b65a32760c56caad8a55f271c586bbe6d9ea86f1431b",
+    "expand": "a1488796b1d4a57c197acc97010f7cb9c3be3f64db615a3da6c2cb4655401d2b",
+    "expand_combo_csv": "cffc3bfda0d0eb5b972f55d304660cedbebd8696a6e92a9370751ee09b1b3286",
+    "gram": "cb769a178b09dd628b5538f4dac66e70656f568efadbbda3cf6e63111c053986",
+    "gram_csv": "61db66977d9fae62d350cde8425ef6710dbd15473c073e178bff59781671f6c1",
+    "hereditary": "0217e0d133aa08401903303fc6d63de62443e47753b4795692144fb66387af70",
+    "hereditary_csv": "ca69a103e56c34caaa1a0b8dc7a7a6578457215820b95edc29c8b2d04020bbc1",
+    "hereditary_sweep": "f8d8b37b37b4f854083be8eed485af349ffc2ac925e7bc43663749e322016f8b",
+    "hereditary_sweep_csv": "2f8cef623b2ae667c48ff16615fa61c1ae9a360fc257629ba5a9c7ca4c92417f",
+    "moments": "02c038e9bcf8dbd3a320034ae61944eddebbf59156e045b03884619042f0729a",
+    "moments_csv": "094db2c448feaecf773b6aa4cabbc9cd36128769961ce1a23a502436fbcf0e8b",
+    "operator": "9e99a33ca5289c240510fa2cb5a66c2ec1503f25f8dd4bb2809cc430e00f9819",
+    "operator_csv": "d340db346f182731c8ea7cbeab88459c8a64d6cb910fb5157876ecb2454cebca",
+    "remez": "d6d7ae11b05df65a3322c6c194abb4e5421d409a445d8863eba79b1042cfd117",
+    "remez_csv": "384ec5c15e8b532c4df9aea72ff857285957b915427440dfb7e797ecb022a43a",
+    "validate": "131137f1ce165f8614634034426147b2cf9d2ecb5e386238c650499799e2a942",
+    "validate_explicit": "f3d55d29870536a8228d37ddb4d07b46b9fbe4c8c60ee63fa42dc758f03bdcc0",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_bytes(case, tmp_path, monkeypatch):
+    monkeypatch.delenv("MUNTZ_PRECISION_BITS", raising=False)
+    config, argv = CASES[case]
+    path = tmp_path / f"{config}.json"
+    path.write_text(json.dumps(CONFIGS[config]))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run([*argv, "--config", str(path)])
+    assert code == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == DIGESTS[case]

@@ -18,7 +18,6 @@ from conftest import rel_err
 def test_unit_interval_unit_weight():
     wd = build_weighted_domain([(0, 1)], [(1, 0)])
     assert wd.r_a == 1
-    assert wd.r_w == 1
     assert wd.total_measure == 1
     assert wd.weight_mass == 1
 

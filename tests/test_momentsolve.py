@@ -10,13 +10,14 @@ from muntz import (
     convergence_certificate,
     explicit_exponents,
     fit_growth,
+    gram,
     power_exponents,
     solve_moments,
     workbits,
 )
 from muntz.errors import ValidationError
 
-from conftest import rel_err
+from conftest import rel_err, sections
 
 UNIT = build_weighted_domain([(0, 1)], [(1, 0)])
 
@@ -75,7 +76,7 @@ def test_fit_envelope_covers_all_entries():
 
 def test_solve_dual_fixture(unit_domain, lam23):
     data = build_moment_data(unit_domain, lam23, [1, 0])
-    series, residuals = solve_moments(unit_domain, lam23, data, 2)
+    series, residuals = solve_moments(gram(unit_domain, lam23, 2), data)
     assert rel_err(series.coeffs[0], 180) < 1e-70
     assert rel_err(series.coeffs[1], -210) < 1e-70
     with workbits(256):
@@ -84,7 +85,7 @@ def test_solve_dual_fixture(unit_domain, lam23):
 
 def test_solve_zero_data(unit_domain, lam23):
     data = build_moment_data(unit_domain, lam23, [0, 0])
-    series, residuals = solve_moments(unit_domain, lam23, data, 2)
+    series, residuals = solve_moments(gram(unit_domain, lam23, 2), data)
     assert all(c == 0 for c in series.coeffs)
     assert all(r == 0 for r in residuals)
 
@@ -92,7 +93,7 @@ def test_solve_zero_data(unit_domain, lam23):
 def test_solve_recovers_moment_source(unit_domain, lam23):
     # the moments of x^2 itself: d = (1/5, 1/6)
     data = build_moment_data(unit_domain, lam23, ["0.2", "1/6"])
-    series, _ = solve_moments(unit_domain, lam23, data, 2)
+    series, _ = solve_moments(gram(unit_domain, lam23, 2), data)
     assert rel_err(series.coeffs[0], 1) < 1e-70
     with workbits(256):
         assert abs(series.coeffs[1]) < mp.mpf(2) ** (-200)
@@ -101,7 +102,7 @@ def test_solve_recovers_moment_source(unit_domain, lam23):
 def test_solve_section_bound(unit_domain, lam23):
     data = build_moment_data(unit_domain, lam23, [1])
     with pytest.raises(ValidationError):
-        solve_moments(unit_domain, lam23, data, 2)
+        solve_moments(gram(unit_domain, lam23, 2), data)
 
 
 def test_solution_norms_bounded_nondecreasing():
@@ -109,7 +110,7 @@ def test_solution_norms_bounded_nondecreasing():
     d = geometric_data(lam, "0.5")
     data = build_moment_data(UNIT, lam, d)
     assert data.growth_ok
-    cert = convergence_certificate(UNIT, lam, data, [2, 4, 6, 8, 10, 12])
+    cert = convergence_certificate(sections(UNIT, lam, [2, 4, 6, 8, 10, 12]), data)
     norms = cert.solution_norms
     assert all(b >= a for a, b in zip(norms, norms[1:]))
     # the dual-norm sums settle: section-to-section ratios fall toward 1
@@ -127,6 +128,6 @@ def test_random_data_interpolates_exactly(seed):
     with workbits(256):
         d = [mp.mpf(rng.uniform(-2, 2)) for _ in range(8)]
     data = build_moment_data(UNIT, lam, d)
-    _, residuals = solve_moments(UNIT, lam, data, 8)
+    _, residuals = solve_moments(gram(UNIT, lam, 8), data)
     with workbits(256):
         assert all(abs(r) < mp.mpf(2) ** (-128) for r in residuals)

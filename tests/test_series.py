@@ -21,7 +21,7 @@ from muntz import (
 from muntz.errors import NegativeResidualSquared, OutsideRadius, ValidationError
 from muntz.series import _settle_residual_sq
 
-from conftest import rel_err
+from conftest import rel_err, sections
 
 UNIT = build_weighted_domain([(0, 1)], [(1, 0)])
 
@@ -37,7 +37,7 @@ def mk_series(lam, coeffs, radius=1, bits=256):
 
 
 def test_project_pure_power_fixture(unit_domain, lam23):
-    series, res = project(unit_domain, lam23, 2, TargetFunction.pure_power(1))
+    series, res = project(gram(unit_domain, lam23, 2), TargetFunction.pure_power(1))
     assert rel_err(series.coeffs[0], 3) < 1e-70
     with workbits(320):
         assert rel_err(series.coeffs[1], -mp.mpf(21) / 10) < 1e-70
@@ -46,7 +46,7 @@ def test_project_pure_power_fixture(unit_domain, lam23):
 
 def test_project_recovers_span_member(unit_domain, lam23):
     f = TargetFunction.muntz_combo(mk_series(lam23, [1, 1]))
-    series, res = project(unit_domain, lam23, 2, f)
+    series, res = project(gram(unit_domain, lam23, 2), f)
     assert rel_err(series.coeffs[0], 1) < 1e-70
     assert rel_err(series.coeffs[1], 1) < 1e-70
     with workbits(series.precision_bits):
@@ -56,7 +56,7 @@ def test_project_recovers_span_member(unit_domain, lam23):
 
 def test_project_zero_target(unit_domain, lam23):
     f = TargetFunction.muntz_combo(mk_series(lam23, [0, 0]))
-    series, res = project(unit_domain, lam23, 2, f)
+    series, res = project(gram(unit_domain, lam23, 2), f)
     assert all(c == 0 for c in series.coeffs)
     assert res == 0
 
@@ -92,7 +92,7 @@ def test_residual_settle_guard():
 def test_coefficient_convergence_in_span_is_flat(unit_domain):
     lam = explicit_exponents([2, 3, 5, 8])
     f = TargetFunction.muntz_combo(mk_series(lam, [1, 1]))
-    table = coefficient_convergence(unit_domain, lam, f, [2, 3, 4])
+    table = coefficient_convergence(sections(unit_domain, lam, [2, 3, 4]), f)
     with workbits(256):
         floor = mp.mpf(2) ** (-128)
         assert all(d < floor for dk in table.diffs for d in dk)
@@ -107,7 +107,7 @@ def test_coefficient_convergence_outside_span_decreases(unit_domain):
     lam = power_exponents(1, 2, 12)
     shifted = explicit_exponents([v for v in lam.raw if v != 1])
     f = TargetFunction.pure_power(1)
-    table = coefficient_convergence(unit_domain, shifted, f, [2, 4, 6, 8, 10])
+    table = coefficient_convergence(sections(unit_domain, shifted, [2, 4, 6, 8, 10]), f)
     lead_diffs = table.diffs[0]
     assert all(b < a for a, b in zip(lead_diffs, lead_diffs[1:]))
     assert table.cauchy_flags[0]
@@ -115,7 +115,7 @@ def test_coefficient_convergence_outside_span_decreases(unit_domain):
 
 def test_coefficient_convergence_zero_target(unit_domain, lam23):
     f = TargetFunction.muntz_combo(mk_series(lam23, [0, 0]))
-    table = coefficient_convergence(unit_domain, lam23, f, [1, 2])
+    table = coefficient_convergence(sections(unit_domain, lam23, [1, 2]), f)
     assert all(c == 0 for _, coeffs in table.rows for c in coeffs)
 
 
@@ -146,14 +146,14 @@ def test_removal_requires_combo(unit_domain, lam23):
 def test_christoffel_single_power(unit_domain):
     # K_1(x) = 5 x^4 peaks at the right grid end: c = sqrt(5)/4 at rho = 1/2
     lam = explicit_exponents([2])
-    c = christoffel_remez(unit_domain, lam, 1, "0.5", 64)
+    c = christoffel_remez(gram(unit_domain, lam, 1), "0.5", 64)
     with workbits(320):
         assert rel_err(c, mp.sqrt(mp.mpf(5)) / 4) < 1e-70
 
 
 def test_christoffel_monotone_in_section(unit_domain):
     lam = power_exponents(1, 2, 6)
-    vals = [christoffel_remez(unit_domain, lam, n, "0.5", 101) for n in (1, 2, 3, 4, 5, 6)]
+    vals = [christoffel_remez(gram(unit_domain, lam, n), "0.5", 101) for n in (1, 2, 3, 4, 5, 6)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -161,17 +161,17 @@ def test_christoffel_monotone_in_rho_nested_grids():
     wd = build_weighted_domain([("0.5", "1")], [(1, 0)])
     lam = power_exponents(1, 2, 6)
     # nested grids: same spacing, growing right end
-    c1 = christoffel_remez(wd, lam, 6, "0.125", 26)
-    c2 = christoffel_remez(wd, lam, 6, "0.25", 51)
-    c3 = christoffel_remez(wd, lam, 6, "0.5", 101)
+    c1 = christoffel_remez(gram(wd, lam, 6), "0.125", 26)
+    c2 = christoffel_remez(gram(wd, lam, 6), "0.25", 51)
+    c3 = christoffel_remez(gram(wd, lam, 6), "0.5", 101)
     assert c1 <= c2 <= c3
 
 
 def test_christoffel_validation(unit_domain, lam23):
     with pytest.raises(ValidationError):
-        christoffel_remez(unit_domain, lam23, 2, "0.5", 1)
+        christoffel_remez(gram(unit_domain, lam23, 2), "0.5", 1)
     with pytest.raises(ValidationError):
-        christoffel_remez(unit_domain, lam23, 2, "0", 16)
+        christoffel_remez(gram(unit_domain, lam23, 2), "0", 16)
 
 
 @settings(max_examples=15, deadline=None)
@@ -183,8 +183,8 @@ def test_random_span_coefficient_recovery(seed):
     with workbits(256):
         coeffs = [mp.mpf(rng.uniform(-1, 1)) for _ in range(6)]
     f = TargetFunction.muntz_combo(mk_series(lam, coeffs))
-    series, res = project(unit_domain, lam, 6, f)
     g = gram(unit_domain, lam, 6)
+    series, res = project(g, f)
     with workbits(g.precision_bits):
         # the diagonal-ratio estimate lower-bounds the true condition
         # number, so the recovery bound needs a small dimensional factor
@@ -202,8 +202,8 @@ def test_projection_residual_orthogonality(seed):
     lam = power_exponents(1, 2, 5)
     mu = rng.uniform(0, 6)
     f = TargetFunction.pure_power(str(mu))
-    series, _ = project(unit_domain, lam, 5, f)
     g = gram(unit_domain, lam, 5)
+    series, _ = project(g, f)
     from muntz.domain import power_moment
 
     with workbits(g.precision_bits):
@@ -219,10 +219,10 @@ def test_parseval_for_span_members(unit_domain):
     lam = explicit_exponents([2, 3, 5])
     coeffs = ["0.75", "-0.5", "0.25"]
     f = TargetFunction.muntz_combo(mk_series(lam, coeffs))
-    series, _ = project(unit_domain, lam, 3, f)
+    g = gram(unit_domain, lam, 3)
+    series, _ = project(g, f)
     from muntz.domain import power_moment
 
-    g = gram(unit_domain, lam, 3)
     with workbits(g.precision_bits):
         b = [
             mp.fsum(
