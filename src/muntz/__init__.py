@@ -29,7 +29,15 @@ from .exponents import (
     exponents_to_json,
     power_exponents,
 )
-from .gram import GramMatrix, gram, gram_inverse, gram_inverse_column, solve_spd
+from .gram import (
+    GramMatrix,
+    gram,
+    gram_inverse,
+    gram_inverse_column,
+    gram_inverse_diagonal,
+    leading_section,
+    solve_spd,
+)
 from .momentsolve import (
     ConvergenceCertificate,
     MomentData,

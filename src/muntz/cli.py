@@ -31,7 +31,7 @@ from . import duals, momentsolve, operator, series
 from .domain import domain_from_json, domain_to_json
 from .errors import MalformedConfig, MuntzError, NumericalError
 from .exponents import exponents_from_json, exponents_to_json
-from .gram import GramMatrix, gram
+from .gram import GramMatrix, gram, leading_section
 from .precision import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS
 from .precision import fmt, to_fraction, to_int
 
@@ -131,9 +131,16 @@ class _Inputs:
         return g
 
     def sections(self, sizes, top: GramMatrix):
-        """Sections of these sizes, built as consumed; ``top`` serves its own."""
+        """Sections of these sizes, built as consumed.  ``top`` serves its
+        own size and, when it settled at the requested precision, every
+        smaller one as its leading block; each other size is factored."""
         for n in sizes:
-            yield top if n == top.n else self.section(n)
+            if n == top.n:
+                yield top
+            elif n < top.n and top.precision_bits == self.bits:
+                yield leading_section(top, n)
+            else:
+                yield self.section(n)
 
 
 def _ints(raw) -> list:
@@ -144,9 +151,11 @@ def _ints(raw) -> list:
 
 
 def _real(raw, _):
-    """A real number, kept as given so that the echo shows it unchanged."""
+    """A real number as the decimal string the report echoes, so that a
+    JSON number computes with the value its echo shows, not its binary
+    float, and re-running from the echo reproduces the report."""
     to_fraction(raw)
-    return raw
+    return raw if isinstance(raw, str) else str(raw)
 
 
 def _bounded(n: int, top: int) -> int:

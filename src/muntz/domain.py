@@ -8,7 +8,7 @@ error enters the Gram matrices built downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -44,6 +44,9 @@ class WeightedDomain:
     total_measure : Lebesgue measure of the union.
     weight_mass : integral of the weight over the union.
     precision_bits : mantissa width the displayed mpf fields were built at.
+
+    The moments computed at each width are kept in a table that lives as
+    long as the domain (see ``moment_table``).
     """
 
     r_a: mpmath.mpf
@@ -52,6 +55,14 @@ class WeightedDomain:
     precision_bits: int
     # exact (lo, hi, coeff, power) per piece; source of truth for recomputation
     pieces: Tuple[Tuple[Fraction, Fraction, Fraction, Fraction], ...]
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def moment_table(self, bits: int) -> "MomentTable":
+        """The memoized moments of this domain at width ``bits``."""
+        table = self._tables.get(bits)
+        if table is None:
+            table = self._tables[bits] = MomentTable(self.pieces, bits)
+        return table
 
     def pieces_at(self, bits: int):
         """Per-piece (lo, hi, coeff, power) as mpf at the requested width."""
@@ -116,35 +127,56 @@ def build_weighted_domain(
     total = sum((hi - lo for lo, hi, _, _ in pieces), Fraction(0))
     r_a = max(hi for _, hi, _, _ in pieces)
 
+    table = MomentTable(pieces, precision_bits)
     with workbits(precision_bits):
-        mass = mp.mpf(0)
-        for lo_f, hi_f, c_f, p_f in pieces:
-            mass += _piece_moment(lo_f, hi_f, c_f, p_f, mp.mpf(0), precision_bits)
-        return WeightedDomain(
-            r_a=mpf_from_fraction(r_a, precision_bits),
-            total_measure=mpf_from_fraction(total, precision_bits),
-            weight_mass=mass,
-            precision_bits=precision_bits,
-            pieces=tuple(pieces),
-        )
+        mass = table(mp.mpf(0))
+    wd = WeightedDomain(
+        r_a=mpf_from_fraction(r_a, precision_bits),
+        total_measure=mpf_from_fraction(total, precision_bits),
+        weight_mass=mass,
+        precision_bits=precision_bits,
+        pieces=tuple(pieces),
+    )
+    wd._tables[precision_bits] = table
+    return wd
 
 
-def _piece_moment(lo: Fraction, hi: Fraction, coeff: Fraction, power: Fraction,
-                  s, bits: int):
-    """coeff * (hi**e - lo**e) / e with e = s + power + 1, at width bits."""
-    e = s + mpf_from_fraction(power, bits) + 1
-    hi_m = mpf_from_fraction(hi, bits)
-    lo_m = mpf_from_fraction(lo, bits)
-    hi_pow = hi_m ** e
-    lo_pow = lo_m ** e if lo != 0 else mp.mpf(0)
-    return mpf_from_fraction(coeff, bits) * (hi_pow - lo_pow) / e
+class MomentTable:
+    """The moments of one domain at one width, each computed once.
+
+    The pieces are converted to mpf once; a moment is keyed by the exact
+    value of its order, so a repeated order returns the stored mpf, bit
+    for bit what computing it again would give.
+    """
+
+    def __init__(self, pieces, bits: int):
+        self.bits = bits
+        self._pieces = [(piece[0] != 0, *(mpf_from_fraction(v, bits) for v in piece))
+                        for piece in pieces]
+        self._values = {}
+
+    def __call__(self, s: mpmath.mpf) -> mpmath.mpf:
+        """The moment of order s >= 0, an mpf; callers check the sign."""
+        value = self._values.get(s._mpf_)
+        if value is None:
+            with workbits(self.bits):
+                value = mp.mpf(0)
+                # coeff * (hi**e - lo**e) / e with e = s + power + 1, per piece
+                for lo_nonzero, lo, hi, coeff, power in self._pieces:
+                    e = s + power + 1
+                    hi_pow = hi ** e
+                    lo_pow = lo ** e if lo_nonzero else mp.mpf(0)
+                    value += coeff * (hi_pow - lo_pow) / e
+            self._values[s._mpf_] = value
+        return value
 
 
 def power_moment(wd: WeightedDomain, s: Real, precision_bits: Optional[int] = None):
     """Weighted moment: the integral of x**s * w(x) over the domain.
 
     Evaluated piece by piece from the closed form
-    coeff * (hi**(s+power+1) - lo**(s+power+1)) / (s+power+1).
+    coeff * (hi**(s+power+1) - lo**(s+power+1)) / (s+power+1), once per
+    (width, s) over the life of the domain.
     """
     bits = precision_bits or wd.precision_bits
     with workbits(bits):
@@ -154,10 +186,7 @@ def power_moment(wd: WeightedDomain, s: Real, precision_bits: Optional[int] = No
             s_m = mpf_from_fraction(to_fraction(s), bits)
         if s_m < 0:
             raise ValidationError(f"moment order s = {s_m} must be nonnegative")
-        total = mp.mpf(0)
-        for lo, hi, coeff, power in wd.pieces:
-            total += _piece_moment(lo, hi, coeff, power, s_m, bits)
-        return total
+        return wd.moment_table(bits)(s_m)
 
 
 def domain_from_json(obj: dict, precision_bits: int = DEFAULT_PRECISION_BITS) -> WeightedDomain:

@@ -21,7 +21,7 @@ from mpmath import mp
 
 from .errors import BadEpsilon, IndexOutOfRange, ValidationError
 from .exponents import ExponentSequence
-from .gram import GramMatrix, gram_inverse, gram_inverse_column
+from .gram import GramMatrix, gram_inverse, gram_inverse_diagonal
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 
 
@@ -95,9 +95,11 @@ def biorthogonality_residual(g: GramMatrix, fam: DualFamily) -> mpmath.mpf:
     """max |(G C)_mj - delta_mj| over the section: how far the dual
     coefficient columns C are from inverting the Gram matrix."""
     n = g.n
+    entries = g.entries.tolist()
+    columns = [[fam.coeffs[k, j] for k in range(n)] for j in range(n)]
     with workbits(g.precision_bits):
         return max(
-            abs(sum(g.entries[m, k] * fam.coeffs[k, j] for k in range(n)) - (1 if m == j else 0))
+            abs(sum(a * c for a, c in zip(entries[m], columns[j])) - (1 if m == j else 0))
             for m in range(n)
             for j in range(n)
         )
@@ -107,9 +109,9 @@ def distance(g: GramMatrix, n: int) -> mpmath.mpf:
     """Distance from the n-th section power to the span of the others."""
     if not 1 <= n <= g.n:
         raise IndexOutOfRange(f"index {n} outside 1..{g.n}")
-    col = gram_inverse_column(g, n)
+    diag = gram_inverse_diagonal(g, n)
     with workbits(g.precision_bits):
-        return 1 / mp.sqrt(col[n - 1])
+        return 1 / mp.sqrt(diag)
 
 
 def oracle_distance(

@@ -12,12 +12,14 @@ the assembly retries with the width doubled, up to a ceiling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Tuple
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import fone, fzero, mpf_div, mpf_mul, mpf_sub, round_nearest
 
-from .domain import WeightedDomain, power_moment
+from .domain import WeightedDomain
 from .errors import IndexOutOfRange, NotPositiveDefinite, PrecisionExhausted, ValidationError
 from .exponents import ExponentSequence
 from .precision import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS, workbits
@@ -45,6 +47,18 @@ class GramMatrix:
     lam: ExponentSequence
     domain: WeightedDomain
 
+    @cached_property
+    def factor_rows(self) -> List[List[tuple]]:
+        """Row i of the factor up to its diagonal as raw mpf values, read
+        out once per section for the triangular solves."""
+        return _factor_rows(self.chol)
+
+
+def _cond_estimate(chol: mpmath.matrix, n: int) -> mpmath.mpf:
+    """Squared ratio of the extreme diagonal entries of the leading n rows."""
+    diag = [chol[i, i] for i in range(n)]
+    return (max(diag) / min(diag)) ** 2
+
 
 def gram(
     wd: WeightedDomain,
@@ -70,19 +84,18 @@ def gram(
     last_failure = None
     while True:
         lams = lam.values_at(bits)[:n]
+        moment = wd.moment_table(bits)
         with workbits(bits):
             entries = mp.matrix(n, n)
             for i in range(n):
                 for j in range(i, n):
-                    entries[i, j] = power_moment(wd, lams[i] + lams[j], bits)
-                    entries[j, i] = entries[i, j]
+                    entries[i, j] = entries[j, i] = moment(lams[i] + lams[j])
             try:
                 chol = mp.cholesky(entries)
             except ValueError:
                 last_failure = "factorization"
             else:
-                diag = [chol[i, i] for i in range(n)]
-                cond = (max(diag) / min(diag)) ** 2
+                cond = _cond_estimate(chol, n)
                 if cond <= mp.mpf(2) ** (bits // 2):
                     return GramMatrix(
                         n=n,
@@ -106,28 +119,85 @@ def gram(
         bits = min(bits * 2, max_precision_bits)
 
 
-def forward_substitution(chol: mpmath.matrix, rhs: List[mpmath.mpf]) -> List[mpmath.mpf]:
-    """Solve chol * y = rhs for a lower-triangular factor (full diagonal)."""
-    n = chol.rows
-    y = [mp.mpf(0)] * n
-    for i in range(n):
+def leading_section(g: GramMatrix, m: int) -> GramMatrix:
+    """The leading m-by-m section, cut from a factored one.
+
+    Equal bit for bit to ``gram(g.domain, g.lam, m, g.precision_bits)``:
+    ``mp.cholesky`` builds column j of the factor from the leading rows
+    and earlier columns only, so the leading block of the factor is the
+    factor of the leading block, and the guard takes its max and min over
+    part of a diagonal that already passed.  When g escalated, a smaller
+    section asked for at the lower precision may settle below g's width,
+    so only ``gram`` gives that one.
+    """
+    if not 1 <= m <= g.n:
+        raise ValidationError(f"section size {m} outside 1..{g.n}")
+    with workbits(g.precision_bits):
+        return GramMatrix(
+            n=m,
+            entries=g.entries[:m, :m],
+            chol=g.chol[:m, :m],
+            cond_estimate=_cond_estimate(g.chol, m),
+            precision_bits=g.precision_bits,
+            lams=g.lams[:m],
+            lam=g.lam,
+            domain=g.domain,
+        )
+
+
+# The substitutions run on raw mpf values with the libmp kernels that the
+# mpf operators call, at the working width and round-to-nearest: the
+# same roundings as ``acc -= l * y`` and ``acc / l``, without an mpf
+# object per operation.
+
+
+def _substitute_forward(rows, rhs, start: int = 0) -> List[tuple]:
+    """Solve L y = rhs for the raw factor rows of L and raw rhs.  With
+    ``start`` > 0, rhs[:start] must be zero and rhs[start:] exact at the
+    working width (a unit vector): y[:start] is then zero and every
+    skipped term would have subtracted an exact zero."""
+    prec = mp.prec
+    y = [fzero] * len(rows)
+    for i in range(start, len(rows)):
+        row = rows[i]
         acc = rhs[i]
-        for j in range(i):
-            acc -= chol[i, j] * y[j]
-        y[i] = acc / chol[i, i]
+        for j in range(start, i):
+            acc = mpf_sub(acc, mpf_mul(row[j], y[j], prec, round_nearest), prec, round_nearest)
+        y[i] = mpf_div(acc, row[i], prec, round_nearest)
     return y
 
 
-def back_substitution_t(chol: mpmath.matrix, rhs: List[mpmath.mpf]) -> List[mpmath.mpf]:
-    """Solve chol^T * x = rhs, reading the transpose in place."""
-    n = chol.rows
-    x = [mp.mpf(0)] * n
-    for i in range(n - 1, -1, -1):
+def _substitute_back(rows, rhs, stop: int = 0) -> List[tuple]:
+    """Solve L^T x = rhs for the raw factor rows of L and raw rhs, from the
+    last entry down to entry ``stop``; the entries above ``stop`` are
+    left zero."""
+    prec = mp.prec
+    n = len(rows)
+    x = [fzero] * n
+    for i in range(n - 1, stop - 1, -1):
         acc = rhs[i]
         for j in range(i + 1, n):
-            acc -= chol[j, i] * x[j]
-        x[i] = acc / chol[i, i]
+            acc = mpf_sub(acc, mpf_mul(rows[j][i], x[j], prec, round_nearest), prec, round_nearest)
+        x[i] = mpf_div(acc, rows[i][i], prec, round_nearest)
     return x
+
+
+def _factor_rows(chol: mpmath.matrix) -> List[List[tuple]]:
+    return [[chol[i, j]._mpf_ for j in range(i + 1)] for i in range(chol.rows)]
+
+
+def _raw(values) -> List[tuple]:
+    # mp.convert is exact for ints and floats, as the mpf operators are
+    return [v._mpf_ if isinstance(v, mpmath.mpf) else mp.convert(v)._mpf_ for v in values]
+
+
+def _mpfs(raw) -> List[mpmath.mpf]:
+    return [mp.make_mpf(v) for v in raw]
+
+
+def forward_substitution(chol: mpmath.matrix, rhs: List[mpmath.mpf]) -> List[mpmath.mpf]:
+    """Solve chol * y = rhs for a lower-triangular factor (full diagonal)."""
+    return _mpfs(_substitute_forward(_factor_rows(chol), _raw(rhs)))
 
 
 def solve_spd(g: GramMatrix, rhs: List[mpmath.mpf]) -> List[mpmath.mpf]:
@@ -135,18 +205,37 @@ def solve_spd(g: GramMatrix, rhs: List[mpmath.mpf]) -> List[mpmath.mpf]:
     if len(rhs) != g.n:
         raise ValidationError(f"right-hand side has length {len(rhs)}, expected {g.n}")
     with workbits(g.precision_bits):
-        y = forward_substitution(g.chol, list(rhs))
-        return back_substitution_t(g.chol, y)
+        y = _substitute_forward(g.factor_rows, _raw(rhs))
+        return _mpfs(_substitute_back(g.factor_rows, y))
+
+
+def _unit_solve(g: GramMatrix, k: int, stop: int = 0) -> List[mpmath.mpf]:
+    """Entries ``stop`` onwards of column k (0-based) of the inverse: the
+    forward solve starts at the one nonzero of the unit right-hand side
+    and the back solve stops at ``stop``.  Every entry it computes is bit
+    for bit the one ``solve_spd`` gives for that right-hand side."""
+    with workbits(g.precision_bits):
+        rhs = [fzero] * g.n
+        rhs[k] = fone
+        y = _substitute_forward(g.factor_rows, rhs, k)
+        return _mpfs(_substitute_back(g.factor_rows, y, stop))
 
 
 def gram_inverse_column(g: GramMatrix, n: int) -> List[mpmath.mpf]:
     """Column n (1-based) of the inverse of the Gram section."""
     if not 1 <= n <= g.n:
         raise IndexOutOfRange(f"column {n} outside 1..{g.n}")
-    with workbits(g.precision_bits):
-        rhs = [mp.mpf(0)] * g.n
-        rhs[n - 1] = mp.mpf(1)
-        return solve_spd(g, rhs)
+    return _unit_solve(g, n - 1)
+
+
+def gram_inverse_diagonal(g: GramMatrix, n: int) -> mpmath.mpf:
+    """The diagonal entry (G^-1)_nn (1-based) alone, equal bit for bit to
+    entry n of ``gram_inverse_column(g, n)``: the back solve stops at n,
+    so the entries of G^-1 a report reads cost about N^3/3 operations
+    over all n instead of N^3."""
+    if not 1 <= n <= g.n:
+        raise IndexOutOfRange(f"index {n} outside 1..{g.n}")
+    return _unit_solve(g, n - 1, n - 1)[n - 1]
 
 
 def gram_inverse(g: GramMatrix) -> mpmath.matrix:
@@ -154,7 +243,7 @@ def gram_inverse(g: GramMatrix) -> mpmath.matrix:
     with workbits(g.precision_bits):
         inv = mp.matrix(g.n, g.n)
         for j in range(g.n):
-            col = gram_inverse_column(g, j + 1)
+            col = _unit_solve(g, j)
             for i in range(g.n):
                 inv[i, j] = col[i]
         return inv

@@ -18,8 +18,7 @@ from mpmath import mp
 from .domain import WeightedDomain
 from .errors import ValidationError
 from .exponents import ExponentSequence
-from .gram import GramMatrix, solve_spd
-from .duals import dual_family
+from .gram import GramMatrix, gram_inverse_diagonal, solve_spd
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 from .series import MuntzSeries
 
@@ -149,10 +148,11 @@ def convergence_certificate(
         if size > len(data.d):
             raise ValidationError(f"section {size} exceeds {len(data.d)} moment values")
         sizes.append(size)
-        fam = dual_family(g)
         with workbits(g.precision_bits):
+            # ||r_n|| = sqrt((G^-1)_nn), as in the dual family
+            dual_norms = [mp.sqrt(gram_inverse_diagonal(g, k + 1)) for k in range(size)]
             sums.append(
-                mp.fsum(abs(data.d[k]) * fam.norms[k] for k in range(size))
+                mp.fsum(abs(data.d[k]) * dual_norms[k] for k in range(size))
             )
             coeffs = solve_spd(g, list(data.d[:size]))
             norm_sq = mp.fsum(coeffs[k] * data.d[k] for k in range(size))

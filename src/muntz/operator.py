@@ -164,11 +164,11 @@ def eigen_check(spec: OperatorSpec, g: GramMatrix) -> EigenReport:
 
         tol = mp.mpf(2) ** (-(bits // 2))
         worst = mp.mpf(0)
-        for k in range(1, n + 1):
-            col = gram_inverse_column(g, k)
+        adj_rows = adj.tolist()
+        for k, col in enumerate(_inverse_columns(g), 1):
             scale = max(abs(v) for v in col) * abs(u[k - 1]) + 1
             for i in range(n):
-                got = mp.fsum(adj[i, j] * col[j] for j in range(n))
+                got = mp.fsum(a * c for a, c in zip(adj_rows[i], col))
                 resid = abs(got - u[k - 1] * col[i]) / scale
                 if resid > worst:
                     worst = resid
@@ -250,6 +250,12 @@ class MixedSystemReport:
     nonsingular: bool
 
 
+def _inverse_columns(g: GramMatrix) -> List[List[mpmath.mpf]]:
+    """Every column of G^-1, from one ``gram_inverse`` call."""
+    inv = gram_inverse(g)
+    return [[inv[i, j] for i in range(g.n)] for j in range(g.n)]
+
+
 def hereditary_check(
     g: GramMatrix, partition: Tuple[Iterable[int], Iterable[int]]
 ) -> MixedSystemReport:
@@ -261,6 +267,11 @@ def hereditary_check(
     arithmetic and the reported determinant and minimum singular value
     quantify the margin.
     """
+    return _mixed_report(g, partition, lambda idx: gram_inverse_column(g, idx))
+
+
+def _mixed_report(g: GramMatrix, partition, column) -> MixedSystemReport:
+    """``hereditary_check`` with column(idx) giving the 1-based inverse column."""
     n1, n2 = (tuple(sorted(set(ix))) for ix in partition)
     indices = n1 + n2
     if sorted(indices) != list(range(1, g.n + 1)):
@@ -273,7 +284,7 @@ def hereditary_check(
         for idx in n1:
             mixed[idx - 1, idx - 1] = mp.mpf(1)
         for idx in n2:
-            col = gram_inverse_column(g, idx)
+            col = column(idx)
             for i in range(g.n):
                 mixed[i, idx - 1] = col[i]
         det = mp.det(mixed)
@@ -289,16 +300,18 @@ def hereditary_check(
 
 
 def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
-    """hereditary_check over all 2**N partitions of the section.
+    """hereditary_check over all 2**N partitions of the section, with
+    the inverse columns of one ``gram_inverse`` call.
 
     Partition ``mask`` puts index i + 1 in N2 (duals) when bit i is set,
     and the reports come in increasing mask order.
     """
+    columns = _inverse_columns(g)
     reports = []
     for mask in range(2 ** g.n):
         n2 = [i + 1 for i in range(g.n) if mask & (1 << i)]
         n1 = [i + 1 for i in range(g.n) if not mask & (1 << i)]
-        reports.append(hereditary_check(g, (n1, n2)))
+        reports.append(_mixed_report(g, (n1, n2), lambda idx: columns[idx - 1]))
     return reports
 
 

@@ -9,6 +9,7 @@ inside keep their full mantissa when the block exits.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -21,6 +22,10 @@ from .errors import NotANumber
 DEFAULT_PRECISION_BITS = 256
 MAX_PRECISION_BITS = 4096
 MIN_PRECISION_BITS = 64
+# Fraction builds 10**|e| for a decimal exponent e, which takes 12 s at
+# e = 10**7 and grows from there, so one config value could hang a run.
+MAX_DECIMAL_EXPONENT = 10_000
+_EXPONENT = re.compile(r"[eE][-+]?0*([0-9_]*)\s*$")
 
 Real = Union[int, float, str, Fraction, mpmath.mpf]
 
@@ -35,7 +40,8 @@ def to_fraction(x: Real) -> Fraction:
 
     Decimal strings parse exactly ("0.1" -> 1/10); floats contribute their
     exact binary value; mpf values are man * 2**exp, also exact.  Anything
-    else, including booleans and non-finite values, raises NotANumber.
+    else, including booleans, non-finite values and decimal exponents
+    beyond +-MAX_DECIMAL_EXPONENT, raises NotANumber.
     """
     if isinstance(x, Fraction):
         return x
@@ -43,6 +49,11 @@ def to_fraction(x: Real) -> Fraction:
         raise NotANumber("boolean is not a number")
     if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, str):
+        exponent = _EXPONENT.search(x)
+        digits = exponent.group(1).replace("_", "") if exponent else ""
+        if len(digits) > 5 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise NotANumber(f"{x!r} has a decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
     if isinstance(x, (str, float)):
         try:
             return Fraction(x.strip() if isinstance(x, str) else x)

@@ -127,6 +127,21 @@ def test_round_trip_from_embedded_config(tmp_path):
     assert first == second
 
 
+def test_round_trip_with_json_number_reals(tmp_path):
+    # 0.1, 0.5 and 0.01 as JSON numbers are not their binary floats: the
+    # report computes with the decimal its config block echoes
+    cfg = write_config(tmp_path, exponents={"kind": "power", "c": "1", "beta": "2", "count": 4},
+                       epsilon=0.1, rel_tol=0.01, rho=0.5, N_list=[2, 4])
+    for command in (["distances", "--n", "1"], ["remez", "--grid-points", "3"]):
+        rc, first = invoke([*command, "--config", cfg])
+        assert rc == 0
+        report = json.loads(first)
+        path = tmp_path / "embedded.json"
+        path.write_text(json.dumps(report["config"]))
+        assert invoke([command[0], "--config", str(path)]) == (0, first)
+    assert report["config"]["rho"] == "0.5"
+
+
 def test_env_variable_overrides_config(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
     monkeypatch.setenv("MUNTZ_PRECISION_BITS", "128")
@@ -223,6 +238,8 @@ CONTRACT_CASES = {
     "flag_N_zero": (["gram", "--N", "0"], {}),
     "flag_n_zero": (["distances", "--n", "0"], {}),
     "flag_precision_zero": (["gram", "--precision-bits", "0"], {}),
+    "huge_decimal_exponent": (["validate"], {"domain": {
+        "intervals": [{"lo": "0", "hi": "1e999999999"}], "weights": [{"coeff": "1", "power": "0"}]}}),
 }
 
 
@@ -268,7 +285,7 @@ def test_remez_reports_the_precision_it_used(tmp_path):
     assert len(res["rows"][0][1].replace(".", "")) > 100  # formatted at 512 bits
 
 
-def test_each_section_factored_once(tmp_path, monkeypatch):
+def _count_gram_calls(monkeypatch):
     import muntz.cli
 
     built = []
@@ -279,17 +296,37 @@ def test_each_section_factored_once(tmp_path, monkeypatch):
         return real_gram(wd, lam, n, *args)
 
     monkeypatch.setattr(muntz.cli, "gram", counting_gram)
+    return built
+
+
+def test_each_section_factored_once(tmp_path, monkeypatch):
+    # the top section settles at the requested precision, so the smaller
+    # sections are cut from its factor and only size 4 is factored
+    built = _count_gram_calls(monkeypatch)
     cfg = write_config(tmp_path, exponents=SQUARES_4, d=["1", "0.5", "0.25", "0.125"])
     rc, _ = invoke(["moments", "--config", cfg, "--N", "4", "--N-list", "2,3,4"])
     assert rc == 0
-    assert sorted(built) == [2, 3, 4]
+    assert built == [4]
+
+
+def test_escalated_top_section_factors_the_smaller_ones(tmp_path, monkeypatch):
+    # linear exponents at N = 9 escalate from 64 to 128 bits while N = 2, 3
+    # settle at 64, so those are factored at the requested precision
+    built = _count_gram_calls(monkeypatch)
+    linear_9 = {"kind": "power", "c": "1", "beta": "1", "count": 9}
+    cfg = write_config(tmp_path, exponents=linear_9, precision_bits=64, d=["1"] * 9)
+    rc, out = invoke(["moments", "--config", cfg, "--N", "9", "--N-list", "2,3,9"])
+    assert rc == 0
+    assert built == [9, 2, 3]
+    assert json.loads(out)["results"]["precision_bits_used"] == 128
 
 
 JUNK = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-2, 6),
-    st.sampled_from(["abc", "", "1", "0.5", "2", "-1", "1/0", "nan", "inf", "1e3", "3,1"]),
+    st.sampled_from(["abc", "", "1", "0.5", "2", "-1", "1/0", "nan", "inf", "1e3", "3,1",
+                     "1e999999999"]),
     st.lists(st.integers(-1, 6), max_size=3),
     st.dictionaries(st.sampled_from(["kind", "lo", "rho"]), st.integers(0, 2), max_size=2),
 )

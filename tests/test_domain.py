@@ -144,3 +144,21 @@ def test_pieces_at_reparses_exactly():
     with workbits(512):
         # the 512-bit parse carries more correct digits of 0.3
         assert abs(lo512 - mp.mpf(3) / 10) < abs(lo256 - mp.mpf(3) / 10) or lo256 == lo512
+
+
+def test_cached_moment_equals_fresh_domain():
+    # a two-piece domain with a fractional weight power: a moment served
+    # from the table is bit for bit the one a fresh domain computes
+    pieces = ([("0.1", "0.5"), ("0.6", "1.5")], [(1, "0.5"), ("3/2", "-1/3")])
+    wd = build_weighted_domain(*pieces)
+    orders = ["0", "1/3", "2.25", 7, "7"]
+    first = [power_moment(wd, s) for s in orders]
+    again = [power_moment(wd, s) for s in orders]
+    assert all(a is b for a, b in zip(first, again))  # served from the table
+    assert first[3] is first[4]  # 7 and "7" are the same order
+    for s, value in zip(orders, first):
+        assert power_moment(build_weighted_domain(*pieces), s) == value
+    for bits in (128, 512):
+        assert power_moment(wd, "2.25", bits) == power_moment(
+            build_weighted_domain(*pieces), "2.25", bits)
+    assert wd.weight_mass == power_moment(build_weighted_domain(*pieces), 0)

@@ -8,8 +8,12 @@ from muntz import (
     build_weighted_domain,
     explicit_exponents,
     gram,
+    gram_inverse,
     gram_inverse_column,
+    gram_inverse_diagonal,
+    leading_section,
     power_exponents,
+    solve_spd,
     workbits,
 )
 from muntz.errors import (
@@ -135,3 +139,75 @@ def test_scaling_covariance(scale):
             for j in range(3):
                 want = base.entries[i, j] * r ** (int(lam.values[i]) + int(lam.values[j]) + 1)
                 assert rel_err(scaled.entries[i, j], want) < 1e-70
+
+
+# -- nested sections and unit solves: bit for bit what the direct path gives --
+
+FAMILIES = {"squares": (1, 2), "linear": (1, 1), "sqrt": (1, "0.5")}
+
+
+def _same(a, b):
+    """Equal as exact mpf values (lists, tuples or matrices)."""
+    if hasattr(a, "tolist"):
+        a, b = a.tolist(), b.tolist()
+    return list(a) == list(b)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("pieces", [
+    ([(0, 1)], [(1, 0)]),
+    ([("0", "0.5"), ("0.6", "1")], [(1, 0), (2, 0)]),
+])
+def test_leading_section_equals_gram(pieces, family):
+    # at 64 bits linear and sqrt tops of size 12 escalate; the cut then
+    # equals gram asked for at the top's own width
+    wd = build_weighted_domain(*pieces)
+    lam = power_exponents(*FAMILIES[family], 12)
+    top = gram(wd, lam, 12, 64)
+    assert (top.precision_bits > 64) == (family != "squares")
+    for m in range(1, 13):
+        cut = leading_section(top, m)
+        ref = gram(wd, lam, m, top.precision_bits)
+        assert cut.n == ref.n == m
+        assert cut.precision_bits == ref.precision_bits
+        assert cut.cond_estimate == ref.cond_estimate
+        assert cut.lams == ref.lams
+        assert _same(cut.entries, ref.entries)
+        assert _same(cut.chol, ref.chol)
+    with pytest.raises(ValidationError):
+        leading_section(top, 13)
+
+
+def _mpf_solve(chol, rhs):
+    """The two triangular solves written with plain mpf operators."""
+    n = chol.rows
+    y = [mp.mpf(0)] * n
+    for i in range(n):
+        acc = rhs[i]
+        for j in range(i):
+            acc -= chol[i, j] * y[j]
+        y[i] = acc / chol[i, i]
+    x = [mp.mpf(0)] * n
+    for i in range(n - 1, -1, -1):
+        acc = y[i]
+        for j in range(i + 1, n):
+            acc -= chol[j, i] * x[j]
+        x[i] = acc / chol[i, i]
+    return x
+
+
+def test_unit_solves_equal_solve_spd(two_piece_domain):
+    g = gram(two_piece_domain, power_exponents(1, "0.5", 10), 10)
+    inv = gram_inverse(g)
+    for n in range(1, 11):
+        with workbits(g.precision_bits):
+            unit = [mp.mpf(1) if i == n - 1 else mp.mpf(0) for i in range(10)]
+        full = solve_spd(g, unit)
+        assert _same(gram_inverse_column(g, n), full)
+        assert _same([inv[i, n - 1] for i in range(10)], full)
+        assert gram_inverse_diagonal(g, n) == full[n - 1]
+    with workbits(g.precision_bits):
+        rhs = [mp.mpf(k + 1) / 3 for k in range(10)]
+        assert _same(solve_spd(g, rhs), _mpf_solve(g.chol, rhs))
+    with pytest.raises(IndexOutOfRange):
+        gram_inverse_diagonal(g, 11)
