@@ -36,6 +36,7 @@ from .gram import (
     gram_inverse_column,
     gram_inverse_diagonal,
     leading_section,
+    leading_sections,
     solve_spd,
 )
 from .momentsolve import (

@@ -31,7 +31,7 @@ from . import duals, momentsolve, operator, series
 from .domain import domain_from_json, domain_to_json
 from .errors import MalformedConfig, MuntzError, NumericalError
 from .exponents import exponents_from_json, exponents_to_json
-from .gram import GramMatrix, gram, leading_section
+from .gram import GramMatrix, gram, leading_section, leading_sections
 from .precision import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS
 from .precision import fmt, to_fraction, to_int
 
@@ -60,7 +60,12 @@ def _resolve_precision(cfg: dict, args) -> tuple:
     if bits < MIN_PRECISION_BITS:
         raise MalformedConfig(f"precision_bits must be at least {MIN_PRECISION_BITS}")
     top = cfg.get("max_precision_bits")
-    return bits, to_int(MAX_PRECISION_BITS if top is None else top)
+    top = to_int(MAX_PRECISION_BITS if top is None else top)
+    # checked before anything is parsed at that width: 3e6 bits ran past 15 s
+    if not bits <= top <= MAX_PRECISION_BITS:
+        raise MalformedConfig(f"need precision_bits {bits} <= max_precision_bits {top} "
+                              f"<= {MAX_PRECISION_BITS}")
+    return bits, top
 
 
 def _expect(raw, kind: type, name: str):
@@ -86,14 +91,12 @@ class Param:
 
 
 class _Inputs:
-    """One report's inputs, each resolved on first attribute access, and
-    the builder of its Gram sections."""
+    """One report's inputs, each resolved on first attribute access."""
 
     def __init__(self, cfg: dict, args, params):
         self.cfg, self.args = cfg, args
         self.params = {p.name: p for p in params}
         self.bits, self.max_bits = _resolve_precision(cfg, args)
-        self.used_bits = 0
 
     def __getattr__(self, name):
         param = self.__dict__.get("params", {}).get(name)
@@ -125,22 +128,9 @@ class _Inputs:
         config.update(blocks)
         return config
 
-    def section(self, n: int) -> GramMatrix:
-        g = gram(self.wd, self.lam, n, self.bits, self.max_bits)
-        self.used_bits = max(self.used_bits, g.precision_bits)
-        return g
-
-    def sections(self, sizes, top: GramMatrix):
-        """Sections of these sizes, built as consumed.  ``top`` serves its
-        own size and, when it settled at the requested precision, every
-        smaller one as its leading block; each other size is factored."""
-        for n in sizes:
-            if n == top.n:
-                yield top
-            elif n < top.n and top.precision_bits == self.bits:
-                yield leading_section(top, n)
-            else:
-                yield self.section(n)
+    def largest_size(self) -> int:
+        """N, or the last N_list entry when that is larger or there is no N."""
+        return max(getattr(self, "N", 0), (getattr(self, "N_list", None) or [0])[-1])
 
 
 def _ints(raw) -> list:
@@ -224,7 +214,7 @@ def _gram(i: _Inputs, g: GramMatrix) -> dict:
 
 
 def _distances(i: _Inputs, g: GramMatrix) -> dict:
-    rep = duals.distance_sweep(i.sections(i.N_list, g), i.n, i.rel_tol, i.bits)
+    rep = duals.distance_sweep(g, i.N_list, i.n, i.rel_tol)
     oracle = {"applicable": False, "reason": "closed form needs [0,1] with unit weight"}
     if i.wd.is_unit_lebesgue:
         oracle = {"applicable": True,
@@ -251,32 +241,32 @@ def _duals(i: _Inputs, g: GramMatrix) -> dict:
 
 
 def _expand(i: _Inputs, g: GramMatrix) -> dict:
-    proj, residual = series.project(g, i.target)
+    proj, residual = series.project(leading_section(g, i.N), i.target)
     results = {"coefficients": proj.coeffs, "residual": residual,
                "rows": [[k + 1, c] for k, c in enumerate(proj.coeffs)]}
     if i.N_list is not None:
-        table = series.coefficient_convergence(i.sections(i.N_list, g), i.target, i.bits)
-        results["convergence"] = _render({
+        table = series.coefficient_convergence(g, i.N_list, i.target)
+        results["convergence"] = {
             "section_sizes": table.section_sizes, "coefficient_rows": table.rows,
-            "diffs": table.diffs, "cauchy_flags": table.cauchy_flags}, i.bits)
+            "diffs": table.diffs, "cauchy_flags": table.cauchy_flags}
     return results
 
 
 def _remez(i: _Inputs, g: GramMatrix) -> dict:
-    values = [series.christoffel_remez(s, i.rho, i.grid_points) for s in i.sections(i.N_list, g)]
+    values = [series.christoffel_remez(s, i.rho, i.grid_points)
+              for s in leading_sections(g, i.N_list)]
     return {"rho": str(i.rho), "grid_points": i.grid_points, "rows": list(zip(i.N_list, values))}
 
 
 def _moments(i: _Inputs, g: GramMatrix) -> dict:
-    solution, residuals = momentsolve.solve_moments(g, i.data)
+    solution, residuals = momentsolve.solve_moments(leading_section(g, i.N), i.data)
     results = {
         "fitted_a": i.data.fitted_a, "fitted_C": i.data.fitted_c, "growth_ok": i.data.growth_ok,
         "coefficients": solution.coeffs, "residuals": residuals,
-        "rows": [[k + 1, solution.coeffs[k], residuals[k]] for k in range(g.n)],
+        "rows": [[k + 1, solution.coeffs[k], residuals[k]] for k in range(i.N)],
     }
     if i.N_list is not None:
-        cert = momentsolve.convergence_certificate(i.sections(i.N_list, g), i.data)
-        results["certificate"] = _render(vars(cert), i.bits)
+        results["certificate"] = vars(momentsolve.convergence_certificate(g, i.N_list, i.data))
     return results
 
 
@@ -313,8 +303,8 @@ def _render(obj, bits: int):
 @dataclass(frozen=True)
 class Command:
     """A command's results function, every input it reads, and the column
-    names of its table.  A command with a table factors the section of
-    size N, or of the largest size in N_list when it reads no N."""
+    names of its table.  A command with a table factors one section, of
+    the largest size it reads, and cuts every other size from it."""
 
     results: Callable[[_Inputs, Optional[GramMatrix]], dict]
     params: tuple
@@ -388,10 +378,11 @@ def run(argv) -> int:
             getattr(inputs, param.name)
         g = None
         if command.columns:
-            g = inputs.section(inputs.N if "N" in inputs.params else inputs.N_list[-1])
+            g = gram(inputs.wd, inputs.lam, inputs.largest_size(), inputs.bits, inputs.max_bits)
         results = command.results(inputs, g)
         if g is not None:
-            results.update(precision_bits_used=inputs.used_bits, cond_estimate=g.cond_estimate,
+            own = leading_section(g, getattr(inputs, "N", g.n))
+            results.update(precision_bits_used=g.precision_bits, cond_estimate=own.cond_estimate,
                            columns=command.columns)
         results = _render(results, g.precision_bits if g else inputs.bits)
         _emit({"command": args.command, "config": inputs.echo(), "results": results}, args)

@@ -19,9 +19,9 @@ from typing import Iterable, List, Tuple
 import mpmath
 from mpmath import mp
 
-from .errors import BadEpsilon, IndexOutOfRange, ValidationError
+from .errors import BadEpsilon, IndexOutOfRange
 from .exponents import ExponentSequence
-from .gram import GramMatrix, gram_inverse, gram_inverse_diagonal
+from .gram import GramMatrix, gram_inverse, gram_inverse_diagonal, leading_sections
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 
 
@@ -139,47 +139,30 @@ def oracle_distance(
         return val
 
 
-def distance_sweep(
-    sections: Iterable[GramMatrix],
-    n: int,
-    rel_tol: Real,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> DistanceReport:
-    """Track D_n across factored sections of strictly increasing size.
+def distance_sweep(g: GramMatrix, sizes: Iterable[int], n: int, rel_tol: Real) -> DistanceReport:
+    """Track D_n across the leading sections of g of these strictly
+    increasing sizes.
 
-    The sections are consumed one at a time, so a lazy iterable keeps
-    only the section in use alive.  The values are nonincreasing (larger
-    span, smaller distance); stabilized is set when the final relative
-    decrease, compared at ``precision_bits``, drops below rel_tol.  The
-    last value doubles as the limit estimate.
+    The values are nonincreasing (larger span, smaller distance);
+    stabilized is set when the final relative decrease drops below
+    rel_tol.  The last value doubles as the limit estimate.  Everything
+    is taken at g's precision.
     """
-    tol = to_mpf(rel_tol, precision_bits)
-    distances = []
-    used_bits = precision_bits
-    g = None
-    for g in sections:
-        if not distances and n > g.n:
-            raise ValidationError(f"target index {n} exceeds the smallest section {g.n}")
-        if distances and g.n <= distances[-1][0]:
-            raise ValidationError("section sizes must be strictly increasing")
-        used_bits = max(used_bits, g.precision_bits)
-        distances.append((g.n, distance(g, n)))
-    if g is None:
-        raise ValidationError("need at least one section size")
-
-    with workbits(used_bits):
+    bits = g.precision_bits
+    distances = [(s.n, distance(s, n)) for s in leading_sections(g, sizes)]
+    with workbits(bits):
         stabilized = False
         if len(distances) >= 2:
             d_prev, d_last = distances[-2][1], distances[-1][1]
-            stabilized = (d_prev - d_last) / d_prev < tol
+            stabilized = (d_prev - d_last) / d_prev < to_mpf(rel_tol, bits)
         return DistanceReport(
             n=n,
-            lam_n=g.lam.values_at(used_bits)[n - 1],
+            lam_n=g.lams[n - 1],
             r_w=g.domain.r_a,
             sections=tuple(distances),
             stabilized=stabilized,
             limit_estimate=distances[-1][1],
-            precision_bits=used_bits,
+            precision_bits=bits,
         )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import mpmath
 from mpmath import mp
@@ -51,7 +51,7 @@ class GramMatrix:
     def factor_rows(self) -> List[List[tuple]]:
         """Row i of the factor up to its diagonal as raw mpf values, read
         out once per section for the triangular solves."""
-        return _factor_rows(self.chol)
+        return [[self.chol[i, j]._mpf_ for j in range(i + 1)] for i in range(self.n)]
 
 
 def _cond_estimate(chol: mpmath.matrix, n: int) -> mpmath.mpf:
@@ -126,12 +126,12 @@ def leading_section(g: GramMatrix, m: int) -> GramMatrix:
     ``mp.cholesky`` builds column j of the factor from the leading rows
     and earlier columns only, so the leading block of the factor is the
     factor of the leading block, and the guard takes its max and min over
-    part of a diagonal that already passed.  When g escalated, a smaller
-    section asked for at the lower precision may settle below g's width,
-    so only ``gram`` gives that one.
+    part of a diagonal that already passed.  For m = g.n it is g itself.
     """
     if not 1 <= m <= g.n:
         raise ValidationError(f"section size {m} outside 1..{g.n}")
+    if m == g.n:
+        return g
     with workbits(g.precision_bits):
         return GramMatrix(
             n=m,
@@ -143,6 +143,18 @@ def leading_section(g: GramMatrix, m: int) -> GramMatrix:
             lam=g.lam,
             domain=g.domain,
         )
+
+
+def leading_sections(g: GramMatrix, sizes: Iterable[int]) -> Iterator[GramMatrix]:
+    """The leading sections of these sizes, cut from g as they are
+    consumed, so only the one in use is alive.  The sizes must be
+    non-empty, strictly increasing and within 1..g.n."""
+    sizes = list(sizes)
+    if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValidationError(f"need strictly increasing section sizes, got {sizes}")
+    if not 1 <= sizes[0] <= sizes[-1] <= g.n:
+        raise ValidationError(f"section sizes {sizes} outside 1..{g.n}")
+    return (leading_section(g, m) for m in sizes)
 
 
 # The substitutions run on raw mpf values with the libmp kernels that the
@@ -182,10 +194,6 @@ def _substitute_back(rows, rhs, stop: int = 0) -> List[tuple]:
     return x
 
 
-def _factor_rows(chol: mpmath.matrix) -> List[List[tuple]]:
-    return [[chol[i, j]._mpf_ for j in range(i + 1)] for i in range(chol.rows)]
-
-
 def _raw(values) -> List[tuple]:
     # mp.convert is exact for ints and floats, as the mpf operators are
     return [v._mpf_ if isinstance(v, mpmath.mpf) else mp.convert(v)._mpf_ for v in values]
@@ -195,17 +203,22 @@ def _mpfs(raw) -> List[mpmath.mpf]:
     return [mp.make_mpf(v) for v in raw]
 
 
-def forward_substitution(chol: mpmath.matrix, rhs: List[mpmath.mpf]) -> List[mpmath.mpf]:
-    """Solve chol * y = rhs for a lower-triangular factor (full diagonal)."""
-    return _mpfs(_substitute_forward(_factor_rows(chol), _raw(rhs)))
+def _checked_rhs(g: GramMatrix, rhs: List[mpmath.mpf]) -> List[tuple]:
+    if len(rhs) != g.n:
+        raise ValidationError(f"right-hand side has length {len(rhs)}, expected {g.n}")
+    return _raw(rhs)
+
+
+def forward_substitution(g: GramMatrix, rhs: List[mpmath.mpf]) -> List[mpmath.mpf]:
+    """Solve chol * y = rhs against the section's factor."""
+    with workbits(g.precision_bits):
+        return _mpfs(_substitute_forward(g.factor_rows, _checked_rhs(g, rhs)))
 
 
 def solve_spd(g: GramMatrix, rhs: List[mpmath.mpf]) -> List[mpmath.mpf]:
     """Solve entries * x = rhs by two triangular solves against the factor."""
-    if len(rhs) != g.n:
-        raise ValidationError(f"right-hand side has length {len(rhs)}, expected {g.n}")
     with workbits(g.precision_bits):
-        y = _substitute_forward(g.factor_rows, _raw(rhs))
+        y = _substitute_forward(g.factor_rows, _checked_rhs(g, rhs))
         return _mpfs(_substitute_back(g.factor_rows, y))
 
 

@@ -18,7 +18,7 @@ from mpmath import mp
 from .domain import WeightedDomain
 from .errors import ValidationError
 from .exponents import ExponentSequence
-from .gram import GramMatrix, gram_inverse_diagonal, solve_spd
+from .gram import GramMatrix, gram_inverse_diagonal, leading_sections, solve_spd
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 from .series import MuntzSeries
 
@@ -133,31 +133,27 @@ class ConvergenceCertificate:
 
 
 def convergence_certificate(
-    sections: Iterable[GramMatrix], data: MomentData
+    g: GramMatrix, sizes: Iterable[int], data: MomentData
 ) -> ConvergenceCertificate:
-    """Tabulate sum_{n<=N} |d_n| ||r_n^(N)|| and solution norms over
-    factored sections of strictly increasing size, consumed one at a
-    time.  The ratios are taken at the data's precision."""
-    sizes = []
+    """Tabulate sum_{n<=N} |d_n| ||r_n^(N)|| and solution norms over the
+    leading sections of g of these strictly increasing sizes.  The ratios
+    are taken at g's precision."""
+    sizes = list(sizes)
+    if sizes and sizes[-1] > len(data.d):
+        raise ValidationError(f"section {sizes[-1]} exceeds {len(data.d)} moment values")
     sums = []
     norms = []
-    for g in sections:
-        size = g.n
-        if sizes and size <= sizes[-1]:
-            raise ValidationError("section sizes must be strictly increasing")
-        if size > len(data.d):
-            raise ValidationError(f"section {size} exceeds {len(data.d)} moment values")
-        sizes.append(size)
-        with workbits(g.precision_bits):
+    with workbits(g.precision_bits):
+        for s in leading_sections(g, sizes):
+            size = s.n
             # ||r_n|| = sqrt((G^-1)_nn), as in the dual family
-            dual_norms = [mp.sqrt(gram_inverse_diagonal(g, k + 1)) for k in range(size)]
+            dual_norms = [mp.sqrt(gram_inverse_diagonal(s, k + 1)) for k in range(size)]
             sums.append(
                 mp.fsum(abs(data.d[k]) * dual_norms[k] for k in range(size))
             )
-            coeffs = solve_spd(g, list(data.d[:size]))
+            coeffs = solve_spd(s, list(data.d[:size]))
             norm_sq = mp.fsum(coeffs[k] * data.d[k] for k in range(size))
             norms.append(mp.sqrt(norm_sq) if norm_sq > 0 else mp.mpf(0))
-    with workbits(data.precision_bits):
         ratios = tuple(b / a if a != 0 else mp.mpf(0) for a, b in zip(sums, sums[1:]))
     return ConvergenceCertificate(
         section_sizes=tuple(sizes),

@@ -177,8 +177,9 @@ def eigen_check(spec: OperatorSpec, g: GramMatrix) -> EigenReport:
         simplicity_ok = len(set(u)) == n
         kernel_ok = all(v != 0 for v in u)
 
-        comm = m_mat * adj - adj * m_mat
-        defect = max(abs(comm[i, j]) for i in range(n) for j in range(n))
+        # (M adj - adj M)_ij for M = diag(u), without the two dense products
+        defect = max(abs(u[i] * row[j] - row[j] * u[j]) for i, row in enumerate(adj_rows)
+                     for j in range(n))
 
         q = 2 * spec.rho / (1 + spec.rho)
         tails = []

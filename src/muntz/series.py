@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .exponents import ExponentSequence, explicit_exponents
-from .gram import GramMatrix, forward_substitution, gram, solve_spd
+from .gram import GramMatrix, forward_substitution, gram, leading_sections, solve_spd
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 
 
@@ -177,30 +177,23 @@ class ConvergenceTable:
 
 
 def coefficient_convergence(
-    sections: Iterable[GramMatrix],
-    f: TargetFunction,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
+    g: GramMatrix, sizes: Iterable[int], f: TargetFunction
 ) -> ConvergenceTable:
-    """Project onto factored sections of strictly increasing size and
-    track per-index coefficients.
+    """Project onto the leading sections of g of these strictly
+    increasing sizes and track per-index coefficients.
 
-    The sections are consumed one at a time; the coefficient differences
-    are taken at ``precision_bits``.
+    The coefficient differences are taken at g's precision.
     """
     rows = []
     residuals = []
-    for g in sections:
-        if rows and g.n <= rows[-1][0]:
-            raise ValidationError("section sizes must be strictly increasing")
-        series, res = project(g, f)
-        rows.append((g.n, series.coeffs))
+    for s in leading_sections(g, sizes):
+        series, res = project(s, f)
+        rows.append((s.n, series.coeffs))
         residuals.append(res)
-    if not rows:
-        raise ValidationError("need at least one section size")
     n_tracked = rows[0][0]
     diffs = []
     flags = []
-    with workbits(precision_bits):
+    with workbits(g.precision_bits):
         for k in range(n_tracked):
             track = [coeffs[k] for _, coeffs in rows]
             dk = tuple(abs(b - a) for a, b in zip(track, track[1:]))
@@ -274,7 +267,7 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
         for j in range(grid_points):
             x = rho_m * j / (grid_points - 1)
             v = [x ** g.lams[k] for k in range(g.n)]
-            y = forward_substitution(g.chol, v)
+            y = forward_substitution(g, v)
             kernel = mp.fsum(t ** 2 for t in y)
             if kernel > best:
                 best = kernel

@@ -2,7 +2,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from muntz import build_weighted_domain, explicit_exponents, gram, workbits
+from muntz import build_weighted_domain, explicit_exponents, workbits
 
 CHECK_BITS = 320  # headroom above the default working precision
 
@@ -18,11 +18,6 @@ def rel_err(got, want):
         if want == 0:
             return abs(got)
         return abs(got - want) / abs(want)
-
-
-def sections(wd, lam, sizes, bits=256):
-    """Factored leading sections of the given sizes, built lazily."""
-    return (gram(wd, lam, n, bits) for n in sizes)
 
 
 def mpf_(x, bits=CHECK_BITS):

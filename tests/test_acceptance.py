@@ -36,7 +36,7 @@ from muntz import (
     workbits,
 )
 
-from conftest import rel_err, sections
+from conftest import rel_err
 
 UNIT = build_weighted_domain([(0, 1)], [(1, 0)])
 SQUARES = power_exponents(1, 2, 20)
@@ -313,7 +313,7 @@ def test_criterion_10_coefficient_convergence():
     # so every section recovers it exactly and the differences sit at the
     # rounding floor
     f = TargetFunction.pure_power(1, 256)
-    flat = coefficient_convergence(sections(UNIT, SQUARES, [2, 4, 6, 8, 10], 256), f, 256)
+    flat = coefficient_convergence(gram(UNIT, SQUARES, 10, 256), [2, 4, 6, 8, 10], f)
     with workbits(256):
         floor = mp.mpf(2) ** (-128)
         flat_ok = all(d < floor for d in flat.diffs[0])
@@ -323,7 +323,7 @@ def test_criterion_10_coefficient_convergence():
     # squares with the unit power removed: x sits outside every section,
     # and the leading-coefficient updates shrink monotonically
     shifted = explicit_exponents([k * k for k in range(2, 14)])
-    table = coefficient_convergence(sections(UNIT, shifted, [2, 4, 6, 8, 10], 256), f, 256)
+    table = coefficient_convergence(gram(UNIT, shifted, 10, 256), [2, 4, 6, 8, 10], f)
     diffs = table.diffs[0]
     decreasing = all(b < a for a, b in zip(diffs, diffs[1:]))
     report(

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from muntz import workbits
+from muntz import (build_moment_data, build_weighted_domain, convergence_certificate, distance,
+                   fmt, gram, leading_section, power_exponents, workbits)
 from muntz.cli import COMMANDS, run
 
 from conftest import rel_err
@@ -240,6 +241,8 @@ CONTRACT_CASES = {
     "flag_precision_zero": (["gram", "--precision-bits", "0"], {}),
     "huge_decimal_exponent": (["validate"], {"domain": {
         "intervals": [{"lo": "0", "hi": "1e999999999"}], "weights": [{"coeff": "1", "power": "0"}]}}),
+    "precision_above_ceiling": (["validate"], {"precision_bits": 8192}),
+    "max_precision_above_ceiling": (["validate"], {"max_precision_bits": 8192}),
 }
 
 
@@ -309,16 +312,56 @@ def test_each_section_factored_once(tmp_path, monkeypatch):
     assert built == [4]
 
 
-def test_escalated_top_section_factors_the_smaller_ones(tmp_path, monkeypatch):
-    # linear exponents at N = 9 escalate from 64 to 128 bits while N = 2, 3
-    # settle at 64, so those are factored at the requested precision
+@pytest.mark.parametrize("argv, size", [
+    (["gram", "--N", "3"], 3),
+    (["distances", "--N-list", "2,4"], 4),
+    (["duals", "--N", "3"], 3),
+    (["expand", "--N", "4", "--N-list", "2,3"], 4),
+    (["expand", "--N", "2", "--N-list", "2,5"], 5),
+    (["remez", "--N-list", "2,3", "--grid-points", "3"], 3),
+    (["moments", "--N", "4", "--N-list", "2,6"], 6),
+    (["operator", "--N", "3"], 3),
+    (["hereditary", "--N", "3", "--sweep"], 3),
+])
+def test_every_report_factors_one_section(tmp_path, monkeypatch, argv, size):
+    # the largest size the report reads, N or the end of N_list, is the
+    # one section factored; every other size is cut from it
+    built = _count_gram_calls(monkeypatch)
+    cfg = write_config(tmp_path, exponents={"kind": "power", "c": "1", "beta": "2", "count": 6},
+                       d=["1", "0.5", "0.25", "0.125", "0.0625", "0.03125"], rho="0.5",
+                       target={"kind": "pure_power", "mu": "1"},
+                       operator={"kind": "dilation", "rho": "0.5"})
+    rc, _ = invoke([*argv, "--config", cfg])
+    assert rc == 0
+    assert built == [size]
+
+
+def test_escalated_section_serves_every_size(tmp_path, monkeypatch):
+    # linear exponents at N = 9 escalate from 64 to 128 bits; sizes 2 and 3
+    # are cut from that factor, so every value of the report has its precision
     built = _count_gram_calls(monkeypatch)
     linear_9 = {"kind": "power", "c": "1", "beta": "1", "count": 9}
     cfg = write_config(tmp_path, exponents=linear_9, precision_bits=64, d=["1"] * 9)
+    wd, lam = build_weighted_domain([(0, 1)], [(1, 0)], 64), power_exponents(1, 1, 9, 64)
+    top = gram(wd, lam, 9, 64)
+    assert top.precision_bits == 128
     rc, out = invoke(["moments", "--config", cfg, "--N", "9", "--N-list", "2,3,9"])
     assert rc == 0
-    assert built == [9, 2, 3]
-    assert json.loads(out)["results"]["precision_bits_used"] == 128
+    assert built == [9]
+    res = json.loads(out)["results"]
+    assert res["precision_bits_used"] == 128
+    data = build_moment_data(wd, lam, ["1"] * 9, 64)
+    for k, m in enumerate((2, 3)):
+        want = convergence_certificate(leading_section(top, m), [m], data)
+        assert res["certificate"]["partial_sums"][k] == fmt(want.partial_sums[0], 128)
+        assert res["certificate"]["solution_norms"][k] == fmt(want.solution_norms[0], 128)
+
+    rc, out = invoke(["distances", "--config", cfg, "--n", "1", "--N-list", "2,3,9"])
+    assert rc == 0
+    assert built == [9, 9]
+    rows = json.loads(out)["results"]["rows"]
+    for k, m in enumerate((2, 3)):
+        assert rows[k] == [m, fmt(distance(leading_section(top, m), 1), 128)]
 
 
 JUNK = st.one_of(
@@ -352,7 +395,7 @@ EXPONENTS = _mostly(st.one_of(
                            "values": _mostly(st.lists(_mostly(NUMBER), max_size=6))}),
 ))
 CONFIG = st.fixed_dictionaries({"domain": DOMAIN, "exponents": EXPONENTS}, optional={
-    "precision_bits": _mostly(st.sampled_from([64, 128, "256"])),
+    "precision_bits": _mostly(st.sampled_from([64, 128, "256", 100000000])),
     "max_precision_bits": _mostly(st.sampled_from([64, 256, 4096])),
     "target": _mostly(st.fixed_dictionaries(
         {"kind": st.sampled_from(["pure_power", "muntz_combo", "other"])},

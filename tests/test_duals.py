@@ -18,7 +18,7 @@ from muntz import (
 )
 from muntz.errors import BadEpsilon, IndexOutOfRange, ValidationError
 
-from conftest import rel_err, sections
+from conftest import rel_err
 
 
 def sqrt_inv(x):
@@ -105,7 +105,7 @@ def test_oracle_index_bounds():
 
 def test_sweep_monotone_and_matches_oracle(unit_domain):
     lam = power_exponents(1, 2, 5)
-    report = distance_sweep(sections(unit_domain, lam, [1, 2, 3, 4, 5]), 1, "0.01")
+    report = distance_sweep(gram(unit_domain, lam, 5), [1, 2, 3, 4, 5], 1, "0.01")
     ds = [d for _, d in report.sections]
     assert all(b < a for a, b in zip(ds, ds[1:]))
     for (size, d) in report.sections:
@@ -115,26 +115,26 @@ def test_sweep_monotone_and_matches_oracle(unit_domain):
 
 def test_sweep_single_section_not_stabilized(unit_domain):
     lam = explicit_exponents([3])
-    report = distance_sweep(sections(unit_domain, lam, [1]), 1, "0.5")
+    report = distance_sweep(gram(unit_domain, lam, 1), [1], 1, "0.5")
     assert not report.stabilized
     assert rel_err(report.limit_estimate, sqrt_inv(7)) < 1e-70
 
 
 def test_sweep_rel_tol_one_always_stabilizes(unit_domain):
     lam = power_exponents(1, 2, 4)
-    report = distance_sweep(sections(unit_domain, lam, [1, 2]), 1, "1")
+    report = distance_sweep(gram(unit_domain, lam, 2), [1, 2], 1, "1")
     assert report.stabilized
 
 
 def test_sweep_validation(unit_domain, lam23):
     with pytest.raises(ValidationError):
-        distance_sweep(sections(unit_domain, lam23, [2, 2]), 1, "0.1")
+        distance_sweep(gram(unit_domain, lam23, 2), [2, 2], 1, "0.1")
     with pytest.raises(ValidationError):
-        distance_sweep(sections(unit_domain, lam23, [1, 2]), 2, "0.1")
+        distance_sweep(gram(unit_domain, lam23, 2), [1, 2], 2, "0.1")
 
 
 def test_certificate_fixture(unit_domain, lam23):
-    report = distance_sweep(sections(unit_domain, lam23, [2]), 1, "0.1")
+    report = distance_sweep(gram(unit_domain, lam23, 2), [2], 1, "0.1")
     cert = lower_bound_certificate(report, "0.1")
     with workbits(320):
         want = sqrt_inv(180) / mp.mpf("0.9") ** 2
@@ -144,7 +144,7 @@ def test_certificate_fixture(unit_domain, lam23):
 
 def test_certificate_minimizes_over_sections(unit_domain):
     lam = power_exponents(1, 2, 6)
-    report = distance_sweep(sections(unit_domain, lam, [1, 2, 3, 4, 5, 6]), 1, "0.01")
+    report = distance_sweep(gram(unit_domain, lam, 6), [1, 2, 3, 4, 5, 6], 1, "0.01")
     cert = lower_bound_certificate(report, "0.1")
     ratios = [r for _, r in cert.section_ratios]
     assert cert.u_epsilon == min(ratios)
@@ -153,7 +153,7 @@ def test_certificate_minimizes_over_sections(unit_domain):
 
 
 def test_certificate_bad_epsilon(unit_domain, lam23):
-    report = distance_sweep(sections(unit_domain, lam23, [2]), 1, "0.1")
+    report = distance_sweep(gram(unit_domain, lam23, 2), [2], 1, "0.1")
     with pytest.raises(BadEpsilon):
         lower_bound_certificate(report, 1)
     with pytest.raises(BadEpsilon):
@@ -162,7 +162,7 @@ def test_certificate_bad_epsilon(unit_domain, lam23):
 
 def test_single_power_certificate(unit_domain):
     lam = explicit_exponents([2])
-    report = distance_sweep(sections(unit_domain, lam, [1]), 1, "0.1")
+    report = distance_sweep(gram(unit_domain, lam, 1), [1], 1, "0.1")
     cert = lower_bound_certificate(report, "0.25")
     with workbits(320):
         want = sqrt_inv(5) / mp.mpf("0.75") ** 2
@@ -188,7 +188,7 @@ def test_distance_scaling(scale):
 
 def test_exponent_slopes_reported(unit_domain):
     lam = power_exponents(1, 2, 4)
-    report = distance_sweep(sections(unit_domain, lam, [2, 3, 4]), 2, "0.01")
+    report = distance_sweep(gram(unit_domain, lam, 4), [2, 3, 4], 2, "0.01")
     slopes = report.exponent_slopes()
     assert len(slopes) == 3
     # distances are below 1, so the per-exponent log slopes are negative

@@ -12,6 +12,7 @@ from muntz import (
     gram_inverse_column,
     gram_inverse_diagonal,
     leading_section,
+    leading_sections,
     power_exponents,
     solve_spd,
     workbits,
@@ -176,6 +177,13 @@ def test_leading_section_equals_gram(pieces, family):
         assert _same(cut.chol, ref.chol)
     with pytest.raises(ValidationError):
         leading_section(top, 13)
+
+
+@pytest.mark.parametrize("sizes", [[], [2, 2], [3, 2], [1, 5], [0, 1]])
+def test_leading_sections_rejects_bad_sizes(unit_domain, sizes):
+    g = gram(unit_domain, power_exponents(1, 2, 4), 4)
+    with pytest.raises(ValidationError):
+        leading_sections(g, sizes)
 
 
 def _mpf_solve(chol, rhs):

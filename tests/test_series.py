@@ -21,7 +21,7 @@ from muntz import (
 from muntz.errors import NegativeResidualSquared, OutsideRadius, ValidationError
 from muntz.series import _settle_residual_sq
 
-from conftest import rel_err, sections
+from conftest import rel_err
 
 UNIT = build_weighted_domain([(0, 1)], [(1, 0)])
 
@@ -92,7 +92,7 @@ def test_residual_settle_guard():
 def test_coefficient_convergence_in_span_is_flat(unit_domain):
     lam = explicit_exponents([2, 3, 5, 8])
     f = TargetFunction.muntz_combo(mk_series(lam, [1, 1]))
-    table = coefficient_convergence(sections(unit_domain, lam, [2, 3, 4]), f)
+    table = coefficient_convergence(gram(unit_domain, lam, 4), [2, 3, 4], f)
     with workbits(256):
         floor = mp.mpf(2) ** (-128)
         assert all(d < floor for dk in table.diffs for d in dk)
@@ -107,7 +107,7 @@ def test_coefficient_convergence_outside_span_decreases(unit_domain):
     lam = power_exponents(1, 2, 12)
     shifted = explicit_exponents([v for v in lam.raw if v != 1])
     f = TargetFunction.pure_power(1)
-    table = coefficient_convergence(sections(unit_domain, shifted, [2, 4, 6, 8, 10]), f)
+    table = coefficient_convergence(gram(unit_domain, shifted, 10), [2, 4, 6, 8, 10], f)
     lead_diffs = table.diffs[0]
     assert all(b < a for a, b in zip(lead_diffs, lead_diffs[1:]))
     assert table.cauchy_flags[0]
@@ -115,7 +115,7 @@ def test_coefficient_convergence_outside_span_decreases(unit_domain):
 
 def test_coefficient_convergence_zero_target(unit_domain, lam23):
     f = TargetFunction.muntz_combo(mk_series(lam23, [0, 0]))
-    table = coefficient_convergence(sections(unit_domain, lam23, [1, 2]), f)
+    table = coefficient_convergence(gram(unit_domain, lam23, 2), [1, 2], f)
     assert all(c == 0 for _, coeffs in table.rows for c in coeffs)
 
 
