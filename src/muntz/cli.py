@@ -79,8 +79,10 @@ class Param:
     """One input of a command: its config ``key`` ("block.key" inside a
     block), the argparse keywords of its overriding ``--name`` flag (or
     None), ``parse(raw, inputs)`` for a given value (None is not given),
-    the ``default`` (a value, a function of the inputs, or REQUIRED) and
-    ``echo``, which writes the value into the report's config."""
+    the ``default`` (a value, a function of the inputs, or REQUIRED),
+    ``echo``, which writes the value into the report's config, and
+    ``exact``: the config keeps the value exact, so it is parsed at
+    ``width`` and again once the section settles at a wider one."""
 
     name: str
     key: str
@@ -88,6 +90,7 @@ class Param:
     default: Any = None
     flag: Optional[dict] = None
     echo: Optional[Callable[[Any], Any]] = None
+    exact: bool = False
 
 
 class _Inputs:
@@ -97,6 +100,7 @@ class _Inputs:
         self.cfg, self.args = cfg, args
         self.params = {p.name: p for p in params}
         self.bits, self.max_bits = _resolve_precision(cfg, args)
+        self.width = self.bits
 
     def __getattr__(self, name):
         param = self.__dict__.get("params", {}).get(name)
@@ -187,9 +191,9 @@ EPSILON = Param("epsilon", "epsilon", _real, None, {}, str)
 RHO = Param("rho", "rho", _real, REQUIRED, {}, str)
 GRID = Param("grid_points", "grid_points", lambda raw, i: to_int(raw), 1000, {"type": int}, int)
 TARGET = Param("target", "target", lambda raw, i: series.target_from_json(
-    raw, i.lam, i.wd, i.bits), REQUIRED)
+    raw, i.lam, i.wd, i.width), REQUIRED, exact=True)
 DATA = Param("data", "d", lambda raw, i: momentsolve.build_moment_data(
-    i.wd, i.lam, _expect(raw, list, "d"), i.bits), REQUIRED)
+    i.wd, i.lam, _expect(raw, list, "d"), i.width), REQUIRED, exact=True)
 OPERATOR = Param("operator", "operator", lambda raw, i: operator.operator_from_json(
     raw, i.lam, i.N, i.bits), REQUIRED)
 N1 = Param("n1", "partition.N1", _partition_side, lambda i: _partition_side([], i),
@@ -208,7 +212,7 @@ def _validate(i: _Inputs, g) -> dict:
 
 
 def _gram(i: _Inputs, g: GramMatrix) -> dict:
-    entries = [[g.entries[r, c] for c in range(g.n)] for r in range(g.n)]
+    entries = g.entries()
     rows = [[r + 1, c + 1, entries[r][c]] for r in range(g.n) for c in range(g.n)]
     return {"n": g.n, "entries": entries, "rows": rows}
 
@@ -231,12 +235,11 @@ def _distances(i: _Inputs, g: GramMatrix) -> dict:
 
 
 def _duals(i: _Inputs, g: GramMatrix) -> dict:
-    fam, n = duals.dual_family(g), g.n
+    fam = duals.dual_family(g)
     return {
-        "coefficient_columns": [[fam.coeffs[r, c] for r in range(n)] for c in range(n)],
-        "norms": fam.norms, "distances": fam.distances,
+        "coefficient_columns": fam.coeffs, "norms": fam.norms, "distances": fam.distances,
         "max_biorthogonality_residual": duals.biorthogonality_residual(g, fam),
-        "rows": [[k + 1, fam.norms[k], fam.distances[k]] for k in range(n)],
+        "rows": [[k + 1, fam.norms[k], fam.distances[k]] for k in range(g.n)],
     }
 
 
@@ -379,6 +382,11 @@ def run(argv) -> int:
         g = None
         if command.columns:
             g = gram(inputs.wd, inputs.lam, inputs.largest_size(), inputs.bits, inputs.max_bits)
+            if g.precision_bits != inputs.width:
+                inputs.width = g.precision_bits
+                for param in command.params:
+                    if param.exact:
+                        delattr(inputs, param.name)
         results = command.results(inputs, g)
         if g is not None:
             own = leading_section(g, getattr(inputs, "N", g.n))

@@ -29,14 +29,14 @@ from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 class DualFamily:
     """Coefficient columns of the dual functions of one Gram section.
 
-    coeffs column n holds the expansion of r_n over the section powers;
-    norms[n] = sqrt((G^-1)_nn) and distances[n] = 1/norms[n], computed as
-    that exact reciprocal so the reciprocity identity holds bit for bit.
-    Lists are 0-based; column n corresponds to index n+1 in 1-based talk.
+    coeffs[n] is the column of G^-1 that expands r_n over the section
+    powers; norms[n] = sqrt((G^-1)_nn) and distances[n] = 1/norms[n],
+    computed as that exact reciprocal so the reciprocity identity holds
+    bit for bit.  Lists are 0-based; column n is index n+1 in 1-based talk.
     """
 
     n: int
-    coeffs: mpmath.matrix
+    coeffs: List[List[mpmath.mpf]]
     norms: Tuple[mpmath.mpf, ...]
     distances: Tuple[mpmath.mpf, ...]
     precision_bits: int
@@ -80,7 +80,7 @@ def dual_family(g: GramMatrix) -> DualFamily:
     """All dual-function coefficient columns of one section."""
     inv = gram_inverse(g)
     with workbits(g.precision_bits):
-        norms = tuple(mp.sqrt(inv[k, k]) for k in range(g.n))
+        norms = tuple(mp.sqrt(inv[k][k]) for k in range(g.n))
         distances = tuple(1 / v for v in norms)
     return DualFamily(
         n=g.n,
@@ -94,12 +94,10 @@ def dual_family(g: GramMatrix) -> DualFamily:
 def biorthogonality_residual(g: GramMatrix, fam: DualFamily) -> mpmath.mpf:
     """max |(G C)_mj - delta_mj| over the section: how far the dual
     coefficient columns C are from inverting the Gram matrix."""
-    n = g.n
-    entries = g.entries.tolist()
-    columns = [[fam.coeffs[k, j] for k in range(n)] for j in range(n)]
+    n, entries = g.n, g.entries()
     with workbits(g.precision_bits):
         return max(
-            abs(sum(a * c for a, c in zip(entries[m], columns[j])) - (1 if m == j else 0))
+            abs(sum(a * c for a, c in zip(entries[m], fam.coeffs[j])) - (1 if m == j else 0))
             for m in range(n)
             for j in range(n)
         )

@@ -11,13 +11,13 @@ the assembly retries with the width doubled, up to a ceiling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, List, Tuple
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fone, fzero, mpf_div, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import (fone, fzero, mpf_div, mpf_lt, mpf_mul, mpf_sqrt, mpf_sub, mpf_sum,
+                          round_nearest)
 
 from .domain import WeightedDomain
 from .errors import IndexOutOfRange, NotPositiveDefinite, PrecisionExhausted, ValidationError
@@ -29,34 +29,61 @@ from .precision import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION
 class GramMatrix:
     """Factorized positive-definite Gram matrix of a power-system section.
 
-    ``entries`` and ``chol`` (lower-triangular, entries = chol * chol^T)
-    are mpmath matrices at ``precision_bits``, which is the width the
-    assembly finally succeeded at (>= the requested width when escalation
-    kicked in).  ``cond_estimate`` is the squared ratio of extreme
-    diagonal entries of the factor: a cheap lower bound on the condition
-    number, used as the escalation guard.  ``lam`` and ``domain`` are the
-    sequence and domain the section was cut from.  Treated as immutable.
+    Stored once, as raw mpf rows up to the diagonal: ``entry_rows[i]`` of
+    the entries, ``chol_rows[i]`` of the lower Cholesky factor, at
+    ``precision_bits``, the width the assembly succeeded at (>= the one
+    requested when escalation kicked in).  ``cond_estimate`` is the
+    squared ratio of extreme diagonal entries of the factor: a cheap lower
+    bound on the condition number, used as the escalation guard.  ``lams``
+    are the exponents at that width, cut from ``lam``, and ``domain`` the
+    domain.  Treated as immutable.
     """
 
     n: int
-    entries: mpmath.matrix
-    chol: mpmath.matrix
+    entry_rows: List[List[tuple]]
+    chol_rows: List[List[tuple]]
     cond_estimate: mpmath.mpf
     precision_bits: int
     lams: Tuple[mpmath.mpf, ...]
     lam: ExponentSequence
     domain: WeightedDomain
 
-    @cached_property
-    def factor_rows(self) -> List[List[tuple]]:
-        """Row i of the factor up to its diagonal as raw mpf values, read
-        out once per section for the triangular solves."""
-        return [[self.chol[i, j]._mpf_ for j in range(i + 1)] for i in range(self.n)]
+    def entries(self) -> List[List[mpmath.mpf]]:
+        """The symmetric entries as mpf rows, built from the stored lower
+        triangle on each call."""
+        low = self.entry_rows
+        return [[mp.make_mpf(low[i][j] if j <= i else low[j][i]) for j in range(self.n)]
+                for i in range(self.n)]
 
 
-def _cond_estimate(chol: mpmath.matrix, n: int) -> mpmath.mpf:
+def _cholesky(rows) -> Optional[List[List[tuple]]]:
+    """The lower Cholesky factor rows of the raw lower entry rows at the
+    working width, or None when a pivot falls below ``mp.eps``.
+
+    Bit for bit what mpmath's own Cholesky gives: exact products summed
+    with one rounding, as ``mp.fsum``/``mp.fdot`` do, and the diagonal first
+    set to sqrt(s), then overwritten by (A_jj - t) / sqrt(s), which every
+    entry below it is divided by.
+    """
+    prec, tol = mp.prec, mp.eps._mpf_
+    factor = [[fzero] * (i + 1) for i in range(len(rows))]
+    for j, row_j in enumerate(factor):
+        done = row_j[:j]
+        s = mpf_sub(rows[j][j], mpf_sum([mpf_mul(v, v) for v in done], prec, round_nearest),
+                    prec, round_nearest)
+        if mpf_lt(s, tol):
+            return None
+        row_j[j] = mpf_sqrt(s, prec, round_nearest)
+        for i in range(j, len(rows)):
+            t = mpf_sum([mpf_mul(a, b) for a, b in zip(factor[i], done)], prec, round_nearest)
+            factor[i][j] = mpf_div(mpf_sub(rows[i][j], t, prec, round_nearest), row_j[j],
+                                   prec, round_nearest)
+    return factor
+
+
+def _cond_estimate(chol_rows, n: int) -> mpmath.mpf:
     """Squared ratio of the extreme diagonal entries of the leading n rows."""
-    diag = [chol[i, i] for i in range(n)]
+    diag = [mp.make_mpf(chol_rows[i][i]) for i in range(n)]
     return (max(diag) / min(diag)) ** 2
 
 
@@ -86,63 +113,40 @@ def gram(
         lams = lam.values_at(bits)[:n]
         moment = wd.moment_table(bits)
         with workbits(bits):
-            entries = mp.matrix(n, n)
-            for i in range(n):
-                for j in range(i, n):
-                    entries[i, j] = entries[j, i] = moment(lams[i] + lams[j])
-            try:
-                chol = mp.cholesky(entries)
-            except ValueError:
+            rows = [[moment(lams[i] + lams[j])._mpf_ for j in range(i + 1)] for i in range(n)]
+            chol_rows = _cholesky(rows)
+            if chol_rows is None:
                 last_failure = "factorization"
             else:
-                cond = _cond_estimate(chol, n)
+                cond = _cond_estimate(chol_rows, n)
                 if cond <= mp.mpf(2) ** (bits // 2):
-                    return GramMatrix(
-                        n=n,
-                        entries=entries,
-                        chol=chol,
-                        cond_estimate=cond,
-                        precision_bits=bits,
-                        lams=tuple(lams),
-                        lam=lam,
-                        domain=wd,
-                    )
+                    return GramMatrix(n, rows, chol_rows, cond, bits, tuple(lams), lam, wd)
                 last_failure = "condition"
         if bits >= max_precision_bits:
             if last_failure == "factorization":
-                raise NotPositiveDefinite(
-                    f"Cholesky failed at {bits} bits; matrix numerically singular"
-                )
-            raise PrecisionExhausted(
-                f"condition estimate exceeds 2**({bits}/2) at the precision ceiling"
-            )
+                raise NotPositiveDefinite(f"Cholesky failed at {bits} bits; "
+                                          "matrix numerically singular")
+            raise PrecisionExhausted(f"condition estimate exceeds 2**({bits}/2) "
+                                     "at the precision ceiling")
         bits = min(bits * 2, max_precision_bits)
 
 
 def leading_section(g: GramMatrix, m: int) -> GramMatrix:
-    """The leading m-by-m section, cut from a factored one.
+    """The leading m-by-m section, cut from a factored one: its first m
+    rows, and the guard over their diagonal.
 
     Equal bit for bit to ``gram(g.domain, g.lam, m, g.precision_bits)``:
-    ``mp.cholesky`` builds column j of the factor from the leading rows
-    and earlier columns only, so the leading block of the factor is the
-    factor of the leading block, and the guard takes its max and min over
-    part of a diagonal that already passed.  For m = g.n it is g itself.
+    column j of the factor is built from the leading rows and earlier
+    columns only, and that part of the diagonal already passed the
+    guard.  For m = g.n it is g itself.
     """
     if not 1 <= m <= g.n:
         raise ValidationError(f"section size {m} outside 1..{g.n}")
     if m == g.n:
         return g
     with workbits(g.precision_bits):
-        return GramMatrix(
-            n=m,
-            entries=g.entries[:m, :m],
-            chol=g.chol[:m, :m],
-            cond_estimate=_cond_estimate(g.chol, m),
-            precision_bits=g.precision_bits,
-            lams=g.lams[:m],
-            lam=g.lam,
-            domain=g.domain,
-        )
+        return replace(g, n=m, entry_rows=g.entry_rows[:m], chol_rows=g.chol_rows[:m],
+                       cond_estimate=_cond_estimate(g.chol_rows, m), lams=g.lams[:m])
 
 
 def leading_sections(g: GramMatrix, sizes: Iterable[int]) -> Iterator[GramMatrix]:
@@ -212,14 +216,14 @@ def _checked_rhs(g: GramMatrix, rhs: List[mpmath.mpf]) -> List[tuple]:
 def forward_substitution(g: GramMatrix, rhs: List[mpmath.mpf]) -> List[mpmath.mpf]:
     """Solve chol * y = rhs against the section's factor."""
     with workbits(g.precision_bits):
-        return _mpfs(_substitute_forward(g.factor_rows, _checked_rhs(g, rhs)))
+        return _mpfs(_substitute_forward(g.chol_rows, _checked_rhs(g, rhs)))
 
 
 def solve_spd(g: GramMatrix, rhs: List[mpmath.mpf]) -> List[mpmath.mpf]:
     """Solve entries * x = rhs by two triangular solves against the factor."""
     with workbits(g.precision_bits):
-        y = _substitute_forward(g.factor_rows, _checked_rhs(g, rhs))
-        return _mpfs(_substitute_back(g.factor_rows, y))
+        y = _substitute_forward(g.chol_rows, _checked_rhs(g, rhs))
+        return _mpfs(_substitute_back(g.chol_rows, y))
 
 
 def _unit_solve(g: GramMatrix, k: int, stop: int = 0) -> List[mpmath.mpf]:
@@ -230,8 +234,8 @@ def _unit_solve(g: GramMatrix, k: int, stop: int = 0) -> List[mpmath.mpf]:
     with workbits(g.precision_bits):
         rhs = [fzero] * g.n
         rhs[k] = fone
-        y = _substitute_forward(g.factor_rows, rhs, k)
-        return _mpfs(_substitute_back(g.factor_rows, y, stop))
+        y = _substitute_forward(g.chol_rows, rhs, k)
+        return _mpfs(_substitute_back(g.chol_rows, y, stop))
 
 
 def gram_inverse_column(g: GramMatrix, n: int) -> List[mpmath.mpf]:
@@ -251,12 +255,7 @@ def gram_inverse_diagonal(g: GramMatrix, n: int) -> mpmath.mpf:
     return _unit_solve(g, n - 1, n - 1)[n - 1]
 
 
-def gram_inverse(g: GramMatrix) -> mpmath.matrix:
-    """Full inverse, one triangular solve pair per column."""
-    with workbits(g.precision_bits):
-        inv = mp.matrix(g.n, g.n)
-        for j in range(g.n):
-            col = _unit_solve(g, j)
-            for i in range(g.n):
-                inv[i, j] = col[i]
-        return inv
+def gram_inverse(g: GramMatrix) -> List[List[mpmath.mpf]]:
+    """The full inverse as its list of columns, one triangular solve pair
+    per column: ``gram_inverse(g)[j][i]`` is (G^-1)_ij, 0-based."""
+    return [_unit_solve(g, j) for j in range(g.n)]

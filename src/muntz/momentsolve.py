@@ -102,13 +102,13 @@ def solve_moments(g: GramMatrix, data: MomentData) -> Tuple[MuntzSeries, List[mp
     section = g.n
     if section > len(data.d):
         raise ValidationError(f"section {section} exceeds {len(data.d)} moment values")
-    bits = g.precision_bits
+    bits, entries = g.precision_bits, g.entries()
     with workbits(bits):
         rhs = list(data.d[:section])
         coeffs = solve_spd(g, rhs)
         residuals = []
         for i in range(section):
-            attained = mp.fsum(g.entries[i, j] * coeffs[j] for j in range(section))
+            attained = mp.fsum(entries[i][j] * coeffs[j] for j in range(section))
             residuals.append(attained - rhs[i])
         series = MuntzSeries(
             lam_ref=g.lam, coeffs=tuple(coeffs), radius=g.domain.r_a, precision_bits=bits

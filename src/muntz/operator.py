@@ -120,7 +120,7 @@ def finite_sections(spec: OperatorSpec, g: GramMatrix) -> Tuple[mpmath.matrix, m
     column by column through the stored factorization.
     """
     u = _validate_against(spec, g)
-    n = g.n
+    n, entries = g.n, g.entries()
     with workbits(g.precision_bits):
         m_mat = mp.matrix(n, n)
         for i in range(n):
@@ -128,7 +128,7 @@ def finite_sections(spec: OperatorSpec, g: GramMatrix) -> Tuple[mpmath.matrix, m
         # columns of M G, then one solve per column
         adj = mp.matrix(n, n)
         for j in range(n):
-            col = [u[i] * g.entries[i, j] for i in range(n)]
+            col = [u[i] * entries[i][j] for i in range(n)]
             sol = solve_spd(g, col)
             for i in range(n):
                 adj[i, j] = sol[i]
@@ -165,7 +165,7 @@ def eigen_check(spec: OperatorSpec, g: GramMatrix) -> EigenReport:
         tol = mp.mpf(2) ** (-(bits // 2))
         worst = mp.mpf(0)
         adj_rows = adj.tolist()
-        for k, col in enumerate(_inverse_columns(g), 1):
+        for k, col in enumerate(gram_inverse(g), 1):
             scale = max(abs(v) for v in col) * abs(u[k - 1]) + 1
             for i in range(n):
                 got = mp.fsum(a * c for a, c in zip(adj_rows[i], col))
@@ -251,12 +251,6 @@ class MixedSystemReport:
     nonsingular: bool
 
 
-def _inverse_columns(g: GramMatrix) -> List[List[mpmath.mpf]]:
-    """Every column of G^-1, from one ``gram_inverse`` call."""
-    inv = gram_inverse(g)
-    return [[inv[i, j] for i in range(g.n)] for j in range(g.n)]
-
-
 def hereditary_check(
     g: GramMatrix, partition: Tuple[Iterable[int], Iterable[int]]
 ) -> MixedSystemReport:
@@ -307,7 +301,7 @@ def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
     Partition ``mask`` puts index i + 1 in N2 (duals) when bit i is set,
     and the reports come in increasing mask order.
     """
-    columns = _inverse_columns(g)
+    columns = gram_inverse(g)
     reports = []
     for mask in range(2 ** g.n):
         n2 = [i + 1 for i in range(g.n) if mask & (1 << i)]
@@ -328,5 +322,5 @@ def inverse_principal_minor(g: GramMatrix, n2: Iterable[int]) -> mpmath.mpf:
         sub = mp.matrix(len(idx), len(idx))
         for a, i in enumerate(idx):
             for b, j in enumerate(idx):
-                sub[a, b] = inv[i - 1, j - 1]
+                sub[a, b] = inv[j - 1][i - 1]
         return mp.det(sub)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from muntz import (build_moment_data, build_weighted_domain, convergence_certificate, distance,
-                   fmt, gram, leading_section, power_exponents, workbits)
+                   fmt, gram, leading_section, power_exponents, solve_moments, workbits)
 from muntz.cli import COMMANDS, run
 
 from conftest import rel_err
@@ -362,6 +362,23 @@ def test_escalated_section_serves_every_size(tmp_path, monkeypatch):
     rows = json.loads(out)["results"]["rows"]
     for k, m in enumerate((2, 3)):
         assert rows[k] == [m, fmt(distance(leading_section(top, m), 1), 128)]
+
+
+def test_escalated_moments_parse_data_at_the_section_width(tmp_path):
+    # 0.1 is not dyadic: parsed at the requested 64 bits it would carry a
+    # 2^-64 error into a report that promises the 128 bits it escalated to
+    d = [f"0.{k}" for k in range(1, 10)]
+    linear_9 = {"kind": "power", "c": "1", "beta": "1", "count": 9}
+    cfg = write_config(tmp_path, exponents=linear_9, precision_bits=64, d=d)
+    wd, lam = build_weighted_domain([(0, 1)], [(1, 0)], 64), power_exponents(1, 1, 9, 64)
+    top = gram(wd, lam, 9, 64)
+    assert top.precision_bits == 128
+    rc, out = invoke(["moments", "--config", cfg, "--N", "9"])
+    assert rc == 0
+    res = json.loads(out)["results"]
+    assert res["precision_bits_used"] == 128
+    want, _ = solve_moments(top, build_moment_data(wd, lam, d, 128))
+    assert res["coefficients"] == [fmt(c, 128) for c in want.coeffs]
 
 
 JUNK = st.one_of(

@@ -1,9 +1,11 @@
 """Report bytes locked per subcommand.
 
-Each case runs one small report (N <= 6) in-process and compares the
-SHA-256 of its stdout with a recorded digest.  A change that alters any
-report byte fails here; such a change must say so and re-record the
-digest it meant to change.
+Each case runs one small report in-process and compares the SHA-256 of
+its stdout with a recorded digest.  The cases at N <= 6 settle at the
+requested 256 bits; the ``_escalated`` ones ask for 64 bits at N = 9 and
+settle at 128, so every size they report is cut from an escalated
+factor.  A change that alters any report byte fails here; such a change
+must say so and re-record the digest it meant to change.
 """
 
 import contextlib
@@ -26,6 +28,8 @@ TWO_PIECE = {
 SQUARES = {"kind": "power", "c": "1", "beta": "2", "count": 6}
 SQRT = {"kind": "power", "c": "1", "beta": "1/2", "count": 6}
 EXPLICIT = {"kind": "explicit", "values": ["1", "2.5", "4", "7"]}
+LINEAR_9 = {"kind": "power", "c": "1", "beta": "1", "count": 9}
+SQRT_9 = dict(SQRT, count=9)
 
 
 def _config(domain, exponents, **extra):
@@ -50,6 +54,10 @@ CONFIGS = {
         operator={"kind": "diagonal_list", "rho": "0.5", "u": ["0.4", "0.1", "0.05", "0.01"]},
     ),
     "two_piece_explicit": _config(TWO_PIECE, EXPLICIT, d=["2", "-1", "0.5", "0"]),
+    "unit_linear_64": dict(_config(UNIT, LINEAR_9, rho="0.75", grid_points=41),
+                           precision_bits=64),
+    "two_piece_sqrt_64": dict(_config(TWO_PIECE, SQRT_9, rho="0.9", grid_points=21),
+                              precision_bits=64),
 }
 
 CASES = {
@@ -78,17 +86,24 @@ CASES = {
     "hereditary_sweep": ("two_piece_sqrt", ["hereditary", "--N", "3", "--sweep"]),
     "hereditary_sweep_csv": ("unit_squares", ["hereditary", "--N", "4", "--sweep",
                                               "--format", "csv"]),
+    "gram_escalated": ("two_piece_sqrt_64", ["gram", "--N", "9"]),
+    "duals_escalated": ("unit_linear_64", ["duals", "--N", "9"]),
+    "distances_escalated": ("unit_linear_64", ["distances", "--n", "2", "--N-list", "3,6,9"]),
+    "remez_escalated": ("two_piece_sqrt_64", ["remez", "--N-list", "3,6,9"]),
 }
 
 DIGESTS = {
     "distances": "2eb31557b2a89b6d619f19772151a6c68b0fa976b995f609c32e9aa9b1295c97",
     "distances_csv": "e606cd12be4fae73c320bb565c8343ded23acfc09849b9c3b55ee0be7fd08192",
+    "distances_escalated": "74ab75ad13f7a4f2893cc61eead2f8f01e3c38f38eb94ed1bcb2d631d64890ed",
     "duals": "9d1840d6e0a5063cabdcd006bcc6b859f75d7a072e0b3fc35f0cd0dea2f0c664",
     "duals_csv": "d14eced16e8c2040a278b65a32760c56caad8a55f271c586bbe6d9ea86f1431b",
+    "duals_escalated": "e9055adc6fe92474e9e326da19bd02d5fcb3494f3a307593a3ebe991bc84b35d",
     "expand": "a1488796b1d4a57c197acc97010f7cb9c3be3f64db615a3da6c2cb4655401d2b",
     "expand_combo_csv": "cffc3bfda0d0eb5b972f55d304660cedbebd8696a6e92a9370751ee09b1b3286",
     "gram": "cb769a178b09dd628b5538f4dac66e70656f568efadbbda3cf6e63111c053986",
     "gram_csv": "61db66977d9fae62d350cde8425ef6710dbd15473c073e178bff59781671f6c1",
+    "gram_escalated": "a48c721d5012bc3775aa34e66a45f6a333bc6c9cbbc27022a13e053faf60725f",
     "hereditary": "0217e0d133aa08401903303fc6d63de62443e47753b4795692144fb66387af70",
     "hereditary_csv": "ca69a103e56c34caaa1a0b8dc7a7a6578457215820b95edc29c8b2d04020bbc1",
     "hereditary_sweep": "f8d8b37b37b4f854083be8eed485af349ffc2ac925e7bc43663749e322016f8b",
@@ -99,6 +114,7 @@ DIGESTS = {
     "operator_csv": "d340db346f182731c8ea7cbeab88459c8a64d6cb910fb5157876ecb2454cebca",
     "remez": "d6d7ae11b05df65a3322c6c194abb4e5421d409a445d8863eba79b1042cfd117",
     "remez_csv": "384ec5c15e8b532c4df9aea72ff857285957b915427440dfb7e797ecb022a43a",
+    "remez_escalated": "d9133e3802f304fe9146fe74fc95cb31cf5caa97805da32d364ca54105e66234",
     "validate": "131137f1ce165f8614634034426147b2cf9d2ecb5e386238c650499799e2a942",
     "validate_explicit": "f3d55d29870536a8228d37ddb4d07b46b9fbe4c8c60ee63fa42dc758f03bdcc0",
 }

@@ -231,7 +231,7 @@ def test_gram_form_adjoint_identity(seed):
     with workbits(g.precision_bits):
         x = mp.matrix([mp.mpf(rng.uniform(-1, 1)) for _ in range(5)])
         y = mp.matrix([mp.mpf(rng.uniform(-1, 1)) for _ in range(5)])
-        gm = g.entries
+        gm = mp.matrix(g.entries())
         lhs = ((m_mat * x).T * gm * y)[0, 0]
         rhs = (x.T * gm * (adj * y))[0, 0]
         assert abs(lhs - rhs) < mp.mpf(2) ** (-(g.precision_bits // 2))
