@@ -195,7 +195,7 @@ TARGET = Param("target", "target", lambda raw, i: series.target_from_json(
 DATA = Param("data", "d", lambda raw, i: momentsolve.build_moment_data(
     i.wd, i.lam, _expect(raw, list, "d"), i.width), REQUIRED, exact=True)
 OPERATOR = Param("operator", "operator", lambda raw, i: operator.operator_from_json(
-    raw, i.lam, i.N, i.bits), REQUIRED)
+    raw, i.lam, i.N, i.width), REQUIRED, exact=True)
 N1 = Param("n1", "partition.N1", _partition_side, lambda i: _partition_side([], i),
            {"help": "comma-separated power indices"}, list)
 N2 = replace(N1, name="n2", key="partition.N2", flag={"help": "comma-separated dual indices"})

@@ -16,8 +16,8 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (fone, fzero, mpf_div, mpf_lt, mpf_mul, mpf_sqrt, mpf_sub, mpf_sum,
-                          round_nearest)
+from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_lt, mpf_mul, mpf_neg,
+                          mpf_shift, mpf_sqrt, mpf_sub, mpf_sum, round_nearest)
 
 from .domain import WeightedDomain
 from .errors import IndexOutOfRange, NotPositiveDefinite, PrecisionExhausted, ValidationError
@@ -196,6 +196,119 @@ def _substitute_back(rows, rhs, stop: int = 0) -> List[tuple]:
             acc = mpf_sub(acc, mpf_mul(rows[j][i], x[j], prec, round_nearest), prec, round_nearest)
         x[i] = mpf_div(acc, rows[i][i], prec, round_nearest)
     return x
+
+
+MAX_INVERSE_ITERATIONS = 400
+
+
+def _smallest_eigenvalue(rows, factor) -> mpmath.mpf:
+    """The smallest eigenvalue of the symmetric positive-definite A with
+    raw lower rows ``rows`` and lower Cholesky factor rows ``factor`` (A =
+    L L^T), by shifted inverse iteration at the working width P.
+
+    The shift c is (1 - 2**-8) times the larger of two lower bounds on
+    lambda_min: 1/tr(A^-1), with tr(A^-1) = ||L^-1||_F^2, and the
+    Gershgorin bound min_i (A_ii - sum_{j != i} |A_ij|), which is the
+    close one when A is diagonally dominant and its spectrum clustered.
+    B = A - c I is factored as L L^T anew, and its triangular inverse
+    L^-1 formed by unit solves.  Each step is then y = L^-T L^-1 x = B^-1 x
+    for unit x, two triangular products of exact terms rounded once per
+    entry, with the Rayleigh quotient mu = x.y of B^-1, so that
+    lambda_min <= c + 1/mu, and the residual e = ||y - mu x||.  The start
+    vector has the sign pattern of the wanted eigenvector when A is
+    Jacobi-scaled from a totally positive matrix, or from the inverse of
+    one, as the mixed-system blocks are: it changes sign between
+    neighbours i - 1 and i exactly when A_{i,i-1} > 0.
+
+    Iteration stops, and c + 1/mu is returned, once lambda_min is shown
+    to be within 2**(-P/2) of it, relative:
+
+    * Kato-Temple: every eigenvalue of B^-1 but the largest, t_1, is at
+      most a = tr(B^-1) - mu, so when mu > a,
+      mu <= t_1 <= mu + e**2 / (mu - a).
+    * inertia, once the residual puts some eigenvalue of B^-1 within
+      2**(-P/2) mu of mu: B - s I with s = (1 - 2**(-P/2)) / mu factors
+      only when every eigenvalue of B exceeds s.  This covers a repeated
+      smallest eigenvalue, where mu never passes a.
+
+    Raises NotPositiveDefinite when B does not factor, and
+    PrecisionExhausted when the iteration settles on another eigenvalue
+    or has not settled after ``MAX_INVERSE_ITERATIONS`` steps.
+    """
+    prec = mp.prec
+    tol = mpf_shift(fone, -(prec // 2))
+    cols, trace = _triangular_inverse(factor, prec)
+    shift = max(mpf_div(fone, trace, prec, round_nearest), _gershgorin_bound(rows, prec),
+                key=mp.make_mpf)
+    shift = mpf_sub(shift, mpf_shift(shift, -8), prec, round_nearest)
+    rows = _shifted(rows, shift, prec)
+    factor = _cholesky(rows)
+    if factor is None:
+        raise NotPositiveDefinite("a matrix shifted below its smallest eigenvalue "
+                                  "does not factor")
+    cols, trace = _triangular_inverse(factor, prec)
+    inv_rows = [[col[i] for col in cols[:i + 1]] for i in range(len(cols))]
+    x = [fone]
+    for i in range(1, len(rows)):
+        x.append(mpf_neg(x[-1]) if mpf_gt(rows[i][i - 1], fzero) else x[-1])
+    x = _unit(x, prec)
+    for _ in range(MAX_INVERSE_ITERATIONS):
+        z = [_dot(row, x, prec) for row in inv_rows]
+        y = [_dot(col[j:], z[j:], prec) for j, col in enumerate(cols)]
+        mu = _dot(x, y, prec)
+        r = [mpf_sub(b, mpf_mul(mu, a, prec, round_nearest), prec, round_nearest)
+             for a, b in zip(x, y)]
+        e2 = _dot(r, r, prec)
+        estimate = mp.make_mpf(mpf_add(shift, mpf_div(fone, mu, prec, round_nearest),
+                                       prec, round_nearest))
+        gap = mpf_sub(mpf_shift(mu, 1), trace, prec, round_nearest)
+        if mpf_gt(gap, fzero) and not mpf_gt(e2, mpf_mul(tol, mpf_mul(mu, gap), prec,
+                                                         round_nearest)):
+            return estimate
+        if not mpf_gt(e2, mpf_mul(mpf_mul(tol, tol), mpf_mul(mu, mu), prec, round_nearest)):
+            floor = mpf_div(mpf_sub(fone, tol, prec, round_nearest), mu, prec, round_nearest)
+            if _cholesky(_shifted(rows, floor, prec)) is None:
+                raise PrecisionExhausted("inverse iteration settled on an eigenvalue "
+                                         "above the smallest")
+            return estimate
+        x = _unit(y, prec)
+    raise PrecisionExhausted(f"inverse iteration unconverged after {MAX_INVERSE_ITERATIONS} "
+                             f"steps at {prec} bits")
+
+
+def _triangular_inverse(factor, prec) -> Tuple[List[List[tuple]], tuple]:
+    """The columns of L^-1 for the raw factor rows of L, column j zero
+    above entry j, and ||L^-1||_F^2 = tr((L L^T)^-1)."""
+    k = len(factor)
+    cols = [_substitute_forward(factor, [fone if i == j else fzero for i in range(k)], j)
+            for j in range(k)]
+    return cols, mpf_sum([_dot(col, col, prec) for col in cols], prec, round_nearest)
+
+
+def _gershgorin_bound(rows, prec) -> tuple:
+    """min_i (A_ii - sum_{j != i} |A_ij|) for the raw lower rows of a
+    symmetric A."""
+    k = len(rows)
+    return min((mpf_sub(rows[i][i], mpf_sum([mpf_abs(rows[max(i, j)][min(i, j)])
+                                             for j in range(k) if j != i], prec, round_nearest),
+                        prec, round_nearest) for i in range(k)),
+               key=mp.make_mpf)
+
+
+def _shifted(rows, shift, prec) -> List[List[tuple]]:
+    """The raw lower rows of A - shift I."""
+    return [[mpf_sub(v, shift, prec, round_nearest) if i == j else v for j, v in enumerate(row)]
+            for i, row in enumerate(rows)]
+
+
+def _dot(a, b, prec) -> tuple:
+    """sum(a_i b_i) of raw values: exact products, rounded once."""
+    return mpf_sum([mpf_mul(p, q) for p, q in zip(a, b)], prec, round_nearest)
+
+
+def _unit(v, prec) -> List[tuple]:
+    scale = mpf_div(fone, mpf_sqrt(_dot(v, v, prec), prec, round_nearest), prec, round_nearest)
+    return [mpf_mul(a, scale, prec, round_nearest) for a in v]
 
 
 def _raw(values) -> List[tuple]:

@@ -6,9 +6,16 @@ The operator multiplies the n-th coefficient of a series by u_n with
 f(x) -> f(rho x).  In section coordinates the operator matrix is
 diag(u); its adjoint with respect to the Gram bilinear form is
 G^-1 diag(u) G, whose eigenvectors are the dual coefficient columns.
-Mixed systems pick section powers for one index set and dual functions
-for the complement; their nonsingularity is the finite-section face of
-hereditary completeness.
+Mixed systems pick section powers for one index set N1 and dual
+functions for the complement N2; their nonsingularity is the
+finite-section face of hereditary completeness.  Powers and duals on
+disjoint index sets are orthogonal in L2_w(A), so the Gram matrix of a
+mixed system is diag(G[N1,N1], G^-1[N2,N2]).  Its reported
+``min_singular_value`` is the smallest singular value of the normalized
+mixed system (each function scaled to unit norm) as a map from l2 into
+L2_w(A): the square root of the smaller lambda_min of the two
+Jacobi-scaled principal blocks.  It does not depend on how the powers
+are scaled.
 """
 
 from __future__ import annotations
@@ -25,11 +32,13 @@ from .errors import (
     DuplicateEigenvalue,
     LengthMismatch,
     MalformedConfig,
+    NotPositiveDefinite,
     ValidationError,
     ZeroEigenvalue,
 )
 from .exponents import ExponentSequence
-from .gram import GramMatrix, gram_inverse, gram_inverse_column, solve_spd
+from .gram import (GramMatrix, _cholesky, _smallest_eigenvalue, gram_inverse,
+                   gram_inverse_column, solve_spd)
 from .precision import DEFAULT_PRECISION_BITS, Real, to_int, to_mpf, workbits
 from .series import MuntzSeries, evaluate
 
@@ -242,7 +251,15 @@ def apply_demo(spec: OperatorSpec, g: GramMatrix) -> List[dict]:
 
 @dataclass(frozen=True)
 class MixedSystemReport:
-    """Nonsingularity data for one mixed system of powers and duals."""
+    """Nonsingularity data for one mixed system of powers and duals.
+
+    ``mixed_matrix_det`` is the determinant of the mixed system's
+    coefficient matrix, det G^-1[N2,N2] (1 when N2 is empty).
+    ``min_singular_value`` is the L2 smallest singular value of the
+    normalized mixed system, sqrt(min lambda_min) over the blocks
+    S G[N1,N1] S and S G^-1[N2,N2] S with S = diag**(-1/2) of each
+    block; ``nonsingular`` says it exceeds 2**(-P/2).
+    """
 
     n1: Tuple[int, ...]
     n2: Tuple[int, ...]
@@ -259,32 +276,54 @@ def hereditary_check(
     The section matrix has standard basis columns for N1 and inverse-Gram
     columns for N2; its determinant equals the principal minor of the
     inverse indexed by N2, so positivity is guaranteed in exact
-    arithmetic and the reported determinant and minimum singular value
-    quantify the margin.
+    arithmetic.  The margin is the L2 smallest singular value of the
+    normalized system: the Jacobi-scaled blocks G[N1,N1] and
+    G^-1[N2,N2] are each Cholesky-factored, and shifted inverse iteration
+    gives their smallest eigenvalues.  No mixed matrix is built.
+    Raises NotPositiveDefinite when a block does not factor and
+    PrecisionExhausted when the iteration does not settle.
     """
     return _mixed_report(g, partition, lambda idx: gram_inverse_column(g, idx))
+
+
+def _block_spectrum(rows) -> Tuple[mpmath.mpf, mpmath.mpf]:
+    """(lambda_min(S A S), det A) for the raw lower rows of a symmetric
+    block A and S = diag(A)**(-1/2), at the working width: the Cholesky
+    factor L of S A S gives det A = prod L_ii**2 * prod A_ii, and
+    lambda_min comes from ``_smallest_eigenvalue``.  Raises
+    NotPositiveDefinite when S A S does not factor."""
+    diag = [mp.make_mpf(row[a]) for a, row in enumerate(rows)]
+    scale = [1 / mp.sqrt(d) for d in diag]
+    scaled = [[(mp.make_mpf(v) * scale[a] * scale[b])._mpf_ for b, v in enumerate(row)]
+              for a, row in enumerate(rows)]
+    factor = _cholesky(scaled)
+    if factor is None:
+        raise NotPositiveDefinite(f"a {len(rows)}x{len(rows)} mixed-system block "
+                                  "does not factor")
+    det = mp.fprod(mp.make_mpf(row[a]) ** 2 for a, row in enumerate(factor)) * mp.fprod(diag)
+    return _smallest_eigenvalue(scaled, factor), det
 
 
 def _mixed_report(g: GramMatrix, partition, column) -> MixedSystemReport:
     """``hereditary_check`` with column(idx) giving the 1-based inverse column."""
     n1, n2 = (tuple(sorted(set(ix))) for ix in partition)
-    indices = n1 + n2
-    if sorted(indices) != list(range(1, g.n + 1)):
+    if sorted(n1 + n2) != list(range(1, g.n + 1)):
         raise BadPartition(
             f"index sets {n1} and {n2} must split 1..{g.n} disjointly"
         )
     bits = g.precision_bits
     with workbits(bits):
-        mixed = mp.matrix(g.n, g.n)
-        for idx in n1:
-            mixed[idx - 1, idx - 1] = mp.mpf(1)
-        for idx in n2:
-            col = column(idx)
-            for i in range(g.n):
-                mixed[i, idx - 1] = col[i]
-        det = mp.det(mixed)
-        svals = mp.svd_r(mixed, compute_uv=False)
-        smin = min(svals[i] for i in range(g.n))
+        det, lam_mins = mp.mpf(1), []
+        if n1:
+            rows = g.entry_rows
+            lam_mins.append(_block_spectrum([[rows[i - 1][j - 1] for j in n1[:a + 1]]
+                                             for a, i in enumerate(n1)])[0])
+        if n2:
+            cols = {j: column(j) for j in n2}
+            lam_min, det = _block_spectrum([[cols[j][i - 1]._mpf_ for j in n2[:a + 1]]
+                                            for a, i in enumerate(n2)])
+            lam_mins.append(lam_min)
+        smin = mp.sqrt(min(lam_mins))
         return MixedSystemReport(
             n1=n1,
             n2=n2,

@@ -3,13 +3,15 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from muntz import (build_moment_data, build_weighted_domain, convergence_certificate, distance,
-                   fmt, gram, leading_section, power_exponents, solve_moments, workbits)
+from muntz import (build_moment_data, build_weighted_domain, convergence_certificate,
+                   dilation_operator, distance, fmt, gram, leading_section, power_exponents,
+                   solve_moments, workbits)
 from muntz.cli import COMMANDS, run
 
 from conftest import rel_err
@@ -379,6 +381,22 @@ def test_escalated_moments_parse_data_at_the_section_width(tmp_path):
     assert res["precision_bits_used"] == 128
     want, _ = solve_moments(top, build_moment_data(wd, lam, d, 128))
     assert res["coefficients"] == [fmt(c, 128) for c in want.coeffs]
+
+
+@pytest.mark.parametrize("beta", ["1", "1/2"])
+@pytest.mark.parametrize("rho", ["0.3", "0.7", "0.9"])
+def test_escalated_operator_parses_its_block_at_the_section_width(tmp_path, beta, rho):
+    # rho**lam_n rounded at the requested 64 bits can exceed the same bound
+    # at the 128 bits the section settles at, which reads as a BoundViolation
+    exponents = {"kind": "power", "c": "1", "beta": beta, "count": 9}
+    cfg = write_config(tmp_path, exponents=exponents, precision_bits=64,
+                       operator={"kind": "dilation", "rho": rho})
+    rc, out = invoke(["operator", "--config", cfg, "--N", "9"])
+    assert rc == 0
+    res = json.loads(out)["results"]
+    assert res["precision_bits_used"] == 128
+    want = dilation_operator(power_exponents(1, Fraction(beta), 9, 128), rho, 9, 128)
+    assert res["u"] == [fmt(u, 128) for u in want.u]
 
 
 JUNK = st.one_of(

@@ -104,10 +104,10 @@ DIGESTS = {
     "gram": "cb769a178b09dd628b5538f4dac66e70656f568efadbbda3cf6e63111c053986",
     "gram_csv": "61db66977d9fae62d350cde8425ef6710dbd15473c073e178bff59781671f6c1",
     "gram_escalated": "a48c721d5012bc3775aa34e66a45f6a333bc6c9cbbc27022a13e053faf60725f",
-    "hereditary": "0217e0d133aa08401903303fc6d63de62443e47753b4795692144fb66387af70",
-    "hereditary_csv": "ca69a103e56c34caaa1a0b8dc7a7a6578457215820b95edc29c8b2d04020bbc1",
-    "hereditary_sweep": "f8d8b37b37b4f854083be8eed485af349ffc2ac925e7bc43663749e322016f8b",
-    "hereditary_sweep_csv": "2f8cef623b2ae667c48ff16615fa61c1ae9a360fc257629ba5a9c7ca4c92417f",
+    "hereditary": "1ca9340451dae9ec532c5b1623c73a37f89a5988d748470c12f38255558393d8",
+    "hereditary_csv": "f0446cb96b1d4e5957761a282e7d40fe392a151ed0d028cc583f8135bacebdcb",
+    "hereditary_sweep": "2b7c6a5bf5aeae5dbb7031a7147cea0234f0a44057e083c59bbb369b0346f6ac",
+    "hereditary_sweep_csv": "fb44460852dac1cf69e3a34eb310fdcb8ab7ebd756dc8681fc1f1839911f93f7",
     "moments": "02c038e9bcf8dbd3a320034ae61944eddebbf59156e045b03884619042f0729a",
     "moments_csv": "094db2c448feaecf773b6aa4cabbc9cd36128769961ce1a23a502436fbcf0e8b",
     "operator": "9e99a33ca5289c240510fa2cb5a66c2ec1503f25f8dd4bb2809cc430e00f9819",

@@ -23,7 +23,7 @@ from muntz.errors import (
     PrecisionExhausted,
     ValidationError,
 )
-from muntz.gram import _cholesky
+from muntz.gram import _cholesky, _smallest_eigenvalue
 
 from conftest import rel_err
 
@@ -247,3 +247,66 @@ def test_unit_solves_equal_solve_spd(two_piece_domain):
         assert _same(solve_spd(g, rhs), _mpf_solve(g.chol_rows, rhs))
     with pytest.raises(IndexOutOfRange):
         gram_inverse_diagonal(g, 11)
+
+
+def _eigenvalue_args(matrix, bits):
+    """The raw lower rows of an mpf matrix rounded to ``bits``, and their
+    Cholesky factor rows."""
+    with workbits(bits):
+        rows = [[(+matrix[i, j])._mpf_ for j in range(i + 1)] for i in range(matrix.rows)]
+        return rows, _cholesky(rows)
+
+
+def _reflected(diagonal, v, bits):
+    """H diag(d) H for the Householder reflection H = I - 2 v v^T / v^T v,
+    at ``bits``: a full matrix whose spectrum is exactly d."""
+    with workbits(bits):
+        n = len(diagonal)
+        vv = mp.fsum(x * x for x in v)
+        h = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                h[i, j] = (i == j) - 2 * mp.mpf(v[i]) * v[j] / vv
+        return h * mp.diag(diagonal) * h
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_smallest_eigenvalue_of_hilbert_matrix(bits):
+    with workbits(bits + 64):
+        hilbert = mp.hilbert(8)
+        want = min(mp.eigsy(hilbert, eigvals_only=True))
+    with workbits(bits):
+        got = _smallest_eigenvalue(*_eigenvalue_args(hilbert, bits))
+    assert rel_err(got, want) < mp.mpf(2) ** (-(bits // 2))
+
+
+def test_smallest_eigenvalue_repeated():
+    # the smallest eigenvalue 1/10 twice: the Kato-Temple gap never opens,
+    # so the residual and the inertia check have to end the iteration
+    with workbits(320):
+        tenth = mp.mpf(1) / 10
+        a = _reflected([tenth, tenth, mp.mpf(1) / 2, 1, 2, 3], [1, 2, 3, -1, 2, 5], 320)
+        want = min(mp.eigsy(a, eigvals_only=True))
+    with workbits(256):
+        got = _smallest_eigenvalue(*_eigenvalue_args(a, 256))
+    assert rel_err(got, Fraction(1, 10)) < mp.mpf(2) ** -128
+    assert rel_err(got, want) < mp.mpf(2) ** -128
+
+
+def test_smallest_eigenvalue_unresolved_cluster_raises():
+    # two eigenvalues 2^-100 apart: no step count separates them at 256
+    # bits, so the call fails loudly instead of returning an unproven value
+    with workbits(256):
+        a = _reflected([1 + mp.mpf(2) ** -100, mp.mpf(1), mp.mpf(3)], [1, 2, 3], 256)
+        with pytest.raises(PrecisionExhausted):
+            _smallest_eigenvalue(*_eigenvalue_args(a, 256))
+
+
+def test_smallest_eigenvalue_diagonally_dominant():
+    # eigenvalues 0.9, 0.95 and 1.1: a clustered spectrum, 0.95/0.9 apart
+    with workbits(320):
+        a = _reflected([mp.mpf("0.9"), mp.mpf("0.95"), mp.mpf("1.1")], [1, 20, 300], 320)
+        want = min(mp.eigsy(a, eigvals_only=True))
+    with workbits(256):
+        got = _smallest_eigenvalue(*_eigenvalue_args(a, 256))
+    assert rel_err(got, want) < mp.mpf(2) ** -128

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -27,11 +28,12 @@ from muntz.errors import (
     BoundViolation,
     DuplicateEigenvalue,
     LengthMismatch,
+    NotPositiveDefinite,
     ValidationError,
     ZeroEigenvalue,
 )
 
-from conftest import rel_err
+from conftest import mpf_, rel_err
 
 UNIT = build_weighted_domain([(0, 1)], [(1, 0)])
 
@@ -246,3 +248,70 @@ def test_spectrum_is_exactly_u(unit_domain):
     diag = sorted((m_mat[i, i] for i in range(4)), reverse=True)
     assert tuple(diag) == tuple(sorted(spec.u[:4], reverse=True))
     assert len(set(diag)) == 4
+
+
+TWO_PIECE = build_weighted_domain([("0", "0.5"), ("0.6", "1")], [(1, 0), (2, 0)])
+FAMILIES = {"squares": (1, 2), "linear": (1, 1), "sqrt": (1, Fraction(1, 2))}
+
+
+def _oracle_min_singular_values(g, partitions):
+    """sqrt(lambda_min) of diag(S G[N1,N1] S, S C[N2,N2] S), S = diag**(-1/2)
+    of each block, with C = G^-1 from mpmath's own inverse of the entries
+    and the spectrum from mp.eigsy, both at P + 64 bits."""
+    out = []
+    with workbits(g.precision_bits + 64):
+        entries = mp.matrix(g.entries())
+        inv = mp.inverse(entries)
+        for n1, n2 in partitions:
+            order = [(i, entries) for i in n1] + [(j, inv) for j in n2]
+            mixed = mp.matrix(g.n, g.n)
+            for a, (i, m) in enumerate(order):
+                for b, (j, m2) in enumerate(order):
+                    if m is m2:
+                        mixed[a, b] = m[i - 1, j - 1] / mp.sqrt(m[i - 1, i - 1] * m[j - 1, j - 1])
+            out.append(mp.sqrt(min(mp.eigsy(mixed, eigvals_only=True))))
+    return out
+
+
+def _split(mask, n):
+    n2 = tuple(i + 1 for i in range(n) if mask & (1 << i))
+    return tuple(i + 1 for i in range(n) if i + 1 not in n2), n2
+
+
+@pytest.mark.parametrize("domain", ["unit", "two_piece"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_min_singular_value_against_eigsy_oracle(domain, family):
+    # every partition at N = 2, 3 (where a small block is not hidden by a
+    # smaller one) and 6, plus 7 sampled at N = 12: 42 over the six cells
+    wd = {"unit": UNIT, "two_piece": TWO_PIECE}[domain]
+    lam = power_exponents(*FAMILIES[family], 12)
+    rng = random.Random(f"{domain}-{family}")
+    sizes = [(n, range(2 ** n)) for n in (2, 3, 6)] + [(12, rng.sample(range(2 ** 12), 7))]
+    for n, masks in sizes:
+        g = gram(wd, lam, n)
+        parts = [_split(mask, n) for mask in masks]
+        reports = [hereditary_check(g, p) for p in parts]
+        for rep, want in zip(reports, _oracle_min_singular_values(g, parts)):
+            assert rel_err(rep.min_singular_value, want) < mpf_(2) ** (-(g.precision_bits // 2))
+            assert rep.nonsingular
+
+
+def test_block_that_does_not_factor_raises(unit_domain, lam23):
+    # entries 1, 2, 1 make G[N1,N1] indefinite: no singular value comes back
+    g = gram(unit_domain, lam23, 2)
+    with workbits(g.precision_bits):
+        bad = replace(g, entry_rows=[[mp.mpf(1)._mpf_], [mp.mpf(2)._mpf_, mp.mpf(1)._mpf_]])
+    with pytest.raises(NotPositiveDefinite):
+        hereditary_check(bad, ([1, 2], []))
+    assert hereditary_check(bad, ([], [1, 2])).nonsingular
+
+
+def test_nearly_orthogonal_powers_settle():
+    # exponents 1, 1000 and 10^6 are nearly orthogonal: the scaled block is
+    # close to the identity, its spectrum clustered, and only the Gershgorin
+    # shift lets inverse iteration settle within its step cap
+    g = gram(UNIT, explicit_exponents([1, 1000, 10 ** 6]), 3)
+    parts = [_split(mask, 3) for mask in range(2 ** 3)]
+    for p, want in zip(parts, _oracle_min_singular_values(g, parts)):
+        rep = hereditary_check(g, p)
+        assert rel_err(rep.min_singular_value, want) < mpf_(2) ** (-(g.precision_bits // 2))
