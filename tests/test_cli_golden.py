@@ -4,7 +4,8 @@ Each case runs one small report in-process and compares the SHA-256 of
 its stdout with a recorded digest.  The cases at N <= 6 settle at the
 requested 256 bits; the ``_escalated`` ones ask for 64 bits at N = 9 and
 settle at 128, so every size they report is cut from an escalated
-factor.  A change that alters any report byte fails here; such a change
+factor, and the ``operator``, ``d`` and ``target`` inputs of four of
+them are parsed again at that width.  A change that alters any report byte fails here; such a change
 must say so and re-record the digest it meant to change.
 """
 
@@ -58,6 +59,14 @@ CONFIGS = {
                            precision_bits=64),
     "two_piece_sqrt_64": dict(_config(TWO_PIECE, SQRT_9, rho="0.9", grid_points=21),
                               precision_bits=64),
+    "unit_linear_64_exact": dict(_config(
+        UNIT,
+        LINEAR_9,
+        target={"kind": "pure_power", "mu": "0.3"},
+        d=["1", "1/2", "1/3", "1/4", "1/5", "1/6", "1/7", "1/8", "1/9"],
+        operator={"kind": "dilation", "rho": "0.7"},
+        partition={"N1": [1, 3, 5, 7, 9], "N2": [2, 4, 6, 8]},
+    ), precision_bits=64),
 }
 
 CASES = {
@@ -90,6 +99,10 @@ CASES = {
     "duals_escalated": ("unit_linear_64", ["duals", "--N", "9"]),
     "distances_escalated": ("unit_linear_64", ["distances", "--n", "2", "--N-list", "3,6,9"]),
     "remez_escalated": ("two_piece_sqrt_64", ["remez", "--N-list", "3,6,9"]),
+    "operator_escalated": ("unit_linear_64_exact", ["operator", "--N", "9"]),
+    "hereditary_escalated": ("unit_linear_64_exact", ["hereditary", "--N", "9"]),
+    "moments_escalated": ("unit_linear_64_exact", ["moments", "--N", "9"]),
+    "expand_escalated": ("unit_linear_64_exact", ["expand", "--N", "9"]),
 }
 
 DIGESTS = {
@@ -101,17 +114,21 @@ DIGESTS = {
     "duals_escalated": "e9055adc6fe92474e9e326da19bd02d5fcb3494f3a307593a3ebe991bc84b35d",
     "expand": "a1488796b1d4a57c197acc97010f7cb9c3be3f64db615a3da6c2cb4655401d2b",
     "expand_combo_csv": "cffc3bfda0d0eb5b972f55d304660cedbebd8696a6e92a9370751ee09b1b3286",
+    "expand_escalated": "3eab56aef5e470f4f56270d1df2b8e1068e55c4e3c510b89d05cb769e0c48ee7",
     "gram": "cb769a178b09dd628b5538f4dac66e70656f568efadbbda3cf6e63111c053986",
     "gram_csv": "61db66977d9fae62d350cde8425ef6710dbd15473c073e178bff59781671f6c1",
     "gram_escalated": "a48c721d5012bc3775aa34e66a45f6a333bc6c9cbbc27022a13e053faf60725f",
     "hereditary": "1ca9340451dae9ec532c5b1623c73a37f89a5988d748470c12f38255558393d8",
     "hereditary_csv": "f0446cb96b1d4e5957761a282e7d40fe392a151ed0d028cc583f8135bacebdcb",
+    "hereditary_escalated": "fdb83f8513ef97bcddd710e5e47bc9ea47639ace24531e455a9896274d8ab460",
     "hereditary_sweep": "2b7c6a5bf5aeae5dbb7031a7147cea0234f0a44057e083c59bbb369b0346f6ac",
     "hereditary_sweep_csv": "fb44460852dac1cf69e3a34eb310fdcb8ab7ebd756dc8681fc1f1839911f93f7",
     "moments": "02c038e9bcf8dbd3a320034ae61944eddebbf59156e045b03884619042f0729a",
     "moments_csv": "094db2c448feaecf773b6aa4cabbc9cd36128769961ce1a23a502436fbcf0e8b",
+    "moments_escalated": "c17352fee3266f97a5c90b61e14230316f8619755d1936a389c2b2f7b7f575e3",
     "operator": "9e99a33ca5289c240510fa2cb5a66c2ec1503f25f8dd4bb2809cc430e00f9819",
     "operator_csv": "d340db346f182731c8ea7cbeab88459c8a64d6cb910fb5157876ecb2454cebca",
+    "operator_escalated": "0e58626e8964adb7ad8cc1f893755489eba9d056cf54102f1eced9278766ca85",
     "remez": "d6d7ae11b05df65a3322c6c194abb4e5421d409a445d8863eba79b1042cfd117",
     "remez_csv": "384ec5c15e8b532c4df9aea72ff857285957b915427440dfb7e797ecb022a43a",
     "remez_escalated": "d9133e3802f304fe9146fe74fc95cb31cf5caa97805da32d364ca54105e66234",
