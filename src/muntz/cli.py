@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -275,8 +276,11 @@ def _moments(i: _Inputs, g: GramMatrix) -> dict:
 
 def _operator(i: _Inputs, g: GramMatrix) -> dict:
     spec, rep = i.operator, operator.eigen_check(i.operator, g)
+    # hold by construction: the section diag(u) has the powers as
+    # eigenvectors, and eigen_check raises unless u is nonzero and distinct
     return {"apply_demo": operator.apply_demo(spec, g), "kind": spec.kind, "rho": spec.rho,
-            "u": spec.u[:g.n], "rows": rep.tail_bounds, **vars(rep)}
+            "u": spec.u[:g.n], "rows": rep.tail_bounds, "eigen_ok": True,
+            "simplicity_ok": True, "kernel_trivial_ok": True, **vars(rep)}
 
 
 def _hereditary(i: _Inputs, g: GramMatrix) -> dict:
@@ -351,7 +355,9 @@ def _emit(report: dict, args) -> None:
         raise MalformedConfig(f"cannot write {args.out}: {exc}") from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``run`` and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="muntz", description="Arbitrary-precision toolkit for weighted power systems.")
     sub = parser.add_subparsers(dest="command", required=True)

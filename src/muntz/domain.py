@@ -64,12 +64,6 @@ class WeightedDomain:
             table = self._tables[bits] = MomentTable(self.pieces, bits)
         return table
 
-    def pieces_at(self, bits: int):
-        """Per-piece (lo, hi, coeff, power) as mpf at the requested width."""
-        return [
-            tuple(mpf_from_fraction(v, bits) for v in piece) for piece in self.pieces
-        ]
-
     @property
     def is_unit_lebesgue(self) -> bool:
         """True when the domain is exactly [0, 1] with weight 1."""

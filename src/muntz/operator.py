@@ -21,7 +21,7 @@ are scaled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
@@ -37,8 +37,8 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .exponents import ExponentSequence
-from .gram import (GramMatrix, _cholesky, _smallest_eigenvalue, gram_inverse,
-                   gram_inverse_column, solve_spd)
+from .gram import (GramMatrix, _cholesky, _smallest_eigenvalue, _unit_solve, gram_inverse,
+                   solve_spd)
 from .precision import DEFAULT_PRECISION_BITS, Real, to_int, to_mpf, workbits
 from .series import MuntzSeries, evaluate
 
@@ -122,34 +122,20 @@ def _validate_against(spec: OperatorSpec, g: GramMatrix) -> Tuple[mpmath.mpf, ..
     return u
 
 
-def finite_sections(spec: OperatorSpec, g: GramMatrix) -> Tuple[mpmath.matrix, mpmath.matrix]:
-    """Section matrices (M, M_adj) in power coordinates.
-
-    M = diag(u); M_adj = G^-1 M G realizes the Gram-form adjoint, built
-    column by column through the stored factorization.
-    """
+def finite_sections(spec: OperatorSpec, g: GramMatrix) -> List[List[mpmath.mpf]]:
+    """Rows of the Gram-form adjoint G^-1 diag(u) G in power coordinates,
+    one solve per column of diag(u) G through the stored factorization.
+    The operator's own section is diag(u)."""
     u = _validate_against(spec, g)
     n, entries = g.n, g.entries()
     with workbits(g.precision_bits):
-        m_mat = mp.matrix(n, n)
-        for i in range(n):
-            m_mat[i, i] = u[i]
-        # columns of M G, then one solve per column
-        adj = mp.matrix(n, n)
-        for j in range(n):
-            col = [u[i] * entries[i][j] for i in range(n)]
-            sol = solve_spd(g, col)
-            for i in range(n):
-                adj[i, j] = sol[i]
-        return m_mat, adj
+        columns = [solve_spd(g, [u[i] * entries[i][j] for i in range(n)]) for j in range(n)]
+    return [list(row) for row in zip(*columns)]
 
 
 @dataclass(frozen=True)
 class EigenReport:
-    eigen_ok: bool
     adjoint_eigen_ok: bool
-    simplicity_ok: bool
-    kernel_trivial_ok: bool
     normality_defect: mpmath.mpf
     tail_bounds: Tuple[Tuple[int, mpmath.mpf], ...]
     tail_decay_ok: bool
@@ -159,21 +145,20 @@ class EigenReport:
 def eigen_check(spec: OperatorSpec, g: GramMatrix) -> EigenReport:
     """Verify the section eigenstructure and tabulate compactness bounds.
 
-    Powers are eigenvectors of M exactly (diagonal); dual columns must be
-    eigenvectors of the adjoint within 2**(-P/2) relative.  The tail
-    bounds sum (2 rho / (1 + rho))**lam_n beyond each cutoff; their
-    geometric decay is what makes the finite-rank sections converge.
+    Powers are eigenvectors of diag(u) exactly, with nonzero pairwise
+    distinct eigenvalues once ``_validate_against`` accepts u; dual
+    columns must be eigenvectors of the adjoint within 2**(-P/2)
+    relative.  The tail bounds sum (2 rho / (1 + rho))**lam_n beyond each
+    cutoff but the last; their geometric decay is what makes the
+    finite-rank sections converge.
     """
-    m_mat, adj = finite_sections(spec, g)
+    adj_rows = finite_sections(spec, g)
     n = g.n
     bits = g.precision_bits
     with workbits(bits):
         u = spec.u[:n]
-        eigen_ok = all(m_mat[i, i] == u[i] for i in range(n))
-
         tol = mp.mpf(2) ** (-(bits // 2))
         worst = mp.mpf(0)
-        adj_rows = adj.tolist()
         for k, col in enumerate(gram_inverse(g), 1):
             scale = max(abs(v) for v in col) * abs(u[k - 1]) + 1
             for i in range(n):
@@ -183,32 +168,21 @@ def eigen_check(spec: OperatorSpec, g: GramMatrix) -> EigenReport:
                     worst = resid
         adjoint_ok = worst < tol
 
-        simplicity_ok = len(set(u)) == n
-        kernel_ok = all(v != 0 for v in u)
-
         # (M adj - adj M)_ij for M = diag(u), without the two dense products
         defect = max(abs(u[i] * row[j] - row[j] * u[j]) for i, row in enumerate(adj_rows)
                      for j in range(n))
 
         q = 2 * spec.rho / (1 + spec.rho)
-        tails = []
-        for m_cut in range(n):
-            tails.append(
-                (m_cut, mp.fsum(q ** g.lams[k] for k in range(m_cut + 1, n)))
-            )
-        # the last cutoff has an empty tail; keep entries with mass only
-        tails = [(m_cut, b) for m_cut, b in tails if b > 0]
+        powers = [q ** lam_k for lam_k in g.lams[1:]]
+        tails = tuple((m_cut, mp.fsum(powers[m_cut:])) for m_cut in range(n - 1))
         decay_ok = all(
             b < a and b / a <= q for (_, a), (_, b) in zip(tails, tails[1:])
         )
 
         return EigenReport(
-            eigen_ok=eigen_ok,
             adjoint_eigen_ok=adjoint_ok,
-            simplicity_ok=simplicity_ok,
-            kernel_trivial_ok=kernel_ok,
             normality_defect=defect,
-            tail_bounds=tuple(tails),
+            tail_bounds=tails,
             tail_decay_ok=decay_ok,
             max_adjoint_residual=worst,
         )
@@ -283,7 +257,13 @@ def hereditary_check(
     Raises NotPositiveDefinite when a block does not factor and
     PrecisionExhausted when the iteration does not settle.
     """
-    return _mixed_report(g, partition, lambda idx: gram_inverse_column(g, idx))
+    n1, n2 = (tuple(sorted(set(ix))) for ix in partition)
+    if sorted(n1 + n2) != list(range(1, g.n + 1)):
+        raise BadPartition(
+            f"index sets {n1} and {n2} must split 1..{g.n} disjointly"
+        )
+    # the N2 block reads inverse column j only at and below entry j
+    return _mixed_report(g, n1, n2, {j: _unit_solve(g, j - 1, j - 1) for j in n2})
 
 
 def _block_spectrum(rows) -> Tuple[mpmath.mpf, mpmath.mpf]:
@@ -304,13 +284,11 @@ def _block_spectrum(rows) -> Tuple[mpmath.mpf, mpmath.mpf]:
     return _smallest_eigenvalue(scaled, factor), det
 
 
-def _mixed_report(g: GramMatrix, partition, column) -> MixedSystemReport:
-    """``hereditary_check`` with column(idx) giving the 1-based inverse column."""
-    n1, n2 = (tuple(sorted(set(ix))) for ix in partition)
-    if sorted(n1 + n2) != list(range(1, g.n + 1)):
-        raise BadPartition(
-            f"index sets {n1} and {n2} must split 1..{g.n} disjointly"
-        )
+def _mixed_report(g: GramMatrix, n1: Tuple[int, ...], n2: Tuple[int, ...],
+                  columns: Mapping[int, List[mpmath.mpf]]) -> MixedSystemReport:
+    """``hereditary_check`` for the sorted index sets n1 and n2 that split
+    1..N, where ``columns[j]`` holds the entries at and below entry j of
+    the 1-based inverse column j, for each j in n2."""
     bits = g.precision_bits
     with workbits(bits):
         det, lam_mins = mp.mpf(1), []
@@ -319,8 +297,7 @@ def _mixed_report(g: GramMatrix, partition, column) -> MixedSystemReport:
             lam_mins.append(_block_spectrum([[rows[i - 1][j - 1] for j in n1[:a + 1]]
                                              for a, i in enumerate(n1)])[0])
         if n2:
-            cols = {j: column(j) for j in n2}
-            lam_min, det = _block_spectrum([[cols[j][i - 1]._mpf_ for j in n2[:a + 1]]
+            lam_min, det = _block_spectrum([[columns[j][i - 1]._mpf_ for j in n2[:a + 1]]
                                             for a, i in enumerate(n2)])
             lam_mins.append(lam_min)
         smin = mp.sqrt(min(lam_mins))
@@ -340,12 +317,12 @@ def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
     Partition ``mask`` puts index i + 1 in N2 (duals) when bit i is set,
     and the reports come in increasing mask order.
     """
-    columns = gram_inverse(g)
+    columns = dict(enumerate(gram_inverse(g), 1))
     reports = []
     for mask in range(2 ** g.n):
-        n2 = [i + 1 for i in range(g.n) if mask & (1 << i)]
-        n1 = [i + 1 for i in range(g.n) if not mask & (1 << i)]
-        reports.append(_mixed_report(g, (n1, n2), lambda idx: columns[idx - 1]))
+        n2 = tuple(i + 1 for i in range(g.n) if mask & (1 << i))
+        n1 = tuple(i + 1 for i in range(g.n) if not mask & (1 << i))
+        reports.append(_mixed_report(g, n1, n2, columns))
     return reports
 
 

@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from muntz.cli import run
+from muntz.cli import _build_parser, run
 
 UNIT = {
     "intervals": [{"lo": "0", "hi": "1"}],
@@ -148,3 +148,18 @@ def test_report_bytes(case, tmp_path, monkeypatch):
         code = run([*argv, "--config", str(path)])
     assert code == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == DIGESTS[case]
+
+
+def test_parser_reused_after_a_rejected_argv(tmp_path, monkeypatch):
+    # one parser serves every run in a process, also after argparse exits
+    monkeypatch.delenv("MUNTZ_PRECISION_BITS", raising=False)
+    config, argv = CASES["operator"]
+    path = tmp_path / f"{config}.json"
+    path.write_text(json.dumps(CONFIGS[config]))
+    assert run([*argv, "--no-such-flag"]) == 2
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run([*argv, "--config", str(path)])
+    assert code == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == DIGESTS["operator"]
+    assert _build_parser() is _build_parser()

@@ -137,15 +137,6 @@ def test_moment_monotonicity(s1, step):
     assert power_moment(outside, s1) < power_moment(outside, s2)
 
 
-def test_pieces_at_reparses_exactly():
-    wd = build_weighted_domain([("0.3", "0.7")], [("2", "0.5")])
-    lo256 = wd.pieces_at(256)[0][0]
-    lo512 = wd.pieces_at(512)[0][0]
-    with workbits(512):
-        # the 512-bit parse carries more correct digits of 0.3
-        assert abs(lo512 - mp.mpf(3) / 10) < abs(lo256 - mp.mpf(3) / 10) or lo256 == lo512
-
-
 def test_cached_moment_equals_fresh_domain():
     # a two-piece domain with a fractional weight power: a moment served
     # from the table is bit for bit the one a fresh domain computes
