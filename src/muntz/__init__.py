@@ -23,7 +23,6 @@ from .duals import (
 )
 from .exponents import (
     ExponentSequence,
-    build_exponents,
     explicit_exponents,
     exponents_from_json,
     exponents_to_json,

@@ -80,10 +80,8 @@ class Param:
     """One input of a command: its config ``key`` ("block.key" inside a
     block), the argparse keywords of its overriding ``--name`` flag (or
     None), ``parse(raw, inputs)`` for a given value (None is not given),
-    the ``default`` (a value, a function of the inputs, or REQUIRED),
-    ``echo``, which writes the value into the report's config, and
-    ``exact``: the config keeps the value exact, so it is parsed at
-    ``width`` and again once the section settles at a wider one."""
+    the ``default`` (a value, a function of the inputs, or REQUIRED), and
+    ``echo``, which writes the value into the report's config."""
 
     name: str
     key: str
@@ -91,41 +89,36 @@ class Param:
     default: Any = None
     flag: Optional[dict] = None
     echo: Optional[Callable[[Any], Any]] = None
-    exact: bool = False
 
 
 class _Inputs:
-    """One report's inputs, each resolved on first attribute access."""
+    """One report's inputs, resolved in the order the command lists them,
+    so that a parser reads only inputs listed before its own.  Every
+    value is parsed at ``width``: the requested ``bits`` unless given."""
 
-    def __init__(self, cfg: dict, args, params):
-        self.cfg, self.args = cfg, args
-        self.params = {p.name: p for p in params}
+    def __init__(self, cfg: dict, args, params, width: Optional[int] = None):
+        self.cfg, self.params = cfg, params
         self.bits, self.max_bits = _resolve_precision(cfg, args)
-        self.width = self.bits
-
-    def __getattr__(self, name):
-        param = self.__dict__.get("params", {}).get(name)
-        if param is None:
-            raise AttributeError(name)
-        raw = getattr(self.args, name) if param.flag is not None else None
-        if raw is None:
-            block, _, key = param.key.rpartition(".")
-            cfg = self.cfg.get(block) if block else self.cfg
-            raw = None if cfg is None else _expect(cfg, dict, block).get(key)
-        if raw is not None:
-            value = param.parse(raw, self)
-        elif param.default is REQUIRED:
-            raise MalformedConfig(f"config is missing required block {param.key!r}")
-        else:
-            value = param.default(self) if callable(param.default) else param.default
-        setattr(self, name, value)
-        return value
+        self.width = width or self.bits
+        for param in params:
+            raw = getattr(args, param.name) if param.flag is not None else None
+            if raw is None:
+                block, _, key = param.key.rpartition(".")
+                section = cfg.get(block) if block else cfg
+                raw = None if section is None else _expect(section, dict, block).get(key)
+            if raw is not None:
+                value = param.parse(raw, self)
+            elif param.default is REQUIRED:
+                raise MalformedConfig(f"config is missing required block {param.key!r}")
+            else:
+                value = param.default(self) if callable(param.default) else param.default
+            setattr(self, param.name, value)
 
     def echo(self) -> dict:
         """The config as given, with every resolved input written back."""
         config = dict(self.cfg, precision_bits=self.bits)
         blocks = {}
-        for param in self.params.values():
+        for param in self.params:
             value = getattr(self, param.name)
             if param.echo is not None and value is not None:
                 block, _, key = param.key.rpartition(".")
@@ -180,8 +173,8 @@ def _partition_side(raw, inputs):
     return None if inputs.sweep else sorted(set(_ints(raw)))
 
 
-WD = Param("wd", "domain", lambda raw, i: domain_from_json(raw, i.bits), REQUIRED)
-LAM = Param("lam", "exponents", lambda raw, i: exponents_from_json(raw, i.bits), REQUIRED)
+WD = Param("wd", "domain", lambda raw, i: domain_from_json(raw, i.width), REQUIRED)
+LAM = Param("lam", "exponents", lambda raw, i: exponents_from_json(raw, i.width), REQUIRED)
 N = Param("N", "N", lambda raw, i: _bounded(to_int(raw), len(i.lam)), lambda i: len(i.lam),
           {"type": int}, int)
 N_LIST = Param("N_list", "N_list", _sizes, None, {}, list)
@@ -192,11 +185,11 @@ EPSILON = Param("epsilon", "epsilon", _real, None, {}, str)
 RHO = Param("rho", "rho", _real, REQUIRED, {}, str)
 GRID = Param("grid_points", "grid_points", lambda raw, i: to_int(raw), 1000, {"type": int}, int)
 TARGET = Param("target", "target", lambda raw, i: series.target_from_json(
-    raw, i.lam, i.wd, i.width), REQUIRED, exact=True)
+    raw, i.lam, i.wd, i.width), REQUIRED)
 DATA = Param("data", "d", lambda raw, i: momentsolve.build_moment_data(
-    i.wd, i.lam, _expect(raw, list, "d"), i.width), REQUIRED, exact=True)
+    i.wd, i.lam, _expect(raw, list, "d"), i.width), REQUIRED)
 OPERATOR = Param("operator", "operator", lambda raw, i: operator.operator_from_json(
-    raw, i.lam, i.N, i.width), REQUIRED, exact=True)
+    raw, i.lam, i.N, i.width), REQUIRED)
 N1 = Param("n1", "partition.N1", _partition_side, lambda i: _partition_side([], i),
            {"help": "comma-separated power indices"}, list)
 N2 = replace(N1, name="n2", key="partition.N2", flag={"help": "comma-separated dual indices"})
@@ -330,7 +323,7 @@ COMMANDS = {
     "moments": Command(_moments, (WD, LAM, DATA, replace(N, default=lambda i: len(i.data.d)),
                                   N_LIST), ["n", "coefficient", "residual"]),
     "operator": Command(_operator, (WD, LAM, N, OPERATOR), ["m", "tail_bound"]),
-    "hereditary": Command(_hereditary, (WD, LAM, N, N1, N2, SWEEP),
+    "hereditary": Command(_hereditary, (WD, LAM, N, SWEEP, N1, N2),
                           ["N1", "N2", "det", "min_singular_value", "nonsingular"]),
 }
 
@@ -382,17 +375,12 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     command = COMMANDS[args.command]
     try:
-        inputs = _Inputs(_load_config(args.config), args, command.params)
-        for param in command.params:
-            getattr(inputs, param.name)
-        g = None
+        cfg = _load_config(args.config)
+        inputs, g = _Inputs(cfg, args, command.params), None
         if command.columns:
             g = gram(inputs.wd, inputs.lam, inputs.largest_size(), inputs.bits, inputs.max_bits)
             if g.precision_bits != inputs.width:
-                inputs.width = g.precision_bits
-                for param in command.params:
-                    if param.exact:
-                        delattr(inputs, param.name)
+                inputs = _Inputs(cfg, args, command.params, g.precision_bits)
         results = command.results(inputs, g)
         if g is not None:
             own = leading_section(g, getattr(inputs, "N", g.n))

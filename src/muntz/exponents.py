@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
@@ -46,7 +46,6 @@ class ExponentSequence:
     gap: mpmath.mpf
     summability_tag: str
     generator: Optional[PowerGenerator]
-    precision_bits: int
     # exact values when representable (explicit input, or integer beta)
     raw: Optional[Tuple[Fraction, ...]]
 
@@ -81,33 +80,6 @@ def _validate(fracs_or_mpfs) -> None:
         prev = v
 
 
-def build_exponents(
-    spec: Union[Sequence[Real], dict],
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> ExponentSequence:
-    """Build a sequence from an explicit list or a power-generator spec.
-
-    ``spec`` is either a sequence of numbers, or a dict of the JSON forms
-    {"kind": "explicit", "values": [...]} /
-    {"kind": "power", "c": "1", "beta": "2", "count": 20}.
-    """
-    if isinstance(spec, dict):
-        kind = spec.get("kind")
-        if kind == "explicit":
-            if not isinstance(spec.get("values"), list):
-                raise MalformedConfig("explicit exponents need a values list")
-            return explicit_exponents(spec["values"], precision_bits)
-        if kind == "power":
-            try:
-                return power_exponents(
-                    spec["c"], spec["beta"], to_int(spec["count"]), precision_bits
-                )
-            except KeyError as exc:
-                raise MalformedConfig(f"power generator missing field {exc}") from exc
-        raise MalformedConfig(f"unknown exponent kind {kind!r}")
-    return explicit_exponents(spec, precision_bits)
-
-
 def explicit_exponents(
     values: Sequence[Real], precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> ExponentSequence:
@@ -122,7 +94,6 @@ def explicit_exponents(
         gap=gap,
         summability_tag=UNKNOWN,
         generator=None,
-        precision_bits=precision_bits,
         raw=raw,
     )
 
@@ -152,7 +123,6 @@ def power_exponents(
         gap=gap,
         summability_tag=tag,
         generator=gen,
-        precision_bits=precision_bits,
         raw=raw,
     )
 
@@ -165,9 +135,21 @@ def _min_gap(vals, bits: int):
 
 
 def exponents_from_json(obj: dict, precision_bits: int = DEFAULT_PRECISION_BITS) -> ExponentSequence:
+    """Build from {"kind": "explicit", "values": [...]} or
+    {"kind": "power", "c": "1", "beta": "2", "count": 20}."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise MalformedConfig("exponent descriptor needs a 'kind' field")
-    return build_exponents(obj, precision_bits)
+    kind = obj["kind"]
+    if kind == "explicit":
+        if not isinstance(obj.get("values"), list):
+            raise MalformedConfig("explicit exponents need a values list")
+        return explicit_exponents(obj["values"], precision_bits)
+    if kind == "power":
+        try:
+            return power_exponents(obj["c"], obj["beta"], to_int(obj["count"]), precision_bits)
+        except KeyError as exc:
+            raise MalformedConfig(f"power generator missing field {exc}") from exc
+    raise MalformedConfig(f"unknown exponent kind {kind!r}")
 
 
 def exponents_to_json(lam: ExponentSequence) -> dict:

@@ -31,7 +31,6 @@ class MomentData:
     fitted_a: mpmath.mpf
     fitted_c: mpmath.mpf
     growth_ok: bool
-    precision_bits: int
 
 
 def fit_growth(
@@ -87,7 +86,6 @@ def build_moment_data(
             fitted_a=a,
             fitted_c=c,
             growth_ok=a < wd.r_a,
-            precision_bits=precision_bits,
         )
 
 

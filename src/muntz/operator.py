@@ -311,13 +311,16 @@ def _mixed_report(g: GramMatrix, n1: Tuple[int, ...], n2: Tuple[int, ...],
 
 
 def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
-    """hereditary_check over all 2**N partitions of the section, with
-    the inverse columns of one ``gram_inverse`` call.
+    """hereditary_check over all 2**N partitions of the section, each
+    inverse column solved once, as far as ``hereditary_check`` reads it.
 
     Partition ``mask`` puts index i + 1 in N2 (duals) when bit i is set,
-    and the reports come in increasing mask order.
+    and the reports come in increasing mask order.  By Cauchy interlacing
+    every block is a principal block of S G S or of T G^-1 T (S and T
+    scale each to unit diagonal), so the smallest ``min_singular_value``
+    over all partitions is that of N2 empty or of N1 empty.
     """
-    columns = dict(enumerate(gram_inverse(g), 1))
+    columns = {j: _unit_solve(g, j - 1, j - 1) for j in range(1, g.n + 1)}
     reports = []
     for mask in range(2 ** g.n):
         n2 = tuple(i + 1 for i in range(g.n) if mask & (1 << i))

@@ -173,7 +173,6 @@ class ConvergenceTable:
     rows: Tuple[Tuple[int, Tuple[mpmath.mpf, ...]], ...]
     diffs: Tuple[Tuple[mpmath.mpf, ...], ...]
     cauchy_flags: Tuple[bool, ...]
-    residuals: Tuple[mpmath.mpf, ...]
 
 
 def coefficient_convergence(
@@ -184,12 +183,7 @@ def coefficient_convergence(
 
     The coefficient differences are taken at g's precision.
     """
-    rows = []
-    residuals = []
-    for s in leading_sections(g, sizes):
-        series, res = project(s, f)
-        rows.append((s.n, series.coeffs))
-        residuals.append(res)
+    rows = [(s.n, project(s, f)[0].coeffs) for s in leading_sections(g, sizes)]
     n_tracked = rows[0][0]
     diffs = []
     flags = []
@@ -204,7 +198,6 @@ def coefficient_convergence(
         rows=tuple(rows),
         diffs=tuple(diffs),
         cauchy_flags=tuple(flags),
-        residuals=tuple(residuals),
     )
 
 

@@ -4,9 +4,10 @@ Each case runs one small report in-process and compares the SHA-256 of
 its stdout with a recorded digest.  The cases at N <= 6 settle at the
 requested 256 bits; the ``_escalated`` ones ask for 64 bits at N = 9 and
 settle at 128, so every size they report is cut from an escalated
-factor, and the ``operator``, ``d`` and ``target`` inputs of four of
-them are parsed again at that width.  A change that alters any report byte fails here; such a change
-must say so and re-record the digest it meant to change.
+factor, and every input, the ``operator``, ``d`` and ``target`` inputs
+of four of them included, is parsed again at that width.  A change that
+alters any report byte fails here; such a change must say so and
+re-record the digest it meant to change.
 """
 
 import contextlib

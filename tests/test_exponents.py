@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from muntz import build_exponents, explicit_exponents, power_exponents
+from muntz import explicit_exponents, exponents_from_json, power_exponents
 from muntz.errors import MalformedConfig, NonIncreasing, NonPositive, ValidationError
 from muntz.exponents import NONSUMMABLE, SUMMABLE, UNKNOWN, exponents_to_json
 
@@ -55,12 +55,12 @@ def test_generator_determinism_bit_for_bit():
 
 
 def test_json_round_trip():
-    lam = build_exponents({"kind": "power", "c": "1", "beta": "2", "count": 20})
+    lam = exponents_from_json({"kind": "power", "c": "1", "beta": "2", "count": 20})
     assert exponents_to_json(lam) == {"kind": "power", "c": "1", "beta": "2", "count": 20}
-    lam2 = build_exponents({"kind": "explicit", "values": ["2", "3", "5"]})
+    lam2 = exponents_from_json({"kind": "explicit", "values": ["2", "3", "5"]})
     assert exponents_to_json(lam2) == {"kind": "explicit", "values": ["2", "3", "5"]}
     with pytest.raises(MalformedConfig):
-        build_exponents({"kind": "mystery"})
+        exponents_from_json({"kind": "mystery"})
 
 
 def test_values_at_higher_precision_irrational_beta():

@@ -19,6 +19,7 @@ from muntz import (
     gram,
     gram_inverse_column,
     hereditary_check,
+    hereditary_sweep,
     inverse_principal_minor,
     power_exponents,
     workbits,
@@ -278,6 +279,39 @@ def test_min_singular_value_against_eigsy_oracle(domain, family):
         for rep, want in zip(reports, _oracle_min_singular_values(g, parts)):
             assert rel_err(rep.min_singular_value, want) < mpf_(2) ** (-(g.precision_bits // 2))
             assert rep.nonsingular
+
+
+@pytest.mark.parametrize("domain", ["unit", "two_piece"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_sweep_rows_equal_single_checks(domain, family):
+    # 32 rows per cell, 192 over the six: the sweep's inverse columns are
+    # bit for bit the ones hereditary_check solves for
+    wd = {"unit": UNIT, "two_piece": TWO_PIECE}[domain]
+    g = gram(wd, power_exponents(*FAMILIES[family], 5), 5)
+    for rep in hereditary_sweep(g):
+        one = hereditary_check(g, (rep.n1, rep.n2))
+        assert rep.mixed_matrix_det == one.mixed_matrix_det
+        assert rep.min_singular_value == one.min_singular_value
+
+
+@settings(max_examples=5, deadline=None)
+@given(cuts=st.lists(st.integers(min_value=0, max_value=20), min_size=2, max_size=4,
+                     unique=True),
+       weights=st.lists(st.tuples(st.integers(1, 3), st.sampled_from(["0", "1/2", "1"])),
+                        min_size=2, max_size=2),
+       family=st.sampled_from(sorted(FAMILIES)))
+def test_worst_partition_is_all_powers_or_all_duals(cuts, weights, family):
+    # by Cauchy interlacing each Jacobi-scaled block is a principal block
+    # of S G S or of T G^-1 T, so no partition sits below both extremes
+    # by more than rounding
+    ends = sorted(Fraction(c, 10) for c in cuts)
+    intervals = list(zip(ends[::2], ends[1::2]))
+    wd = build_weighted_domain(intervals, weights[:len(intervals)])
+    g = gram(wd, power_exponents(*FAMILIES[family], 6), 6)
+    reports = hereditary_sweep(g)
+    worst = min(reports[0].min_singular_value, reports[-1].min_singular_value)
+    smallest = min(rep.min_singular_value for rep in reports)
+    assert rel_err(smallest, worst) < mpf_(2) ** (-(g.precision_bits // 2))
 
 
 def test_block_that_does_not_factor_raises(unit_domain, lam23):
