@@ -183,7 +183,8 @@ INDEX = Param("n", "n", lambda raw, i: _bounded(to_int(raw), i.N_list[0]), 1, {"
 REL_TOL = Param("rel_tol", "rel_tol", _real, "0.01", {}, str)
 EPSILON = Param("epsilon", "epsilon", _real, None, {}, str)
 RHO = Param("rho", "rho", _real, REQUIRED, {}, str)
-GRID = Param("grid_points", "grid_points", lambda raw, i: to_int(raw), 1000, {"type": int}, int)
+GRID = Param("grid_points", "grid_points", lambda raw, i: series.check_grid_points(to_int(raw)),
+             1000, {"type": int}, int)
 TARGET = Param("target", "target", lambda raw, i: series.target_from_json(
     raw, i.lam, i.wd, i.width), REQUIRED)
 DATA = Param("data", "d", lambda raw, i: momentsolve.build_moment_data(

@@ -247,7 +247,7 @@ def _smallest_eigenvalue(rows, factor) -> mpmath.mpf:
         raise NotPositiveDefinite("a matrix shifted below its smallest eigenvalue "
                                   "does not factor")
     cols, trace = _triangular_inverse(factor, prec)
-    inv_rows = [[col[i] for col in cols[:i + 1]] for i in range(len(cols))]
+    inv_rows = _inverse_rows(cols)
     x = [fone]
     for i in range(1, len(rows)):
         x.append(mpf_neg(x[-1]) if mpf_gt(rows[i][i - 1], fzero) else x[-1])
@@ -283,6 +283,12 @@ def _triangular_inverse(factor, prec) -> Tuple[List[List[tuple]], tuple]:
     cols = [_substitute_forward(factor, [fone if i == j else fzero for i in range(k)], j)
             for j in range(k)]
     return cols, mpf_sum([_dot(col, col, prec) for col in cols], prec, round_nearest)
+
+
+def _inverse_rows(cols) -> List[List[tuple]]:
+    """The rows of L^-1 up to the diagonal, from the columns that
+    ``_triangular_inverse`` gives."""
+    return [[col[i] for col in cols[:i + 1]] for i in range(len(cols))]
 
 
 def _gershgorin_bound(rows, prec) -> tuple:

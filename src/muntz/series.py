@@ -9,10 +9,11 @@ free of quadrature error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import fzero, mpf_exp, mpf_gt, mpf_log, mpf_mul, mpf_pow, round_nearest
 
 from .domain import WeightedDomain, power_moment
 from .errors import (
@@ -24,7 +25,8 @@ from .errors import (
     ValidationError,
 )
 from .exponents import ExponentSequence, explicit_exponents
-from .gram import GramMatrix, forward_substitution, gram, leading_sections, solve_spd
+from .gram import (GramMatrix, _dot, _inverse_rows, _triangular_inverse, gram, leading_sections,
+                   solve_spd)
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 
 
@@ -240,6 +242,28 @@ def removal_test(
         return res
 
 
+# Past 10**5 points the grid is finer than any report needs, and a
+# grid of 10**12 points would run for days.
+MAX_GRID_POINTS = 100_000
+
+
+def check_grid_points(grid_points: int) -> int:
+    """The grid size itself, when it lies within 2..MAX_GRID_POINTS."""
+    if not 2 <= grid_points <= MAX_GRID_POINTS:
+        raise ValidationError(f"grid_points {grid_points} outside 2..{MAX_GRID_POINTS}")
+    return grid_points
+
+
+def _powers(x, lams, prec: int) -> List[tuple]:
+    """x**lam for a raw x >= 0 and each raw exponent, bit for bit what
+    ``mpf_pow`` (and so ``x ** lam``) gives: whole and half-integer
+    exponents go through it, every other one is exp(lam * log x) with
+    ``mpf_pow``'s roundings and the one log x taken once."""
+    log_x = mpf_log(x, prec + 10, round_nearest) if any(lam[2] < -1 for lam in lams) else None
+    return [mpf_pow(x, lam, prec, round_nearest) if lam[2] >= -1
+            else mpf_exp(mpf_mul(lam, log_x), prec, round_nearest) for lam in lams]
+
+
 def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
     """Grid maximum of the section's pointwise-to-norm constant on [0, rho].
 
@@ -248,20 +272,24 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
     root, maximized over a uniform grid, is the p = 2 bound constant at
     grid resolution.  Monotone in the section size at fixed grid; callers
     wanting monotone-in-rho sweeps should use nested grids.
+
+    L^-1 of the factor G = L L^T is formed once; then each grid point
+    costs its powers and one dot per entry: K(x) = ||L^-1 v(x)||^2, every
+    dot of exact products rounded once.
     """
-    if grid_points < 2:
-        raise ValidationError("grid needs at least two points")
+    check_grid_points(grid_points)
     bits = g.precision_bits
     with workbits(bits):
         rho_m = to_mpf(rho, bits)
         if rho_m <= 0:
             raise ValidationError("rho must be positive")
-        best = mp.mpf(0)
+        inv_rows = _inverse_rows(_triangular_inverse(g.chol_rows, bits)[0])
+        lams = [lam._mpf_ for lam in g.lams]
+        best = fzero
         for j in range(grid_points):
-            x = rho_m * j / (grid_points - 1)
-            v = [x ** g.lams[k] for k in range(g.n)]
-            y = forward_substitution(g, v)
-            kernel = mp.fsum(t ** 2 for t in y)
-            if kernel > best:
+            v = _powers((rho_m * j / (grid_points - 1))._mpf_, lams, bits)
+            y = [_dot(row, v, bits) for row in inv_rows]
+            kernel = _dot(y, y, bits)
+            if mpf_gt(kernel, best):
                 best = kernel
-        return mp.sqrt(best)
+        return mp.sqrt(mp.make_mpf(best))

@@ -245,6 +245,7 @@ CONTRACT_CASES = {
         "intervals": [{"lo": "0", "hi": "1e999999999"}], "weights": [{"coeff": "1", "power": "0"}]}}),
     "precision_above_ceiling": (["validate"], {"precision_bits": 8192}),
     "max_precision_above_ceiling": (["validate"], {"max_precision_bits": 8192}),
+    "grid_points_above_ceiling": (["remez"], {"grid_points": 1000000000000}),
 }
 
 
@@ -448,7 +449,7 @@ CONFIG = st.fixed_dictionaries({"domain": DOMAIN, "exponents": EXPONENTS}, optio
     "rel_tol": _mostly(NUMBER),
     "epsilon": _mostly(NUMBER),
     "rho": _mostly(NUMBER),
-    "grid_points": _mostly(st.integers(1, 5)),
+    "grid_points": _mostly(st.one_of(st.integers(1, 5), st.just(1000000000000))),
     "sweep": _mostly(st.booleans()),
 })
 FLAGS = st.lists(st.sampled_from([

@@ -130,9 +130,9 @@ DIGESTS = {
     "operator": "9e99a33ca5289c240510fa2cb5a66c2ec1503f25f8dd4bb2809cc430e00f9819",
     "operator_csv": "d340db346f182731c8ea7cbeab88459c8a64d6cb910fb5157876ecb2454cebca",
     "operator_escalated": "0e58626e8964adb7ad8cc1f893755489eba9d056cf54102f1eced9278766ca85",
-    "remez": "d6d7ae11b05df65a3322c6c194abb4e5421d409a445d8863eba79b1042cfd117",
-    "remez_csv": "384ec5c15e8b532c4df9aea72ff857285957b915427440dfb7e797ecb022a43a",
-    "remez_escalated": "d9133e3802f304fe9146fe74fc95cb31cf5caa97805da32d364ca54105e66234",
+    "remez": "b77a77bb42ece953c281629ee94a7eafa1578af8c045325a7f0fb07ee53ae482",
+    "remez_csv": "0350bc7db225a7e3563196422ee1e26e0c48cfd123b191246922ef0bd20bc277",
+    "remez_escalated": "d3b90939991e5adb7a7a327dd38536c46e6b942676e6730fc09e3a5e47c7a731",
     "validate": "131137f1ce165f8614634034426147b2cf9d2ecb5e386238c650499799e2a942",
     "validate_explicit": "f3d55d29870536a8228d37ddb4d07b46b9fbe4c8c60ee63fa42dc758f03bdcc0",
 }

@@ -23,7 +23,7 @@ from muntz.errors import (
     PrecisionExhausted,
     ValidationError,
 )
-from muntz.gram import _cholesky, _smallest_eigenvalue
+from muntz.gram import _cholesky, _smallest_eigenvalue, forward_substitution
 
 from conftest import rel_err
 
@@ -213,16 +213,23 @@ def test_leading_sections_rejects_bad_sizes(unit_domain, sizes):
         leading_sections(g, sizes)
 
 
-def _mpf_solve(chol_rows, rhs):
-    """The two triangular solves written with plain mpf operators."""
-    n = len(chol_rows)
+def _mpf_forward(chol_rows, rhs):
+    """The forward triangular solve written with plain mpf operators."""
     chol = [[mp.make_mpf(v) for v in row] for row in chol_rows]
-    y = [mp.mpf(0)] * n
-    for i in range(n):
+    y = [mp.mpf(0)] * len(chol)
+    for i in range(len(chol)):
         acc = rhs[i]
         for j in range(i):
             acc -= chol[i][j] * y[j]
         y[i] = acc / chol[i][i]
+    return y
+
+
+def _mpf_solve(chol_rows, rhs):
+    """The two triangular solves written with plain mpf operators."""
+    n = len(chol_rows)
+    chol = [[mp.make_mpf(v) for v in row] for row in chol_rows]
+    y = _mpf_forward(chol_rows, rhs)
     x = [mp.mpf(0)] * n
     for i in range(n - 1, -1, -1):
         acc = y[i]
@@ -230,6 +237,15 @@ def _mpf_solve(chol_rows, rhs):
             acc -= chol[j][i] * x[j]
         x[i] = acc / chol[i][i]
     return x
+
+
+def test_forward_substitution_equals_mpf_operators(two_piece_domain):
+    g = gram(two_piece_domain, power_exponents(1, "0.5", 10), 10)
+    with workbits(g.precision_bits):
+        rhs = [mp.mpf(k + 1) / 3 for k in range(10)]
+        assert _same(forward_substitution(g, rhs), _mpf_forward(g.chol_rows, rhs))
+    with pytest.raises(ValidationError):
+        forward_substitution(g, rhs[:9])
 
 
 def test_unit_solves_equal_solve_spd(two_piece_domain):

@@ -19,11 +19,12 @@ from muntz import (
     workbits,
 )
 from muntz.errors import NegativeResidualSquared, OutsideRadius, ValidationError
-from muntz.series import _settle_residual_sq
+from muntz.series import MAX_GRID_POINTS, _powers, _settle_residual_sq
 
 from conftest import rel_err
 
 UNIT = build_weighted_domain([(0, 1)], [(1, 0)])
+TWO_PIECE = build_weighted_domain([("0", "0.5"), ("0.6", "1")], [(1, 0), (2, "0.5")])
 
 
 def mk_series(lam, coeffs, radius=1, bits=256):
@@ -171,7 +172,41 @@ def test_christoffel_validation(unit_domain, lam23):
     with pytest.raises(ValidationError):
         christoffel_remez(gram(unit_domain, lam23, 2), "0.5", 1)
     with pytest.raises(ValidationError):
+        christoffel_remez(gram(unit_domain, lam23, 2), "0.5", MAX_GRID_POINTS + 1)
+    with pytest.raises(ValidationError):
         christoffel_remez(gram(unit_domain, lam23, 2), "0", 16)
+
+
+@pytest.mark.parametrize("wd", [UNIT, TWO_PIECE], ids=["unit", "two_piece"])
+@pytest.mark.parametrize("beta", ["2", "1", "1/2"])
+@pytest.mark.parametrize("n", [6, 12, 16])
+def test_christoffel_matches_double_precision(wd, beta, n):
+    # the kernel from L^-1 agrees with the same call on the section
+    # assembled and factored at twice the width; rho = 1.5 lies past r_A
+    lam = power_exponents(1, beta, n)
+    g = gram(wd, lam, n)
+    ref = gram(wd, lam, n, 2 * g.precision_bits)
+    for rho, points in (("0.9", 101), ("1.5", 31)):
+        got = christoffel_remez(g, rho, points)
+        assert rel_err(got, christoffel_remez(ref, rho, points)) < 2.0 ** (-(g.precision_bits // 2))
+
+
+def test_christoffel_matches_double_precision_escalated(unit_domain):
+    lam = power_exponents(1, 1, 9)
+    g = gram(unit_domain, lam, 9, 64)
+    assert g.precision_bits == 128
+    ref = gram(unit_domain, lam, 9, 256)
+    for rho in ("0.75", "1.25"):
+        assert rel_err(christoffel_remez(g, rho, 41), christoffel_remez(ref, rho, 41)) < 2.0 ** -64
+
+
+def test_hoisted_log_powers_equal_mpf_pow():
+    # whole, half-integer and general exponents: the three mpf_pow paths
+    with workbits(256):
+        lams = [mp.mpf(v) for v in ("0.5", "1.5", "2", "2.25", "3.7")]
+        for x in (mp.mpf(0), mp.mpf(1) / 3, mp.mpf("0.9"), mp.mpf(1), mp.mpf("1.5")):
+            got = _powers(x._mpf_, [lam._mpf_ for lam in lams], 256)
+            assert got == [(x ** lam)._mpf_ for lam in lams]
 
 
 @settings(max_examples=15, deadline=None)
