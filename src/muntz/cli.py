@@ -290,15 +290,24 @@ def _hereditary(i: _Inputs, g: GramMatrix) -> dict:
             "nonsingular": reports[0].nonsingular}
 
 
-def _render(obj, bits: int):
-    """The results with every mpf as a decimal string at ``bits``."""
-    if isinstance(obj, mp.mpf):
-        return fmt(obj, bits)
-    if isinstance(obj, dict):
-        return {key: _render(value, bits) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_render(value, bits) for value in obj]
-    return obj
+def _render(results: dict, bits: int) -> dict:
+    """The results with every mpf as a decimal string at ``bits``.  A
+    value that recurs (a named block and its ``rows``) is formatted once."""
+    texts = {}
+
+    def render(obj):
+        if isinstance(obj, mp.mpf):
+            text = texts.get(obj._mpf_)
+            if text is None:
+                text = texts[obj._mpf_] = fmt(obj, bits)
+            return text
+        if isinstance(obj, dict):
+            return {key: render(value) for key, value in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [render(value) for value in obj]
+        return obj
+
+    return render(results)
 
 
 @dataclass(frozen=True)

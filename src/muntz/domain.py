@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import (mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_pow, mpf_sum,
+                          round_nearest)
 
 from .errors import (
     DegenerateInterval,
@@ -136,15 +138,19 @@ def build_weighted_domain(
 
 
 class MomentTable:
-    """The moments of one domain at one width, each computed once.
+    """The moments of one domain at one width.
 
-    The pieces are converted to mpf once; a moment is keyed by the exact
-    value of its order, so a repeated order returns the stored mpf, bit
+    ``section`` assembles the lower rows of a Gram section from the
+    powers of each piece's endpoints, O(N * pieces) of them for N
+    exponents.  ``__call__`` gives the moment of one scalar order (the
+    weight mass, ``power_moment``, target moments), keyed by the exact
+    value of the order, so a repeated order returns the stored mpf, bit
     for bit what computing it again would give.
     """
 
     def __init__(self, pieces, bits: int):
         self.bits = bits
+        self._exact = pieces
         self._pieces = [(piece[0] != 0, *(mpf_from_fraction(v, bits) for v in piece))
                         for piece in pieces]
         self._values = {}
@@ -163,6 +169,59 @@ class MomentTable:
                     value += coeff * (hi_pow - lo_pow) / e
             self._values[s._mpf_] = value
         return value
+
+    def section(self, lams: Sequence[mpmath.mpf]) -> List[List[tuple]]:
+        """The raw lower rows of the Gram section of these exponents.
+
+        On a piece [a, b] with weight c * x**p the entry (i, j) is
+        (c b**(p+1) u_i u_j - c a**(p+1) v_i v_j) / (lam_i + lam_j + p + 1)
+        with u_i = b**lam_i and v_i = a**lam_i (v only when a > 0), so the
+        powers are taken once per exponent and piece.  The numerator is one
+        sum of exact products, rounded once; the denominator is
+        lam_i + lam_j rounded, plus p + 1, rounded; the quotient is rounded
+        once, and so is the sum over the pieces.  On [0, 1] with unit
+        weight this is 1 / (lam_i + lam_j + 1), what ``__call__`` gives
+        for the order lam_i + lam_j.
+        """
+        prec = self.bits
+        lams = [lam._mpf_ for lam in lams]
+
+        def raw(fr):
+            return mpf_from_fraction(fr, prec)._mpf_
+
+        gens = []
+        for lo, hi, coeff, power in self._exact:
+            p1, ends = raw(power + 1), []
+            for x, c in ((hi, coeff), (lo, -coeff)):
+                if x:
+                    # the exact products (+-c x**(p+1)) x**lam_i, and x**lam_i
+                    scale = mpf_mul(raw(c), mpf_pow(raw(x), p1, prec, round_nearest),
+                                    prec, round_nearest)
+                    powers = _powers(raw(x), lams, prec)
+                    ends.append(([mpf_mul(scale, u) for u in powers], powers))
+            gens.append((p1, ends))
+        rows = []
+        for i, lam_i in enumerate(lams):
+            row = []
+            for j in range(i + 1):
+                s = mpf_add(lam_i, lams[j], prec, round_nearest)
+                row.append(mpf_sum([
+                    mpf_div(mpf_sum([mpf_mul(scaled[i], powers[j]) for scaled, powers in ends],
+                                    prec, round_nearest),
+                            mpf_add(s, p1, prec, round_nearest), prec, round_nearest)
+                    for p1, ends in gens], prec, round_nearest))
+            rows.append(row)
+        return rows
+
+
+def _powers(x, lams, prec: int) -> List[tuple]:
+    """x**lam for a raw x >= 0 and each raw exponent, bit for bit what
+    ``mpf_pow`` (and so ``x ** lam``) gives: whole and half-integer
+    exponents go through it, every other one is exp(lam * log x) with
+    ``mpf_pow``'s roundings and the one log x taken once."""
+    log_x = mpf_log(x, prec + 10, round_nearest) if any(lam[2] < -1 for lam in lams) else None
+    return [mpf_pow(x, lam, prec, round_nearest) if lam[2] >= -1
+            else mpf_exp(mpf_mul(lam, log_x), prec, round_nearest) for lam in lams]
 
 
 def power_moment(wd: WeightedDomain, s: Real, precision_bits: Optional[int] = None):

@@ -18,10 +18,12 @@ from typing import Iterable, List, Tuple
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import fone, fzero, mpf_abs, mpf_gt
 
 from .errors import BadEpsilon, IndexOutOfRange
 from .exponents import ExponentSequence
-from .gram import GramMatrix, gram_inverse, gram_inverse_diagonal, leading_sections
+from .gram import (GramMatrix, _dot, _full_rows, gram_inverse, gram_inverse_diagonal,
+                   leading_sections)
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 
 
@@ -92,15 +94,20 @@ def dual_family(g: GramMatrix) -> DualFamily:
 
 
 def biorthogonality_residual(g: GramMatrix, fam: DualFamily) -> mpmath.mpf:
-    """max |(G C)_mj - delta_mj| over the section: how far the dual
-    coefficient columns C are from inverting the Gram matrix."""
-    n, entries = g.n, g.entries()
-    with workbits(g.precision_bits):
-        return max(
-            abs(sum(a * c for a, c in zip(entries[m], fam.coeffs[j])) - (1 if m == j else 0))
-            for m in range(n)
-            for j in range(n)
-        )
+    """max |(G C)_mj - delta_mj| over all N**2 entries of the section: how
+    far the dual coefficient columns C are from inverting the Gram
+    matrix.  Each entry is one sum of the exact products G_mk C_kj, with
+    -1 on the diagonal, rounded once, so this is the residual of the
+    stored values, not of a rounding of its own."""
+    prec = g.precision_bits
+    cols = [[v._mpf_ for v in col] for col in fam.coeffs]
+    worst = fzero
+    for m, row in enumerate(_full_rows(g.entry_rows)):
+        for j, col in enumerate(cols):
+            r = mpf_abs(_dot(row, col, prec, fone if m == j else None))
+            if mpf_gt(r, worst):
+                worst = r
+    return mp.make_mpf(worst)
 
 
 def distance(g: GramMatrix, n: int) -> mpmath.mpf:

@@ -51,9 +51,7 @@ class GramMatrix:
     def entries(self) -> List[List[mpmath.mpf]]:
         """The symmetric entries as mpf rows, built from the stored lower
         triangle on each call."""
-        low = self.entry_rows
-        return [[mp.make_mpf(low[i][j] if j <= i else low[j][i]) for j in range(self.n)]
-                for i in range(self.n)]
+        return [_mpfs(row) for row in _full_rows(self.entry_rows)]
 
 
 def _cholesky(rows) -> Optional[List[List[tuple]]]:
@@ -96,7 +94,10 @@ def gram(
 ) -> GramMatrix:
     """Assemble and factorize the leading n-by-n Gram section.
 
-    Retries at doubled precision while the condition estimate exceeds
+    The entries come from ``MomentTable.section``: per piece, the powers
+    of its endpoints to each exponent, taken once, so O(n * pieces)
+    powers per attempt rather than two per entry and piece.  Retries at
+    doubled precision while the condition estimate exceeds
     2**(P/2) or the factorization fails, then raises PrecisionExhausted
     or NotPositiveDefinite respectively at the ceiling.
     """
@@ -111,9 +112,8 @@ def gram(
     last_failure = None
     while True:
         lams = lam.values_at(bits)[:n]
-        moment = wd.moment_table(bits)
         with workbits(bits):
-            rows = [[moment(lams[i] + lams[j])._mpf_ for j in range(i + 1)] for i in range(n)]
+            rows = wd.moment_table(bits).section(lams)
             chol_rows = _cholesky(rows)
             if chol_rows is None:
                 last_failure = "factorization"
@@ -307,9 +307,18 @@ def _shifted(rows, shift, prec) -> List[List[tuple]]:
             for i, row in enumerate(rows)]
 
 
-def _dot(a, b, prec) -> tuple:
-    """sum(a_i b_i) of raw values: exact products, rounded once."""
-    return mpf_sum([mpf_mul(p, q) for p, q in zip(a, b)], prec, round_nearest)
+def _dot(a, b, prec, minus=None) -> tuple:
+    """sum(a_i b_i) of raw values, less the raw ``minus`` when given:
+    exact products, rounded once."""
+    terms = [mpf_mul(p, q) for p, q in zip(a, b)]
+    if minus is not None:
+        terms.append(mpf_neg(minus))
+    return mpf_sum(terms, prec, round_nearest)
+
+
+def _full_rows(rows) -> List[List[tuple]]:
+    """The raw rows of the symmetric matrix with raw lower rows ``rows``."""
+    return [row + [rows[j][i] for j in range(i + 1, len(rows))] for i, row in enumerate(rows)]
 
 
 def _unit(v, prec) -> List[tuple]:

@@ -18,7 +18,8 @@ from mpmath import mp
 from .domain import WeightedDomain
 from .errors import ValidationError
 from .exponents import ExponentSequence
-from .gram import GramMatrix, gram_inverse_diagonal, leading_sections, solve_spd
+from .gram import (GramMatrix, _dot, _full_rows, gram_inverse_diagonal, leading_sections,
+                   solve_spd)
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 from .series import MuntzSeries
 
@@ -100,18 +101,17 @@ def solve_moments(g: GramMatrix, data: MomentData) -> Tuple[MuntzSeries, List[mp
     section = g.n
     if section > len(data.d):
         raise ValidationError(f"section {section} exceeds {len(data.d)} moment values")
-    bits, entries = g.precision_bits, g.entries()
-    with workbits(bits):
-        rhs = list(data.d[:section])
-        coeffs = solve_spd(g, rhs)
-        residuals = []
-        for i in range(section):
-            attained = mp.fsum(entries[i][j] * coeffs[j] for j in range(section))
-            residuals.append(attained - rhs[i])
-        series = MuntzSeries(
-            lam_ref=g.lam, coeffs=tuple(coeffs), radius=g.domain.r_a, precision_bits=bits
-        )
-        return series, residuals
+    bits = g.precision_bits
+    rhs = list(data.d[:section])
+    coeffs = solve_spd(g, rhs)
+    raw = [c._mpf_ for c in coeffs]
+    # <f, x**lam_i> - d_i: one sum of exact products, rounded once
+    residuals = [mp.make_mpf(_dot(row, raw, bits, d._mpf_))
+                 for row, d in zip(_full_rows(g.entry_rows), rhs)]
+    series = MuntzSeries(
+        lam_ref=g.lam, coeffs=tuple(coeffs), radius=g.domain.r_a, precision_bits=bits
+    )
+    return series, residuals
 
 
 @dataclass(frozen=True)

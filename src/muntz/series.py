@@ -9,13 +9,13 @@ free of quadrature error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fzero, mpf_exp, mpf_gt, mpf_log, mpf_mul, mpf_pow, round_nearest
+from mpmath.libmp import fzero, mpf_gt
 
-from .domain import WeightedDomain, power_moment
+from .domain import WeightedDomain, _powers, power_moment
 from .errors import (
     IndexOutOfRange,
     LengthMismatch,
@@ -252,16 +252,6 @@ def check_grid_points(grid_points: int) -> int:
     if not 2 <= grid_points <= MAX_GRID_POINTS:
         raise ValidationError(f"grid_points {grid_points} outside 2..{MAX_GRID_POINTS}")
     return grid_points
-
-
-def _powers(x, lams, prec: int) -> List[tuple]:
-    """x**lam for a raw x >= 0 and each raw exponent, bit for bit what
-    ``mpf_pow`` (and so ``x ** lam``) gives: whole and half-integer
-    exponents go through it, every other one is exp(lam * log x) with
-    ``mpf_pow``'s roundings and the one log x taken once."""
-    log_x = mpf_log(x, prec + 10, round_nearest) if any(lam[2] < -1 for lam in lams) else None
-    return [mpf_pow(x, lam, prec, round_nearest) if lam[2] >= -1
-            else mpf_exp(mpf_mul(lam, log_x), prec, round_nearest) for lam in lams]
 
 
 def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:

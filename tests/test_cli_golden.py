@@ -7,13 +7,21 @@ settle at 128, so every size they report is cut from an escalated
 factor, and every input, the ``operator``, ``d`` and ``target`` inputs
 of four of them included, is parsed again at that width.  A change that
 alters any report byte fails here; such a change must say so and
-re-record the digest it meant to change.
+re-record the digest it meant to change:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+prints every case's current digest as the ``DIGESTS`` block, with the
+cases whose digest changed marked.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
+import pathlib
+import tempfile
 
 import pytest
 
@@ -108,47 +116,52 @@ CASES = {
 
 DIGESTS = {
     "distances": "2eb31557b2a89b6d619f19772151a6c68b0fa976b995f609c32e9aa9b1295c97",
-    "distances_csv": "e606cd12be4fae73c320bb565c8343ded23acfc09849b9c3b55ee0be7fd08192",
+    "distances_csv": "5aad6451560e52498a6f408d0459b21992d34a19cb87505777a8ec7f5bcfaf56",
     "distances_escalated": "74ab75ad13f7a4f2893cc61eead2f8f01e3c38f38eb94ed1bcb2d631d64890ed",
-    "duals": "9d1840d6e0a5063cabdcd006bcc6b859f75d7a072e0b3fc35f0cd0dea2f0c664",
+    "duals": "27596cb71f4aac330d19360bb10a5a135381311a5582b3a3301930ff32a0ec58",
     "duals_csv": "d14eced16e8c2040a278b65a32760c56caad8a55f271c586bbe6d9ea86f1431b",
-    "duals_escalated": "e9055adc6fe92474e9e326da19bd02d5fcb3494f3a307593a3ebe991bc84b35d",
+    "duals_escalated": "f7726ad9daf7557bc2d7efd90568e2141720e21c26dbcb66883c7ac3d7619dc4",
     "expand": "a1488796b1d4a57c197acc97010f7cb9c3be3f64db615a3da6c2cb4655401d2b",
-    "expand_combo_csv": "cffc3bfda0d0eb5b972f55d304660cedbebd8696a6e92a9370751ee09b1b3286",
+    "expand_combo_csv": "ae6899e2e9f004263e0d46a0be0ac27fd29cff547a4e4ecf99a840a01a4af64b",
     "expand_escalated": "3eab56aef5e470f4f56270d1df2b8e1068e55c4e3c510b89d05cb769e0c48ee7",
-    "gram": "cb769a178b09dd628b5538f4dac66e70656f568efadbbda3cf6e63111c053986",
-    "gram_csv": "61db66977d9fae62d350cde8425ef6710dbd15473c073e178bff59781671f6c1",
-    "gram_escalated": "a48c721d5012bc3775aa34e66a45f6a333bc6c9cbbc27022a13e053faf60725f",
+    "gram": "ef364927028ae449bde48a71321c25a464b32e72d86c8a737533f0cc75dab683",
+    "gram_csv": "1b230961592e017d8a52383e40261f826da9858f89fe44e118ddc117252b7600",
+    "gram_escalated": "abd9b87b98c622fc7275988befdc3b9c0c7c208faf8a24408d082e0e7928f918",
     "hereditary": "1ca9340451dae9ec532c5b1623c73a37f89a5988d748470c12f38255558393d8",
     "hereditary_csv": "f0446cb96b1d4e5957761a282e7d40fe392a151ed0d028cc583f8135bacebdcb",
     "hereditary_escalated": "fdb83f8513ef97bcddd710e5e47bc9ea47639ace24531e455a9896274d8ab460",
-    "hereditary_sweep": "2b7c6a5bf5aeae5dbb7031a7147cea0234f0a44057e083c59bbb369b0346f6ac",
+    "hereditary_sweep": "e1380531a887ca78b3fa9763d36d0de226f978e6ef7d7f9c2cb871069b4533ab",
     "hereditary_sweep_csv": "fb44460852dac1cf69e3a34eb310fdcb8ab7ebd756dc8681fc1f1839911f93f7",
-    "moments": "02c038e9bcf8dbd3a320034ae61944eddebbf59156e045b03884619042f0729a",
-    "moments_csv": "094db2c448feaecf773b6aa4cabbc9cd36128769961ce1a23a502436fbcf0e8b",
-    "moments_escalated": "c17352fee3266f97a5c90b61e14230316f8619755d1936a389c2b2f7b7f575e3",
+    "moments": "8778fe91d35232ace953a0c83a8dfb8d9bbd8fd3648f55f4e597bbc98106e1a9",
+    "moments_csv": "c456f0f6cd2cf47fed57a8bfad641b3da454081d765c1a7a11f9b938f4a97e0a",
+    "moments_escalated": "2f60a6068cc12605b3e1c519dc56b3cff98c48ffa57690fbea9891911c9f04ff",
     "operator": "9e99a33ca5289c240510fa2cb5a66c2ec1503f25f8dd4bb2809cc430e00f9819",
     "operator_csv": "d340db346f182731c8ea7cbeab88459c8a64d6cb910fb5157876ecb2454cebca",
     "operator_escalated": "0e58626e8964adb7ad8cc1f893755489eba9d056cf54102f1eced9278766ca85",
     "remez": "b77a77bb42ece953c281629ee94a7eafa1578af8c045325a7f0fb07ee53ae482",
-    "remez_csv": "0350bc7db225a7e3563196422ee1e26e0c48cfd123b191246922ef0bd20bc277",
-    "remez_escalated": "d3b90939991e5adb7a7a327dd38536c46e6b942676e6730fc09e3a5e47c7a731",
+    "remez_csv": "36a6f3107b4b1f6b316ee206d441ab38a5ceb861b5ec2b430b0fae01b1fd9c3d",
+    "remez_escalated": "bc103b6dc178c9dbbdc81edc99c51b3f2cc54c79da8318f42ebed3c473649259",
     "validate": "131137f1ce165f8614634034426147b2cf9d2ecb5e386238c650499799e2a942",
     "validate_explicit": "f3d55d29870536a8228d37ddb4d07b46b9fbe4c8c60ee63fa42dc758f03bdcc0",
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_report_bytes(case, tmp_path, monkeypatch):
-    monkeypatch.delenv("MUNTZ_PRECISION_BITS", raising=False)
+def _digest(case, directory):
+    """SHA-256 of the case's report, its config written to ``directory``."""
     config, argv = CASES[case]
-    path = tmp_path / f"{config}.json"
+    path = pathlib.Path(directory) / f"{config}.json"
     path.write_text(json.dumps(CONFIGS[config]))
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = run([*argv, "--config", str(path)])
     assert code == 0
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == DIGESTS[case]
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_bytes(case, tmp_path, monkeypatch):
+    monkeypatch.delenv("MUNTZ_PRECISION_BITS", raising=False)
+    assert _digest(case, tmp_path) == DIGESTS[case]
 
 
 def test_parser_reused_after_a_rejected_argv(tmp_path, monkeypatch):
@@ -164,3 +177,14 @@ def test_parser_reused_after_a_rejected_argv(tmp_path, monkeypatch):
     assert code == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == DIGESTS["operator"]
     assert _build_parser() is _build_parser()
+
+
+if __name__ == "__main__":
+    os.environ.pop("MUNTZ_PRECISION_BITS", None)
+    with tempfile.TemporaryDirectory() as directory:
+        print("DIGESTS = {")
+        for case in sorted(CASES):
+            digest = _digest(case, directory)
+            mark = "" if digest == DIGESTS[case] else "  # changed"
+            print(f'    "{case}": "{digest}",{mark}')
+        print("}")

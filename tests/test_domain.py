@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from muntz import build_weighted_domain, power_moment, workbits
+from muntz import build_weighted_domain, power_exponents, power_moment, workbits
 from muntz.errors import (
     DegenerateInterval,
     NonintegrableWeight,
     OverlappingIntervals,
     ValidationError,
 )
+
+from muntz.precision import mpf_from_fraction
 
 from conftest import rel_err
 
@@ -153,3 +155,53 @@ def test_cached_moment_equals_fresh_domain():
         assert power_moment(wd, "2.25", bits) == power_moment(
             build_weighted_domain(*pieces), "2.25", bits)
     assert wd.weight_mass == power_moment(build_weighted_domain(*pieces), 0)
+
+
+SECTION_DOMAINS = {
+    "unit": ([(0, 1)], [(1, 0)]),
+    "two_piece": ([("0", "0.5"), ("0.6", "1")], [(1, 0), (2, 0)]),
+    "near_one": ([("0.9", "1")], [(1, 0)]),
+    "weighted": ([("0.1", "0.3"), ("0.5", "2")], [(3, "0.5"), (1, "1.5")]),
+    "singular_weight": ([(0, 3)], [(1, "-0.5")]),
+}
+SECTION_FAMILIES = {"squares": (1, 2), "linear": (1, 1), "sqrt": (1, "0.5")}
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("family", sorted(SECTION_FAMILIES))
+@pytest.mark.parametrize("domain", sorted(SECTION_DOMAINS))
+def test_section_assembly_accuracy(domain, family, bits):
+    # every entry of the section assembled from per-exponent powers is
+    # within 16 units of 2**-P of the closed form taken at P + 128 bits,
+    # relative to sum c (b**e + a**e) / e, the size of the terms that
+    # cancel on a piece far from 0
+    n = 24
+    wd = build_weighted_domain(*SECTION_DOMAINS[domain])
+    lams = power_exponents(*SECTION_FAMILIES[family], n).values_at(bits)
+    rows = wd.moment_table(bits).section(lams)
+    wide = bits + 128
+    with workbits(wide):
+        pieces = [[mpf_from_fraction(v, wide) for v in piece] for piece in wd.pieces]
+        for i in range(n):
+            for j in range(i + 1):
+                want = scale = mp.mpf(0)
+                for lo, hi, coeff, power in pieces:
+                    e = lams[i] + lams[j] + power + 1
+                    hi_pow, lo_pow = hi ** e, lo ** e if lo else mp.mpf(0)
+                    want += coeff * (hi_pow - lo_pow) / e
+                    scale += coeff * (hi_pow + lo_pow) / e
+                assert abs(mp.make_mpf(rows[i][j]) - want) <= 16 * scale * mp.mpf(2) ** -bits
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("family", sorted(SECTION_FAMILIES))
+def test_unit_section_equals_per_order_moments(family, bits):
+    # 1**lam = 1, so on [0, 1] with unit weight each entry is
+    # 1 / (lam_i + lam_j + 1), bit for bit the moment of that order
+    wd = build_weighted_domain([(0, 1)], [(1, 0)])
+    lams = power_exponents(*SECTION_FAMILIES[family], 24).values_at(bits)
+    table = wd.moment_table(bits)
+    rows = table.section(lams)
+    with workbits(bits):
+        assert rows == [[table(lams[i] + lams[j])._mpf_ for j in range(i + 1)]
+                        for i in range(24)]

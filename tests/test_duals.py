@@ -16,6 +16,7 @@ from muntz import (
     power_exponents,
     workbits,
 )
+from muntz.duals import biorthogonality_residual
 from muntz.errors import BadEpsilon, IndexOutOfRange, ValidationError
 
 from conftest import rel_err
@@ -78,6 +79,31 @@ def test_biorthogonality_residual(unit_domain):
             for j in range(9)
         )
     assert worst < guard
+
+
+RESIDUAL_PIECES = {
+    "unit": ([(0, 1)], [(1, 0)]),
+    "two_piece": ([("0", "0.5"), ("0.6", "1")], [(1, 0), (2, 0)]),
+}
+
+
+@pytest.mark.parametrize("n", [8, 20, 40])
+@pytest.mark.parametrize("family", [(1, 2), (1, 1), (1, "0.5")], ids=["squares", "linear", "sqrt"])
+@pytest.mark.parametrize("pieces", sorted(RESIDUAL_PIECES))
+def test_biorthogonality_residual_is_the_true_residual(pieces, family, n):
+    # the reported residual is max |G C - I| of the stored entries and
+    # columns to within one rounding, not a looser figure
+    g = gram(build_weighted_domain(*RESIDUAL_PIECES[pieces]), power_exponents(*family, n), n)
+    fam = dual_family(g)
+    got = biorthogonality_residual(g, fam)
+    bits = g.precision_bits
+    with workbits(bits + 64):
+        entries = g.entries()
+        # the -1 of the diagonal enters the exact sum: subtracting it from
+        # a rounded dot would cancel to an error of 2**-(P + 64)
+        want = max(abs(mp.fdot(entries[m] + [1], fam.coeffs[j] + [-int(m == j)]))
+                   for m in range(n) for j in range(n))
+        assert abs(got - want) <= mp.mpf(2) ** (1 - bits) * want
 
 
 def test_oracle_matches_gram_path(unit_domain):

@@ -187,12 +187,13 @@ def test_leading_section_equals_gram(pieces, family):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("pieces", PIECES)
 def test_cholesky_equals_mpmath(pieces, family, n, bits):
-    # the raw-row factor is mpmath's, exact value for exact value, and it
-    # is refused on exactly the sections mpmath refuses
+    # the raw-row factor of the rows ``gram`` assembles is mpmath's, exact
+    # value for exact value, and it is refused on exactly the sections
+    # mpmath refuses
     wd = build_weighted_domain(*pieces)
-    lams, moment = power_exponents(*FAMILIES[family], n).values_at(bits), wd.moment_table(bits)
+    lam = power_exponents(*FAMILIES[family], n)
+    rows = wd.moment_table(bits).section(lam.values_at(bits))
     with workbits(bits):
-        rows = [[moment(lams[i] + lams[j])._mpf_ for j in range(i + 1)] for i in range(n)]
         full = mp.matrix([[mp.make_mpf(rows[max(i, j)][min(i, j)]) for j in range(n)]
                           for i in range(n)])
         try:
@@ -204,6 +205,11 @@ def test_cholesky_equals_mpmath(pieces, family, n, bits):
         assert got is None
     else:
         assert got == [[ref[i, j]._mpf_ for j in range(i + 1)] for i in range(n)]
+    try:
+        g = gram(wd, lam, n, bits, bits)
+    except (NotPositiveDefinite, PrecisionExhausted):
+        return
+    assert g.entry_rows == rows and g.chol_rows == got
 
 
 @pytest.mark.parametrize("sizes", [[], [2, 2], [3, 2], [1, 5], [0, 1]])

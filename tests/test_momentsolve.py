@@ -131,3 +131,21 @@ def test_random_data_interpolates_exactly(seed):
     _, residuals = solve_moments(gram(UNIT, lam, 8), data)
     with workbits(256):
         assert all(abs(r) < mp.mpf(2) ** (-128) for r in residuals)
+
+
+@pytest.mark.parametrize("pieces", [([(0, 1)], [(1, 0)]),
+                                    ([("0", "0.5"), ("0.6", "1")], [(1, 0), (2, "0.5")])],
+                         ids=["unit", "two_piece"])
+def test_residuals_are_the_true_residuals(pieces):
+    # each residual is <f, x**lam_i> - d_i of the stored entries and
+    # coefficients to within one rounding
+    wd, lam = build_weighted_domain(*pieces), power_exponents(1, "0.5", 12)
+    g = gram(wd, lam, 12)
+    with workbits(g.precision_bits):
+        d = [mp.mpf(1) / (k + 2) for k in range(12)]
+    series, residuals = solve_moments(g, build_moment_data(wd, lam, d, g.precision_bits))
+    bits = g.precision_bits
+    with workbits(bits + 64):
+        for row, d_i, got in zip(g.entries(), d, residuals):
+            want = mp.fdot(row + [d_i], list(series.coeffs) + [-1])
+            assert abs(got - want) <= mp.mpf(2) ** (1 - bits) * abs(want)
