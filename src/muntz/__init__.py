@@ -57,7 +57,6 @@ from .operator import (
     finite_sections,
     hereditary_check,
     hereditary_sweep,
-    inverse_principal_minor,
 )
 from .precision import DEFAULT_PRECISION_BITS, fmt, to_mpf, workbits
 from .series import (
@@ -68,7 +67,6 @@ from .series import (
     coefficient_convergence,
     evaluate,
     project,
-    removal_test,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

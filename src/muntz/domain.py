@@ -3,12 +3,14 @@ piecewise power-law weights, and their exact power moments.
 
 The weight on each interval is ``coeff * x**power`` with coeff > 0 and
 power > -1, so every moment integral has a closed form and no quadrature
-error enters the Gram matrices built downstream.
+error enters the Gram matrices built downstream.  One kernel,
+``_moments``, evaluates that closed form for the Gram sections, the
+target moments, ``power_moment`` and the weight mass alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -44,11 +46,9 @@ class WeightedDomain:
         also the weighted essential supremum r_w, because the weight is
         strictly positive on every interval.
     total_measure : Lebesgue measure of the union.
-    weight_mass : integral of the weight over the union.
+    weight_mass : integral of the weight over the union, the moment of
+        order 0.
     precision_bits : mantissa width the displayed mpf fields were built at.
-
-    The moments computed at each width are kept in a table that lives as
-    long as the domain (see ``moment_table``).
     """
 
     r_a: mpmath.mpf
@@ -57,14 +57,6 @@ class WeightedDomain:
     precision_bits: int
     # exact (lo, hi, coeff, power) per piece; source of truth for recomputation
     pieces: Tuple[Tuple[Fraction, Fraction, Fraction, Fraction], ...]
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def moment_table(self, bits: int) -> "MomentTable":
-        """The memoized moments of this domain at width ``bits``."""
-        table = self._tables.get(bits)
-        if table is None:
-            table = self._tables[bits] = MomentTable(self.pieces, bits)
-        return table
 
     @property
     def is_unit_lebesgue(self) -> bool:
@@ -123,95 +115,55 @@ def build_weighted_domain(
     total = sum((hi - lo for lo, hi, _, _ in pieces), Fraction(0))
     r_a = max(hi for _, hi, _, _ in pieces)
 
-    table = MomentTable(pieces, precision_bits)
-    with workbits(precision_bits):
-        mass = table(mp.mpf(0))
-    wd = WeightedDomain(
+    return WeightedDomain(
         r_a=mpf_from_fraction(r_a, precision_bits),
         total_measure=mpf_from_fraction(total, precision_bits),
-        weight_mass=mass,
+        weight_mass=mp.make_mpf(_moments(pieces, [mp.zero], precision_bits)(0, 0)),
         precision_bits=precision_bits,
         pieces=tuple(pieces),
     )
-    wd._tables[precision_bits] = table
-    return wd
 
 
-class MomentTable:
-    """The moments of one domain at one width.
+def _moments(pieces, exps: Sequence[mpmath.mpf], bits: int):
+    """The raw moment of order exps[i] + exps[j] at width ``bits``, as a
+    function of (i, j); every moment in the library comes from here.
 
-    ``section`` assembles the lower rows of a Gram section from the
-    powers of each piece's endpoints, O(N * pieces) of them for N
-    exponents.  ``__call__`` gives the moment of one scalar order (the
-    weight mass, ``power_moment``, target moments), keyed by the exact
-    value of the order, so a repeated order returns the stored mpf, bit
-    for bit what computing it again would give.
+    On a piece [a, b] with weight c * x**p the moment is
+    (c b**(p+1) u_i u_j - c a**(p+1) v_i v_j) / (e_i + e_j + p + 1)
+    with u_i = b**e_i and v_i = a**e_i (v only when a > 0), so the powers
+    are taken once per exponent and piece.  The numerator is one sum of
+    exact products, rounded once; the denominator is e_i + e_j rounded,
+    plus p + 1, rounded; the quotient is rounded once, and so is the sum
+    over the pieces.  On [0, 1] with unit weight this is
+    1 / (e_i + e_j + 1).  The vectors c b**(p+1) u and u are the
+    generators of the Cauchy-like section.
     """
+    exps = [e._mpf_ for e in exps]
 
-    def __init__(self, pieces, bits: int):
-        self.bits = bits
-        self._exact = pieces
-        self._pieces = [(piece[0] != 0, *(mpf_from_fraction(v, bits) for v in piece))
-                        for piece in pieces]
-        self._values = {}
+    def raw(fr):
+        return mpf_from_fraction(fr, bits)._mpf_
 
-    def __call__(self, s: mpmath.mpf) -> mpmath.mpf:
-        """The moment of order s >= 0, an mpf; callers check the sign."""
-        value = self._values.get(s._mpf_)
-        if value is None:
-            with workbits(self.bits):
-                value = mp.mpf(0)
-                # coeff * (hi**e - lo**e) / e with e = s + power + 1, per piece
-                for lo_nonzero, lo, hi, coeff, power in self._pieces:
-                    e = s + power + 1
-                    hi_pow = hi ** e
-                    lo_pow = lo ** e if lo_nonzero else mp.mpf(0)
-                    value += coeff * (hi_pow - lo_pow) / e
-            self._values[s._mpf_] = value
-        return value
+    gens = []
+    for lo, hi, coeff, power in pieces:
+        p1, ends = raw(power + 1), []
+        for x, c in ((hi, coeff), (lo, -coeff)):
+            if x:
+                # the exact products (+-c x**(p+1)) x**e_i, and x**e_i
+                scale = mpf_mul(raw(c), mpf_pow(raw(x), p1, bits, round_nearest),
+                                bits, round_nearest)
+                powers = _powers(raw(x), exps, bits)
+                ends.append(([mpf_mul(scale, u) for u in powers], powers))
+        gens.append((p1, ends))
 
-    def section(self, lams: Sequence[mpmath.mpf]) -> List[List[tuple]]:
-        """The raw lower rows of the Gram section of these exponents.
+    def moment(i: int, j: int) -> tuple:
+        s = mpf_add(exps[i], exps[j], bits, round_nearest)
+        return mpf_sum([
+            mpf_div(mpf_sum([mpf_mul(scaled[i], powers[j]) for scaled, powers in ends],
+                            bits, round_nearest),
+                    mpf_add(s, p1, bits, round_nearest), bits, round_nearest)
+            for p1, ends in gens], bits, round_nearest)
 
-        On a piece [a, b] with weight c * x**p the entry (i, j) is
-        (c b**(p+1) u_i u_j - c a**(p+1) v_i v_j) / (lam_i + lam_j + p + 1)
-        with u_i = b**lam_i and v_i = a**lam_i (v only when a > 0), so the
-        powers are taken once per exponent and piece.  The numerator is one
-        sum of exact products, rounded once; the denominator is
-        lam_i + lam_j rounded, plus p + 1, rounded; the quotient is rounded
-        once, and so is the sum over the pieces.  On [0, 1] with unit
-        weight this is 1 / (lam_i + lam_j + 1), what ``__call__`` gives
-        for the order lam_i + lam_j.
-        """
-        prec = self.bits
-        lams = [lam._mpf_ for lam in lams]
-
-        def raw(fr):
-            return mpf_from_fraction(fr, prec)._mpf_
-
-        gens = []
-        for lo, hi, coeff, power in self._exact:
-            p1, ends = raw(power + 1), []
-            for x, c in ((hi, coeff), (lo, -coeff)):
-                if x:
-                    # the exact products (+-c x**(p+1)) x**lam_i, and x**lam_i
-                    scale = mpf_mul(raw(c), mpf_pow(raw(x), p1, prec, round_nearest),
-                                    prec, round_nearest)
-                    powers = _powers(raw(x), lams, prec)
-                    ends.append(([mpf_mul(scale, u) for u in powers], powers))
-            gens.append((p1, ends))
-        rows = []
-        for i, lam_i in enumerate(lams):
-            row = []
-            for j in range(i + 1):
-                s = mpf_add(lam_i, lams[j], prec, round_nearest)
-                row.append(mpf_sum([
-                    mpf_div(mpf_sum([mpf_mul(scaled[i], powers[j]) for scaled, powers in ends],
-                                    prec, round_nearest),
-                            mpf_add(s, p1, prec, round_nearest), prec, round_nearest)
-                    for p1, ends in gens], prec, round_nearest))
-            rows.append(row)
-        return rows
+    return moment
 
 
 def _powers(x, lams, prec: int) -> List[tuple]:
@@ -227,9 +179,8 @@ def _powers(x, lams, prec: int) -> List[tuple]:
 def power_moment(wd: WeightedDomain, s: Real, precision_bits: Optional[int] = None):
     """Weighted moment: the integral of x**s * w(x) over the domain.
 
-    Evaluated piece by piece from the closed form
-    coeff * (hi**(s+power+1) - lo**(s+power+1)) / (s+power+1), once per
-    (width, s) over the life of the domain.
+    The entry of order s + 0 of ``_moments``, from the closed form
+    coeff * (hi**(s+power+1) - lo**(s+power+1)) / (s+power+1) per piece.
     """
     bits = precision_bits or wd.precision_bits
     with workbits(bits):
@@ -239,7 +190,7 @@ def power_moment(wd: WeightedDomain, s: Real, precision_bits: Optional[int] = No
             s_m = mpf_from_fraction(to_fraction(s), bits)
         if s_m < 0:
             raise ValidationError(f"moment order s = {s_m} must be nonnegative")
-        return wd.moment_table(bits)(s_m)
+        return mp.make_mpf(_moments(wd.pieces, [s_m, mp.zero], bits)(0, 1))
 
 
 def domain_from_json(obj: dict, precision_bits: int = DEFAULT_PRECISION_BITS) -> WeightedDomain:

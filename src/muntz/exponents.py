@@ -26,6 +26,13 @@ from .precision import (
     workbits,
 )
 
+# Past 10**4 exponents a section of them would take ~N**3/3 = 3 * 10**11
+# wide multiplications, and a count of 10**12 would never finish being built.
+MAX_GENERATOR_COUNT = 10_000
+# A whole beta makes c * n**beta an exact integer of beta * log2(n) bits:
+# ten of them take a minute at beta = 10**6, 10**4 of them 0.3 s at 100.
+MAX_GENERATOR_BETA = 100
+
 SUMMABLE = "summable_certified"
 NONSUMMABLE = "nonsummable_certified"
 UNKNOWN = "unknown"
@@ -104,8 +111,11 @@ def power_exponents(
     c_f, b_f = to_fraction(c), to_fraction(beta)
     if c_f <= 0:
         raise NonPositive(f"generator scale c = {c_f} must be positive")
-    if count < 1:
-        raise ValidationError("generator count must be at least 1")
+    if not 1 <= count <= MAX_GENERATOR_COUNT:
+        raise ValidationError(f"generator count {count} outside 1..{MAX_GENERATOR_COUNT}")
+    if abs(b_f) > MAX_GENERATOR_BETA:
+        raise ValidationError(f"generator beta = {b_f} outside "
+                              f"-{MAX_GENERATOR_BETA}..{MAX_GENERATOR_BETA}")
     gen = PowerGenerator(c=c_f, beta=b_f, count=count)
     if b_f.denominator == 1 and b_f >= 0:
         raw = tuple(c_f * Fraction(n) ** b_f for n in range(1, count + 1))

@@ -1,12 +1,13 @@
 """Gram matrices of power systems in weighted L2 over interval unions.
 
 Entries are exact moments G_ij = integral of x**(lam_i + lam_j) * w(x),
-assembled and factorized at a configurable mantissa width.  These
-matrices are Cauchy-like and their condition numbers grow
-super-exponentially with the section size, so everything is guarded by a
-cheap condition estimate with automatic precision escalation: if the
-squared ratio of extreme Cholesky diagonal entries exceeds 2**(P/2),
-the assembly retries with the width doubled, up to a ceiling.
+taken from the domain's moment kernel and factorized at a configurable
+mantissa width.  These matrices are Cauchy-like and their condition
+numbers grow super-exponentially with the section size, so everything is
+guarded by a cheap condition estimate with automatic precision
+escalation: if the squared ratio of extreme Cholesky diagonal entries
+exceeds 2**(P/2), the assembly retries with the width doubled, up to a
+ceiling.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from mpmath import mp
 from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_lt, mpf_mul, mpf_neg,
                           mpf_shift, mpf_sqrt, mpf_sub, mpf_sum, round_nearest)
 
-from .domain import WeightedDomain
+from .domain import WeightedDomain, _moments
 from .errors import IndexOutOfRange, NotPositiveDefinite, PrecisionExhausted, ValidationError
 from .exponents import ExponentSequence
 from .precision import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS, workbits
@@ -94,12 +95,12 @@ def gram(
 ) -> GramMatrix:
     """Assemble and factorize the leading n-by-n Gram section.
 
-    The entries come from ``MomentTable.section``: per piece, the powers
-    of its endpoints to each exponent, taken once, so O(n * pieces)
-    powers per attempt rather than two per entry and piece.  Retries at
-    doubled precision while the condition estimate exceeds
-    2**(P/2) or the factorization fails, then raises PrecisionExhausted
-    or NotPositiveDefinite respectively at the ceiling.
+    The entries come from ``domain._moments`` over the section's
+    exponents: per piece, the powers of its endpoints to each exponent,
+    taken once, so O(n * pieces) powers per attempt rather than two per
+    entry and piece.  Retries at doubled precision while the condition
+    estimate exceeds 2**(P/2) or the factorization fails, then raises
+    PrecisionExhausted or NotPositiveDefinite respectively at the ceiling.
     """
     if not 1 <= n <= len(lam):
         raise ValidationError(f"section size {n} outside 1..{len(lam)}")
@@ -113,7 +114,8 @@ def gram(
     while True:
         lams = lam.values_at(bits)[:n]
         with workbits(bits):
-            rows = wd.moment_table(bits).section(lams)
+            moment = _moments(wd.pieces, lams, bits)
+            rows = [[moment(i, j) for j in range(i + 1)] for i in range(n)]
             chol_rows = _cholesky(rows)
             if chol_rows is None:
                 last_failure = "factorization"

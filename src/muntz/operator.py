@@ -327,19 +327,3 @@ def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
         n1 = tuple(i + 1 for i in range(g.n) if not mask & (1 << i))
         reports.append(_mixed_report(g, n1, n2, columns))
     return reports
-
-
-def inverse_principal_minor(g: GramMatrix, n2: Iterable[int]) -> mpmath.mpf:
-    """det of the inverse-Gram principal submatrix on the 1-based set n2."""
-    idx = sorted(set(n2))
-    if any(not 1 <= i <= g.n for i in idx):
-        raise BadPartition(f"indices {idx} outside 1..{g.n}")
-    with workbits(g.precision_bits):
-        if not idx:
-            return mp.mpf(1)
-        inv = gram_inverse(g)
-        sub = mp.matrix(len(idx), len(idx))
-        for a, i in enumerate(idx):
-            for b, j in enumerate(idx):
-                sub[a, b] = inv[j - 1][i - 1]
-        return mp.det(sub)

@@ -9,23 +9,22 @@ free of quadrature error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import mpmath
 from mpmath import mp
 from mpmath.libmp import fzero, mpf_gt
 
-from .domain import WeightedDomain, _powers, power_moment
+from .domain import WeightedDomain, _moments, _powers
 from .errors import (
-    IndexOutOfRange,
     LengthMismatch,
     MalformedConfig,
     NegativeResidualSquared,
     OutsideRadius,
     ValidationError,
 )
-from .exponents import ExponentSequence, explicit_exponents
-from .gram import (GramMatrix, _dot, _inverse_rows, _triangular_inverse, gram, leading_sections,
+from .exponents import ExponentSequence
+from .gram import (GramMatrix, _dot, _inverse_rows, _triangular_inverse, leading_sections,
                    solve_spd)
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 
@@ -65,6 +64,15 @@ class TargetFunction:
     def muntz_combo(series: MuntzSeries) -> "TargetFunction":
         return TargetFunction(kind="muntz_combo", series=series)
 
+    def terms(self, bits: int) -> List[Tuple[mpmath.mpf, mpmath.mpf]]:
+        """The target as (coefficient, exponent) pairs, the exponents at
+        width ``bits``: (1, mu) for a pure power, the nonzero terms of a
+        combination."""
+        if self.kind == "pure_power":
+            return [(mp.one, self.mu)]
+        lams = self.series.lam_ref.values_at(bits)
+        return [(a, lam) for a, lam in zip(self.series.coeffs, lams) if a != 0]
+
 
 def target_from_json(
     obj: dict,
@@ -103,31 +111,6 @@ def evaluate(s: MuntzSeries, x: Real, precision_bits: Optional[int] = None) -> m
         return total
 
 
-def _target_moment(wd: WeightedDomain, f: TargetFunction, lam_k, bits: int):
-    """Inner product of the target with x**lam_k; closed form throughout."""
-    if f.kind == "pure_power":
-        return power_moment(wd, f.mu + lam_k, bits)
-    total = mp.mpf(0)
-    f_lams = f.series.lam_ref.values_at(bits)
-    for a, lam_j in zip(f.series.coeffs, f_lams):
-        if a != 0:
-            total += a * power_moment(wd, lam_j + lam_k, bits)
-    return total
-
-
-def _target_norm_sq(wd: WeightedDomain, f: TargetFunction, bits: int):
-    if f.kind == "pure_power":
-        return power_moment(wd, 2 * f.mu, bits)
-    total = mp.mpf(0)
-    f_lams = f.series.lam_ref.values_at(bits)
-    coeffs = f.series.coeffs
-    for i, a in enumerate(coeffs):
-        for j, b in enumerate(coeffs):
-            if a != 0 and b != 0:
-                total += a * b * power_moment(wd, f_lams[i] + f_lams[j], bits)
-    return total
-
-
 def _settle_residual_sq(value, bits: int):
     """Residuals squared must be nonnegative; tiny negatives are rounding
     debris and clamp to zero, anything larger aborts loudly."""
@@ -146,15 +129,22 @@ def project(g: GramMatrix, f: TargetFunction) -> Tuple[MuntzSeries, mpmath.mpf]:
 
     Coefficients solve G c = b with b_k = <f, x**lam_k>; the squared
     residual is <f, f> - b^T c, which vanishes for targets already in
-    the span.
+    the span.  Every moment comes from one kernel call over the target's
+    exponents followed by the section's, so a target exponent equal to
+    lam_k gives exactly the Gram entries of column k.
     """
     wd, bits = g.domain, g.precision_bits
     with workbits(bits):
-        b = [_target_moment(wd, f, lam_k, bits) for lam_k in g.lams]
+        terms = f.terms(bits)
+        moment = _moments(wd.pieces, [e for _, e in terms] + list(g.lams), bits)
+        pairs = list(enumerate(a for a, _ in terms))
+        # sums taken left to right from 0, one rounding per term
+        b = [sum((a * mp.make_mpf(moment(i, k)) for i, a in pairs), mp.mpf(0))
+             for k in range(len(terms), len(terms) + g.n)]
+        norm_sq = sum((a * a_j * mp.make_mpf(moment(i, j)) for i, a in pairs for j, a_j in pairs),
+                      mp.mpf(0))
         c = solve_spd(g, b)
-        res_sq = _target_norm_sq(wd, f, bits) - mp.fsum(
-            bk * ck for bk, ck in zip(b, c)
-        )
+        res_sq = norm_sq - mp.fsum(bk * ck for bk, ck in zip(b, c))
         res = mp.sqrt(_settle_residual_sq(res_sq, bits))
         series = MuntzSeries(
             lam_ref=g.lam, coeffs=tuple(c), radius=wd.r_a, precision_bits=bits
@@ -201,45 +191,6 @@ def coefficient_convergence(
         diffs=tuple(diffs),
         cauchy_flags=tuple(flags),
     )
-
-
-def removal_test(
-    wd: WeightedDomain,
-    lam: ExponentSequence,
-    section: int,
-    f: TargetFunction,
-    n: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> mpmath.mpf:
-    """Residual of f minus its n-th term against the span without index n.
-
-    For a combination within the section this is zero up to rounding:
-    stripping the n-th coefficient leaves an element of the reduced span.
-    """
-    if f.kind != "muntz_combo":
-        raise ValidationError("removal test needs an explicit combination target")
-    if not 1 <= n <= section:
-        raise IndexOutOfRange(f"index {n} outside 1..{section}")
-    if len(f.series.coeffs) > section:
-        raise ValidationError("combination extends beyond the section")
-
-    bits = precision_bits
-    full = lam.values_at(bits)[:section]
-    kept = [v for i, v in enumerate(full) if i != n - 1]
-    reduced_lam = explicit_exponents(kept, bits)
-
-    coeffs = list(f.series.coeffs) + [mp.mpf(0)] * (section - len(f.series.coeffs))
-    stripped = [c for i, c in enumerate(coeffs) if i != n - 1]
-    with workbits(bits):
-        stripped_series = MuntzSeries(
-            lam_ref=reduced_lam,
-            coeffs=tuple(stripped),
-            radius=f.series.radius,
-            precision_bits=bits,
-        )
-        target = TargetFunction.muntz_combo(stripped_series)
-        _, res = project(gram(wd, reduced_lam, section - 1, bits), target)
-        return res
 
 
 # Past 10**5 points the grid is finer than any report needs, and a

@@ -1,0 +1,81 @@
+"""Reference computations the tests check the library against.
+
+They are slow or dense on purpose: an mpmath determinant of a submatrix
+of the full inverse, and a projection onto a span rebuilt without one
+exponent.  None of them is part of the library.
+"""
+
+from typing import Iterable
+
+import mpmath
+from mpmath import mp
+
+from muntz import (
+    MuntzSeries,
+    TargetFunction,
+    WeightedDomain,
+    explicit_exponents,
+    gram,
+    gram_inverse,
+    project,
+    workbits,
+)
+from muntz.errors import BadPartition, IndexOutOfRange, ValidationError
+from muntz.exponents import ExponentSequence
+from muntz.gram import GramMatrix
+from muntz.precision import DEFAULT_PRECISION_BITS
+
+
+def inverse_principal_minor(g: GramMatrix, n2: Iterable[int]) -> mpmath.mpf:
+    """det of the inverse-Gram principal submatrix on the 1-based set n2."""
+    idx = sorted(set(n2))
+    if any(not 1 <= i <= g.n for i in idx):
+        raise BadPartition(f"indices {idx} outside 1..{g.n}")
+    with workbits(g.precision_bits):
+        if not idx:
+            return mp.mpf(1)
+        inv = gram_inverse(g)
+        sub = mp.matrix(len(idx), len(idx))
+        for a, i in enumerate(idx):
+            for b, j in enumerate(idx):
+                sub[a, b] = inv[j - 1][i - 1]
+        return mp.det(sub)
+
+
+def removal_test(
+    wd: WeightedDomain,
+    lam: ExponentSequence,
+    section: int,
+    f: TargetFunction,
+    n: int,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
+) -> mpmath.mpf:
+    """Residual of f minus its n-th term against the span without index n.
+
+    For a combination within the section this is zero up to rounding:
+    stripping the n-th coefficient leaves an element of the reduced span.
+    """
+    if f.kind != "muntz_combo":
+        raise ValidationError("removal test needs an explicit combination target")
+    if not 1 <= n <= section:
+        raise IndexOutOfRange(f"index {n} outside 1..{section}")
+    if len(f.series.coeffs) > section:
+        raise ValidationError("combination extends beyond the section")
+
+    bits = precision_bits
+    full = lam.values_at(bits)[:section]
+    kept = [v for i, v in enumerate(full) if i != n - 1]
+    reduced_lam = explicit_exponents(kept, bits)
+
+    coeffs = list(f.series.coeffs) + [mp.mpf(0)] * (section - len(f.series.coeffs))
+    stripped = [c for i, c in enumerate(coeffs) if i != n - 1]
+    with workbits(bits):
+        stripped_series = MuntzSeries(
+            lam_ref=reduced_lam,
+            coeffs=tuple(stripped),
+            radius=f.series.radius,
+            precision_bits=bits,
+        )
+        target = TargetFunction.muntz_combo(stripped_series)
+        _, res = project(gram(wd, reduced_lam, section - 1, bits), target)
+        return res

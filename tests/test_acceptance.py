@@ -28,7 +28,6 @@ from muntz import (
     explicit_exponents,
     gram,
     hereditary_sweep,
-    inverse_principal_minor,
     oracle_distance,
     power_exponents,
     project,
@@ -37,6 +36,7 @@ from muntz import (
 )
 
 from conftest import rel_err
+from oracles import inverse_principal_minor
 
 UNIT = build_weighted_domain([(0, 1)], [(1, 0)])
 SQUARES = power_exponents(1, 2, 20)

@@ -246,6 +246,10 @@ CONTRACT_CASES = {
     "precision_above_ceiling": (["validate"], {"precision_bits": 8192}),
     "max_precision_above_ceiling": (["validate"], {"max_precision_bits": 8192}),
     "grid_points_above_ceiling": (["remez"], {"grid_points": 1000000000000}),
+    "generator_count_above_ceiling": (["validate"], {"exponents": {
+        "kind": "power", "c": "1", "beta": "1", "count": 1000000000000}}),
+    "generator_beta_above_ceiling": (["validate"], {"exponents": {
+        "kind": "power", "c": "1", "beta": "1000000", "count": 10}}),
 }
 
 
@@ -426,7 +430,9 @@ DOMAIN = _mostly(st.one_of(st.just(UNIT), st.just(UNIT), st.fixed_dictionaries({
 EXPONENTS = _mostly(st.one_of(
     st.just(SQUARES_4),
     st.fixed_dictionaries({"kind": st.just("power"), "c": _mostly(NUMBER),
-                           "beta": _mostly(NUMBER), "count": _mostly(st.integers(1, 6))}),
+                           "beta": _mostly(st.one_of(NUMBER, st.just("1000000"))),
+                           "count": _mostly(st.one_of(st.integers(1, 6),
+                                                      st.just(1000000000000)))}),
     st.fixed_dictionaries({"kind": st.just("explicit"),
                            "values": _mostly(st.lists(_mostly(NUMBER), max_size=6))}),
 ))

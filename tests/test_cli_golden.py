@@ -122,7 +122,7 @@ DIGESTS = {
     "duals_csv": "d14eced16e8c2040a278b65a32760c56caad8a55f271c586bbe6d9ea86f1431b",
     "duals_escalated": "f7726ad9daf7557bc2d7efd90568e2141720e21c26dbcb66883c7ac3d7619dc4",
     "expand": "a1488796b1d4a57c197acc97010f7cb9c3be3f64db615a3da6c2cb4655401d2b",
-    "expand_combo_csv": "ae6899e2e9f004263e0d46a0be0ac27fd29cff547a4e4ecf99a840a01a4af64b",
+    "expand_combo_csv": "7140694d2696c11f5543ff64b945f4e015e8ad0f5cea28fcefbfe8aee99c387c",
     "expand_escalated": "3eab56aef5e470f4f56270d1df2b8e1068e55c4e3c510b89d05cb769e0c48ee7",
     "gram": "ef364927028ae449bde48a71321c25a464b32e72d86c8a737533f0cc75dab683",
     "gram_csv": "1b230961592e017d8a52383e40261f826da9858f89fe44e118ddc117252b7600",

@@ -12,6 +12,7 @@ from muntz.errors import (
     ValidationError,
 )
 
+from muntz.domain import _moments
 from muntz.precision import mpf_from_fraction
 
 from conftest import rel_err
@@ -140,15 +141,12 @@ def test_moment_monotonicity(s1, step):
 
 
 def test_cached_moment_equals_fresh_domain():
-    # a two-piece domain with a fractional weight power: a moment served
-    # from the table is bit for bit the one a fresh domain computes
+    # a two-piece domain with a fractional weight power: a moment of a
+    # domain in use is bit for bit the one a fresh domain computes
     pieces = ([("0.1", "0.5"), ("0.6", "1.5")], [(1, "0.5"), ("3/2", "-1/3")])
     wd = build_weighted_domain(*pieces)
     orders = ["0", "1/3", "2.25", 7, "7"]
     first = [power_moment(wd, s) for s in orders]
-    again = [power_moment(wd, s) for s in orders]
-    assert all(a is b for a, b in zip(first, again))  # served from the table
-    assert first[3] is first[4]  # 7 and "7" are the same order
     for s, value in zip(orders, first):
         assert power_moment(build_weighted_domain(*pieces), s) == value
     for bits in (128, 512):
@@ -171,37 +169,39 @@ SECTION_FAMILIES = {"squares": (1, 2), "linear": (1, 1), "sqrt": (1, "0.5")}
 @pytest.mark.parametrize("family", sorted(SECTION_FAMILIES))
 @pytest.mark.parametrize("domain", sorted(SECTION_DOMAINS))
 def test_section_assembly_accuracy(domain, family, bits):
-    # every entry of the section assembled from per-exponent powers is
+    # every moment of order lam_i + lam_j the kernel gives, and every
+    # scalar ``power_moment`` of order 0 (the weight mass) or lam_i, is
     # within 16 units of 2**-P of the closed form taken at P + 128 bits,
     # relative to sum c (b**e + a**e) / e, the size of the terms that
     # cancel on a piece far from 0
     n = 24
     wd = build_weighted_domain(*SECTION_DOMAINS[domain])
     lams = power_exponents(*SECTION_FAMILIES[family], n).values_at(bits)
-    rows = wd.moment_table(bits).section(lams)
+    moment = _moments(wd.pieces, lams, bits)
+    got = {(lams[i], lams[j]): mp.make_mpf(moment(i, j)) for i in range(n) for j in range(i + 1)}
+    got.update({(s, 0): power_moment(wd, s, bits) for s in [mp.zero, *lams]})
     wide = bits + 128
     with workbits(wide):
         pieces = [[mpf_from_fraction(v, wide) for v in piece] for piece in wd.pieces]
-        for i in range(n):
-            for j in range(i + 1):
-                want = scale = mp.mpf(0)
-                for lo, hi, coeff, power in pieces:
-                    e = lams[i] + lams[j] + power + 1
-                    hi_pow, lo_pow = hi ** e, lo ** e if lo else mp.mpf(0)
-                    want += coeff * (hi_pow - lo_pow) / e
-                    scale += coeff * (hi_pow + lo_pow) / e
-                assert abs(mp.make_mpf(rows[i][j]) - want) <= 16 * scale * mp.mpf(2) ** -bits
+        for (s, t), value in got.items():
+            want = scale = mp.mpf(0)
+            for lo, hi, coeff, power in pieces:
+                e = s + t + power + 1
+                hi_pow, lo_pow = hi ** e, lo ** e if lo else mp.mpf(0)
+                want += coeff * (hi_pow - lo_pow) / e
+                scale += coeff * (hi_pow + lo_pow) / e
+            assert abs(value - want) <= 16 * scale * mp.mpf(2) ** -bits
 
 
 @pytest.mark.parametrize("bits", [64, 256])
 @pytest.mark.parametrize("family", sorted(SECTION_FAMILIES))
 def test_unit_section_equals_per_order_moments(family, bits):
-    # 1**lam = 1, so on [0, 1] with unit weight each entry is
-    # 1 / (lam_i + lam_j + 1), bit for bit the moment of that order
+    # 1**lam = 1, so on [0, 1] with unit weight each moment of order
+    # lam_i + lam_j is 1 / (lam_i + lam_j + 1), bit for bit as the mpf
+    # operators round it
     wd = build_weighted_domain([(0, 1)], [(1, 0)])
     lams = power_exponents(*SECTION_FAMILIES[family], 24).values_at(bits)
-    table = wd.moment_table(bits)
-    rows = table.section(lams)
+    moment = _moments(wd.pieces, lams, bits)
     with workbits(bits):
-        assert rows == [[table(lams[i] + lams[j])._mpf_ for j in range(i + 1)]
-                        for i in range(24)]
+        assert [[moment(i, j) for j in range(i + 1)] for i in range(24)] == [
+            [(1 / (lams[i] + lams[j] + 1))._mpf_ for j in range(i + 1)] for i in range(24)]

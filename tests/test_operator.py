@@ -20,7 +20,6 @@ from muntz import (
     gram_inverse_column,
     hereditary_check,
     hereditary_sweep,
-    inverse_principal_minor,
     power_exponents,
     workbits,
 )
@@ -35,6 +34,7 @@ from muntz.errors import (
 )
 
 from conftest import mpf_, rel_err
+from oracles import inverse_principal_minor
 
 UNIT = build_weighted_domain([(0, 1)], [(1, 0)])
 

@@ -15,13 +15,14 @@ from muntz import (
     gram,
     power_exponents,
     project,
-    removal_test,
     workbits,
 )
 from muntz.errors import NegativeResidualSquared, OutsideRadius, ValidationError
+import muntz.series as series_module
 from muntz.series import MAX_GRID_POINTS, _powers, _settle_residual_sq
 
 from conftest import rel_err
+from oracles import removal_test
 
 UNIT = build_weighted_domain([(0, 1)], [(1, 0)])
 TWO_PIECE = build_weighted_domain([("0", "0.5"), ("0.6", "1")], [(1, 0), (2, "0.5")])
@@ -274,3 +275,37 @@ def test_parseval_for_span_members(unit_domain):
             for j, cj in enumerate(coeffs)
         )
         assert abs(lhs - norm_sq) < mp.mpf(2) ** (-(g.precision_bits // 2))
+
+
+WEIGHTED = build_weighted_domain([("0.1", "0.3"), ("0.5", "2")], [(3, "0.5"), (1, "1.5")])
+
+
+@pytest.mark.parametrize("wd", [TWO_PIECE, WEIGHTED], ids=["two_piece", "weighted"])
+@pytest.mark.parametrize("beta", ["2", "1", "1/2"])
+def test_target_moments_on_section_exponents_are_gram_entries(wd, beta, monkeypatch):
+    # a target x**lam_k has the moments of column k of the Gram section,
+    # bit for bit, and the norm squared G_kk, so the residual of a
+    # combination within the span carries only the solve's rounding
+    n = 8
+    g = gram(wd, power_exponents(1, beta, n), n)
+    seen = {}
+    real_solve, real_settle = series_module.solve_spd, series_module._settle_residual_sq
+
+    def solve(g, b):
+        seen["b"], seen["c"] = b, real_solve(g, b)
+        return seen["c"]
+
+    def settle(value, bits):
+        seen["res_sq"] = value
+        return real_settle(value, bits)
+
+    monkeypatch.setattr(series_module, "solve_spd", solve)
+    monkeypatch.setattr(series_module, "_settle_residual_sq", settle)
+    for k in range(n):
+        f = TargetFunction.muntz_combo(mk_series(g.lam, [0] * k + [1], wd.r_a, g.precision_bits))
+        project(g, f)
+        column = [g.entry_rows[max(i, k)][min(i, k)] for i in range(n)]
+        assert [b._mpf_ for b in seen["b"]] == column
+        with workbits(g.precision_bits):
+            want = mp.make_mpf(column[k]) - mp.fsum(b * c for b, c in zip(seen["b"], seen["c"]))
+        assert seen["res_sq"] == want
