@@ -34,6 +34,7 @@ from .gram import (
     gram_inverse,
     gram_inverse_column,
     gram_inverse_diagonal,
+    gram_inverse_diagonals,
     leading_section,
     leading_sections,
     solve_spd,

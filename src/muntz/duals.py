@@ -23,7 +23,7 @@ from mpmath.libmp import fone, fzero, mpf_abs, mpf_gt
 from .errors import BadEpsilon, IndexOutOfRange
 from .exponents import ExponentSequence
 from .gram import (GramMatrix, _dot, _full_rows, gram_inverse, gram_inverse_diagonal,
-                   leading_sections)
+                   gram_inverse_diagonals)
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 
 
@@ -132,7 +132,7 @@ def oracle_distance(
     """
     if not 1 <= n <= section <= len(lam):
         raise IndexOutOfRange(f"need 1 <= n <= section <= {len(lam)}")
-    lams = lam.values_at(precision_bits)
+    lams = lam.values_at(precision_bits, section)
     with workbits(precision_bits):
         ln = lams[n - 1]
         val = 1 / mp.sqrt(2 * ln + 1)
@@ -151,11 +151,14 @@ def distance_sweep(g: GramMatrix, sizes: Iterable[int], n: int, rel_tol: Real) -
     The values are nonincreasing (larger span, smaller distance);
     stabilized is set when the final relative decrease drops below
     rel_tol.  The last value doubles as the limit estimate.  Everything
-    is taken at g's precision.
+    is taken at g's precision, from one forward solve against g's factor
+    (``gram_inverse_diagonals``), bit for bit ``distance`` on each section.
     """
     bits = g.precision_bits
-    distances = [(s.n, distance(s, n)) for s in leading_sections(g, sizes)]
+    sizes = list(sizes)
+    diags = gram_inverse_diagonals(g, n, sizes)
     with workbits(bits):
+        distances = [(m, 1 / mp.sqrt(diag)) for m, diag in zip(sizes, diags)]
         stabilized = False
         if len(distances) >= 2:
             d_prev, d_last = distances[-2][1], distances[-1][1]

@@ -59,15 +59,16 @@ class ExponentSequence:
     def __len__(self) -> int:
         return len(self.values)
 
-    def values_at(self, bits: int) -> Tuple[mpmath.mpf, ...]:
-        """The exponents re-derived at the requested width.
+    def values_at(self, bits: int, n: Optional[int] = None) -> Tuple[mpmath.mpf, ...]:
+        """The first n exponents (all of them by default) re-derived at the
+        requested width; the others are not built.
 
         Rational sequences round the exact values once; irrational
         generator values are recomputed from (c, beta)."""
         if self.raw is not None:
-            return tuple(mpf_from_fraction(v, bits) for v in self.raw)
+            return tuple(mpf_from_fraction(v, bits) for v in self.raw[:n])
         gen = self.generator
-        return _materialize(gen.c, gen.beta, gen.count, bits)
+        return _materialize(gen.c, gen.beta, gen.count if n is None else min(gen.count, n), bits)
 
 
 def _materialize(c: Fraction, beta: Fraction, count: int, bits: int):

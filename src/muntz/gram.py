@@ -13,12 +13,14 @@ ceiling.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_lt, mpf_mul, mpf_neg,
-                          mpf_shift, mpf_sqrt, mpf_sub, mpf_sum, round_nearest)
+from mpmath.libmp import (fnone, fone, fzero, from_man_exp, mpf_abs, mpf_add, mpf_div, mpf_gt,
+                          mpf_lt, mpf_mul, mpf_neg, mpf_shift, mpf_sqrt, mpf_sub, mpf_sum,
+                          round_nearest)
 
 from .domain import WeightedDomain, _moments
 from .errors import IndexOutOfRange, NotPositiveDefinite, PrecisionExhausted, ValidationError
@@ -68,13 +70,12 @@ def _cholesky(rows) -> Optional[List[List[tuple]]]:
     factor = [[fzero] * (i + 1) for i in range(len(rows))]
     for j, row_j in enumerate(factor):
         done = row_j[:j]
-        s = mpf_sub(rows[j][j], mpf_sum([mpf_mul(v, v) for v in done], prec, round_nearest),
-                    prec, round_nearest)
+        s = mpf_sub(rows[j][j], _dot(done, done, prec), prec, round_nearest)
         if mpf_lt(s, tol):
             return None
         row_j[j] = mpf_sqrt(s, prec, round_nearest)
         for i in range(j, len(rows)):
-            t = mpf_sum([mpf_mul(a, b) for a, b in zip(factor[i], done)], prec, round_nearest)
+            t = _dot(factor[i], done, prec)
             factor[i][j] = mpf_div(mpf_sub(rows[i][j], t, prec, round_nearest), row_j[j],
                                    prec, round_nearest)
     return factor
@@ -112,7 +113,7 @@ def gram(
     bits = precision_bits
     last_failure = None
     while True:
-        lams = lam.values_at(bits)[:n]
+        lams = lam.values_at(bits, n)
         with workbits(bits):
             moment = _moments(wd.pieces, lams, bits)
             rows = [[moment(i, j) for j in range(i + 1)] for i in range(n)]
@@ -155,33 +156,35 @@ def leading_sections(g: GramMatrix, sizes: Iterable[int]) -> Iterator[GramMatrix
     """The leading sections of these sizes, cut from g as they are
     consumed, so only the one in use is alive.  The sizes must be
     non-empty, strictly increasing and within 1..g.n."""
+    return (leading_section(g, m) for m in _checked_sizes(g, sizes))
+
+
+def _checked_sizes(g: GramMatrix, sizes: Iterable[int]) -> List[int]:
     sizes = list(sizes)
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValidationError(f"need strictly increasing section sizes, got {sizes}")
     if not 1 <= sizes[0] <= sizes[-1] <= g.n:
         raise ValidationError(f"section sizes {sizes} outside 1..{g.n}")
-    return (leading_section(g, m) for m in sizes)
+    return sizes
 
 
-# The substitutions run on raw mpf values with the libmp kernels that the
-# mpf operators call, at the working width and round-to-nearest: the
-# same roundings as ``acc -= l * y`` and ``acc / l``, without an mpf
-# object per operation.
+# The substitutions run on raw mpf values at the working width: each entry
+# is one ``_dot`` of exact products less its right-hand side, rounded
+# once, then one rounded divide by the diagonal, as ``_cholesky`` does.
 
 
 def _substitute_forward(rows, rhs, start: int = 0) -> List[tuple]:
     """Solve L y = rhs for the raw factor rows of L and raw rhs.  With
-    ``start`` > 0, rhs[:start] must be zero and rhs[start:] exact at the
-    working width (a unit vector): y[:start] is then zero and every
-    skipped term would have subtracted an exact zero."""
+    ``start`` > 0, rhs[:start] must be zero: y[:start] is then zero and
+    every skipped term a zero product.  The first m entries of y are the
+    solve against the leading m rows."""
     prec = mp.prec
     y = [fzero] * len(rows)
     for i in range(start, len(rows)):
         row = rows[i]
-        acc = rhs[i]
-        for j in range(start, i):
-            acc = mpf_sub(acc, mpf_mul(row[j], y[j], prec, round_nearest), prec, round_nearest)
-        y[i] = mpf_div(acc, row[i], prec, round_nearest)
+        # y_i = (rhs_i - sum) / L_ii = (sum - rhs_i) / -L_ii, signs exact
+        y[i] = mpf_div(_dot(row[start:i], y[start:i], prec, rhs[i]), mpf_neg(row[i]),
+                       prec, round_nearest)
     return y
 
 
@@ -193,10 +196,9 @@ def _substitute_back(rows, rhs, stop: int = 0) -> List[tuple]:
     n = len(rows)
     x = [fzero] * n
     for i in range(n - 1, stop - 1, -1):
-        acc = rhs[i]
-        for j in range(i + 1, n):
-            acc = mpf_sub(acc, mpf_mul(rows[j][i], x[j], prec, round_nearest), prec, round_nearest)
-        x[i] = mpf_div(acc, rows[i][i], prec, round_nearest)
+        col = [rows[j][i] for j in range(i + 1, n)]
+        x[i] = mpf_div(_dot(col, x[i + 1:], prec, rhs[i]), mpf_neg(rows[i][i]),
+                       prec, round_nearest)
     return x
 
 
@@ -311,11 +313,42 @@ def _shifted(rows, shift, prec) -> List[List[tuple]]:
 
 def _dot(a, b, prec, minus=None) -> tuple:
     """sum(a_i b_i) of raw values, less the raw ``minus`` when given:
-    exact products, rounded once."""
-    terms = [mpf_mul(p, q) for p, q in zip(a, b)]
-    if minus is not None:
-        terms.append(mpf_neg(minus))
-    return mpf_sum(terms, prec, round_nearest)
+    exact products, rounded once.
+
+    Bit for bit ``mpf_sum`` of the ``mpf_mul`` products followed by
+    ``mpf_neg(minus)``, at ``prec`` and round-to-nearest: its loop, drop
+    branch past 2 * prec included, fed each product's mantissa and
+    exponent directly, with -minus taken as minus times -1.  An inf or
+    nan operand takes the list form.
+    """
+    pairs = zip(a, b) if minus is None else chain(zip(a, b), ((minus, fnone),))
+    limit = prec * 2 or 1000000
+    man = exp = 0
+    for (xsign, xman, xexp, xbc), (ysign, yman, yexp, ybc) in pairs:
+        if not (xman and yman):
+            if (not xman and xexp) or (not yman and yexp):
+                terms = [mpf_mul(p, q) for p, q in zip(a, b)]
+                if minus is not None:
+                    terms.append(mpf_neg(minus))
+                return mpf_sum(terms, prec, round_nearest)
+            continue
+        pman = xman * yman
+        if xsign != ysign:
+            pman = -pman
+        pexp = xexp + yexp
+        delta = pexp - exp
+        if delta >= 0:
+            if delta > limit and (not man or delta - abs(man).bit_length() > limit):
+                man, exp = pman, pexp
+            else:
+                man += pman << delta
+        elif -delta > limit and -delta - abs(pman).bit_length() > limit:
+            if not man:
+                man, exp = pman, pexp
+        else:
+            man = (man << -delta) + pman
+            exp = pexp
+    return from_man_exp(man, exp, prec, round_nearest)
 
 
 def _full_rows(rows) -> List[List[tuple]]:
@@ -376,13 +409,28 @@ def gram_inverse_column(g: GramMatrix, n: int) -> List[mpmath.mpf]:
 
 
 def gram_inverse_diagonal(g: GramMatrix, n: int) -> mpmath.mpf:
-    """The diagonal entry (G^-1)_nn (1-based) alone, equal bit for bit to
-    entry n of ``gram_inverse_column(g, n)``: the back solve stops at n,
-    so the entries of G^-1 a report reads cost about N^3/3 operations
-    over all n instead of N^3."""
-    if not 1 <= n <= g.n:
-        raise IndexOutOfRange(f"index {n} outside 1..{g.n}")
-    return _unit_solve(g, n - 1, n - 1)[n - 1]
+    """The diagonal entry (G^-1)_nn (1-based) alone, as ||L^-1 e_n||^2:
+    the forward solve of e_n from entry n, then the sum of its squares,
+    exact and rounded once.  No back solve and no cancellation, so the
+    entries of G^-1 a report reads cost about N^3/6 operations over all
+    n instead of N^3."""
+    return gram_inverse_diagonals(g, n, [g.n])[0]
+
+
+def gram_inverse_diagonals(g: GramMatrix, n: int, sizes: Iterable[int]) -> List[mpmath.mpf]:
+    """``gram_inverse_diagonal(leading_section(g, m), n)`` for each of the
+    strictly increasing sizes m, bit for bit, from one forward solve of
+    e_n against g's factor: the solve against the m-section is its first
+    m entries, so each size costs one dot of their squares."""
+    sizes = _checked_sizes(g, sizes)
+    if not 1 <= n <= sizes[0]:
+        raise IndexOutOfRange(f"index {n} outside 1..{sizes[0]}")
+    rows = g.chol_rows[:sizes[-1]]
+    with workbits(g.precision_bits):
+        rhs = [fzero] * len(rows)
+        rhs[n - 1] = fone
+        y = _substitute_forward(rows, rhs, n - 1)
+        return [mp.make_mpf(_dot(y[n - 1:m], y[n - 1:m], mp.prec)) for m in sizes]
 
 
 def gram_inverse(g: GramMatrix) -> List[List[mpmath.mpf]]:

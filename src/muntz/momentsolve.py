@@ -18,7 +18,7 @@ from mpmath import mp
 from .domain import WeightedDomain
 from .errors import ValidationError
 from .exponents import ExponentSequence
-from .gram import (GramMatrix, _dot, _full_rows, gram_inverse_diagonal, leading_sections,
+from .gram import (GramMatrix, _dot, _full_rows, gram_inverse_diagonals, leading_sections,
                    solve_spd)
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 from .series import MuntzSeries
@@ -53,7 +53,7 @@ def fit_growth(
     bits = precision_bits
     with workbits(bits):
         dv = [to_mpf(x, bits) for x in d]
-        lams = lam.values_at(bits)[: len(dv)]
+        lams = lam.values_at(bits, len(dv))
         points = [(lams[i], mp.log(abs(v))) for i, v in enumerate(dv) if v != 0]
         if not points:
             return mp.mpf(0), mp.mpf(0)
@@ -135,17 +135,25 @@ def convergence_certificate(
 ) -> ConvergenceCertificate:
     """Tabulate sum_{n<=N} |d_n| ||r_n^(N)|| and solution norms over the
     leading sections of g of these strictly increasing sizes.  The ratios
-    are taken at g's precision."""
+    are taken at g's precision.
+
+    ||r_n^(N)|| = sqrt((G_N^-1)_nn), as in the dual family, for every size
+    N >= n from one forward solve of e_n against g's factor."""
     sizes = list(sizes)
     if sizes and sizes[-1] > len(data.d):
         raise ValidationError(f"section {sizes[-1]} exceeds {len(data.d)} moment values")
+    sections = leading_sections(g, sizes)
+    diags = {m: [] for m in sizes}  # (G_m^-1)_kk for k = 1..m
+    for k in range(1, sizes[-1] + 1):
+        covering = [m for m in sizes if m >= k]
+        for m, diag in zip(covering, gram_inverse_diagonals(g, k, covering)):
+            diags[m].append(diag)
     sums = []
     norms = []
     with workbits(g.precision_bits):
-        for s in leading_sections(g, sizes):
+        for s in sections:
             size = s.n
-            # ||r_n|| = sqrt((G^-1)_nn), as in the dual family
-            dual_norms = [mp.sqrt(gram_inverse_diagonal(s, k + 1)) for k in range(size)]
+            dual_norms = [mp.sqrt(diag) for diag in diags[size]]
             sums.append(
                 mp.fsum(abs(data.d[k]) * dual_norms[k] for k in range(size))
             )

@@ -64,7 +64,7 @@ def dilation_operator(
         raise ValidationError(f"rho = {rho_m} must lie in (0, 1)")
     if count > len(lam):
         raise ValidationError("count exceeds exponent prefix")
-    lams = lam.values_at(precision_bits)[:count]
+    lams = lam.values_at(precision_bits, count)
     with workbits(precision_bits):
         u = tuple(rho_m ** lam_n for lam_n in lams)
     return OperatorSpec(u=u, rho=rho_m, kind="dilation")

@@ -70,7 +70,7 @@ class TargetFunction:
         combination."""
         if self.kind == "pure_power":
             return [(mp.one, self.mu)]
-        lams = self.series.lam_ref.values_at(bits)
+        lams = self.series.lam_ref.values_at(bits, len(self.series.coeffs))
         return [(a, lam) for a, lam in zip(self.series.coeffs, lams) if a != 0]
 
 
@@ -104,7 +104,7 @@ def evaluate(s: MuntzSeries, x: Real, precision_bits: Optional[int] = None) -> m
         xv = x if isinstance(x, mpmath.mpf) else to_mpf(x, bits)
         if xv < 0 or xv >= s.radius:
             raise OutsideRadius(f"x = {xv} outside [0, {s.radius})")
-        lams = s.lam_ref.values_at(bits)
+        lams = s.lam_ref.values_at(bits, len(s.coeffs))
         total = mp.mpf(0)
         for a, lam_k in zip(s.coeffs, lams):
             total += a * xv ** lam_k

@@ -63,7 +63,7 @@ def removal_test(
         raise ValidationError("combination extends beyond the section")
 
     bits = precision_bits
-    full = lam.values_at(bits)[:section]
+    full = lam.values_at(bits, section)
     kept = [v for i, v in enumerate(full) if i != n - 1]
     reduced_lam = explicit_exponents(kept, bits)
 

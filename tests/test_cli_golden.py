@@ -115,32 +115,32 @@ CASES = {
 }
 
 DIGESTS = {
-    "distances": "2eb31557b2a89b6d619f19772151a6c68b0fa976b995f609c32e9aa9b1295c97",
-    "distances_csv": "5aad6451560e52498a6f408d0459b21992d34a19cb87505777a8ec7f5bcfaf56",
-    "distances_escalated": "74ab75ad13f7a4f2893cc61eead2f8f01e3c38f38eb94ed1bcb2d631d64890ed",
-    "duals": "27596cb71f4aac330d19360bb10a5a135381311a5582b3a3301930ff32a0ec58",
-    "duals_csv": "d14eced16e8c2040a278b65a32760c56caad8a55f271c586bbe6d9ea86f1431b",
-    "duals_escalated": "f7726ad9daf7557bc2d7efd90568e2141720e21c26dbcb66883c7ac3d7619dc4",
-    "expand": "a1488796b1d4a57c197acc97010f7cb9c3be3f64db615a3da6c2cb4655401d2b",
-    "expand_combo_csv": "7140694d2696c11f5543ff64b945f4e015e8ad0f5cea28fcefbfe8aee99c387c",
-    "expand_escalated": "3eab56aef5e470f4f56270d1df2b8e1068e55c4e3c510b89d05cb769e0c48ee7",
+    "distances": "00f0c2e7af44ea32909ec624ae79df82bd11c04bbc7f4d56e0617f255ccc03ee",
+    "distances_csv": "21f6e5bd5a0309b0755f96ae036322addeee3578c323b875c0b325f0f5e6577e",
+    "distances_escalated": "cc45549eba4ea3018dd2f273d71d90e99e4e969ed7be45a87f51e0f743394051",
+    "duals": "99329b20967605f0f6fb61952f2a7c41816864eddb7ab5f86575cce2f9e1c7ff",
+    "duals_csv": "59a969601d586d81ee1a2b5d11438dfcd5ffb9939df08a19e77f50ca8301abf0",
+    "duals_escalated": "18f83b9ac4c0d8beca3e6274ebf210c60c1e609253f5253f537624f8070084e3",
+    "expand": "df2e6b52b1af92842cf989111e45254fb0db305f033f7337c7fb0c92ff4b2f50",
+    "expand_combo_csv": "e27245ac6bb5b5e22ac2591afe0e76c1a592f5d44ed6e2848612c6872f790b48",
+    "expand_escalated": "c3a071e2c6e72b49f32eabbdfc467f0049eb8f457dd03bfd377469a7438fe5b1",
     "gram": "ef364927028ae449bde48a71321c25a464b32e72d86c8a737533f0cc75dab683",
     "gram_csv": "1b230961592e017d8a52383e40261f826da9858f89fe44e118ddc117252b7600",
     "gram_escalated": "abd9b87b98c622fc7275988befdc3b9c0c7c208faf8a24408d082e0e7928f918",
-    "hereditary": "1ca9340451dae9ec532c5b1623c73a37f89a5988d748470c12f38255558393d8",
-    "hereditary_csv": "f0446cb96b1d4e5957761a282e7d40fe392a151ed0d028cc583f8135bacebdcb",
-    "hereditary_escalated": "fdb83f8513ef97bcddd710e5e47bc9ea47639ace24531e455a9896274d8ab460",
-    "hereditary_sweep": "e1380531a887ca78b3fa9763d36d0de226f978e6ef7d7f9c2cb871069b4533ab",
-    "hereditary_sweep_csv": "fb44460852dac1cf69e3a34eb310fdcb8ab7ebd756dc8681fc1f1839911f93f7",
-    "moments": "8778fe91d35232ace953a0c83a8dfb8d9bbd8fd3648f55f4e597bbc98106e1a9",
-    "moments_csv": "c456f0f6cd2cf47fed57a8bfad641b3da454081d765c1a7a11f9b938f4a97e0a",
-    "moments_escalated": "2f60a6068cc12605b3e1c519dc56b3cff98c48ffa57690fbea9891911c9f04ff",
-    "operator": "9e99a33ca5289c240510fa2cb5a66c2ec1503f25f8dd4bb2809cc430e00f9819",
+    "hereditary": "3705f05803958e0696ec5ae873db468abbb94276fc5ede5e4dc79193eb804fac",
+    "hereditary_csv": "7e6ece3c2be82189b544a70be2ab65a6056edd853dfa251fa891bb0f9f0557e5",
+    "hereditary_escalated": "44af8e8464cab794030826bf730e88cf08a9914788054a8df9834e77d8153e51",
+    "hereditary_sweep": "25a576dd54b299db6efe5df0abcc5a7acd6a340f81c7700aeaa9acefa0ea925e",
+    "hereditary_sweep_csv": "e0a8e0bfd1595a94a6b45e2f3d430cfcd94c0421dab1c8680906baf929c1ef0e",
+    "moments": "18df652919dc04353daaade92f188bea7de400c5813f996f358274c642a1fd81",
+    "moments_csv": "e744d005bde2762862f5c3e311c69cc2b7da1034ba69feb2b69c6e7e2a2374b9",
+    "moments_escalated": "ef232154ba04b7906c62c23c0ffb3373ffa953be5e83d310c22c603d8ccac503",
+    "operator": "c5cb6ba6ae95b3068cb91a26568415327eec8fde04d2d87d240ab31aed0cc439",
     "operator_csv": "d340db346f182731c8ea7cbeab88459c8a64d6cb910fb5157876ecb2454cebca",
-    "operator_escalated": "0e58626e8964adb7ad8cc1f893755489eba9d056cf54102f1eced9278766ca85",
-    "remez": "b77a77bb42ece953c281629ee94a7eafa1578af8c045325a7f0fb07ee53ae482",
-    "remez_csv": "36a6f3107b4b1f6b316ee206d441ab38a5ceb861b5ec2b430b0fae01b1fd9c3d",
-    "remez_escalated": "bc103b6dc178c9dbbdc81edc99c51b3f2cc54c79da8318f42ebed3c473649259",
+    "operator_escalated": "8e1da5d63816c36b0525f35059fd54643fe4315fa3ef250123d20964cc361200",
+    "remez": "ba850c08949e48307874aa00bc0ce2b626af04f50ba0a9e33132b6de47231d7f",
+    "remez_csv": "1573f021592101df786f25fe5b69de8f46cdc85a38d1d9a792463f777f2b57bc",
+    "remez_escalated": "cf0239cf95ad9a20419ce219cf5dd5a6d1fa80bf1e20402ddcf3ca7d52be75ac",
     "validate": "131137f1ce165f8614634034426147b2cf9d2ecb5e386238c650499799e2a942",
     "validate_explicit": "f3d55d29870536a8228d37ddb4d07b46b9fbe4c8c60ee63fa42dc758f03bdcc0",
 }

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from muntz import explicit_exponents, exponents_from_json, power_exponents
+from muntz import (build_weighted_domain, explicit_exponents, exponents_from_json, gram,
+                   power_exponents)
+from muntz import exponents as exponents_module
 from muntz.errors import MalformedConfig, NonIncreasing, NonPositive, ValidationError
 from muntz.exponents import NONSUMMABLE, SUMMABLE, UNKNOWN, exponents_to_json
 
@@ -70,6 +72,30 @@ def test_values_at_higher_precision_irrational_beta():
     # 2**1.5 is irrational; the refined parse must agree to 128 bits and
     # carry more correct mantissa beyond
     assert rel_err(v128[1], v512[1]) < 1e-37
+
+
+@pytest.mark.parametrize("beta", ["0.5", "2"])
+def test_values_at_builds_only_the_prefix(beta):
+    lam = power_exponents(1, beta, 50)
+    for bits in (64, 256):
+        assert lam.values_at(bits, 8) == lam.values_at(bits)[:8]
+        assert len(lam.values_at(bits, 80)) == 50
+
+
+def test_section_builds_only_its_exponents(monkeypatch):
+    # an 8-section of a 10**4-term generator builds 8 exponents per width
+    lam = power_exponents(1, "0.5", 10 ** 4)
+    built = []
+    materialize = exponents_module._materialize
+
+    def counting(c, beta, count, bits):
+        values = materialize(c, beta, count, bits)
+        built.append(len(values))
+        return values
+
+    monkeypatch.setattr(exponents_module, "_materialize", counting)
+    g = gram(build_weighted_domain([(0, 1)], [(1, 0)]), lam, 8, 64)
+    assert g.precision_bits > 64 and built == [8, 8]
 
 
 @settings(max_examples=50, deadline=None)

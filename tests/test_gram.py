@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
+from mpmath.libmp import (finf, fnan, fninf, fone, from_man_exp, from_rational, fzero, mpf_div,
+                          mpf_mul, mpf_neg, mpf_sum, round_nearest)
 
 from muntz import (
     build_weighted_domain,
@@ -11,6 +13,7 @@ from muntz import (
     gram_inverse,
     gram_inverse_column,
     gram_inverse_diagonal,
+    gram_inverse_diagonals,
     leading_section,
     leading_sections,
     power_exponents,
@@ -24,7 +27,7 @@ from muntz.errors import (
     ValidationError,
 )
 from muntz.domain import _moments
-from muntz.gram import _cholesky, _smallest_eigenvalue, forward_substitution
+from muntz.gram import _cholesky, _dot, _smallest_eigenvalue, forward_substitution
 
 from conftest import rel_err
 
@@ -221,56 +224,125 @@ def test_leading_sections_rejects_bad_sizes(unit_domain, sizes):
         leading_sections(g, sizes)
 
 
-def _mpf_forward(chol_rows, rhs):
-    """The forward triangular solve written with plain mpf operators."""
-    chol = [[mp.make_mpf(v) for v in row] for row in chol_rows]
-    y = [mp.mpf(0)] * len(chol)
-    for i in range(len(chol)):
-        acc = rhs[i]
-        for j in range(i):
-            acc -= chol[i][j] * y[j]
-        y[i] = acc / chol[i][i]
+def _exact(raw):
+    """The exact rational value of a finite raw mpf."""
+    sign, man, exp, _ = raw
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def _rounded(value, prec):
+    """The exact rational ``value`` rounded once to ``prec`` bits."""
+    return from_rational(value.numerator, value.denominator, prec, round_nearest)
+
+
+def _reference_forward(rows, rhs, prec):
+    """L y = rhs with each entry's exact rhs_i - sum_j L_ij y_j rounded
+    once, then divided by L_ii with one rounding."""
+    y = []
+    for i, row in enumerate(rows):
+        acc = _exact(rhs[i]) - sum(_exact(row[j]) * _exact(y[j]) for j in range(i))
+        y.append(mpf_div(_rounded(acc, prec), row[i], prec, round_nearest))
     return y
 
 
-def _mpf_solve(chol_rows, rhs):
-    """The two triangular solves written with plain mpf operators."""
-    n = len(chol_rows)
-    chol = [[mp.make_mpf(v) for v in row] for row in chol_rows]
-    y = _mpf_forward(chol_rows, rhs)
-    x = [mp.mpf(0)] * n
+def _reference_solve(rows, rhs, prec):
+    """Both triangular solves, each entry rounded as in ``_reference_forward``."""
+    n = len(rows)
+    y = _reference_forward(rows, rhs, prec)
+    x = [None] * n
     for i in range(n - 1, -1, -1):
-        acc = y[i]
-        for j in range(i + 1, n):
-            acc -= chol[j][i] * x[j]
-        x[i] = acc / chol[i][i]
+        acc = _exact(y[i]) - sum(_exact(rows[j][i]) * _exact(x[j]) for j in range(i + 1, n))
+        x[i] = mpf_div(_rounded(acc, prec), rows[i][i], prec, round_nearest)
     return x
 
 
-def test_forward_substitution_equals_mpf_operators(two_piece_domain):
+def test_forward_substitution_rounds_each_entry_once(two_piece_domain):
     g = gram(two_piece_domain, power_exponents(1, "0.5", 10), 10)
     with workbits(g.precision_bits):
         rhs = [mp.mpf(k + 1) / 3 for k in range(10)]
-        assert _same(forward_substitution(g, rhs), _mpf_forward(g.chol_rows, rhs))
+    want = _reference_forward(g.chol_rows, [v._mpf_ for v in rhs], g.precision_bits)
+    assert [v._mpf_ for v in forward_substitution(g, rhs)] == want
     with pytest.raises(ValidationError):
         forward_substitution(g, rhs[:9])
 
 
 def test_unit_solves_equal_solve_spd(two_piece_domain):
     g = gram(two_piece_domain, power_exponents(1, "0.5", 10), 10)
+    prec = g.precision_bits
     inv = gram_inverse(g)
     for n in range(1, 11):
-        with workbits(g.precision_bits):
+        with workbits(prec):
             unit = [mp.mpf(1) if i == n - 1 else mp.mpf(0) for i in range(10)]
         full = solve_spd(g, unit)
         assert _same(gram_inverse_column(g, n), full)
         assert _same(inv[n - 1], full)
-        assert gram_inverse_diagonal(g, n) == full[n - 1]
-    with workbits(g.precision_bits):
+        # (G^-1)_nn = ||L^-1 e_n||^2, the exact sum of squares rounded once
+        y = _reference_forward(g.chol_rows, [v._mpf_ for v in unit], prec)
+        want = _rounded(sum(_exact(v) ** 2 for v in y), prec)
+        assert gram_inverse_diagonal(g, n)._mpf_ == want
+        assert rel_err(gram_inverse_diagonal(g, n), full[n - 1]) < 2.0 ** (-prec // 2)
+    with workbits(prec):
         rhs = [mp.mpf(k + 1) / 3 for k in range(10)]
-        assert _same(solve_spd(g, rhs), _mpf_solve(g.chol_rows, rhs))
+    want = _reference_solve(g.chol_rows, [v._mpf_ for v in rhs], prec)
+    assert [v._mpf_ for v in solve_spd(g, rhs)] == want
     with pytest.raises(IndexOutOfRange):
         gram_inverse_diagonal(g, 11)
+
+
+@pytest.mark.parametrize("family", ["squares", "linear", "sqrt"])
+def test_inverse_diagonals_equal_leading_sections(two_piece_domain, family):
+    g = gram(two_piece_domain, power_exponents(*FAMILIES[family], 16), 16)
+    sizes = [3, 7, 12, 16]
+    for n in (1, 3):
+        got = gram_inverse_diagonals(g, n, sizes)
+        want = [gram_inverse_diagonal(leading_section(g, m), n) for m in sizes]
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+    with pytest.raises(IndexOutOfRange):
+        gram_inverse_diagonals(g, 4, sizes)
+    with pytest.raises(ValidationError):
+        gram_inverse_diagonals(g, 1, [7, 3])
+
+
+def _raw_values(max_exp):
+    """Raw mpf values: zeros, and either sign with 1..600 mantissa bits."""
+    nonzero = st.builds(lambda sign, man, exp: from_man_exp(-man if sign else man, exp),
+                        st.booleans(), st.integers(1, 2 ** 600), st.integers(-max_exp, max_exp))
+    return st.one_of(st.just(fzero), nonzero)
+
+
+@pytest.mark.parametrize("prec", [64, 256, 512])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_dot_equals_mpf_sum_of_products(prec, data):
+    # vectors drawn, with either sign, from a few values whose exponents
+    # may lie past 2 * prec apart, so that terms cancel after mpf_sum's
+    # drop branches have dropped others
+    pool = data.draw(st.lists(_raw_values(data.draw(st.sampled_from([8, 4 * prec]))),
+                              min_size=1, max_size=4))
+    values = st.builds(lambda v, flip: mpf_neg(v) if flip else v,
+                       st.sampled_from(pool), st.booleans())
+    a = data.draw(st.lists(values, max_size=8))
+    b = data.draw(st.lists(st.one_of(st.just(fone), values), max_size=8))
+    minus = data.draw(st.one_of(st.none(), values))
+    terms = [mpf_mul(p, q) for p, q in zip(a, b)]
+    if minus is not None:
+        terms.append(mpf_neg(minus))
+    assert _dot(a, b, prec, minus) == mpf_sum(terms, prec, round_nearest)
+
+
+def test_dot_drops_and_specials_as_mpf_sum():
+    # a term past 2 * prec below the sum, or the sum past 2 * prec below
+    # a term, is dropped, and shows when the rest cancels
+    one, tiny, huge = fone, from_man_exp(3, -2000), from_man_exp(5, 2000)
+    cases = [([one, tiny, mpf_neg(one)], [one] * 3, None), ([tiny, one], [one] * 2, one),
+             ([tiny, huge], [one, one], huge), ([finf, one], [fzero, one], None),
+             ([one], [one], fninf), ([fnan], [one], one), ([], [], None), ([], [], one)]
+    for a, b, minus in cases:
+        terms = [mpf_mul(p, q) for p, q in zip(a, b)]
+        if minus is not None:
+            terms.append(mpf_neg(minus))
+        assert _dot(a, b, 64, minus) == mpf_sum(terms, 64, round_nearest)
+    assert _dot([one, tiny, mpf_neg(one)], [one] * 3, 64) == fzero
 
 
 def _eigenvalue_args(matrix, bits):

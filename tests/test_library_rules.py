@@ -15,3 +15,12 @@ def test_no_dense_mpmath_in_library():
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if DENSE.search(line)]
     assert hits == []
+
+
+# a sum of products rounded per term, or summed from a list of products
+ROUNDED_MAC = re.compile(r"mpf_sub\(\s*acc\s*,\s*mpf_mul\(|mpf_sum\(\s*\[\s*mpf_mul\(")
+
+
+def test_gram_sums_products_through_dot():
+    # every sum of products in gram.py is one exact ``_dot``, rounded once
+    assert ROUNDED_MAC.findall((SRC / "gram.py").read_text()) == []
