@@ -7,7 +7,9 @@ numbers grow super-exponentially with the section size, so everything is
 guarded by a cheap condition estimate with automatic precision
 escalation: if the squared ratio of extreme Cholesky diagonal entries
 exceeds 2**(P/2), the assembly retries with the width doubled, up to a
-ceiling.
+ceiling.  Each attempt is assembled and factored one row at a time, and
+below the ceiling it stops at the first row that trips the guard: the
+ratio over the leading rows can only grow as rows are added.
 """
 
 from __future__ import annotations
@@ -57,27 +59,40 @@ class GramMatrix:
         return [_mpfs(row) for row in _full_rows(self.entry_rows)]
 
 
+def _append_row(factor, row, prec) -> bool:
+    """Append to the raw lower Cholesky rows ``factor`` the row of the
+    next raw lower entry row ``row`` (the diagonal last), at ``prec``, or
+    return False, appending nothing, when its pivot falls below eps =
+    2**(1 - prec).
+
+    Entry j is (A_ij - t) / L_jj with t one ``_dot`` of the row so far
+    against row j, and the diagonal is s / sqrt(s) with s = A_ii - t
+    rounded once: what mpmath's Cholesky gives, whose diagonal is first
+    sqrt(s) and then overwritten by (A_ii - t) / sqrt(s).
+    """
+    new = []
+    for j, row_j in enumerate(factor):
+        # ``new`` holds entries 0..j-1, so the dot stops short of row_j[j]
+        t = _dot(new, row_j, prec)
+        new.append(mpf_div(mpf_sub(row[j], t, prec, round_nearest), row_j[j], prec,
+                           round_nearest))
+    s = mpf_sub(row[-1], _dot(new, new, prec), prec, round_nearest)
+    if mpf_lt(s, mpf_shift(fone, 1 - prec)):
+        return False
+    new.append(mpf_div(s, mpf_sqrt(s, prec, round_nearest), prec, round_nearest))
+    factor.append(new)
+    return True
+
+
 def _cholesky(rows) -> Optional[List[List[tuple]]]:
     """The lower Cholesky factor rows of the raw lower entry rows at the
-    working width, or None when a pivot falls below ``mp.eps``.
-
-    Bit for bit what mpmath's own Cholesky gives: exact products summed
-    with one rounding, as ``mp.fsum``/``mp.fdot`` do, and the diagonal first
-    set to sqrt(s), then overwritten by (A_jj - t) / sqrt(s), which every
-    entry below it is divided by.
-    """
-    prec, tol = mp.prec, mp.eps._mpf_
-    factor = [[fzero] * (i + 1) for i in range(len(rows))]
-    for j, row_j in enumerate(factor):
-        done = row_j[:j]
-        s = mpf_sub(rows[j][j], _dot(done, done, prec), prec, round_nearest)
-        if mpf_lt(s, tol):
+    working width, one ``_append_row`` per row, or None when a pivot falls
+    below ``mp.eps``.  Bit for bit what mpmath's own Cholesky gives: exact
+    products summed with one rounding, as ``mp.fsum``/``mp.fdot`` do."""
+    prec, factor = mp.prec, []
+    for row in rows:
+        if not _append_row(factor, row, prec):
             return None
-        row_j[j] = mpf_sqrt(s, prec, round_nearest)
-        for i in range(j, len(rows)):
-            t = _dot(factor[i], done, prec)
-            factor[i][j] = mpf_div(mpf_sub(rows[i][j], t, prec, round_nearest), row_j[j],
-                                   prec, round_nearest)
     return factor
 
 
@@ -99,9 +114,12 @@ def gram(
     The entries come from ``domain._moments`` over the section's
     exponents: per piece, the powers of its endpoints to each exponent,
     taken once, so O(n * pieces) powers per attempt rather than two per
-    entry and piece.  Retries at doubled precision while the condition
-    estimate exceeds 2**(P/2) or the factorization fails, then raises
-    PrecisionExhausted or NotPositiveDefinite respectively at the ceiling.
+    entry and piece.  Each attempt builds and factors the section row by
+    row.  While the running condition estimate exceeds 2**(P/2), or a
+    pivot fails, it retries at doubled precision; below the ceiling it
+    stops at that row, since the estimate over the leading rows only
+    grows.  At the ceiling it factors every row and then raises
+    NotPositiveDefinite when a pivot failed, PrecisionExhausted otherwise.
     """
     if not 1 <= n <= len(lam):
         raise ValidationError(f"section size {n} outside 1..{len(lam)}")
@@ -111,22 +129,29 @@ def gram(
         raise ValidationError("max_precision_bits below precision_bits")
 
     bits = precision_bits
-    last_failure = None
     while True:
         lams = lam.values_at(bits, n)
+        at_ceiling = bits >= max_precision_bits
         with workbits(bits):
             moment = _moments(wd.pieces, lams, bits)
-            rows = [[moment(i, j) for j in range(i + 1)] for i in range(n)]
-            chol_rows = _cholesky(rows)
-            if chol_rows is None:
-                last_failure = "factorization"
-            else:
-                cond = _cond_estimate(chol_rows, n)
-                if cond <= mp.mpf(2) ** (bits // 2):
-                    return GramMatrix(n, rows, chol_rows, cond, bits, tuple(lams), lam, wd)
-                last_failure = "condition"
-        if bits >= max_precision_bits:
-            if last_failure == "factorization":
+            limit = mp.mpf(2) ** (bits // 2)
+            rows, chol_rows, failure = [], [], None
+            for i in range(n):
+                rows.append([moment(i, j) for j in range(i + 1)])
+                if not _append_row(chol_rows, rows[i], bits):
+                    failure = "factorization"
+                    break
+                d = mp.make_mpf(chol_rows[i][i])
+                hi, lo = (d, d) if i == 0 else (max(hi, d), min(lo, d))
+                cond = (hi / lo) ** 2   # _cond_estimate of the rows so far
+                if failure is None and cond > limit:
+                    failure = "condition"
+                    if not at_ceiling:
+                        break
+            if failure is None:
+                return GramMatrix(n, rows, chol_rows, cond, bits, tuple(lams), lam, wd)
+        if at_ceiling:
+            if failure == "factorization":
                 raise NotPositiveDefinite(f"Cholesky failed at {bits} bits; "
                                           "matrix numerically singular")
             raise PrecisionExhausted(f"condition estimate exceeds 2**({bits}/2) "
@@ -188,27 +213,37 @@ def _substitute_forward(rows, rhs, start: int = 0) -> List[tuple]:
     return y
 
 
-def _substitute_back(rows, rhs, stop: int = 0) -> List[tuple]:
+def _substitute_back(rows, rhs, stop: int = 0, below=None) -> List[tuple]:
     """Solve L^T x = rhs for the raw factor rows of L and raw rhs, from the
     last entry down to entry ``stop``; the entries above ``stop`` are
-    left zero."""
+    left zero.  ``below`` is ``_columns_below(rows)``, when a caller
+    solving several right-hand sides has it already."""
     prec = mp.prec
     n = len(rows)
+    if below is None:
+        below = _columns_below(rows)
     x = [fzero] * n
     for i in range(n - 1, stop - 1, -1):
-        col = [rows[j][i] for j in range(i + 1, n)]
-        x[i] = mpf_div(_dot(col, x[i + 1:], prec, rhs[i]), mpf_neg(rows[i][i]),
+        x[i] = mpf_div(_dot(below[i], x[i + 1:], prec, rhs[i]), mpf_neg(rows[i][i]),
                        prec, round_nearest)
     return x
+
+
+def _columns_below(rows) -> List[List[tuple]]:
+    """Column i of the raw factor rows of L below its diagonal, for each i:
+    the rows of L^T to the right of the diagonal."""
+    n = len(rows)
+    return [[rows[j][i] for j in range(i + 1, n)] for i in range(n)]
 
 
 MAX_INVERSE_ITERATIONS = 400
 
 
-def _smallest_eigenvalue(rows, factor) -> mpmath.mpf:
+def _smallest_eigenvalue(rows, trace) -> mpmath.mpf:
     """The smallest eigenvalue of the symmetric positive-definite A with
-    raw lower rows ``rows`` and lower Cholesky factor rows ``factor`` (A =
-    L L^T), by shifted inverse iteration at the working width P.
+    raw lower rows ``rows``, by shifted inverse iteration at the working
+    width P.  ``trace`` is the raw tr(A^-1), as ``_triangular_inverse``
+    gives it for the Cholesky factor of A.
 
     The shift c is (1 - 2**-8) times the larger of two lower bounds on
     lambda_min: 1/tr(A^-1), with tr(A^-1) = ||L^-1||_F^2, and the
@@ -241,7 +276,6 @@ def _smallest_eigenvalue(rows, factor) -> mpmath.mpf:
     """
     prec = mp.prec
     tol = mpf_shift(fone, -(prec // 2))
-    cols, trace = _triangular_inverse(factor, prec)
     shift = max(mpf_div(fone, trace, prec, round_nearest), _gershgorin_bound(rows, prec),
                 key=mp.make_mpf)
     shift = mpf_sub(shift, mpf_shift(shift, -8), prec, round_nearest)
@@ -263,21 +297,22 @@ def _smallest_eigenvalue(rows, factor) -> mpmath.mpf:
         r = [mpf_sub(b, mpf_mul(mu, a, prec, round_nearest), prec, round_nearest)
              for a, b in zip(x, y)]
         e2 = _dot(r, r, prec)
-        estimate = mp.make_mpf(mpf_add(shift, mpf_div(fone, mu, prec, round_nearest),
-                                       prec, round_nearest))
         gap = mpf_sub(mpf_shift(mu, 1), trace, prec, round_nearest)
         if mpf_gt(gap, fzero) and not mpf_gt(e2, mpf_mul(tol, mpf_mul(mu, gap), prec,
                                                          round_nearest)):
-            return estimate
+            break
         if not mpf_gt(e2, mpf_mul(mpf_mul(tol, tol), mpf_mul(mu, mu), prec, round_nearest)):
             floor = mpf_div(mpf_sub(fone, tol, prec, round_nearest), mu, prec, round_nearest)
             if _cholesky(_shifted(rows, floor, prec)) is None:
                 raise PrecisionExhausted("inverse iteration settled on an eigenvalue "
                                          "above the smallest")
-            return estimate
+            break
         x = _unit(y, prec)
-    raise PrecisionExhausted(f"inverse iteration unconverged after {MAX_INVERSE_ITERATIONS} "
-                             f"steps at {prec} bits")
+    else:
+        raise PrecisionExhausted(f"inverse iteration unconverged after "
+                                 f"{MAX_INVERSE_ITERATIONS} steps at {prec} bits")
+    return mp.make_mpf(mpf_add(shift, mpf_div(fone, mu, prec, round_nearest), prec,
+                               round_nearest))
 
 
 def _triangular_inverse(factor, prec) -> Tuple[List[List[tuple]], tuple]:
@@ -389,16 +424,18 @@ def solve_spd(g: GramMatrix, rhs: List[mpmath.mpf]) -> List[mpmath.mpf]:
         return _mpfs(_substitute_back(g.chol_rows, y))
 
 
-def _unit_solve(g: GramMatrix, k: int, stop: int = 0) -> List[mpmath.mpf]:
+def _unit_solve(g: GramMatrix, k: int, stop: int = 0, below=None) -> List[mpmath.mpf]:
     """Entries ``stop`` onwards of column k (0-based) of the inverse: the
     forward solve starts at the one nonzero of the unit right-hand side
     and the back solve stops at ``stop``.  Every entry it computes is bit
-    for bit the one ``solve_spd`` gives for that right-hand side."""
+    for bit the one ``solve_spd`` gives for that right-hand side.
+    ``below`` is ``_columns_below(g.chol_rows)``, shared by a caller that
+    solves several columns."""
     with workbits(g.precision_bits):
         rhs = [fzero] * g.n
         rhs[k] = fone
         y = _substitute_forward(g.chol_rows, rhs, k)
-        return _mpfs(_substitute_back(g.chol_rows, y, stop))
+        return _mpfs(_substitute_back(g.chol_rows, y, stop, below))
 
 
 def gram_inverse_column(g: GramMatrix, n: int) -> List[mpmath.mpf]:
@@ -436,4 +473,5 @@ def gram_inverse_diagonals(g: GramMatrix, n: int, sizes: Iterable[int]) -> List[
 def gram_inverse(g: GramMatrix) -> List[List[mpmath.mpf]]:
     """The full inverse as its list of columns, one triangular solve pair
     per column: ``gram_inverse(g)[j][i]`` is (G^-1)_ij, 0-based."""
-    return [_unit_solve(g, j) for j in range(g.n)]
+    below = _columns_below(g.chol_rows)
+    return [_unit_solve(g, j, 0, below) for j in range(g.n)]

@@ -21,10 +21,11 @@ are scaled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import fone, mpf_div, mpf_mul, mpf_neg, mpf_sum, round_nearest
 
 from .errors import (
     BadPartition,
@@ -33,12 +34,13 @@ from .errors import (
     LengthMismatch,
     MalformedConfig,
     NotPositiveDefinite,
+    NumericalError,
     ValidationError,
     ZeroEigenvalue,
 )
 from .exponents import ExponentSequence
-from .gram import (GramMatrix, _cholesky, _smallest_eigenvalue, _unit_solve, gram_inverse,
-                   solve_spd)
+from .gram import (GramMatrix, _append_row, _columns_below, _dot, _smallest_eigenvalue,
+                   _unit_solve, gram_inverse, solve_spd)
 from .precision import DEFAULT_PRECISION_BITS, Real, to_int, to_mpf, workbits
 from .series import MuntzSeries, evaluate
 
@@ -159,10 +161,15 @@ def eigen_check(spec: OperatorSpec, g: GramMatrix) -> EigenReport:
         u = spec.u[:n]
         tol = mp.mpf(2) ** (-(bits // 2))
         worst = mp.mpf(0)
+        adj_raw = [[v._mpf_ for v in row] for row in adj_rows]
         for k, col in enumerate(gram_inverse(g), 1):
             scale = max(abs(v) for v in col) * abs(u[k - 1]) + 1
+            col_raw = [v._mpf_ for v in col]
             for i in range(n):
-                got = mp.fsum(a * c for a, c in zip(adj_rows[i], col))
+                # mp.fsum of the rounded products a * c, on raw values
+                got = mp.make_mpf(mpf_sum([mpf_mul(a, c, bits, round_nearest)
+                                           for a, c in zip(adj_raw[i], col_raw)],
+                                          bits, round_nearest))
                 resid = abs(got - u[k - 1] * col[i]) / scale
                 if resid > worst:
                     worst = resid
@@ -255,56 +262,150 @@ def hereditary_check(
     G^-1[N2,N2] are each Cholesky-factored, and shifted inverse iteration
     gives their smallest eigenvalues.  No mixed matrix is built.
     Raises NotPositiveDefinite when a block does not factor and
-    PrecisionExhausted when the iteration does not settle.
+    PrecisionExhausted when the iteration does not settle, the N1 block
+    first.
     """
     n1, n2 = (tuple(sorted(set(ix))) for ix in partition)
     if sorted(n1 + n2) != list(range(1, g.n + 1)):
         raise BadPartition(
             f"index sets {n1} and {n2} must split 1..{g.n} disjointly"
         )
-    # the N2 block reads inverse column j only at and below entry j
-    return _mixed_report(g, n1, n2, {j: _unit_solve(g, j - 1, j - 1) for j in n2})
+    with workbits(g.precision_bits):
+        powers = _block_spectrum([[g.entry_rows[i - 1][j - 1] for j in n1[:a + 1]]
+                                  for a, i in enumerate(n1)]) if n1 else None
+        duals = None
+        if n2:
+            # the N2 block reads inverse column j only at and below entry j
+            below = _columns_below(g.chol_rows)
+            columns = {j: _unit_solve(g, j - 1, j - 1, below) for j in n2}
+            duals = _block_spectrum([[columns[j][i - 1]._mpf_ for j in n2[:a + 1]]
+                                     for a, i in enumerate(n2)])
+    return _report(g, n1, n2, powers, duals)
+
+
+class _Block:
+    """The Jacobi-scaled principal block S A S of a symmetric A on a set of
+    indices, grown one index at a time by ``_grow`` at the working width.
+
+    ``rows`` are its raw lower rows, ``factor`` their Cholesky rows L and
+    ``inverse[j]`` column j of L^-1 from entry j down.  ``squares`` and
+    ``diagonal`` are prod L_aa**2 and prod A_aa, each multiplied up in
+    index order as ``mp.fprod`` does; det A is their product.
+    ``_Block()`` is the block on no index.
+    """
+
+    __slots__ = ("rows", "factor", "inverse", "squares", "diagonal")
+
+    def __init__(self, rows=(), factor=(), inverse=(), squares=mp.one, diagonal=mp.one):
+        self.rows, self.factor, self.inverse = rows, factor, inverse
+        self.squares, self.diagonal = squares, diagonal
+
+    def trace(self) -> tuple:
+        """||L^-1||_F^2 = tr((S A S)^-1), as ``gram._triangular_inverse``
+        gives it: each column's sum of squares rounded once, then summed
+        with one rounding."""
+        prec = mp.prec
+        return mpf_sum([_dot(col, col, prec) for col in self.inverse], prec, round_nearest)
+
+
+def _grow(block: Optional[_Block], row, diagonal: mpmath.mpf, prec: int) -> Optional[_Block]:
+    """The block with one index more, after its own: ``row`` is the raw
+    scaled lower row of that index, diagonal last, and ``diagonal`` its
+    unscaled A_ii.  Each part is the one the block's rows factored at once
+    would give: row k of L^-1 is the forward solve's entry k of each unit
+    column.  None when the factor does not extend, or the block is None
+    already."""
+    if block is None:
+        return None
+    factor = list(block.factor)
+    if not _append_row(factor, row, prec):
+        return None
+    new = factor[-1]
+    k = len(block.factor)
+    pivot = mpf_neg(new[k])   # (0 - sum) / L_kk = sum / -L_kk, as _substitute_forward
+    inverse = [col + [mpf_div(_dot(new[j:k], col, prec), pivot, prec, round_nearest)]
+               for j, col in enumerate(block.inverse)]
+    inverse.append([mpf_div(fone, new[k], prec, round_nearest)])
+    return _Block([*block.rows, row], factor, inverse,
+                  block.squares * mp.make_mpf(new[k]) ** 2, block.diagonal * diagonal)
+
+
+_Spectrum = Union[Tuple[mpmath.mpf, mpmath.mpf], NumericalError]
+
+
+def _spectrum(block: Optional[_Block], size: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
+    """(lambda_min(S A S), det A) of a grown block of ``size`` indices,
+    where None stands for one whose factor did not extend."""
+    if block is None:
+        raise NotPositiveDefinite(f"a {size}x{size} mixed-system block does not factor")
+    return _smallest_eigenvalue(block.rows, block.trace()), block.squares * block.diagonal
+
+
+def _jacobi_scaled(rows) -> Tuple[List[List[tuple]], List[mpmath.mpf]]:
+    """The raw lower rows of S A S, S = diag(A)**(-1/2), for the raw lower
+    rows of a symmetric A, and the diagonal of A, at the working width.
+    Entry (i, j) depends on indices i and j alone, so the rows of a
+    principal block are those of the whole, cut to its indices."""
+    diag = [mp.make_mpf(row[a]) for a, row in enumerate(rows)]
+    scale = [1 / mp.sqrt(d) for d in diag]
+    return ([[(mp.make_mpf(v) * scale[a] * scale[b])._mpf_ for b, v in enumerate(row)]
+             for a, row in enumerate(rows)], diag)
 
 
 def _block_spectrum(rows) -> Tuple[mpmath.mpf, mpmath.mpf]:
     """(lambda_min(S A S), det A) for the raw lower rows of a symmetric
-    block A and S = diag(A)**(-1/2), at the working width: the Cholesky
-    factor L of S A S gives det A = prod L_ii**2 * prod A_ii, and
-    lambda_min comes from ``_smallest_eigenvalue``.  Raises
-    NotPositiveDefinite when S A S does not factor."""
-    diag = [mp.make_mpf(row[a]) for a, row in enumerate(rows)]
-    scale = [1 / mp.sqrt(d) for d in diag]
-    scaled = [[(mp.make_mpf(v) * scale[a] * scale[b])._mpf_ for b, v in enumerate(row)]
-              for a, row in enumerate(rows)]
-    factor = _cholesky(scaled)
-    if factor is None:
-        raise NotPositiveDefinite(f"a {len(rows)}x{len(rows)} mixed-system block "
-                                  "does not factor")
-    det = mp.fprod(mp.make_mpf(row[a]) ** 2 for a, row in enumerate(factor)) * mp.fprod(diag)
-    return _smallest_eigenvalue(scaled, factor), det
+    block A, the block grown over its indices in order; lambda_min comes
+    from ``_smallest_eigenvalue``.  Raises NotPositiveDefinite when S A S
+    does not factor."""
+    scaled, diag = _jacobi_scaled(rows)
+    block = _Block()
+    for row, d in zip(scaled, diag):
+        block = _grow(block, row, d, mp.prec)
+    return _spectrum(block, len(rows))
 
 
-def _mixed_report(g: GramMatrix, n1: Tuple[int, ...], n2: Tuple[int, ...],
-                  columns: Mapping[int, List[mpmath.mpf]]) -> MixedSystemReport:
-    """``hereditary_check`` for the sorted index sets n1 and n2 that split
-    1..N, where ``columns[j]`` holds the entries at and below entry j of
-    the 1-based inverse column j, for each j in n2."""
+def _subset_spectra(rows) -> Dict[int, _Spectrum]:
+    """``_block_spectrum`` of the principal block on every nonempty index
+    subset of the symmetric A with raw lower rows ``rows``, keyed by
+    bitmask (bit i for index i), or the error it raises.
+
+    Depth first: a subset's block is grown from its parent's, the subset
+    less its largest index, by that index, so its parts are those the
+    fold in ``_block_spectrum`` reaches.  Only the blocks on the current
+    path are alive.
+    """
+    scaled, diag = _jacobi_scaled(rows)
+    prec, n, out = mp.prec, len(rows), {}
+
+    def visit(mask: int, idx: Tuple[int, ...], block: Optional[_Block]) -> None:
+        for i in range(idx[-1] + 1 if idx else 0, n):
+            child = _grow(block, [scaled[i][j] for j in idx] + [scaled[i][i]], diag[i], prec)
+            try:
+                out[mask | 1 << i] = _spectrum(child, len(idx) + 1)
+            except NumericalError as exc:
+                out[mask | 1 << i] = exc
+            visit(mask | 1 << i, idx + (i,), child)
+
+    visit(0, (), _Block())
+    return out
+
+
+def _report(g: GramMatrix, n1: Tuple[int, ...], n2: Tuple[int, ...],
+            powers: Optional[_Spectrum], duals: Optional[_Spectrum]) -> MixedSystemReport:
+    """The report for the sorted index sets n1 and n2 that split 1..N, from
+    the spectra of their blocks of S G S and T G^-1 T (None for an empty
+    set); a block's error is raised instead, the N1 block's first."""
+    spectra = [s for s in (powers, duals) if s is not None]
+    for s in spectra:
+        if isinstance(s, NumericalError):
+            raise s
     bits = g.precision_bits
     with workbits(bits):
-        det, lam_mins = mp.mpf(1), []
-        if n1:
-            rows = g.entry_rows
-            lam_mins.append(_block_spectrum([[rows[i - 1][j - 1] for j in n1[:a + 1]]
-                                             for a, i in enumerate(n1)])[0])
-        if n2:
-            lam_min, det = _block_spectrum([[columns[j][i - 1]._mpf_ for j in n2[:a + 1]]
-                                            for a, i in enumerate(n2)])
-            lam_mins.append(lam_min)
-        smin = mp.sqrt(min(lam_mins))
+        smin = mp.sqrt(min(lam_min for lam_min, _ in spectra))
         return MixedSystemReport(
             n1=n1,
             n2=n2,
-            mixed_matrix_det=det,
+            mixed_matrix_det=duals[1] if duals is not None else mp.mpf(1),
             min_singular_value=smin,
             nonsingular=smin > mp.mpf(2) ** (-(bits // 2)),
         )
@@ -312,7 +413,9 @@ def _mixed_report(g: GramMatrix, n1: Tuple[int, ...], n2: Tuple[int, ...],
 
 def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
     """hereditary_check over all 2**N partitions of the section, each
-    inverse column solved once, as far as ``hereditary_check`` reads it.
+    inverse column solved once, as far as ``hereditary_check`` reads it,
+    and each block grown from a smaller one (``_subset_spectra``): the
+    same reports, and the error the first failing partition raises.
 
     Partition ``mask`` puts index i + 1 in N2 (duals) when bit i is set,
     and the reports come in increasing mask order.  By Cauchy interlacing
@@ -320,10 +423,16 @@ def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
     scale each to unit diagonal), so the smallest ``min_singular_value``
     over all partitions is that of N2 empty or of N1 empty.
     """
-    columns = {j: _unit_solve(g, j - 1, j - 1) for j in range(1, g.n + 1)}
+    n = g.n
+    below = _columns_below(g.chol_rows)
+    columns = [_unit_solve(g, j, j, below) for j in range(n)]
+    with workbits(g.precision_bits):
+        powers = _subset_spectra(g.entry_rows)
+        duals = _subset_spectra([[columns[j][i]._mpf_ for j in range(i + 1)]
+                                 for i in range(n)])
     reports = []
-    for mask in range(2 ** g.n):
-        n2 = tuple(i + 1 for i in range(g.n) if mask & (1 << i))
-        n1 = tuple(i + 1 for i in range(g.n) if not mask & (1 << i))
-        reports.append(_mixed_report(g, n1, n2, columns))
+    for mask in range(2 ** n):
+        n2 = tuple(i + 1 for i in range(n) if mask & (1 << i))
+        n1 = tuple(i + 1 for i in range(n) if not mask & (1 << i))
+        reports.append(_report(g, n1, n2, powers.get(mask ^ (2 ** n - 1)), duals.get(mask)))
     return reports

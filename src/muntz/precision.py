@@ -15,7 +15,7 @@ from typing import Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_rational
+from mpmath.libmp import from_rational, mpf_pos, round_nearest, to_str
 
 from .errors import NotANumber
 
@@ -100,6 +100,12 @@ def decimal_digits(bits: int) -> int:
 
 
 def fmt(x, bits: int = DEFAULT_PRECISION_BITS) -> str:
-    """Decimal-string rendering at significance derived from the precision."""
+    """Decimal-string rendering at significance derived from the precision.
+
+    An mpf is rounded to ``bits`` and rendered on its raw value, which is
+    what ``mp.nstr(mpmath.mpf(x))`` at that width gives."""
+    if isinstance(x, mpmath.mpf):
+        return to_str(mpf_pos(x._mpf_, bits, round_nearest), decimal_digits(bits),
+                      strip_zeros=True)
     with workbits(bits):
         return mp.nstr(mpmath.mpf(x), decimal_digits(bits), strip_zeros=True)

@@ -1,8 +1,9 @@
 """Reference computations the tests check the library against.
 
 They are slow or dense on purpose: an mpmath determinant of a submatrix
-of the full inverse, and a projection onto a span rebuilt without one
-exponent.  None of them is part of the library.
+of the full inverse, a projection onto a span rebuilt without one
+exponent, and a Gram assembly that factors every row of every attempt
+before it judges the attempt.  None of them is part of the library.
 """
 
 from typing import Iterable
@@ -20,10 +21,12 @@ from muntz import (
     project,
     workbits,
 )
-from muntz.errors import BadPartition, IndexOutOfRange, ValidationError
+from muntz.domain import _moments
+from muntz.errors import (BadPartition, IndexOutOfRange, NotPositiveDefinite,
+                          PrecisionExhausted, ValidationError)
 from muntz.exponents import ExponentSequence
-from muntz.gram import GramMatrix
-from muntz.precision import DEFAULT_PRECISION_BITS
+from muntz.gram import GramMatrix, _cholesky, _cond_estimate
+from muntz.precision import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS
 
 
 def inverse_principal_minor(g: GramMatrix, n2: Iterable[int]) -> mpmath.mpf:
@@ -79,3 +82,37 @@ def removal_test(
         target = TargetFunction.muntz_combo(stripped_series)
         _, res = project(gram(wd, reduced_lam, section - 1, bits), target)
         return res
+
+
+def gram_every_row(
+    wd: WeightedDomain,
+    lam: ExponentSequence,
+    n: int,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
+    max_precision_bits: int = MAX_PRECISION_BITS,
+) -> GramMatrix:
+    """``gram`` as it was before attempts stopped early: each attempt
+    assembles and factors the whole section, then fails on a pivot or on
+    the condition estimate and doubles the width; at the ceiling it
+    raises NotPositiveDefinite after a pivot failure, PrecisionExhausted
+    otherwise."""
+    bits = precision_bits
+    while True:
+        lams = lam.values_at(bits, n)
+        with workbits(bits):
+            moment = _moments(wd.pieces, lams, bits)
+            rows = [[moment(i, j) for j in range(i + 1)] for i in range(n)]
+            chol_rows = _cholesky(rows)
+            failure = "factorization"
+            if chol_rows is not None:
+                cond = _cond_estimate(chol_rows, n)
+                if cond <= mp.mpf(2) ** (bits // 2):
+                    return GramMatrix(n, rows, chol_rows, cond, bits, tuple(lams), lam, wd)
+                failure = "condition"
+        if bits >= max_precision_bits:
+            if failure == "factorization":
+                raise NotPositiveDefinite(f"Cholesky failed at {bits} bits; "
+                                          "matrix numerically singular")
+            raise PrecisionExhausted(f"condition estimate exceeds 2**({bits}/2) "
+                                     "at the precision ceiling")
+        bits = min(bits * 2, max_precision_bits)

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -27,9 +28,14 @@ from muntz.errors import (
     ValidationError,
 )
 from muntz.domain import _moments
-from muntz.gram import _cholesky, _dot, _smallest_eigenvalue, forward_substitution
+from muntz.gram import (_append_row, _cholesky, _dot, _smallest_eigenvalue,
+                        _triangular_inverse, forward_substitution)
 
 from conftest import rel_err
+from oracles import gram_every_row
+
+# the package exports the function ``gram`` under the module's name
+GRAM_MODULE = importlib.import_module("muntz.gram")
 
 
 def test_entries_fixture_unit_interval(unit_domain, lam23):
@@ -120,10 +126,11 @@ def test_precondition_errors(unit_domain, lam23):
 
 
 def test_escalation_raises_at_ceiling(unit_domain):
-    # exponents this close make the 2x2 section numerically rank one at
-    # 64 bits; with the ceiling pinned there, assembly must give up
+    # exponents this close round to the same value at 64 bits, so the 2x2
+    # section is singular there; with the ceiling pinned there, its second
+    # pivot fails
     lam = explicit_exponents([Fraction(1), Fraction(1) + Fraction(1, 2**70)])
-    with pytest.raises((PrecisionExhausted, NotPositiveDefinite)):
+    with pytest.raises(NotPositiveDefinite):
         gram(unit_domain, lam, 2, precision_bits=64, max_precision_bits=64)
 
 
@@ -215,6 +222,58 @@ def test_cholesky_equals_mpmath(pieces, family, n, bits):
     except (NotPositiveDefinite, PrecisionExhausted):
         return
     assert g.entry_rows == rows and g.chol_rows == got
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("pieces", PIECES)
+def test_early_stop_gives_the_full_factor_section(pieces, family, bits):
+    # an attempt dropped at the row that trips the guard is one the full
+    # factor would have rejected, so every section is the reference's
+    wd = build_weighted_domain(*pieces)
+    lam = power_exponents(*FAMILIES[family], 40)
+    for n in (8, 23, 33, 40):
+        got, want = gram(wd, lam, n, bits), gram_every_row(wd, lam, n, bits)
+        assert got.precision_bits == want.precision_bits
+        assert got.cond_estimate == want.cond_estimate
+        assert got.lams == want.lams
+        assert got.entry_rows == want.entry_rows
+        assert got.chol_rows == want.chol_rows
+
+
+def test_attempt_stops_at_the_row_that_trips_the_guard(unit_domain, monkeypatch):
+    # linear exponents on [0, 1]: the 64-bit guard trips at row 9 and a
+    # pivot fails at row 15, the 128-bit guard at row 17; 256 bits settle
+    factored = []
+
+    def counting(factor, row, prec):
+        factored.append(prec)
+        return _append_row(factor, row, prec)
+
+    monkeypatch.setattr(GRAM_MODULE, "_append_row", counting)
+    g = gram(unit_domain, power_exponents(1, 1, 20), 20, 64)
+    assert g.precision_bits == 256
+    assert [factored.count(bits) for bits in (64, 128, 256)] == [9, 17, 20]
+
+
+@pytest.mark.parametrize("family, n, bits, ceiling, error", [
+    ("linear", 12, 64, 64, PrecisionExhausted),   # guard trips at row 9, no pivot fails
+    ("linear", 16, 64, 64, NotPositiveDefinite),  # guard at row 9, then pivot 15 fails
+    ("linear", 40, 64, 128, NotPositiveDefinite),  # at 128: guard at row 17, pivot 29
+    ("sqrt", 16, 128, 128, PrecisionExhausted),
+    ("sqrt", 23, 128, 128, NotPositiveDefinite),
+    ("squares", 40, 64, 128, PrecisionExhausted),
+])
+def test_ceiling_error_as_the_full_factor_judges(unit_domain, family, n, bits, ceiling,
+                                                 error):
+    # at the ceiling every row is factored, so a pivot that fails after
+    # the guard tripped still makes the error NotPositiveDefinite
+    lam = power_exponents(*FAMILIES[family], n)
+    with pytest.raises(error) as got:
+        gram(unit_domain, lam, n, bits, ceiling)
+    with pytest.raises(error) as want:
+        gram_every_row(unit_domain, lam, n, bits, ceiling)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("sizes", [[], [2, 2], [3, 2], [1, 5], [0, 1]])
@@ -346,11 +405,11 @@ def test_dot_drops_and_specials_as_mpf_sum():
 
 
 def _eigenvalue_args(matrix, bits):
-    """The raw lower rows of an mpf matrix rounded to ``bits``, and their
-    Cholesky factor rows."""
+    """The raw lower rows of an mpf matrix rounded to ``bits``, and the
+    trace of its inverse from their Cholesky factor."""
     with workbits(bits):
         rows = [[(+matrix[i, j])._mpf_ for j in range(i + 1)] for i in range(matrix.rows)]
-        return rows, _cholesky(rows)
+        return rows, _triangular_inverse(_cholesky(rows), bits)[1]
 
 
 def _reflected(diagonal, v, bits):

@@ -29,10 +29,13 @@ from muntz.errors import (
     DuplicateEigenvalue,
     LengthMismatch,
     NotPositiveDefinite,
+    PrecisionExhausted,
     ValidationError,
     ZeroEigenvalue,
 )
 
+import muntz.operator as operator_module
+from muntz.gram import _cholesky, _triangular_inverse
 from conftest import mpf_, rel_err
 from oracles import inverse_principal_minor
 
@@ -284,14 +287,119 @@ def test_min_singular_value_against_eigsy_oracle(domain, family):
 @pytest.mark.parametrize("domain", ["unit", "two_piece"])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_sweep_rows_equal_single_checks(domain, family):
-    # 32 rows per cell, 192 over the six: the sweep's inverse columns are
-    # bit for bit the ones hereditary_check solves for
+    # 128 rows per cell, 768 over the six: the sweep's inverse columns are
+    # bit for bit the ones hereditary_check solves for, and each block
+    # grown from its parent subset is the one folded over its indices
     wd = {"unit": UNIT, "two_piece": TWO_PIECE}[domain]
-    g = gram(wd, power_exponents(*FAMILIES[family], 5), 5)
+    g = gram(wd, power_exponents(*FAMILIES[family], 7), 7)
     for rep in hereditary_sweep(g):
         one = hereditary_check(g, (rep.n1, rep.n2))
         assert rep.mixed_matrix_det == one.mixed_matrix_det
         assert rep.min_singular_value == one.min_singular_value
+        assert rep.nonsingular == one.nonsingular
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_grown_block_equals_factoring_from_scratch(family):
+    # a block grown one index at a time has the factor, L^-1 trace and
+    # determinant products that factoring its rows at once gives
+    g = gram(TWO_PIECE, power_exponents(*FAMILIES[family], 8), 8)
+    rng = random.Random(family)
+    with workbits(g.precision_bits):
+        prec = mp.prec
+        scaled, diag = operator_module._jacobi_scaled(g.entry_rows)
+        for _ in range(6):
+            idx = sorted(rng.sample(range(8), rng.randint(1, 8)))
+            rows = [[scaled[i][j] for j in idx[:a + 1]] for a, i in enumerate(idx)]
+            block = operator_module._Block()
+            for a, i in enumerate(idx):
+                block = operator_module._grow(block, rows[a], diag[i], prec)
+            factor = _cholesky(rows)
+            assert block.rows == rows
+            assert block.factor == factor
+            assert block.trace() == _triangular_inverse(factor, prec)[1]
+            assert block.squares == mp.fprod(mp.make_mpf(r[a]) ** 2 for a, r in enumerate(factor))
+            assert block.diagonal == mp.fprod(diag[i] for i in idx)
+
+
+def _block_key(rows):
+    return tuple(map(tuple, rows))
+
+
+def _first_check_error(g):
+    """The type and message of the error hereditary_check raises on the
+    first partition, in increasing mask order, that raises one."""
+    for mask in range(2 ** g.n):
+        try:
+            hereditary_check(g, _split(mask, g.n))
+        except (NotPositiveDefinite, PrecisionExhausted) as exc:
+            return type(exc), str(exc)
+    return None
+
+
+def _sweep_error(g):
+    try:
+        hereditary_sweep(g)
+    except (NotPositiveDefinite, PrecisionExhausted) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sweep_raises_the_first_failing_partition_error(seed, monkeypatch):
+    # blocks chosen at random fail in _smallest_eigenvalue; the sweep,
+    # which computes every block before it reports, must raise what
+    # hereditary_check over increasing masks raises first, the N1
+    # block's error before the N2 block's
+    g = gram(UNIT, power_exponents(1, 2, 4), 4)
+    original = operator_module._smallest_eigenvalue
+    blocks = []
+
+    def recording(rows, trace):
+        blocks.append(_block_key(rows))
+        return original(rows, trace)
+
+    monkeypatch.setattr(operator_module, "_smallest_eigenvalue", recording)
+    for mask in range(2 ** 4):
+        hereditary_check(g, _split(mask, 4))
+    # two blocks per partition but mask 0 and 15; blocks with the same rows
+    # (the scaled 1x1 blocks are all [[1]]) fail together
+    assert len(blocks) == 2 * (2 ** 4 - 1)
+    distinct = sorted(set(blocks), key=blocks.index)
+
+    rng = random.Random(seed)
+    errors = (NotPositiveDefinite, PrecisionExhausted)
+    failing = {key: (rng.choice(errors), f"forced on block {n}")
+               for n, key in enumerate(rng.sample(distinct, rng.randint(1, 4)))}
+    if seed == 0:   # both 2x2 blocks of mask 5: the N1 block's error wins
+        failing = {blocks[9]: (PrecisionExhausted, "N1 block"),
+                   blocks[10]: (NotPositiveDefinite, "N2 block")}
+
+    def failing_on_chosen(rows, trace):
+        if _block_key(rows) in failing:
+            error, message = failing[_block_key(rows)]
+            raise error(message)
+        return original(rows, trace)
+
+    monkeypatch.setattr(operator_module, "_smallest_eigenvalue", failing_on_chosen)
+    want = _first_check_error(g)
+    assert want is not None
+    assert _sweep_error(g) == want
+    if seed == 0:
+        assert want == (PrecisionExhausted, "N1 block")
+
+
+def test_sweep_raises_the_check_error_when_a_block_does_not_factor(unit_domain):
+    # G[{2,3},{2,3}] indefinite: every N1 block holding both fails, the
+    # 3x3 of mask 0 first
+    g = gram(unit_domain, power_exponents(1, 2, 3), 3)
+    with workbits(g.precision_bits):
+        rows = [list(row) for row in g.entry_rows]
+        rows[2][1] = (2 * mp.sqrt(mp.make_mpf(rows[1][1]) * mp.make_mpf(rows[2][2])))._mpf_
+    bad = replace(g, entry_rows=rows)
+    want = _first_check_error(bad)
+    assert want == (NotPositiveDefinite, "a 3x3 mixed-system block does not factor")
+    assert _sweep_error(bad) == want
 
 
 @settings(max_examples=5, deadline=None)
