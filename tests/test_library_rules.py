@@ -1,7 +1,10 @@
 """Source-level rules of the library."""
 
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "muntz"
 
@@ -24,3 +27,24 @@ ROUNDED_MAC = re.compile(r"mpf_sub\(\s*acc\s*,\s*mpf_mul\(|mpf_sum\(\s*\[\s*mpf_
 def test_gram_sums_products_through_dot():
     # every sum of products in gram.py is one exact ``_dot``, rounded once
     assert ROUNDED_MAC.findall((SRC / "gram.py").read_text()) == []
+
+
+# process pools and threads: the grid split forks by hand, and importing
+# multiprocessing alone costs about a quarter of the library's import time
+POOLS = re.compile(r"^\s*(?:import|from)\s+(?:multiprocessing|concurrent|threading)\b")
+
+
+def test_no_pool_or_thread_imports():
+    hits = [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(SRC.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if POOLS.search(line)]
+    assert hits == []
+
+
+def test_import_leaves_out_multiprocessing_and_pickle():
+    code = "import sys, muntz; print(sorted({'multiprocessing', 'pickle'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
