@@ -21,7 +21,7 @@ are scaled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
@@ -42,7 +42,7 @@ from .exponents import ExponentSequence
 from .gram import (GramMatrix, _append_row, _columns_below, _dot, _smallest_eigenvalue,
                    _unit_solve, gram_inverse, solve_spd)
 from .precision import DEFAULT_PRECISION_BITS, Real, to_int, to_mpf, workbits
-from .series import MuntzSeries, evaluate
+from .series import MuntzSeries, _Result, _forked_map, evaluate
 
 
 @dataclass(frozen=True)
@@ -364,30 +364,31 @@ def _block_spectrum(rows) -> Tuple[mpmath.mpf, mpmath.mpf]:
     return _spectrum(block, len(rows))
 
 
-def _subset_spectra(rows) -> Dict[int, _Spectrum]:
-    """``_block_spectrum`` of the principal block on every nonempty index
-    subset of the symmetric A with raw lower rows ``rows``, keyed by
-    bitmask (bit i for index i), or the error it raises.
+def _subtree_spectra(scaled, diag, top: int) -> List[_Result]:
+    """``_block_spectrum`` of the principal block of S A S on every index
+    subset whose smallest index is ``top``, in increasing bitmask order
+    (bit i for index i), as raw (lambda_min, det A), or the error it
+    raises; ``scaled`` and ``diag`` are ``_jacobi_scaled`` of A.
 
     Depth first: a subset's block is grown from its parent's, the subset
     less its largest index, by that index, so its parts are those the
     fold in ``_block_spectrum`` reaches.  Only the blocks on the current
     path are alive.
     """
-    scaled, diag = _jacobi_scaled(rows)
-    prec, n, out = mp.prec, len(rows), {}
+    prec, n, out = mp.prec, len(diag), {}
 
     def visit(mask: int, idx: Tuple[int, ...], block: Optional[_Block]) -> None:
-        for i in range(idx[-1] + 1 if idx else 0, n):
-            child = _grow(block, [scaled[i][j] for j in idx] + [scaled[i][i]], diag[i], prec)
-            try:
-                out[mask | 1 << i] = _spectrum(child, len(idx) + 1)
-            except NumericalError as exc:
-                out[mask | 1 << i] = exc
-            visit(mask | 1 << i, idx + (i,), child)
+        i = idx[-1]
+        block = _grow(block, [scaled[i][j] for j in idx], diag[i], prec)
+        try:
+            out[mask] = [v._mpf_ for v in _spectrum(block, len(idx))]
+        except NumericalError as exc:
+            out[mask] = exc
+        for j in range(i + 1, n):
+            visit(mask | 1 << j, idx + (j,), block)
 
-    visit(0, (), _Block())
-    return out
+    visit(1 << top, (top,), _Block())
+    return [out[mask] for mask in sorted(out)]
 
 
 def _report(g: GramMatrix, n1: Tuple[int, ...], n2: Tuple[int, ...],
@@ -411,10 +412,16 @@ def _report(g: GramMatrix, n1: Tuple[int, ...], n2: Tuple[int, ...],
         )
 
 
+# The sweep forks from N = 4 on, 2N subtree tasks at 4 or more per
+# process: its two walks take about 15 ms there against a fork's 2-3 ms,
+# and about 5 ms at N = 3.
+_MIN_SWEEP_TASKS = 4
+
+
 def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
     """hereditary_check over all 2**N partitions of the section, each
     inverse column solved once, as far as ``hereditary_check`` reads it,
-    and each block grown from a smaller one (``_subset_spectra``): the
+    and each block grown from a smaller one (``_subtree_spectra``): the
     same reports, and the error the first failing partition raises.
 
     Partition ``mask`` puts index i + 1 in N2 (duals) when bit i is set,
@@ -422,14 +429,34 @@ def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
     every block is a principal block of S G S or of T G^-1 T (S and T
     scale each to unit diagonal), so the smallest ``min_singular_value``
     over all partitions is that of N2 empty or of N1 empty.
+
+    The two subset walks, of S G S and of T G^-1 T, are cut into 2N
+    tasks, one per walk and smallest index, and ``series._forked_map``
+    runs them at ``_MIN_SWEEP_TASKS`` or more per process: on 2 usable
+    cores the powers walk runs here and the duals walk in one child.
+    The results are combined by mask, so every report and the raised
+    error are bit for bit the serial sweep's.
     """
     n = g.n
     below = _columns_below(g.chol_rows)
     columns = [_unit_solve(g, j, j, below) for j in range(n)]
     with workbits(g.precision_bits):
-        powers = _subset_spectra(g.entry_rows)
-        duals = _subset_spectra([[columns[j][i]._mpf_ for j in range(i + 1)]
-                                 for i in range(n)])
+        walks = [_jacobi_scaled(g.entry_rows),
+                 _jacobi_scaled([[columns[j][i]._mpf_ for j in range(i + 1)]
+                                 for i in range(n)])]
+
+        def tasks(lo: int, hi: int) -> List[_Result]:
+            return [r for t in range(lo, hi) for r in _subtree_spectra(*walks[t // n], t % n)]
+
+        results = iter(_forked_map(tasks, 2 * n, _MIN_SWEEP_TASKS))
+        powers, duals = tables = {}, {}
+        for table in tables:
+            for i in range(n):
+                # task i of a walk: the masks whose lowest set bit is i
+                for mask in range(1 << i, 1 << n, 2 << i):
+                    r = next(results)
+                    table[mask] = (r if isinstance(r, NumericalError)
+                                   else tuple(map(mp.make_mpf, r)))
     reports = []
     for mask in range(2 ** n):
         n2 = tuple(i + 1 for i in range(n) if mask & (1 << i))

@@ -5,9 +5,11 @@ All targets are restricted to forms whose inner products against the
 section powers reduce to closed-form moments, so every projection is
 free of quadrature error.
 
-The grid bound is the one place the library runs more than one process:
-its grid points are independent, so ``christoffel_remez`` splits them
-over forked children, one per usable core, and its value is bit for
+``_forked_map`` is the one place the library runs more than one
+process: it splits a range of independent work items over forked
+children, one per usable core, and returns their results in index
+order.  ``christoffel_remez`` splits its grid points with it and
+``operator.hereditary_sweep`` its subset walks; each value is bit for
 bit the serial one.
 """
 
@@ -16,17 +18,19 @@ from __future__ import annotations
 import os
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
 from mpmath.libmp import MPZ, fzero, mpf_gt
 
+from . import errors
 from .domain import WeightedDomain, _moments, _powers
 from .errors import (
     LengthMismatch,
     MalformedConfig,
     NegativeResidualSquared,
+    NumericalError,
     OutsideRadius,
     ValidationError,
 )
@@ -217,6 +221,10 @@ def check_grid_points(grid_points: int) -> int:
 # A chunk of at least 64 points keeps that under half of what it saves.
 _MIN_CHUNK_POINTS = 64
 
+# What one index of a ``_forked_map`` gives: a list of raw mpfs, or the
+# NumericalError computing them raised.
+_Result = Union[List[tuple], NumericalError]
+
 
 def _usable_cores() -> int:
     """The cores this process may run on, else the host's core count."""
@@ -226,70 +234,100 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _fork_chunk(chunk_max: Callable[[int, int], tuple], lo: int, hi: int) -> Tuple[int, int]:
-    """(pid, read end of its pipe) of a child that writes the raw
-    ``chunk_max(lo, hi)`` as four decimal ints and leaves through
-    ``os._exit``: status 0 once written, 1 on any error.  Raises
-    OSError when no pipe or child can be made."""
-    read_fd, write_fd = os.pipe()
+def _other_cores() -> List[int]:
+    """The usable cores but the one this process last ran on, or none
+    where the platform does not tell.  A child left to the kernel may
+    share its parent's core: on a 2-vCPU x86 VM about 4 forks in 10 ran
+    beside the parent for 300 ms or more while the other core idled."""
     try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            sign, man, exp, bc = chunk_max(lo, hi)
-            with open(write_fd, "w") as pipe:
-                pipe.write(f"{sign} {man} {exp} {bc}")
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
+        with open("/proc/self/stat") as stat:
+            here = int(stat.read().rsplit(")", 1)[1].split()[36])
+        return sorted(os.sched_getaffinity(0) - {here})
+    except (AttributeError, OSError, IndexError, ValueError):
+        return []
 
 
-def _forked_max(chunk_max: Callable[[int, int], tuple], count: int) -> tuple:
-    """The raw maximum by ``mpf_gt`` of ``chunk_max`` over indices
-    0..count-1, bit for bit ``chunk_max(0, count)``.
+def _encode(r: _Result) -> str:
+    """One result as one line: ``v`` and four decimal ints per raw mpf,
+    or ``e``, the error's class as module.name and its message in hex."""
+    if isinstance(r, NumericalError):
+        return f"e {type(r).__module__}.{type(r).__qualname__} {str(r).encode().hex()}"
+    return " ".join(["v", *(f"{s} {m} {e} {b}" for s, m, e, b in r)])
 
-    ``chunk_max(lo, hi)`` gives the raw maximum over lo..hi-1.  The
-    range is cut into one contiguous chunk per usable core, at most one
-    per ``_MIN_CHUNK_POINTS`` indices.  This process takes the first
-    chunk and a forked child each other one; the chunk maxima are then
-    combined in index order.  Where ``os.fork`` is missing or fails, or
-    a child exits non-zero or writes nothing, this process computes the
-    chunk itself.  On any exception here the live children are sent
-    SIGTERM and reaped before it propagates, so no process outlives the
-    call.
+
+def _decode(line: str) -> _Result:
+    """The result ``_encode`` wrote as ``line``.  Raises ValueError on a
+    malformed line or an error class that is not a NumericalError of
+    ``muntz.errors``."""
+    tag, *fields = line.split(" ")
+    if tag == "v" and len(fields) % 4 == 0:
+        ints = map(int, fields)
+        return [(s, MPZ(m), e, b) for s, m, e, b in zip(ints, ints, ints, ints)]
+    module, _, name = fields[0].rpartition(".") if tag == "e" and len(fields) == 2 else ("",) * 3
+    cls = getattr(errors, name, None) if module == errors.__name__ else None
+    if not (isinstance(cls, type) and issubclass(cls, NumericalError)):
+        raise ValueError(f"unreadable result line {line[:40]!r}")
+    return cls(bytes.fromhex(fields[1]).decode())
+
+
+def _forked_map(chunk_fn: Callable[[int, int], List[_Result]], count: int,
+                min_chunk: int) -> List[_Result]:
+    """The lists ``chunk_fn(lo, hi)`` gives for the indices lo..hi-1 of
+    contiguous chunks of 0..count-1, concatenated in index order.
+
+    The range is cut into one chunk per usable core, at most one per
+    ``min_chunk`` indices.  This process takes the first chunk and a
+    forked child each other one, each child on its own core of
+    ``_other_cores`` where it has one; a child writes its results to a
+    pipe as decimal ints (``_encode``) and leaves through ``os._exit``:
+    status 0 once written, 1 on any error.  Where ``os.fork`` is missing
+    or fails, or a child exits non-zero or writes what ``_decode``
+    cannot read, this process computes the chunk itself.  On any
+    exception here the live children are sent SIGTERM and reaped before
+    it propagates, so no process outlives the call.
     """
     cores = _usable_cores() if hasattr(os, "fork") else 1
-    workers = max(1, min(cores, count // _MIN_CHUNK_POINTS))
+    workers = max(1, min(cores, count // min_chunk))
     bounds = [count * k // workers for k in range(workers + 1)]
+    others = _other_cores() if workers > 1 else []
     children = {}  # chunk index -> (pid, read fd), until reaped
     try:
         for k in range(1, workers):
             with suppress(OSError):
-                children[k] = _fork_chunk(chunk_max, bounds[k], bounds[k + 1])
-        maxima = [chunk_max(bounds[0], bounds[1])]
+                read_fd, write_fd = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    raise
+                if pid == 0:
+                    status = 1
+                    try:
+                        os.close(read_fd)
+                        with suppress(OSError, IndexError):
+                            os.sched_setaffinity(0, {others[k - 1]})
+                        results = chunk_fn(bounds[k], bounds[k + 1])
+                        with open(write_fd, "w") as pipe:
+                            pipe.write("".join(_encode(r) + "\n" for r in results))
+                        status = 0
+                    finally:
+                        os._exit(status)
+                os.close(write_fd)
+                children[k] = pid, read_fd
+        results = list(chunk_fn(bounds[0], bounds[1]))
         for k in range(1, workers):
-            fields = []
+            chunk = None
             if k in children:
                 pid, fd = children[k]
                 with open(fd, closefd=False) as pipe:
-                    fields = pipe.read().split()
+                    text = pipe.read()
                 os.close(fd)
-                if os.waitpid(pid, 0)[1] != 0:
-                    fields = []
+                if os.waitpid(pid, 0)[1] == 0:
+                    with suppress(ValueError):
+                        chunk = [_decode(line) for line in text.splitlines()]
                 del children[k]
-            if len(fields) == 4:
-                sign, man, exp, bc = map(int, fields)
-                maxima.append((sign, MPZ(man), exp, bc))
-            else:
-                maxima.append(chunk_max(bounds[k], bounds[k + 1]))
+            results += chunk if chunk is not None else chunk_fn(bounds[k], bounds[k + 1])
     finally:
         if children:
             # imported here: only this path signals, and the import costs ~1 ms
@@ -301,11 +339,7 @@ def _forked_max(chunk_max: Callable[[int, int], tuple], count: int) -> tuple:
                 os.close(fd)
             with suppress(ChildProcessError):
                 os.waitpid(pid, 0)
-    best = fzero
-    for m in maxima:
-        if mpf_gt(m, best):
-            best = m
-    return best
+    return results
 
 
 def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
@@ -321,10 +355,11 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
     costs its powers and one dot per entry: K(x) = ||L^-1 v(x)||^2, every
     dot of exact products rounded once.
 
-    The grid is split by ``_forked_max``: one process per usable core,
+    The grid is split by ``_forked_map``: one process per usable core,
     this one included, each with at least ``_MIN_CHUNK_POINTS`` points,
     and a single-core host or one without ``os.fork`` runs serially.
-    The value is bit for bit the serial one.
+    The chunk maxima are combined in index order, so the value is bit
+    for bit the serial one.
     """
     check_grid_points(grid_points)
     bits = g.precision_bits
@@ -335,8 +370,8 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
         inv_rows = _inverse_rows(_triangular_inverse(g.chol_rows, bits)[0])
         lams = [lam._mpf_ for lam in g.lams]
 
-        def kernel_max(lo: int, hi: int) -> tuple:
-            # raw K at grid points lo..hi-1, the first strict maximum
+        def kernel_max(lo: int, hi: int) -> List[List[tuple]]:
+            # [[raw K]] at the first strict maximum over grid points lo..hi-1
             best = fzero
             for j in range(lo, hi):
                 v = _powers((rho_m * j / (grid_points - 1))._mpf_, lams, bits)
@@ -344,6 +379,7 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
                 kernel = _dot(y, y, bits)
                 if mpf_gt(kernel, best):
                     best = kernel
-            return best
+            return [[best]]
 
-        return mp.sqrt(mp.make_mpf(_forked_max(kernel_max, grid_points)))
+        maxima = _forked_map(kernel_max, grid_points, _MIN_CHUNK_POINTS)
+        return mp.sqrt(max(mp.make_mpf(m) for (m,) in maxima))

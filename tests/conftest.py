@@ -1,3 +1,5 @@
+import os
+
 import mpmath
 import pytest
 from mpmath import mp
@@ -18,6 +20,15 @@ def rel_err(got, want):
         if want == 0:
             return abs(got)
         return abs(got - want) / abs(want)
+
+
+def force_sweep_forking(monkeypatch, cores):
+    """Let ``hereditary_sweep`` run as on a host with ``cores`` usable
+    cores, down to one subtree task per process."""
+    import muntz.operator as operator_module
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(operator_module, "_MIN_SWEEP_TASKS", 1)
 
 
 def mpf_(x, bits=CHECK_BITS):

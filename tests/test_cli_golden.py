@@ -26,6 +26,7 @@ import tempfile
 import pytest
 
 from muntz.cli import _build_parser, run
+from conftest import force_sweep_forking
 
 UNIT = {
     "intervals": [{"lo": "0", "hi": "1"}],
@@ -161,6 +162,16 @@ def _digest(case, directory):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_bytes(case, tmp_path, monkeypatch):
     monkeypatch.delenv("MUNTZ_PRECISION_BITS", raising=False)
+    assert _digest(case, tmp_path) == DIGESTS[case]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("cores", [2, 3, 4])
+@pytest.mark.parametrize("case", ["hereditary_sweep", "hereditary_sweep_csv"])
+def test_forked_sweep_report_bytes(case, cores, tmp_path, monkeypatch):
+    # the sweep's subtree tasks over several processes, one task each allowed
+    monkeypatch.delenv("MUNTZ_PRECISION_BITS", raising=False)
+    force_sweep_forking(monkeypatch, cores)
     assert _digest(case, tmp_path) == DIGESTS[case]
 
 

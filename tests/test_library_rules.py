@@ -1,5 +1,6 @@
 """Source-level rules of the library."""
 
+import ast
 import os
 import pathlib
 import re
@@ -29,7 +30,7 @@ def test_gram_sums_products_through_dot():
     assert ROUNDED_MAC.findall((SRC / "gram.py").read_text()) == []
 
 
-# process pools and threads: the grid split forks by hand, and importing
+# process pools and threads: the fork-map helper forks by hand, and importing
 # multiprocessing alone costs about a quarter of the library's import time
 POOLS = re.compile(r"^\s*(?:import|from)\s+(?:multiprocessing|concurrent|threading)\b")
 
@@ -48,3 +49,29 @@ def test_import_leaves_out_multiprocessing_and_pickle():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+def _forking_functions(tree, scope=""):
+    """The top-level functions and methods of a module that name
+    ``os.fork``, or "<module>" where it is named outside any."""
+    hits = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            hits |= _forking_functions(node, f"{scope}{node.name}.")
+            continue
+        named = any(isinstance(sub, ast.Attribute) and sub.attr == "fork"
+                    and isinstance(sub.value, ast.Name) and sub.value.id == "os"
+                    or isinstance(sub, ast.ImportFrom) and sub.module == "os"
+                    and any(alias.name == "fork" for alias in sub.names)
+                    for sub in ast.walk(node))
+        if named:
+            is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            hits.add(f"{scope}{node.name}" if is_def else "<module>")
+    return hits
+
+
+def test_one_function_forks():
+    # every process the library starts comes from the one fork-map helper
+    hits = sorted(f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
+                  for name in _forking_functions(ast.parse(path.read_text())))
+    assert hits == ["series.py:_forked_map"]

@@ -1,3 +1,4 @@
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -36,7 +37,7 @@ from muntz.errors import (
 
 import muntz.operator as operator_module
 from muntz.gram import _cholesky, _triangular_inverse
-from conftest import mpf_, rel_err
+from conftest import force_sweep_forking, mpf_, rel_err
 from oracles import inverse_principal_minor
 
 UNIT = build_weighted_domain([(0, 1)], [(1, 0)])
@@ -387,9 +388,13 @@ def test_sweep_raises_the_first_failing_partition_error(seed, monkeypatch):
     assert _sweep_error(g) == want
     if seed == 0:
         assert want == (PrecisionExhausted, "N1 block")
+    # forked, a child's error comes back with its type and message
+    for cores in (2, 3, 4):
+        force_sweep_forking(monkeypatch, cores)
+        assert _sweep_error(g) == want, cores
 
 
-def test_sweep_raises_the_check_error_when_a_block_does_not_factor(unit_domain):
+def test_sweep_raises_the_check_error_when_a_block_does_not_factor(unit_domain, monkeypatch):
     # G[{2,3},{2,3}] indefinite: every N1 block holding both fails, the
     # 3x3 of mask 0 first
     g = gram(unit_domain, power_exponents(1, 2, 3), 3)
@@ -400,6 +405,70 @@ def test_sweep_raises_the_check_error_when_a_block_does_not_factor(unit_domain):
     want = _first_check_error(bad)
     assert want == (NotPositiveDefinite, "a 3x3 mixed-system block does not factor")
     assert _sweep_error(bad) == want
+    for cores in (2, 3, 4):
+        force_sweep_forking(monkeypatch, cores)
+        assert _sweep_error(bad) == want, cores
+
+
+def _report_bits(reports):
+    return [(r.n1, r.n2, r.mixed_matrix_det._mpf_, r.min_singular_value._mpf_, r.nonsingular)
+            for r in reports]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("domain", ["unit", "two_piece"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_forked_sweep_equals_serial_bits(domain, family, monkeypatch):
+    # 2N subtree tasks over 2, 3 and 4 processes, one task each allowed
+    wd = {"unit": UNIT, "two_piece": TWO_PIECE}[domain]
+    lam = power_exponents(*FAMILIES[family], 7)
+    for n in (1, 2, 7):
+        g = gram(wd, lam, n)
+        force_sweep_forking(monkeypatch, 1)
+        serial = _report_bits(hereditary_sweep(g))
+        assert len(serial) == 2 ** n
+        for cores in (2, 3, 4):
+            force_sweep_forking(monkeypatch, cores)
+            assert _report_bits(hereditary_sweep(g)) == serial, (n, cores)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_sweep_raises_the_child_error(monkeypatch):
+    # every block fails in a child alone; on 2 cores the child runs the
+    # duals walk, so the first failing partition is mask 1, N2 = {1}
+    g = gram(UNIT, power_exponents(1, 2, 4), 4)
+    original, parent = operator_module._smallest_eigenvalue, os.getpid()
+
+    def failing_in_children(rows, trace):
+        if os.getpid() != parent:
+            raise PrecisionExhausted(f"{len(rows)}x{len(rows)} block in a child")
+        return original(rows, trace)
+
+    monkeypatch.setattr(operator_module, "_smallest_eigenvalue", failing_in_children)
+    force_sweep_forking(monkeypatch, 1)
+    assert _sweep_error(g) is None
+    force_sweep_forking(monkeypatch, 2)
+    assert _sweep_error(g) == (PrecisionExhausted, "1x1 block in a child")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_sweep_recomputes_a_failed_child(monkeypatch):
+    # a child that raises anything but a NumericalError exits 1, and its
+    # tasks run again here
+    g = gram(TWO_PIECE, power_exponents(1, 1, 5), 5)
+    force_sweep_forking(monkeypatch, 1)
+    serial = _report_bits(hereditary_sweep(g))
+    original, parent = operator_module._smallest_eigenvalue, os.getpid()
+
+    def failing_in_children(rows, trace):
+        if os.getpid() != parent:
+            raise RuntimeError("child")
+        return original(rows, trace)
+
+    monkeypatch.setattr(operator_module, "_smallest_eigenvalue", failing_in_children)
+    for cores in (2, 4):
+        force_sweep_forking(monkeypatch, cores)
+        assert _report_bits(hereditary_sweep(g)) == serial, cores
 
 
 @settings(max_examples=5, deadline=None)
