@@ -10,11 +10,14 @@ process: it splits a range of independent work items over forked
 children, one per usable core, and returns their results in index
 order.  ``christoffel_remez`` splits its grid points with it and
 ``operator.hereditary_sweep`` its subset walks; each value is bit for
-bit the serial one.
+bit the serial one.  Children send their results back as ``marshal``
+bytes, and a chunk whose results hold an error is recomputed in the
+calling process, which raises it as the serial run does.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
 from contextlib import suppress
 from dataclasses import dataclass
@@ -24,7 +27,6 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import MPZ, fzero, mpf_gt
 
-from . import errors
 from .domain import WeightedDomain, _moments, _powers
 from .errors import (
     LengthMismatch,
@@ -247,29 +249,6 @@ def _other_cores() -> List[int]:
         return []
 
 
-def _encode(r: _Result) -> str:
-    """One result as one line: ``v`` and four decimal ints per raw mpf,
-    or ``e``, the error's class as module.name and its message in hex."""
-    if isinstance(r, NumericalError):
-        return f"e {type(r).__module__}.{type(r).__qualname__} {str(r).encode().hex()}"
-    return " ".join(["v", *(f"{s} {m} {e} {b}" for s, m, e, b in r)])
-
-
-def _decode(line: str) -> _Result:
-    """The result ``_encode`` wrote as ``line``.  Raises ValueError on a
-    malformed line or an error class that is not a NumericalError of
-    ``muntz.errors``."""
-    tag, *fields = line.split(" ")
-    if tag == "v" and len(fields) % 4 == 0:
-        ints = map(int, fields)
-        return [(s, MPZ(m), e, b) for s, m, e, b in zip(ints, ints, ints, ints)]
-    module, _, name = fields[0].rpartition(".") if tag == "e" and len(fields) == 2 else ("",) * 3
-    cls = getattr(errors, name, None) if module == errors.__name__ else None
-    if not (isinstance(cls, type) and issubclass(cls, NumericalError)):
-        raise ValueError(f"unreadable result line {line[:40]!r}")
-    return cls(bytes.fromhex(fields[1]).decode())
-
-
 def _forked_map(chunk_fn: Callable[[int, int], List[_Result]], count: int,
                 min_chunk: int) -> List[_Result]:
     """The lists ``chunk_fn(lo, hi)`` gives for the indices lo..hi-1 of
@@ -278,13 +257,18 @@ def _forked_map(chunk_fn: Callable[[int, int], List[_Result]], count: int,
     The range is cut into one chunk per usable core, at most one per
     ``min_chunk`` indices.  This process takes the first chunk and a
     forked child each other one, each child on its own core of
-    ``_other_cores`` where it has one; a child writes its results to a
-    pipe as decimal ints (``_encode``) and leaves through ``os._exit``:
-    status 0 once written, 1 on any error.  Where ``os.fork`` is missing
-    or fails, or a child exits non-zero or writes what ``_decode``
-    cannot read, this process computes the chunk itself.  On any
-    exception here the live children are sent SIGTERM and reaped before
-    it propagates, so no process outlives the call.
+    ``_other_cores`` where it has one.  A child writes its results to a
+    pipe as ``marshal`` bytes, each mantissa a plain int read back
+    through ``MPZ``, and leaves through ``os._exit``: status 0 once
+    written, 1 on any error.  Where ``os.fork`` is missing or fails, or a
+    child exits non-zero or writes what ``marshal.loads`` cannot read,
+    this process computes the chunk itself.  ``marshal`` cannot write an
+    exception, so a chunk with a NumericalError among its results exits
+    1 in the child and is recomputed here; ``chunk_fn`` is deterministic,
+    so it gives the same error, type and message, as a serial run.  The
+    cost: a report that fails this way (exit 3) takes up to its serial
+    time.  On any exception here the live children are sent SIGTERM and
+    reaped before it propagates, so no process outlives the call.
     """
     cores = _usable_cores() if hasattr(os, "fork") else 1
     workers = max(1, min(cores, count // min_chunk))
@@ -307,9 +291,12 @@ def _forked_map(chunk_fn: Callable[[int, int], List[_Result]], count: int,
                         os.close(read_fd)
                         with suppress(OSError, IndexError):
                             os.sched_setaffinity(0, {others[k - 1]})
-                        results = chunk_fn(bounds[k], bounds[k + 1])
-                        with open(write_fd, "w") as pipe:
-                            pipe.write("".join(_encode(r) + "\n" for r in results))
+                        # a NumericalError result is not iterable: the child exits 1
+                        # and the caller recomputes its chunk, error and all
+                        data = marshal.dumps([[(s, int(m), e, b) for s, m, e, b in r]
+                                              for r in chunk_fn(bounds[k], bounds[k + 1])])
+                        with open(write_fd, "wb") as pipe:
+                            pipe.write(data)
                         status = 0
                     finally:
                         os._exit(status)
@@ -320,12 +307,13 @@ def _forked_map(chunk_fn: Callable[[int, int], List[_Result]], count: int,
             chunk = None
             if k in children:
                 pid, fd = children[k]
-                with open(fd, closefd=False) as pipe:
-                    text = pipe.read()
+                with open(fd, "rb", closefd=False) as pipe:
+                    data = pipe.read()
                 os.close(fd)
                 if os.waitpid(pid, 0)[1] == 0:
-                    with suppress(ValueError):
-                        chunk = [_decode(line) for line in text.splitlines()]
+                    with suppress(ValueError, EOFError, TypeError):
+                        chunk = [[(s, MPZ(m), e, b) for s, m, e, b in r]
+                                 for r in marshal.loads(data)]
                 del children[k]
             results += chunk if chunk is not None else chunk_fn(bounds[k], bounds[k + 1])
     finally:

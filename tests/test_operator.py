@@ -434,21 +434,27 @@ def test_forked_sweep_equals_serial_bits(domain, family, monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_sweep_raises_the_child_error(monkeypatch):
-    # every block fails in a child alone; on 2 cores the child runs the
-    # duals walk, so the first failing partition is mask 1, N2 = {1}
+    # every 2x2 block fails in whichever process computes it, named by its
+    # off-diagonal entry; the first failing partition is mask 3, whose N1
+    # block {3, 4} is powers task 2, a child's on 3 and 4 cores.  A child
+    # chunk with an error is recomputed here, so the raised error is the
+    # serial sweep's
     g = gram(UNIT, power_exponents(1, 2, 4), 4)
-    original, parent = operator_module._smallest_eigenvalue, os.getpid()
+    original = operator_module._smallest_eigenvalue
 
-    def failing_in_children(rows, trace):
-        if os.getpid() != parent:
-            raise PrecisionExhausted(f"{len(rows)}x{len(rows)} block in a child")
+    def failing_on_pairs(rows, trace):
+        if len(rows) == 2:
+            raise PrecisionExhausted(f"2x2 block {mp.make_mpf(rows[1][0])}")
         return original(rows, trace)
 
-    monkeypatch.setattr(operator_module, "_smallest_eigenvalue", failing_in_children)
+    monkeypatch.setattr(operator_module, "_smallest_eigenvalue", failing_on_pairs)
     force_sweep_forking(monkeypatch, 1)
-    assert _sweep_error(g) is None
-    force_sweep_forking(monkeypatch, 2)
-    assert _sweep_error(g) == (PrecisionExhausted, "1x1 block in a child")
+    want = _sweep_error(g)
+    assert want == _first_check_error(g)
+    assert want[0] is PrecisionExhausted and want[1].startswith("2x2 block ")
+    for cores in (2, 3, 4):
+        force_sweep_forking(monkeypatch, cores)
+        assert _sweep_error(g) == want, cores
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -1,17 +1,19 @@
 """The fork-map helper ``series._forked_map``: results in index order,
-errors brought back by class and message, and no process or pipe
-outliving a call; and the remez grid split over it, bit for bit the
-serial value."""
+raw values crossing from a child as ``marshal`` bytes bit for bit, a
+chunk that holds an error or arrives unreadable recomputed in the
+caller, and no process or pipe outliving a call; and the remez grid
+split over it, bit for bit the serial value."""
 
+import marshal
 import os
 import signal
 import time
 
 import pytest
-from mpmath.libmp import finf, fnan, fninf, from_int, from_str, fzero
+from mpmath.libmp import MPZ, finf, fnan, fninf, from_int, from_str, fzero
 
 from muntz import build_weighted_domain, christoffel_remez, gram, power_exponents
-from muntz.errors import NotPositiveDefinite, NumericalError, PrecisionExhausted
+from muntz.errors import PrecisionExhausted
 import muntz.series as series_module
 
 UNIT = build_weighted_domain([(0, 1)], [(1, 0)])
@@ -163,46 +165,66 @@ def test_non_zero_exit_discards_what_the_child_wrote(monkeypatch):
     assert_no_children()
 
 
-class OutsideTheLibrary(NumericalError):
-    """A NumericalError the caller cannot rebuild from ``muntz.errors``."""
-
-
-# named as one of muntz.errors, but defined here
-Lookalike = type("PrecisionExhausted", (NumericalError,), {})
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_child_errors_come_back_by_class_and_message(monkeypatch):
+def test_raw_values_cross_bit_for_bit(monkeypatch):
     parent = os.getpid()
     raw = [fzero, finf, fninf, fnan, from_str("-1.25e-300", 256), from_int(-(7 ** 200))]
 
     def chunk(lo, hi):
-        # the message names the process that computed it
-        where = "child" if os.getpid() != parent else "caller"
-        return [[], raw, PrecisionExhausted(f"from the {where}: a b\nc é"),
-                NotPositiveDefinite("")][lo:hi]
+        # odd indices give an empty result; the last value is 1 in a child
+        return [[] if j % 2 else [*raw, from_int(os.getpid() != parent)] for j in range(lo, hi)]
 
-    use_cores(monkeypatch, 4)
-    got = forked_map(chunk, 4, 1)
-    assert got[:2] == [[], raw]
-    assert [(type(e), str(e)) for e in got[2:]] == [
-        (PrecisionExhausted, "from the child: a b\nc é"), (NotPositiveDefinite, "")]
+    use_cores(monkeypatch, 2)
+    got = forked_map(chunk, 4, 2)
+    assert got == [[*raw, from_int(0)], [], [*raw, from_int(1)], []]
+    assert all(type(m) is MPZ for _, m, _, _ in got[2])
     assert_no_children()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_unknown_error_class_is_recomputed(monkeypatch):
+@pytest.mark.parametrize("cores", [2, 3, 4])
+def test_error_chunks_are_recomputed_here(cores, monkeypatch):
+    # chunk k holds indices 2k and 2k + 1; every odd chunk ends in an
+    # error, and the values say whether a child computed them
     parent = os.getpid()
 
     def chunk(lo, hi):
         where = "child" if os.getpid() != parent else "caller"
-        return [[OutsideTheLibrary, Lookalike][j % 2](where) for j in range(lo, hi)]
+        return [PrecisionExhausted(f"{j} from the {where}") if j % 4 == 3
+                else [from_int(j), from_int(where == "child")] for j in range(lo, hi)]
 
-    use_cores(monkeypatch, 3)
-    got = forked_map(chunk, 3, 1)
-    assert [(type(e), str(e)) for e in got] == [(OutsideTheLibrary, "caller"),
-                                                 (Lookalike, "caller"),
-                                                 (OutsideTheLibrary, "caller")]
+    statuses = record_waits(monkeypatch, os.waitstatus_to_exitcode)
+    use_cores(monkeypatch, cores)
+    fds = open_fds()
+    got = forked_map(chunk, 2 * cores, 2)
+    assert [(type(r), str(r)) if isinstance(r, PrecisionExhausted) else r for r in got] == [
+        (PrecisionExhausted, f"{j} from the caller") if j % 4 == 3
+        else [from_int(j), from_int(j // 2 % 2 == 0 and j > 1)] for j in range(2 * cores)]
+    assert statuses == [k % 2 for k in range(1, cores)]
+    assert open_fds() == fds
+    assert_no_children()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("sent", [b"", b"\x00", marshal.dumps(7), marshal.dumps([[(1, 2)]])],
+                         ids=["empty", "bad_code", "not_a_list", "short_value"])
+def test_unreadable_bytes_are_recomputed(sent, monkeypatch):
+    # the child exits 0 after writing bytes that marshal.loads rejects or
+    # that do not unpack into raw mpfs
+    parent = os.getpid()
+    parent_indices = []
+
+    def chunk(lo, hi):
+        if os.getpid() == parent:
+            parent_indices.extend(range(lo, hi))
+        return squares(lo, hi)
+
+    statuses = record_waits(monkeypatch, os.waitstatus_to_exitcode)
+    use_cores(monkeypatch, 2)
+    monkeypatch.setattr(marshal, "dumps", lambda value: sent)
+    assert forked_map(chunk, 201, 64) == SQUARES
+    assert statuses == [0]
+    assert parent_indices == list(range(201))
     assert_no_children()
 
 
