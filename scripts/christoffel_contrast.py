@@ -35,7 +35,8 @@ def growth_table(bits: int, rho: str, grid: int):
 
 
 def shape_table(bits: int, rho: str, grid: int):
-    # equal measure 0.4, pushed into different unions inside [0.5, 1]
+    # equal measure 0.4, pushed into different unions inside [0.5, 1.02]:
+    # the four-block union ends at 1.02, the other two at 1
     shapes = {
         "one-block": [("0.6", "1.0")],
         "two-block": [("0.5", "0.7"), ("0.8", "1.0")],

@@ -33,7 +33,6 @@ from .gram import (
     gram,
     gram_inverse,
     gram_inverse_column,
-    gram_inverse_diagonal,
     gram_inverse_diagonals,
     leading_section,
     leading_sections,

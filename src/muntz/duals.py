@@ -22,8 +22,7 @@ from mpmath.libmp import fone, fzero, mpf_abs, mpf_gt
 
 from .errors import BadEpsilon, IndexOutOfRange
 from .exponents import ExponentSequence
-from .gram import (GramMatrix, _dot, _full_rows, gram_inverse, gram_inverse_diagonal,
-                   gram_inverse_diagonals)
+from .gram import GramMatrix, _dot, _full_rows, gram_inverse, gram_inverse_diagonals
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 
 
@@ -37,7 +36,6 @@ class DualFamily:
     bit for bit.  Lists are 0-based; column n is index n+1 in 1-based talk.
     """
 
-    n: int
     coeffs: List[List[mpmath.mpf]]
     norms: Tuple[mpmath.mpf, ...]
     distances: Tuple[mpmath.mpf, ...]
@@ -85,7 +83,6 @@ def dual_family(g: GramMatrix) -> DualFamily:
         norms = tuple(mp.sqrt(inv[k][k]) for k in range(g.n))
         distances = tuple(1 / v for v in norms)
     return DualFamily(
-        n=g.n,
         coeffs=inv,
         norms=norms,
         distances=distances,
@@ -112,9 +109,7 @@ def biorthogonality_residual(g: GramMatrix, fam: DualFamily) -> mpmath.mpf:
 
 def distance(g: GramMatrix, n: int) -> mpmath.mpf:
     """Distance from the n-th section power to the span of the others."""
-    if not 1 <= n <= g.n:
-        raise IndexOutOfRange(f"index {n} outside 1..{g.n}")
-    diag = gram_inverse_diagonal(g, n)
+    diag = gram_inverse_diagonals(g, n, [g.n])[0]
     with workbits(g.precision_bits):
         return 1 / mp.sqrt(diag)
 

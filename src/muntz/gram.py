@@ -37,14 +37,14 @@ class GramMatrix:
     Stored once, as raw mpf rows up to the diagonal: ``entry_rows[i]`` of
     the entries, ``chol_rows[i]`` of the lower Cholesky factor, at
     ``precision_bits``, the width the assembly succeeded at (>= the one
-    requested when escalation kicked in).  ``cond_estimate`` is the
+    requested when escalation kicked in).  The size ``n`` is the number
+    of rows, not a field of its own.  ``cond_estimate`` is the
     squared ratio of extreme diagonal entries of the factor: a cheap lower
     bound on the condition number, used as the escalation guard.  ``lams``
     are the exponents at that width, cut from ``lam``, and ``domain`` the
     domain.  Treated as immutable.
     """
 
-    n: int
     entry_rows: List[List[tuple]]
     chol_rows: List[List[tuple]]
     cond_estimate: mpmath.mpf
@@ -52,6 +52,10 @@ class GramMatrix:
     lams: Tuple[mpmath.mpf, ...]
     lam: ExponentSequence
     domain: WeightedDomain
+
+    @property
+    def n(self) -> int:
+        return len(self.chol_rows)
 
     def entries(self) -> List[List[mpmath.mpf]]:
         """The symmetric entries as mpf rows, built from the stored lower
@@ -96,9 +100,9 @@ def _cholesky(rows) -> Optional[List[List[tuple]]]:
     return factor
 
 
-def _cond_estimate(chol_rows, n: int) -> mpmath.mpf:
-    """Squared ratio of the extreme diagonal entries of the leading n rows."""
-    diag = [mp.make_mpf(chol_rows[i][i]) for i in range(n)]
+def _cond_estimate(chol_rows) -> mpmath.mpf:
+    """Squared ratio of the extreme diagonal entries of these factor rows."""
+    diag = [mp.make_mpf(row[i]) for i, row in enumerate(chol_rows)]
     return (max(diag) / min(diag)) ** 2
 
 
@@ -149,7 +153,7 @@ def gram(
                     if not at_ceiling:
                         break
             if failure is None:
-                return GramMatrix(n, rows, chol_rows, cond, bits, tuple(lams), lam, wd)
+                return GramMatrix(rows, chol_rows, cond, bits, tuple(lams), lam, wd)
         if at_ceiling:
             if failure == "factorization":
                 raise NotPositiveDefinite(f"Cholesky failed at {bits} bits; "
@@ -173,8 +177,8 @@ def leading_section(g: GramMatrix, m: int) -> GramMatrix:
     if m == g.n:
         return g
     with workbits(g.precision_bits):
-        return replace(g, n=m, entry_rows=g.entry_rows[:m], chol_rows=g.chol_rows[:m],
-                       cond_estimate=_cond_estimate(g.chol_rows, m), lams=g.lams[:m])
+        return replace(g, entry_rows=g.entry_rows[:m], chol_rows=g.chol_rows[:m],
+                       cond_estimate=_cond_estimate(g.chol_rows[:m]), lams=g.lams[:m])
 
 
 def leading_sections(g: GramMatrix, sizes: Iterable[int]) -> Iterator[GramMatrix]:
@@ -242,8 +246,8 @@ MAX_INVERSE_ITERATIONS = 400
 def _smallest_eigenvalue(rows, trace) -> mpmath.mpf:
     """The smallest eigenvalue of the symmetric positive-definite A with
     raw lower rows ``rows``, by shifted inverse iteration at the working
-    width P.  ``trace`` is the raw tr(A^-1), as ``_triangular_inverse``
-    gives it for the Cholesky factor of A.
+    width P.  ``trace`` is the raw tr(A^-1), ``_trace`` of the triangular
+    inverse of the Cholesky factor of A.
 
     The shift c is (1 - 2**-8) times the larger of two lower bounds on
     lambda_min: 1/tr(A^-1), with tr(A^-1) = ||L^-1||_F^2, and the
@@ -284,7 +288,8 @@ def _smallest_eigenvalue(rows, trace) -> mpmath.mpf:
     if factor is None:
         raise NotPositiveDefinite("a matrix shifted below its smallest eigenvalue "
                                   "does not factor")
-    cols, trace = _triangular_inverse(factor, prec)
+    cols = _triangular_inverse(factor)
+    trace = _trace(cols, prec)
     inv_rows = _inverse_rows(cols)
     x = [fone]
     for i in range(1, len(rows)):
@@ -315,13 +320,19 @@ def _smallest_eigenvalue(rows, trace) -> mpmath.mpf:
                                round_nearest))
 
 
-def _triangular_inverse(factor, prec) -> Tuple[List[List[tuple]], tuple]:
+def _triangular_inverse(factor) -> List[List[tuple]]:
     """The columns of L^-1 for the raw factor rows of L, column j zero
-    above entry j, and ||L^-1||_F^2 = tr((L L^T)^-1)."""
+    above entry j: column j is the forward solve of e_j from entry j, so
+    its first m entries are column j of the inverse of the leading m rows."""
     k = len(factor)
-    cols = [_substitute_forward(factor, [fone if i == j else fzero for i in range(k)], j)
+    return [_substitute_forward(factor, [fone if i == j else fzero for i in range(k)], j)
             for j in range(k)]
-    return cols, mpf_sum([_dot(col, col, prec) for col in cols], prec, round_nearest)
+
+
+def _trace(cols, prec) -> tuple:
+    """||L^-1||_F^2 = tr((L L^T)^-1) from the columns of L^-1: each
+    column's sum of squares rounded once, then summed with one rounding."""
+    return mpf_sum([_dot(col, col, prec) for col in cols], prec, round_nearest)
 
 
 def _inverse_rows(cols) -> List[List[tuple]]:
@@ -424,8 +435,8 @@ def solve_spd(g: GramMatrix, rhs: List[mpmath.mpf]) -> List[mpmath.mpf]:
         return _mpfs(_substitute_back(g.chol_rows, y))
 
 
-def _unit_solve(g: GramMatrix, k: int, stop: int = 0, below=None) -> List[mpmath.mpf]:
-    """Entries ``stop`` onwards of column k (0-based) of the inverse: the
+def _unit_solve(g: GramMatrix, k: int, stop: int = 0, below=None) -> List[tuple]:
+    """Entries ``stop`` onwards of column k (0-based) of the inverse, raw: the
     forward solve starts at the one nonzero of the unit right-hand side
     and the back solve stops at ``stop``.  Every entry it computes is bit
     for bit the one ``solve_spd`` gives for that right-hand side.
@@ -435,30 +446,24 @@ def _unit_solve(g: GramMatrix, k: int, stop: int = 0, below=None) -> List[mpmath
         rhs = [fzero] * g.n
         rhs[k] = fone
         y = _substitute_forward(g.chol_rows, rhs, k)
-        return _mpfs(_substitute_back(g.chol_rows, y, stop, below))
+        return _substitute_back(g.chol_rows, y, stop, below)
 
 
 def gram_inverse_column(g: GramMatrix, n: int) -> List[mpmath.mpf]:
     """Column n (1-based) of the inverse of the Gram section."""
     if not 1 <= n <= g.n:
         raise IndexOutOfRange(f"column {n} outside 1..{g.n}")
-    return _unit_solve(g, n - 1)
-
-
-def gram_inverse_diagonal(g: GramMatrix, n: int) -> mpmath.mpf:
-    """The diagonal entry (G^-1)_nn (1-based) alone, as ||L^-1 e_n||^2:
-    the forward solve of e_n from entry n, then the sum of its squares,
-    exact and rounded once.  No back solve and no cancellation, so the
-    entries of G^-1 a report reads cost about N^3/6 operations over all
-    n instead of N^3."""
-    return gram_inverse_diagonals(g, n, [g.n])[0]
+    return _mpfs(_unit_solve(g, n - 1))
 
 
 def gram_inverse_diagonals(g: GramMatrix, n: int, sizes: Iterable[int]) -> List[mpmath.mpf]:
-    """``gram_inverse_diagonal(leading_section(g, m), n)`` for each of the
-    strictly increasing sizes m, bit for bit, from one forward solve of
-    e_n against g's factor: the solve against the m-section is its first
-    m entries, so each size costs one dot of their squares."""
+    """The diagonal entry (G_m^-1)_nn (1-based) of the leading m-section,
+    for each of the strictly increasing sizes m, as ||L_m^-1 e_n||^2:
+    one forward solve of e_n from entry n against g's factor, whose first
+    m entries are the solve against the m-section, then per size the sum
+    of their squares, exact and rounded once.  No back solve and no
+    cancellation, so the entries of G^-1 a report reads cost about N^3/6
+    operations over all n instead of N^3."""
     sizes = _checked_sizes(g, sizes)
     if not 1 <= n <= sizes[0]:
         raise IndexOutOfRange(f"index {n} outside 1..{sizes[0]}")
@@ -474,4 +479,4 @@ def gram_inverse(g: GramMatrix) -> List[List[mpmath.mpf]]:
     """The full inverse as its list of columns, one triangular solve pair
     per column: ``gram_inverse(g)[j][i]`` is (G^-1)_ij, 0-based."""
     below = _columns_below(g.chol_rows)
-    return [_unit_solve(g, j, 0, below) for j in range(g.n)]
+    return [_mpfs(_unit_solve(g, j, 0, below)) for j in range(g.n)]

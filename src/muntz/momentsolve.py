@@ -18,7 +18,7 @@ from mpmath import mp
 from .domain import WeightedDomain
 from .errors import ValidationError
 from .exponents import ExponentSequence
-from .gram import (GramMatrix, _dot, _full_rows, gram_inverse_diagonals, leading_sections,
+from .gram import (GramMatrix, _dot, _full_rows, _triangular_inverse, leading_sections,
                    solve_spd)
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 from .series import MuntzSeries
@@ -137,26 +137,23 @@ def convergence_certificate(
     leading sections of g of these strictly increasing sizes.  The ratios
     are taken at g's precision.
 
-    ||r_n^(N)|| = sqrt((G_N^-1)_nn), as in the dual family, for every size
-    N >= n from one forward solve of e_n against g's factor."""
+    ||r_n^(N)||^2 = (G_N^-1)_nn, as in the dual family, is the sum of
+    squares of the first N entries of column n of L^-1, for one
+    triangular inverse of g's factor cut to the largest size."""
     sizes = list(sizes)
     if sizes and sizes[-1] > len(data.d):
         raise ValidationError(f"section {sizes[-1]} exceeds {len(data.d)} moment values")
     sections = leading_sections(g, sizes)
-    diags = {m: [] for m in sizes}  # (G_m^-1)_kk for k = 1..m
-    for k in range(1, sizes[-1] + 1):
-        covering = [m for m in sizes if m >= k]
-        for m, diag in zip(covering, gram_inverse_diagonals(g, k, covering)):
-            diags[m].append(diag)
     sums = []
     norms = []
     with workbits(g.precision_bits):
+        prec = mp.prec
+        cols = _triangular_inverse(g.chol_rows[:sizes[-1]])
         for s in sections:
             size = s.n
-            dual_norms = [mp.sqrt(diag) for diag in diags[size]]
-            sums.append(
-                mp.fsum(abs(data.d[k]) * dual_norms[k] for k in range(size))
-            )
+            dual_norms = [mp.sqrt(mp.make_mpf(_dot(col[k:size], col[k:size], prec)))
+                          for k, col in enumerate(cols[:size])]
+            sums.append(mp.fsum(abs(data.d[k]) * dual_norms[k] for k in range(size)))
             coeffs = solve_spd(s, list(data.d[:size]))
             norm_sq = mp.fsum(coeffs[k] * data.d[k] for k in range(size))
             norms.append(mp.sqrt(norm_sq) if norm_sq > 0 else mp.mpf(0))

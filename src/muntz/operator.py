@@ -40,7 +40,7 @@ from .errors import (
 )
 from .exponents import ExponentSequence
 from .gram import (GramMatrix, _append_row, _columns_below, _dot, _smallest_eigenvalue,
-                   _unit_solve, gram_inverse, solve_spd)
+                   _trace, _unit_solve, gram_inverse, solve_spd)
 from .precision import DEFAULT_PRECISION_BITS, Real, to_int, to_mpf, workbits
 from .series import MuntzSeries, _Result, _forked_map, evaluate
 
@@ -225,7 +225,7 @@ def apply_demo(spec: OperatorSpec, g: GramMatrix) -> List[dict]:
         acted = apply(spec, ones)
         for q in ("0.25", "0.5", "0.75"):
             x = radius * mp.mpf(q)
-            tf, f = evaluate(acted, x, bits), evaluate(ones, x * spec.rho, bits)
+            tf, f = evaluate(acted, x), evaluate(ones, x * spec.rho)
             rows.append({"x": x, "Tf_x": tf, "f_rho_x": f, "abs_diff": abs(tf - f)})
     return rows
 
@@ -278,7 +278,7 @@ def hereditary_check(
             # the N2 block reads inverse column j only at and below entry j
             below = _columns_below(g.chol_rows)
             columns = {j: _unit_solve(g, j - 1, j - 1, below) for j in n2}
-            duals = _block_spectrum([[columns[j][i - 1]._mpf_ for j in n2[:a + 1]]
+            duals = _block_spectrum([[columns[j][i - 1] for j in n2[:a + 1]]
                                      for a, i in enumerate(n2)])
     return _report(g, n1, n2, powers, duals)
 
@@ -301,11 +301,8 @@ class _Block:
         self.squares, self.diagonal = squares, diagonal
 
     def trace(self) -> tuple:
-        """||L^-1||_F^2 = tr((S A S)^-1), as ``gram._triangular_inverse``
-        gives it: each column's sum of squares rounded once, then summed
-        with one rounding."""
-        prec = mp.prec
-        return mpf_sum([_dot(col, col, prec) for col in self.inverse], prec, round_nearest)
+        """||L^-1||_F^2 = tr((S A S)^-1), by ``gram._trace``."""
+        return _trace(self.inverse, mp.prec)
 
 
 def _grow(block: Optional[_Block], row, diagonal: mpmath.mpf, prec: int) -> Optional[_Block]:
@@ -442,7 +439,7 @@ def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
     columns = [_unit_solve(g, j, j, below) for j in range(n)]
     with workbits(g.precision_bits):
         walks = [_jacobi_scaled(g.entry_rows),
-                 _jacobi_scaled([[columns[j][i]._mpf_ for j in range(i + 1)]
+                 _jacobi_scaled([[columns[j][i] for j in range(i + 1)]
                                  for i in range(n)])]
 
         def tasks(lo: int, hi: int) -> List[_Result]:

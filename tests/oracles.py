@@ -105,9 +105,9 @@ def gram_every_row(
             chol_rows = _cholesky(rows)
             failure = "factorization"
             if chol_rows is not None:
-                cond = _cond_estimate(chol_rows, n)
+                cond = _cond_estimate(chol_rows)
                 if cond <= mp.mpf(2) ** (bits // 2):
-                    return GramMatrix(n, rows, chol_rows, cond, bits, tuple(lams), lam, wd)
+                    return GramMatrix(rows, chol_rows, cond, bits, tuple(lams), lam, wd)
                 failure = "condition"
         if bits >= max_precision_bits:
             if failure == "factorization":

@@ -13,7 +13,6 @@ from muntz import (
     gram,
     gram_inverse,
     gram_inverse_column,
-    gram_inverse_diagonal,
     gram_inverse_diagonals,
     leading_section,
     leading_sections,
@@ -28,7 +27,7 @@ from muntz.errors import (
     ValidationError,
 )
 from muntz.domain import _moments
-from muntz.gram import (_append_row, _cholesky, _dot, _smallest_eigenvalue,
+from muntz.gram import (_append_row, _cholesky, _dot, _smallest_eigenvalue, _trace,
                         _triangular_inverse, forward_substitution)
 
 from conftest import rel_err
@@ -338,14 +337,14 @@ def test_unit_solves_equal_solve_spd(two_piece_domain):
         # (G^-1)_nn = ||L^-1 e_n||^2, the exact sum of squares rounded once
         y = _reference_forward(g.chol_rows, [v._mpf_ for v in unit], prec)
         want = _rounded(sum(_exact(v) ** 2 for v in y), prec)
-        assert gram_inverse_diagonal(g, n)._mpf_ == want
-        assert rel_err(gram_inverse_diagonal(g, n), full[n - 1]) < 2.0 ** (-prec // 2)
+        assert gram_inverse_diagonals(g, n, [10])[0]._mpf_ == want
+        assert rel_err(gram_inverse_diagonals(g, n, [10])[0], full[n - 1]) < 2.0 ** (-prec // 2)
     with workbits(prec):
         rhs = [mp.mpf(k + 1) / 3 for k in range(10)]
     want = _reference_solve(g.chol_rows, [v._mpf_ for v in rhs], prec)
     assert [v._mpf_ for v in solve_spd(g, rhs)] == want
     with pytest.raises(IndexOutOfRange):
-        gram_inverse_diagonal(g, 11)
+        gram_inverse_diagonals(g, 11, [10])
 
 
 @pytest.mark.parametrize("family", ["squares", "linear", "sqrt"])
@@ -354,7 +353,7 @@ def test_inverse_diagonals_equal_leading_sections(two_piece_domain, family):
     sizes = [3, 7, 12, 16]
     for n in (1, 3):
         got = gram_inverse_diagonals(g, n, sizes)
-        want = [gram_inverse_diagonal(leading_section(g, m), n) for m in sizes]
+        want = [gram_inverse_diagonals(leading_section(g, m), n, [m])[0] for m in sizes]
         assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
     with pytest.raises(IndexOutOfRange):
         gram_inverse_diagonals(g, 4, sizes)
@@ -409,7 +408,7 @@ def _eigenvalue_args(matrix, bits):
     trace of its inverse from their Cholesky factor."""
     with workbits(bits):
         rows = [[(+matrix[i, j])._mpf_ for j in range(i + 1)] for i in range(matrix.rows)]
-        return rows, _triangular_inverse(_cholesky(rows), bits)[1]
+        return rows, _trace(_triangular_inverse(_cholesky(rows)), bits)
 
 
 def _reflected(diagonal, v, bits):

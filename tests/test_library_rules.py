@@ -75,3 +75,30 @@ def test_one_function_forks():
     hits = sorted(f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
                   for name in _forking_functions(ast.parse(path.read_text())))
     assert hits == ["series.py:_forked_map"]
+
+
+def _names_used(tree, skip=None):
+    """Every name a module reads, as a bare name, an attribute or an
+    import, outside the top-level node ``skip``."""
+    return {sub.id if isinstance(sub, ast.Name) else
+            sub.attr if isinstance(sub, ast.Attribute) else sub.name
+            for node in ast.iter_child_nodes(tree) if node is not skip
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute, ast.alias))}
+
+
+def test_every_private_helper_has_a_library_caller():
+    # a private function or class is named somewhere in the library
+    # besides its own body, so no helper lives on for tests alone
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used_by = {name: _names_used(tree) for name, tree in trees.items()}
+    unused = []
+    for name, tree in trees.items():
+        for node in ast.iter_child_nodes(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and node.name not in _names_used(tree, skip=node)
+                    and not any(node.name in used for other, used in used_by.items()
+                                if other != name)):
+                unused.append(f"{name}:{node.name}")
+    assert unused == []

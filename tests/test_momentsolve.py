@@ -11,6 +11,8 @@ from muntz import (
     explicit_exponents,
     fit_growth,
     gram,
+    gram_inverse_diagonals,
+    leading_section,
     power_exponents,
     solve_moments,
     workbits,
@@ -149,3 +151,27 @@ def test_residuals_are_the_true_residuals(pieces):
         for row, d_i, got in zip(g.entries(), d, residuals):
             want = mp.fdot(row + [d_i], list(series.coeffs) + [-1])
             assert abs(got - want) <= mp.mpf(2) ** (1 - bits) * abs(want)
+
+
+@pytest.mark.parametrize("family", [("1", "2"), ("1", "1"), ("1", "0.5")],
+                         ids=["squares", "linear", "sqrt"])
+@pytest.mark.parametrize("pieces", [([(0, 1)], [(1, 0)]),
+                                    ([("0", "0.5"), ("0.6", "1")], [(1, 0), (2, 0)])],
+                         ids=["unit", "two_piece"])
+def test_certificate_dual_norms_equal_per_section_solves(pieces, family):
+    # each partial sum is sum |d_k| sqrt((G_m^-1)_kk), every diagonal
+    # solved on its own leading section, bit for bit
+    wd, lam = build_weighted_domain(*pieces), power_exponents(*family, 12)
+    g, sizes = gram(wd, lam, 12), [3, 7, 12]
+    bits = g.precision_bits
+    with workbits(bits):
+        d = [mp.mpf(-1) ** k / (k + 2) for k in range(12)]
+    data = build_moment_data(wd, lam, d, bits)
+    cert = convergence_certificate(g, sizes, data)
+    want = []
+    for m in sizes:
+        s = leading_section(g, m)
+        diags = [gram_inverse_diagonals(s, k, [m])[0] for k in range(1, m + 1)]
+        with workbits(bits):
+            want.append(mp.fsum(abs(data.d[k]) * mp.sqrt(diags[k]) for k in range(m)))
+    assert [v._mpf_ for v in cert.partial_sums] == [v._mpf_ for v in want]
