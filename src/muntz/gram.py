@@ -10,11 +10,19 @@ exceeds 2**(P/2), the assembly retries with the width doubled, up to a
 ceiling.  Each attempt is assembled and factored one row at a time, and
 below the ceiling it stops at the first row that trips the guard: the
 ratio over the leading rows can only grow as rows are added.
+
+Attempts outlive the call that made them: a bounded per-process store
+keeps the last ``MAX_STORED_ATTEMPTS`` by domain pieces, exponent
+identity and width, so a later section of the same system, of any size,
+is cut from rows already factored or grows them, bit for bit what a
+fresh assembly would give.  Forked children inherit a copy; a one-shot
+process gains nothing from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Iterable, Iterator, List, Optional, Tuple
 
@@ -42,7 +50,8 @@ class GramMatrix:
     squared ratio of extreme diagonal entries of the factor: a cheap lower
     bound on the condition number, used as the escalation guard.  ``lams``
     are the exponents at that width, cut from ``lam``, and ``domain`` the
-    domain.  Treated as immutable.
+    domain.  Treated as immutable: its rows are shared with the attempts
+    ``gram`` keeps.
     """
 
     entry_rows: List[List[tuple]]
@@ -106,6 +115,64 @@ def _cond_estimate(chol_rows) -> mpmath.mpf:
     return (max(diag) / min(diag)) ** 2
 
 
+# Eight cover a process that reports on a handful of domains and exponent
+# families at one or two widths each; an attempt of 40 rows at 512 bits
+# holds about 0.3 MB.
+MAX_STORED_ATTEMPTS = 8
+# (domain pieces, exponent identity, width) -> _Attempt, least recently used first
+_ATTEMPTS: OrderedDict[tuple, _Attempt] = OrderedDict()
+
+
+@dataclass
+class _Attempt:
+    """The rows one width has assembled and factored so far for one domain
+    and exponent sequence: raw entry and factor rows, the running
+    condition estimate after each row, and the exponents at that width
+    (at least one per row).  ``trip`` is the first row whose estimate
+    exceeded 2**(P/2), and ``pivot`` the row whose pivot failed; no row
+    follows a failed pivot."""
+
+    entry_rows: List[List[tuple]] = field(default_factory=list)
+    chol_rows: List[List[tuple]] = field(default_factory=list)
+    conds: List[mpmath.mpf] = field(default_factory=list)
+    lams: Tuple[mpmath.mpf, ...] = ()
+    trip: Optional[int] = None
+    pivot: Optional[int] = None
+
+    def extend(self, wd: WeightedDomain, lam: ExponentSequence, n: int, bits: int,
+               at_ceiling: bool) -> None:
+        """Assemble and factor rows from where the attempt stops up to n,
+        stopping at a failed pivot, and below the ceiling at the row that
+        trips the guard: the estimate over the leading rows only grows."""
+        self.lams = lam.values_at(bits, n)
+        with workbits(bits):
+            moment = _moments(wd.pieces, self.lams, bits)
+            limit = mp.mpf(2) ** (bits // 2)
+            diag = [mp.make_mpf(row[i]) for i, row in enumerate(self.chol_rows)]
+            hi, lo = max(diag, default=None), min(diag, default=None)
+            for i in range(len(self.chol_rows), n):
+                row = [moment(i, j) for j in range(i + 1)]
+                if not _append_row(self.chol_rows, row, bits):
+                    self.pivot = i
+                    return
+                d = mp.make_mpf(self.chol_rows[i][i])
+                hi, lo = (d, d) if i == 0 else (max(hi, d), min(lo, d))
+                self.entry_rows.append(row)
+                self.conds.append((hi / lo) ** 2)   # _cond_estimate of the rows so far
+                if self.trip is None and self.conds[i] > limit:
+                    self.trip = i
+                    if not at_ceiling:
+                        return
+
+
+def _exponent_identity(lam: ExponentSequence) -> tuple:
+    """What fixes ``lam.values_at(bits, n)`` for every width and count: the
+    exact list, or the generator's (c, beta), whose values at a width are
+    the same prefix for any count."""
+    gen = lam.generator
+    return ("list", lam.raw) if gen is None else ("power", gen.c, gen.beta)
+
+
 def gram(
     wd: WeightedDomain,
     lam: ExponentSequence,
@@ -124,6 +191,20 @@ def gram(
     stops at that row, since the estimate over the leading rows only
     grows.  At the ceiling it factors every row and then raises
     NotPositiveDefinite when a pivot failed, PrecisionExhausted otherwise.
+
+    Attempts are kept in a per-process store of the last
+    ``MAX_STORED_ATTEMPTS``, least recently used dropped first, keyed by
+    the domain's pieces, the exponents' identity (the exact list, or the
+    generator's c and beta) and the width.  A later call on the same key
+    cuts its section from the stored rows when they already pass, moves
+    on to the next width with no arithmetic when a stored trip or failed
+    pivot lies below n, and otherwise appends rows from where the stored
+    ones stop.  Row i depends only on the exponents up to i, so every
+    result, error and message is bit for bit that of a cold call, and
+    the section carries the caller's own ``lam`` and ``wd``.  An attempt
+    is out of the store while it is extended, so one whose extension
+    raises is dropped.  Forked children get a copy of the store; a
+    one-shot process gains nothing from it.
     """
     if not 1 <= n <= len(lam):
         raise ValidationError(f"section size {n} outside 1..{len(lam)}")
@@ -132,28 +213,24 @@ def gram(
     if max_precision_bits < precision_bits:
         raise ValidationError("max_precision_bits below precision_bits")
 
+    identity = (wd.pieces, _exponent_identity(lam))
     bits = precision_bits
     while True:
-        lams = lam.values_at(bits, n)
         at_ceiling = bits >= max_precision_bits
-        with workbits(bits):
-            moment = _moments(wd.pieces, lams, bits)
-            limit = mp.mpf(2) ** (bits // 2)
-            rows, chol_rows, failure = [], [], None
-            for i in range(n):
-                rows.append([moment(i, j) for j in range(i + 1)])
-                if not _append_row(chol_rows, rows[i], bits):
-                    failure = "factorization"
-                    break
-                d = mp.make_mpf(chol_rows[i][i])
-                hi, lo = (d, d) if i == 0 else (max(hi, d), min(lo, d))
-                cond = (hi / lo) ** 2   # _cond_estimate of the rows so far
-                if failure is None and cond > limit:
-                    failure = "condition"
-                    if not at_ceiling:
-                        break
-            if failure is None:
-                return GramMatrix(rows, chol_rows, cond, bits, tuple(lams), lam, wd)
+        key = (*identity, bits)
+        attempt = _ATTEMPTS.pop(key, None) or _Attempt()
+        if (len(attempt.chol_rows) < n and attempt.pivot is None
+                and (attempt.trip is None or at_ceiling)):
+            attempt.extend(wd, lam, n, bits, at_ceiling)
+        _ATTEMPTS[key] = attempt
+        if len(_ATTEMPTS) > MAX_STORED_ATTEMPTS:
+            _ATTEMPTS.popitem(last=False)
+        # the attempt now has n rows, or stops below n at a failed pivot or a trip
+        failure = ("factorization" if attempt.pivot is not None and attempt.pivot < n
+                   else "condition" if attempt.trip is not None and attempt.trip < n else None)
+        if failure is None:
+            return GramMatrix(attempt.entry_rows[:n], attempt.chol_rows[:n],
+                              attempt.conds[n - 1], bits, attempt.lams[:n], lam, wd)
         if at_ceiling:
             if failure == "factorization":
                 raise NotPositiveDefinite(f"Cholesky failed at {bits} bits; "

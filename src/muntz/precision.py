@@ -17,7 +17,7 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import from_rational, mpf_pos, round_nearest, to_str
 
-from .errors import NotANumber
+from .errors import NotANumber, ValidationError
 
 DEFAULT_PRECISION_BITS = 256
 MAX_PRECISION_BITS = 4096
@@ -77,10 +77,18 @@ def to_int(x: Real) -> int:
 
 
 def frac_str(fr: Fraction) -> str:
-    """Exact decimal-free rendering: "3" or "1/2"."""
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    return f"{fr.numerator}/{fr.denominator}"
+    """Exact decimal-free rendering: "3" or "1/2".
+
+    Python renders an int of more than 4300 digits (its default limit) as
+    text only by raising ValueError, which a value such as 1e-4400 reaches
+    within MAX_DECIMAL_EXPONENT; that is a ValidationError here."""
+    try:
+        if fr.denominator == 1:
+            return str(fr.numerator)
+        return f"{fr.numerator}/{fr.denominator}"
+    except ValueError as exc:
+        raise ValidationError("an exact value has too many digits to be written out; "
+                              "give it with fewer") from exc
 
 
 def mpf_from_fraction(fr: Fraction, bits: int) -> mpmath.mpf:

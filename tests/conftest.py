@@ -5,6 +5,7 @@ import pytest
 from mpmath import mp
 
 from muntz import build_weighted_domain, explicit_exponents, workbits
+from muntz.gram import _ATTEMPTS
 
 CHECK_BITS = 320  # headroom above the default working precision
 
@@ -20,6 +21,12 @@ def rel_err(got, want):
         if want == 0:
             return abs(got)
         return abs(got - want) / abs(want)
+
+
+@pytest.fixture(autouse=True)
+def cold_gram_store():
+    """Every test starts with no factored attempt kept from another."""
+    _ATTEMPTS.clear()
 
 
 def force_sweep_forking(monkeypatch, cores):

@@ -264,6 +264,33 @@ def test_malformed_input_exits_2(tmp_path, case):
     assert out == ""
 
 
+# ``validate`` echoes every domain and exponent value exactly, as integers
+# past Python's 4300-digit limit on rendering an int as text
+LONG = "1e-4400"
+LONG_ECHO_CASES = {
+    "domain_lo": {"domain": {"intervals": [{"lo": LONG, "hi": "1"}],
+                             "weights": [{"coeff": "1", "power": "0"}]}},
+    "domain_hi": {"domain": {"intervals": [{"lo": "0", "hi": LONG}],
+                             "weights": [{"coeff": "1", "power": "0"}]}},
+    "weight_coeff": {"domain": {"intervals": [{"lo": "0", "hi": "1"}],
+                                "weights": [{"coeff": LONG, "power": "0"}]}},
+    "weight_power": {"domain": {"intervals": [{"lo": "0", "hi": "1"}],
+                                "weights": [{"coeff": "1", "power": LONG}]}},
+    "generator_c": {"exponents": {"kind": "power", "c": LONG, "beta": "2", "count": 4}},
+    # so long a beta is below 1e-100, and no width tells its exponents apart
+    "generator_beta": {"exponents": {"kind": "power", "c": "1", "beta": LONG, "count": 4}},
+    "explicit_exponent": {"exponents": {"kind": "explicit", "values": [LONG, "1", "2"]}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_ECHO_CASES))
+def test_validate_of_a_value_too_long_to_echo_exits_2(tmp_path, capsys, case):
+    cfg = write_config(tmp_path, **LONG_ECHO_CASES[case])
+    assert run(["validate", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error[") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("problem", ["config_is_a_directory", "config_not_utf8",
                                      "out_in_missing_directory"])
 def test_unreadable_config_or_unwritable_out_exits_2(tmp_path, problem):

@@ -165,6 +165,16 @@ def test_report_bytes(case, tmp_path, monkeypatch):
     assert _digest(case, tmp_path) == DIGESTS[case]
 
 
+def test_report_bytes_with_a_warm_store(tmp_path, monkeypatch):
+    # every case twice in one process, forwards then backwards, with the
+    # factored attempts of the reports before it kept: later reports cut,
+    # grow or skip stored attempts, and some are dropped for newer ones
+    monkeypatch.delenv("MUNTZ_PRECISION_BITS", raising=False)
+    order = sorted(CASES)
+    assert [case for case in order + order[::-1]
+            if _digest(case, tmp_path) != DIGESTS[case]] == []
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.parametrize("cores", [2, 3, 4])
 @pytest.mark.parametrize("case", ["hereditary_sweep", "hereditary_sweep_csv"])

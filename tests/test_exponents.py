@@ -98,6 +98,28 @@ def test_section_builds_only_its_exponents(monkeypatch):
     assert g.precision_bits > 64 and built == [8, 8]
 
 
+def test_warm_section_builds_only_the_exponents_it_lacks(monkeypatch):
+    # asked again, the section builds no exponent; grown to 12, the 64-bit
+    # width builds none, its guard having tripped below 8, and the 128-bit
+    # guard trips past row 8, so 256 bits settle
+    lam = power_exponents(1, "0.5", 10 ** 4)
+    built = []
+    materialize = exponents_module._materialize
+
+    def counting(c, beta, count, bits):
+        values = materialize(c, beta, count, bits)
+        built.append((bits, len(values)))
+        return values
+
+    monkeypatch.setattr(exponents_module, "_materialize", counting)
+    wd = build_weighted_domain([(0, 1)], [(1, 0)])
+    assert gram(wd, lam, 8, 64).precision_bits == 128 and built == [(64, 8), (128, 8)]
+    gram(wd, lam, 8, 64)
+    assert built == [(64, 8), (128, 8)]
+    gram(wd, lam, 12, 64)
+    assert built == [(64, 8), (128, 8), (128, 12), (256, 12)]
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     vals=st.lists(

@@ -255,14 +255,38 @@ def test_attempt_stops_at_the_row_that_trips_the_guard(unit_domain, monkeypatch)
     assert [factored.count(bits) for bits in (64, 128, 256)] == [9, 17, 20]
 
 
-@pytest.mark.parametrize("family, n, bits, ceiling, error", [
+def test_warm_attempt_appends_only_the_rows_it_lacks(unit_domain, monkeypatch):
+    # the attempts of the test above, kept: asked again they append no
+    # row; grown to 24 rows, the widths whose guard tripped below 20 are
+    # skipped and the one that settled appends rows 21..24
+    factored = []
+
+    def counting(factor, row, prec):
+        factored.append(prec)
+        return _append_row(factor, row, prec)
+
+    monkeypatch.setattr(GRAM_MODULE, "_append_row", counting)
+    lam = power_exponents(1, 1, 40)
+    cold = gram(unit_domain, lam, 20, 64)
+    factored.clear()
+    warm = gram(unit_domain, lam, 20, 64)
+    assert factored == [] and warm.chol_rows == cold.chol_rows and warm is not cold
+    grown = gram(unit_domain, power_exponents(1, 1, 24), 24, 64)
+    assert [factored.count(bits) for bits in (64, 128, 256)] == [0, 0, 4]
+    assert grown.precision_bits == 256 and grown.chol_rows[:20] == cold.chol_rows
+
+
+CEILING_CASES = [
     ("linear", 12, 64, 64, PrecisionExhausted),   # guard trips at row 9, no pivot fails
     ("linear", 16, 64, 64, NotPositiveDefinite),  # guard at row 9, then pivot 15 fails
     ("linear", 40, 64, 128, NotPositiveDefinite),  # at 128: guard at row 17, pivot 29
     ("sqrt", 16, 128, 128, PrecisionExhausted),
     ("sqrt", 23, 128, 128, NotPositiveDefinite),
     ("squares", 40, 64, 128, PrecisionExhausted),
-])
+]
+
+
+@pytest.mark.parametrize("family, n, bits, ceiling, error", CEILING_CASES)
 def test_ceiling_error_as_the_full_factor_judges(unit_domain, family, n, bits, ceiling,
                                                  error):
     # at the ceiling every row is factored, so a pivot that fails after
@@ -273,6 +297,84 @@ def test_ceiling_error_as_the_full_factor_judges(unit_domain, family, n, bits, c
     with pytest.raises(error) as want:
         gram_every_row(unit_domain, lam, n, bits, ceiling)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("first", ["smaller", "larger"])
+@pytest.mark.parametrize("family, n, bits, ceiling, error", CEILING_CASES)
+def test_warm_ceiling_error_as_the_full_factor_judges(unit_domain, family, n, bits, ceiling,
+                                                      error, first):
+    # the same cases with the attempts of a smaller or a larger section,
+    # at the same widths and ceiling, already stored
+    lam = power_exponents(*FAMILIES[family], n + 8)
+    try:
+        gram(unit_domain, lam, n // 2 if first == "smaller" else n + 8, bits, ceiling)
+    except (NotPositiveDefinite, PrecisionExhausted):
+        pass
+    with pytest.raises(error) as got:
+        gram(unit_domain, lam, n, bits, ceiling)
+    with pytest.raises(error) as want:
+        gram_every_row(unit_domain, lam, n, bits, ceiling)
+    assert str(got.value) == str(want.value)
+
+
+def _outcome(wd, lam, n, bits, ceiling):
+    """What ``gram`` gives, as raw values, or the type and message it raises."""
+    try:
+        g = gram(wd, lam, n, bits, ceiling)
+    except (NotPositiveDefinite, PrecisionExhausted) as exc:
+        return type(exc), str(exc)
+    assert g.lam is lam and g.domain is wd
+    return (g.entry_rows, g.chol_rows, g.cond_estimate._mpf_, g.precision_bits,
+            [v._mpf_ for v in g.lams])
+
+
+def _cold_outcome(*args):
+    """``_outcome`` with no attempt stored, the stored ones put back after."""
+    kept = GRAM_MODULE._ATTEMPTS.copy()
+    GRAM_MODULE._ATTEMPTS.clear()
+    try:
+        return _outcome(*args)
+    finally:
+        GRAM_MODULE._ATTEMPTS.clear()
+        GRAM_MODULE._ATTEMPTS.update(kept)
+
+
+# the benchmark's domain x family cells, and a weighted one-piece domain
+# whose weight is so small that a pivot falls below 2**(1 - P) before the
+# guard trips: for linear exponents at row 10 of 128 bits
+TINY_WEIGHT = ([(0, "1.5")], [("1e-30", "0.5")])
+STORE_CELLS = [(pieces, family) for pieces in PIECES + [TINY_WEIGHT]
+               for family in sorted(FAMILIES)]
+
+
+def test_a_pivot_that_fails_before_the_guard_stops_its_own_size():
+    # linear exponents on the tiny weight: at 128 bits the 10th pivot
+    # fails with the guard untripped, so 9 rows settle there and 10 do not
+    wd = build_weighted_domain(*TINY_WEIGHT)
+    lam = power_exponents(1, 1, 40)
+    for n in (10, 9, 10, 40, 9, 1):
+        assert _outcome(wd, lam, n, 128, 128) == _cold_outcome(wd, lam, n, 128, 128)
+    assert gram(wd, lam, 9, 128, 128).precision_bits == 128
+    with pytest.raises(NotPositiveDefinite):
+        gram(wd, lam, 10, 128, 128)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(range(len(STORE_CELLS))), st.integers(1, 40),
+                          st.sampled_from([64, 128, 256]), st.integers(0, 3),
+                          st.integers(0, 8)),
+                min_size=1, max_size=8))
+def test_stored_attempts_give_what_a_cold_gram_gives(requests):
+    # any sequence of requests, each on newly built inputs, gets from the
+    # store what an empty store gives, rows, estimate, width, exponents
+    # and errors alike; the ceiling is 1, 2, 4 or 8 times the width
+    GRAM_MODULE._ATTEMPTS.clear()
+    for cell, n, bits, doublings, spare in requests:
+        pieces, family = STORE_CELLS[cell]
+        wd = build_weighted_domain(*pieces)
+        lam = power_exponents(*FAMILIES[family], n + spare)
+        args = (wd, lam, n, bits, bits << doublings)
+        assert _outcome(*args) == _cold_outcome(*args)
 
 
 @pytest.mark.parametrize("sizes", [[], [2, 2], [3, 2], [1, 5], [0, 1]])

@@ -51,30 +51,46 @@ def test_import_leaves_out_multiprocessing_and_pickle():
     assert out.strip() == "[]"
 
 
-def _forking_functions(tree, scope=""):
-    """The top-level functions and methods of a module that name
-    ``os.fork``, or "<module>" where it is named outside any."""
+def _naming_functions(tree, named, scope=""):
+    """The top-level functions and methods of a module with a node for
+    which ``named`` holds, or "<module>" where one lies outside any."""
     hits = set()
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, ast.ClassDef):
-            hits |= _forking_functions(node, f"{scope}{node.name}.")
+            hits |= _naming_functions(node, named, f"{scope}{node.name}.")
             continue
-        named = any(isinstance(sub, ast.Attribute) and sub.attr == "fork"
-                    and isinstance(sub.value, ast.Name) and sub.value.id == "os"
-                    or isinstance(sub, ast.ImportFrom) and sub.module == "os"
-                    and any(alias.name == "fork" for alias in sub.names)
-                    for sub in ast.walk(node))
-        if named:
+        if any(named(sub) for sub in ast.walk(node)):
             is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             hits.add(f"{scope}{node.name}" if is_def else "<module>")
     return hits
 
 
+def _names_fork(sub):
+    return (isinstance(sub, ast.Attribute) and sub.attr == "fork"
+            and isinstance(sub.value, ast.Name) and sub.value.id == "os"
+            or isinstance(sub, ast.ImportFrom) and sub.module == "os"
+            and any(alias.name == "fork" for alias in sub.names))
+
+
 def test_one_function_forks():
     # every process the library starts comes from the one fork-map helper
     hits = sorted(f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
-                  for name in _forking_functions(ast.parse(path.read_text())))
+                  for name in _naming_functions(ast.parse(path.read_text()), _names_fork))
     assert hits == ["series.py:_forked_map"]
+
+
+def _names_gram_store(sub):
+    return (isinstance(sub, ast.Name) and sub.id == "_ATTEMPTS"
+            or isinstance(sub, ast.Attribute) and sub.attr == "_ATTEMPTS"
+            or isinstance(sub, ast.alias) and sub.name == "_ATTEMPTS")
+
+
+def test_one_function_reads_the_gram_store():
+    # the factored attempts kept across calls are made at gram.py's top
+    # level and read and written by ``gram`` alone
+    hits = sorted(f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
+                  for name in _naming_functions(ast.parse(path.read_text()), _names_gram_store))
+    assert hits == ["gram.py:<module>", "gram.py:gram"]
 
 
 def _names_used(tree, skip=None):
