@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Serial against forked wall time for each caller of the fork-map helper.
+
+``series._forked_map`` splits a caller's work over the usable cores only
+when each process gets at least a floor of work items: grid points for
+``christoffel_remez`` (``series._MIN_CHUNK_POINTS``), subtree tasks for
+``hereditary_sweep`` (``operator._MIN_SWEEP_TASKS``) and columns for
+``dual_family`` (``duals._MIN_CHUNK_COLUMNS``).  For sizes around where
+each floor starts forking on this host, this prints the median wall time
+with every item in this process and with the items split over all usable
+cores (the floor lowered to one item), and their ratio.  A floor belongs
+near the smallest size whose ratio stays below 1.
+
+    python3 scripts/fork_floors.py [--family squares|linear|sqrt] [--repeats 5]
+"""
+
+import argparse
+import statistics
+import sys
+import time
+from contextlib import contextmanager
+
+from muntz import (build_weighted_domain, christoffel_remez, dual_family, gram,
+                   hereditary_sweep, power_exponents)
+import muntz.duals as duals_module
+import muntz.operator as operator_module
+import muntz.series as series_module
+
+FAMILIES = {"squares": 2, "linear": 1, "sqrt": "1/2"}
+FLOORS = {"remez": (series_module, "_MIN_CHUNK_POINTS"),
+          "sweep": (operator_module, "_MIN_SWEEP_TASKS"),
+          "duals": (duals_module, "_MIN_CHUNK_COLUMNS")}
+
+
+@contextmanager
+def patched(module, name, value):
+    old = getattr(module, name)
+    setattr(module, name, value)
+    try:
+        yield
+    finally:
+        setattr(module, name, old)
+
+
+def seconds(call) -> float:
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--family", choices=sorted(FAMILIES), default="squares")
+    ap.add_argument("--bits", type=int, default=256)
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--tiny", action="store_true",
+                    help="one tiny size per caller, to check that the script runs")
+    args = ap.parse_args()
+
+    cores = series_module._usable_cores()
+    floors = {key: getattr(module, name) for key, (module, name) in FLOORS.items()}
+    wd = build_weighted_domain([("0", "0.5"), ("0.6", "1")], [(1, 0), (2, "0.5")], args.bits)
+    beta = FAMILIES[args.family]
+
+    def section(n):
+        return gram(wd, power_exponents(1, beta, n, args.bits), n, args.bits)
+
+    # each caller forks once count // floor >= 2: from 2 * floor grid
+    # points, N = floor sweep tasks (2N of them) and 2 * floor columns
+    if args.tiny:
+        sizes = {"remez": [4], "sweep": [2], "duals": [2]}
+    else:
+        sizes = {"remez": [floors["remez"] * k // 2 for k in (1, 2, 4, 8)],
+                 "sweep": [floors["sweep"] + d for d in (-2, -1, 0, 1, 2)],
+                 "duals": [floors["duals"] * k // 2 for k in (2, 3, 4, 6, 8)]}
+    g6 = section(6)
+    calls = {"remez": lambda size: (lambda: christoffel_remez(g6, "0.9", size)),
+             "sweep": lambda size: (lambda g=section(size): hereditary_sweep(g)),
+             "duals": lambda size: (lambda g=section(size): dual_family(g))}
+    units = {"remez": "grid points at N = 6", "sweep": "N", "duals": "N"}
+
+    print(f"{cores} usable cores; {args.family} exponents on [0, 0.5] u [0.6, 1], "
+          f"{args.bits} bits; median of {args.repeats}")
+    if cores < 2:
+        print("one usable core: the forked column runs serially too")
+    print(f"{'caller':>7}  {'floor':>5}  {'size':>5}  {'serial ms':>10}  {'forked ms':>10}  "
+          f"{'ratio':>6}  size is")
+    for key, call_at in calls.items():
+        module, name = FLOORS[key]
+        for size in sizes[key]:
+            call = call_at(size)
+            call()  # warm: the section and its store entry exist before timing
+            times = {"serial": [], "forked": []}
+            for _ in range(args.repeats):
+                # alternated, so a host that drifts in speed moves both alike
+                with patched(series_module, "_usable_cores", lambda: 1):
+                    times["serial"].append(seconds(call))
+                with patched(module, name, 1):
+                    times["forked"].append(seconds(call))
+            serial, forked = (1000 * statistics.median(t) for t in times.values())
+            print(f"{key:>7}  {floors[key]:>5}  {size:>5}  {serial:>10.2f}  {forked:>10.2f}  "
+                  f"{forked / serial:>6.2f}  {units[key]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -233,7 +233,7 @@ def _duals(i: _Inputs, g: GramMatrix) -> dict:
     fam = duals.dual_family(g)
     return {
         "coefficient_columns": fam.coeffs, "norms": fam.norms, "distances": fam.distances,
-        "max_biorthogonality_residual": duals.biorthogonality_residual(g, fam),
+        "max_biorthogonality_residual": fam.residual,
         "rows": [[k + 1, fam.norms[k], fam.distances[k]] for k in range(g.n)],
     }
 

@@ -9,6 +9,13 @@ classical closed form
     D_n = (2 lam_n + 1)**(-1/2) * prod_{k != n} |lam_n - lam_k| / (lam_n + lam_k + 1)
 
 is an independent oracle for everything the linear algebra produces.
+
+``dual_family`` solves each column of G^-1 together with its part of
+the biorthogonality residual max |G C - I|, and hands the columns to
+``series._forked_map`` in the order 0, N-1, 1, N-2, ..., so that each
+contiguous chunk carries about equal work.  At ``_MIN_CHUNK_COLUMNS``
+or more per process the split starts at N = 20, where it breaks even
+on a 2-core host, and the family is bit for bit the serial one.
 """
 
 from __future__ import annotations
@@ -22,8 +29,10 @@ from mpmath.libmp import fone, fzero, mpf_abs, mpf_gt
 
 from .errors import BadEpsilon, IndexOutOfRange
 from .exponents import ExponentSequence
-from .gram import GramMatrix, _dot, _full_rows, gram_inverse, gram_inverse_diagonals
+from .gram import (GramMatrix, _columns_below, _dot, _full_rows, _mpfs, _unit_solve,
+                   gram_inverse_diagonals)
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
+from .series import _forked_map
 
 
 @dataclass(frozen=True)
@@ -33,12 +42,18 @@ class DualFamily:
     coeffs[n] is the column of G^-1 that expands r_n over the section
     powers; norms[n] = sqrt((G^-1)_nn) and distances[n] = 1/norms[n],
     computed as that exact reciprocal so the reciprocity identity holds
-    bit for bit.  Lists are 0-based; column n is index n+1 in 1-based talk.
+    bit for bit.  ``residual`` is max |(G C)_mj - delta_mj| over all N**2
+    entries: how far the columns C are from inverting the Gram matrix.
+    Each entry is one sum of the exact products G_mk C_kj, with -1 on the
+    diagonal, rounded once, so it is the residual of the stored values,
+    not of a rounding of its own.  Lists are 0-based; column n is index
+    n+1 in 1-based talk.
     """
 
     coeffs: List[List[mpmath.mpf]]
     norms: Tuple[mpmath.mpf, ...]
     distances: Tuple[mpmath.mpf, ...]
+    residual: mpmath.mpf
     precision_bits: int
 
 
@@ -76,35 +91,62 @@ class LowerBoundCertificate:
     section_ratios: Tuple[Tuple[int, mpmath.mpf], ...]
 
 
+# A fork, its pipe and its wait cost about 2 ms on a 2-core x86 VM.
+# Split over both cores there, the family takes 1.2-2.8 times its
+# serial time at N 10-15, 0.8-0.9 at N = 20 and 0.6-0.9 at N 30-40
+# (scripts/fork_floors.py); ten columns a process fork from N = 20.
+_MIN_CHUNK_COLUMNS = 10
+
+
+def _interleaved(n: int) -> List[int]:
+    """0, n-1, 1, n-2, ...: column j's forward solve costs (n - j)**2 / 2
+    and the rest of its work about 1.5 n**2, so each contiguous run of
+    this order carries about its share of the work."""
+    return [j // 2 if j % 2 == 0 else n - 1 - j // 2 for j in range(n)]
+
+
 def dual_family(g: GramMatrix) -> DualFamily:
-    """All dual-function coefficient columns of one section."""
-    inv = gram_inverse(g)
-    with workbits(g.precision_bits):
-        norms = tuple(mp.sqrt(inv[k][k]) for k in range(g.n))
+    """All dual-function coefficient columns of one section, and their
+    biorthogonality residual.
+
+    Column j is the unit solve of ``gram._unit_solve`` and its residual
+    the largest |(G C)_mj - delta_mj| over the rows m.  The columns run
+    in ``_interleaved`` order through ``series._forked_map``, at
+    ``_MIN_CHUNK_COLUMNS`` or more per process, and are put back in
+    column order; the residual is the largest of the column maxima.
+    Every value is bit for bit the serial one.
+    """
+    n, prec = g.n, g.precision_bits
+    order = _interleaved(n)
+    below = _columns_below(g.chol_rows)
+    rows = _full_rows(g.entry_rows)
+
+    def columns(lo: int, hi: int) -> List[List[tuple]]:
+        # [column j raw..., its residual maximum] for each j of order[lo:hi]
+        out = []
+        for j in order[lo:hi]:
+            col = _unit_solve(g, j, 0, below)
+            worst = fzero
+            for m, row in enumerate(rows):
+                r = mpf_abs(_dot(row, col, prec, fone if m == j else None))
+                if mpf_gt(r, worst):
+                    worst = r
+            out.append(col + [worst])
+        return out
+
+    results = dict(zip(order, _forked_map(columns, n, _MIN_CHUNK_COLUMNS)))
+    inv = [_mpfs(results[j][:n]) for j in range(n)]
+    with workbits(prec):
+        norms = tuple(mp.sqrt(inv[k][k]) for k in range(n))
         distances = tuple(1 / v for v in norms)
+        residual = max(mp.make_mpf(result[n]) for result in results.values())
     return DualFamily(
         coeffs=inv,
         norms=norms,
         distances=distances,
-        precision_bits=g.precision_bits,
+        residual=residual,
+        precision_bits=prec,
     )
-
-
-def biorthogonality_residual(g: GramMatrix, fam: DualFamily) -> mpmath.mpf:
-    """max |(G C)_mj - delta_mj| over all N**2 entries of the section: how
-    far the dual coefficient columns C are from inverting the Gram
-    matrix.  Each entry is one sum of the exact products G_mk C_kj, with
-    -1 on the diagonal, rounded once, so this is the residual of the
-    stored values, not of a rounding of its own."""
-    prec = g.precision_bits
-    cols = [[v._mpf_ for v in col] for col in fam.coeffs]
-    worst = fzero
-    for m, row in enumerate(_full_rows(g.entry_rows)):
-        for j, col in enumerate(cols):
-            r = mpf_abs(_dot(row, col, prec, fone if m == j else None))
-            if mpf_gt(r, worst):
-                worst = r
-    return mp.make_mpf(worst)
 
 
 def distance(g: GramMatrix, n: int) -> mpmath.mpf:

@@ -15,7 +15,7 @@ from typing import Iterable, List, Sequence, Tuple
 import mpmath
 from mpmath import mp
 
-from .domain import WeightedDomain
+from .domain import WeightedDomain, _powers
 from .errors import ValidationError
 from .exponents import ExponentSequence
 from .gram import (GramMatrix, _dot, _full_rows, _triangular_inverse, leading_sections,
@@ -69,7 +69,9 @@ def fit_growth(
         sxy = mp.fsum(x * y for x, y in points)
         slope = (m * sxy - sx * sy) / (m * sxx - sx * sx)
         a = mp.exp(slope)
-        c = max(abs(v) / a ** lams[i] for i, v in enumerate(dv) if v != 0)
+        nonzero = [i for i, v in enumerate(dv) if v != 0]
+        powers = _powers(a._mpf_, [lams[i]._mpf_ for i in nonzero], bits)
+        c = max(abs(dv[i]) / mp.make_mpf(p) for i, p in zip(nonzero, powers))
         return a, c
 
 

@@ -27,6 +27,7 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import fone, mpf_div, mpf_mul, mpf_neg, mpf_sum, round_nearest
 
+from .domain import _powers
 from .errors import (
     BadPartition,
     BoundViolation,
@@ -39,7 +40,7 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .exponents import ExponentSequence
-from .gram import (GramMatrix, _append_row, _columns_below, _dot, _smallest_eigenvalue,
+from .gram import (GramMatrix, _append_row, _columns_below, _dot, _mpfs, _smallest_eigenvalue,
                    _trace, _unit_solve, gram_inverse, solve_spd)
 from .precision import DEFAULT_PRECISION_BITS, Real, to_int, to_mpf, workbits
 from .series import MuntzSeries, _Result, _forked_map, evaluate
@@ -67,8 +68,7 @@ def dilation_operator(
     if count > len(lam):
         raise ValidationError("count exceeds exponent prefix")
     lams = lam.values_at(precision_bits, count)
-    with workbits(precision_bits):
-        u = tuple(rho_m ** lam_n for lam_n in lams)
+    u = tuple(_mpfs(_powers(rho_m._mpf_, [v._mpf_ for v in lams], precision_bits)))
     return OperatorSpec(u=u, rho=rho_m, kind="dilation")
 
 
@@ -115,12 +115,11 @@ def _validate_against(spec: OperatorSpec, g: GramMatrix) -> Tuple[mpmath.mpf, ..
             raise ZeroEigenvalue("multipliers must be nonzero")
     if len(set(u)) != len(u):
         raise DuplicateEigenvalue("multipliers must be pairwise distinct")
+    bounds = _mpfs(_powers(spec.rho._mpf_, [lam_n._mpf_ for lam_n in g.lams], g.precision_bits))
     with workbits(g.precision_bits):
-        for v, lam_n in zip(u, g.lams):
-            if abs(v) > spec.rho ** lam_n:
-                raise BoundViolation(
-                    f"|u| = {abs(v)} exceeds rho**lam = {spec.rho ** lam_n}"
-                )
+        for v, bound in zip(u, bounds):
+            if abs(v) > bound:
+                raise BoundViolation(f"|u| = {abs(v)} exceeds rho**lam = {bound}")
     return u
 
 
@@ -180,7 +179,7 @@ def eigen_check(spec: OperatorSpec, g: GramMatrix) -> EigenReport:
                      for j in range(n))
 
         q = 2 * spec.rho / (1 + spec.rho)
-        powers = [q ** lam_k for lam_k in g.lams[1:]]
+        powers = _mpfs(_powers(q._mpf_, [lam_k._mpf_ for lam_k in g.lams[1:]], bits))
         tails = tuple((m_cut, mp.fsum(powers[m_cut:])) for m_cut in range(n - 1))
         decay_ok = all(
             b < a and b / a <= q for (_, a), (_, b) in zip(tails, tails[1:])

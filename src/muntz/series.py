@@ -8,11 +8,15 @@ free of quadrature error.
 ``_forked_map`` is the one place the library runs more than one
 process: it splits a range of independent work items over forked
 children, one per usable core, and returns their results in index
-order.  ``christoffel_remez`` splits its grid points with it and
-``operator.hereditary_sweep`` its subset walks; each value is bit for
-bit the serial one.  Children send their results back as ``marshal``
-bytes, and a chunk whose results hold an error is recomputed in the
-calling process, which raises it as the serial run does.
+order.  ``christoffel_remez`` splits its grid points with it (at least
+``_MIN_CHUNK_POINTS`` a process), ``operator.hereditary_sweep`` its
+subset walks (``operator._MIN_SWEEP_TASKS``) and ``duals.dual_family``
+its inverse columns with their residual maxima
+(``duals._MIN_CHUNK_COLUMNS``, in the balanced order 0, N-1, 1, N-2,
+...); each value is bit for bit the serial one.  Children send their
+results back as ``marshal`` bytes, and a chunk whose results hold an
+error is recomputed in the calling process, which raises it as the
+serial run does.
 """
 
 from __future__ import annotations

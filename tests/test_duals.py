@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
+from mpmath.libmp import fone, mpf_abs
 
 from muntz import (
     build_weighted_domain,
@@ -16,8 +17,8 @@ from muntz import (
     power_exponents,
     workbits,
 )
-from muntz.duals import biorthogonality_residual
 from muntz.errors import BadEpsilon, IndexOutOfRange, ValidationError
+from muntz.gram import _dot, _full_rows
 
 from conftest import rel_err
 
@@ -79,6 +80,7 @@ def test_biorthogonality_residual(unit_domain):
             for j in range(9)
         )
     assert worst < guard
+    assert fam.residual < guard
 
 
 RESIDUAL_PIECES = {
@@ -95,8 +97,15 @@ def test_biorthogonality_residual_is_the_true_residual(pieces, family, n):
     # columns to within one rounding, not a looser figure
     g = gram(build_weighted_domain(*RESIDUAL_PIECES[pieces]), power_exponents(*family, n), n)
     fam = dual_family(g)
-    got = biorthogonality_residual(g, fam)
+    got = fam.residual
     bits = g.precision_bits
+    # the largest of the per-column maxima, forked from N = 20 on, is the
+    # serial maximum over all N**2 entries
+    cols = [[v._mpf_ for v in col] for col in fam.coeffs]
+    serial = max((mpf_abs(_dot(row, col, bits, fone if m == j else None))
+                  for m, row in enumerate(_full_rows(g.entry_rows))
+                  for j, col in enumerate(cols)), key=mp.make_mpf)
+    assert got._mpf_ == serial
     with workbits(bits + 64):
         entries = g.entries()
         # the -1 of the diagonal enters the exact sum: subtracting it from

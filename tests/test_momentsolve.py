@@ -37,6 +37,17 @@ def test_fit_pure_geometric():
     assert rel_err(c, 1) < 1e-60
 
 
+
+def test_growth_constant_uses_the_mpf_powers():
+    # C is the largest |d_n| / a**lam_n, each power bit for bit a ** lam_n
+    lam = power_exponents(1, "1/3", 6)
+    d = ["0.3", "-0.02", "0", "0.004", "0.0011", "-0.0003"]
+    a, c = fit_growth(d, lam)
+    with workbits(256):
+        lams = lam.values_at(256, 6)
+        want = max(abs(mp.mpf(v)) / a ** lams[i] for i, v in enumerate(d) if v != "0")
+    assert c._mpf_ == want._mpf_
+
 def test_fit_scaled_geometric():
     lam = power_exponents(1, 2, 6)
     a, c = fit_growth(geometric_data(lam, "0.25", scale=3), lam)

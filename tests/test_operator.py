@@ -49,6 +49,20 @@ def test_dilation_multipliers(lam23):
     assert rel_err(spec.u[1], Fraction(1, 8)) < 1e-70
 
 
+def test_powers_of_rho_and_q_are_the_mpf_powers():
+    # one log per base gives rho**lam_n and the tail terms q**lam_n bit for bit
+    lam = power_exponents(1, "1/3", 8)
+    g = gram(UNIT, lam, 8)
+    bits = g.precision_bits
+    spec = dilation_operator(lam, "0.7", 8, bits)
+    with workbits(bits):
+        assert [u._mpf_ for u in spec.u] == [(spec.rho ** v)._mpf_ for v in g.lams]
+        q = 2 * spec.rho / (1 + spec.rho)
+        powers = [q ** v for v in g.lams[1:]]
+        want = [mp.fsum(powers[m:])._mpf_ for m in range(7)]
+    assert [t._mpf_ for _, t in eigen_check(spec, g).tail_bounds] == want
+
+
 def test_duplicate_multiplier_rejected(unit_domain, lam23):
     g = gram(unit_domain, lam23, 2)
     spec = diagonal_operator(["0.25", "0.25"], "0.9")

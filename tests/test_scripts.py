@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ["distance_bound_experiment.py", "--max-N", "3"],
     ["distance_bound_experiment.py", "--max-N", "3", "--json"],
     ["christoffel_contrast.py", "--grid", "3"],
+    ["fork_floors.py", "--tiny", "--repeats", "1"],
 ])
 def test_script_runs(argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
