@@ -12,10 +12,10 @@ is an independent oracle for everything the linear algebra produces.
 
 ``dual_family`` solves each column of G^-1 together with its part of
 the biorthogonality residual max |G C - I|, and hands the columns to
-``series._forked_map`` in the order 0, N-1, 1, N-2, ..., so that each
-contiguous chunk carries about equal work.  At ``_MIN_CHUNK_COLUMNS``
-or more per process the split starts at N = 20, where it breaks even
-on a 2-core host, and the family is bit for bit the serial one.
+``series._forked_map`` in contiguous chunks: with the forward halves
+cut from the section's stored L^-1, every column costs the same.  At
+``_MIN_CHUNK_COLUMNS`` or more per process the split starts at N = 20,
+and the family is bit for bit the serial one.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from mpmath.libmp import fone, fzero, mpf_abs, mpf_gt
 
 from .errors import BadEpsilon, IndexOutOfRange
 from .exponents import ExponentSequence
-from .gram import (GramMatrix, _columns_below, _dot, _full_rows, _mpfs, _unit_solve,
-                   gram_inverse_diagonals)
+from .gram import (GramMatrix, _columns_below, _dot, _full_rows, _inverse_cut, _mpfs,
+                   _unit_solve, gram_inverse_diagonals)
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 from .series import _forked_map
 
@@ -92,40 +92,35 @@ class LowerBoundCertificate:
 
 
 # A fork, its pipe and its wait cost about 2 ms on a 2-core x86 VM.
-# Split over both cores there, the family takes 1.2-2.8 times its
-# serial time at N 10-15, 0.8-0.9 at N = 20 and 0.6-0.9 at N 30-40
-# (scripts/fork_floors.py); ten columns a process fork from N = 20.
+# Split over both cores there, with the forward halves cut from a stored
+# L^-1, the family takes 1.2-3.0 times its serial time at N 10-15,
+# 0.85-1.22 at N = 20 (median 0.96 over seven runs of the three
+# families) and 0.53-0.77 at N 30-40 (scripts/fork_floors.py --repeats
+# 9); ten columns a process fork from N = 20.
 _MIN_CHUNK_COLUMNS = 10
-
-
-def _interleaved(n: int) -> List[int]:
-    """0, n-1, 1, n-2, ...: column j's forward solve costs (n - j)**2 / 2
-    and the rest of its work about 1.5 n**2, so each contiguous run of
-    this order carries about its share of the work."""
-    return [j // 2 if j % 2 == 0 else n - 1 - j // 2 for j in range(n)]
 
 
 def dual_family(g: GramMatrix) -> DualFamily:
     """All dual-function coefficient columns of one section, and their
     biorthogonality residual.
 
-    Column j is the unit solve of ``gram._unit_solve`` and its residual
-    the largest |(G C)_mj - delta_mj| over the rows m.  The columns run
-    in ``_interleaved`` order through ``series._forked_map``, at
-    ``_MIN_CHUNK_COLUMNS`` or more per process, and are put back in
-    column order; the residual is the largest of the column maxima.
-    Every value is bit for bit the serial one.
+    Column j is the unit solve of ``gram._unit_solve``, its forward half
+    cut from the section's L^-1 (grown here, before any fork), and its
+    residual the largest |(G C)_mj - delta_mj| over the rows m.  The
+    columns run in contiguous chunks through ``series._forked_map``, at
+    ``_MIN_CHUNK_COLUMNS`` or more per process; the residual is the
+    largest of the column maxima.  Every value is bit for bit the serial
+    one.
     """
     n, prec = g.n, g.precision_bits
-    order = _interleaved(n)
-    below = _columns_below(g.chol_rows)
+    below, cols = _columns_below(g.chol_rows), _inverse_cut(g)
     rows = _full_rows(g.entry_rows)
 
     def columns(lo: int, hi: int) -> List[List[tuple]]:
-        # [column j raw..., its residual maximum] for each j of order[lo:hi]
+        # [column j raw..., its residual maximum] for each j in lo..hi-1
         out = []
-        for j in order[lo:hi]:
-            col = _unit_solve(g, j, 0, below)
+        for j in range(lo, hi):
+            col = _unit_solve(g, j, 0, below, cols)
             worst = fzero
             for m, row in enumerate(rows):
                 r = mpf_abs(_dot(row, col, prec, fone if m == j else None))
@@ -134,12 +129,12 @@ def dual_family(g: GramMatrix) -> DualFamily:
             out.append(col + [worst])
         return out
 
-    results = dict(zip(order, _forked_map(columns, n, _MIN_CHUNK_COLUMNS)))
-    inv = [_mpfs(results[j][:n]) for j in range(n)]
+    results = _forked_map(columns, n, _MIN_CHUNK_COLUMNS)
+    inv = [_mpfs(result[:n]) for result in results]
     with workbits(prec):
         norms = tuple(mp.sqrt(inv[k][k]) for k in range(n))
         distances = tuple(1 / v for v in norms)
-        residual = max(mp.make_mpf(result[n]) for result in results.values())
+        residual = max(mp.make_mpf(result[n]) for result in results)
     return DualFamily(
         coeffs=inv,
         norms=norms,

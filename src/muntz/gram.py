@@ -12,11 +12,15 @@ below the ceiling it stops at the first row that trips the guard: the
 ratio over the leading rows can only grow as rows are added.
 
 Attempts outlive the call that made them: a bounded per-process store
-keeps the last ``MAX_STORED_ATTEMPTS`` by domain pieces, exponent
-identity and width, so a later section of the same system, of any size,
-is cut from rows already factored or grows them, bit for bit what a
-fresh assembly would give.  Forked children inherit a copy; a one-shot
-process gains nothing from it.
+keeps the last ``MAX_STORED_SYSTEMS`` systems, each a domain's pieces
+and an exponent identity, with their attempts by width, so a later
+section of the same system, of any size, is cut from rows already
+factored or grows them, bit for bit what a fresh assembly would give.
+Each attempt also keeps one triangular inverse L^-1 of its factor,
+grown on request up to the rows asked for: every forward solve of a
+unit vector, every dual norm and the Remez kernel read a cut of it.
+Forked children inherit a copy; a one-shot process gains nothing from
+the store across reports.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import mpmath
 from mpmath import mp
@@ -51,7 +55,10 @@ class GramMatrix:
     bound on the condition number, used as the escalation guard.  ``lams``
     are the exponents at that width, cut from ``lam``, and ``domain`` the
     domain.  Treated as immutable: its rows are shared with the attempts
-    ``gram`` keeps.
+    ``gram`` keeps.  ``_inverse`` is the attempt's L^-1 of the factor as
+    columns, column j from entry j down, grown in place by
+    ``_inverse_cut`` and never compared; its leading sections share it,
+    and a section built outside ``gram`` grows its own.
     """
 
     entry_rows: List[List[tuple]]
@@ -61,6 +68,7 @@ class GramMatrix:
     lams: Tuple[mpmath.mpf, ...]
     lam: ExponentSequence
     domain: WeightedDomain
+    _inverse: List[List[tuple]] = field(default_factory=list, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -116,11 +124,15 @@ def _cond_estimate(chol_rows) -> mpmath.mpf:
 
 
 # Eight cover a process that reports on a handful of domains and exponent
-# families at one or two widths each; an attempt of 40 rows at 512 bits
-# holds about 0.3 MB.
-MAX_STORED_ATTEMPTS = 8
-# (domain pieces, exponent identity, width) -> _Attempt, least recently used first
-_ATTEMPTS: OrderedDict[tuple, _Attempt] = OrderedDict()
+# families, each at the few widths its sections settle at; an attempt of 40
+# rows at 512 bits holds about 0.3 MB, and its grown L^-1 as much again.
+MAX_STORED_SYSTEMS = 8
+# One escalation from MIN_PRECISION_BITS to MAX_PRECISION_BITS visits seven
+# widths; a system keeps its seven most recently used.
+_WIDTHS_PER_SYSTEM = (MAX_PRECISION_BITS // MIN_PRECISION_BITS).bit_length()
+# (domain pieces, exponent identity) -> {width: _Attempt}, least recently
+# used first, both the systems and each system's widths
+_ATTEMPTS: OrderedDict[tuple, Dict[int, _Attempt]] = OrderedDict()
 
 
 @dataclass
@@ -130,7 +142,9 @@ class _Attempt:
     condition estimate after each row, and the exponents at that width
     (at least one per row).  ``trip`` is the first row whose estimate
     exceeded 2**(P/2), and ``pivot`` the row whose pivot failed; no row
-    follows a failed pivot."""
+    follows a failed pivot.  ``inverse`` holds the columns of L^-1 over
+    as many leading rows as a section has asked for, each from its
+    diagonal entry down."""
 
     entry_rows: List[List[tuple]] = field(default_factory=list)
     chol_rows: List[List[tuple]] = field(default_factory=list)
@@ -138,6 +152,7 @@ class _Attempt:
     lams: Tuple[mpmath.mpf, ...] = ()
     trip: Optional[int] = None
     pivot: Optional[int] = None
+    inverse: List[List[tuple]] = field(default_factory=list)
 
     def extend(self, wd: WeightedDomain, lam: ExponentSequence, n: int, bits: int,
                at_ceiling: bool) -> None:
@@ -193,18 +208,19 @@ def gram(
     NotPositiveDefinite when a pivot failed, PrecisionExhausted otherwise.
 
     Attempts are kept in a per-process store of the last
-    ``MAX_STORED_ATTEMPTS``, least recently used dropped first, keyed by
-    the domain's pieces, the exponents' identity (the exact list, or the
-    generator's c and beta) and the width.  A later call on the same key
-    cuts its section from the stored rows when they already pass, moves
-    on to the next width with no arithmetic when a stored trip or failed
-    pivot lies below n, and otherwise appends rows from where the stored
-    ones stop.  Row i depends only on the exponents up to i, so every
-    result, error and message is bit for bit that of a cold call, and
-    the section carries the caller's own ``lam`` and ``wd``.  An attempt
-    is out of the store while it is extended, so one whose extension
-    raises is dropped.  Forked children get a copy of the store; a
-    one-shot process gains nothing from it.
+    ``MAX_STORED_SYSTEMS`` systems, least recently used dropped first,
+    each keyed by the domain's pieces and the exponents' identity (the
+    exact list, or the generator's c and beta) and holding its attempts
+    by width.  A later call on the same system cuts its section from the
+    stored rows of a width when they already pass, moves on to the next
+    width with no arithmetic when a stored trip or failed pivot lies
+    below n, and otherwise appends rows from where the stored ones stop.
+    Row i depends only on the exponents up to i, so every result, error
+    and message is bit for bit that of a cold call, and the section
+    carries the caller's own ``lam`` and ``wd``, and the attempt's L^-1
+    as far as it is grown.  An attempt is out of the store while it is
+    extended, so one whose extension raises is dropped.  Forked children
+    get a copy of the store; a one-shot process gains nothing from it.
     """
     if not 1 <= n <= len(lam):
         raise ValidationError(f"section size {n} outside 1..{len(lam)}")
@@ -213,31 +229,38 @@ def gram(
     if max_precision_bits < precision_bits:
         raise ValidationError("max_precision_bits below precision_bits")
 
-    identity = (wd.pieces, _exponent_identity(lam))
+    system = (wd.pieces, _exponent_identity(lam))
+    attempts = _ATTEMPTS.pop(system, None) or {}
     bits = precision_bits
-    while True:
-        at_ceiling = bits >= max_precision_bits
-        key = (*identity, bits)
-        attempt = _ATTEMPTS.pop(key, None) or _Attempt()
-        if (len(attempt.chol_rows) < n and attempt.pivot is None
-                and (attempt.trip is None or at_ceiling)):
-            attempt.extend(wd, lam, n, bits, at_ceiling)
-        _ATTEMPTS[key] = attempt
-        if len(_ATTEMPTS) > MAX_STORED_ATTEMPTS:
+    try:
+        while True:
+            at_ceiling = bits >= max_precision_bits
+            attempt = attempts.pop(bits, None) or _Attempt()
+            if (len(attempt.chol_rows) < n and attempt.pivot is None
+                    and (attempt.trip is None or at_ceiling)):
+                attempt.extend(wd, lam, n, bits, at_ceiling)
+            attempts[bits] = attempt
+            if len(attempts) > _WIDTHS_PER_SYSTEM:
+                del attempts[next(iter(attempts))]
+            # the attempt now has n rows, or stops below n at a failed pivot or a trip
+            failure = ("factorization" if attempt.pivot is not None and attempt.pivot < n
+                       else "condition" if attempt.trip is not None and attempt.trip < n
+                       else None)
+            if failure is None:
+                return GramMatrix(attempt.entry_rows[:n], attempt.chol_rows[:n],
+                                  attempt.conds[n - 1], bits, attempt.lams[:n], lam, wd,
+                                  attempt.inverse)
+            if at_ceiling:
+                if failure == "factorization":
+                    raise NotPositiveDefinite(f"Cholesky failed at {bits} bits; "
+                                              "matrix numerically singular")
+                raise PrecisionExhausted(f"condition estimate exceeds 2**({bits}/2) "
+                                         "at the precision ceiling")
+            bits = min(bits * 2, max_precision_bits)
+    finally:
+        _ATTEMPTS[system] = attempts
+        if len(_ATTEMPTS) > MAX_STORED_SYSTEMS:
             _ATTEMPTS.popitem(last=False)
-        # the attempt now has n rows, or stops below n at a failed pivot or a trip
-        failure = ("factorization" if attempt.pivot is not None and attempt.pivot < n
-                   else "condition" if attempt.trip is not None and attempt.trip < n else None)
-        if failure is None:
-            return GramMatrix(attempt.entry_rows[:n], attempt.chol_rows[:n],
-                              attempt.conds[n - 1], bits, attempt.lams[:n], lam, wd)
-        if at_ceiling:
-            if failure == "factorization":
-                raise NotPositiveDefinite(f"Cholesky failed at {bits} bits; "
-                                          "matrix numerically singular")
-            raise PrecisionExhausted(f"condition estimate exceeds 2**({bits}/2) "
-                                     "at the precision ceiling")
-        bits = min(bits * 2, max_precision_bits)
 
 
 def leading_section(g: GramMatrix, m: int) -> GramMatrix:
@@ -331,11 +354,11 @@ def _smallest_eigenvalue(rows, trace) -> mpmath.mpf:
     Gershgorin bound min_i (A_ii - sum_{j != i} |A_ij|), which is the
     close one when A is diagonally dominant and its spectrum clustered.
     B = A - c I is factored as L L^T anew, and its triangular inverse
-    L^-1 formed by unit solves.  Each step is then y = L^-T L^-1 x = B^-1 x
-    for unit x, two triangular products of exact terms rounded once per
-    entry, with the Rayleigh quotient mu = x.y of B^-1, so that
-    lambda_min <= c + 1/mu, and the residual e = ||y - mu x||.  The start
-    vector has the sign pattern of the wanted eigenvector when A is
+    L^-1 grown row by row by ``_grow_inverse``.  Each step is then
+    y = L^-T L^-1 x = B^-1 x for unit x, two triangular products of exact
+    terms rounded once per entry, with the Rayleigh quotient mu = x.y of
+    B^-1, so that lambda_min <= c + 1/mu, and the residual
+    e = ||y - mu x||.  The start vector has the sign pattern of the wanted eigenvector when A is
     Jacobi-scaled from a totally positive matrix, or from the inverse of
     one, as the mixed-system blocks are: it changes sign between
     neighbours i - 1 and i exactly when A_{i,i-1} > 0.
@@ -365,16 +388,16 @@ def _smallest_eigenvalue(rows, trace) -> mpmath.mpf:
     if factor is None:
         raise NotPositiveDefinite("a matrix shifted below its smallest eigenvalue "
                                   "does not factor")
-    cols = _triangular_inverse(factor)
+    cols = []
+    inv_rows = _grow_inverse(cols, factor, len(factor), prec)
     trace = _trace(cols, prec)
-    inv_rows = _inverse_rows(cols)
     x = [fone]
     for i in range(1, len(rows)):
         x.append(mpf_neg(x[-1]) if mpf_gt(rows[i][i - 1], fzero) else x[-1])
     x = _unit(x, prec)
     for _ in range(MAX_INVERSE_ITERATIONS):
         z = [_dot(row, x, prec) for row in inv_rows]
-        y = [_dot(col[j:], z[j:], prec) for j, col in enumerate(cols)]
+        y = [_dot(col, z[j:], prec) for j, col in enumerate(cols)]
         mu = _dot(x, y, prec)
         r = [mpf_sub(b, mpf_mul(mu, a, prec, round_nearest), prec, round_nearest)
              for a, b in zip(x, y)]
@@ -397,25 +420,40 @@ def _smallest_eigenvalue(rows, trace) -> mpmath.mpf:
                                round_nearest))
 
 
-def _triangular_inverse(factor) -> List[List[tuple]]:
-    """The columns of L^-1 for the raw factor rows of L, column j zero
-    above entry j: column j is the forward solve of e_j from entry j, so
-    its first m entries are column j of the inverse of the leading m rows."""
-    k = len(factor)
-    return [_substitute_forward(factor, [fone if i == j else fzero for i in range(k)], j)
-            for j in range(k)]
+def _inverse_row(row, cols, prec) -> List[tuple]:
+    """Row k of L^-1 up to the diagonal, for the raw factor row k of L and
+    the columns ``cols`` of L^-1 over rows 0..k-1, column j from entry j
+    down: entry j < k is -sum_{j<=i<k} L_ki (L^-1)_ij / L_kk, one ``_dot``
+    rounded once and one rounded divide, and entry k is 1 / L_kk.  These
+    are the operands and roundings of ``_substitute_forward`` on e_j from
+    entry j, so column j of L^-1 over the leading m rows is bit for bit
+    that solve against them."""
+    k = len(cols)
+    pivot = mpf_neg(row[k])   # (0 - sum) / L_kk = sum / -L_kk, as _substitute_forward
+    return ([mpf_div(_dot(row[j:k], col, prec), pivot, prec, round_nearest)
+             for j, col in enumerate(cols)] + [mpf_div(fone, row[k], prec, round_nearest)])
+
+
+def _grow_inverse(cols, factor, n, prec) -> List[List[tuple]]:
+    """Grow the columns ``cols`` of L^-1, column j from entry j down, in
+    place to the first n rows of the raw factor rows ``factor``, one
+    ``_inverse_row`` per row, and return the rows it added.  Each row is
+    computed before any column takes an entry of it, so an interrupt
+    leaves the columns a whole number of rows long."""
+    added = []
+    for k in range(len(cols), n):
+        row = _inverse_row(factor[k], cols, prec)
+        for col, v in zip(cols, row):
+            col.append(v)
+        cols.append([row[-1]])
+        added.append(row)
+    return added
 
 
 def _trace(cols, prec) -> tuple:
     """||L^-1||_F^2 = tr((L L^T)^-1) from the columns of L^-1: each
     column's sum of squares rounded once, then summed with one rounding."""
     return mpf_sum([_dot(col, col, prec) for col in cols], prec, round_nearest)
-
-
-def _inverse_rows(cols) -> List[List[tuple]]:
-    """The rows of L^-1 up to the diagonal, from the columns that
-    ``_triangular_inverse`` gives."""
-    return [[col[i] for col in cols[:i + 1]] for i in range(len(cols))]
 
 
 def _gershgorin_bound(rows, prec) -> tuple:
@@ -512,18 +550,34 @@ def solve_spd(g: GramMatrix, rhs: List[mpmath.mpf]) -> List[mpmath.mpf]:
         return _mpfs(_substitute_back(g.chol_rows, y))
 
 
-def _unit_solve(g: GramMatrix, k: int, stop: int = 0, below=None) -> List[tuple]:
-    """Entries ``stop`` onwards of column k (0-based) of the inverse, raw: the
-    forward solve starts at the one nonzero of the unit right-hand side
-    and the back solve stops at ``stop``.  Every entry it computes is bit
-    for bit the one ``solve_spd`` gives for that right-hand side.
-    ``below`` is ``_columns_below(g.chol_rows)``, shared by a caller that
-    solves several columns."""
+def _inverse_cut(g: GramMatrix, m: Optional[int] = None) -> List[List[tuple]]:
+    """The columns of L^-1 for the leading m rows of g's factor (all n by
+    default), column j from entry j down, raw: a cut of the L^-1 g shares
+    with its attempt, grown first to m rows when it has fewer, never
+    further.  Column j is bit for bit the forward solve of e_j from entry
+    j against those rows.  A caller that forks takes the cut first, so
+    that the inverse is grown once, in this process."""
+    m = g.n if m is None else m
+    cols = g._inverse
+    if len(cols) < m:
+        with workbits(g.precision_bits):
+            _grow_inverse(cols, g.chol_rows, m, mp.prec)
+    return [col[:m - j] for j, col in enumerate(cols[:m])]
+
+
+def _unit_solve(g: GramMatrix, k: int, stop: int = 0, below=None,
+                cols=None) -> List[tuple]:
+    """Entries ``stop`` onwards of column k (0-based) of the inverse, raw:
+    the forward solve of the unit right-hand side is column k of L^-1,
+    cut from ``cols``, ``_inverse_cut(g)``, and the back solve stops at
+    ``stop``.  Every entry it computes is bit for bit the one
+    ``solve_spd`` gives for that right-hand side.  ``below`` is
+    ``_columns_below(g.chol_rows)``; a caller that solves several columns
+    passes both."""
+    if cols is None:
+        cols = _inverse_cut(g)
     with workbits(g.precision_bits):
-        rhs = [fzero] * g.n
-        rhs[k] = fone
-        y = _substitute_forward(g.chol_rows, rhs, k)
-        return _substitute_back(g.chol_rows, y, stop, below)
+        return _substitute_back(g.chol_rows, [fzero] * k + cols[k], stop, below)
 
 
 def gram_inverse_column(g: GramMatrix, n: int) -> List[mpmath.mpf]:
@@ -553,7 +607,8 @@ def gram_inverse_diagonals(g: GramMatrix, n: int, sizes: Iterable[int]) -> List[
 
 
 def gram_inverse(g: GramMatrix) -> List[List[mpmath.mpf]]:
-    """The full inverse as its list of columns, one triangular solve pair
-    per column: ``gram_inverse(g)[j][i]`` is (G^-1)_ij, 0-based."""
-    below = _columns_below(g.chol_rows)
-    return [_mpfs(_unit_solve(g, j, 0, below)) for j in range(g.n)]
+    """The full inverse as its list of columns, each the back solve of a
+    column of the stored L^-1: ``gram_inverse(g)[j][i]`` is (G^-1)_ij,
+    0-based."""
+    below, cols = _columns_below(g.chol_rows), _inverse_cut(g)
+    return [_mpfs(_unit_solve(g, j, 0, below, cols)) for j in range(g.n)]

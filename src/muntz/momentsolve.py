@@ -18,8 +18,7 @@ from mpmath import mp
 from .domain import WeightedDomain, _powers
 from .errors import ValidationError
 from .exponents import ExponentSequence
-from .gram import (GramMatrix, _dot, _full_rows, _triangular_inverse, leading_sections,
-                   solve_spd)
+from .gram import GramMatrix, _dot, _full_rows, _inverse_cut, leading_sections, solve_spd
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 from .series import MuntzSeries
 
@@ -140,8 +139,9 @@ def convergence_certificate(
     are taken at g's precision.
 
     ||r_n^(N)||^2 = (G_N^-1)_nn, as in the dual family, is the sum of
-    squares of the first N entries of column n of L^-1, for one
-    triangular inverse of g's factor cut to the largest size."""
+    squares of column n of L^-1 cut to its first N rows, all from the
+    L^-1 the section shares with its stored attempt, cut to (and grown
+    no further than) the largest size."""
     sizes = list(sizes)
     if sizes and sizes[-1] > len(data.d):
         raise ValidationError(f"section {sizes[-1]} exceeds {len(data.d)} moment values")
@@ -150,10 +150,10 @@ def convergence_certificate(
     norms = []
     with workbits(g.precision_bits):
         prec = mp.prec
-        cols = _triangular_inverse(g.chol_rows[:sizes[-1]])
+        cols = _inverse_cut(g, sizes[-1])
         for s in sections:
             size = s.n
-            dual_norms = [mp.sqrt(mp.make_mpf(_dot(col[k:size], col[k:size], prec)))
+            dual_norms = [mp.sqrt(mp.make_mpf(_dot(col[:size - k], col[:size - k], prec)))
                           for k, col in enumerate(cols[:size])]
             sums.append(mp.fsum(abs(data.d[k]) * dual_norms[k] for k in range(size)))
             coeffs = solve_spd(s, list(data.d[:size]))

@@ -25,7 +25,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fone, mpf_div, mpf_mul, mpf_neg, mpf_sum, round_nearest
+from mpmath.libmp import mpf_mul, mpf_sum, round_nearest
 
 from .domain import _powers
 from .errors import (
@@ -40,8 +40,8 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .exponents import ExponentSequence
-from .gram import (GramMatrix, _append_row, _columns_below, _dot, _mpfs, _smallest_eigenvalue,
-                   _trace, _unit_solve, gram_inverse, solve_spd)
+from .gram import (GramMatrix, _append_row, _columns_below, _inverse_cut, _inverse_row, _mpfs,
+                   _smallest_eigenvalue, _trace, _unit_solve, gram_inverse, solve_spd)
 from .precision import DEFAULT_PRECISION_BITS, Real, to_int, to_mpf, workbits
 from .series import MuntzSeries, _Result, _forked_map, evaluate
 
@@ -275,8 +275,8 @@ def hereditary_check(
         duals = None
         if n2:
             # the N2 block reads inverse column j only at and below entry j
-            below = _columns_below(g.chol_rows)
-            columns = {j: _unit_solve(g, j - 1, j - 1, below) for j in n2}
+            below, cols = _columns_below(g.chol_rows), _inverse_cut(g)
+            columns = {j: _unit_solve(g, j - 1, j - 1, below, cols) for j in n2}
             duals = _block_spectrum([[columns[j][i - 1] for j in n2[:a + 1]]
                                      for a, i in enumerate(n2)])
     return _report(g, n1, n2, powers, duals)
@@ -287,7 +287,10 @@ class _Block:
     indices, grown one index at a time by ``_grow`` at the working width.
 
     ``rows`` are its raw lower rows, ``factor`` their Cholesky rows L and
-    ``inverse[j]`` column j of L^-1 from entry j down.  ``squares`` and
+    ``inverse[j]`` column j of L^-1 from entry j down, the layout of the
+    L^-1 a Gram section shares with its stored attempt, grown by the same
+    step, ``gram._inverse_row``, but copied, since a block shares its
+    parts with the blocks grown from it.  ``squares`` and
     ``diagonal`` are prod L_aa**2 and prod A_aa, each multiplied up in
     index order as ``mp.fprod`` does; det A is their product.
     ``_Block()`` is the block on no index.
@@ -308,22 +311,19 @@ def _grow(block: Optional[_Block], row, diagonal: mpmath.mpf, prec: int) -> Opti
     """The block with one index more, after its own: ``row`` is the raw
     scaled lower row of that index, diagonal last, and ``diagonal`` its
     unscaled A_ii.  Each part is the one the block's rows factored at once
-    would give: row k of L^-1 is the forward solve's entry k of each unit
-    column.  None when the factor does not extend, or the block is None
-    already."""
+    would give: row k of L^-1 is ``gram._inverse_row``, the forward
+    solve's entry k of each unit column.  None when the factor does not
+    extend, or the block is None already."""
     if block is None:
         return None
     factor = list(block.factor)
     if not _append_row(factor, row, prec):
         return None
     new = factor[-1]
-    k = len(block.factor)
-    pivot = mpf_neg(new[k])   # (0 - sum) / L_kk = sum / -L_kk, as _substitute_forward
-    inverse = [col + [mpf_div(_dot(new[j:k], col, prec), pivot, prec, round_nearest)]
-               for j, col in enumerate(block.inverse)]
-    inverse.append([mpf_div(fone, new[k], prec, round_nearest)])
+    inv_row = _inverse_row(new, block.inverse, prec)
+    inverse = [col + [v] for col, v in zip(block.inverse, inv_row)] + [inv_row[-1:]]
     return _Block([*block.rows, row], factor, inverse,
-                  block.squares * mp.make_mpf(new[k]) ** 2, block.diagonal * diagonal)
+                  block.squares * mp.make_mpf(new[-1]) ** 2, block.diagonal * diagonal)
 
 
 _Spectrum = Union[Tuple[mpmath.mpf, mpmath.mpf], NumericalError]
@@ -410,14 +410,17 @@ def _report(g: GramMatrix, n1: Tuple[int, ...], n2: Tuple[int, ...],
 
 # The sweep forks from N = 4 on, 2N subtree tasks at 4 or more per
 # process: its two walks take about 15 ms there against a fork's 2-3 ms,
-# and about 5 ms at N = 3.
+# and about 5 ms at N = 3.  Split over 2 cores (scripts/fork_floors.py
+# --repeats 9) it took 0.78-0.90 of its serial time at N = 4 for squares
+# and sqrt (linear 0.84-1.06), and 0.63-0.69 at N = 5.
 _MIN_SWEEP_TASKS = 4
 
 
 def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
     """hereditary_check over all 2**N partitions of the section, each
     inverse column solved once, as far as ``hereditary_check`` reads it,
-    and each block grown from a smaller one (``_subtree_spectra``): the
+    from the section's stored L^-1 grown here before any fork, and each
+    block grown from a smaller one (``_subtree_spectra``): the
     same reports, and the error the first failing partition raises.
 
     Partition ``mask`` puts index i + 1 in N2 (duals) when bit i is set,
@@ -434,8 +437,8 @@ def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
     error are bit for bit the serial sweep's.
     """
     n = g.n
-    below = _columns_below(g.chol_rows)
-    columns = [_unit_solve(g, j, j, below) for j in range(n)]
+    below, cols = _columns_below(g.chol_rows), _inverse_cut(g)
+    columns = [_unit_solve(g, j, j, below, cols) for j in range(n)]
     with workbits(g.precision_bits):
         walks = [_jacobi_scaled(g.entry_rows),
                  _jacobi_scaled([[columns[j][i] for j in range(i + 1)]

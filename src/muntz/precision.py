@@ -92,9 +92,9 @@ def frac_str(fr: Fraction) -> str:
 
 
 def mpf_from_fraction(fr: Fraction, bits: int) -> mpmath.mpf:
-    """Correctly rounded mpf of an exact rational at the given width."""
-    with workbits(bits):
-        return mp.make_mpf(from_rational(fr.numerator, fr.denominator, mp.prec, "n"))
+    """Correctly rounded mpf of an exact rational at the given width:
+    ``from_rational`` takes the width itself, so no ``workbits`` block."""
+    return mp.make_mpf(from_rational(fr.numerator, fr.denominator, bits, round_nearest))
 
 
 def to_mpf(x: Real, bits: int) -> mpmath.mpf:

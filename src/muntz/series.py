@@ -12,8 +12,10 @@ order.  ``christoffel_remez`` splits its grid points with it (at least
 ``_MIN_CHUNK_POINTS`` a process), ``operator.hereditary_sweep`` its
 subset walks (``operator._MIN_SWEEP_TASKS``) and ``duals.dual_family``
 its inverse columns with their residual maxima
-(``duals._MIN_CHUNK_COLUMNS``, in the balanced order 0, N-1, 1, N-2,
-...); each value is bit for bit the serial one.  Children send their
+(``duals._MIN_CHUNK_COLUMNS``); each value is bit for bit the serial
+one.  The dual family, the sweep and the grid read the section's stored
+L^-1, and each cuts it before the fork, so that it is grown once, in the
+calling process.  Children send their
 results back as ``marshal`` bytes, and a chunk whose results hold an
 error is recomputed in the calling process, which raises it as the
 serial run does.
@@ -41,8 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .exponents import ExponentSequence
-from .gram import (GramMatrix, _dot, _inverse_rows, _triangular_inverse, leading_sections,
-                   solve_spd)
+from .gram import GramMatrix, _dot, _inverse_cut, leading_sections, solve_spd
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 
 
@@ -347,9 +348,10 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
     [0, rho]: for sqrt(n) exponents on [0, 1] at N = 16 and rho = 0.9,
     grids of 101, 1001 and 10001 points give 10.75, 27.07 and 60.01.
 
-    L^-1 of the factor G = L L^T is formed once; then each grid point
-    costs its powers and one dot per entry: K(x) = ||L^-1 v(x)||^2, every
-    dot of exact products rounded once.
+    L^-1 of the factor G = L L^T is cut from the one the section shares
+    with its stored attempt, grown here before any fork when it falls
+    short; then each grid point costs its powers and one dot per entry:
+    K(x) = ||L^-1 v(x)||^2, every dot of exact products rounded once.
 
     The grid is split by ``_forked_map``: one process per usable core,
     this one included, each with at least ``_MIN_CHUNK_POINTS`` points,
@@ -363,7 +365,8 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
         rho_m = to_mpf(rho, bits)
         if rho_m <= 0:
             raise ValidationError("rho must be positive")
-        inv_rows = _inverse_rows(_triangular_inverse(g.chol_rows))
+        cols = _inverse_cut(g)
+        inv_rows = [[col[i - j] for j, col in enumerate(cols[:i + 1])] for i in range(g.n)]
         lams = [lam._mpf_ for lam in g.lams]
 
         def kernel_max(lo: int, hi: int) -> List[List[tuple]]:

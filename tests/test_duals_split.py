@@ -25,12 +25,6 @@ def family_bits(fam):
             [v._mpf_ for v in fam.distances], fam.residual._mpf_, fam.precision_bits)
 
 
-def test_interleaved_order_covers_every_column():
-    assert duals_module._interleaved(5) == [0, 4, 1, 3, 2]
-    for n in range(1, 42):
-        assert sorted(duals_module._interleaved(n)) == list(range(n))
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.parametrize("n", [FLOOR - 1, FLOOR, 40])
 @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -1,4 +1,5 @@
 import importlib
+import os
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,14 @@ from mpmath.libmp import (finf, fnan, fninf, fone, from_man_exp, from_rational, 
 
 from muntz import (
     build_weighted_domain,
+    christoffel_remez,
+    dual_family,
     explicit_exponents,
     gram,
     gram_inverse,
     gram_inverse_column,
     gram_inverse_diagonals,
+    hereditary_sweep,
     leading_section,
     leading_sections,
     power_exponents,
@@ -27,11 +31,12 @@ from muntz.errors import (
     ValidationError,
 )
 from muntz.domain import _moments
-from muntz.gram import (_append_row, _cholesky, _dot, _smallest_eigenvalue, _trace,
-                        _triangular_inverse, forward_substitution)
+from muntz.gram import (_append_row, _cholesky, _dot, _inverse_cut, _smallest_eigenvalue,
+                        _substitute_forward, _trace, forward_substitution)
 
 from conftest import rel_err
 from oracles import gram_every_row
+from test_remez_split import TWO_PIECE, assert_no_children, use_cores
 
 # the package exports the function ``gram`` under the module's name
 GRAM_MODULE = importlib.import_module("muntz.gram")
@@ -318,14 +323,15 @@ def test_warm_ceiling_error_as_the_full_factor_judges(unit_domain, family, n, bi
 
 
 def _outcome(wd, lam, n, bits, ceiling):
-    """What ``gram`` gives, as raw values, or the type and message it raises."""
+    """What ``gram`` gives, as raw values with the cut of its stored L^-1,
+    or the type and message it raises."""
     try:
         g = gram(wd, lam, n, bits, ceiling)
     except (NotPositiveDefinite, PrecisionExhausted) as exc:
         return type(exc), str(exc)
     assert g.lam is lam and g.domain is wd
     return (g.entry_rows, g.chol_rows, g.cond_estimate._mpf_, g.precision_bits,
-            [v._mpf_ for v in g.lams])
+            [v._mpf_ for v in g.lams], _inverse_cut(g))
 
 
 def _cold_outcome(*args):
@@ -374,7 +380,86 @@ def test_stored_attempts_give_what_a_cold_gram_gives(requests):
         wd = build_weighted_domain(*pieces)
         lam = power_exponents(*FAMILIES[family], n + spare)
         args = (wd, lam, n, bits, bits << doublings)
-        assert _outcome(*args) == _cold_outcome(*args)
+        got = _outcome(*args)
+        assert got == _cold_outcome(*args)
+        if len(got) > 2:
+            # column j of the cut is the forward solve of e_j, from entry j
+            chol_rows, width, cut = got[1], got[3], got[-1]
+            units = [[fone if i == j else fzero for i in range(n)] for j in range(n)]
+            assert cut == [_reference_forward(chol_rows, e, width)[j:]
+                           for j, e in enumerate(units)]
+
+
+def test_the_benchmark_systems_stay_stored(monkeypatch):
+    # the six systems of the benchmark's two domains and three families at
+    # N = 40 hold ten attempts, as linear and sqrt escalate to 512 bits;
+    # the store keeps every system, so a second pass assembles no row
+    factored = []
+
+    def counting(factor, row, prec):
+        factored.append(prec)
+        return _append_row(factor, row, prec)
+
+    monkeypatch.setattr(GRAM_MODULE, "_append_row", counting)
+    systems = [(build_weighted_domain(*pieces), power_exponents(*FAMILIES[family], 40))
+               for pieces in PIECES for family in sorted(FAMILIES)]
+    for wd, lam in systems:
+        gram(wd, lam, 40, 256, 4096)
+    assert sum(len(attempts) for attempts in GRAM_MODULE._ATTEMPTS.values()) == 10
+    assert factored
+    factored.clear()
+    for wd, lam in systems:
+        gram(wd, lam, 40, 256, 4096)
+    assert factored == []
+
+
+def test_the_least_recently_used_system_is_dropped(unit_domain):
+    # ten systems through a store of eight: the first and the third are
+    # dropped, while the second, asked again after the eighth, is kept
+    lams = [explicit_exponents([k + 1]) for k in range(10)]
+    for lam in lams[:8] + [lams[1]] + lams[8:]:
+        gram(unit_domain, lam, 1)
+    kept = [identity for _, identity in GRAM_MODULE._ATTEMPTS]
+    assert kept == [("list", lam.raw) for lam in lams[3:8] + [lams[1]] + lams[8:]]
+
+
+def test_a_system_keeps_its_seven_latest_widths(unit_domain):
+    # one escalation from 64 to 4096 bits visits seven widths, so a system
+    # asked at eight keeps the seven asked last
+    lam = power_exponents(1, 2, 4)
+    for bits in range(64, 128, 8):
+        gram(unit_domain, lam, 4, bits, bits)
+    (attempts,) = GRAM_MODULE._ATTEMPTS.values()
+    assert list(attempts) == list(range(72, 128, 8))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("caller, n", [("dual_family", 20), ("hereditary_sweep", 6),
+                                       ("christoffel_remez", 8)])
+def test_forking_callers_grow_the_stored_inverse_first(caller, n, monkeypatch):
+    # on a cold store each caller grows the section's L^-1 in this process
+    # before it forks, so that the store keeps it; the value is bit for
+    # bit the serial one
+    call = {"dual_family": dual_family, "hereditary_sweep": hereditary_sweep,
+            "christoffel_remez": lambda g: christoffel_remez(g, "0.9", 201)}[caller]
+    lam = power_exponents(1, "0.5", n)
+    use_cores(monkeypatch, 1)
+    serial = call(gram(TWO_PIECE, lam, n))
+    GRAM_MODULE._ATTEMPTS.clear()
+    g = gram(TWO_PIECE, lam, n)
+    grown, real_fork = [], os.fork
+
+    def fork():
+        grown.append(len(g._inverse))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    use_cores(monkeypatch, 2)
+    assert call(g) == serial
+    assert grown == [n]
+    (attempts,) = GRAM_MODULE._ATTEMPTS.values()
+    assert attempts[g.precision_bits].inverse is g._inverse
+    assert_no_children()
 
 
 @pytest.mark.parametrize("sizes", [[], [2, 2], [3, 2], [1, 5], [0, 1]])
@@ -395,12 +480,25 @@ def _rounded(value, prec):
     return from_rational(value.numerator, value.denominator, prec, round_nearest)
 
 
+def _exact_sum(terms):
+    """The exact rational sum of terms m * 2**e given as (m, e): integers
+    on the smallest exponent, so no sum of fractions is reduced."""
+    terms = [(m, e) for m, e in terms if m]
+    if not terms:
+        return Fraction(0)
+    low = min(e for _, e in terms)
+    return Fraction(sum(m << (e - low) for m, e in terms)) * Fraction(2) ** low
+
+
 def _reference_forward(rows, rhs, prec):
     """L y = rhs with each entry's exact rhs_i - sum_j L_ij y_j rounded
     once, then divided by L_ii with one rounding."""
     y = []
     for i, row in enumerate(rows):
-        acc = _exact(rhs[i]) - sum(_exact(row[j]) * _exact(y[j]) for j in range(i))
+        terms = [(-rhs[i][1] if rhs[i][0] else rhs[i][1], rhs[i][2])]
+        terms += [(-a[1] * b[1] if a[0] == b[0] else a[1] * b[1], a[2] + b[2])
+                  for a, b in zip(row[:i], y)]
+        acc = _exact_sum(terms)
         y.append(mpf_div(_rounded(acc, prec), row[i], prec, round_nearest))
     return y
 
@@ -505,12 +603,20 @@ def test_dot_drops_and_specials_as_mpf_sum():
     assert _dot([one, tiny, mpf_neg(one)], [one] * 3, 64) == fzero
 
 
+def _inverse_columns(factor):
+    """The columns of L^-1 for the raw factor rows of L at the working
+    width, column j the forward solve of e_j from entry j down."""
+    k = len(factor)
+    return [_substitute_forward(factor, [fone if i == j else fzero for i in range(k)], j)[j:]
+            for j in range(k)]
+
+
 def _eigenvalue_args(matrix, bits):
     """The raw lower rows of an mpf matrix rounded to ``bits``, and the
     trace of its inverse from their Cholesky factor."""
     with workbits(bits):
         rows = [[(+matrix[i, j])._mpf_ for j in range(i + 1)] for i in range(matrix.rows)]
-        return rows, _trace(_triangular_inverse(_cholesky(rows)), bits)
+        return rows, _trace(_inverse_columns(_cholesky(rows)), bits)
 
 
 def _reflected(diagonal, v, bits):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
+from mpmath.libmp import fone, fzero
 
 from muntz import (
     MuntzSeries,
@@ -36,7 +37,7 @@ from muntz.errors import (
 )
 
 import muntz.operator as operator_module
-from muntz.gram import _cholesky, _trace, _triangular_inverse
+from muntz.gram import _cholesky, _substitute_forward, _trace
 from conftest import force_sweep_forking, mpf_, rel_err
 from oracles import inverse_principal_minor
 
@@ -316,8 +317,9 @@ def test_sweep_rows_equal_single_checks(domain, family):
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_grown_block_equals_factoring_from_scratch(family):
-    # a block grown one index at a time has the factor, L^-1 trace and
-    # determinant products that factoring its rows at once gives
+    # a block grown one index at a time has the factor, L^-1 (the forward
+    # solves of the unit vectors), its trace and the determinant products
+    # that factoring its rows at once gives
     g = gram(TWO_PIECE, power_exponents(*FAMILIES[family], 8), 8)
     rng = random.Random(family)
     with workbits(g.precision_bits):
@@ -332,7 +334,11 @@ def test_grown_block_equals_factoring_from_scratch(family):
             factor = _cholesky(rows)
             assert block.rows == rows
             assert block.factor == factor
-            assert block.trace() == _trace(_triangular_inverse(factor), prec)
+            k = len(idx)
+            cols = [_substitute_forward(factor, [fone if i == j else fzero for i in range(k)],
+                                        j)[j:] for j in range(k)]
+            assert block.inverse == cols
+            assert block.trace() == _trace(cols, prec)
             assert block.squares == mp.fprod(mp.make_mpf(r[a]) ** 2 for a, r in enumerate(factor))
             assert block.diagonal == mp.fprod(diag[i] for i in idx)
 
