@@ -43,8 +43,8 @@ def main() -> int:
         for section in range(2, args.max_N + 1):
             g = gram(wd, lam, section, args.bits)
             ratios = [
-                distance(g, n) / base ** g.lams[n - 1]
-                for n in range(1, section + 1)
+                distance(g, n) / base ** lam_n
+                for n, lam_n in enumerate(g.lams, 1)
             ]
             u = min(ratios)
             rows.append(

@@ -29,8 +29,7 @@ from mpmath.libmp import fone, fzero, mpf_abs, mpf_gt
 
 from .errors import BadEpsilon, IndexOutOfRange
 from .exponents import ExponentSequence
-from .gram import (GramMatrix, _columns_below, _dot, _full_rows, _inverse_cut, _mpfs,
-                   _unit_solve, gram_inverse_diagonals)
+from .gram import GramMatrix, _dot, _full_rows, _mpfs, _unit_columns, gram_inverse_diagonals
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 from .series import _forked_map
 
@@ -104,8 +103,8 @@ def dual_family(g: GramMatrix) -> DualFamily:
     """All dual-function coefficient columns of one section, and their
     biorthogonality residual.
 
-    Column j is the unit solve of ``gram._unit_solve``, its forward half
-    cut from the section's L^-1 (grown here, before any fork), and its
+    Column j comes from the reader ``gram._unit_columns``, made here,
+    before any fork, so that the section's L^-1 is grown once, and its
     residual the largest |(G C)_mj - delta_mj| over the rows m.  The
     columns run in contiguous chunks through ``series._forked_map``, at
     ``_MIN_CHUNK_COLUMNS`` or more per process; the residual is the
@@ -113,14 +112,13 @@ def dual_family(g: GramMatrix) -> DualFamily:
     one.
     """
     n, prec = g.n, g.precision_bits
-    below, cols = _columns_below(g.chol_rows), _inverse_cut(g)
-    rows = _full_rows(g.entry_rows)
+    column, rows = _unit_columns(g), _full_rows(g.entry_rows)
 
     def columns(lo: int, hi: int) -> List[List[tuple]]:
         # [column j raw..., its residual maximum] for each j in lo..hi-1
         out = []
         for j in range(lo, hi):
-            col = _unit_solve(g, j, 0, below, cols)
+            col = column(j)
             worst = fzero
             for m, row in enumerate(rows):
                 r = mpf_abs(_dot(row, col, prec, fone if m == j else None))

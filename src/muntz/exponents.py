@@ -145,7 +145,8 @@ def _min_gap(vals, bits: int):
         return min(b - a for a, b in zip(vals, vals[1:]))
 
 
-def exponents_from_json(obj: dict, precision_bits: int = DEFAULT_PRECISION_BITS) -> ExponentSequence:
+def exponents_from_json(obj: dict,
+                        precision_bits: int = DEFAULT_PRECISION_BITS) -> ExponentSequence:
     """Build from {"kind": "explicit", "values": [...]} or
     {"kind": "power", "c": "1", "beta": "2", "count": 20}."""
     if not isinstance(obj, dict) or "kind" not in obj:

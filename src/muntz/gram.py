@@ -16,11 +16,13 @@ keeps the last ``MAX_STORED_SYSTEMS`` systems, each a domain's pieces
 and an exponent identity, with their attempts by width, so a later
 section of the same system, of any size, is cut from rows already
 factored or grows them, bit for bit what a fresh assembly would give.
-Each attempt also keeps one triangular inverse L^-1 of its factor,
-grown on request up to the rows asked for: every forward solve of a
-unit vector, every dual norm and the Remez kernel read a cut of it.
-Forked children inherit a copy; a one-shot process gains nothing from
-the store across reports.
+A ``GramMatrix`` is a view, the leading rows of one attempt, and this
+module alone reads the attempt's layout.  Each attempt also keeps one
+triangular inverse L^-1 of its factor, grown on request up to the rows
+asked for: every forward solve of a unit vector, every dual norm and
+the Remez kernel read a cut of it, and every column of G^-1 comes from
+one reader, ``_unit_columns``.  Forked children inherit a copy; a
+one-shot process gains nothing from the store across reports.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import mpmath
 from mpmath import mp
@@ -46,33 +48,41 @@ from .precision import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION
 class GramMatrix:
     """Factorized positive-definite Gram matrix of a power-system section.
 
-    Stored once, as raw mpf rows up to the diagonal: ``entry_rows[i]`` of
-    the entries, ``chol_rows[i]`` of the lower Cholesky factor, at
-    ``precision_bits``, the width the assembly succeeded at (>= the one
-    requested when escalation kicked in).  The size ``n`` is the number
-    of rows, not a field of its own.  ``cond_estimate`` is the
-    squared ratio of extreme diagonal entries of the factor: a cheap lower
-    bound on the condition number, used as the escalation guard.  ``lams``
-    are the exponents at that width, cut from ``lam``, and ``domain`` the
-    domain.  Treated as immutable: its rows are shared with the attempts
-    ``gram`` keeps.  ``_inverse`` is the attempt's L^-1 of the factor as
-    columns, column j from entry j down, grown in place by
-    ``_inverse_cut`` and never compared; its leading sections share it,
-    and a section built outside ``gram`` grows its own.
+    A view: the leading ``n`` rows of ``_attempt``, the factored attempt
+    ``gram`` made or found in its store, at ``precision_bits``, the width
+    the assembly succeeded at (>= the one requested when escalation
+    kicked in).  ``entry_rows`` and ``chol_rows`` are the attempt's raw
+    mpf rows up to the diagonal, of the entries and of the lower Cholesky
+    factor, and ``lams`` its exponents at that width, each cut to n on
+    every read: a later ``gram`` call may append rows to the attempt,
+    lengthen its exponents or grow its L^-1.  ``cond_estimate`` is the
+    attempt's guard after row n, the squared ratio of extreme diagonal
+    entries of the factor: a cheap lower bound on the condition number,
+    used as the escalation guard.  ``lam`` and ``domain`` are the
+    caller's.  Treated as immutable.
     """
 
-    entry_rows: List[List[tuple]]
-    chol_rows: List[List[tuple]]
-    cond_estimate: mpmath.mpf
+    _attempt: _Attempt = field(repr=False)
+    n: int
     precision_bits: int
-    lams: Tuple[mpmath.mpf, ...]
     lam: ExponentSequence
     domain: WeightedDomain
-    _inverse: List[List[tuple]] = field(default_factory=list, compare=False, repr=False)
 
     @property
-    def n(self) -> int:
-        return len(self.chol_rows)
+    def entry_rows(self) -> List[List[tuple]]:
+        return self._attempt.entry_rows[:self.n]
+
+    @property
+    def chol_rows(self) -> List[List[tuple]]:
+        return self._attempt.chol_rows[:self.n]
+
+    @property
+    def lams(self) -> Tuple[mpmath.mpf, ...]:
+        return self._attempt.lams[:self.n]
+
+    @property
+    def cond_estimate(self) -> mpmath.mpf:
+        return self._attempt.conds[self.n - 1]
 
     def entries(self) -> List[List[mpmath.mpf]]:
         """The symmetric entries as mpf rows, built from the stored lower
@@ -115,12 +125,6 @@ def _cholesky(rows) -> Optional[List[List[tuple]]]:
         if not _append_row(factor, row, prec):
             return None
     return factor
-
-
-def _cond_estimate(chol_rows) -> mpmath.mpf:
-    """Squared ratio of the extreme diagonal entries of these factor rows."""
-    diag = [mp.make_mpf(row[i]) for i, row in enumerate(chol_rows)]
-    return (max(diag) / min(diag)) ** 2
 
 
 # Eight cover a process that reports on a handful of domains and exponent
@@ -173,7 +177,7 @@ class _Attempt:
                 d = mp.make_mpf(self.chol_rows[i][i])
                 hi, lo = (d, d) if i == 0 else (max(hi, d), min(lo, d))
                 self.entry_rows.append(row)
-                self.conds.append((hi / lo) ** 2)   # _cond_estimate of the rows so far
+                self.conds.append((hi / lo) ** 2)
                 if self.trip is None and self.conds[i] > limit:
                     self.trip = i
                     if not at_ceiling:
@@ -216,9 +220,9 @@ def gram(
     width with no arithmetic when a stored trip or failed pivot lies
     below n, and otherwise appends rows from where the stored ones stop.
     Row i depends only on the exponents up to i, so every result, error
-    and message is bit for bit that of a cold call, and the section
-    carries the caller's own ``lam`` and ``wd``, and the attempt's L^-1
-    as far as it is grown.  An attempt is out of the store while it is
+    and message is bit for bit that of a cold call, and the section, a
+    view of the attempt's leading n rows, carries the caller's own
+    ``lam`` and ``wd``.  An attempt is out of the store while it is
     extended, so one whose extension raises is dropped.  Forked children
     get a copy of the store; a one-shot process gains nothing from it.
     """
@@ -247,9 +251,7 @@ def gram(
                        else "condition" if attempt.trip is not None and attempt.trip < n
                        else None)
             if failure is None:
-                return GramMatrix(attempt.entry_rows[:n], attempt.chol_rows[:n],
-                                  attempt.conds[n - 1], bits, attempt.lams[:n], lam, wd,
-                                  attempt.inverse)
+                return GramMatrix(attempt, n, bits, lam, wd)
             if at_ceiling:
                 if failure == "factorization":
                     raise NotPositiveDefinite(f"Cholesky failed at {bits} bits; "
@@ -264,27 +266,22 @@ def gram(
 
 
 def leading_section(g: GramMatrix, m: int) -> GramMatrix:
-    """The leading m-by-m section, cut from a factored one: its first m
-    rows, and the guard over their diagonal.
+    """The leading m-by-m section, cut from a factored one: the view of
+    the first m rows of its attempt, with no new work.
 
     Equal bit for bit to ``gram(g.domain, g.lam, m, g.precision_bits)``:
     column j of the factor is built from the leading rows and earlier
-    columns only, and that part of the diagonal already passed the
-    guard.  For m = g.n it is g itself.
+    columns only, and the attempt's guard after row m already passed.
     """
     if not 1 <= m <= g.n:
         raise ValidationError(f"section size {m} outside 1..{g.n}")
-    if m == g.n:
-        return g
-    with workbits(g.precision_bits):
-        return replace(g, entry_rows=g.entry_rows[:m], chol_rows=g.chol_rows[:m],
-                       cond_estimate=_cond_estimate(g.chol_rows[:m]), lams=g.lams[:m])
+    return replace(g, n=m)
 
 
 def leading_sections(g: GramMatrix, sizes: Iterable[int]) -> Iterator[GramMatrix]:
     """The leading sections of these sizes, cut from g as they are
-    consumed, so only the one in use is alive.  The sizes must be
-    non-empty, strictly increasing and within 1..g.n."""
+    consumed.  The sizes must be non-empty, strictly increasing and
+    within 1..g.n."""
     return (leading_section(g, m) for m in _checked_sizes(g, sizes))
 
 
@@ -550,41 +547,42 @@ def solve_spd(g: GramMatrix, rhs: List[mpmath.mpf]) -> List[mpmath.mpf]:
         return _mpfs(_substitute_back(g.chol_rows, y))
 
 
-def _inverse_cut(g: GramMatrix, m: Optional[int] = None) -> List[List[tuple]]:
-    """The columns of L^-1 for the leading m rows of g's factor (all n by
-    default), column j from entry j down, raw: a cut of the L^-1 g shares
-    with its attempt, grown first to m rows when it has fewer, never
-    further.  Column j is bit for bit the forward solve of e_j from entry
-    j against those rows.  A caller that forks takes the cut first, so
-    that the inverse is grown once, in this process."""
-    m = g.n if m is None else m
-    cols = g._inverse
-    if len(cols) < m:
-        with workbits(g.precision_bits):
-            _grow_inverse(cols, g.chol_rows, m, mp.prec)
-    return [col[:m - j] for j, col in enumerate(cols[:m])]
+def _inverse_cut(g: GramMatrix) -> List[List[tuple]]:
+    """The columns of L^-1 for g's factor, column j from entry j down,
+    raw: a cut to g.n rows of the L^-1 of g's attempt, grown first to
+    g.n rows when it has fewer, never further.  Column j is bit for bit
+    the forward solve of e_j from entry j against those rows.  A caller
+    that forks takes the cut first, so that the inverse is grown once, in
+    this process."""
+    n, cols = g.n, g._attempt.inverse
+    if len(cols) < n:
+        _grow_inverse(cols, g._attempt.chol_rows, n, g.precision_bits)
+    return [col[:n - j] for j, col in enumerate(cols[:n])]
 
 
-def _unit_solve(g: GramMatrix, k: int, stop: int = 0, below=None,
-                cols=None) -> List[tuple]:
-    """Entries ``stop`` onwards of column k (0-based) of the inverse, raw:
-    the forward solve of the unit right-hand side is column k of L^-1,
-    cut from ``cols``, ``_inverse_cut(g)``, and the back solve stops at
-    ``stop``.  Every entry it computes is bit for bit the one
-    ``solve_spd`` gives for that right-hand side.  ``below`` is
-    ``_columns_below(g.chol_rows)``; a caller that solves several columns
-    passes both."""
-    if cols is None:
-        cols = _inverse_cut(g)
-    with workbits(g.precision_bits):
-        return _substitute_back(g.chol_rows, [fzero] * k + cols[k], stop, below)
+def _unit_columns(g: GramMatrix, lower: bool = False) -> Callable[[int], List[tuple]]:
+    """The reader k -> column k (0-based) of the inverse of g, raw, or
+    with ``lower`` its entries k onwards, zeros above: the back solve of
+    column k of ``_inverse_cut(g)``, the forward solve of e_k.  Every
+    entry it computes is bit for bit the one ``solve_spd`` gives for e_k.
+    The cut and the columns of L below the diagonal are taken here, once,
+    so a caller that forks makes the reader first and the L^-1 is grown
+    in this process."""
+    rows, cols, bits = g.chol_rows, _inverse_cut(g), g.precision_bits
+    below = _columns_below(rows)
+
+    def column(k: int) -> List[tuple]:
+        with workbits(bits):
+            return _substitute_back(rows, [fzero] * k + cols[k], k if lower else 0, below)
+
+    return column
 
 
 def gram_inverse_column(g: GramMatrix, n: int) -> List[mpmath.mpf]:
     """Column n (1-based) of the inverse of the Gram section."""
     if not 1 <= n <= g.n:
         raise IndexOutOfRange(f"column {n} outside 1..{g.n}")
-    return _mpfs(_unit_solve(g, n - 1))
+    return _mpfs(_unit_columns(g)(n - 1))
 
 
 def gram_inverse_diagonals(g: GramMatrix, n: int, sizes: Iterable[int]) -> List[mpmath.mpf]:
@@ -598,7 +596,7 @@ def gram_inverse_diagonals(g: GramMatrix, n: int, sizes: Iterable[int]) -> List[
     sizes = _checked_sizes(g, sizes)
     if not 1 <= n <= sizes[0]:
         raise IndexOutOfRange(f"index {n} outside 1..{sizes[0]}")
-    rows = g.chol_rows[:sizes[-1]]
+    rows = g._attempt.chol_rows[:sizes[-1]]
     with workbits(g.precision_bits):
         rhs = [fzero] * len(rows)
         rhs[n - 1] = fone
@@ -610,5 +608,5 @@ def gram_inverse(g: GramMatrix) -> List[List[mpmath.mpf]]:
     """The full inverse as its list of columns, each the back solve of a
     column of the stored L^-1: ``gram_inverse(g)[j][i]`` is (G^-1)_ij,
     0-based."""
-    below, cols = _columns_below(g.chol_rows), _inverse_cut(g)
-    return [_mpfs(_unit_solve(g, j, 0, below, cols)) for j in range(g.n)]
+    column = _unit_columns(g)
+    return [_mpfs(column(j)) for j in range(g.n)]

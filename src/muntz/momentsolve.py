@@ -140,17 +140,17 @@ def convergence_certificate(
 
     ||r_n^(N)||^2 = (G_N^-1)_nn, as in the dual family, is the sum of
     squares of column n of L^-1 cut to its first N rows, all from the
-    L^-1 the section shares with its stored attempt, cut to (and grown
-    no further than) the largest size."""
+    L^-1 of the section's stored attempt, cut to (and grown no further
+    than) the largest size."""
     sizes = list(sizes)
     if sizes and sizes[-1] > len(data.d):
         raise ValidationError(f"section {sizes[-1]} exceeds {len(data.d)} moment values")
-    sections = leading_sections(g, sizes)
+    sections = list(leading_sections(g, sizes))
     sums = []
     norms = []
     with workbits(g.precision_bits):
         prec = mp.prec
-        cols = _inverse_cut(g, sizes[-1])
+        cols = _inverse_cut(sections[-1])
         for s in sections:
             size = s.n
             dual_norms = [mp.sqrt(mp.make_mpf(_dot(col[:size - k], col[:size - k], prec)))

@@ -40,8 +40,8 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .exponents import ExponentSequence
-from .gram import (GramMatrix, _append_row, _columns_below, _inverse_cut, _inverse_row, _mpfs,
-                   _smallest_eigenvalue, _trace, _unit_solve, gram_inverse, solve_spd)
+from .gram import (GramMatrix, _append_row, _inverse_row, _mpfs, _smallest_eigenvalue, _trace,
+                   _unit_columns, gram_inverse, solve_spd)
 from .precision import DEFAULT_PRECISION_BITS, Real, to_int, to_mpf, workbits
 from .series import MuntzSeries, _Result, _forked_map, evaluate
 
@@ -270,13 +270,14 @@ def hereditary_check(
             f"index sets {n1} and {n2} must split 1..{g.n} disjointly"
         )
     with workbits(g.precision_bits):
-        powers = _block_spectrum([[g.entry_rows[i - 1][j - 1] for j in n1[:a + 1]]
+        rows = g.entry_rows
+        powers = _block_spectrum([[rows[i - 1][j - 1] for j in n1[:a + 1]]
                                   for a, i in enumerate(n1)]) if n1 else None
         duals = None
         if n2:
             # the N2 block reads inverse column j only at and below entry j
-            below, cols = _columns_below(g.chol_rows), _inverse_cut(g)
-            columns = {j: _unit_solve(g, j - 1, j - 1, below, cols) for j in n2}
+            column = _unit_columns(g, lower=True)
+            columns = {j: column(j - 1) for j in n2}
             duals = _block_spectrum([[columns[j][i - 1] for j in n2[:a + 1]]
                                      for a, i in enumerate(n2)])
     return _report(g, n1, n2, powers, duals)
@@ -288,7 +289,7 @@ class _Block:
 
     ``rows`` are its raw lower rows, ``factor`` their Cholesky rows L and
     ``inverse[j]`` column j of L^-1 from entry j down, the layout of the
-    L^-1 a Gram section shares with its stored attempt, grown by the same
+    L^-1 a Gram section's stored attempt keeps, grown by the same
     step, ``gram._inverse_row``, but copied, since a block shares its
     parts with the blocks grown from it.  ``squares`` and
     ``diagonal`` are prod L_aa**2 and prod A_aa, each multiplied up in
@@ -418,8 +419,8 @@ _MIN_SWEEP_TASKS = 4
 
 def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
     """hereditary_check over all 2**N partitions of the section, each
-    inverse column solved once, as far as ``hereditary_check`` reads it,
-    from the section's stored L^-1 grown here before any fork, and each
+    inverse column read once, as far as ``hereditary_check`` reads it,
+    here before any fork, through ``gram._unit_columns``, and each
     block grown from a smaller one (``_subtree_spectra``): the
     same reports, and the error the first failing partition raises.
 
@@ -436,9 +437,8 @@ def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
     The results are combined by mask, so every report and the raised
     error are bit for bit the serial sweep's.
     """
-    n = g.n
-    below, cols = _columns_below(g.chol_rows), _inverse_cut(g)
-    columns = [_unit_solve(g, j, j, below, cols) for j in range(n)]
+    n, column = g.n, _unit_columns(g, lower=True)
+    columns = [column(j) for j in range(n)]
     with workbits(g.precision_bits):
         walks = [_jacobi_scaled(g.entry_rows),
                  _jacobi_scaled([[columns[j][i] for j in range(i + 1)]

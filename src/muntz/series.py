@@ -13,12 +13,12 @@ order.  ``christoffel_remez`` splits its grid points with it (at least
 subset walks (``operator._MIN_SWEEP_TASKS``) and ``duals.dual_family``
 its inverse columns with their residual maxima
 (``duals._MIN_CHUNK_COLUMNS``); each value is bit for bit the serial
-one.  The dual family, the sweep and the grid read the section's stored
-L^-1, and each cuts it before the fork, so that it is grown once, in the
-calling process.  Children send their
-results back as ``marshal`` bytes, and a chunk whose results hold an
-error is recomputed in the calling process, which raises it as the
-serial run does.
+one.  The dual family and the sweep make their ``gram._unit_columns``
+reader, and the grid cuts the L^-1, before the fork, so that the
+section's stored L^-1 is grown once, in the calling process.  Children
+send their results back as ``marshal`` bytes, and a chunk whose results
+hold an error is recomputed in the calling process, which raises it as
+the serial run does.
 """
 
 from __future__ import annotations
@@ -348,8 +348,8 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
     [0, rho]: for sqrt(n) exponents on [0, 1] at N = 16 and rho = 0.9,
     grids of 101, 1001 and 10001 points give 10.75, 27.07 and 60.01.
 
-    L^-1 of the factor G = L L^T is cut from the one the section shares
-    with its stored attempt, grown here before any fork when it falls
+    L^-1 of the factor G = L L^T is cut from the one of the section's
+    stored attempt, grown here before any fork when it falls
     short; then each grid point costs its powers and one dot per entry:
     K(x) = ||L^-1 v(x)||^2, every dot of exact products rounded once.
 

@@ -25,7 +25,7 @@ from muntz.domain import _moments
 from muntz.errors import (BadPartition, IndexOutOfRange, NotPositiveDefinite,
                           PrecisionExhausted, ValidationError)
 from muntz.exponents import ExponentSequence
-from muntz.gram import GramMatrix, _cholesky, _cond_estimate
+from muntz.gram import GramMatrix, _Attempt, _cholesky
 from muntz.precision import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS
 
 
@@ -105,9 +105,13 @@ def gram_every_row(
             chol_rows = _cholesky(rows)
             failure = "factorization"
             if chol_rows is not None:
-                cond = _cond_estimate(chol_rows)
-                if cond <= mp.mpf(2) ** (bits // 2):
-                    return GramMatrix(rows, chol_rows, cond, bits, tuple(lams), lam, wd)
+                # the guard after each row: the squared ratio of the extreme
+                # diagonal entries of the factor's rows so far
+                diag = [mp.make_mpf(row[i]) for i, row in enumerate(chol_rows)]
+                conds = [(max(diag[:i + 1]) / min(diag[:i + 1])) ** 2 for i in range(n)]
+                if conds[-1] <= mp.mpf(2) ** (bits // 2):
+                    attempt = _Attempt(rows, chol_rows, conds, tuple(lams))
+                    return GramMatrix(attempt, n, bits, lam, wd)
                 failure = "condition"
         if bits >= max_precision_bits:
             if failure == "factorization":

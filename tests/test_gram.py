@@ -32,7 +32,7 @@ from muntz.errors import (
 )
 from muntz.domain import _moments
 from muntz.gram import (_append_row, _cholesky, _dot, _inverse_cut, _smallest_eigenvalue,
-                        _substitute_forward, _trace, forward_substitution)
+                        _substitute_forward, _trace, _unit_columns, forward_substitution)
 
 from conftest import rel_err
 from oracles import gram_every_row
@@ -178,15 +178,17 @@ def _same(a, b):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("pieces", PIECES)
 def test_leading_section_equals_gram(pieces, family):
-    # at 64 bits linear and sqrt tops of size 12 escalate; the cut then
-    # equals gram asked for at the top's own width
+    # at 64 bits linear and sqrt tops of size 12 escalate; the cut, a view
+    # of the top's attempt, then equals gram asked for at the top's own
+    # width on an empty store
     wd = build_weighted_domain(*pieces)
     lam = power_exponents(*FAMILIES[family], 12)
     top = gram(wd, lam, 12, 64)
     assert (top.precision_bits > 64) == (family != "squares")
     for m in range(1, 13):
         cut = leading_section(top, m)
-        ref = gram(wd, lam, m, top.precision_bits)
+        ref = _cold(gram, wd, lam, m, top.precision_bits)
+        assert cut._attempt is top._attempt and ref._attempt is not top._attempt
         assert cut.n == ref.n == m
         assert cut.precision_bits == ref.precision_bits
         assert cut.cond_estimate == ref.cond_estimate
@@ -334,12 +336,12 @@ def _outcome(wd, lam, n, bits, ceiling):
             [v._mpf_ for v in g.lams], _inverse_cut(g))
 
 
-def _cold_outcome(*args):
-    """``_outcome`` with no attempt stored, the stored ones put back after."""
+def _cold(call, *args):
+    """``call(*args)`` with no attempt stored, the stored ones put back after."""
     kept = GRAM_MODULE._ATTEMPTS.copy()
     GRAM_MODULE._ATTEMPTS.clear()
     try:
-        return _outcome(*args)
+        return call(*args)
     finally:
         GRAM_MODULE._ATTEMPTS.clear()
         GRAM_MODULE._ATTEMPTS.update(kept)
@@ -359,7 +361,7 @@ def test_a_pivot_that_fails_before_the_guard_stops_its_own_size():
     wd = build_weighted_domain(*TINY_WEIGHT)
     lam = power_exponents(1, 1, 40)
     for n in (10, 9, 10, 40, 9, 1):
-        assert _outcome(wd, lam, n, 128, 128) == _cold_outcome(wd, lam, n, 128, 128)
+        assert _outcome(wd, lam, n, 128, 128) == _cold(_outcome, wd, lam, n, 128, 128)
     assert gram(wd, lam, 9, 128, 128).precision_bits == 128
     with pytest.raises(NotPositiveDefinite):
         gram(wd, lam, 10, 128, 128)
@@ -381,7 +383,7 @@ def test_stored_attempts_give_what_a_cold_gram_gives(requests):
         lam = power_exponents(*FAMILIES[family], n + spare)
         args = (wd, lam, n, bits, bits << doublings)
         got = _outcome(*args)
-        assert got == _cold_outcome(*args)
+        assert got == _cold(_outcome, *args)
         if len(got) > 2:
             # column j of the cut is the forward solve of e_j, from entry j
             chol_rows, width, cut = got[1], got[3], got[-1]
@@ -411,6 +413,23 @@ def test_the_benchmark_systems_stay_stored(monkeypatch):
     for wd, lam in systems:
         gram(wd, lam, 40, 256, 4096)
     assert factored == []
+
+
+def test_a_section_outlives_its_store_slot(two_piece_domain):
+    # g's system is pushed out of the store by eight others; g still reads
+    # its own attempt, and gives what a cold store gives
+    lam = power_exponents(1, "0.5", 12)
+    g = gram(two_piece_domain, lam, 12)
+    (system,) = GRAM_MODULE._ATTEMPTS
+    for k in range(GRAM_MODULE.MAX_STORED_SYSTEMS):
+        gram(two_piece_domain, explicit_exponents([k + 1]), 1)
+    assert system not in GRAM_MODULE._ATTEMPTS
+    cold = _cold(gram, two_piece_domain, lam, 12)
+    assert cold._attempt is not g._attempt
+    assert g.entry_rows == cold.entry_rows and g.chol_rows == cold.chol_rows
+    assert g.cond_estimate._mpf_ == cold.cond_estimate._mpf_ and g.lams == cold.lams
+    assert _inverse_cut(g) == _inverse_cut(cold)
+    assert dual_family(g) == dual_family(cold)
 
 
 def test_the_least_recently_used_system_is_dropped(unit_domain):
@@ -450,7 +469,7 @@ def test_forking_callers_grow_the_stored_inverse_first(caller, n, monkeypatch):
     grown, real_fork = [], os.fork
 
     def fork():
-        grown.append(len(g._inverse))
+        grown.append(len(g._attempt.inverse))
         return real_fork()
 
     monkeypatch.setattr(os, "fork", fork)
@@ -458,7 +477,7 @@ def test_forking_callers_grow_the_stored_inverse_first(caller, n, monkeypatch):
     assert call(g) == serial
     assert grown == [n]
     (attempts,) = GRAM_MODULE._ATTEMPTS.values()
-    assert attempts[g.precision_bits].inverse is g._inverse
+    assert attempts[g.precision_bits].inverse is g._attempt.inverse
     assert_no_children()
 
 
@@ -534,6 +553,10 @@ def test_unit_solves_equal_solve_spd(two_piece_domain):
         full = solve_spd(g, unit)
         assert _same(gram_inverse_column(g, n), full)
         assert _same(inv[n - 1], full)
+        # the lower reader gives entries n - 1 onwards, zeros above
+        lower = _unit_columns(g, lower=True)(n - 1)
+        assert lower[n - 1:] == [v._mpf_ for v in full[n - 1:]]
+        assert lower[:n - 1] == [fzero] * (n - 1)
         # (G^-1)_nn = ||L^-1 e_n||^2, the exact sum of squares rounded once
         y = _reference_forward(g.chol_rows, [v._mpf_ for v in unit], prec)
         want = _rounded(sum(_exact(v) ** 2 for v in y), prec)

@@ -118,3 +118,23 @@ def test_every_private_helper_has_a_library_caller():
                                 if other != name)):
                 unused.append(f"{name}:{node.name}")
     assert unused == []
+
+
+# the layout of a factored attempt: its class, a section's field naming it,
+# and the helpers that read its rows and its L^-1 column by column
+FACTOR_LAYOUT = {"_Attempt", "_attempt", "_columns_below", "_substitute_back", "_grow_inverse"}
+
+
+def test_factor_layout_is_read_in_gram_only():
+    # every other module reads a section through its properties and the
+    # gram readers, ``_unit_columns`` and ``_inverse_cut``
+    hits = sorted(f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
+                  if path.name != "gram.py"
+                  for name in FACTOR_LAYOUT & _names_used(ast.parse(path.read_text())))
+    assert hits == []
+
+
+def test_library_lines_fit_in_100_columns():
+    hits = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
+    assert hits == []

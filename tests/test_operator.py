@@ -421,7 +421,7 @@ def test_sweep_raises_the_check_error_when_a_block_does_not_factor(unit_domain, 
     with workbits(g.precision_bits):
         rows = [list(row) for row in g.entry_rows]
         rows[2][1] = (2 * mp.sqrt(mp.make_mpf(rows[1][1]) * mp.make_mpf(rows[2][2])))._mpf_
-    bad = replace(g, entry_rows=rows)
+    bad = replace(g, _attempt=replace(g._attempt, entry_rows=rows))
     want = _first_check_error(bad)
     assert want == (NotPositiveDefinite, "a 3x3 mixed-system block does not factor")
     assert _sweep_error(bad) == want
@@ -521,7 +521,8 @@ def test_block_that_does_not_factor_raises(unit_domain, lam23):
     # entries 1, 2, 1 make G[N1,N1] indefinite: no singular value comes back
     g = gram(unit_domain, lam23, 2)
     with workbits(g.precision_bits):
-        bad = replace(g, entry_rows=[[mp.mpf(1)._mpf_], [mp.mpf(2)._mpf_, mp.mpf(1)._mpf_]])
+        rows = [[mp.mpf(1)._mpf_], [mp.mpf(2)._mpf_, mp.mpf(1)._mpf_]]
+        bad = replace(g, _attempt=replace(g._attempt, entry_rows=rows))
     with pytest.raises(NotPositiveDefinite):
         hereditary_check(bad, ([1, 2], []))
     assert hereditary_check(bad, ([], [1, 2])).nonsingular
