@@ -5,6 +5,7 @@ import pytest
 from mpmath import mp
 
 from muntz import build_weighted_domain, explicit_exponents, workbits
+from muntz.cli import _PARSED
 from muntz.gram import _ATTEMPTS
 
 CHECK_BITS = 320  # headroom above the default working precision
@@ -24,9 +25,11 @@ def rel_err(got, want):
 
 
 @pytest.fixture(autouse=True)
-def cold_gram_store():
-    """Every test starts with no factored attempt kept from another."""
+def cold_stores():
+    """Every test starts with no factored attempt and no parsed config
+    block kept from another."""
     _ATTEMPTS.clear()
+    _PARSED.clear()
 
 
 def force_sweep_forking(monkeypatch, cores):

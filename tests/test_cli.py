@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from mpmath import mp
 from muntz import (build_moment_data, build_weighted_domain, convergence_certificate,
                    dilation_operator, distance, fmt, gram, leading_section, power_exponents,
                    solve_moments, workbits)
-from muntz.cli import COMMANDS, run
+from muntz.cli import _PARSED, COMMANDS, DATA, MAX_PARSED_INPUTS, run
+from muntz.gram import _ATTEMPTS
 
 from conftest import rel_err
 
@@ -396,6 +398,99 @@ def test_escalated_section_serves_every_size(tmp_path, monkeypatch):
     rows = json.loads(out)["results"]["rows"]
     for k, m in enumerate((2, 3)):
         assert rows[k] == [m, fmt(distance(leading_section(top, m), 1), 128)]
+
+
+def _cold(argv):
+    """``invoke`` as a fresh process runs it: nothing kept from before."""
+    _ATTEMPTS.clear()
+    _PARSED.clear()
+    return invoke(argv)
+
+
+def test_kept_data_follows_the_exponents_it_was_fitted_to(tmp_path):
+    # the same d list fits a different envelope under each family
+    d = ["1", "0.5", "0.3", "0.2", "0.1", "0.05"]
+    families = [{"kind": "power", "c": "1", "beta": "2", "count": 6},
+                {"kind": "power", "c": "1", "beta": "1/2", "count": 6}]
+    argvs = [["moments", "--config", write_config(tmp_path, f"f{k}.json", exponents=lam, d=d)]
+             for k, lam in enumerate(families)]
+    warm = [invoke(argv) for argv in argvs + argvs]
+    cold = [_cold(argv) for argv in argvs]
+    assert warm == cold + cold
+    fitted = [json.loads(out)["results"]["fitted_a"] for _, out in cold]
+    assert fitted[0] != fitted[1]
+
+
+def test_kept_inputs_follow_the_width(tmp_path):
+    # non-dyadic values round differently at each width; linear exponents
+    # at N = 9 escalate from 64 to 128 bits, so that report parses twice
+    cfg = write_config(tmp_path, domain={"intervals": [{"lo": "0.1", "hi": "0.7"}],
+                                         "weights": [{"coeff": "0.3", "power": "0.1"}]},
+                       exponents={"kind": "power", "c": "0.3", "beta": "1", "count": 9},
+                       d=[f"0.{k}" for k in range(1, 10)], precision_bits=None)
+    argvs = [["moments", "--config", cfg, "--precision-bits", "64"], ["moments", "--config", cfg]]
+    warm = [invoke(argv) for argv in argvs + argvs[::-1]]
+    cold = [_cold(argv) for argv in argvs]
+    assert warm == cold + cold[::-1]
+    assert [json.loads(out)["results"]["precision_bits_used"] for _, out in cold] == [128, 256]
+
+
+def test_a_failing_parse_is_not_kept(tmp_path, capsys):
+    cfg = write_config(tmp_path, exponents=SQUARES_4, d=["1", "0.5", "q"])
+    runs = [(run(["moments", "--config", cfg]), capsys.readouterr()) for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 2 and runs[0][1].err.startswith("error[NotANumber]")
+    assert len(_PARSED) == 2  # the domain and the exponents
+    assert [memo for memo in _PARSED if memo[0] is DATA.parse] == []
+
+
+def test_the_input_memo_is_bounded(tmp_path):
+    # every report keeps its domain, and its exponents keyed by that domain
+    for k in range(MAX_PARSED_INPUTS + 1):
+        domain = {"intervals": [{"lo": "0", "hi": str(k + 1)}],
+                  "weights": [{"coeff": "1", "power": "0"}]}
+        assert invoke(["validate", "--config", write_config(tmp_path, domain=domain)])[0] == 0
+    assert len(_PARSED) == MAX_PARSED_INPUTS
+
+
+def _nested(depth):
+    return "[" * depth + "]" * depth
+
+
+def _decoder_limit():
+    """The least nesting ``json.loads`` refuses at this stack depth."""
+    lo, hi = 1, 10 ** 6
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            json.loads(_nested(mid))
+            lo = mid + 1
+        except RecursionError:
+            hi = mid
+    return lo
+
+
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    # json.load raises RecursionError past the interpreter's depth; nesting
+    # just below that must still get through keying the kept inputs
+    limit = _decoder_limit()
+    assert limit < sys.getrecursionlimit()
+    unit = json.dumps(UNIT)
+    shapes = [(["validate"], "@"), (["validate"], '{"domain": @, "exponents": {}}'),
+              (["gram"], "@"),
+              (["gram"], '{"domain": %s, "exponents": {"kind": "explicit", "values": @}}' % unit)]
+    messages = set()
+    for argv, shape in shapes:
+        for depth in [*range(limit - 12, limit + 3), 200000]:
+            path = tmp_path / "nested.json"
+            path.write_text(shape.replace("@", _nested(depth)))
+            assert run([*argv, "--config", str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error[")
+            if "nested too deeply" in err:
+                assert err.startswith("error[MalformedConfig]")
+            messages.add("nested too deeply" in err)
+    assert messages == {True, False}  # the depths straddle the decoder's limit
 
 
 def test_escalated_moments_parse_data_at_the_section_width(tmp_path):

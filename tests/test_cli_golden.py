@@ -167,8 +167,9 @@ def test_report_bytes(case, tmp_path, monkeypatch):
 
 def test_report_bytes_with_a_warm_store(tmp_path, monkeypatch):
     # every case twice in one process, forwards then backwards, with the
-    # factored attempts of the reports before it kept: later reports cut,
-    # grow or skip stored attempts, and some are dropped for newer ones
+    # factored attempts and parsed config blocks of the reports before it
+    # kept: later reports cut, grow or skip stored attempts, take their
+    # inputs from the memo, and some of both are dropped for newer ones
     monkeypatch.delenv("MUNTZ_PRECISION_BITS", raising=False)
     order = sorted(CASES)
     assert [case for case in order + order[::-1]

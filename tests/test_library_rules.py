@@ -79,18 +79,28 @@ def test_one_function_forks():
     assert hits == ["series.py:_forked_map"]
 
 
-def _names_gram_store(sub):
-    return (isinstance(sub, ast.Name) and sub.id == "_ATTEMPTS"
-            or isinstance(sub, ast.Attribute) and sub.attr == "_ATTEMPTS"
-            or isinstance(sub, ast.alias) and sub.name == "_ATTEMPTS")
+def _functions_naming(ident):
+    """The library's functions naming ``ident``, as a bare name, an
+    attribute or an import."""
+    def named(sub):
+        return (isinstance(sub, ast.Name) and sub.id == ident
+                or isinstance(sub, ast.Attribute) and sub.attr == ident
+                or isinstance(sub, ast.alias) and sub.name == ident)
+
+    return sorted(f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
+                  for name in _naming_functions(ast.parse(path.read_text()), named))
 
 
 def test_one_function_reads_the_gram_store():
     # the factored attempts kept across calls are made at gram.py's top
     # level and read and written by ``gram`` alone
-    hits = sorted(f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
-                  for name in _naming_functions(ast.parse(path.read_text()), _names_gram_store))
-    assert hits == ["gram.py:<module>", "gram.py:gram"]
+    assert _functions_naming("_ATTEMPTS") == ["gram.py:<module>", "gram.py:gram"]
+
+
+def test_one_function_reads_the_input_memo():
+    # the config blocks parsed across reports are kept at cli.py's top
+    # level and read and written by ``_Inputs.__init__`` alone
+    assert _functions_naming("_PARSED") == ["cli.py:<module>", "cli.py:_Inputs.__init__"]
 
 
 def _names_used(tree, skip=None):
