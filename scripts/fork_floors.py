@@ -2,14 +2,20 @@
 """Serial against forked wall time for each caller of the fork-map helper.
 
 ``series._forked_map`` splits a caller's work over the usable cores only
-when each process gets at least a floor of work items: grid points for
-``christoffel_remez`` (``series._MIN_CHUNK_POINTS``), subtree tasks for
-``hereditary_sweep`` (``operator._MIN_SWEEP_TASKS``) and columns for
-``dual_family`` (``duals._MIN_CHUNK_COLUMNS``).  For sizes around where
-each floor starts forking on this host, this prints the median wall time
-with every item in this process and with the items split over all usable
-cores (the floor lowered to one item), and their ratio.  A floor belongs
-near the smallest size whose ratio stays below 1.
+when each process gets at least a floor of work items: the grid points
+``christoffel_remez`` leaves after its bound pass (``series._MIN_CHUNK_POINTS``),
+subtree tasks for ``hereditary_sweep`` (``operator._MIN_SWEEP_TASKS``)
+and columns for ``dual_family`` (``duals._MIN_CHUNK_COLUMNS``).  For sizes
+around where each floor starts forking on this host, this prints the
+median wall time with every item in this process and with the items
+split over all usable cores (the floor lowered to one item), and their
+ratio, beside the items the caller hands to the helper.  A floor belongs
+near the smallest item count whose ratio stays below 1.
+
+The remez case always takes sqrt(n) exponents at N = 16 and rho = 0.9,
+whatever ``--family`` says: there the binary64 bounds rule out almost no
+point, so a grid of s + 5 points leaves about s to the helper past point 0
+and the serial lead, and the sizes set those survivors around the floor.
 
     python3 scripts/fork_floors.py [--family squares|linear|sqrt] [--repeats 5]
 """
@@ -42,6 +48,20 @@ def patched(module, name, value):
         setattr(module, name, old)
 
 
+def forked_items(call, module, name) -> int:
+    """How many work items ``call`` hands to the fork-map helper with its
+    floor lowered to one item."""
+    counts, real = [], module._forked_map
+
+    def record(chunk_fn, count, min_chunk):
+        counts.append(count)
+        return real(chunk_fn, count, min_chunk)
+
+    with patched(module, "_forked_map", record), patched(module, name, 1):
+        call()
+    return sum(counts)
+
+
 def seconds(call) -> float:
     start = time.perf_counter()
     call()
@@ -66,31 +86,33 @@ def main() -> int:
     def section(n):
         return gram(wd, power_exponents(1, beta, n, args.bits), n, args.bits)
 
-    # each caller forks once count // floor >= 2: from 2 * floor grid
-    # points, N = floor sweep tasks (2N of them) and 2 * floor columns
+    # each caller forks once count // floor >= 2: from 2 * floor surviving
+    # grid points, N = floor sweep tasks (2N of them) and 2 * floor columns
     if args.tiny:
-        sizes = {"remez": [4], "sweep": [2], "duals": [2]}
+        sizes = {"remez": [8], "sweep": [2], "duals": [2]}
     else:
         sizes = {"remez": [floors["remez"] * k // 2 for k in (1, 2, 4, 8)],
                  "sweep": [floors["sweep"] + d for d in (-2, -1, 0, 1, 2)],
                  "duals": [floors["duals"] * k // 2 for k in (2, 3, 4, 6, 8)]}
-    g6 = section(6)
-    calls = {"remez": lambda size: (lambda: christoffel_remez(g6, "0.9", size)),
+    g16 = gram(wd, power_exponents(1, "1/2", 16, args.bits), 16, args.bits)
+    lead = 1 + series_module._LEAD_POINTS  # point 0 and the lead are never forked
+    calls = {"remez": lambda size: (lambda: christoffel_remez(g16, "0.9", size + lead)),
              "sweep": lambda size: (lambda g=section(size): hereditary_sweep(g)),
              "duals": lambda size: (lambda g=section(size): dual_family(g))}
-    units = {"remez": "grid points at N = 6", "sweep": "N", "duals": "N"}
+    units = {"remez": "points left at sqrt(n) N = 16", "sweep": "N", "duals": "N"}
 
     print(f"{cores} usable cores; {args.family} exponents on [0, 0.5] u [0.6, 1], "
           f"{args.bits} bits; median of {args.repeats}")
     if cores < 2:
         print("one usable core: the forked column runs serially too")
-    print(f"{'caller':>7}  {'floor':>5}  {'size':>5}  {'serial ms':>10}  {'forked ms':>10}  "
-          f"{'ratio':>6}  size is")
+    print(f"{'caller':>7}  {'floor':>5}  {'size':>5}  {'items':>5}  {'serial ms':>10}  "
+          f"{'forked ms':>10}  {'ratio':>6}  size is")
     for key, call_at in calls.items():
         module, name = FLOORS[key]
         for size in sizes[key]:
             call = call_at(size)
-            call()  # warm: the section and its store entry exist before timing
+            # warm: the section and its store entry exist before timing
+            items = forked_items(call, module, name)
             times = {"serial": [], "forked": []}
             for _ in range(args.repeats):
                 # alternated, so a host that drifts in speed moves both alike
@@ -99,8 +121,8 @@ def main() -> int:
                 with patched(module, name, 1):
                     times["forked"].append(seconds(call))
             serial, forked = (1000 * statistics.median(t) for t in times.values())
-            print(f"{key:>7}  {floors[key]:>5}  {size:>5}  {serial:>10.2f}  {forked:>10.2f}  "
-                  f"{forked / serial:>6.2f}  {units[key]}")
+            print(f"{key:>7}  {floors[key]:>5}  {size:>5}  {items:>5}  {serial:>10.2f}  "
+                  f"{forked:>10.2f}  {forked / serial:>6.2f}  {units[key]}")
     return 0
 
 

@@ -3,13 +3,17 @@ coefficient-convergence tracking and the grid Christoffel bound.
 
 All targets are restricted to forms whose inner products against the
 section powers reduce to closed-form moments, so every projection is
-free of quadrature error.
+free of quadrature error.  The grid bound skips the points that a
+binary64 bound pass, ``_kernel_bounds``, proves below its maximum; that
+pass is the library's one use of floats, and no float reaches a value
+it reports.
 
 ``_forked_map`` is the one place the library runs more than one
 process: it splits a range of independent work items over forked
 children, one per usable core, and returns their results in index
-order.  ``christoffel_remez`` splits its grid points with it (at least
-``_MIN_CHUNK_POINTS`` a process), ``operator.hereditary_sweep`` its
+order.  ``christoffel_remez`` splits the grid points its bound pass
+leaves with it (at least ``_MIN_CHUNK_POINTS`` a process, so from twice
+that many), ``operator.hereditary_sweep`` its
 subset walks (``operator._MIN_SWEEP_TASKS``) and ``duals.dual_family``
 its inverse columns with their residual maxima
 (``duals._MIN_CHUNK_COLUMNS``); each value is bit for bit the serial
@@ -27,11 +31,12 @@ import marshal
 import os
 from contextlib import suppress
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import MPZ, fzero, mpf_gt
+from mpmath.libmp import MPZ, finf, fzero, mpf_gt, mpf_lt, mpf_shift, round_nearest
 
 from .domain import WeightedDomain, _moments, _powers
 from .errors import (
@@ -226,8 +231,18 @@ def check_grid_points(grid_points: int) -> int:
 
 # A fork, its pipe and its wait cost about 2 ms on a 2-core x86 VM, the
 # work of some 30 grid points at N = 6 (65 us each, more at larger N).
-# A chunk of at least 64 points keeps that under half of what it saves.
+# A chunk of at least 64 points keeps that under half of what it saves:
+# split over 2 cores, the points the bound pass leaves at sqrt(n) N = 16
+# took 1.11-1.39 of their serial time at 25-26 points, 0.78-0.85 at 46-47
+# and 0.70-0.77 at 128 (two runs of ``scripts/fork_floors.py --repeats 7``).
 _MIN_CHUNK_POINTS = 64
+# ``christoffel_remez`` bounds every 16th grid point first and evaluates
+# the kernel at the four of largest bound, in this process.  Where more
+# than half of the other sampled points still reach the best kernel so far
+# (sqrt(n) exponents at N = 16 and rho = 0.9 leave nearly all of them),
+# the bounds of the rest would rule out too little to pay for themselves.
+_SAMPLE_STRIDE = 16
+_LEAD_POINTS = 4
 
 # What one index of a ``_forked_map`` gives: a list of raw mpfs, or the
 # NumericalError computing them raised.
@@ -336,6 +351,84 @@ def _forked_map(chunk_fn: Callable[[int, int], List[_Result]], count: int,
     return results
 
 
+def _kernel_bounds(inv_rows, lams, rho, grid_points: int, points: Iterable[int],
+                   bits: int) -> List[Tuple[int, tuple]]:
+    """(j, U_j) for each index j >= 1 in ``points`` of the grid of
+    ``grid_points`` points on [0, rho], rho raw, in decreasing order of
+    U_j, a raw mpf that holds a binary64 value exactly: U_j >= K_j, the
+    kernel ``christoffel_remez`` computes at its x_j = rho j /
+    (grid_points - 1) from the raw rows of L^-1 and raw exponents at
+    ``bits`` = P.  U_j is inf where no finite bound was found.
+
+    Binary64 serves here alone.  Each row m of L^-1 is shifted by 2^-e_m,
+    its largest entry brought into [1/2, 1), and rounded to binary64:
+    r_k; rho and each lam_k are rounded to nearest, x = rho j /
+    (grid_points - 1) in binary64, v_k = pow(x, lam_k), and per row
+    f = fsum(r_k v_k) and a = fsum(|r_k| v_k).  With u = 2^-53,
+    l = |log x| and lam the largest exponent, each error is bounded:
+    - x lies within 3u + 2^(1-P) < 2^-51 of the P-bit x_j, relative, and
+      lam within u of lam_k; together they move the power by
+      eta <= 2u lam (l + 4);
+    - ``pow`` is allowed 2^4 ulps, 2^-48 relative; ``log`` feeds eta only;
+    - the P-bit powers (``_powers``, at most prec + 10 bits inside, a
+      pow_int over a sqrt for half-integers) are off by at most
+      2^(8-P) (1 + lam (l + 4)), relative;
+    - so |v_P - v| <= e v + 2^-1068, e = 1.01 (2^-47 + eta + that term);
+    - r_k off by u |r_k| + 2^-1074, each product and the fsums by u,
+      which with the terms above gives |L^-1 v|_m 2^-e_m <= |f| + a c +
+      floor, c = 1.01 e + 2^-49 + N 2^(1-2P) + 2^(1-P): the last two for
+      ``_dot``'s drop branch (each dropped part at most 2^-2P of a sum of
+      |terms|) and the rounding of y_m;
+    - floor = N 2^-1064 (1 + max v) for anything that underflows.
+    K, one more ``_dot`` of positive terms rounded once, is then at most
+    (1 + 2^-P) times the sum of the squared row bounds 2^e_m (|f| + a c +
+    floor); U_j takes that sum times 1 + 2^-40, for its own roundings,
+    plus N 2^-1070 for squares that underflow.  A point whose x is not a
+    normal binary64 value, whose eta or P-bit term exceeds 2^-20, or
+    whose arithmetic overflows or fails gets U_j = inf, as do all points
+    when a row's 2^e_m lies outside 2^+-1000.  No P-bit x_j is formed
+    here (about 7 us a point at 256 bits); the kernel forms its own for
+    the points it evaluates.
+    """
+    # binary64 lives in this function alone; nothing it computes is reported
+    import math
+    from mpmath.libmp import from_float, to_float
+
+    n = len(lams)
+    lam_f = [to_float(lam, rnd=round_nearest) for lam in lams]
+    lam_max = max(lam_f)
+    rows = []
+    for row in inv_rows:
+        e = max(r[2] + r[3] for r in row if r[1])
+        scaled = [to_float(mpf_shift(r, -e), rnd=round_nearest) for r in row]
+        rows.append((2.0 ** e if -1000 <= e <= 1000 else math.nan, scaled,
+                     [abs(r) for r in scaled]))
+    rho_f, step = to_float(rho, rnd=round_nearest), grid_points - 1
+    p_term = 2.0 ** (8 - bits)
+    slack = 2.0 ** -49 + n * 2.0 ** (1 - 2 * bits) + 2.0 ** (1 - bits)
+    bounds = []
+    for j in points:
+        bound = math.inf
+        x = rho_f * j / step
+        if x >= 2.0 ** -1022:
+            with suppress(OverflowError, ValueError):
+                log_x = abs(math.log(x)) + 4
+                eta = 2.0 ** -52 * lam_max * log_x
+                p = p_term * (1 + lam_max * log_x)
+                if eta + p <= 2.0 ** -20:
+                    v = [math.pow(x, lam) for lam in lam_f]
+                    c = 1.01 * (2.0 ** -47 + eta + p) + slack
+                    floor = n * 2.0 ** -1064 * (1 + max(v))
+                    total = math.fsum([(scale * (abs(math.fsum(map(mul, row, v)))
+                                                 + math.fsum(map(mul, mags, v)) * c + floor)) ** 2
+                                       for scale, row, mags in rows])
+                    bound = total * (1 + 2.0 ** -40) + n * 2.0 ** -1070
+        # a nan, from a row scale outside 2^+-1000, bounds nothing either
+        bounds.append((bound if bound < math.inf else math.inf, j))
+    bounds.sort(reverse=True)
+    return [(j, from_float(bound)) for bound, j in bounds]
+
+
 def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
     """Grid maximum of the section's pointwise-to-norm constant on [0, rho].
 
@@ -349,15 +442,32 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
     grids of 101, 1001 and 10001 points give 10.75, 27.07 and 60.01.
 
     L^-1 of the factor G = L L^T is cut from the one of the section's
-    stored attempt, grown here before any fork when it falls
-    short; then each grid point costs its powers and one dot per entry:
+    stored attempt, grown here before any fork when it falls short.  At
+    width P a grid point's kernel costs its powers and one dot per entry:
     K(x) = ||L^-1 v(x)||^2, every dot of exact products rounded once.
-
-    The grid is split by ``_forked_map``: one process per usable core,
-    this one included, each with at least ``_MIN_CHUNK_POINTS`` points,
-    and a single-core host or one without ``os.fork`` runs serially.
-    The chunk maxima are combined in index order, so the value is bit
-    for bit the serial one.
+    Two passes find the largest of these over the grid:
+    - a bound pass, ``_kernel_bounds``: binary64 rows of L^-1, scaled by
+      powers of two, against binary64 powers give a grid point j >= 1 a
+      proven U_j >= K_j.  Its error terms cover the binary64 roundings of
+      x, the exponents and L^-1, ``pow`` to 2^4 ulps, the P-bit powers,
+      ``_dot``'s dropped terms and the roundings of y and K, and an
+      absolute term for what underflows.  Point 0 has v = 0 and K = 0,
+      never the maximum, as every exponent is positive;
+    - the P-bit kernel at every point whose bound reaches the best kernel
+      computed so far.
+    Every ``_SAMPLE_STRIDE``-th point is bounded first, and the
+    ``_LEAD_POINTS`` of them with the largest bounds are evaluated here.
+    The rest of the grid is then bounded, unless more than half of the
+    other sampled points still reach the best: there the float bound
+    decides little (cancellation in L^-1 v past 2^50), and the rest is
+    evaluated unbounded, as before the bound pass.  The points whose
+    bound still reaches the best, largest bounds first, are split by
+    ``_forked_map`` when there are at least 2 ``_MIN_CHUNK_POINTS`` of
+    them: one process per usable core, this one included, and at least
+    ``_MIN_CHUNK_POINTS`` a process.  Fewer run here.  Each process skips
+    a point whose bound lies below the best it has.  Every point skipped
+    has a kernel below one computed, so the value is bit for bit the
+    maximum over the whole grid, forked or not.
     """
     check_grid_points(grid_points)
     bits = g.precision_bits
@@ -369,16 +479,36 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
         inv_rows = [[col[i - j] for j, col in enumerate(cols[:i + 1])] for i in range(g.n)]
         lams = [lam._mpf_ for lam in g.lams]
 
-        def kernel_max(lo: int, hi: int) -> List[List[tuple]]:
-            # [[raw K]] at the first strict maximum over grid points lo..hi-1
-            best = fzero
-            for j in range(lo, hi):
+        def kernel_max(points, best):
+            # the best raw K over ``points``, skipping each whose bound lies
+            # below the best so far
+            for j, bound in points:
+                if mpf_lt(bound, best):
+                    continue
                 v = _powers((rho_m * j / (grid_points - 1))._mpf_, lams, bits)
                 y = [_dot(row, v, bits) for row in inv_rows]
                 kernel = _dot(y, y, bits)
                 if mpf_gt(kernel, best):
                     best = kernel
-            return [[best]]
+            return best
 
-        maxima = _forked_map(kernel_max, grid_points, _MIN_CHUNK_POINTS)
-        return mp.sqrt(max(mp.make_mpf(m) for (m,) in maxima))
+        def bounds_at(points):
+            return _kernel_bounds(inv_rows, lams, rho_m._mpf_, grid_points, points, bits)
+
+        sample = bounds_at(range(1, grid_points, _SAMPLE_STRIDE))
+        best = kernel_max(sample[:_LEAD_POINTS], fzero)
+        judged = sample[_LEAD_POINTS:]
+        left = [p for p in judged if not mpf_lt(p[1], best)]
+        others = [j for j in range(1, grid_points) if (j - 1) % _SAMPLE_STRIDE]
+        if 2 * len(left) > len(judged):
+            # the bounds rule out too few points to pay for the rest of them
+            rest = left + [(j, finf) for j in others]
+        else:
+            rest = [p for p in bounds_at(others) if not mpf_lt(p[1], best)] + left
+        if len(rest) >= 2 * _MIN_CHUNK_POINTS:
+            maxima = _forked_map(lambda lo, hi: [[kernel_max(rest[lo:hi], best)]], len(rest),
+                                 _MIN_CHUNK_POINTS)
+            best = max((m for (m,) in maxima), key=mp.make_mpf)
+        else:
+            best = kernel_max(rest, best)
+        return mp.sqrt(mp.make_mpf(best))

@@ -2,8 +2,9 @@
 
 They are slow or dense on purpose: an mpmath determinant of a submatrix
 of the full inverse, a projection onto a span rebuilt without one
-exponent, and a Gram assembly that factors every row of every attempt
-before it judges the attempt.  None of them is part of the library.
+exponent, a Gram assembly that factors every row of every attempt
+before it judges the attempt, and a remez grid with the kernel taken at
+every point.  None of them is part of the library.
 """
 
 from typing import Iterable
@@ -21,12 +22,12 @@ from muntz import (
     project,
     workbits,
 )
-from muntz.domain import _moments
+from muntz.domain import _moments, _powers
 from muntz.errors import (BadPartition, IndexOutOfRange, NotPositiveDefinite,
                           PrecisionExhausted, ValidationError)
 from muntz.exponents import ExponentSequence
-from muntz.gram import GramMatrix, _Attempt, _cholesky
-from muntz.precision import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS
+from muntz.gram import GramMatrix, _Attempt, _cholesky, _dot, _inverse_cut
+from muntz.precision import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, to_mpf
 
 
 def inverse_principal_minor(g: GramMatrix, n2: Iterable[int]) -> mpmath.mpf:
@@ -120,3 +121,31 @@ def gram_every_row(
             raise PrecisionExhausted(f"condition estimate exceeds 2**({bits}/2) "
                                      "at the precision ceiling")
         bits = min(bits * 2, max_precision_bits)
+
+
+def remez_grid(g: GramMatrix, rho, grid_points: int):
+    """The raw rows of L^-1, raw exponents and raw rho that
+    ``christoffel_remez`` works from, and the P-bit kernel at every grid
+    point x_j = rho j / (grid_points - 1), point 0 included:
+    ||L^-1 v(x_j)||^2 as ``_dot`` rounds it."""
+    bits = g.precision_bits
+    with workbits(bits):
+        cols = _inverse_cut(g)
+        rows = [[col[i - j] for j, col in enumerate(cols[:i + 1])] for i in range(g.n)]
+        lams = [lam._mpf_ for lam in g.lams]
+        rho_m = to_mpf(rho, bits)
+        xs = [(rho_m * j / (grid_points - 1))._mpf_ for j in range(grid_points)]
+        kernels = []
+        for x in xs:
+            v = _powers(x, lams, bits)
+            y = [_dot(row, v, bits) for row in rows]
+            kernels.append(_dot(y, y, bits))
+        return rows, lams, rho_m._mpf_, kernels
+
+
+def remez_every_point(g: GramMatrix, rho, grid_points: int) -> mpmath.mpf:
+    """``christoffel_remez`` with no point skipped: the square root of
+    the largest kernel over the whole grid."""
+    kernels = remez_grid(g, rho, grid_points)[3]
+    with workbits(g.precision_bits):
+        return mp.sqrt(max(mp.make_mpf(k) for k in kernels))

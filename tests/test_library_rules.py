@@ -103,6 +103,15 @@ def test_one_function_reads_the_input_memo():
     assert _functions_naming("_PARSED") == ["cli.py:<module>", "cli.py:_Inputs.__init__"]
 
 
+def test_binary64_in_the_bound_helper_only():
+    # the remez bound pass is the library's one use of binary64, so no
+    # float reaches a reported value: only ``_kernel_bounds`` names
+    # ``math`` or converts between mpf and float
+    hits = sorted({hit for ident in ("math", "to_float", "from_float")
+                   for hit in _functions_naming(ident)})
+    assert hits == ["series.py:_kernel_bounds"]
+
+
 def _names_used(tree, skip=None):
     """Every name a module reads, as a bare name, an attribute or an
     import, outside the top-level node ``skip``."""

@@ -1,8 +1,9 @@
 """The fork-map helper ``series._forked_map``: results in index order,
 raw values crossing from a child as ``marshal`` bytes bit for bit, a
 chunk that holds an error or arrives unreadable recomputed in the
-caller, and no process or pipe outliving a call; and the remez grid
-split over it, bit for bit the serial value."""
+caller, and no process or pipe outliving a call; and the points of the
+remez grid that its bound pass leaves split over it, bit for bit the
+serial value."""
 
 import marshal
 import os
@@ -15,6 +16,8 @@ from mpmath.libmp import MPZ, finf, fnan, fninf, from_int, from_str, fzero
 from muntz import build_weighted_domain, christoffel_remez, gram, power_exponents
 from muntz.errors import PrecisionExhausted
 import muntz.series as series_module
+
+from oracles import remez_every_point
 
 UNIT = build_weighted_domain([(0, 1)], [(1, 0)])
 TWO_PIECE = build_weighted_domain([("0", "0.5"), ("0.6", "1")], [(1, 0), (2, "0.5")])
@@ -64,7 +67,8 @@ def record_waits(monkeypatch, convert=lambda status: status):
 @pytest.mark.parametrize("wd", [UNIT, TWO_PIECE], ids=["unit", "two_piece"])
 @pytest.mark.parametrize("beta", ["2", "1", "1/2"])
 def test_split_equals_serial_bits(wd, beta, monkeypatch):
-    # one point per chunk allowed, so 2- and 3-point grids split too;
+    # one point per chunk allowed, so that the few points the bound pass
+    # leaves at N = 6 (up to 19 of 31, a handful of 201) split too;
     # rho = 1.5 lies past r_A = 1 on both domains
     monkeypatch.setattr(series_module, "_MIN_CHUNK_POINTS", 1)
     g = gram(wd, power_exponents(1, beta, 6), 6)
@@ -73,6 +77,35 @@ def test_split_equals_serial_bits(wd, beta, monkeypatch):
             serial = remez_bits(monkeypatch, g, rho, points, 1)
             for cores in (2, 3, 4):
                 assert remez_bits(monkeypatch, g, rho, points, cores) == serial, (points, rho, cores)
+    assert_no_children()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("wd, beta, n",
+                         [(UNIT, "1/2", 16), (TWO_PIECE, "1/2", 16), (UNIT, "1", 24)],
+                         ids=["unit-sqrt-16", "two_piece-sqrt-16", "unit-linear-24"])
+def test_many_survivors_fork_bit_for_bit(wd, beta, n, monkeypatch):
+    # at rho = 0.9 on 1001 points the bounds leave nearly every point of
+    # the sqrt(n) grids, where the rest of the grid goes unbounded, and
+    # about half of the linear one, where every point is bounded; each
+    # is forked at the library's own floor
+    g = gram(wd, power_exponents(1, beta, n), n)
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    use_cores(monkeypatch, 1)
+    serial = christoffel_remez(g, "0.9", 1001)
+    assert forks == []
+    assert serial == remez_every_point(g, "0.9", 1001)
+    for cores in (2, 3):
+        use_cores(monkeypatch, cores)
+        assert christoffel_remez(g, "0.9", 1001) == serial
+        assert len(forks) == cores - 1
+        forks.clear()
     assert_no_children()
 
 
