@@ -36,7 +36,7 @@ from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import MPZ, finf, fzero, mpf_gt, mpf_lt, mpf_shift, round_nearest
+from mpmath.libmp import MPZ, fzero, mpf_gt, mpf_lt, mpf_shift, round_nearest
 
 from .domain import WeightedDomain, _moments, _powers
 from .errors import (
@@ -231,17 +231,15 @@ def check_grid_points(grid_points: int) -> int:
 
 # A fork, its pipe and its wait cost about 2 ms on a 2-core x86 VM, the
 # work of some 30 grid points at N = 6 (65 us each, more at larger N).
-# A chunk of at least 64 points keeps that under half of what it saves:
-# split over 2 cores, the points the bound pass leaves at sqrt(n) N = 16
-# took 1.11-1.39 of their serial time at 25-26 points, 0.78-0.85 at 46-47
-# and 0.70-0.77 at 128 (two runs of ``scripts/fork_floors.py --repeats 7``).
+# With at least 64 points a process the split starts at 128, where it
+# clearly pays: over 2 cores, the points the bound pass leaves at sqrt(n)
+# N = 16 took 0.99-1.19 of their serial time at 32 points, 0.89-0.96 at
+# 64 and 0.69-0.88 at 128 and 256 (three runs of
+# ``scripts/fork_floors.py --repeats 7``).
 _MIN_CHUNK_POINTS = 64
-# ``christoffel_remez`` bounds every 16th grid point first and evaluates
-# the kernel at the four of largest bound, in this process.  Where more
-# than half of the other sampled points still reach the best kernel so far
-# (sqrt(n) exponents at N = 16 and rho = 0.9 leave nearly all of them),
-# the bounds of the rest would rule out too little to pay for themselves.
-_SAMPLE_STRIDE = 16
+# ``christoffel_remez`` evaluates the kernel at the four grid points of
+# largest bound in this process, so that the best it hands to a fork
+# already rules out most of the grid.
 _LEAD_POINTS = 4
 
 # What one index of a ``_forked_map`` gives: a list of raw mpfs, or the
@@ -351,11 +349,10 @@ def _forked_map(chunk_fn: Callable[[int, int], List[_Result]], count: int,
     return results
 
 
-def _kernel_bounds(inv_rows, lams, rho, grid_points: int, points: Iterable[int],
-                   bits: int) -> List[Tuple[int, tuple]]:
-    """(j, U_j) for each index j >= 1 in ``points`` of the grid of
-    ``grid_points`` points on [0, rho], rho raw, in decreasing order of
-    U_j, a raw mpf that holds a binary64 value exactly: U_j >= K_j, the
+def _kernel_bounds(inv_rows, lams, rho, grid_points: int, bits: int) -> List[Tuple[int, tuple]]:
+    """(j, U_j) for each index j >= 1 of the grid of ``grid_points``
+    points on [0, rho], rho raw, in decreasing order of U_j, a raw mpf
+    that holds a binary64 value exactly: U_j >= K_j, the
     kernel ``christoffel_remez`` computes at its x_j = rho j /
     (grid_points - 1) from the raw rows of L^-1 and raw exponents at
     ``bits`` = P.  U_j is inf where no finite bound was found.
@@ -407,7 +404,7 @@ def _kernel_bounds(inv_rows, lams, rho, grid_points: int, points: Iterable[int],
     p_term = 2.0 ** (8 - bits)
     slack = 2.0 ** -49 + n * 2.0 ** (1 - 2 * bits) + 2.0 ** (1 - bits)
     bounds = []
-    for j in points:
+    for j in range(1, grid_points):
         bound = math.inf
         x = rho_f * j / step
         if x >= 2.0 ** -1022:
@@ -455,19 +452,16 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
       never the maximum, as every exponent is positive;
     - the P-bit kernel at every point whose bound reaches the best kernel
       computed so far.
-    Every ``_SAMPLE_STRIDE``-th point is bounded first, and the
-    ``_LEAD_POINTS`` of them with the largest bounds are evaluated here.
-    The rest of the grid is then bounded, unless more than half of the
-    other sampled points still reach the best: there the float bound
-    decides little (cancellation in L^-1 v past 2^50), and the rest is
-    evaluated unbounded, as before the bound pass.  The points whose
-    bound still reaches the best, largest bounds first, are split by
-    ``_forked_map`` when there are at least 2 ``_MIN_CHUNK_POINTS`` of
-    them: one process per usable core, this one included, and at least
-    ``_MIN_CHUNK_POINTS`` a process.  Fewer run here.  Each process skips
-    a point whose bound lies below the best it has.  Every point skipped
-    has a kernel below one computed, so the value is bit for bit the
-    maximum over the whole grid, forked or not.
+    The ``_LEAD_POINTS`` points of largest bound are evaluated here.  The
+    others whose bound still reaches the best, largest bounds first, are
+    split by ``_forked_map``: one process per usable core, this one
+    included, and at least ``_MIN_CHUNK_POINTS`` a process, so fewer than
+    twice that many run here.  Each process skips a point whose bound lies
+    below the best it has.  Where L^-1 v cancels past 2^50, as for sqrt(n)
+    exponents at N = 16 and rho = 0.9, the bounds rule out few points and
+    most of the grid goes to the kernel.  Every point skipped has a
+    kernel below one computed, so the value is bit for bit the maximum
+    over the whole grid, forked or not.
     """
     check_grid_points(grid_points)
     bits = g.precision_bits
@@ -492,23 +486,10 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
                     best = kernel
             return best
 
-        def bounds_at(points):
-            return _kernel_bounds(inv_rows, lams, rho_m._mpf_, grid_points, points, bits)
-
-        sample = bounds_at(range(1, grid_points, _SAMPLE_STRIDE))
-        best = kernel_max(sample[:_LEAD_POINTS], fzero)
-        judged = sample[_LEAD_POINTS:]
-        left = [p for p in judged if not mpf_lt(p[1], best)]
-        others = [j for j in range(1, grid_points) if (j - 1) % _SAMPLE_STRIDE]
-        if 2 * len(left) > len(judged):
-            # the bounds rule out too few points to pay for the rest of them
-            rest = left + [(j, finf) for j in others]
-        else:
-            rest = [p for p in bounds_at(others) if not mpf_lt(p[1], best)] + left
-        if len(rest) >= 2 * _MIN_CHUNK_POINTS:
-            maxima = _forked_map(lambda lo, hi: [[kernel_max(rest[lo:hi], best)]], len(rest),
-                                 _MIN_CHUNK_POINTS)
-            best = max((m for (m,) in maxima), key=mp.make_mpf)
-        else:
-            best = kernel_max(rest, best)
+        points = _kernel_bounds(inv_rows, lams, rho_m._mpf_, grid_points, bits)
+        best = kernel_max(points[:_LEAD_POINTS], fzero)
+        rest = [p for p in points[_LEAD_POINTS:] if not mpf_lt(p[1], best)]
+        maxima = _forked_map(lambda lo, hi: [[kernel_max(rest[lo:hi], best)]], len(rest),
+                             _MIN_CHUNK_POINTS)
+        best = max((m for (m,) in maxima), key=mp.make_mpf)
         return mp.sqrt(mp.make_mpf(best))

@@ -67,16 +67,26 @@ def record_waits(monkeypatch, convert=lambda status: status):
 @pytest.mark.parametrize("wd", [UNIT, TWO_PIECE], ids=["unit", "two_piece"])
 @pytest.mark.parametrize("beta", ["2", "1", "1/2"])
 def test_split_equals_serial_bits(wd, beta, monkeypatch):
-    # one point per chunk allowed, so that the few points the bound pass
-    # leaves at N = 6 (up to 19 of 31, a handful of 201) split too;
-    # rho = 1.5 lies past r_A = 1 on both domains
+    # no serial lead and one point per chunk allowed: at N = 6 the lead
+    # alone rules out every other point, so this hands the whole grid
+    # past point 0 to the split; rho = 1.5 lies past r_A = 1 on both domains
+    monkeypatch.setattr(series_module, "_LEAD_POINTS", 0)
     monkeypatch.setattr(series_module, "_MIN_CHUNK_POINTS", 1)
     g = gram(wd, power_exponents(1, beta, 6), 6)
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
     for points in (2, 3, 31, 201):
         for rho in ("0.9", "1.5"):
             serial = remez_bits(monkeypatch, g, rho, points, 1)
             for cores in (2, 3, 4):
+                forks.clear()
                 assert remez_bits(monkeypatch, g, rho, points, cores) == serial, (points, rho, cores)
+                assert len(forks) == min(cores, points - 1) - 1
     assert_no_children()
 
 
@@ -85,10 +95,9 @@ def test_split_equals_serial_bits(wd, beta, monkeypatch):
                          [(UNIT, "1/2", 16), (TWO_PIECE, "1/2", 16), (UNIT, "1", 24)],
                          ids=["unit-sqrt-16", "two_piece-sqrt-16", "unit-linear-24"])
 def test_many_survivors_fork_bit_for_bit(wd, beta, n, monkeypatch):
-    # at rho = 0.9 on 1001 points the bounds leave nearly every point of
-    # the sqrt(n) grids, where the rest of the grid goes unbounded, and
-    # about half of the linear one, where every point is bounded; each
-    # is forked at the library's own floor
+    # at rho = 0.9 on 1001 points the bounds left after the lead reach
+    # the best at every point of the sqrt(n) grids and at about half of
+    # the linear one; each is forked at the library's own floor
     g = gram(wd, power_exponents(1, beta, n), n)
     forks, real_fork = [], os.fork
 
