@@ -13,9 +13,10 @@ ratio, beside the items the caller hands to the helper.  A floor belongs
 near the smallest item count whose ratio stays below 1.
 
 The remez case always takes sqrt(n) exponents at N = 16 and rho = 0.9,
-whatever ``--family`` says: there the binary64 bounds rule out almost no
-point, so a grid of s + 5 points leaves about s to the helper past point 0
-and the serial lead, and the sizes set those survivors around the floor.
+whatever ``--family`` says: on the smaller of these grids its sampled
+bounds rule out too few points, so the s points past point 0 and the
+sample go to the helper unbounded, and the sizes set s around the floor;
+the items column shows what each grid hands over.
 
     python3 scripts/fork_floors.py [--family squares|linear|sqrt] [--repeats 5]
 """
@@ -95,8 +96,13 @@ def main() -> int:
                  "sweep": [floors["sweep"] + d for d in (-2, -1, 0, 1, 2)],
                  "duals": [floors["duals"] * k // 2 for k in (2, 3, 4, 6, 8)]}
     g16 = gram(wd, power_exponents(1, "1/2", 16, args.bits), 16, args.bits)
-    lead = 1 + series_module._LEAD_POINTS  # point 0 and the lead are never forked
-    calls = {"remez": lambda size: (lambda: christoffel_remez(g16, "0.9", size + lead)),
+    stride = series_module._SAMPLE_STRIDE
+
+    def grid(size):
+        # point 0 and every stride-th point after it are never forked
+        return size + 1 + -(-size // (stride - 1))
+
+    calls = {"remez": lambda size: (lambda: christoffel_remez(g16, "0.9", grid(size))),
              "sweep": lambda size: (lambda g=section(size): hereditary_sweep(g)),
              "duals": lambda size: (lambda g=section(size): dual_family(g))}
     units = {"remez": "points left at sqrt(n) N = 16", "sweep": "N", "duals": "N"}

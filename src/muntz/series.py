@@ -36,7 +36,7 @@ from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import MPZ, fzero, mpf_gt, mpf_lt, mpf_shift, round_nearest
+from mpmath.libmp import MPZ, finf, fzero, mpf_gt, mpf_lt, mpf_shift, round_nearest
 
 from .domain import WeightedDomain, _moments, _powers
 from .errors import (
@@ -231,16 +231,23 @@ def check_grid_points(grid_points: int) -> int:
 
 # A fork, its pipe and its wait cost about 2 ms on a 2-core x86 VM, the
 # work of some 30 grid points at N = 6 (65 us each, more at larger N).
-# With at least 64 points a process the split starts at 128, where it
-# clearly pays: over 2 cores, the points the bound pass leaves at sqrt(n)
-# N = 16 took 0.99-1.19 of their serial time at 32 points, 0.89-0.96 at
-# 64 and 0.69-0.88 at 128 and 256 (three runs of
-# ``scripts/fork_floors.py --repeats 7``).
+# With at least 64 points a process the split starts at 128: over 2
+# cores, the points the bound pass leaves at sqrt(n) N = 16 took
+# 0.88-1.71 of their serial time at 32 points, 0.74-0.96 at 64,
+# 0.68-1.07 at 128 and 0.68-0.79 at 256 (two runs of
+# ``scripts/fork_floors.py --repeats 7`` on a noisy shared host).
 _MIN_CHUNK_POINTS = 64
-# ``christoffel_remez`` evaluates the kernel at the four grid points of
-# largest bound in this process, so that the best it hands to a fork
-# already rules out most of the grid.
-_LEAD_POINTS = 4
+# ``christoffel_remez`` bounds every 32nd grid point first and runs the
+# kernel, in this process, on each of them whose bound reaches the best
+# so far.  Where it ran on more than 3/4 of them, the rest of the grid
+# goes to the kernel unbounded: a bound costs 0.06-0.13 of a kernel
+# (sqrt(n) exponents, N 10-24, 256 and 512 bits), paid in this process,
+# while over 2 cores a kernel costs half its time, so bounds that rule
+# out fewer than about 1/4 of the points cost more than they save.  A
+# stride of 16 runs twice the serial kernels: at sqrt(n) N = 20 and 24
+# on 1001 points, each case's median time over the exhaustive forked
+# grid's read 0.97-1.10 with it and 0.87-1.07 with 32.
+_SAMPLE_STRIDE = 32
 
 # What one index of a ``_forked_map`` gives: a list of raw mpfs, or the
 # NumericalError computing them raised.
@@ -349,10 +356,11 @@ def _forked_map(chunk_fn: Callable[[int, int], List[_Result]], count: int,
     return results
 
 
-def _kernel_bounds(inv_rows, lams, rho, grid_points: int, bits: int) -> List[Tuple[int, tuple]]:
-    """(j, U_j) for each index j >= 1 of the grid of ``grid_points``
-    points on [0, rho], rho raw, in decreasing order of U_j, a raw mpf
-    that holds a binary64 value exactly: U_j >= K_j, the
+def _kernel_bounds(inv_rows, lams, rho, grid_points: int, points: Iterable[int],
+                   bits: int) -> List[Tuple[int, tuple]]:
+    """(j, U_j) for each index j >= 1 in ``points`` of the grid of
+    ``grid_points`` points on [0, rho], rho raw, in decreasing order of
+    U_j, a raw mpf that holds a binary64 value exactly: U_j >= K_j, the
     kernel ``christoffel_remez`` computes at its x_j = rho j /
     (grid_points - 1) from the raw rows of L^-1 and raw exponents at
     ``bits`` = P.  U_j is inf where no finite bound was found.
@@ -404,7 +412,7 @@ def _kernel_bounds(inv_rows, lams, rho, grid_points: int, bits: int) -> List[Tup
     p_term = 2.0 ** (8 - bits)
     slack = 2.0 ** -49 + n * 2.0 ** (1 - 2 * bits) + 2.0 ** (1 - bits)
     bounds = []
-    for j in range(1, grid_points):
+    for j in points:
         bound = math.inf
         x = rho_f * j / step
         if x >= 2.0 ** -1022:
@@ -452,16 +460,19 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
       never the maximum, as every exponent is positive;
     - the P-bit kernel at every point whose bound reaches the best kernel
       computed so far.
-    The ``_LEAD_POINTS`` points of largest bound are evaluated here.  The
-    others whose bound still reaches the best, largest bounds first, are
-    split by ``_forked_map``: one process per usable core, this one
-    included, and at least ``_MIN_CHUNK_POINTS`` a process, so fewer than
-    twice that many run here.  Each process skips a point whose bound lies
-    below the best it has.  Where L^-1 v cancels past 2^50, as for sqrt(n)
-    exponents at N = 16 and rho = 0.9, the bounds rule out few points and
-    most of the grid goes to the kernel.  Every point skipped has a
-    kernel below one computed, so the value is bit for bit the maximum
-    over the whole grid, forked or not.
+    Every ``_SAMPLE_STRIDE``-th point is bounded first and evaluated
+    here, largest bounds first, where its bound reaches the best so far.
+    Where L^-1 v cancels past about 2^50 (sqrt(n) exponents from N = 20),
+    the bounds rule out few points: if the sample ran the kernel at more
+    than 3/4 of its points, the rest of the grid goes to the kernel
+    unbounded, as before the bound pass.  Otherwise the rest is bounded
+    and the points whose bound still reaches the best, largest bounds
+    first, go on.  These are split by ``_forked_map``: one process per
+    usable core, this one included, and at least ``_MIN_CHUNK_POINTS`` a
+    process, so fewer than twice that many run here.  Each process skips
+    a point whose bound lies below the best it has.  Every point skipped
+    has a kernel below one computed, so the value is bit for bit the
+    maximum over the whole grid, forked or not.
     """
     check_grid_points(grid_points)
     bits = g.precision_bits
@@ -475,21 +486,30 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
 
         def kernel_max(points, best):
             # the best raw K over ``points``, skipping each whose bound lies
-            # below the best so far
+            # below the best so far, and how many points it computed
+            ran = 0
             for j, bound in points:
                 if mpf_lt(bound, best):
                     continue
                 v = _powers((rho_m * j / (grid_points - 1))._mpf_, lams, bits)
                 y = [_dot(row, v, bits) for row in inv_rows]
                 kernel = _dot(y, y, bits)
+                ran += 1
                 if mpf_gt(kernel, best):
                     best = kernel
-            return best
+            return best, ran
 
-        points = _kernel_bounds(inv_rows, lams, rho_m._mpf_, grid_points, bits)
-        best = kernel_max(points[:_LEAD_POINTS], fzero)
-        rest = [p for p in points[_LEAD_POINTS:] if not mpf_lt(p[1], best)]
-        maxima = _forked_map(lambda lo, hi: [[kernel_max(rest[lo:hi], best)]], len(rest),
+        def bounds_at(points):
+            return _kernel_bounds(inv_rows, lams, rho_m._mpf_, grid_points, points, bits)
+
+        sample = bounds_at(range(1, grid_points, _SAMPLE_STRIDE))
+        best, ran = kernel_max(sample, fzero)
+        others = [j for j in range(1, grid_points) if (j - 1) % _SAMPLE_STRIDE]
+        if 4 * ran > 3 * len(sample):
+            rest = [(j, finf) for j in others]
+        else:
+            rest = [p for p in bounds_at(others) if not mpf_lt(p[1], best)]
+        maxima = _forked_map(lambda lo, hi: [[kernel_max(rest[lo:hi], best)[0]]], len(rest),
                              _MIN_CHUNK_POINTS)
         best = max((m for (m,) in maxima), key=mp.make_mpf)
         return mp.sqrt(mp.make_mpf(best))

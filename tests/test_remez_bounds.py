@@ -18,7 +18,8 @@ def bounds_and_kernels(g, rho, points):
     """(j, U_j) for every point j >= 1, in the order the bound pass gives
     them, and the P-bit kernel at every point."""
     rows, lams, rho_raw, kernels = remez_grid(g, rho, points)
-    bounds = series_module._kernel_bounds(rows, lams, rho_raw, points, g.precision_bits)
+    bounds = series_module._kernel_bounds(rows, lams, rho_raw, points, range(1, points),
+                                          g.precision_bits)
     return bounds, kernels
 
 

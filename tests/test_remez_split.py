@@ -67,10 +67,11 @@ def record_waits(monkeypatch, convert=lambda status: status):
 @pytest.mark.parametrize("wd", [UNIT, TWO_PIECE], ids=["unit", "two_piece"])
 @pytest.mark.parametrize("beta", ["2", "1", "1/2"])
 def test_split_equals_serial_bits(wd, beta, monkeypatch):
-    # no serial lead and one point per chunk allowed: at N = 6 the lead
-    # alone rules out every other point, so this hands the whole grid
-    # past point 0 to the split; rho = 1.5 lies past r_A = 1 on both domains
-    monkeypatch.setattr(series_module, "_LEAD_POINTS", 0)
+    # one sampled point, which always ran the kernel, and one point per
+    # chunk allowed: at N = 6 the bounds would rule out every point but a
+    # few, so this hands the whole grid past points 0 and 1 to the split
+    # unbounded; rho = 1.5 lies past r_A = 1 on both domains
+    monkeypatch.setattr(series_module, "_SAMPLE_STRIDE", 10 ** 6)
     monkeypatch.setattr(series_module, "_MIN_CHUNK_POINTS", 1)
     g = gram(wd, power_exponents(1, beta, 6), 6)
     forks, real_fork = [], os.fork
@@ -86,18 +87,21 @@ def test_split_equals_serial_bits(wd, beta, monkeypatch):
             for cores in (2, 3, 4):
                 forks.clear()
                 assert remez_bits(monkeypatch, g, rho, points, cores) == serial, (points, rho, cores)
-                assert len(forks) == min(cores, points - 1) - 1
+                assert len(forks) == max(1, min(cores, points - 2)) - 1
     assert_no_children()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.parametrize("wd, beta, n",
-                         [(UNIT, "1/2", 16), (TWO_PIECE, "1/2", 16), (UNIT, "1", 24)],
-                         ids=["unit-sqrt-16", "two_piece-sqrt-16", "unit-linear-24"])
+                         [(UNIT, "1/2", 16), (TWO_PIECE, "1/2", 16), (UNIT, "1", 24),
+                          (UNIT, "1/2", 20)],
+                         ids=["unit-sqrt-16", "two_piece-sqrt-16", "unit-linear-24",
+                              "unit-sqrt-20"])
 def test_many_survivors_fork_bit_for_bit(wd, beta, n, monkeypatch):
-    # at rho = 0.9 on 1001 points the bounds left after the lead reach
-    # the best at every point of the sqrt(n) grids and at about half of
-    # the linear one; each is forked at the library's own floor
+    # at rho = 0.9 on 1001 points the bounds leave 570-610 points of the
+    # sqrt(n) N = 16 grids and about 390 of the linear one to the split;
+    # at sqrt(n) N = 20 the rest of the grid goes to it unbounded; each is
+    # forked at the library's own floor
     g = gram(wd, power_exponents(1, beta, n), n)
     forks, real_fork = [], os.fork
 
