@@ -3,7 +3,7 @@
 
 ``series._forked_map`` splits a caller's work over the usable cores only
 when each process gets at least a floor of work items: the grid points
-``christoffel_remez`` leaves after its bound pass (``series._MIN_CHUNK_POINTS``),
+past point 0 that ``christoffel_remez`` bounds (``series._MIN_CHUNK_POINTS``),
 subtree tasks for ``hereditary_sweep`` (``operator._MIN_SWEEP_TASKS``)
 and columns for ``dual_family`` (``duals._MIN_CHUNK_COLUMNS``).  For sizes
 around where each floor starts forking on this host, this prints the
@@ -12,11 +12,10 @@ split over all usable cores (the floor lowered to one item), and their
 ratio, beside the items the caller hands to the helper.  A floor belongs
 near the smallest item count whose ratio stays below 1.
 
-The remez case always takes sqrt(n) exponents at N = 16 and rho = 0.9,
-whatever ``--family`` says: on the smaller of these grids its sampled
-bounds rule out too few points, so the s points past point 0 and the
-sample go to the helper unbounded, and the sizes set s around the floor;
-the items column shows what each grid hands over.
+The remez cases time the whole call on grids of s + 1 points at N = 16
+and rho = 0.9, whatever ``--family`` says, for two exponent families:
+squares, whose bounds leave the kernel a handful of points, and sqrt(n),
+whose bounds leave it hundreds on the larger grids.
 
     python3 scripts/fork_floors.py [--family squares|linear|sqrt] [--repeats 5]
 """
@@ -87,25 +86,26 @@ def main() -> int:
     def section(n):
         return gram(wd, power_exponents(1, beta, n, args.bits), n, args.bits)
 
-    # each caller forks once count // floor >= 2: from 2 * floor surviving
-    # grid points, N = floor sweep tasks (2N of them) and 2 * floor columns
+    # each caller forks once count // floor >= 2: from 2 * floor grid
+    # points past point 0, N = floor sweep tasks (2N of them) and
+    # 2 * floor columns
     if args.tiny:
         sizes = {"remez": [8], "sweep": [2], "duals": [2]}
     else:
-        sizes = {"remez": [floors["remez"] * k // 2 for k in (1, 2, 4, 8)],
+        sizes = {"remez": [floors["remez"] * k // 2 for k in (1, 2, 3, 4, 8)],
                  "sweep": [floors["sweep"] + d for d in (-2, -1, 0, 1, 2)],
                  "duals": [floors["duals"] * k // 2 for k in (2, 3, 4, 6, 8)]}
-    g16 = gram(wd, power_exponents(1, "1/2", 16, args.bits), 16, args.bits)
-    stride = series_module._SAMPLE_STRIDE
+    remez_sections = {
+        label: gram(wd, power_exponents(1, remez_beta, 16, args.bits), 16, args.bits)
+        for label, remez_beta in (("squares", 2), ("sqrt(n)", "1/2"))}
 
-    def grid(size):
-        # point 0 and every stride-th point after it are never forked
-        return size + 1 + -(-size // (stride - 1))
+    def remez(g):
+        return lambda size: (lambda: christoffel_remez(g, "0.9", size + 1))
 
-    calls = {"remez": lambda size: (lambda: christoffel_remez(g16, "0.9", grid(size))),
-             "sweep": lambda size: (lambda g=section(size): hereditary_sweep(g)),
-             "duals": lambda size: (lambda g=section(size): dual_family(g))}
-    units = {"remez": "points left at sqrt(n) N = 16", "sweep": "N", "duals": "N"}
+    cases = [("remez", remez(g), f"grid points past 0, {label} N = 16")
+             for label, g in remez_sections.items()]
+    cases += [("sweep", lambda size: (lambda g=section(size): hereditary_sweep(g)), "N"),
+              ("duals", lambda size: (lambda g=section(size): dual_family(g)), "N")]
 
     print(f"{cores} usable cores; {args.family} exponents on [0, 0.5] u [0.6, 1], "
           f"{args.bits} bits; median of {args.repeats}")
@@ -113,7 +113,7 @@ def main() -> int:
         print("one usable core: the forked column runs serially too")
     print(f"{'caller':>7}  {'floor':>5}  {'size':>5}  {'items':>5}  {'serial ms':>10}  "
           f"{'forked ms':>10}  {'ratio':>6}  size is")
-    for key, call_at in calls.items():
+    for key, call_at, unit in cases:
         module, name = FLOORS[key]
         for size in sizes[key]:
             call = call_at(size)
@@ -128,7 +128,7 @@ def main() -> int:
                     times["forked"].append(seconds(call))
             serial, forked = (1000 * statistics.median(t) for t in times.values())
             print(f"{key:>7}  {floors[key]:>5}  {size:>5}  {items:>5}  {serial:>10.2f}  "
-                  f"{forked:>10.2f}  {forked / serial:>6.2f}  {units[key]}")
+                  f"{forked:>10.2f}  {forked / serial:>6.2f}  {unit}")
     return 0
 
 

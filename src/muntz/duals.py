@@ -181,8 +181,9 @@ def distance_sweep(g: GramMatrix, sizes: Iterable[int], n: int, rel_tol: Real) -
     The values are nonincreasing (larger span, smaller distance);
     stabilized is set when the final relative decrease drops below
     rel_tol.  The last value doubles as the limit estimate.  Everything
-    is taken at g's precision, from one forward solve against g's factor
-    (``gram_inverse_diagonals``), bit for bit ``distance`` on each section.
+    is taken at g's precision, from column n of the stored L^-1 of g's
+    factor (``gram_inverse_diagonals``), bit for bit ``distance`` on each
+    section.
     """
     bits = g.precision_bits
     sizes = list(sizes)

@@ -299,18 +299,14 @@ def _checked_sizes(g: GramMatrix, sizes: Iterable[int]) -> List[int]:
 # once, then one rounded divide by the diagonal, as ``_cholesky`` does.
 
 
-def _substitute_forward(rows, rhs, start: int = 0) -> List[tuple]:
-    """Solve L y = rhs for the raw factor rows of L and raw rhs.  With
-    ``start`` > 0, rhs[:start] must be zero: y[:start] is then zero and
-    every skipped term a zero product.  The first m entries of y are the
-    solve against the leading m rows."""
+def _substitute_forward(rows, rhs) -> List[tuple]:
+    """Solve L y = rhs for the raw factor rows of L and raw rhs.  The
+    first m entries of y are the solve against the leading m rows."""
     prec = mp.prec
-    y = [fzero] * len(rows)
-    for i in range(start, len(rows)):
-        row = rows[i]
+    y = []
+    for i, row in enumerate(rows):
         # y_i = (rhs_i - sum) / L_ii = (sum - rhs_i) / -L_ii, signs exact
-        y[i] = mpf_div(_dot(row[start:i], y[start:i], prec, rhs[i]), mpf_neg(row[i]),
-                       prec, round_nearest)
+        y.append(mpf_div(_dot(row[:i], y, prec, rhs[i]), mpf_neg(row[i]), prec, round_nearest))
     return y
 
 
@@ -423,8 +419,8 @@ def _inverse_row(row, cols, prec) -> List[tuple]:
     down: entry j < k is -sum_{j<=i<k} L_ki (L^-1)_ij / L_kk, one ``_dot``
     rounded once and one rounded divide, and entry k is 1 / L_kk.  These
     are the operands and roundings of ``_substitute_forward`` on e_j from
-    entry j, so column j of L^-1 over the leading m rows is bit for bit
-    that solve against them."""
+    entry j, whose zero products ``_dot`` skips, so column j of L^-1 over
+    the leading m rows is bit for bit that solve against them."""
     k = len(cols)
     pivot = mpf_neg(row[k])   # (0 - sum) / L_kk = sum / -L_kk, as _substitute_forward
     return ([mpf_div(_dot(row[j:k], col, prec), pivot, prec, round_nearest)
@@ -588,20 +584,17 @@ def gram_inverse_column(g: GramMatrix, n: int) -> List[mpmath.mpf]:
 def gram_inverse_diagonals(g: GramMatrix, n: int, sizes: Iterable[int]) -> List[mpmath.mpf]:
     """The diagonal entry (G_m^-1)_nn (1-based) of the leading m-section,
     for each of the strictly increasing sizes m, as ||L_m^-1 e_n||^2:
-    one forward solve of e_n from entry n against g's factor, whose first
-    m entries are the solve against the m-section, then per size the sum
-    of their squares, exact and rounded once.  No back solve and no
-    cancellation, so the entries of G^-1 a report reads cost about N^3/6
-    operations over all n instead of N^3."""
+    column n of the stored L^-1 cut to the largest size (``_inverse_cut``),
+    whose first m - n + 1 entries are the forward solve of e_n against the
+    m-section, then per size the sum of their squares, exact and rounded
+    once.  No back solve and no cancellation; the L^-1 is grown once for
+    the section, about N^3/6 operations, and every later call reads it."""
     sizes = _checked_sizes(g, sizes)
     if not 1 <= n <= sizes[0]:
         raise IndexOutOfRange(f"index {n} outside 1..{sizes[0]}")
-    rows = g._attempt.chol_rows[:sizes[-1]]
+    col = _inverse_cut(leading_section(g, sizes[-1]))[n - 1]
     with workbits(g.precision_bits):
-        rhs = [fzero] * len(rows)
-        rhs[n - 1] = fone
-        y = _substitute_forward(rows, rhs, n - 1)
-        return [mp.make_mpf(_dot(y[n - 1:m], y[n - 1:m], mp.prec)) for m in sizes]
+        return [mp.make_mpf(_dot(col[:m - n + 1], col[:m - n + 1], mp.prec)) for m in sizes]
 
 
 def gram_inverse(g: GramMatrix) -> List[List[mpmath.mpf]]:

@@ -4,16 +4,16 @@ coefficient-convergence tracking and the grid Christoffel bound.
 All targets are restricted to forms whose inner products against the
 section powers reduce to closed-form moments, so every projection is
 free of quadrature error.  The grid bound skips the points that a
-binary64 bound pass, ``_kernel_bounds``, proves below its maximum; that
-pass is the library's one use of floats, and no float reaches a value
-it reports.
+binary64 bound pass, ``_kernel_bounds``, proves below a kernel already
+computed; that pass is the library's one use of floats, and no float
+reaches a value it reports.
 
 ``_forked_map`` is the one place the library runs more than one
 process: it splits a range of independent work items over forked
 children, one per usable core, and returns their results in index
-order.  ``christoffel_remez`` splits the grid points its bound pass
-leaves with it (at least ``_MIN_CHUNK_POINTS`` a process, so from twice
-that many), ``operator.hereditary_sweep`` its
+order.  ``christoffel_remez`` splits its grid points with it, each
+process bounding its own (at least ``_MIN_CHUNK_POINTS`` a process, so
+from twice that many), ``operator.hereditary_sweep`` its
 subset walks (``operator._MIN_SWEEP_TASKS``) and ``duals.dual_family``
 its inverse columns with their residual maxima
 (``duals._MIN_CHUNK_COLUMNS``); each value is bit for bit the serial
@@ -36,7 +36,7 @@ from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import MPZ, finf, fzero, mpf_gt, mpf_lt, mpf_shift, round_nearest
+from mpmath.libmp import MPZ, fzero, mpf_gt, mpf_lt, mpf_shift, round_nearest
 
 from .domain import WeightedDomain, _moments, _powers
 from .errors import (
@@ -229,25 +229,16 @@ def check_grid_points(grid_points: int) -> int:
     return grid_points
 
 
-# A fork, its pipe and its wait cost about 2 ms on a 2-core x86 VM, the
-# work of some 30 grid points at N = 6 (65 us each, more at larger N).
-# With at least 64 points a process the split starts at 128: over 2
-# cores, the points the bound pass leaves at sqrt(n) N = 16 took
-# 0.88-1.71 of their serial time at 32 points, 0.74-0.96 at 64,
-# 0.68-1.07 at 128 and 0.68-0.79 at 256 (two runs of
-# ``scripts/fork_floors.py --repeats 7`` on a noisy shared host).
-_MIN_CHUNK_POINTS = 64
-# ``christoffel_remez`` bounds every 32nd grid point first and runs the
-# kernel, in this process, on each of them whose bound reaches the best
-# so far.  Where it ran on more than 3/4 of them, the rest of the grid
-# goes to the kernel unbounded: a bound costs 0.06-0.13 of a kernel
-# (sqrt(n) exponents, N 10-24, 256 and 512 bits), paid in this process,
-# while over 2 cores a kernel costs half its time, so bounds that rule
-# out fewer than about 1/4 of the points cost more than they save.  A
-# stride of 16 runs twice the serial kernels: at sqrt(n) N = 20 and 24
-# on 1001 points, each case's median time over the exhaustive forked
-# grid's read 0.97-1.10 with it and 0.87-1.07 with 32.
-_SAMPLE_STRIDE = 32
+# A fork, its pipe and its wait cost about 2 ms on a 2-core x86 VM, and
+# where the bounds are tight a chunk's work is mostly bounding its
+# points.  With at least 256 grid points a process the split starts at
+# 512: over 2 cores the whole call at N = 16 and rho = 0.9 took, of its
+# serial time, 1.03-1.07 at 256 points past point 0, 0.89-0.96 at 384,
+# 0.87-0.97 at 512 and 0.68-0.78 at 1024 for squares, and 0.59-0.88 at
+# 256 and 0.77-0.92 at 512 for sqrt(n), whose bounds leave the kernel
+# more points (three runs of ``scripts/fork_floors.py --repeats 7`` on a
+# noisy shared host).
+_MIN_CHUNK_POINTS = 256
 
 # What one index of a ``_forked_map`` gives: a list of raw mpfs, or the
 # NumericalError computing them raised.
@@ -450,29 +441,24 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
     stored attempt, grown here before any fork when it falls short.  At
     width P a grid point's kernel costs its powers and one dot per entry:
     K(x) = ||L^-1 v(x)||^2, every dot of exact products rounded once.
-    Two passes find the largest of these over the grid:
+    Point 0 has v = 0 and K = 0, never the maximum, as every exponent is
+    positive.  Points 1..grid_points-1 are split by ``_forked_map`` in one
+    pass: one process per usable core, this one included, and at least
+    ``_MIN_CHUNK_POINTS`` a process, so fewer than twice that many run
+    here.  Each process finds the largest kernel over its own points:
     - a bound pass, ``_kernel_bounds``: binary64 rows of L^-1, scaled by
-      powers of two, against binary64 powers give a grid point j >= 1 a
-      proven U_j >= K_j.  Its error terms cover the binary64 roundings of
-      x, the exponents and L^-1, ``pow`` to 2^4 ulps, the P-bit powers,
+      powers of two, against binary64 powers give each point j a proven
+      U_j >= K_j.  Its error terms cover the binary64 roundings of x, the
+      exponents and L^-1, ``pow`` to 2^4 ulps, the P-bit powers,
       ``_dot``'s dropped terms and the roundings of y and K, and an
-      absolute term for what underflows.  Point 0 has v = 0 and K = 0,
-      never the maximum, as every exponent is positive;
-    - the P-bit kernel at every point whose bound reaches the best kernel
-      computed so far.
-    Every ``_SAMPLE_STRIDE``-th point is bounded first and evaluated
-    here, largest bounds first, where its bound reaches the best so far.
-    Where L^-1 v cancels past about 2^50 (sqrt(n) exponents from N = 20),
-    the bounds rule out few points: if the sample ran the kernel at more
-    than 3/4 of its points, the rest of the grid goes to the kernel
-    unbounded, as before the bound pass.  Otherwise the rest is bounded
-    and the points whose bound still reaches the best, largest bounds
-    first, go on.  These are split by ``_forked_map``: one process per
-    usable core, this one included, and at least ``_MIN_CHUNK_POINTS`` a
-    process, so fewer than twice that many run here.  Each process skips
-    a point whose bound lies below the best it has.  Every point skipped
-    has a kernel below one computed, so the value is bit for bit the
-    maximum over the whole grid, forked or not.
+      absolute term for what underflows;
+    - the P-bit kernel, largest bounds first, from the first point on
+      until a bound lies below the best kernel computed so far.
+    Every point skipped has a kernel below one its own process computed,
+    so the largest of the processes' maxima is bit for bit the maximum
+    over the whole grid, forked or not.  Where L^-1 v cancels past about
+    2^50 (sqrt(n) exponents from N = 20) the bounds rule out few points,
+    and nearly every point pays for its bound as well as its kernel.
     """
     check_grid_points(grid_points)
     bits = g.precision_bits
@@ -484,32 +470,21 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
         inv_rows = [[col[i - j] for j, col in enumerate(cols[:i + 1])] for i in range(g.n)]
         lams = [lam._mpf_ for lam in g.lams]
 
-        def kernel_max(points, best):
-            # the best raw K over ``points``, skipping each whose bound lies
-            # below the best so far, and how many points it computed
-            ran = 0
-            for j, bound in points:
+        def chunk_max(lo, hi):
+            # the best raw K over grid points lo + 1..hi; the bounds come in
+            # decreasing order, so the first below the best ends the chunk
+            best = fzero
+            for j, bound in _kernel_bounds(inv_rows, lams, rho_m._mpf_, grid_points,
+                                           range(lo + 1, hi + 1), bits):
                 if mpf_lt(bound, best):
-                    continue
+                    break
                 v = _powers((rho_m * j / (grid_points - 1))._mpf_, lams, bits)
                 y = [_dot(row, v, bits) for row in inv_rows]
                 kernel = _dot(y, y, bits)
-                ran += 1
                 if mpf_gt(kernel, best):
                     best = kernel
-            return best, ran
+            return [[best]]
 
-        def bounds_at(points):
-            return _kernel_bounds(inv_rows, lams, rho_m._mpf_, grid_points, points, bits)
-
-        sample = bounds_at(range(1, grid_points, _SAMPLE_STRIDE))
-        best, ran = kernel_max(sample, fzero)
-        others = [j for j in range(1, grid_points) if (j - 1) % _SAMPLE_STRIDE]
-        if 4 * ran > 3 * len(sample):
-            rest = [(j, finf) for j in others]
-        else:
-            rest = [p for p in bounds_at(others) if not mpf_lt(p[1], best)]
-        maxima = _forked_map(lambda lo, hi: [[kernel_max(rest[lo:hi], best)[0]]], len(rest),
-                             _MIN_CHUNK_POINTS)
+        maxima = _forked_map(chunk_max, grid_points - 1, _MIN_CHUNK_POINTS)
         best = max((m for (m,) in maxima), key=mp.make_mpf)
         return mp.sqrt(mp.make_mpf(best))

@@ -458,8 +458,8 @@ def test_a_system_keeps_its_seven_latest_widths(unit_domain):
 def test_forking_callers_grow_the_stored_inverse_first(caller, n, monkeypatch):
     # on a cold store each caller grows the section's L^-1 in this process
     # before it forks, so that the store keeps it; the value is bit for
-    # bit the serial one.  The remez grid forks the points its bound pass
-    # leaves, nearly all 1001 of them at N = 16
+    # bit the serial one.  The remez grid forks its 1000 points past
+    # point 0
     call = {"dual_family": dual_family, "hereditary_sweep": hereditary_sweep,
             "christoffel_remez": lambda g: christoffel_remez(g, "0.9", 1001)}[caller]
     lam = power_exponents(1, "0.5", n)
@@ -631,7 +631,7 @@ def _inverse_columns(factor):
     """The columns of L^-1 for the raw factor rows of L at the working
     width, column j the forward solve of e_j from entry j down."""
     k = len(factor)
-    return [_substitute_forward(factor, [fone if i == j else fzero for i in range(k)], j)[j:]
+    return [_substitute_forward(factor, [fone if i == j else fzero for i in range(k)])[j:]
             for j in range(k)]
 
 

@@ -335,8 +335,8 @@ def test_grown_block_equals_factoring_from_scratch(family):
             assert block.rows == rows
             assert block.factor == factor
             k = len(idx)
-            cols = [_substitute_forward(factor, [fone if i == j else fzero for i in range(k)],
-                                        j)[j:] for j in range(k)]
+            cols = [_substitute_forward(factor, [fone if i == j else fzero for i in range(k)])[j:]
+                    for j in range(k)]
             assert block.inverse == cols
             assert block.trace() == _trace(cols, prec)
             assert block.squares == mp.fprod(mp.make_mpf(r[a]) ** 2 for a, r in enumerate(factor))

@@ -1,8 +1,8 @@
 """The fork-map helper ``series._forked_map``: results in index order,
 raw values crossing from a child as ``marshal`` bytes bit for bit, a
 chunk that holds an error or arrives unreadable recomputed in the
-caller, and no process or pipe outliving a call; and the points of the
-remez grid that its bound pass leaves split over it, bit for bit the
+caller, and no process or pipe outliving a call; and the remez grid
+split over it, each process bounding its own points, bit for bit the
 serial value."""
 
 import marshal
@@ -67,11 +67,9 @@ def record_waits(monkeypatch, convert=lambda status: status):
 @pytest.mark.parametrize("wd", [UNIT, TWO_PIECE], ids=["unit", "two_piece"])
 @pytest.mark.parametrize("beta", ["2", "1", "1/2"])
 def test_split_equals_serial_bits(wd, beta, monkeypatch):
-    # one sampled point, which always ran the kernel, and one point per
-    # chunk allowed: at N = 6 the bounds would rule out every point but a
-    # few, so this hands the whole grid past points 0 and 1 to the split
-    # unbounded; rho = 1.5 lies past r_A = 1 on both domains
-    monkeypatch.setattr(series_module, "_SAMPLE_STRIDE", 10 ** 6)
+    # one point per chunk allowed, so every grid point past 0 can be a
+    # process of its own, bounded there; rho = 1.5 lies past r_A = 1 on
+    # both domains
     monkeypatch.setattr(series_module, "_MIN_CHUNK_POINTS", 1)
     g = gram(wd, power_exponents(1, beta, 6), 6)
     forks, real_fork = [], os.fork
@@ -87,7 +85,7 @@ def test_split_equals_serial_bits(wd, beta, monkeypatch):
             for cores in (2, 3, 4):
                 forks.clear()
                 assert remez_bits(monkeypatch, g, rho, points, cores) == serial, (points, rho, cores)
-                assert len(forks) == max(1, min(cores, points - 2)) - 1
+                assert len(forks) == max(1, min(cores, points - 1)) - 1
     assert_no_children()
 
 
@@ -98,10 +96,10 @@ def test_split_equals_serial_bits(wd, beta, monkeypatch):
                          ids=["unit-sqrt-16", "two_piece-sqrt-16", "unit-linear-24",
                               "unit-sqrt-20"])
 def test_many_survivors_fork_bit_for_bit(wd, beta, n, monkeypatch):
-    # at rho = 0.9 on 1001 points the bounds leave 570-610 points of the
-    # sqrt(n) N = 16 grids and about 390 of the linear one to the split;
-    # at sqrt(n) N = 20 the rest of the grid goes to it unbounded; each is
-    # forked at the library's own floor
+    # at rho = 0.9 on 1001 points the bounds leave the kernel hundreds of
+    # points of the sqrt(n) N = 16 and linear N = 24 grids, and nearly
+    # every point at sqrt(n) N = 20; each is forked at the library's own
+    # floor
     g = gram(wd, power_exponents(1, beta, n), n)
     forks, real_fork = [], os.fork
 
@@ -119,6 +117,26 @@ def test_many_survivors_fork_bit_for_bit(wd, beta, n, monkeypatch):
         assert christoffel_remez(g, "0.9", 1001) == serial
         assert len(forks) == cores - 1
         forks.clear()
+    assert_no_children()
+
+
+def test_each_process_bounds_its_own_points(monkeypatch):
+    # one bound call per process, over that process's points alone: on one
+    # core this process bounds points 1..1000 once; on two it bounds the
+    # first half, and the child the rest
+    calls, real = [], series_module._kernel_bounds
+
+    def record(inv_rows, lams, rho, grid_points, points, bits):
+        calls.append(list(points))
+        return real(inv_rows, lams, rho, grid_points, points, bits)
+
+    monkeypatch.setattr(series_module, "_kernel_bounds", record)
+    g = gram(UNIT, power_exponents(1, "1/2", 6), 6)
+    serial = remez_bits(monkeypatch, g, "0.9", 1001, 1)
+    assert calls == [list(range(1, 1001))]
+    calls.clear()
+    assert remez_bits(monkeypatch, g, "0.9", 1001, 2) == serial
+    assert calls == ([list(range(1, 501))] if hasattr(os, "fork") else [list(range(1, 1001))])
     assert_no_children()
 
 
