@@ -2,10 +2,11 @@
 """Serial against forked wall time for each caller of the fork-map helper.
 
 ``series._forked_map`` splits a caller's work over the usable cores only
-when each process gets at least a floor of work items: the grid points
-past point 0 that ``christoffel_remez`` bounds (``series._MIN_CHUNK_POINTS``),
-subtree tasks for ``hereditary_sweep`` (``operator._MIN_SWEEP_TASKS``)
-and columns for ``dual_family`` (``duals._MIN_CHUNK_COLUMNS``).  For sizes
+when each process gets at least a floor of work: binary64 products of
+the bound pass for ``christoffel_remez``, N (N + 1) / 2 for each grid
+point past point 0 (``series._MIN_CHUNK_PRODUCTS``), subtree tasks for
+``hereditary_sweep`` (``operator._MIN_SWEEP_TASKS``) and columns for
+``dual_family`` (``duals._MIN_CHUNK_COLUMNS``).  For sizes
 around where each floor starts forking on this host, this prints the
 median wall time with every item in this process and with the items
 split over all usable cores (the floor lowered to one item), and their
@@ -33,7 +34,7 @@ import muntz.operator as operator_module
 import muntz.series as series_module
 
 FAMILIES = {"squares": 2, "linear": 1, "sqrt": "1/2"}
-FLOORS = {"remez": (series_module, "_MIN_CHUNK_POINTS"),
+FLOORS = {"remez": (series_module, "_MIN_CHUNK_PRODUCTS"),
           "sweep": (operator_module, "_MIN_SWEEP_TASKS"),
           "duals": (duals_module, "_MIN_CHUNK_COLUMNS")}
 
@@ -86,13 +87,15 @@ def main() -> int:
     def section(n):
         return gram(wd, power_exponents(1, beta, n, args.bits), n, args.bits)
 
-    # each caller forks once count // floor >= 2: from 2 * floor grid
-    # points past point 0, N = floor sweep tasks (2N of them) and
-    # 2 * floor columns
+    # each caller forks once count // floor >= 2: from twice the remez
+    # floor in grid points past point 0 (its products over the 136 entries
+    # of L^-1 at N = 16), N = floor sweep tasks (2N of them) and 2 * floor
+    # columns
+    remez_points = -(-floors["remez"] // (16 * 17 // 2))
     if args.tiny:
         sizes = {"remez": [8], "sweep": [2], "duals": [2]}
     else:
-        sizes = {"remez": [floors["remez"] * k // 2 for k in (1, 2, 3, 4, 8)],
+        sizes = {"remez": [remez_points * k // 2 for k in (1, 2, 3, 4, 8)],
                  "sweep": [floors["sweep"] + d for d in (-2, -1, 0, 1, 2)],
                  "duals": [floors["duals"] * k // 2 for k in (2, 3, 4, 6, 8)]}
     remez_sections = {

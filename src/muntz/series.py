@@ -6,14 +6,16 @@ section powers reduce to closed-form moments, so every projection is
 free of quadrature error.  The grid bound skips the points that a
 binary64 bound pass, ``_kernel_bounds``, proves below a kernel already
 computed; that pass is the library's one use of floats, and no float
-reaches a value it reports.
+reaches a value it reports.  It runs in C-level passes over blocks of
+grid points, one binary64 product per entry of L^-1 and point, and
+makes each bound an mpf only when the kernel loop reaches it.
 
 ``_forked_map`` is the one place the library runs more than one
 process: it splits a range of independent work items over forked
 children, one per usable core, and returns their results in index
 order.  ``christoffel_remez`` splits its grid points with it, each
-process bounding its own (at least ``_MIN_CHUNK_POINTS`` a process, so
-from twice that many), ``operator.hereditary_sweep`` its
+process bounding its own (at least ``_MIN_CHUNK_PRODUCTS`` products of
+the bound pass a process), ``operator.hereditary_sweep`` its
 subset walks (``operator._MIN_SWEEP_TASKS``) and ``duals.dual_family``
 its inverse columns with their residual maxima
 (``duals._MIN_CHUNK_COLUMNS``); each value is bit for bit the serial
@@ -31,8 +33,9 @@ import marshal
 import os
 from contextlib import suppress
 from dataclasses import dataclass
-from operator import mul
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from itertools import repeat
+from operator import add, mul
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
@@ -229,16 +232,21 @@ def check_grid_points(grid_points: int) -> int:
     return grid_points
 
 
-# A fork, its pipe and its wait cost about 2 ms on a 2-core x86 VM, and
-# where the bounds are tight a chunk's work is mostly bounding its
-# points.  With at least 256 grid points a process the split starts at
-# 512: over 2 cores the whole call at N = 16 and rho = 0.9 took, of its
-# serial time, 1.03-1.07 at 256 points past point 0, 0.89-0.96 at 384,
-# 0.87-0.97 at 512 and 0.68-0.78 at 1024 for squares, and 0.59-0.88 at
-# 256 and 0.77-0.92 at 512 for sqrt(n), whose bounds leave the kernel
-# more points (three runs of ``scripts/fork_floors.py --repeats 7`` on a
-# noisy shared host).
-_MIN_CHUNK_POINTS = 256
+# A process of the remez grid takes at least this many binary64 products
+# of the bound pass, one per entry of L^-1 and point: N (N + 1) / 2 a
+# point, so 482 points at N = 16 and 313 at N = 20.  That is about 5 ms
+# of bounding, near what a fork, its pipe, its wait and the child's first
+# touches of its pages cost on a 2-core x86 VM.  There, for squares at
+# N 6-20 and rho = 0.9, whose bounds leave the kernel one point or two,
+# the whole call split over 2 cores took 0.99-1.37 of its serial time at
+# 18 000-39 000 products a process and 0.71-0.95 from 52 000 on; sqrt(n)
+# at N = 20, whose bounds leave the kernel nearly every point, took
+# 0.50-0.56 from 125 points a process on.  A floor in points could not
+# serve both: at 256 points a process every 1001-point grid of the bench
+# forked, and its grid p90 read 9-14 ms against 7-9 ms with none forked
+# (512 points a process), but that floor made sqrt(n) grids of 1001
+# points at N = 20 and 24 run 1.2-1.9 times slower.
+_MIN_CHUNK_PRODUCTS = 2 ** 16
 
 # What one index of a ``_forked_map`` gives: a list of raw mpfs, or the
 # NumericalError computing them raised.
@@ -348,81 +356,133 @@ def _forked_map(chunk_fn: Callable[[int, int], List[_Result]], count: int,
 
 
 def _kernel_bounds(inv_rows, lams, rho, grid_points: int, points: Iterable[int],
-                   bits: int) -> List[Tuple[int, tuple]]:
+                   bits: int) -> Iterator[Tuple[int, tuple]]:
     """(j, U_j) for each index j >= 1 in ``points`` of the grid of
     ``grid_points`` points on [0, rho], rho raw, in decreasing order of
     U_j, a raw mpf that holds a binary64 value exactly: U_j >= K_j, the
     kernel ``christoffel_remez`` computes at its x_j = rho j /
     (grid_points - 1) from the raw rows of L^-1 and raw exponents at
-    ``bits`` = P.  U_j is inf where no finite bound was found.
+    ``bits`` = P.  U_j is inf where no finite bound was found.  The U_j
+    are sorted as binary64 values and come as an iterator that makes each
+    raw mpf only when it is reached, so a chunk that stops early converts
+    few of them.
 
     Binary64 serves here alone.  Each row m of L^-1 is shifted by 2^-e_m,
     its largest entry brought into [1/2, 1), and rounded to binary64:
-    r_k; rho and each lam_k are rounded to nearest, x = rho j /
+    r_mk; rho and each lam_k are rounded to nearest, x = rho j /
     (grid_points - 1) in binary64, v_k = pow(x, lam_k), and per row
-    f = fsum(r_k v_k) and a = fsum(|r_k| v_k).  With u = 2^-53,
-    l = |log x| and lam the largest exponent, each error is bounded:
+    f_m = sum_k r_mk v_k, a recursive sum of rounded products.  With
+    u = 2^-53, l = |log x| + 4, lam the largest exponent and
+    a_m = sum_k |r_mk| v_k, each error is bounded:
     - x lies within 3u + 2^(1-P) < 2^-51 of the P-bit x_j, relative, and
       lam within u of lam_k; together they move the power by
-      eta <= 2u lam (l + 4);
+      eta <= 2u lam l;
     - ``pow`` is allowed 2^4 ulps, 2^-48 relative; ``log`` feeds eta only;
     - the P-bit powers (``_powers``, at most prec + 10 bits inside, a
       pow_int over a sqrt for half-integers) are off by at most
-      2^(8-P) (1 + lam (l + 4)), relative;
-    - so |v_P - v| <= e v + 2^-1068, e = 1.01 (2^-47 + eta + that term);
-    - r_k off by u |r_k| + 2^-1074, each product and the fsums by u,
-      which with the terms above gives |L^-1 v|_m 2^-e_m <= |f| + a c +
-      floor, c = 1.01 e + 2^-49 + N 2^(1-2P) + 2^(1-P): the last two for
-      ``_dot``'s drop branch (each dropped part at most 2^-2P of a sum of
-      |terms|) and the rounding of y_m;
+      p = 2^(8-P) (1 + lam l), relative;
+    - so |v_P - v| <= e v + 2^-1068, e = 1.01 (2^-47 + eta + p);
+    - r_mk is off by u |r_mk| + 2^-1074 and each product by u, and the
+      recursive sum of N terms, where a correctly rounded one erred by u,
+      adds gamma_N a_m, gamma_N = N u / (1 - N u) <= 1.01 N u; with the
+      terms above, |L^-1 v|_m 2^-e_m <= |f_m| + a_m c + floor,
+      c = 1.01 e + 2^-49 + 1.01 N u + N 2^(1-2P) + 2^(1-P): the last two
+      for ``_dot``'s drop branch (each dropped part at most 2^-2P of a sum
+      of |terms|) and the rounding of y_m;
     - floor = N 2^-1064 (1 + max v) for anything that underflows.
-    K, one more ``_dot`` of positive terms rounded once, is then at most
-    (1 + 2^-P) times the sum of the squared row bounds 2^e_m (|f| + a c +
-    floor); U_j takes that sum times 1 + 2^-40, for its own roundings,
-    plus N 2^-1070 for squares that underflow.  A point whose x is not a
-    normal binary64 value, whose eta or P-bit term exceeds 2^-20, or
-    whose arithmetic overflows or fails gets U_j = inf, as do all points
-    when a row's 2^e_m lies outside 2^+-1000.  No P-bit x_j is formed
-    here (about 7 us a point at 256 bits); the kernel forms its own for
-    the points it evaluates.
+    The rows are then bounded together, norm-wise.  With F_m = 2^e_m f_m,
+    Minkowski gives ||L^-1 v|| <= ||F|| + c ||(2^e_m a_m)_m|| +
+    floor ||(2^e_m)_m||, and ||(2^e_m a_m)_m|| <= sum_k w_k v_k, with w_k
+    the l2 norm of column k of |L^-1|, entries 2^e_m |r_mk|.  Once a call:
+    the w_k, taken relative to 2^E, E the largest e_m, so that an entry
+    that underflows errs by far less than floor, and ||(2^e_m)_m|| come
+    from ``hypot`` rounded up by 1 + 2^-50; sum_k w_k v_k, a recursive sum
+    of positive terms, is at least 1 - gamma_N of its value, for which c
+    is taken times 1 + N 2^-52; and floor is rounded up to
+    N 2^-1062 max(1, v), v the largest power at the largest x of the grid.
+    K, one more ``_dot`` of positive terms rounded once, is at most
+    (1 + 2^-P) ||L^-1 v||^2.  So U_j squares ||F|| (one ``hypot``, within
+    an ulp) + c sum_k w_k v_k + floor ||(2^e_m)_m|| and takes it times
+    1 + 2^-40, which absorbs the roundings of ||F||, of the sum and of the
+    square, plus N 2^-1070 for squares that underflow; an absolute error
+    d, from products that underflow, adds at most (1 + 2^42) d^2, far
+    below that.  A point gets U_j = inf where x is not a normal binary64
+    value, where eta + p would exceed 2^-20, or where its largest power
+    would overflow (lam log x >= 709), all outside an interval of x found
+    once a call, and where its arithmetic overflows; every point does
+    when a row's 2^e_m lies outside 2^+-1000.
+
+    The points go in blocks of at most 1024, so that memory stays
+    O(N 1024) up to ``MAX_GRID_POINTS``; a point's U_j does not depend on
+    its block.  In a block each product runs in a C-level pass over the
+    block's points: one ``pow`` pass per exponent, then one multiply-add
+    pass per entry r_mk into f_m, and one per w_k: one binary64 product
+    per entry of L^-1 and point, where the row sums a_m took a second.
+    No P-bit x_j is formed here (about 7 us a point at 256 bits); the
+    kernel forms its own for the points it evaluates.
     """
     # binary64 lives in this function alone; nothing it computes is reported
     import math
     from mpmath.libmp import from_float, to_float
 
-    n = len(lams)
-    lam_f = [to_float(lam, rnd=round_nearest) for lam in lams]
-    lam_max = max(lam_f)
-    rows = []
-    for row in inv_rows:
-        e = max(r[2] + r[3] for r in row if r[1])
-        scaled = [to_float(mpf_shift(r, -e), rnd=round_nearest) for r in row]
-        rows.append((2.0 ** e if -1000 <= e <= 1000 else math.nan, scaled,
-                     [abs(r) for r in scaled]))
-    rho_f, step = to_float(rho, rnd=round_nearest), grid_points - 1
-    p_term = 2.0 ** (8 - bits)
-    slack = 2.0 ** -49 + n * 2.0 ** (1 - 2 * bits) + 2.0 ** (1 - bits)
-    bounds = []
-    for j in points:
-        bound = math.inf
-        x = rho_f * j / step
-        if x >= 2.0 ** -1022:
-            with suppress(OverflowError, ValueError):
-                log_x = abs(math.log(x)) + 4
-                eta = 2.0 ** -52 * lam_max * log_x
-                p = p_term * (1 + lam_max * log_x)
-                if eta + p <= 2.0 ** -20:
-                    v = [math.pow(x, lam) for lam in lam_f]
-                    c = 1.01 * (2.0 ** -47 + eta + p) + slack
-                    floor = n * 2.0 ** -1064 * (1 + max(v))
-                    total = math.fsum([(scale * (abs(math.fsum(map(mul, row, v)))
-                                                 + math.fsum(map(mul, mags, v)) * c + floor)) ** 2
-                                       for scale, row, mags in rows])
-                    bound = total * (1 + 2.0 ** -40) + n * 2.0 ** -1070
-        # a nan, from a row scale outside 2^+-1000, bounds nothing either
-        bounds.append((bound if bound < math.inf else math.inf, j))
-    bounds.sort(reverse=True)
-    return [(j, from_float(bound)) for bound, j in bounds]
+    n, points = len(lams), list(points)
+    bounds = [math.inf] * len(points)
+    exps = [max(r[2] + r[3] for r in row if r[1]) for row in inv_rows]
+    if all(-1000 <= e <= 1000 for e in exps):
+        lam_f = [to_float(lam, rnd=round_nearest) for lam in lams]
+        # an upper bound on the largest exponent that no division meets as 0
+        lam_max = max(lam_f + [2.0 ** -1000])
+        rows = [[to_float(mpf_shift(r, -e), rnd=round_nearest) for r in row]
+                for row, e in zip(inv_rows, exps)]
+        scales = [2.0 ** e for e in exps]
+        top = max(exps)
+        top_scale = 2.0 ** top
+        up = 1 + 2.0 ** -50
+        # w_k / 2^E: exact powers of two times the scaled rows, then hypot
+        w = [math.hypot(*[2.0 ** (e - top) * row[k] for e, row in zip(exps[k:], rows[k:])]) * up
+             for k in range(n)]
+        sigma = math.hypot(*scales) * up
+        # eta + p = slope l + p_term, l = |log x| + 4; c = 1.01 e + 2^-49 +
+        # gamma_N + ..., times 1 + N 2^-52 for the recursive sum of w_k v_k,
+        # as c0 + c1 |log x|
+        p_term = 2.0 ** (8 - bits)
+        slope = lam_max * (2.0 ** -52 + p_term)
+        sum_up = 1 + n * 2.0 ** -52
+        c0 = (1.0201 * (2.0 ** -47 + p_term + 4 * slope) + 2.0 ** -49 + 1.01 * n * 2.0 ** -53
+              + n * 2.0 ** (1 - 2 * bits) + 2.0 ** (1 - bits)) * sum_up
+        c1 = 1.0201 * slope * sum_up
+        # the x where eta + p <= 2^-20 and lam log x < 709: an interval
+        log_max = (2.0 ** -20 - p_term) / slope - 4
+        log_hi = min(log_max, 709 / lam_max)
+        x_lo = max(2.0 ** -1022, math.exp(-log_max))
+        x_hi = math.exp(log_hi) if log_hi < 709 else math.inf
+        rho_f, step = to_float(rho, rnd=round_nearest), grid_points - 1
+        # floor ||(2^e_m)_m|| with max v taken at the largest bounded x
+        floor = n * 2.0 ** -1062 * max(1.0, math.pow(min(rho_f, x_hi), lam_max)) * sigma
+        grow, tiny = 1 + 2.0 ** -40, n * 2.0 ** -1070
+        for start in range(0, len(points), 1024):
+            live = [(i, x) for i in range(start, min(start + 1024, len(points)))
+                    if x_lo <= (x := rho_f * points[i] / step) <= x_hi]
+            xs = [x for _, x in live]
+            powers = [list(map(math.pow, xs, repeat(lam))) for lam in lam_f]
+            # f_m for each row, then sum_k w_k v_k the same way: one
+            # multiply-add pass over the block per entry
+            sums = []
+            for row in rows + [w]:
+                f = [0.0] * len(xs)
+                for r, v in zip(row, powers):
+                    f = list(map(add, f, map(mul, v, repeat(r))))
+                sums.append(f)
+            weighted = sums.pop()
+            fs = [map(mul, f, repeat(scale)) for f, scale in zip(sums, scales)]
+            for (i, x), norm, s in zip(live, map(math.hypot, *fs), weighted):
+                t = norm + (c0 + c1 * abs(math.log(x))) * s * top_scale + floor
+                bound = t * t * grow + tiny
+                # a nan, from arithmetic that overflowed, bounds nothing either
+                if bound < math.inf:
+                    bounds[i] = bound
+    order = sorted(range(len(points)), key=bounds.__getitem__, reverse=True)
+    return ((points[i], from_float(bounds[i])) for i in order)
 
 
 def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
@@ -444,16 +504,20 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
     Point 0 has v = 0 and K = 0, never the maximum, as every exponent is
     positive.  Points 1..grid_points-1 are split by ``_forked_map`` in one
     pass: one process per usable core, this one included, and at least
-    ``_MIN_CHUNK_POINTS`` a process, so fewer than twice that many run
-    here.  Each process finds the largest kernel over its own points:
+    ``_MIN_CHUNK_PRODUCTS`` products of the bound pass a process, one per
+    entry of L^-1 and point.  Each process finds the largest kernel over
+    its own points:
     - a bound pass, ``_kernel_bounds``: binary64 rows of L^-1, scaled by
-      powers of two, against binary64 powers give each point j a proven
-      U_j >= K_j.  Its error terms cover the binary64 roundings of x, the
-      exponents and L^-1, ``pow`` to 2^4 ulps, the P-bit powers,
+      powers of two, against binary64 powers, in C-level passes over
+      blocks of points at one binary64 product per entry of L^-1 and
+      point, give each point j a proven U_j >= K_j.  Its norm-wise error
+      term covers the binary64 roundings of x, the exponents and L^-1,
+      ``pow`` to 2^4 ulps, the P-bit powers, the recursive sums,
       ``_dot``'s dropped terms and the roundings of y and K, and an
       absolute term for what underflows;
-    - the P-bit kernel, largest bounds first, from the first point on
-      until a bound lies below the best kernel computed so far.
+    - the P-bit kernel, largest bounds first, each bound made a raw mpf
+      only when reached, from the first point on until a bound lies below
+      the best kernel computed so far.
     Every point skipped has a kernel below one its own process computed,
     so the largest of the processes' maxima is bit for bit the maximum
     over the whole grid, forked or not.  Where L^-1 v cancels past about
@@ -485,6 +549,7 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
                     best = kernel
             return [[best]]
 
-        maxima = _forked_map(chunk_max, grid_points - 1, _MIN_CHUNK_POINTS)
+        min_points = -(-_MIN_CHUNK_PRODUCTS // (g.n * (g.n + 1) // 2))
+        maxima = _forked_map(chunk_max, grid_points - 1, min_points)
         best = max((m for (m,) in maxima), key=mp.make_mpf)
         return mp.sqrt(mp.make_mpf(best))

@@ -4,6 +4,7 @@ kernel, and the grid maximum found by skipping the points it rules out is
 bit for bit the maximum over every point."""
 
 import pytest
+from mpmath import libmp
 from mpmath.libmp import finf, mpf_lt
 
 from muntz import (build_weighted_domain, christoffel_remez, explicit_exponents, gram,
@@ -18,8 +19,8 @@ def bounds_and_kernels(g, rho, points):
     """(j, U_j) for every point j >= 1, in the order the bound pass gives
     them, and the P-bit kernel at every point."""
     rows, lams, rho_raw, kernels = remez_grid(g, rho, points)
-    bounds = series_module._kernel_bounds(rows, lams, rho_raw, points, range(1, points),
-                                          g.precision_bits)
+    bounds = list(series_module._kernel_bounds(rows, lams, rho_raw, points, range(1, points),
+                                               g.precision_bits))
     return bounds, kernels
 
 
@@ -66,6 +67,15 @@ def test_overflowing_powers_get_no_bound():
     assert christoffel_remez(g, "3", 101) == remez_every_point(g, "3", 101)
 
 
+def test_exponent_below_binary64_range():
+    # the exponent rounds to 0 in binary64, and the bound pass divides by
+    # the largest: it takes 2^-1000 for it, an upper bound
+    g = gram(UNIT, explicit_exponents(["1e-400"]), 1)
+    bounds = assert_bounds_hold(g, "0.9", 101)
+    assert finf not in dict(bounds).values()
+    assert christoffel_remez(g, "0.9", 101) == remez_every_point(g, "0.9", 101)
+
+
 @pytest.mark.parametrize("coeff, unbounded", [("1e600", 0), ("1e700", 100)])
 def test_rows_near_binary64_range(coeff, unbounded):
     # a weight of 1e600 puts the rows of L^-1 near 2^-997 and every kernel
@@ -96,3 +106,42 @@ def test_remez_is_the_exhaustive_maximum(wd, beta, monkeypatch):
             for points in (2, 31, 1001):
                 assert christoffel_remez(g, rho, points) == remez_every_point(g, rho, points), \
                     (n, rho, points)
+
+
+def test_bounds_become_mpf_only_when_reached(monkeypatch):
+    # the bounds are sorted as binary64 values, and each becomes a raw mpf
+    # only when the chunk reaches it: the first of 1000 makes one
+    calls, real = [], libmp.from_float
+
+    def record(x, *args, **kwargs):
+        calls.append(x)
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(libmp, "from_float", record)
+    g = gram(UNIT, power_exponents(1, 2, 6), 6)
+    rows, lams, rho_raw, _ = remez_grid(g, "0.9", 2)
+    bounds = series_module._kernel_bounds(rows, lams, rho_raw, 1001, range(1, 1001),
+                                          g.precision_bits)
+    assert calls == []
+    _, first = next(bounds)
+    assert len(calls) == 1 and first == real(calls[0])
+    assert len(list(bounds)) == 999 and len(calls) == 1000
+
+
+@pytest.mark.parametrize("beta", ["2", "1/2"])
+def test_blocks_give_the_same_bounds(beta):
+    # points 1..3000 run in blocks of 1024, 1024 and 952 points; one call
+    # per 1000 points cuts them elsewhere, and gives each point its bound;
+    # rho = 1.5 puts the last third past r_A = 1
+    g = gram(TWO_PIECE, power_exponents(1, beta, 8), 8)
+    rows, lams, rho_raw, _ = remez_grid(g, "1.5", 2)
+
+    def bounds(points):
+        return dict(series_module._kernel_bounds(rows, lams, rho_raw, 3001, points,
+                                                 g.precision_bits))
+
+    whole = bounds(range(1, 3001))
+    parts = {**bounds(range(1, 1001)), **bounds(range(1001, 2001)), **bounds(range(2001, 3001))}
+    assert sorted(whole) == list(range(1, 3001))
+    assert whole == parts
+    assert finf not in whole.values()

@@ -70,7 +70,7 @@ def test_split_equals_serial_bits(wd, beta, monkeypatch):
     # one point per chunk allowed, so every grid point past 0 can be a
     # process of its own, bounded there; rho = 1.5 lies past r_A = 1 on
     # both domains
-    monkeypatch.setattr(series_module, "_MIN_CHUNK_POINTS", 1)
+    monkeypatch.setattr(series_module, "_MIN_CHUNK_PRODUCTS", 1)
     g = gram(wd, power_exponents(1, beta, 6), 6)
     forks, real_fork = [], os.fork
 
@@ -90,16 +90,17 @@ def test_split_equals_serial_bits(wd, beta, monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.parametrize("wd, beta, n",
-                         [(UNIT, "1/2", 16), (TWO_PIECE, "1/2", 16), (UNIT, "1", 24),
-                          (UNIT, "1/2", 20)],
+@pytest.mark.parametrize("wd, beta, n, children",
+                         [(UNIT, "1/2", 16, [1, 1]), (TWO_PIECE, "1/2", 16, [1, 1]),
+                          (UNIT, "1", 24, [1, 2]), (UNIT, "1/2", 20, [1, 2])],
                          ids=["unit-sqrt-16", "two_piece-sqrt-16", "unit-linear-24",
                               "unit-sqrt-20"])
-def test_many_survivors_fork_bit_for_bit(wd, beta, n, monkeypatch):
+def test_many_survivors_fork_bit_for_bit(wd, beta, n, children, monkeypatch):
     # at rho = 0.9 on 1001 points the bounds leave the kernel hundreds of
     # points of the sqrt(n) N = 16 and linear N = 24 grids, and nearly
     # every point at sqrt(n) N = 20; each is forked at the library's own
-    # floor
+    # floor, which gives a process at least 482 points at N = 16, 313 at
+    # N = 20 and 219 at N = 24: the children forked on 2 and 3 cores
     g = gram(wd, power_exponents(1, beta, n), n)
     forks, real_fork = [], os.fork
 
@@ -112,10 +113,10 @@ def test_many_survivors_fork_bit_for_bit(wd, beta, n, monkeypatch):
     serial = christoffel_remez(g, "0.9", 1001)
     assert forks == []
     assert serial == remez_every_point(g, "0.9", 1001)
-    for cores in (2, 3):
+    for cores, forked in zip((2, 3), children):
         use_cores(monkeypatch, cores)
         assert christoffel_remez(g, "0.9", 1001) == serial
-        assert len(forks) == cores - 1
+        assert len(forks) == forked
         forks.clear()
     assert_no_children()
 
@@ -123,7 +124,8 @@ def test_many_survivors_fork_bit_for_bit(wd, beta, n, monkeypatch):
 def test_each_process_bounds_its_own_points(monkeypatch):
     # one bound call per process, over that process's points alone: on one
     # core this process bounds points 1..1000 once; on two it bounds the
-    # first half, and the child the rest
+    # first half, and the child the rest (at N = 16 a process takes at
+    # least 482 points)
     calls, real = [], series_module._kernel_bounds
 
     def record(inv_rows, lams, rho, grid_points, points, bits):
@@ -131,7 +133,7 @@ def test_each_process_bounds_its_own_points(monkeypatch):
         return real(inv_rows, lams, rho, grid_points, points, bits)
 
     monkeypatch.setattr(series_module, "_kernel_bounds", record)
-    g = gram(UNIT, power_exponents(1, "1/2", 6), 6)
+    g = gram(UNIT, power_exponents(1, 2, 16), 16)
     serial = remez_bits(monkeypatch, g, "0.9", 1001, 1)
     assert calls == [list(range(1, 1001))]
     calls.clear()
