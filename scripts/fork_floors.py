@@ -13,10 +13,10 @@ split over all usable cores (the floor lowered to one item), and their
 ratio, beside the items the caller hands to the helper.  A floor belongs
 near the smallest item count whose ratio stays below 1.
 
-The remez cases time the whole call on grids of s + 1 points at N = 16
-and rho = 0.9, whatever ``--family`` says, for two exponent families:
-squares, whose bounds leave the kernel a handful of points, and sqrt(n),
-whose bounds leave it hundreds on the larger grids.
+The remez cases time the whole call on grids of s + 1 points at N = 16,
+whatever ``--family`` says, for two exponent families at rho = 0.9 and
+0.5: squares, whose bounds leave the kernel a handful of points, and
+sqrt(n), whose bounds leave it hundreds on the larger grids.
 
     python3 scripts/fork_floors.py [--family squares|linear|sqrt] [--repeats 5]
 """
@@ -102,11 +102,11 @@ def main() -> int:
         label: gram(wd, power_exponents(1, remez_beta, 16, args.bits), 16, args.bits)
         for label, remez_beta in (("squares", 2), ("sqrt(n)", "1/2"))}
 
-    def remez(g):
-        return lambda size: (lambda: christoffel_remez(g, "0.9", size + 1))
+    def remez(g, rho):
+        return lambda size: (lambda: christoffel_remez(g, rho, size + 1))
 
-    cases = [("remez", remez(g), f"grid points past 0, {label} N = 16")
-             for label, g in remez_sections.items()]
+    cases = [("remez", remez(g, rho), f"grid points past 0, {label} N = 16, rho = {rho}")
+             for label, g in remez_sections.items() for rho in ("0.9", "0.5")]
     cases += [("sweep", lambda size: (lambda g=section(size): hereditary_sweep(g)), "N"),
               ("duals", lambda size: (lambda g=section(size): dual_family(g)), "N")]
 

@@ -10,10 +10,11 @@ classical closed form
 
 is an independent oracle for everything the linear algebra produces.
 
-``dual_family`` solves each column of G^-1 together with its part of
-the biorthogonality residual max |G C - I|, and hands the columns to
-``series._forked_map`` in contiguous chunks: with the forward halves
-cut from the section's stored L^-1, every column costs the same.  At
+``dual_family`` solves each column of G^-1 (``gram._unit_columns``)
+together with its part of the biorthogonality residual max |G C - I|
+(``gram._residual``), and hands the columns to ``series._forked_map``
+in contiguous chunks: with the forward halves cut from the section's
+stored L^-1, every column costs the same.  At
 ``_MIN_CHUNK_COLUMNS`` or more per process the split starts at N = 20,
 and the family is bit for bit the serial one.
 """
@@ -25,11 +26,11 @@ from typing import Iterable, List, Tuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fone, fzero, mpf_abs, mpf_gt
+from mpmath.libmp import fone, fzero, mpf_abs
 
 from .errors import BadEpsilon, IndexOutOfRange
 from .exponents import ExponentSequence
-from .gram import GramMatrix, _dot, _full_rows, _mpfs, _unit_columns, gram_inverse_diagonals
+from .gram import GramMatrix, _mpfs, _residual, _unit_columns, gram_inverse_diagonals
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 from .series import _forked_map
 
@@ -103,28 +104,25 @@ def dual_family(g: GramMatrix) -> DualFamily:
     """All dual-function coefficient columns of one section, and their
     biorthogonality residual.
 
-    Column j comes from the reader ``gram._unit_columns``, made here,
-    before any fork, so that the section's L^-1 is grown once, and its
-    residual the largest |(G C)_mj - delta_mj| over the rows m.  The
+    Column j comes from the reader ``gram._unit_columns`` and its
+    residual, the largest |(G C)_mj - delta_mj| over the rows m, from the
+    reader ``gram._residual``, both made here, before any fork, so that
+    the section's L^-1 and symmetric rows are built once.  The
     columns run in contiguous chunks through ``series._forked_map``, at
     ``_MIN_CHUNK_COLUMNS`` or more per process; the residual is the
     largest of the column maxima.  Every value is bit for bit the serial
     one.
     """
     n, prec = g.n, g.precision_bits
-    column, rows = _unit_columns(g), _full_rows(g.entry_rows)
+    column, residuals = _unit_columns(g), _residual(g)
 
     def columns(lo: int, hi: int) -> List[List[tuple]]:
         # [column j raw..., its residual maximum] for each j in lo..hi-1
         out = []
         for j in range(lo, hi):
             col = column(j)
-            worst = fzero
-            for m, row in enumerate(rows):
-                r = mpf_abs(_dot(row, col, prec, fone if m == j else None))
-                if mpf_gt(r, worst):
-                    worst = r
-            out.append(col + [worst])
+            unit = [fone if m == j else fzero for m in range(n)]
+            out.append(col + [max(map(mpf_abs, residuals(col, unit)), key=mp.make_mpf)])
         return out
 
     results = _forked_map(columns, n, _MIN_CHUNK_COLUMNS)

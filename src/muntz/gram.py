@@ -16,13 +16,18 @@ keeps the last ``MAX_STORED_SYSTEMS`` systems, each a domain's pieces
 and an exponent identity, with their attempts by width, so a later
 section of the same system, of any size, is cut from rows already
 factored or grows them, bit for bit what a fresh assembly would give.
-A ``GramMatrix`` is a view, the leading rows of one attempt, and this
-module alone reads the attempt's layout.  Each attempt also keeps one
-triangular inverse L^-1 of its factor, grown on request up to the rows
-asked for: every forward solve of a unit vector, every dual norm and
-the Remez kernel read a cut of it, and every column of G^-1 comes from
-one reader, ``_unit_columns``.  Forked children inherit a copy; a
-one-shot process gains nothing from the store across reports.
+A ``GramMatrix`` is a view, the leading rows of one attempt.  Each
+attempt also keeps one triangular inverse L^-1 of its factor, column
+by column from the diagonal down, grown on request up to the rows
+asked for: every forward solve of a unit vector is a cut of it.  This
+module alone reads that layout, the lower entry and factor rows
+included; the other modules read a section through its properties and
+five readers: ``_unit_columns`` (whole columns of G^-1),
+``_inverse_block`` (a principal block of G^-1, lower rows),
+``_inverse_diagonals`` (the diagonal of G_m^-1 over leading sizes m),
+``_inverse_rows`` (the rows of L^-1) and ``_residual`` (G x - b).
+Forked children inherit a copy of the store; a one-shot process gains
+nothing from it across reports.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
@@ -556,22 +561,65 @@ def _inverse_cut(g: GramMatrix) -> List[List[tuple]]:
     return [col[:n - j] for j, col in enumerate(cols[:n])]
 
 
-def _unit_columns(g: GramMatrix, lower: bool = False) -> Callable[[int], List[tuple]]:
-    """The reader k -> column k (0-based) of the inverse of g, raw, or
-    with ``lower`` its entries k onwards, zeros above: the back solve of
-    column k of ``_inverse_cut(g)``, the forward solve of e_k.  Every
-    entry it computes is bit for bit the one ``solve_spd`` gives for e_k.
-    The cut and the columns of L below the diagonal are taken here, once,
-    so a caller that forks makes the reader first and the L^-1 is grown
-    in this process."""
+def _unit_columns(g: GramMatrix) -> Callable[[int], List[tuple]]:
+    """The reader k -> column k (0-based) of the inverse of g, raw: the
+    back solve of column k of ``_inverse_cut(g)``, the forward solve of
+    e_k, bit for bit what ``solve_spd`` gives for e_k.  The cut and the
+    columns of L below the diagonal are taken here, once, so a caller
+    that forks makes the reader first and the L^-1 is grown in this
+    process."""
     rows, cols, bits = g.chol_rows, _inverse_cut(g), g.precision_bits
     below = _columns_below(rows)
 
     def column(k: int) -> List[tuple]:
         with workbits(bits):
-            return _substitute_back(rows, [fzero] * k + cols[k], k if lower else 0, below)
+            return _substitute_back(rows, [fzero] * k + cols[k], 0, below)
 
     return column
+
+
+def _inverse_block(g: GramMatrix, idx: Sequence[int]) -> List[List[tuple]]:
+    """The raw lower rows of the principal block of the inverse of g on
+    the increasing 0-based indices ``idx``.  Column j is back-solved from
+    column j of ``_inverse_cut(g)`` down to entry j only: every entry is
+    bit for bit the one ``solve_spd`` gives for e_j."""
+    rows, cols = g.chol_rows, _inverse_cut(g)
+    below = _columns_below(rows)
+    with workbits(g.precision_bits):
+        block = {j: _substitute_back(rows, [fzero] * j + cols[j], j, below) for j in idx}
+    return [[block[j][i] for j in idx[:a + 1]] for a, i in enumerate(idx)]
+
+
+def _inverse_diagonals(g: GramMatrix, sizes: List[int], indices) -> List[List[mpmath.mpf]]:
+    """For each of the checked sizes m, the diagonal entries (G_m^-1)_kk
+    of the leading m-section over the 0-based ``indices`` k below m (a
+    sequence, read once per size), as ||L_m^-1 e_k||^2: the first m - k
+    entries of column k of the stored L^-1 cut to the largest size
+    (``_inverse_cut``), the forward solve of e_k against the m-section,
+    their sum of squares exact and rounded once.  No back solve and no
+    cancellation; the L^-1 is grown once for the section, about N^3/6
+    operations, and every later call reads it."""
+    cols = _inverse_cut(leading_section(g, sizes[-1]))
+    with workbits(g.precision_bits):
+        return [[mp.make_mpf(_dot(cols[k][:m - k], cols[k][:m - k], mp.prec))
+                 for k in indices if k < m] for m in sizes]
+
+
+def _inverse_rows(g: GramMatrix) -> List[List[tuple]]:
+    """The rows of L^-1 for g's factor up to the diagonal, raw: the
+    columns of ``_inverse_cut(g)`` read across."""
+    cols = _inverse_cut(g)
+    return [[col[i - j] for j, col in enumerate(cols[:i + 1])] for i in range(g.n)]
+
+
+def _residual(g: GramMatrix) -> Callable[[List[tuple], List[tuple]], List[tuple]]:
+    """The reader (x, b) -> G x - b for raw x and b, raw: each entry one
+    ``_dot`` of the exact products G_mk x_k less b_m, rounded once, the
+    residual of the stored values with no rounding of its own.  The
+    symmetric rows are built here, once, so a caller that forks makes
+    the reader first."""
+    rows, bits = _full_rows(g.entry_rows), g.precision_bits
+    return lambda x, b: [_dot(row, x, bits, b_m) for row, b_m in zip(rows, b)]
 
 
 def gram_inverse_column(g: GramMatrix, n: int) -> List[mpmath.mpf]:
@@ -583,18 +631,12 @@ def gram_inverse_column(g: GramMatrix, n: int) -> List[mpmath.mpf]:
 
 def gram_inverse_diagonals(g: GramMatrix, n: int, sizes: Iterable[int]) -> List[mpmath.mpf]:
     """The diagonal entry (G_m^-1)_nn (1-based) of the leading m-section,
-    for each of the strictly increasing sizes m, as ||L_m^-1 e_n||^2:
-    column n of the stored L^-1 cut to the largest size (``_inverse_cut``),
-    whose first m - n + 1 entries are the forward solve of e_n against the
-    m-section, then per size the sum of their squares, exact and rounded
-    once.  No back solve and no cancellation; the L^-1 is grown once for
-    the section, about N^3/6 operations, and every later call reads it."""
+    for each of the strictly increasing sizes m, as ||L_m^-1 e_n||^2
+    (``_inverse_diagonals``)."""
     sizes = _checked_sizes(g, sizes)
     if not 1 <= n <= sizes[0]:
         raise IndexOutOfRange(f"index {n} outside 1..{sizes[0]}")
-    col = _inverse_cut(leading_section(g, sizes[-1]))[n - 1]
-    with workbits(g.precision_bits):
-        return [mp.make_mpf(_dot(col[:m - n + 1], col[:m - n + 1], mp.prec)) for m in sizes]
+    return [diag for diag, in _inverse_diagonals(g, sizes, [n - 1])]
 
 
 def gram_inverse(g: GramMatrix) -> List[List[mpmath.mpf]]:

@@ -18,7 +18,8 @@ from mpmath import mp
 from .domain import WeightedDomain, _powers
 from .errors import ValidationError
 from .exponents import ExponentSequence
-from .gram import GramMatrix, _dot, _full_rows, _inverse_cut, leading_sections, solve_spd
+from .gram import (GramMatrix, _inverse_diagonals, _mpfs, _residual, leading_sections,
+                   solve_spd)
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 from .series import MuntzSeries
 
@@ -105,10 +106,8 @@ def solve_moments(g: GramMatrix, data: MomentData) -> Tuple[MuntzSeries, List[mp
     bits = g.precision_bits
     rhs = list(data.d[:section])
     coeffs = solve_spd(g, rhs)
-    raw = [c._mpf_ for c in coeffs]
     # <f, x**lam_i> - d_i: one sum of exact products, rounded once
-    residuals = [mp.make_mpf(_dot(row, raw, bits, d._mpf_))
-                 for row, d in zip(_full_rows(g.entry_rows), rhs)]
+    residuals = _mpfs(_residual(g)([c._mpf_ for c in coeffs], [d._mpf_ for d in rhs]))
     series = MuntzSeries(
         lam_ref=g.lam, coeffs=tuple(coeffs), radius=g.domain.r_a, precision_bits=bits
     )
@@ -138,24 +137,20 @@ def convergence_certificate(
     leading sections of g of these strictly increasing sizes.  The ratios
     are taken at g's precision.
 
-    ||r_n^(N)||^2 = (G_N^-1)_nn, as in the dual family, is the sum of
-    squares of column n of L^-1 cut to its first N rows, all from the
+    ||r_n^(N)||^2 = (G_N^-1)_nn, as in the dual family, is read from the
     L^-1 of the section's stored attempt, cut to (and grown no further
-    than) the largest size."""
+    than) the largest size, by ``gram._inverse_diagonals``."""
     sizes = list(sizes)
     if sizes and sizes[-1] > len(data.d):
         raise ValidationError(f"section {sizes[-1]} exceeds {len(data.d)} moment values")
     sections = list(leading_sections(g, sizes))
     sums = []
     norms = []
+    diagonals = _inverse_diagonals(g, sizes, range(sizes[-1]))
     with workbits(g.precision_bits):
-        prec = mp.prec
-        cols = _inverse_cut(sections[-1])
-        for s in sections:
+        for s, diags in zip(sections, diagonals):
             size = s.n
-            dual_norms = [mp.sqrt(mp.make_mpf(_dot(col[:size - k], col[:size - k], prec)))
-                          for k, col in enumerate(cols[:size])]
-            sums.append(mp.fsum(abs(data.d[k]) * dual_norms[k] for k in range(size)))
+            sums.append(mp.fsum(abs(data.d[k]) * mp.sqrt(diag) for k, diag in enumerate(diags)))
             coeffs = solve_spd(s, list(data.d[:size]))
             norm_sq = mp.fsum(coeffs[k] * data.d[k] for k in range(size))
             norms.append(mp.sqrt(norm_sq) if norm_sq > 0 else mp.mpf(0))

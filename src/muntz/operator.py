@@ -40,8 +40,8 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .exponents import ExponentSequence
-from .gram import (GramMatrix, _append_row, _inverse_row, _mpfs, _smallest_eigenvalue, _trace,
-                   _unit_columns, gram_inverse, solve_spd)
+from .gram import (GramMatrix, _append_row, _inverse_block, _inverse_row, _mpfs,
+                   _smallest_eigenvalue, _trace, gram_inverse, solve_spd)
 from .precision import DEFAULT_PRECISION_BITS, Real, to_int, to_mpf, workbits
 from .series import MuntzSeries, _Result, _forked_map, evaluate
 
@@ -273,13 +273,7 @@ def hereditary_check(
         rows = g.entry_rows
         powers = _block_spectrum([[rows[i - 1][j - 1] for j in n1[:a + 1]]
                                   for a, i in enumerate(n1)]) if n1 else None
-        duals = None
-        if n2:
-            # the N2 block reads inverse column j only at and below entry j
-            column = _unit_columns(g, lower=True)
-            columns = {j: column(j - 1) for j in n2}
-            duals = _block_spectrum([[columns[j][i - 1] for j in n2[:a + 1]]
-                                     for a, i in enumerate(n2)])
+        duals = _block_spectrum(_inverse_block(g, [j - 1 for j in n2])) if n2 else None
     return _report(g, n1, n2, powers, duals)
 
 
@@ -420,7 +414,7 @@ _MIN_SWEEP_TASKS = 4
 def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
     """hereditary_check over all 2**N partitions of the section, each
     inverse column read once, as far as ``hereditary_check`` reads it,
-    here before any fork, through ``gram._unit_columns``, and each
+    here before any fork, through ``gram._inverse_block``, and each
     block grown from a smaller one (``_subtree_spectra``): the
     same reports, and the error the first failing partition raises.
 
@@ -437,12 +431,9 @@ def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
     The results are combined by mask, so every report and the raised
     error are bit for bit the serial sweep's.
     """
-    n, column = g.n, _unit_columns(g, lower=True)
-    columns = [column(j) for j in range(n)]
+    n = g.n
     with workbits(g.precision_bits):
-        walks = [_jacobi_scaled(g.entry_rows),
-                 _jacobi_scaled([[columns[j][i] for j in range(i + 1)]
-                                 for i in range(n)])]
+        walks = [_jacobi_scaled(g.entry_rows), _jacobi_scaled(_inverse_block(g, range(n)))]
 
         def tasks(lo: int, hi: int) -> List[_Result]:
             return [r for t in range(lo, hi) for r in _subtree_spectra(*walks[t // n], t % n)]

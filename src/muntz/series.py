@@ -13,15 +13,17 @@ makes each bound an mpf only when the kernel loop reaches it.
 ``_forked_map`` is the one place the library runs more than one
 process: it splits a range of independent work items over forked
 children, one per usable core, and returns their results in index
-order.  ``christoffel_remez`` splits its grid points with it, each
-process bounding its own (at least ``_MIN_CHUNK_PRODUCTS`` products of
-the bound pass a process), ``operator.hereditary_sweep`` its
-subset walks (``operator._MIN_SWEEP_TASKS``) and ``duals.dual_family``
-its inverse columns with their residual maxima
-(``duals._MIN_CHUNK_COLUMNS``); each value is bit for bit the serial
-one.  The dual family and the sweep make their ``gram._unit_columns``
-reader, and the grid cuts the L^-1, before the fork, so that the
-section's stored L^-1 is grown once, in the calling process.  Children
+order.  ``christoffel_remez`` splits its grid points with it, by
+interleaved residue classes, each process bounding its own (at least
+``_MIN_CHUNK_PRODUCTS`` products of the bound pass a process),
+``operator.hereditary_sweep`` its subset walks
+(``operator._MIN_SWEEP_TASKS``) and ``duals.dual_family`` its inverse
+columns with their residual maxima (``duals._MIN_CHUNK_COLUMNS``);
+each value is bit for bit the serial one.  Each caller takes what it
+reads of the section from the ``gram`` readers before the fork (the
+grid the rows of L^-1, the sweep a block of G^-1, the dual family its
+column and residual readers), so that the section's stored L^-1 is
+grown once, in the calling process.  Children
 send their results back as ``marshal`` bytes, and a chunk whose results
 hold an error is recomputed in the calling process, which raises it as
 the serial run does.
@@ -51,7 +53,7 @@ from .errors import (
     ValidationError,
 )
 from .exponents import ExponentSequence
-from .gram import GramMatrix, _dot, _inverse_cut, leading_sections, solve_spd
+from .gram import GramMatrix, _dot, _inverse_rows, leading_sections, solve_spd
 from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
 
 
@@ -241,11 +243,12 @@ def check_grid_points(grid_points: int) -> int:
 # the whole call split over 2 cores took 0.99-1.37 of its serial time at
 # 18 000-39 000 products a process and 0.71-0.95 from 52 000 on; sqrt(n)
 # at N = 20, whose bounds leave the kernel nearly every point, took
-# 0.50-0.56 from 125 points a process on.  A floor in points could not
-# serve both: at 256 points a process every 1001-point grid of the bench
-# forked, and its grid p90 read 9-14 ms against 7-9 ms with none forked
-# (512 points a process), but that floor made sqrt(n) grids of 1001
-# points at N = 20 and 24 run 1.2-1.9 times slower.
+# 0.50-0.56 from 125 points a process on.  Both were measured on shares
+# of contiguous points; with residue shares sqrt(n) at N = 16, whose
+# bounds leave the kernel hundreds of points, took 0.54-0.86 at rho = 0.9
+# and 0.63-0.75 at rho = 0.5 from 241 points a process on, where
+# contiguous shares took up to 0.99 and 2.28 (scripts/fork_floors.py
+# --repeats 7, three runs).
 _MIN_CHUNK_PRODUCTS = 2 ** 16
 
 # What one index of a ``_forked_map`` gives: a list of raw mpfs, or the
@@ -505,8 +508,14 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
     positive.  Points 1..grid_points-1 are split by ``_forked_map`` in one
     pass: one process per usable core, this one included, and at least
     ``_MIN_CHUNK_PRODUCTS`` products of the bound pass a process, one per
-    entry of L^-1 and point.  Each process finds the largest kernel over
-    its own points:
+    entry of L^-1 and point.  The points go to it as residue classes
+    modulo 2^k, the smallest power of two with a class per usable core,
+    the classes in bit-reversed order: on 2 cores one process takes the
+    even points and the other the odd ones, and on one core the order is
+    the grid's own.  So every process's points spread over the whole of
+    [0, rho] and meet a kernel near the grid maximum early, where a share
+    of contiguous points without it ran kernels the serial pass skips.
+    Each process finds the largest kernel over its own points:
     - a bound pass, ``_kernel_bounds``: binary64 rows of L^-1, scaled by
       powers of two, against binary64 powers, in C-level passes over
       blocks of points at one binary64 product per entry of L^-1 and
@@ -530,16 +539,21 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
         rho_m = to_mpf(rho, bits)
         if rho_m <= 0:
             raise ValidationError("rho must be positive")
-        cols = _inverse_cut(g)
-        inv_rows = [[col[i - j] for j, col in enumerate(cols[:i + 1])] for i in range(g.n)]
+        inv_rows = _inverse_rows(g)
         lams = [lam._mpf_ for lam in g.lams]
+        # points 1..grid_points-1 by residue modulo step, the classes in
+        # bit-reversed order: 0, 2, 1, 3 for step = 4
+        step, residues, cores = 1, [0], _usable_cores()
+        while step < cores:
+            step, residues = 2 * step, [2 * r for r in residues] + [2 * r + 1 for r in residues]
+        order = [j for r in residues for j in range(r or step, grid_points, step)]
 
         def chunk_max(lo, hi):
-            # the best raw K over grid points lo + 1..hi; the bounds come in
+            # the best raw K over grid points order[lo:hi]; the bounds come in
             # decreasing order, so the first below the best ends the chunk
             best = fzero
             for j, bound in _kernel_bounds(inv_rows, lams, rho_m._mpf_, grid_points,
-                                           range(lo + 1, hi + 1), bits):
+                                           order[lo:hi], bits):
                 if mpf_lt(bound, best):
                     break
                 v = _powers((rho_m * j / (grid_points - 1))._mpf_, lams, bits)

@@ -31,8 +31,9 @@ from muntz.errors import (
     ValidationError,
 )
 from muntz.domain import _moments
-from muntz.gram import (_append_row, _cholesky, _dot, _inverse_cut, _smallest_eigenvalue,
-                        _substitute_forward, _trace, _unit_columns, forward_substitution)
+from muntz.gram import (_append_row, _cholesky, _dot, _inverse_block, _inverse_cut,
+                        _inverse_diagonals, _smallest_eigenvalue, _substitute_forward, _trace,
+                        forward_substitution)
 
 from conftest import rel_err
 from oracles import gram_every_row
@@ -548,21 +549,24 @@ def test_unit_solves_equal_solve_spd(two_piece_domain):
     g = gram(two_piece_domain, power_exponents(1, "0.5", 10), 10)
     prec = g.precision_bits
     inv = gram_inverse(g)
+    # the block readers give each column of G^-1 at and below its diagonal
+    block, part = _inverse_block(g, range(10)), _inverse_block(g, [1, 4, 7])
+    fulls = []
     for n in range(1, 11):
         with workbits(prec):
             unit = [mp.mpf(1) if i == n - 1 else mp.mpf(0) for i in range(10)]
         full = solve_spd(g, unit)
+        fulls.append([v._mpf_ for v in full])
         assert _same(gram_inverse_column(g, n), full)
         assert _same(inv[n - 1], full)
-        # the lower reader gives entries n - 1 onwards, zeros above
-        lower = _unit_columns(g, lower=True)(n - 1)
-        assert lower[n - 1:] == [v._mpf_ for v in full[n - 1:]]
-        assert lower[:n - 1] == [fzero] * (n - 1)
+        assert [block[i][n - 1] for i in range(n - 1, 10)] == fulls[-1][n - 1:]
+        assert [len(row) for row in block] == list(range(1, 11))
         # (G^-1)_nn = ||L^-1 e_n||^2, the exact sum of squares rounded once
         y = _reference_forward(g.chol_rows, [v._mpf_ for v in unit], prec)
         want = _rounded(sum(_exact(v) ** 2 for v in y), prec)
         assert gram_inverse_diagonals(g, n, [10])[0]._mpf_ == want
         assert rel_err(gram_inverse_diagonals(g, n, [10])[0], full[n - 1]) < 2.0 ** (-prec // 2)
+    assert part == [[fulls[j][i] for j in (1, 4, 7)[:a + 1]] for a, i in enumerate((1, 4, 7))]
     with workbits(prec):
         rhs = [mp.mpf(k + 1) / 3 for k in range(10)]
     want = _reference_solve(g.chol_rows, [v._mpf_ for v in rhs], prec)
@@ -583,6 +587,22 @@ def test_inverse_diagonals_equal_leading_sections(two_piece_domain, family):
         gram_inverse_diagonals(g, 4, sizes)
     with pytest.raises(ValidationError):
         gram_inverse_diagonals(g, 1, [7, 3])
+
+
+@pytest.mark.parametrize("wd", [build_weighted_domain([(0, 1)], [(1, 0)]), TWO_PIECE],
+                         ids=["unit", "two_piece"])
+@pytest.mark.parametrize("family", ["squares", "sqrt"])
+def test_inverse_diagonals_over_every_index(wd, family):
+    # per size m, the reader gives (G_m^-1)_kk for every index k below m,
+    # each the one-index read over the sizes that hold k
+    g = gram(wd, power_exponents(*FAMILIES[family], 16), 16)
+    sizes = [3, 7, 12, 16]
+    got = _inverse_diagonals(g, sizes, range(16))
+    assert [len(diags) for diags in got] == sizes
+    for k in range(16):
+        held = [i for i, m in enumerate(sizes) if m > k]
+        want = gram_inverse_diagonals(g, k + 1, [sizes[i] for i in held])
+        assert [got[i][k]._mpf_ for i in held] == [v._mpf_ for v in want]
 
 
 def _raw_values(max_exp):
@@ -610,6 +630,8 @@ def test_dot_equals_mpf_sum_of_products(prec, data):
     if minus is not None:
         terms.append(mpf_neg(minus))
     assert _dot(a, b, prec, minus) == mpf_sum(terms, prec, round_nearest)
+    # a zero right-hand side is skipped, as ``gram._residual`` relies on
+    assert _dot(a, b, prec, fzero) == _dot(a, b, prec)
 
 
 def test_dot_drops_and_specials_as_mpf_sum():

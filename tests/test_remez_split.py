@@ -63,6 +63,10 @@ def record_waits(monkeypatch, convert=lambda status: status):
     return statuses
 
 
+def fail_fork():
+    raise OSError("no more processes")
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.parametrize("wd", [UNIT, TWO_PIECE], ids=["unit", "two_piece"])
 @pytest.mark.parametrize("beta", ["2", "1", "1/2"])
@@ -122,10 +126,11 @@ def test_many_survivors_fork_bit_for_bit(wd, beta, n, children, monkeypatch):
 
 
 def test_each_process_bounds_its_own_points(monkeypatch):
-    # one bound call per process, over that process's points alone: on one
-    # core this process bounds points 1..1000 once; on two it bounds the
-    # first half, and the child the rest (at N = 16 a process takes at
-    # least 482 points)
+    # one bound call per process, over that process's residue share alone:
+    # on one core this process bounds points 1..1000 once; on two it bounds
+    # the even points and the child the odd ones (at N = 16 a process takes
+    # at least 482 points), and with the fork failing this process bounds
+    # both shares, every point once
     calls, real = [], series_module._kernel_bounds
 
     def record(inv_rows, lams, rho, grid_points, points, bits):
@@ -136,10 +141,39 @@ def test_each_process_bounds_its_own_points(monkeypatch):
     g = gram(UNIT, power_exponents(1, 2, 16), 16)
     serial = remez_bits(monkeypatch, g, "0.9", 1001, 1)
     assert calls == [list(range(1, 1001))]
+    evens, odds = list(range(2, 1001, 2)), list(range(1, 1001, 2))
     calls.clear()
     assert remez_bits(monkeypatch, g, "0.9", 1001, 2) == serial
-    assert calls == ([list(range(1, 501))] if hasattr(os, "fork") else [list(range(1, 1001))])
+    assert calls == ([evens] if hasattr(os, "fork") else [evens, odds])
+    calls.clear()
+    monkeypatch.setattr(os, "fork", fail_fork, raising=False)
+    assert remez_bits(monkeypatch, g, "0.9", 1001, 2) == serial
+    assert calls == [evens, odds]
     assert_no_children()
+
+
+@pytest.mark.parametrize("points", [1001, 2001])
+def test_split_runs_few_kernels_where_the_maximum_sits_in_one_share(points, monkeypatch):
+    # sqrt(n) at N = 12, rho = 0.9: the serial pass runs one kernel, near
+    # x = 0; contiguous halves ran 18 (1001 points) and 35 (2001), the half
+    # without that point stopping only at its own best.  Each residue share
+    # holds points near 0, so the split runs one kernel a share
+    g = gram(TWO_PIECE, power_exponents(1, "1/2", 12), 12)
+    kernels, real = [], series_module._powers
+
+    def count(x, lams, bits):
+        kernels.append(1)
+        return real(x, lams, bits)
+
+    monkeypatch.setattr(series_module, "_powers", count)
+    serial = remez_bits(monkeypatch, g, "0.9", points, 1)
+    assert len(kernels) == 1
+    kernels.clear()
+    monkeypatch.setattr(series_module, "_MIN_CHUNK_PRODUCTS", 1)
+    monkeypatch.setattr(os, "fork", fail_fork, raising=False)
+    assert remez_bits(monkeypatch, g, "0.9", points, 2) == serial
+    assert len(kernels) <= 2
+    assert serial == remez_every_point(g, "0.9", points)._mpf_
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -318,10 +352,7 @@ def test_children_run_on_the_other_cores(monkeypatch):
 
 
 def test_fork_failure_runs_serially(monkeypatch):
-    def fork():
-        raise OSError("no more processes")
-
-    monkeypatch.setattr(os, "fork", fork, raising=False)
+    monkeypatch.setattr(os, "fork", fail_fork, raising=False)
     use_cores(monkeypatch, 4)
     fds = open_fds()
     assert forked_map(squares, 201, 1) == SQUARES
