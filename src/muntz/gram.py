@@ -28,6 +28,13 @@ five readers: ``_unit_columns`` (whole columns of G^-1),
 ``_inverse_rows`` (the rows of L^-1) and ``_residual`` (G x - b).
 Forked children inherit a copy of the store; a one-shot process gains
 nothing from it across reports.
+
+This module alone grows a factor, too.  A ``_Factor`` holds the raw
+lower rows of a symmetric matrix, their Cholesky rows and L^-1 by rows
+and by columns; ``_grown`` adds one index to it, sharing the parts of
+the factor it grows, and ``_factored`` folds it over a matrix's rows.
+The mixed-system blocks of ``operator`` grow through it, and so do the
+shifted matrices of the inverse iteration, ``_smallest_eigenvalue``.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
@@ -120,16 +127,45 @@ def _append_row(factor, row, prec) -> bool:
     return True
 
 
-def _cholesky(rows) -> Optional[List[List[tuple]]]:
-    """The lower Cholesky factor rows of the raw lower entry rows at the
-    working width, one ``_append_row`` per row, or None when a pivot falls
-    below ``mp.eps``.  Bit for bit what mpmath's own Cholesky gives: exact
-    products summed with one rounding, as ``mp.fsum``/``mp.fdot`` do."""
-    prec, factor = mp.prec, []
+class _Factor(NamedTuple):
+    """A symmetric positive-definite A grown one index at a time, each
+    part the one its rows factored at once give: ``rows`` the raw lower
+    rows of A, ``chol`` their Cholesky rows L, diagonal last,
+    ``inv_rows`` the rows of L^-1 up to the diagonal and ``inv_cols``
+    its columns, column j from entry j down.  ``_Factor()`` is the factor
+    on no index.  Grown by ``_grown`` alone, which shares the parts of
+    the factor it grows, so a factor is never changed in place."""
+
+    rows: Sequence[List[tuple]] = ()
+    chol: Sequence[List[tuple]] = ()
+    inv_rows: Sequence[List[tuple]] = ()
+    inv_cols: Sequence[List[tuple]] = ()
+
+
+def _grown(f: _Factor, row, prec) -> Optional[_Factor]:
+    """The factor f with one index more: ``row`` is its raw lower row,
+    diagonal last.  The factor row is ``_append_row`` and the L^-1 row
+    ``_inverse_row``, the forward solve's entry k of each unit column,
+    at ``prec``; None when the pivot falls below eps = 2**(1 - prec)."""
+    chol = list(f.chol)
+    if not _append_row(chol, row, prec):
+        return None
+    inv_row = _inverse_row(chol[-1], f.inv_cols, prec)
+    return _Factor([*f.rows, row], chol, [*f.inv_rows, inv_row],
+                   [col + [v] for col, v in zip(f.inv_cols, inv_row)] + [inv_row[-1:]])
+
+
+def _factored(rows, prec) -> Optional[_Factor]:
+    """The ``_Factor`` of the raw lower rows ``rows`` at ``prec``, one
+    ``_grown`` per row, or None when a pivot fails.  Its Cholesky rows
+    are bit for bit mpmath's: exact products summed with one rounding,
+    as ``mp.fsum``/``mp.fdot`` do."""
+    f = _Factor()
     for row in rows:
-        if not _append_row(factor, row, prec):
+        f = _grown(f, row, prec)
+        if f is None:
             return None
-    return factor
+    return f
 
 
 # Eight cover a process that reports on a handful of domains and exponent
@@ -301,7 +337,7 @@ def _checked_sizes(g: GramMatrix, sizes: Iterable[int]) -> List[int]:
 
 # The substitutions run on raw mpf values at the working width: each entry
 # is one ``_dot`` of exact products less its right-hand side, rounded
-# once, then one rounded divide by the diagonal, as ``_cholesky`` does.
+# once, then one rounded divide by the diagonal, as ``_append_row`` does.
 
 
 def _substitute_forward(rows, rhs) -> List[tuple]:
@@ -341,25 +377,24 @@ def _columns_below(rows) -> List[List[tuple]]:
 MAX_INVERSE_ITERATIONS = 400
 
 
-def _smallest_eigenvalue(rows, trace) -> mpmath.mpf:
-    """The smallest eigenvalue of the symmetric positive-definite A with
-    raw lower rows ``rows``, by shifted inverse iteration at the working
-    width P.  ``trace`` is the raw tr(A^-1), ``_trace`` of the triangular
-    inverse of the Cholesky factor of A.
+def _smallest_eigenvalue(a: _Factor) -> mpmath.mpf:
+    """The smallest eigenvalue of the symmetric positive-definite A of the
+    factor ``a``, by shifted inverse iteration at the working width P.
 
     The shift c is (1 - 2**-8) times the larger of two lower bounds on
-    lambda_min: 1/tr(A^-1), with tr(A^-1) = ||L^-1||_F^2, and the
-    Gershgorin bound min_i (A_ii - sum_{j != i} |A_ij|), which is the
-    close one when A is diagonally dominant and its spectrum clustered.
-    B = A - c I is factored as L L^T anew, and its triangular inverse
-    L^-1 grown row by row by ``_grow_inverse``.  Each step is then
+    lambda_min: 1/tr(A^-1), with tr(A^-1) = ||L^-1||_F^2 from the
+    columns of a's L^-1, and the Gershgorin bound
+    min_i (A_ii - sum_{j != i} |A_ij|), which is the close one when A is
+    diagonally dominant and its spectrum clustered.  B = A - c I is
+    factored by ``_factored``, its L^-1 included.  Each step is then
     y = L^-T L^-1 x = B^-1 x for unit x, two triangular products of exact
     terms rounded once per entry, with the Rayleigh quotient mu = x.y of
     B^-1, so that lambda_min <= c + 1/mu, and the residual
-    e = ||y - mu x||.  The start vector has the sign pattern of the wanted eigenvector when A is
-    Jacobi-scaled from a totally positive matrix, or from the inverse of
-    one, as the mixed-system blocks are: it changes sign between
-    neighbours i - 1 and i exactly when A_{i,i-1} > 0.
+    e = ||y - mu x||.  The start vector has the sign pattern of the
+    wanted eigenvector when A is Jacobi-scaled from a totally positive
+    matrix, or from the inverse of one, as the mixed-system blocks are:
+    it changes sign between neighbours i - 1 and i exactly when
+    A_{i,i-1} > 0.
 
     Iteration stops, and c + 1/mu is returned, once lambda_min is shown
     to be within 2**(-P/2) of it, relative:
@@ -378,27 +413,24 @@ def _smallest_eigenvalue(rows, trace) -> mpmath.mpf:
     """
     prec = mp.prec
     tol = mpf_shift(fone, -(prec // 2))
-    shift = max(mpf_div(fone, trace, prec, round_nearest), _gershgorin_bound(rows, prec),
-                key=mp.make_mpf)
+    shift = max(mpf_div(fone, _trace(a.inv_cols, prec), prec, round_nearest),
+                _gershgorin_bound(a.rows, prec), key=mp.make_mpf)
     shift = mpf_sub(shift, mpf_shift(shift, -8), prec, round_nearest)
-    rows = _shifted(rows, shift, prec)
-    factor = _cholesky(rows)
-    if factor is None:
+    b = _factored(_shifted(a.rows, shift, prec), prec)
+    if b is None:
         raise NotPositiveDefinite("a matrix shifted below its smallest eigenvalue "
                                   "does not factor")
-    cols = []
-    inv_rows = _grow_inverse(cols, factor, len(factor), prec)
-    trace = _trace(cols, prec)
+    trace = _trace(b.inv_cols, prec)
     x = [fone]
-    for i in range(1, len(rows)):
-        x.append(mpf_neg(x[-1]) if mpf_gt(rows[i][i - 1], fzero) else x[-1])
+    for i in range(1, len(b.rows)):
+        x.append(mpf_neg(x[-1]) if mpf_gt(b.rows[i][i - 1], fzero) else x[-1])
     x = _unit(x, prec)
     for _ in range(MAX_INVERSE_ITERATIONS):
-        z = [_dot(row, x, prec) for row in inv_rows]
-        y = [_dot(col, z[j:], prec) for j, col in enumerate(cols)]
+        z = [_dot(row, x, prec) for row in b.inv_rows]
+        y = [_dot(col, z[j:], prec) for j, col in enumerate(b.inv_cols)]
         mu = _dot(x, y, prec)
-        r = [mpf_sub(b, mpf_mul(mu, a, prec, round_nearest), prec, round_nearest)
-             for a, b in zip(x, y)]
+        r = [mpf_sub(v, mpf_mul(mu, u, prec, round_nearest), prec, round_nearest)
+             for u, v in zip(x, y)]
         e2 = _dot(r, r, prec)
         gap = mpf_sub(mpf_shift(mu, 1), trace, prec, round_nearest)
         if mpf_gt(gap, fzero) and not mpf_gt(e2, mpf_mul(tol, mpf_mul(mu, gap), prec,
@@ -406,7 +438,7 @@ def _smallest_eigenvalue(rows, trace) -> mpmath.mpf:
             break
         if not mpf_gt(e2, mpf_mul(mpf_mul(tol, tol), mpf_mul(mu, mu), prec, round_nearest)):
             floor = mpf_div(mpf_sub(fone, tol, prec, round_nearest), mu, prec, round_nearest)
-            if _cholesky(_shifted(rows, floor, prec)) is None:
+            if _factored(_shifted(b.rows, floor, prec), prec) is None:
                 raise PrecisionExhausted("inverse iteration settled on an eigenvalue "
                                          "above the smallest")
             break
@@ -432,20 +464,17 @@ def _inverse_row(row, cols, prec) -> List[tuple]:
              for j, col in enumerate(cols)] + [mpf_div(fone, row[k], prec, round_nearest)])
 
 
-def _grow_inverse(cols, factor, n, prec) -> List[List[tuple]]:
+def _grow_inverse(cols, factor, n, prec) -> None:
     """Grow the columns ``cols`` of L^-1, column j from entry j down, in
     place to the first n rows of the raw factor rows ``factor``, one
-    ``_inverse_row`` per row, and return the rows it added.  Each row is
-    computed before any column takes an entry of it, so an interrupt
-    leaves the columns a whole number of rows long."""
-    added = []
+    ``_inverse_row`` per row.  Each row is computed before any column
+    takes an entry of it, so an interrupt leaves the columns a whole
+    number of rows long."""
     for k in range(len(cols), n):
         row = _inverse_row(factor[k], cols, prec)
         for col, v in zip(cols, row):
             col.append(v)
         cols.append([row[-1]])
-        added.append(row)
-    return added
 
 
 def _trace(cols, prec) -> tuple:

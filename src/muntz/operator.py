@@ -40,8 +40,8 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .exponents import ExponentSequence
-from .gram import (GramMatrix, _append_row, _inverse_block, _inverse_row, _mpfs,
-                   _smallest_eigenvalue, _trace, gram_inverse, solve_spd)
+from .gram import (GramMatrix, _Factor, _grown, _inverse_block, _mpfs, _smallest_eigenvalue,
+                   gram_inverse, solve_spd)
 from .precision import DEFAULT_PRECISION_BITS, Real, to_int, to_mpf, workbits
 from .series import MuntzSeries, _Result, _forked_map, evaluate
 
@@ -277,59 +277,38 @@ def hereditary_check(
     return _report(g, n1, n2, powers, duals)
 
 
-class _Block:
-    """The Jacobi-scaled principal block S A S of a symmetric A on a set of
-    indices, grown one index at a time by ``_grow`` at the working width.
-
-    ``rows`` are its raw lower rows, ``factor`` their Cholesky rows L and
-    ``inverse[j]`` column j of L^-1 from entry j down, the layout of the
-    L^-1 a Gram section's stored attempt keeps, grown by the same
-    step, ``gram._inverse_row``, but copied, since a block shares its
-    parts with the blocks grown from it.  ``squares`` and
-    ``diagonal`` are prod L_aa**2 and prod A_aa, each multiplied up in
-    index order as ``mp.fprod`` does; det A is their product.
-    ``_Block()`` is the block on no index.
-    """
-
-    __slots__ = ("rows", "factor", "inverse", "squares", "diagonal")
-
-    def __init__(self, rows=(), factor=(), inverse=(), squares=mp.one, diagonal=mp.one):
-        self.rows, self.factor, self.inverse = rows, factor, inverse
-        self.squares, self.diagonal = squares, diagonal
-
-    def trace(self) -> tuple:
-        """||L^-1||_F^2 = tr((S A S)^-1), by ``gram._trace``."""
-        return _trace(self.inverse, mp.prec)
+# A mixed-system block is the tuple (factor, prod L_aa**2, prod A_aa): the
+# ``gram._Factor`` of the Jacobi-scaled block S A S of a symmetric A on a
+# set of indices, grown one index at a time by ``_grow``, and two
+# products, each multiplied up in index order as ``mp.fprod`` does, whose
+# product is det A.  ``_EMPTY`` is the block on no index, and None one
+# whose factor did not extend.
+_EMPTY = (_Factor(), mp.one, mp.one)
 
 
-def _grow(block: Optional[_Block], row, diagonal: mpmath.mpf, prec: int) -> Optional[_Block]:
+def _grow(block: Optional[tuple], row, diagonal: mpmath.mpf, prec: int) -> Optional[tuple]:
     """The block with one index more, after its own: ``row`` is the raw
     scaled lower row of that index, diagonal last, and ``diagonal`` its
-    unscaled A_ii.  Each part is the one the block's rows factored at once
-    would give: row k of L^-1 is ``gram._inverse_row``, the forward
-    solve's entry k of each unit column.  None when the factor does not
-    extend, or the block is None already."""
+    unscaled A_ii.  Its factor is ``gram._grown``; None when that does
+    not extend, or the block is None already."""
     if block is None:
         return None
-    factor = list(block.factor)
-    if not _append_row(factor, row, prec):
+    factor, squares, diagonals = block
+    factor = _grown(factor, row, prec)
+    if factor is None:
         return None
-    new = factor[-1]
-    inv_row = _inverse_row(new, block.inverse, prec)
-    inverse = [col + [v] for col, v in zip(block.inverse, inv_row)] + [inv_row[-1:]]
-    return _Block([*block.rows, row], factor, inverse,
-                  block.squares * mp.make_mpf(new[-1]) ** 2, block.diagonal * diagonal)
+    return factor, squares * mp.make_mpf(factor.chol[-1][-1]) ** 2, diagonals * diagonal
 
 
 _Spectrum = Union[Tuple[mpmath.mpf, mpmath.mpf], NumericalError]
 
 
-def _spectrum(block: Optional[_Block], size: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
-    """(lambda_min(S A S), det A) of a grown block of ``size`` indices,
-    where None stands for one whose factor did not extend."""
+def _spectrum(block: Optional[tuple], size: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
+    """(lambda_min(S A S), det A) of a grown block of ``size`` indices."""
     if block is None:
         raise NotPositiveDefinite(f"a {size}x{size} mixed-system block does not factor")
-    return _smallest_eigenvalue(block.rows, block.trace()), block.squares * block.diagonal
+    factor, squares, diagonals = block
+    return _smallest_eigenvalue(factor), squares * diagonals
 
 
 def _jacobi_scaled(rows) -> Tuple[List[List[tuple]], List[mpmath.mpf]]:
@@ -349,7 +328,7 @@ def _block_spectrum(rows) -> Tuple[mpmath.mpf, mpmath.mpf]:
     from ``_smallest_eigenvalue``.  Raises NotPositiveDefinite when S A S
     does not factor."""
     scaled, diag = _jacobi_scaled(rows)
-    block = _Block()
+    block = _EMPTY
     for row, d in zip(scaled, diag):
         block = _grow(block, row, d, mp.prec)
     return _spectrum(block, len(rows))
@@ -368,7 +347,7 @@ def _subtree_spectra(scaled, diag, top: int) -> List[_Result]:
     """
     prec, n, out = mp.prec, len(diag), {}
 
-    def visit(mask: int, idx: Tuple[int, ...], block: Optional[_Block]) -> None:
+    def visit(mask: int, idx: Tuple[int, ...], block: Optional[tuple]) -> None:
         i = idx[-1]
         block = _grow(block, [scaled[i][j] for j in idx], diag[i], prec)
         try:
@@ -378,7 +357,7 @@ def _subtree_spectra(scaled, diag, top: int) -> List[_Result]:
         for j in range(i + 1, n):
             visit(mask | 1 << j, idx + (j,), block)
 
-    visit(1 << top, (top,), _Block())
+    visit(1 << top, (top,), _EMPTY)
     return [out[mask] for mask in sorted(out)]
 
 

@@ -31,8 +31,8 @@ from muntz.errors import (
     ValidationError,
 )
 from muntz.domain import _moments
-from muntz.gram import (_append_row, _cholesky, _dot, _inverse_block, _inverse_cut,
-                        _inverse_diagonals, _smallest_eigenvalue, _substitute_forward, _trace,
+from muntz.gram import (_append_row, _dot, _factored, _grown, _inverse_block, _inverse_cut,
+                        _inverse_diagonals, _smallest_eigenvalue, _substitute_forward,
                         forward_substitution)
 
 from conftest import rel_err
@@ -219,7 +219,8 @@ def test_cholesky_equals_mpmath(pieces, family, n, bits):
             ref = mp.cholesky(full)
         except ValueError:
             ref = None
-        got = _cholesky(rows)
+        factor = _factored(rows, bits)
+        got = None if factor is None else factor.chol
     if ref is None:
         assert got is None
     else:
@@ -229,6 +230,26 @@ def test_cholesky_equals_mpmath(pieces, family, n, bits):
     except (NotPositiveDefinite, PrecisionExhausted):
         return
     assert g.entry_rows == rows and g.chol_rows == got
+
+
+def test_grown_leaves_its_parent_intact():
+    # two children grown from one parent share its parts, so growing must
+    # copy what it extends: the parent's four lists stay as they were, and
+    # each child is bit for bit its own rows factored at once
+    bits = 256
+    wd = build_weighted_domain(*PIECES[1])
+    moment = _moments(wd.pieces, power_exponents(*FAMILIES["squares"], 6).values_at(bits), bits)
+    rows = [[moment(i, j) for j in range(i + 1)] for i in range(6)]
+    with workbits(bits):
+        parent = _factored(rows[:4], bits)
+        before = [[list(row) for row in part] for part in parent]
+        # the blocks on indices 0..4 and on 0..3 and 5
+        children = [_grown(parent, rows[4], bits), _grown(parent, rows[5][:4] + rows[5][5:], bits)]
+        assert [[list(row) for row in part] for part in parent] == before
+        assert parent == _factored(rows[:4], bits)
+        for child in children:
+            assert list(child.rows[:4]) == rows[:4]
+            assert child == _factored(child.rows, bits)
 
 
 @pytest.mark.parametrize("bits", [64, 256])
@@ -658,11 +679,14 @@ def _inverse_columns(factor):
 
 
 def _eigenvalue_args(matrix, bits):
-    """The raw lower rows of an mpf matrix rounded to ``bits``, and the
-    trace of its inverse from their Cholesky factor."""
+    """The ``_Factor`` of the raw lower rows of an mpf matrix rounded to
+    ``bits``, whose L^-1 columns are the forward solves of the unit
+    vectors."""
     with workbits(bits):
         rows = [[(+matrix[i, j])._mpf_ for j in range(i + 1)] for i in range(matrix.rows)]
-        return rows, _trace(_inverse_columns(_cholesky(rows)), bits)
+        factor = _factored(rows, bits)
+        assert factor.inv_cols == _inverse_columns(factor.chol)
+        return factor
 
 
 def _reflected(diagonal, v, bits):
@@ -684,7 +708,7 @@ def test_smallest_eigenvalue_of_hilbert_matrix(bits):
         hilbert = mp.hilbert(8)
         want = min(mp.eigsy(hilbert, eigvals_only=True))
     with workbits(bits):
-        got = _smallest_eigenvalue(*_eigenvalue_args(hilbert, bits))
+        got = _smallest_eigenvalue(_eigenvalue_args(hilbert, bits))
     assert rel_err(got, want) < mp.mpf(2) ** (-(bits // 2))
 
 
@@ -696,7 +720,7 @@ def test_smallest_eigenvalue_repeated():
         a = _reflected([tenth, tenth, mp.mpf(1) / 2, 1, 2, 3], [1, 2, 3, -1, 2, 5], 320)
         want = min(mp.eigsy(a, eigvals_only=True))
     with workbits(256):
-        got = _smallest_eigenvalue(*_eigenvalue_args(a, 256))
+        got = _smallest_eigenvalue(_eigenvalue_args(a, 256))
     assert rel_err(got, Fraction(1, 10)) < mp.mpf(2) ** -128
     assert rel_err(got, want) < mp.mpf(2) ** -128
 
@@ -707,7 +731,7 @@ def test_smallest_eigenvalue_unresolved_cluster_raises():
     with workbits(256):
         a = _reflected([1 + mp.mpf(2) ** -100, mp.mpf(1), mp.mpf(3)], [1, 2, 3], 256)
         with pytest.raises(PrecisionExhausted):
-            _smallest_eigenvalue(*_eigenvalue_args(a, 256))
+            _smallest_eigenvalue(_eigenvalue_args(a, 256))
 
 
 def test_smallest_eigenvalue_diagonally_dominant():
@@ -716,5 +740,5 @@ def test_smallest_eigenvalue_diagonally_dominant():
         a = _reflected([mp.mpf("0.9"), mp.mpf("0.95"), mp.mpf("1.1")], [1, 20, 300], 320)
         want = min(mp.eigsy(a, eigvals_only=True))
     with workbits(256):
-        got = _smallest_eigenvalue(*_eigenvalue_args(a, 256))
+        got = _smallest_eigenvalue(_eigenvalue_args(a, 256))
     assert rel_err(got, want) < mp.mpf(2) ** -128

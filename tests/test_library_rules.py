@@ -140,16 +140,17 @@ def test_every_private_helper_has_a_library_caller():
 
 
 # the layout of a factored attempt: its class, a section's field naming it,
-# and the helpers that read its rows, its symmetric entries and its L^-1
-# column by column
+# the helpers that read its rows, its symmetric entries and its L^-1
+# column by column, and the row steps that grow a factor and its L^-1
 FACTOR_LAYOUT = {"_Attempt", "_attempt", "_columns_below", "_substitute_back", "_grow_inverse",
-                 "_inverse_cut", "_full_rows"}
+                 "_inverse_cut", "_full_rows", "_append_row", "_inverse_row", "_trace"}
 
 
 def test_factor_layout_is_read_in_gram_only():
     # every other module reads a section through its properties and the
     # gram readers: ``_unit_columns``, ``_inverse_block``,
-    # ``_inverse_diagonals``, ``_inverse_rows`` and ``_residual``
+    # ``_inverse_diagonals``, ``_inverse_rows`` and ``_residual``; and it
+    # grows a factor only through ``_grown`` and ``_factored``
     hits = sorted(f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
                   if path.name != "gram.py"
                   for name in FACTOR_LAYOUT & _names_used(ast.parse(path.read_text())))

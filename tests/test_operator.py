@@ -37,7 +37,7 @@ from muntz.errors import (
 )
 
 import muntz.operator as operator_module
-from muntz.gram import _cholesky, _substitute_forward, _trace
+from muntz.gram import _factored, _substitute_forward
 from conftest import force_sweep_forking, mpf_, rel_err
 from oracles import inverse_principal_minor
 
@@ -318,8 +318,8 @@ def test_sweep_rows_equal_single_checks(domain, family):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_grown_block_equals_factoring_from_scratch(family):
     # a block grown one index at a time has the factor, L^-1 (the forward
-    # solves of the unit vectors), its trace and the determinant products
-    # that factoring its rows at once gives
+    # solves of the unit vectors) and the determinant products that
+    # factoring its rows at once gives
     g = gram(TWO_PIECE, power_exponents(*FAMILIES[family], 8), 8)
     rng = random.Random(family)
     with workbits(g.precision_bits):
@@ -328,19 +328,21 @@ def test_grown_block_equals_factoring_from_scratch(family):
         for _ in range(6):
             idx = sorted(rng.sample(range(8), rng.randint(1, 8)))
             rows = [[scaled[i][j] for j in idx[:a + 1]] for a, i in enumerate(idx)]
-            block = operator_module._Block()
+            block = operator_module._EMPTY
             for a, i in enumerate(idx):
                 block = operator_module._grow(block, rows[a], diag[i], prec)
-            factor = _cholesky(rows)
-            assert block.rows == rows
-            assert block.factor == factor
+            factor, squares, diagonals = block
+            chol = _factored(rows, prec).chol
+            assert factor.rows == rows
+            assert factor.chol == chol
             k = len(idx)
-            cols = [_substitute_forward(factor, [fone if i == j else fzero for i in range(k)])[j:]
+            cols = [_substitute_forward(chol, [fone if i == j else fzero for i in range(k)])[j:]
                     for j in range(k)]
-            assert block.inverse == cols
-            assert block.trace() == _trace(cols, prec)
-            assert block.squares == mp.fprod(mp.make_mpf(r[a]) ** 2 for a, r in enumerate(factor))
-            assert block.diagonal == mp.fprod(diag[i] for i in idx)
+            assert factor.inv_cols == cols
+            assert factor.inv_rows == [[col[i - j] for j, col in enumerate(cols[:i + 1])]
+                                       for i in range(k)]
+            assert squares == mp.fprod(mp.make_mpf(r[a]) ** 2 for a, r in enumerate(chol))
+            assert diagonals == mp.fprod(diag[i] for i in idx)
 
 
 def _block_key(rows):
@@ -376,9 +378,9 @@ def test_sweep_raises_the_first_failing_partition_error(seed, monkeypatch):
     original = operator_module._smallest_eigenvalue
     blocks = []
 
-    def recording(rows, trace):
-        blocks.append(_block_key(rows))
-        return original(rows, trace)
+    def recording(a):
+        blocks.append(_block_key(a.rows))
+        return original(a)
 
     monkeypatch.setattr(operator_module, "_smallest_eigenvalue", recording)
     for mask in range(2 ** 4):
@@ -396,11 +398,11 @@ def test_sweep_raises_the_first_failing_partition_error(seed, monkeypatch):
         failing = {blocks[9]: (PrecisionExhausted, "N1 block"),
                    blocks[10]: (NotPositiveDefinite, "N2 block")}
 
-    def failing_on_chosen(rows, trace):
-        if _block_key(rows) in failing:
-            error, message = failing[_block_key(rows)]
+    def failing_on_chosen(a):
+        if _block_key(a.rows) in failing:
+            error, message = failing[_block_key(a.rows)]
             raise error(message)
-        return original(rows, trace)
+        return original(a)
 
     monkeypatch.setattr(operator_module, "_smallest_eigenvalue", failing_on_chosen)
     want = _first_check_error(g)
@@ -462,10 +464,10 @@ def test_forked_sweep_raises_the_child_error(monkeypatch):
     g = gram(UNIT, power_exponents(1, 2, 4), 4)
     original = operator_module._smallest_eigenvalue
 
-    def failing_on_pairs(rows, trace):
-        if len(rows) == 2:
-            raise PrecisionExhausted(f"2x2 block {mp.make_mpf(rows[1][0])}")
-        return original(rows, trace)
+    def failing_on_pairs(a):
+        if len(a.rows) == 2:
+            raise PrecisionExhausted(f"2x2 block {mp.make_mpf(a.rows[1][0])}")
+        return original(a)
 
     monkeypatch.setattr(operator_module, "_smallest_eigenvalue", failing_on_pairs)
     force_sweep_forking(monkeypatch, 1)
@@ -486,10 +488,10 @@ def test_forked_sweep_recomputes_a_failed_child(monkeypatch):
     serial = _report_bits(hereditary_sweep(g))
     original, parent = operator_module._smallest_eigenvalue, os.getpid()
 
-    def failing_in_children(rows, trace):
+    def failing_in_children(a):
         if os.getpid() != parent:
             raise RuntimeError("child")
-        return original(rows, trace)
+        return original(a)
 
     monkeypatch.setattr(operator_module, "_smallest_eigenvalue", failing_in_children)
     for cores in (2, 4):
