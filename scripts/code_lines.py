@@ -6,10 +6,9 @@ lines and the lines of docstrings (the leading string of a module,
 class or function) are left out.  A line with code and a trailing
 comment counts.
 
-    python3 scripts/code_lines.py [--src DIR]
+    python3 scripts/code_lines.py
 """
 
-import argparse
 import ast
 import io
 import tokenize
@@ -41,11 +40,8 @@ def code_lines(text: str) -> int:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, default=SRC, help="package directory to count")
-    args = parser.parse_args()
     total = 0
-    for path in sorted(args.src.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         count = code_lines(path.read_text())
         total += count
         print(f"{path.name:16} {count:5}")

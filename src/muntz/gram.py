@@ -438,7 +438,8 @@ def _smallest_eigenvalue(a: _Factor) -> mpmath.mpf:
             break
         if not mpf_gt(e2, mpf_mul(mpf_mul(tol, tol), mpf_mul(mu, mu), prec, round_nearest)):
             floor = mpf_div(mpf_sub(fone, tol, prec, round_nearest), mu, prec, round_nearest)
-            if _factored(_shifted(b.rows, floor, prec), prec) is None:
+            chol = []
+            if not all(_append_row(chol, row, prec) for row in _shifted(b.rows, floor, prec)):
                 raise PrecisionExhausted("inverse iteration settled on an eigenvalue "
                                          "above the smallest")
             break

@@ -26,7 +26,7 @@ from muntz.domain import _moments, _powers
 from muntz.errors import (BadPartition, IndexOutOfRange, NotPositiveDefinite,
                           PrecisionExhausted, ValidationError)
 from muntz.exponents import ExponentSequence
-from muntz.gram import GramMatrix, _Attempt, _dot, _factored, _inverse_cut
+from muntz.gram import GramMatrix, _Attempt, _append_row, _dot, _inverse_cut
 from muntz.precision import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, to_mpf
 
 
@@ -103,15 +103,15 @@ def gram_every_row(
         with workbits(bits):
             moment = _moments(wd.pieces, lams, bits)
             rows = [[moment(i, j) for j in range(i + 1)] for i in range(n)]
-            factor = _factored(rows, bits)
+            chol_rows = []
             failure = "factorization"
-            if factor is not None:
+            if all(_append_row(chol_rows, row, bits) for row in rows):
                 # the guard after each row: the squared ratio of the extreme
                 # diagonal entries of the factor's rows so far
-                diag = [mp.make_mpf(row[i]) for i, row in enumerate(factor.chol)]
+                diag = [mp.make_mpf(row[i]) for i, row in enumerate(chol_rows)]
                 conds = [(max(diag[:i + 1]) / min(diag[:i + 1])) ** 2 for i in range(n)]
                 if conds[-1] <= mp.mpf(2) ** (bits // 2):
-                    attempt = _Attempt(rows, factor.chol, conds, tuple(lams))
+                    attempt = _Attempt(rows, chol_rows, conds, tuple(lams))
                     return GramMatrix(attempt, n, bits, lam, wd)
                 failure = "condition"
         if bits >= max_precision_bits:
