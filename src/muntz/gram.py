@@ -22,12 +22,20 @@ by column from the diagonal down, grown on request up to the rows
 asked for: every forward solve of a unit vector is a cut of it.  This
 module alone reads that layout, the lower entry and factor rows
 included; the other modules read a section through its properties and
-five readers: ``_unit_columns`` (whole columns of G^-1),
-``_inverse_block`` (a principal block of G^-1, lower rows),
-``_inverse_diagonals`` (the diagonal of G_m^-1 over leading sizes m),
-``_inverse_rows`` (the rows of L^-1) and ``_residual`` (G x - b).
-Forked children inherit a copy of the store; a one-shot process gains
-nothing from it across reports.
+five readers: ``_unit_columns`` (columns of G^-1, each from a stop
+entry down, whole by default), ``_inverse_block`` (a principal block of
+G^-1, lower rows, cut from those columns each read from its diagonal
+down), ``_inverse_diagonals`` (the diagonal of G_m^-1 over leading
+sizes m), ``_inverse_rows`` (the rows of L^-1) and ``_residual``
+(G x - b).  Forked children inherit a copy of the store; a one-shot
+process gains nothing from it across reports.
+
+The raw kernels, the readers and ``_smallest_eigenvalue`` take the
+width as an argument, the section's own for the readers, and never
+read ``mp.prec``: they give the same bits inside any ``workbits``
+block.  Only the assembly in ``_Attempt.extend`` and the public
+solves, which convert non-mpf right-hand sides at the ambient width,
+still enter one.
 
 This module alone grows a factor, too.  A ``_Factor`` holds the raw
 lower rows of a symmetric matrix, their Cholesky rows and L^-1 by rows
@@ -335,15 +343,15 @@ def _checked_sizes(g: GramMatrix, sizes: Iterable[int]) -> List[int]:
     return sizes
 
 
-# The substitutions run on raw mpf values at the working width: each entry
-# is one ``_dot`` of exact products less its right-hand side, rounded
-# once, then one rounded divide by the diagonal, as ``_append_row`` does.
+# The substitutions run on raw mpf values at the width ``prec`` passed in:
+# each entry is one ``_dot`` of exact products less its right-hand side,
+# rounded once, then one rounded divide by the diagonal, as ``_append_row``
+# does.
 
 
-def _substitute_forward(rows, rhs) -> List[tuple]:
+def _substitute_forward(rows, rhs, prec) -> List[tuple]:
     """Solve L y = rhs for the raw factor rows of L and raw rhs.  The
     first m entries of y are the solve against the leading m rows."""
-    prec = mp.prec
     y = []
     for i, row in enumerate(rows):
         # y_i = (rhs_i - sum) / L_ii = (sum - rhs_i) / -L_ii, signs exact
@@ -351,15 +359,11 @@ def _substitute_forward(rows, rhs) -> List[tuple]:
     return y
 
 
-def _substitute_back(rows, rhs, stop: int = 0, below=None) -> List[tuple]:
-    """Solve L^T x = rhs for the raw factor rows of L and raw rhs, from the
-    last entry down to entry ``stop``; the entries above ``stop`` are
-    left zero.  ``below`` is ``_columns_below(rows)``, when a caller
-    solving several right-hand sides has it already."""
-    prec = mp.prec
+def _substitute_back(rows, below, rhs, prec, stop: int = 0) -> List[tuple]:
+    """Solve L^T x = rhs for the raw factor rows of L, with ``below`` its
+    ``_columns_below(rows)``, and raw rhs, from the last entry down to
+    entry ``stop``; the entries above ``stop`` are left zero."""
     n = len(rows)
-    if below is None:
-        below = _columns_below(rows)
     x = [fzero] * n
     for i in range(n - 1, stop - 1, -1):
         x[i] = mpf_div(_dot(below[i], x[i + 1:], prec, rhs[i]), mpf_neg(rows[i][i]),
@@ -377,9 +381,9 @@ def _columns_below(rows) -> List[List[tuple]]:
 MAX_INVERSE_ITERATIONS = 400
 
 
-def _smallest_eigenvalue(a: _Factor) -> mpmath.mpf:
+def _smallest_eigenvalue(a: _Factor, prec: int) -> mpmath.mpf:
     """The smallest eigenvalue of the symmetric positive-definite A of the
-    factor ``a``, by shifted inverse iteration at the working width P.
+    factor ``a``, by shifted inverse iteration at the width P = ``prec``.
 
     The shift c is (1 - 2**-8) times the larger of two lower bounds on
     lambda_min: 1/tr(A^-1), with tr(A^-1) = ||L^-1||_F^2 from the
@@ -411,7 +415,6 @@ def _smallest_eigenvalue(a: _Factor) -> mpmath.mpf:
     PrecisionExhausted when the iteration settles on another eigenvalue
     or has not settled after ``MAX_INVERSE_ITERATIONS`` steps.
     """
-    prec = mp.prec
     tol = mpf_shift(fone, -(prec // 2))
     shift = max(mpf_div(fone, _trace(a.inv_cols, prec), prec, round_nearest),
                 _gershgorin_bound(a.rows, prec), key=mp.make_mpf)
@@ -568,14 +571,15 @@ def _checked_rhs(g: GramMatrix, rhs: List[mpmath.mpf]) -> List[tuple]:
 def forward_substitution(g: GramMatrix, rhs: List[mpmath.mpf]) -> List[mpmath.mpf]:
     """Solve chol * y = rhs against the section's factor."""
     with workbits(g.precision_bits):
-        return _mpfs(_substitute_forward(g.chol_rows, _checked_rhs(g, rhs)))
+        return _mpfs(_substitute_forward(g.chol_rows, _checked_rhs(g, rhs), g.precision_bits))
 
 
 def solve_spd(g: GramMatrix, rhs: List[mpmath.mpf]) -> List[mpmath.mpf]:
     """Solve entries * x = rhs by two triangular solves against the factor."""
-    with workbits(g.precision_bits):
-        y = _substitute_forward(g.chol_rows, _checked_rhs(g, rhs))
-        return _mpfs(_substitute_back(g.chol_rows, y))
+    rows, bits = g.chol_rows, g.precision_bits
+    with workbits(bits):
+        y = _substitute_forward(rows, _checked_rhs(g, rhs), bits)
+    return _mpfs(_substitute_back(rows, _columns_below(rows), y, bits))
 
 
 def _inverse_cut(g: GramMatrix) -> List[List[tuple]]:
@@ -591,32 +595,25 @@ def _inverse_cut(g: GramMatrix) -> List[List[tuple]]:
     return [col[:n - j] for j, col in enumerate(cols[:n])]
 
 
-def _unit_columns(g: GramMatrix) -> Callable[[int], List[tuple]]:
-    """The reader k -> column k (0-based) of the inverse of g, raw: the
+def _unit_columns(g: GramMatrix) -> Callable[..., List[tuple]]:
+    """The reader (k, stop=0) -> column k (0-based) of the inverse of g,
+    raw, from its last entry down to entry ``stop``, zeros above: the
     back solve of column k of ``_inverse_cut(g)``, the forward solve of
-    e_k, bit for bit what ``solve_spd`` gives for e_k.  The cut and the
-    columns of L below the diagonal are taken here, once, so a caller
-    that forks makes the reader first and the L^-1 is grown in this
-    process."""
+    e_k, each entry bit for bit what ``solve_spd`` gives for e_k.  The
+    cut and the columns of L below the diagonal are taken here, once, so
+    a caller that forks makes the reader first and the L^-1 is grown in
+    this process."""
     rows, cols, bits = g.chol_rows, _inverse_cut(g), g.precision_bits
     below = _columns_below(rows)
-
-    def column(k: int) -> List[tuple]:
-        with workbits(bits):
-            return _substitute_back(rows, [fzero] * k + cols[k], 0, below)
-
-    return column
+    return lambda k, stop=0: _substitute_back(rows, below, [fzero] * k + cols[k], bits, stop)
 
 
 def _inverse_block(g: GramMatrix, idx: Sequence[int]) -> List[List[tuple]]:
     """The raw lower rows of the principal block of the inverse of g on
-    the increasing 0-based indices ``idx``.  Column j is back-solved from
-    column j of ``_inverse_cut(g)`` down to entry j only: every entry is
-    bit for bit the one ``solve_spd`` gives for e_j."""
-    rows, cols = g.chol_rows, _inverse_cut(g)
-    below = _columns_below(rows)
-    with workbits(g.precision_bits):
-        block = {j: _substitute_back(rows, [fzero] * j + cols[j], j, below) for j in idx}
+    the increasing 0-based indices ``idx``: column j is ``_unit_columns``
+    read from entry j down, cut to the rows of ``idx``."""
+    column = _unit_columns(g)
+    block = {j: column(j, j) for j in idx}
     return [[block[j][i] for j in idx[:a + 1]] for a, i in enumerate(idx)]
 
 
@@ -629,10 +626,9 @@ def _inverse_diagonals(g: GramMatrix, sizes: List[int], indices) -> List[List[mp
     their sum of squares exact and rounded once.  No back solve and no
     cancellation; the L^-1 is grown once for the section, about N^3/6
     operations, and every later call reads it."""
-    cols = _inverse_cut(leading_section(g, sizes[-1]))
-    with workbits(g.precision_bits):
-        return [[mp.make_mpf(_dot(cols[k][:m - k], cols[k][:m - k], mp.prec))
-                 for k in indices if k < m] for m in sizes]
+    cols, bits = _inverse_cut(leading_section(g, sizes[-1])), g.precision_bits
+    return [[mp.make_mpf(_dot(cols[k][:m - k], cols[k][:m - k], bits))
+             for k in indices if k < m] for m in sizes]
 
 
 def _inverse_rows(g: GramMatrix) -> List[List[tuple]]:

@@ -303,12 +303,13 @@ def _grow(block: Optional[tuple], row, diagonal: mpmath.mpf, prec: int) -> Optio
 _Spectrum = Union[Tuple[mpmath.mpf, mpmath.mpf], NumericalError]
 
 
-def _spectrum(block: Optional[tuple], size: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
-    """(lambda_min(S A S), det A) of a grown block of ``size`` indices."""
+def _spectrum(block: Optional[tuple], size: int, prec: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
+    """(lambda_min(S A S), det A) of a grown block of ``size`` indices,
+    lambda_min at ``prec``."""
     if block is None:
         raise NotPositiveDefinite(f"a {size}x{size} mixed-system block does not factor")
     factor, squares, diagonals = block
-    return _smallest_eigenvalue(factor), squares * diagonals
+    return _smallest_eigenvalue(factor, prec), squares * diagonals
 
 
 def _jacobi_scaled(rows) -> Tuple[List[List[tuple]], List[mpmath.mpf]]:
@@ -328,10 +329,10 @@ def _block_spectrum(rows) -> Tuple[mpmath.mpf, mpmath.mpf]:
     from ``_smallest_eigenvalue``.  Raises NotPositiveDefinite when S A S
     does not factor."""
     scaled, diag = _jacobi_scaled(rows)
-    block = _EMPTY
+    block, prec = _EMPTY, mp.prec
     for row, d in zip(scaled, diag):
-        block = _grow(block, row, d, mp.prec)
-    return _spectrum(block, len(rows))
+        block = _grow(block, row, d, prec)
+    return _spectrum(block, len(rows), prec)
 
 
 def _subtree_spectra(scaled, diag, top: int) -> List[_Result]:
@@ -351,7 +352,7 @@ def _subtree_spectra(scaled, diag, top: int) -> List[_Result]:
         i = idx[-1]
         block = _grow(block, [scaled[i][j] for j in idx], diag[i], prec)
         try:
-            out[mask] = [v._mpf_ for v in _spectrum(block, len(idx))]
+            out[mask] = [v._mpf_ for v in _spectrum(block, len(idx), prec)]
         except NumericalError as exc:
             out[mask] = exc
         for j in range(i + 1, n):

@@ -33,7 +33,7 @@ from muntz.errors import (
 from muntz.domain import _moments
 from muntz.gram import (_append_row, _dot, _factored, _grown, _inverse_block, _inverse_cut,
                         _inverse_diagonals, _smallest_eigenvalue, _substitute_forward,
-                        forward_substitution)
+                        _unit_columns, forward_substitution)
 
 from conftest import rel_err
 from oracles import gram_every_row
@@ -573,6 +573,7 @@ def test_unit_solves_equal_solve_spd(two_piece_domain):
     inv = gram_inverse(g)
     # the block readers give each column of G^-1 at and below its diagonal
     block, part = _inverse_block(g, range(10)), _inverse_block(g, [1, 4, 7])
+    column = _unit_columns(g)
     fulls = []
     for n in range(1, 11):
         with workbits(prec):
@@ -581,6 +582,8 @@ def test_unit_solves_equal_solve_spd(two_piece_domain):
         fulls.append([v._mpf_ for v in full])
         assert _same(gram_inverse_column(g, n), full)
         assert _same(inv[n - 1], full)
+        # the reader stopped at entry n - 1: the same bits from there down
+        assert column(n - 1, n - 1) == [fzero] * (n - 1) + fulls[-1][n - 1:]
         assert [block[i][n - 1] for i in range(n - 1, 10)] == fulls[-1][n - 1:]
         assert [len(row) for row in block] == list(range(1, 11))
         # (G^-1)_nn = ||L^-1 e_n||^2, the exact sum of squares rounded once
@@ -595,6 +598,25 @@ def test_unit_solves_equal_solve_spd(two_piece_domain):
     assert [v._mpf_ for v in solve_spd(g, rhs)] == want
     with pytest.raises(IndexOutOfRange):
         gram_inverse_diagonals(g, 11, [10])
+
+
+def test_readers_ignore_the_ambient_width(two_piece_domain):
+    # the readers and the inverse iteration take the section's width, not
+    # mp.prec: inside workbits(53), where the L^-1 is grown, they give the
+    # bits they give at P
+    g = gram(two_piece_domain, power_exponents(1, "0.5", 10), 10)
+    prec, idx, sizes = g.precision_bits, [1, 4, 7], [3, 7, 10]
+
+    def reads():
+        column = _unit_columns(g)
+        return ([column(k) for k in range(10)], _inverse_block(g, idx),
+                [[v._mpf_ for v in diags] for diags in _inverse_diagonals(g, sizes, range(10))],
+                _smallest_eigenvalue(_factored(g.entry_rows, prec), prec)._mpf_)
+
+    with workbits(53):
+        got = reads()
+    with workbits(prec):
+        assert got == reads()
 
 
 @pytest.mark.parametrize("family", ["squares", "linear", "sqrt"])
@@ -671,11 +693,11 @@ def test_dot_drops_and_specials_as_mpf_sum():
     assert _dot([one, tiny, mpf_neg(one)], [one] * 3, 64) == fzero
 
 
-def _inverse_columns(factor):
-    """The columns of L^-1 for the raw factor rows of L at the working
-    width, column j the forward solve of e_j from entry j down."""
+def _inverse_columns(factor, prec):
+    """The columns of L^-1 for the raw factor rows of L at ``prec``,
+    column j the forward solve of e_j from entry j down."""
     k = len(factor)
-    return [_substitute_forward(factor, [fone if i == j else fzero for i in range(k)])[j:]
+    return [_substitute_forward(factor, [fone if i == j else fzero for i in range(k)], prec)[j:]
             for j in range(k)]
 
 
@@ -686,7 +708,7 @@ def _eigenvalue_args(matrix, bits):
     with workbits(bits):
         rows = [[(+matrix[i, j])._mpf_ for j in range(i + 1)] for i in range(matrix.rows)]
         factor = _factored(rows, bits)
-        assert factor.inv_cols == _inverse_columns(factor.chol)
+        assert factor.inv_cols == _inverse_columns(factor.chol, bits)
         return factor
 
 
@@ -709,7 +731,7 @@ def test_smallest_eigenvalue_of_hilbert_matrix(bits):
         hilbert = mp.hilbert(8)
         want = min(mp.eigsy(hilbert, eigvals_only=True))
     with workbits(bits):
-        got = _smallest_eigenvalue(_eigenvalue_args(hilbert, bits))
+        got = _smallest_eigenvalue(_eigenvalue_args(hilbert, bits), bits)
     assert rel_err(got, want) < mp.mpf(2) ** (-(bits // 2))
 
 
@@ -721,7 +743,7 @@ def test_smallest_eigenvalue_repeated():
         a = _reflected([tenth, tenth, mp.mpf(1) / 2, 1, 2, 3], [1, 2, 3, -1, 2, 5], 320)
         want = min(mp.eigsy(a, eigvals_only=True))
     with workbits(256):
-        got = _smallest_eigenvalue(_eigenvalue_args(a, 256))
+        got = _smallest_eigenvalue(_eigenvalue_args(a, 256), 256)
     assert rel_err(got, Fraction(1, 10)) < mp.mpf(2) ** -128
     assert rel_err(got, want) < mp.mpf(2) ** -128
 
@@ -732,7 +754,7 @@ def test_smallest_eigenvalue_unresolved_cluster_raises():
     with workbits(256):
         a = _reflected([1 + mp.mpf(2) ** -100, mp.mpf(1), mp.mpf(3)], [1, 2, 3], 256)
         with pytest.raises(PrecisionExhausted):
-            _smallest_eigenvalue(_eigenvalue_args(a, 256))
+            _smallest_eigenvalue(_eigenvalue_args(a, 256), 256)
 
 
 def test_smallest_eigenvalue_diagonally_dominant():
@@ -741,5 +763,5 @@ def test_smallest_eigenvalue_diagonally_dominant():
         a = _reflected([mp.mpf("0.9"), mp.mpf("0.95"), mp.mpf("1.1")], [1, 20, 300], 320)
         want = min(mp.eigsy(a, eigvals_only=True))
     with workbits(256):
-        got = _smallest_eigenvalue(_eigenvalue_args(a, 256))
+        got = _smallest_eigenvalue(_eigenvalue_args(a, 256), 256)
     assert rel_err(got, want) < mp.mpf(2) ** -128

@@ -91,6 +91,18 @@ def _functions_naming(ident):
                   for name in _naming_functions(ast.parse(path.read_text()), named))
 
 
+def _names_global_width(sub):
+    return (isinstance(sub, ast.Attribute) and sub.attr == "prec"
+            and isinstance(sub.value, ast.Name) and sub.value.id == "mp")
+
+
+def test_gram_reads_no_global_width():
+    # gram's triangular kernels and readers take the width as an argument,
+    # so none gives other bits when called at another ``mp.prec``
+    assert sorted(_naming_functions(ast.parse((SRC / "gram.py").read_text()),
+                                    _names_global_width)) == []
+
+
 def test_one_function_reads_the_gram_store():
     # the factored attempts kept across calls are made at gram.py's top
     # level and read and written by ``gram`` alone

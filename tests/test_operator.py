@@ -336,8 +336,8 @@ def test_grown_block_equals_factoring_from_scratch(family):
             assert factor.rows == rows
             assert factor.chol == chol
             k = len(idx)
-            cols = [_substitute_forward(chol, [fone if i == j else fzero for i in range(k)])[j:]
-                    for j in range(k)]
+            cols = [_substitute_forward(chol, [fone if i == j else fzero for i in range(k)],
+                                        prec)[j:] for j in range(k)]
             assert factor.inv_cols == cols
             assert factor.inv_rows == [[col[i - j] for j, col in enumerate(cols[:i + 1])]
                                        for i in range(k)]
@@ -378,9 +378,9 @@ def test_sweep_raises_the_first_failing_partition_error(seed, monkeypatch):
     original = operator_module._smallest_eigenvalue
     blocks = []
 
-    def recording(a):
+    def recording(a, prec):
         blocks.append(_block_key(a.rows))
-        return original(a)
+        return original(a, prec)
 
     monkeypatch.setattr(operator_module, "_smallest_eigenvalue", recording)
     for mask in range(2 ** 4):
@@ -398,11 +398,11 @@ def test_sweep_raises_the_first_failing_partition_error(seed, monkeypatch):
         failing = {blocks[9]: (PrecisionExhausted, "N1 block"),
                    blocks[10]: (NotPositiveDefinite, "N2 block")}
 
-    def failing_on_chosen(a):
+    def failing_on_chosen(a, prec):
         if _block_key(a.rows) in failing:
             error, message = failing[_block_key(a.rows)]
             raise error(message)
-        return original(a)
+        return original(a, prec)
 
     monkeypatch.setattr(operator_module, "_smallest_eigenvalue", failing_on_chosen)
     want = _first_check_error(g)
@@ -464,10 +464,10 @@ def test_forked_sweep_raises_the_child_error(monkeypatch):
     g = gram(UNIT, power_exponents(1, 2, 4), 4)
     original = operator_module._smallest_eigenvalue
 
-    def failing_on_pairs(a):
+    def failing_on_pairs(a, prec):
         if len(a.rows) == 2:
             raise PrecisionExhausted(f"2x2 block {mp.make_mpf(a.rows[1][0])}")
-        return original(a)
+        return original(a, prec)
 
     monkeypatch.setattr(operator_module, "_smallest_eigenvalue", failing_on_pairs)
     force_sweep_forking(monkeypatch, 1)
@@ -488,10 +488,10 @@ def test_forked_sweep_recomputes_a_failed_child(monkeypatch):
     serial = _report_bits(hereditary_sweep(g))
     original, parent = operator_module._smallest_eigenvalue, os.getpid()
 
-    def failing_in_children(a):
+    def failing_in_children(a, prec):
         if os.getpid() != parent:
             raise RuntimeError("child")
-        return original(a)
+        return original(a, prec)
 
     monkeypatch.setattr(operator_module, "_smallest_eigenvalue", failing_in_children)
     for cores in (2, 4):
