@@ -12,10 +12,10 @@ below the ceiling it stops at the first row that trips the guard: the
 ratio over the leading rows can only grow as rows are added.
 
 Attempts outlive the call that made them: a bounded per-process store
-keeps the last ``MAX_STORED_SYSTEMS`` systems, each a domain's pieces
-and an exponent identity, with their attempts by width, so a later
-section of the same system, of any size, is cut from rows already
-factored or grows them, bit for bit what a fresh assembly would give.
+keeps the last ``MAX_STORED_ATTEMPTS`` attempts, each keyed by a
+domain's pieces, an exponent identity and a width, so a later section
+of the same system, of any size, is cut from rows already factored or
+grows them, bit for bit what a fresh assembly would give.
 A ``GramMatrix`` is a view, the leading rows of one attempt.  Each
 attempt also keeps one triangular inverse L^-1 of its factor, column
 by column from the diagonal down, grown on request up to the rows
@@ -30,12 +30,12 @@ sizes m), ``_inverse_rows`` (the rows of L^-1) and ``_residual``
 (G x - b).  Forked children inherit a copy of the store; a one-shot
 process gains nothing from it across reports.
 
-The raw kernels, the readers and ``_smallest_eigenvalue`` take the
-width as an argument, the section's own for the readers, and never
-read ``mp.prec``: they give the same bits inside any ``workbits``
-block.  Only the assembly in ``_Attempt.extend`` and the public
-solves, which convert non-mpf right-hand sides at the ambient width,
-still enter one.
+Every function here takes its width as an argument, the section's own
+for the readers and the public solves, and none reads or sets mpmath's
+working precision: each gives the same bits at any ambient width and
+leaves it as it was.  The assembly keeps its guard raw, and the public
+solves round a right-hand side entry that is not an mpf at the
+section's width.
 
 This module alone grows a factor, too.  A ``_Factor`` holds the raw
 lower rows of a symmetric matrix, their Cholesky rows and L^-1 by rows
@@ -50,7 +50,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
@@ -61,7 +61,7 @@ from mpmath.libmp import (fnone, fone, fzero, from_man_exp, mpf_abs, mpf_add, mp
 from .domain import WeightedDomain, _moments
 from .errors import IndexOutOfRange, NotPositiveDefinite, PrecisionExhausted, ValidationError
 from .exponents import ExponentSequence
-from .precision import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS, workbits
+from .precision import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS, to_mpf
 
 
 @dataclass(frozen=True)
@@ -176,28 +176,27 @@ def _factored(rows, prec) -> Optional[_Factor]:
     return f
 
 
-# Eight cover a process that reports on a handful of domains and exponent
-# families, each at the few widths its sections settle at; an attempt of 40
-# rows at 512 bits holds about 0.3 MB, and its grown L^-1 as much again.
-MAX_STORED_SYSTEMS = 8
-# One escalation from MIN_PRECISION_BITS to MAX_PRECISION_BITS visits seven
-# widths; a system keeps its seven most recently used.
-_WIDTHS_PER_SYSTEM = (MAX_PRECISION_BITS // MIN_PRECISION_BITS).bit_length()
-# (domain pieces, exponent identity) -> {width: _Attempt}, least recently
-# used first, both the systems and each system's widths
-_ATTEMPTS: OrderedDict[tuple, Dict[int, _Attempt]] = OrderedDict()
+# Eight systems, each escalated from MIN_PRECISION_BITS to MAX_PRECISION_BITS
+# through seven widths, cover a process that reports on a handful of domains and
+# exponent families; an attempt of 40 rows at 512 bits holds about 0.3 MB, and
+# its grown L^-1 as much again.
+MAX_STORED_ATTEMPTS = 56
+# (domain pieces, exponent identity, width) -> _Attempt, least recently used first
+_ATTEMPTS: OrderedDict[tuple, _Attempt] = OrderedDict()
 
 
 @dataclass
 class _Attempt:
     """The rows one width has assembled and factored so far for one domain
     and exponent sequence: raw entry and factor rows, the running
-    condition estimate after each row, and the exponents at that width
-    (at least one per row).  ``trip`` is the first row whose estimate
-    exceeded 2**(P/2), and ``pivot`` the row whose pivot failed; no row
-    follows a failed pivot.  ``inverse`` holds the columns of L^-1 over
-    as many leading rows as a section has asked for, each from its
-    diagonal entry down."""
+    condition estimate after each row as an mpf, the square of the ratio
+    of the extreme factor diagonal entries so far, each step rounded once
+    at the width, and the exponents at that width (at least one per
+    row).  ``trip`` is the first row whose estimate exceeded 2**(P/2),
+    and ``pivot`` the row whose pivot failed; no row follows a failed
+    pivot.  ``inverse`` holds the columns of L^-1 over as many leading
+    rows as a section has asked for, each from its diagonal entry
+    down."""
 
     entry_rows: List[List[tuple]] = field(default_factory=list)
     chol_rows: List[List[tuple]] = field(default_factory=list)
@@ -213,24 +212,26 @@ class _Attempt:
         stopping at a failed pivot, and below the ceiling at the row that
         trips the guard: the estimate over the leading rows only grows."""
         self.lams = lam.values_at(bits, n)
-        with workbits(bits):
-            moment = _moments(wd.pieces, self.lams, bits)
-            limit = mp.mpf(2) ** (bits // 2)
-            diag = [mp.make_mpf(row[i]) for i, row in enumerate(self.chol_rows)]
-            hi, lo = max(diag, default=None), min(diag, default=None)
-            for i in range(len(self.chol_rows), n):
-                row = [moment(i, j) for j in range(i + 1)]
-                if not _append_row(self.chol_rows, row, bits):
-                    self.pivot = i
+        moment = _moments(wd.pieces, self.lams, bits)
+        limit = mpf_shift(fone, bits // 2)
+        diag = [row[i] for i, row in enumerate(self.chol_rows)]
+        hi = max(diag, default=None, key=mp.make_mpf)
+        lo = min(diag, default=None, key=mp.make_mpf)
+        for i in range(len(self.chol_rows), n):
+            row = [moment(i, j) for j in range(i + 1)]
+            if not _append_row(self.chol_rows, row, bits):
+                self.pivot = i
+                return
+            d = self.chol_rows[i][i]
+            hi = d if i == 0 or mpf_gt(d, hi) else hi
+            lo = d if i == 0 or mpf_lt(d, lo) else lo
+            ratio = mpf_div(hi, lo, bits, round_nearest)
+            self.entry_rows.append(row)
+            self.conds.append(mp.make_mpf(mpf_mul(ratio, ratio, bits, round_nearest)))
+            if self.trip is None and mpf_gt(self.conds[i]._mpf_, limit):
+                self.trip = i
+                if not at_ceiling:
                     return
-                d = mp.make_mpf(self.chol_rows[i][i])
-                hi, lo = (d, d) if i == 0 else (max(hi, d), min(lo, d))
-                self.entry_rows.append(row)
-                self.conds.append((hi / lo) ** 2)
-                if self.trip is None and self.conds[i] > limit:
-                    self.trip = i
-                    if not at_ceiling:
-                        return
 
 
 def _exponent_identity(lam: ExponentSequence) -> tuple:
@@ -261,19 +262,20 @@ def gram(
     NotPositiveDefinite when a pivot failed, PrecisionExhausted otherwise.
 
     Attempts are kept in a per-process store of the last
-    ``MAX_STORED_SYSTEMS`` systems, least recently used dropped first,
-    each keyed by the domain's pieces and the exponents' identity (the
-    exact list, or the generator's c and beta) and holding its attempts
-    by width.  A later call on the same system cuts its section from the
-    stored rows of a width when they already pass, moves on to the next
-    width with no arithmetic when a stored trip or failed pivot lies
-    below n, and otherwise appends rows from where the stored ones stop.
-    Row i depends only on the exponents up to i, so every result, error
-    and message is bit for bit that of a cold call, and the section, a
-    view of the attempt's leading n rows, carries the caller's own
-    ``lam`` and ``wd``.  An attempt is out of the store while it is
-    extended, so one whose extension raises is dropped.  Forked children
-    get a copy of the store; a one-shot process gains nothing from it.
+    ``MAX_STORED_ATTEMPTS`` attempts, least recently used dropped first,
+    each keyed by the domain's pieces, the exponents' identity (the
+    exact list, or the generator's c and beta) and its width; each width
+    a call visits becomes the most recently used.  A later call on the
+    same system cuts its section from the stored rows of a width when
+    they already pass, moves on to the next width with no arithmetic
+    when a stored trip or failed pivot lies below n, and otherwise
+    appends rows from where the stored ones stop.  Row i depends only on
+    the exponents up to i, so every result, error and message is bit for
+    bit that of a cold call, and the section, a view of the attempt's
+    leading n rows, carries the caller's own ``lam`` and ``wd``.  An
+    attempt is out of the store while it is extended, so one whose
+    extension raises is dropped.  Forked children get a copy of the
+    store; a one-shot process gains nothing from it.
     """
     if not 1 <= n <= len(lam):
         raise ValidationError(f"section size {n} outside 1..{len(lam)}")
@@ -283,35 +285,29 @@ def gram(
         raise ValidationError("max_precision_bits below precision_bits")
 
     system = (wd.pieces, _exponent_identity(lam))
-    attempts = _ATTEMPTS.pop(system, None) or {}
     bits = precision_bits
-    try:
-        while True:
-            at_ceiling = bits >= max_precision_bits
-            attempt = attempts.pop(bits, None) or _Attempt()
-            if (len(attempt.chol_rows) < n and attempt.pivot is None
-                    and (attempt.trip is None or at_ceiling)):
-                attempt.extend(wd, lam, n, bits, at_ceiling)
-            attempts[bits] = attempt
-            if len(attempts) > _WIDTHS_PER_SYSTEM:
-                del attempts[next(iter(attempts))]
-            # the attempt now has n rows, or stops below n at a failed pivot or a trip
-            failure = ("factorization" if attempt.pivot is not None and attempt.pivot < n
-                       else "condition" if attempt.trip is not None and attempt.trip < n
-                       else None)
-            if failure is None:
-                return GramMatrix(attempt, n, bits, lam, wd)
-            if at_ceiling:
-                if failure == "factorization":
-                    raise NotPositiveDefinite(f"Cholesky failed at {bits} bits; "
-                                              "matrix numerically singular")
-                raise PrecisionExhausted(f"condition estimate exceeds 2**({bits}/2) "
-                                         "at the precision ceiling")
-            bits = min(bits * 2, max_precision_bits)
-    finally:
-        _ATTEMPTS[system] = attempts
-        if len(_ATTEMPTS) > MAX_STORED_SYSTEMS:
+    while True:
+        at_ceiling = bits >= max_precision_bits
+        attempt = _ATTEMPTS.pop((*system, bits), None) or _Attempt()
+        if (len(attempt.chol_rows) < n and attempt.pivot is None
+                and (attempt.trip is None or at_ceiling)):
+            attempt.extend(wd, lam, n, bits, at_ceiling)
+        _ATTEMPTS[(*system, bits)] = attempt
+        if len(_ATTEMPTS) > MAX_STORED_ATTEMPTS:
             _ATTEMPTS.popitem(last=False)
+        # the attempt now has n rows, or stops below n at a failed pivot or a trip
+        failure = ("factorization" if attempt.pivot is not None and attempt.pivot < n
+                   else "condition" if attempt.trip is not None and attempt.trip < n
+                   else None)
+        if failure is None:
+            return GramMatrix(attempt, n, bits, lam, wd)
+        if at_ceiling:
+            if failure == "factorization":
+                raise NotPositiveDefinite(f"Cholesky failed at {bits} bits; "
+                                          "matrix numerically singular")
+            raise PrecisionExhausted(f"condition estimate exceeds 2**({bits}/2) "
+                                     "at the precision ceiling")
+        bits = min(bits * 2, max_precision_bits)
 
 
 def leading_section(g: GramMatrix, m: int) -> GramMatrix:
@@ -468,19 +464,6 @@ def _inverse_row(row, cols, prec) -> List[tuple]:
              for j, col in enumerate(cols)] + [mpf_div(fone, row[k], prec, round_nearest)])
 
 
-def _grow_inverse(cols, factor, n, prec) -> None:
-    """Grow the columns ``cols`` of L^-1, column j from entry j down, in
-    place to the first n rows of the raw factor rows ``factor``, one
-    ``_inverse_row`` per row.  Each row is computed before any column
-    takes an entry of it, so an interrupt leaves the columns a whole
-    number of rows long."""
-    for k in range(len(cols), n):
-        row = _inverse_row(factor[k], cols, prec)
-        for col, v in zip(cols, row):
-            col.append(v)
-        cols.append([row[-1]])
-
-
 def _trace(cols, prec) -> tuple:
     """||L^-1||_F^2 = tr((L L^T)^-1) from the columns of L^-1: each
     column's sum of squares rounded once, then summed with one rounding."""
@@ -553,11 +536,6 @@ def _unit(v, prec) -> List[tuple]:
     return [mpf_mul(a, scale, prec, round_nearest) for a in v]
 
 
-def _raw(values) -> List[tuple]:
-    # mp.convert is exact for ints and floats, as the mpf operators are
-    return [v._mpf_ if isinstance(v, mpmath.mpf) else mp.convert(v)._mpf_ for v in values]
-
-
 def _mpfs(raw) -> List[mpmath.mpf]:
     return [mp.make_mpf(v) for v in raw]
 
@@ -565,20 +543,18 @@ def _mpfs(raw) -> List[mpmath.mpf]:
 def _checked_rhs(g: GramMatrix, rhs: List[mpmath.mpf]) -> List[tuple]:
     if len(rhs) != g.n:
         raise ValidationError(f"right-hand side has length {len(rhs)}, expected {g.n}")
-    return _raw(rhs)
+    return [(v if isinstance(v, mpmath.mpf) else to_mpf(v, g.precision_bits))._mpf_ for v in rhs]
 
 
 def forward_substitution(g: GramMatrix, rhs: List[mpmath.mpf]) -> List[mpmath.mpf]:
     """Solve chol * y = rhs against the section's factor."""
-    with workbits(g.precision_bits):
-        return _mpfs(_substitute_forward(g.chol_rows, _checked_rhs(g, rhs), g.precision_bits))
+    return _mpfs(_substitute_forward(g.chol_rows, _checked_rhs(g, rhs), g.precision_bits))
 
 
 def solve_spd(g: GramMatrix, rhs: List[mpmath.mpf]) -> List[mpmath.mpf]:
     """Solve entries * x = rhs by two triangular solves against the factor."""
     rows, bits = g.chol_rows, g.precision_bits
-    with workbits(bits):
-        y = _substitute_forward(rows, _checked_rhs(g, rhs), bits)
+    y = _substitute_forward(rows, _checked_rhs(g, rhs), bits)
     return _mpfs(_substitute_back(rows, _columns_below(rows), y, bits))
 
 
@@ -590,8 +566,13 @@ def _inverse_cut(g: GramMatrix) -> List[List[tuple]]:
     that forks takes the cut first, so that the inverse is grown once, in
     this process."""
     n, cols = g.n, g._attempt.inverse
-    if len(cols) < n:
-        _grow_inverse(cols, g._attempt.chol_rows, n, g.precision_bits)
+    # each row is computed whole before any column takes an entry of it, so
+    # an interrupt leaves the columns a whole number of rows long
+    for k in range(len(cols), n):
+        row = _inverse_row(g._attempt.chol_rows[k], cols, g.precision_bits)
+        for col, v in zip(cols, row):
+            col.append(v)
+        cols.append([row[-1]])
     return [col[:n - j] for j, col in enumerate(cols[:n])]
 
 

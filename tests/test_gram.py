@@ -1,6 +1,7 @@
 import importlib
 import os
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,10 +23,12 @@ from muntz import (
     leading_sections,
     power_exponents,
     solve_spd,
+    to_mpf,
     workbits,
 )
 from muntz.errors import (
     IndexOutOfRange,
+    NotANumber,
     NotPositiveDefinite,
     PrecisionExhausted,
     ValidationError,
@@ -406,6 +409,7 @@ def test_stored_attempts_give_what_a_cold_gram_gives(requests):
         lam = power_exponents(*FAMILIES[family], n + spare)
         args = (wd, lam, n, bits, bits << doublings)
         got = _outcome(*args)
+        assert len(GRAM_MODULE._ATTEMPTS) <= GRAM_MODULE.MAX_STORED_ATTEMPTS
         assert got == _cold(_outcome, *args)
         if len(got) > 2:
             # column j of the cut is the forward solve of e_j, from entry j
@@ -418,7 +422,7 @@ def test_stored_attempts_give_what_a_cold_gram_gives(requests):
 def test_the_benchmark_systems_stay_stored(monkeypatch):
     # the six systems of the benchmark's two domains and three families at
     # N = 40 hold ten attempts, as linear and sqrt escalate to 512 bits;
-    # the store keeps every system, so a second pass assembles no row
+    # the store keeps every attempt, so a second pass assembles no row
     factored = []
 
     def counting(factor, row, prec):
@@ -430,7 +434,7 @@ def test_the_benchmark_systems_stay_stored(monkeypatch):
                for pieces in PIECES for family in sorted(FAMILIES)]
     for wd, lam in systems:
         gram(wd, lam, 40, 256, 4096)
-    assert sum(len(attempts) for attempts in GRAM_MODULE._ATTEMPTS.values()) == 10
+    assert len(GRAM_MODULE._ATTEMPTS) == 10
     assert factored
     factored.clear()
     for wd, lam in systems:
@@ -439,14 +443,15 @@ def test_the_benchmark_systems_stay_stored(monkeypatch):
 
 
 def test_a_section_outlives_its_store_slot(two_piece_domain):
-    # g's system is pushed out of the store by eight others; g still reads
-    # its own attempt, and gives what a cold store gives
+    # g's attempt is pushed out of the store by as many others as it
+    # holds; g still reads its own attempt, and gives what a cold store
+    # gives
     lam = power_exponents(1, "0.5", 12)
     g = gram(two_piece_domain, lam, 12)
-    (system,) = GRAM_MODULE._ATTEMPTS
-    for k in range(GRAM_MODULE.MAX_STORED_SYSTEMS):
+    (key,) = GRAM_MODULE._ATTEMPTS
+    for k in range(GRAM_MODULE.MAX_STORED_ATTEMPTS):
         gram(two_piece_domain, explicit_exponents([k + 1]), 1)
-    assert system not in GRAM_MODULE._ATTEMPTS
+    assert key not in GRAM_MODULE._ATTEMPTS
     cold = _cold(gram, two_piece_domain, lam, 12)
     assert cold._attempt is not g._attempt
     assert g.entry_rows == cold.entry_rows and g.chol_rows == cold.chol_rows
@@ -455,24 +460,38 @@ def test_a_section_outlives_its_store_slot(two_piece_domain):
     assert dual_family(g) == dual_family(cold)
 
 
-def test_the_least_recently_used_system_is_dropped(unit_domain):
-    # ten systems through a store of eight: the first and the third are
-    # dropped, while the second, asked again after the eighth, is kept
-    lams = [explicit_exponents([k + 1]) for k in range(10)]
-    for lam in lams[:8] + [lams[1]] + lams[8:]:
-        gram(unit_domain, lam, 1)
-    kept = [identity for _, identity in GRAM_MODULE._ATTEMPTS]
-    assert kept == [("list", lam.raw) for lam in lams[3:8] + [lams[1]] + lams[8:]]
-
-
-def test_a_system_keeps_its_seven_latest_widths(unit_domain):
-    # one escalation from 64 to 4096 bits visits seven widths, so a system
-    # asked at eight keeps the seven asked last
+def test_the_least_recently_used_attempt_is_dropped(unit_domain, monkeypatch):
+    # one bound over every attempt, whatever its system or width: through
+    # a store of four, two widths of one system interleaved with four
+    # other systems keep the width asked again and drop the oldest ones
+    monkeypatch.setattr(GRAM_MODULE, "MAX_STORED_ATTEMPTS", 4)
     lam = power_exponents(1, 2, 4)
-    for bits in range(64, 128, 8):
-        gram(unit_domain, lam, 4, bits, bits)
-    (attempts,) = GRAM_MODULE._ATTEMPTS.values()
-    assert list(attempts) == list(range(72, 128, 8))
+    others = [explicit_exponents([k + 1]) for k in range(4)]
+    for system, bits in [(lam, 64), (lam, 128), (others[0], 256), (lam, 64),
+                         *((other, 256) for other in others[1:])]:
+        gram(unit_domain, system, len(system), bits, bits)
+    assert list(GRAM_MODULE._ATTEMPTS) == [
+        (unit_domain.pieces, GRAM_MODULE._exponent_identity(system), bits)
+        for system, bits in [(lam, 64), *((other, 256) for other in others[1:])]]
+
+
+def test_an_attempt_whose_extension_raises_is_dropped(unit_domain, monkeypatch):
+    # an attempt is out of the store while it is extended, so an attempt
+    # of four rows interrupted at its seventh leaves no rows behind
+    lam = power_exponents(1, 2, 8)
+    gram(unit_domain, lam, 4)
+    factored = []
+
+    def interrupted(factor, row, prec):
+        if len(factored) == 2:
+            raise KeyboardInterrupt
+        factored.append(prec)
+        return _append_row(factor, row, prec)
+
+    monkeypatch.setattr(GRAM_MODULE, "_append_row", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        gram(unit_domain, lam, 8)
+    assert list(GRAM_MODULE._ATTEMPTS) == []
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -500,8 +519,8 @@ def test_forking_callers_grow_the_stored_inverse_first(caller, n, monkeypatch):
     use_cores(monkeypatch, 2)
     assert call(g) == serial
     assert grown == [n]
-    (attempts,) = GRAM_MODULE._ATTEMPTS.values()
-    assert attempts[g.precision_bits].inverse is g._attempt.inverse
+    (attempt,) = GRAM_MODULE._ATTEMPTS.values()
+    assert attempt.inverse is g._attempt.inverse
     assert_no_children()
 
 
@@ -600,23 +619,51 @@ def test_unit_solves_equal_solve_spd(two_piece_domain):
         gram_inverse_diagonals(g, 11, [10])
 
 
+# right-hand sides of ints, floats, decimal strings and Fractions
+RHS_KINDS = [list(range(1, 11)), [(k + 1) / 3 for k in range(10)],
+             [f"0.{k + 1}" for k in range(10)], [Fraction(k + 1, 7) for k in range(10)]]
+
+
 def test_readers_ignore_the_ambient_width(two_piece_domain):
-    # the readers and the inverse iteration take the section's width, not
-    # mp.prec: inside workbits(53), where the L^-1 is grown, they give the
-    # bits they give at P
+    # the assembly, the readers, the public solves and the inverse
+    # iteration take their width as an argument, not mp.prec: inside
+    # workbits(53), where a cold gram escalates from 64 bits and the L^-1
+    # is grown, they give the bits they give at P and leave mp.prec as it
+    # was.  A right-hand side entry that is not an mpf is rounded at the
+    # section's width, and a bool or a non-finite one is not a number
     g = gram(two_piece_domain, power_exponents(1, "0.5", 10), 10)
     prec, idx, sizes = g.precision_bits, [1, 4, 7], [3, 7, 10]
 
-    def reads():
-        column = _unit_columns(g)
-        return ([column(k) for k in range(10)], _inverse_block(g, idx),
-                [[v._mpf_ for v in diags] for diags in _inverse_diagonals(g, sizes, range(10))],
-                _smallest_eigenvalue(_factored(g.entry_rows, prec), prec)._mpf_)
+    def cold_escalated():
+        cold = _cold(gram, two_piece_domain, power_exponents(1, 1, 20), 20, 64)
+        return cold.entry_rows, cold.chol_rows, cold.cond_estimate._mpf_, cold.precision_bits
 
-    with workbits(53):
-        got = reads()
-    with workbits(prec):
-        assert got == reads()
+    def columns():
+        column = _unit_columns(g)
+        return [column(k) for k in range(10)]
+
+    calls = [cold_escalated, columns, lambda: _inverse_block(g, idx),
+             lambda: [[v._mpf_ for v in diags] for diags in _inverse_diagonals(g, sizes, range(10))],
+             lambda: _smallest_eigenvalue(_factored(g.entry_rows, prec), prec)._mpf_,
+             *(lambda solve=solve, rhs=rhs: [v._mpf_ for v in solve(g, rhs)]
+               for solve in (solve_spd, forward_substitution) for rhs in RHS_KINDS)]
+
+    def reads(width):
+        got = []
+        for call in calls:
+            with workbits(width):
+                got.append(call())
+                assert mp.prec == width
+        return got
+
+    got = reads(53)
+    assert got[0][-1] > 64
+    assert got == reads(prec)
+    for rhs in RHS_KINDS:
+        assert solve_spd(g, rhs) == solve_spd(g, [to_mpf(v, prec) for v in rhs])
+    for solve, bad in product((solve_spd, forward_substitution), (True, "inf")):
+        with pytest.raises(NotANumber):
+            solve(g, [bad] + [1] * 9)
 
 
 @pytest.mark.parametrize("family", ["squares", "linear", "sqrt"])

@@ -92,13 +92,18 @@ def _functions_naming(ident):
 
 
 def _names_global_width(sub):
+    # ``mp.prec``, or ``workbits``, which sets it
     return (isinstance(sub, ast.Attribute) and sub.attr == "prec"
-            and isinstance(sub.value, ast.Name) and sub.value.id == "mp")
+            and isinstance(sub.value, ast.Name) and sub.value.id == "mp"
+            or isinstance(sub, ast.Name) and sub.id == "workbits"
+            or isinstance(sub, ast.Attribute) and sub.attr == "workbits"
+            or isinstance(sub, ast.alias) and sub.name == "workbits")
 
 
 def test_gram_reads_no_global_width():
-    # gram's triangular kernels and readers take the width as an argument,
-    # so none gives other bits when called at another ``mp.prec``
+    # every function of gram.py takes its width as an argument and neither
+    # reads ``mp.prec`` nor sets it through ``workbits``, so none gives
+    # other bits when called at another ambient width
     assert sorted(_naming_functions(ast.parse((SRC / "gram.py").read_text()),
                                     _names_global_width)) == []
 
@@ -154,8 +159,8 @@ def test_every_private_helper_has_a_library_caller():
 # the layout of a factored attempt: its class, a section's field naming it,
 # the helpers that read its rows, its symmetric entries and its L^-1
 # column by column, and the row steps that grow a factor and its L^-1
-FACTOR_LAYOUT = {"_Attempt", "_attempt", "_columns_below", "_substitute_back", "_grow_inverse",
-                 "_inverse_cut", "_full_rows", "_append_row", "_inverse_row", "_trace"}
+FACTOR_LAYOUT = {"_Attempt", "_attempt", "_columns_below", "_substitute_back", "_inverse_cut",
+                 "_full_rows", "_append_row", "_inverse_row", "_trace"}
 
 
 def test_factor_layout_is_read_in_gram_only():
