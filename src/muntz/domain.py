@@ -32,7 +32,6 @@ from .precision import (
     frac_str,
     mpf_from_fraction,
     to_fraction,
-    workbits,
 )
 
 
@@ -183,14 +182,13 @@ def power_moment(wd: WeightedDomain, s: Real, precision_bits: Optional[int] = No
     coeff * (hi**(s+power+1) - lo**(s+power+1)) / (s+power+1) per piece.
     """
     bits = precision_bits or wd.precision_bits
-    with workbits(bits):
-        if isinstance(s, mpmath.mpf):
-            s_m = s
-        else:
-            s_m = mpf_from_fraction(to_fraction(s), bits)
-        if s_m < 0:
-            raise ValidationError(f"moment order s = {s_m} must be nonnegative")
-        return mp.make_mpf(_moments(wd.pieces, [s_m, mp.zero], bits)(0, 1))
+    if isinstance(s, mpmath.mpf):
+        s_m = s
+    else:
+        s_m = mpf_from_fraction(to_fraction(s), bits)
+    if s_m < 0:
+        raise ValidationError(f"moment order s = {s_m} must be nonnegative")
+    return mp.make_mpf(_moments(wd.pieces, [s_m, mp.zero], bits)(0, 1))
 
 
 def domain_from_json(obj: dict, precision_bits: int = DEFAULT_PRECISION_BITS) -> WeightedDomain:

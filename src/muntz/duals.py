@@ -127,10 +127,9 @@ def dual_family(g: GramMatrix) -> DualFamily:
 
     results = _forked_map(columns, n, _MIN_CHUNK_COLUMNS)
     inv = [_mpfs(result[:n]) for result in results]
-    with workbits(prec):
-        norms = tuple(mp.sqrt(inv[k][k]) for k in range(n))
-        distances = tuple(1 / v for v in norms)
-        residual = max(mp.make_mpf(result[n]) for result in results)
+    norms = tuple(mp.sqrt(inv[k][k], prec=prec) for k in range(n))
+    distances = tuple(mp.fdiv(1, v, prec=prec) for v in norms)
+    residual = max(mp.make_mpf(result[n]) for result in results)
     return DualFamily(
         coeffs=inv,
         norms=norms,

@@ -377,9 +377,9 @@ def _columns_below(rows) -> List[List[tuple]]:
 MAX_INVERSE_ITERATIONS = 400
 
 
-def _smallest_eigenvalue(a: _Factor, prec: int) -> mpmath.mpf:
+def _smallest_eigenvalue(a: _Factor, prec: int) -> tuple:
     """The smallest eigenvalue of the symmetric positive-definite A of the
-    factor ``a``, by shifted inverse iteration at the width P = ``prec``.
+    factor ``a``, raw, by shifted inverse iteration at the width P = ``prec``.
 
     The shift c is (1 - 2**-8) times the larger of two lower bounds on
     lambda_min: 1/tr(A^-1), with tr(A^-1) = ||L^-1||_F^2 from the
@@ -446,8 +446,7 @@ def _smallest_eigenvalue(a: _Factor, prec: int) -> mpmath.mpf:
     else:
         raise PrecisionExhausted(f"inverse iteration unconverged after "
                                  f"{MAX_INVERSE_ITERATIONS} steps at {prec} bits")
-    return mp.make_mpf(mpf_add(shift, mpf_div(fone, mu, prec, round_nearest), prec,
-                               round_nearest))
+    return mpf_add(shift, mpf_div(fone, mu, prec, round_nearest), prec, round_nearest)
 
 
 def _inverse_row(row, cols, prec) -> List[tuple]:

@@ -82,14 +82,13 @@ def build_moment_data(
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> MomentData:
     a, c = fit_growth(d, lam, precision_bits)
-    with workbits(precision_bits):
-        dv = tuple(to_mpf(x, precision_bits) for x in d)
-        return MomentData(
-            d=dv,
-            fitted_a=a,
-            fitted_c=c,
-            growth_ok=a < wd.r_a,
-        )
+    dv = tuple(to_mpf(x, precision_bits) for x in d)
+    return MomentData(
+        d=dv,
+        fitted_a=a,
+        fitted_c=c,
+        growth_ok=a < wd.r_a,
+    )
 
 
 def solve_moments(g: GramMatrix, data: MomentData) -> Tuple[MuntzSeries, List[mpmath.mpf]]:

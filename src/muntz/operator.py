@@ -16,16 +16,23 @@ mixed system (each function scaled to unit norm) as a map from l2 into
 L2_w(A): the square root of the smaller lambda_min of the two
 Jacobi-scaled principal blocks.  It does not depend on how the powers
 are scaled.
+
+Everything here computes at the section's width, ``precision_bits``,
+passed to each step, and none of it reads or sets mpmath's working
+precision: each function gives the same bits at any ambient width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from functools import reduce
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import mpf_mul, mpf_sum, round_nearest
+from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul,
+                          mpf_shift, mpf_sqrt, mpf_sub, mpf_sum, prec_to_dps, round_nearest,
+                          to_str)
 
 from .domain import _powers
 from .errors import (
@@ -41,8 +48,8 @@ from .errors import (
 )
 from .exponents import ExponentSequence
 from .gram import (GramMatrix, _Factor, _grown, _inverse_block, _mpfs, _smallest_eigenvalue,
-                   gram_inverse, solve_spd)
-from .precision import DEFAULT_PRECISION_BITS, Real, to_int, to_mpf, workbits
+                   _unit_columns, solve_spd)
+from .precision import DEFAULT_PRECISION_BITS, Real, to_int, to_mpf
 from .series import MuntzSeries, _Result, _forked_map, evaluate
 
 
@@ -115,11 +122,12 @@ def _validate_against(spec: OperatorSpec, g: GramMatrix) -> Tuple[mpmath.mpf, ..
             raise ZeroEigenvalue("multipliers must be nonzero")
     if len(set(u)) != len(u):
         raise DuplicateEigenvalue("multipliers must be pairwise distinct")
-    bounds = _mpfs(_powers(spec.rho._mpf_, [lam_n._mpf_ for lam_n in g.lams], g.precision_bits))
-    with workbits(g.precision_bits):
-        for v, bound in zip(u, bounds):
-            if abs(v) > bound:
-                raise BoundViolation(f"|u| = {abs(v)} exceeds rho**lam = {bound}")
+    bounds = _powers(spec.rho._mpf_, [lam_n._mpf_ for lam_n in g.lams], g.precision_bits)
+    for v, bound in zip(u, bounds):
+        if mpf_gt(mpf_abs(v._mpf_), bound):
+            # printed as str() prints an mpf at the section's width
+            shown = [to_str(x, prec_to_dps(g.precision_bits)) for x in (mpf_abs(v._mpf_), bound)]
+            raise BoundViolation(f"|u| = {shown[0]} exceeds rho**lam = {shown[1]}")
     return u
 
 
@@ -128,9 +136,9 @@ def finite_sections(spec: OperatorSpec, g: GramMatrix) -> List[List[mpmath.mpf]]
     one solve per column of diag(u) G through the stored factorization.
     The operator's own section is diag(u)."""
     u = _validate_against(spec, g)
-    n, entries = g.n, g.entries()
-    with workbits(g.precision_bits):
-        columns = [solve_spd(g, [u[i] * entries[i][j] for i in range(n)]) for j in range(n)]
+    n, entries, bits = g.n, g.entries(), g.precision_bits
+    columns = [solve_spd(g, [mp.fmul(u[i], entries[i][j], prec=bits) for i in range(n)])
+               for j in range(n)]
     return [list(row) for row in zip(*columns)]
 
 
@@ -154,44 +162,50 @@ def eigen_check(spec: OperatorSpec, g: GramMatrix) -> EigenReport:
     finite-rank sections converge.
     """
     adj_rows = finite_sections(spec, g)
-    n = g.n
-    bits = g.precision_bits
-    with workbits(bits):
-        u = spec.u[:n]
-        tol = mp.mpf(2) ** (-(bits // 2))
-        worst = mp.mpf(0)
-        adj_raw = [[v._mpf_ for v in row] for row in adj_rows]
-        for k, col in enumerate(gram_inverse(g), 1):
-            scale = max(abs(v) for v in col) * abs(u[k - 1]) + 1
-            col_raw = [v._mpf_ for v in col]
-            for i in range(n):
-                # mp.fsum of the rounded products a * c, on raw values
-                got = mp.make_mpf(mpf_sum([mpf_mul(a, c, bits, round_nearest)
-                                           for a, c in zip(adj_raw[i], col_raw)],
-                                          bits, round_nearest))
-                resid = abs(got - u[k - 1] * col[i]) / scale
-                if resid > worst:
-                    worst = resid
-        adjoint_ok = worst < tol
+    n, bits = g.n, g.precision_bits
+    u = [v._mpf_ for v in spec.u[:n]]
+    adj = [[v._mpf_ for v in row] for row in adj_rows]
+    column = _unit_columns(g)
+    worst = fzero
+    for k in range(n):
+        col = column(k)
+        scale = mpf_add(mpf_mul(_largest(map(mpf_abs, col)), mpf_abs(u[k]), bits, round_nearest),
+                        fone, bits, round_nearest)
+        for i in range(n):
+            # mp.fsum of the rounded products a * c
+            got = mpf_sum([mpf_mul(a, c, bits, round_nearest) for a, c in zip(adj[i], col)],
+                          bits, round_nearest)
+            resid = mpf_sub(got, mpf_mul(u[k], col[i], bits, round_nearest), bits, round_nearest)
+            resid = mpf_div(mpf_abs(resid), scale, bits, round_nearest)
+            if mpf_gt(resid, worst):
+                worst = resid
 
-        # (M adj - adj M)_ij for M = diag(u), without the two dense products
-        defect = max(abs(u[i] * row[j] - row[j] * u[j]) for i, row in enumerate(adj_rows)
-                     for j in range(n))
+    # (M adj - adj M)_ij for M = diag(u), without the two dense products
+    defect = _largest(mpf_abs(mpf_sub(mpf_mul(u[i], row[j], bits, round_nearest),
+                                      mpf_mul(row[j], u[j], bits, round_nearest),
+                                      bits, round_nearest))
+                      for i, row in enumerate(adj) for j in range(n))
 
-        q = 2 * spec.rho / (1 + spec.rho)
-        powers = _mpfs(_powers(q._mpf_, [lam_k._mpf_ for lam_k in g.lams[1:]], bits))
-        tails = tuple((m_cut, mp.fsum(powers[m_cut:])) for m_cut in range(n - 1))
-        decay_ok = all(
-            b < a and b / a <= q for (_, a), (_, b) in zip(tails, tails[1:])
-        )
+    rho = spec.rho._mpf_
+    q = mpf_div(mpf_shift(rho, 1), mpf_add(rho, fone, bits, round_nearest), bits, round_nearest)
+    powers = _powers(q, [lam_k._mpf_ for lam_k in g.lams[1:]], bits)
+    tails = [(m_cut, mpf_sum(powers[m_cut:], bits, round_nearest)) for m_cut in range(n - 1)]
+    decay_ok = all(mpf_lt(b, a) and mpf_le(mpf_div(b, a, bits, round_nearest), q)
+                   for (_, a), (_, b) in zip(tails, tails[1:]))
 
-        return EigenReport(
-            adjoint_eigen_ok=adjoint_ok,
-            normality_defect=defect,
-            tail_bounds=tails,
-            tail_decay_ok=decay_ok,
-            max_adjoint_residual=worst,
-        )
+    return EigenReport(
+        adjoint_eigen_ok=mpf_lt(worst, mpf_shift(fone, -(bits // 2))),
+        normality_defect=mp.make_mpf(defect),
+        tail_bounds=tuple((m_cut, mp.make_mpf(t)) for m_cut, t in tails),
+        tail_decay_ok=decay_ok,
+        max_adjoint_residual=mp.make_mpf(worst),
+    )
+
+
+def _largest(values: Iterable[tuple]) -> tuple:
+    """The first largest of non-empty raw mpf values, compared exactly, as
+    ``max`` of their mpfs gives it."""
+    return reduce(lambda best, v: v if mpf_gt(v, best) else best, values)
 
 
 def apply(spec: OperatorSpec, s: MuntzSeries) -> MuntzSeries:
@@ -203,8 +217,8 @@ def apply(spec: OperatorSpec, s: MuntzSeries) -> MuntzSeries:
         raise LengthMismatch(
             f"{len(spec.u)} multipliers cannot act on {len(s.coeffs)} coefficients"
         )
-    with workbits(s.precision_bits):
-        new_coeffs = tuple(u_n * a for u_n, a in zip(spec.u, s.coeffs))
+    new_coeffs = tuple(mp.fmul(u_n, a, prec=s.precision_bits)
+                       for u_n, a in zip(spec.u, s.coeffs))
     return MuntzSeries(
         lam_ref=s.lam_ref,
         coeffs=new_coeffs,
@@ -219,13 +233,13 @@ def apply_demo(spec: OperatorSpec, g: GramMatrix) -> List[dict]:
     agree to rounding."""
     bits, radius = g.precision_bits, g.domain.r_a
     rows = []
-    with workbits(bits):
-        ones = MuntzSeries(g.lam, tuple(mp.mpf(1) for _ in range(g.n)), radius, bits)
-        acted = apply(spec, ones)
-        for q in ("0.25", "0.5", "0.75"):
-            x = radius * mp.mpf(q)
-            tf, f = evaluate(acted, x), evaluate(ones, x * spec.rho)
-            rows.append({"x": x, "Tf_x": tf, "f_rho_x": f, "abs_diff": abs(tf - f)})
+    ones = MuntzSeries(g.lam, tuple(mp.mpf(1) for _ in range(g.n)), radius, bits)
+    acted = apply(spec, ones)
+    for q in ("0.25", "0.5", "0.75"):
+        x = mp.fmul(radius, q, prec=bits)
+        tf, f = evaluate(acted, x), evaluate(ones, mp.fmul(x, spec.rho, prec=bits))
+        diff = mp.make_mpf(mpf_abs(mp.fsub(tf, f, prec=bits)._mpf_))
+        rows.append({"x": x, "Tf_x": tf, "f_rho_x": f, "abs_diff": diff})
     return rows
 
 
@@ -269,90 +283,89 @@ def hereditary_check(
         raise BadPartition(
             f"index sets {n1} and {n2} must split 1..{g.n} disjointly"
         )
-    with workbits(g.precision_bits):
-        rows = g.entry_rows
-        powers = _block_spectrum([[rows[i - 1][j - 1] for j in n1[:a + 1]]
-                                  for a, i in enumerate(n1)]) if n1 else None
-        duals = _block_spectrum(_inverse_block(g, [j - 1 for j in n2])) if n2 else None
+    rows, bits = g.entry_rows, g.precision_bits
+    powers = _block_spectrum([[rows[i - 1][j - 1] for j in n1[:a + 1]]
+                              for a, i in enumerate(n1)], bits) if n1 else None
+    duals = _block_spectrum(_inverse_block(g, [j - 1 for j in n2]), bits) if n2 else None
     return _report(g, n1, n2, powers, duals)
 
 
-# A mixed-system block is the tuple (factor, prod L_aa**2, prod A_aa): the
-# ``gram._Factor`` of the Jacobi-scaled block S A S of a symmetric A on a
-# set of indices, grown one index at a time by ``_grow``, and two
-# products, each multiplied up in index order as ``mp.fprod`` does, whose
-# product is det A.  ``_EMPTY`` is the block on no index, and None one
+# A mixed-system block is the tuple (factor, prod L_aa**2, prod A_aa) of raw
+# values: the ``gram._Factor`` of the Jacobi-scaled block S A S of a
+# symmetric A on a set of indices, grown one index at a time by ``_grow``,
+# and two products, each multiplied up in index order as ``mp.fprod`` does,
+# whose product is det A.  ``_EMPTY`` is the block on no index, and None one
 # whose factor did not extend.
-_EMPTY = (_Factor(), mp.one, mp.one)
+_EMPTY = (_Factor(), fone, fone)
 
 
-def _grow(block: Optional[tuple], row, diagonal: mpmath.mpf, prec: int) -> Optional[tuple]:
+def _grow(block: Optional[tuple], row, diagonal: tuple, prec: int) -> Optional[tuple]:
     """The block with one index more, after its own: ``row`` is the raw
     scaled lower row of that index, diagonal last, and ``diagonal`` its
-    unscaled A_ii.  Its factor is ``gram._grown``; None when that does
-    not extend, or the block is None already."""
+    raw unscaled A_ii.  Its factor is ``gram._grown``; None when that
+    does not extend, or the block is None already."""
     if block is None:
         return None
     factor, squares, diagonals = block
     factor = _grown(factor, row, prec)
     if factor is None:
         return None
-    return factor, squares * mp.make_mpf(factor.chol[-1][-1]) ** 2, diagonals * diagonal
+    pivot = factor.chol[-1][-1]
+    return (factor,
+            mpf_mul(squares, mpf_mul(pivot, pivot, prec, round_nearest), prec, round_nearest),
+            mpf_mul(diagonals, diagonal, prec, round_nearest))
 
 
-_Spectrum = Union[Tuple[mpmath.mpf, mpmath.mpf], NumericalError]
-
-
-def _spectrum(block: Optional[tuple], size: int, prec: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
-    """(lambda_min(S A S), det A) of a grown block of ``size`` indices,
-    lambda_min at ``prec``."""
+def _spectrum(block: Optional[tuple], size: int, prec: int) -> Tuple[tuple, tuple]:
+    """Raw (lambda_min(S A S), det A) of a grown block of ``size`` indices,
+    at ``prec``."""
     if block is None:
         raise NotPositiveDefinite(f"a {size}x{size} mixed-system block does not factor")
     factor, squares, diagonals = block
-    return _smallest_eigenvalue(factor, prec), squares * diagonals
+    return _smallest_eigenvalue(factor, prec), mpf_mul(squares, diagonals, prec, round_nearest)
 
 
-def _jacobi_scaled(rows) -> Tuple[List[List[tuple]], List[mpmath.mpf]]:
+def _jacobi_scaled(rows, prec: int) -> Tuple[List[List[tuple]], List[tuple]]:
     """The raw lower rows of S A S, S = diag(A)**(-1/2), for the raw lower
-    rows of a symmetric A, and the diagonal of A, at the working width.
+    rows of a symmetric A, and the raw diagonal of A, at ``prec``.
     Entry (i, j) depends on indices i and j alone, so the rows of a
     principal block are those of the whole, cut to its indices."""
-    diag = [mp.make_mpf(row[a]) for a, row in enumerate(rows)]
-    scale = [1 / mp.sqrt(d) for d in diag]
-    return ([[(mp.make_mpf(v) * scale[a] * scale[b])._mpf_ for b, v in enumerate(row)]
-             for a, row in enumerate(rows)], diag)
+    diag = [row[a] for a, row in enumerate(rows)]
+    scale = [mpf_div(fone, mpf_sqrt(d, prec, round_nearest), prec, round_nearest) for d in diag]
+    return ([[mpf_mul(mpf_mul(v, scale[a], prec, round_nearest), scale[b], prec, round_nearest)
+              for b, v in enumerate(row)] for a, row in enumerate(rows)], diag)
 
 
-def _block_spectrum(rows) -> Tuple[mpmath.mpf, mpmath.mpf]:
-    """(lambda_min(S A S), det A) for the raw lower rows of a symmetric
-    block A, the block grown over its indices in order; lambda_min comes
-    from ``_smallest_eigenvalue``.  Raises NotPositiveDefinite when S A S
-    does not factor."""
-    scaled, diag = _jacobi_scaled(rows)
-    block, prec = _EMPTY, mp.prec
+def _block_spectrum(rows, prec: int) -> Tuple[tuple, tuple]:
+    """Raw (lambda_min(S A S), det A) at ``prec`` for the raw lower rows of
+    a symmetric block A, the block grown over its indices in order;
+    lambda_min comes from ``_smallest_eigenvalue``.  Raises
+    NotPositiveDefinite when S A S does not factor."""
+    scaled, diag = _jacobi_scaled(rows, prec)
+    block = _EMPTY
     for row, d in zip(scaled, diag):
         block = _grow(block, row, d, prec)
     return _spectrum(block, len(rows), prec)
 
 
-def _subtree_spectra(scaled, diag, top: int) -> List[_Result]:
-    """``_block_spectrum`` of the principal block of S A S on every index
-    subset whose smallest index is ``top``, in increasing bitmask order
-    (bit i for index i), as raw (lambda_min, det A), or the error it
-    raises; ``scaled`` and ``diag`` are ``_jacobi_scaled`` of A.
+def _subtree_spectra(scaled, diag, top: int, prec: int) -> List[_Result]:
+    """``_block_spectrum`` at ``prec`` of the principal block of S A S on
+    every index subset whose smallest index is ``top``, in increasing
+    bitmask order (bit i for index i), or the error it raises; ``scaled``
+    and ``diag`` are ``_jacobi_scaled`` of A.
 
     Depth first: a subset's block is grown from its parent's, the subset
     less its largest index, by that index, so its parts are those the
     fold in ``_block_spectrum`` reaches.  Only the blocks on the current
     path are alive.
     """
-    prec, n, out = mp.prec, len(diag), {}
+    n, out = len(diag), {}
 
     def visit(mask: int, idx: Tuple[int, ...], block: Optional[tuple]) -> None:
         i = idx[-1]
         block = _grow(block, [scaled[i][j] for j in idx], diag[i], prec)
         try:
-            out[mask] = [v._mpf_ for v in _spectrum(block, len(idx), prec)]
+            out[mask] = _spectrum(block, len(idx), prec)
         except NumericalError as exc:
             out[mask] = exc
         for j in range(i + 1, n):
@@ -363,24 +376,23 @@ def _subtree_spectra(scaled, diag, top: int) -> List[_Result]:
 
 
 def _report(g: GramMatrix, n1: Tuple[int, ...], n2: Tuple[int, ...],
-            powers: Optional[_Spectrum], duals: Optional[_Spectrum]) -> MixedSystemReport:
+            powers: Optional[_Result], duals: Optional[_Result]) -> MixedSystemReport:
     """The report for the sorted index sets n1 and n2 that split 1..N, from
-    the spectra of their blocks of S G S and T G^-1 T (None for an empty
-    set); a block's error is raised instead, the N1 block's first."""
+    the raw spectra of their blocks of S G S and T G^-1 T (None for an
+    empty set); a block's error is raised instead, the N1 block's first."""
     spectra = [s for s in (powers, duals) if s is not None]
     for s in spectra:
         if isinstance(s, NumericalError):
             raise s
     bits = g.precision_bits
-    with workbits(bits):
-        smin = mp.sqrt(min(lam_min for lam_min, _ in spectra))
-        return MixedSystemReport(
-            n1=n1,
-            n2=n2,
-            mixed_matrix_det=duals[1] if duals is not None else mp.mpf(1),
-            min_singular_value=smin,
-            nonsingular=smin > mp.mpf(2) ** (-(bits // 2)),
-        )
+    smin = mpf_sqrt(min((lam_min for lam_min, _ in spectra), key=mp.make_mpf), bits, round_nearest)
+    return MixedSystemReport(
+        n1=n1,
+        n2=n2,
+        mixed_matrix_det=mp.make_mpf(duals[1] if duals is not None else fone),
+        min_singular_value=mp.make_mpf(smin),
+        nonsingular=mpf_gt(smin, mpf_shift(fone, -(bits // 2))),
+    )
 
 
 # The sweep forks from N = 4 on, 2N subtree tasks at 4 or more per
@@ -411,22 +423,19 @@ def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
     The results are combined by mask, so every report and the raised
     error are bit for bit the serial sweep's.
     """
-    n = g.n
-    with workbits(g.precision_bits):
-        walks = [_jacobi_scaled(g.entry_rows), _jacobi_scaled(_inverse_block(g, range(n)))]
+    n, bits = g.n, g.precision_bits
+    walks = [_jacobi_scaled(rows, bits) for rows in (g.entry_rows, _inverse_block(g, range(n)))]
 
-        def tasks(lo: int, hi: int) -> List[_Result]:
-            return [r for t in range(lo, hi) for r in _subtree_spectra(*walks[t // n], t % n)]
+    def tasks(lo: int, hi: int) -> List[_Result]:
+        return [r for t in range(lo, hi) for r in _subtree_spectra(*walks[t // n], t % n, bits)]
 
-        results = iter(_forked_map(tasks, 2 * n, _MIN_SWEEP_TASKS))
-        powers, duals = tables = {}, {}
-        for table in tables:
-            for i in range(n):
-                # task i of a walk: the masks whose lowest set bit is i
-                for mask in range(1 << i, 1 << n, 2 << i):
-                    r = next(results)
-                    table[mask] = (r if isinstance(r, NumericalError)
-                                   else tuple(map(mp.make_mpf, r)))
+    results = iter(_forked_map(tasks, 2 * n, _MIN_SWEEP_TASKS))
+    powers, duals = tables = {}, {}
+    for table in tables:
+        for i in range(n):
+            # task i of a walk: the masks whose lowest set bit is i
+            for mask in range(1 << i, 1 << n, 2 << i):
+                table[mask] = next(results)
     reports = []
     for mask in range(2 ** n):
         n2 = tuple(i + 1 for i in range(n) if mask & (1 << i))

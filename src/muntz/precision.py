@@ -3,8 +3,18 @@
 Inputs arrive as decimal strings, ints, floats or Fractions and are held
 exactly as rationals wherever possible, so that recomputing at a higher
 mantissa width never inherits rounding from an earlier, coarser parse.
-All computation happens inside ``workbits`` blocks; mpf values created
-inside keep their full mantissa when the block exits.
+
+``gram``, ``operator`` and the three callers of ``series._forked_map``
+(``christoffel_remez``, ``hereditary_sweep`` and ``dual_family``) take
+their width as an argument, the section's ``precision_bits``: each step
+is a raw ``mpf_*`` call at that width, or ``mp.fmul``, ``mp.fsub``,
+``mp.fdiv`` or ``mp.sqrt`` with ``prec=``, and none of them reads or sets
+``mp.prec``.  The mpf glue of the other modules still computes inside
+``workbits`` blocks, which set the process-global ``mp.prec``; mpf values
+created inside keep their full mantissa when the block exits.
+Comparisons of mpfs are exact at any width, but unary ``abs()``, ``-``
+and ``+`` on an mpf round it at ``mp.prec``: width-explicit code takes
+``mpf_abs`` of the raw value instead.
 """
 
 from __future__ import annotations

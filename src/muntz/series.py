@@ -23,7 +23,9 @@ each value is bit for bit the serial one.  Each caller takes what it
 reads of the section from the ``gram`` readers before the fork (the
 grid the rows of L^-1, the sweep a block of G^-1, the dual family its
 column and residual readers), so that the section's stored L^-1 is
-grown once, in the calling process.  Children
+grown once, in the calling process.  Each caller hands its chunks the
+section's width and none reads ``mp.prec``, so a child computes at that
+width, not at the ambient one its fork copied.  Children
 send their results back as ``marshal`` bytes, and a chunk whose results
 hold an error is recomputed in the calling process, which raises it as
 the serial run does.
@@ -41,7 +43,8 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import MPZ, fzero, mpf_gt, mpf_lt, mpf_shift, round_nearest
+from mpmath.libmp import (MPZ, from_int, fzero, mpf_div, mpf_gt, mpf_lt, mpf_mul, mpf_shift,
+                          round_nearest)
 
 from .domain import WeightedDomain, _moments, _powers
 from .errors import (
@@ -535,35 +538,36 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
     """
     check_grid_points(grid_points)
     bits = g.precision_bits
-    with workbits(bits):
-        rho_m = to_mpf(rho, bits)
-        if rho_m <= 0:
-            raise ValidationError("rho must be positive")
-        inv_rows = _inverse_rows(g)
-        lams = [lam._mpf_ for lam in g.lams]
-        # points 1..grid_points-1 by residue modulo step, the classes in
-        # bit-reversed order: 0, 2, 1, 3 for step = 4
-        step, residues, cores = 1, [0], _usable_cores()
-        while step < cores:
-            step, residues = 2 * step, [2 * r for r in residues] + [2 * r + 1 for r in residues]
-        order = [j for r in residues for j in range(r or step, grid_points, step)]
+    rho_m = to_mpf(rho, bits)
+    if rho_m <= 0:
+        raise ValidationError("rho must be positive")
+    inv_rows = _inverse_rows(g)
+    lams = [lam._mpf_ for lam in g.lams]
+    # points 1..grid_points-1 by residue modulo step, the classes in
+    # bit-reversed order: 0, 2, 1, 3 for step = 4
+    step, residues, cores = 1, [0], _usable_cores()
+    while step < cores:
+        step, residues = 2 * step, [2 * r for r in residues] + [2 * r + 1 for r in residues]
+    order = [j for r in residues for j in range(r or step, grid_points, step)]
 
-        def chunk_max(lo, hi):
-            # the best raw K over grid points order[lo:hi]; the bounds come in
-            # decreasing order, so the first below the best ends the chunk
-            best = fzero
-            for j, bound in _kernel_bounds(inv_rows, lams, rho_m._mpf_, grid_points,
-                                           order[lo:hi], bits):
-                if mpf_lt(bound, best):
-                    break
-                v = _powers((rho_m * j / (grid_points - 1))._mpf_, lams, bits)
-                y = [_dot(row, v, bits) for row in inv_rows]
-                kernel = _dot(y, y, bits)
-                if mpf_gt(kernel, best):
-                    best = kernel
-            return [[best]]
+    def chunk_max(lo, hi):
+        # the best raw K over grid points order[lo:hi]; the bounds come in
+        # decreasing order, so the first below the best ends the chunk
+        best = fzero
+        for j, bound in _kernel_bounds(inv_rows, lams, rho_m._mpf_, grid_points,
+                                       order[lo:hi], bits):
+            if mpf_lt(bound, best):
+                break
+            x = mpf_div(mpf_mul(rho_m._mpf_, from_int(j), bits, round_nearest),
+                        from_int(grid_points - 1), bits, round_nearest)
+            v = _powers(x, lams, bits)
+            y = [_dot(row, v, bits) for row in inv_rows]
+            kernel = _dot(y, y, bits)
+            if mpf_gt(kernel, best):
+                best = kernel
+        return [[best]]
 
-        min_points = -(-_MIN_CHUNK_PRODUCTS // (g.n * (g.n + 1) // 2))
-        maxima = _forked_map(chunk_max, grid_points - 1, min_points)
-        best = max((m for (m,) in maxima), key=mp.make_mpf)
-        return mp.sqrt(mp.make_mpf(best))
+    min_points = -(-_MIN_CHUNK_PRODUCTS // (g.n * (g.n + 1) // 2))
+    maxima = _forked_map(chunk_max, grid_points - 1, min_points)
+    best = max((m for (m,) in maxima), key=mp.make_mpf)
+    return mp.sqrt(mp.make_mpf(best), prec=bits)

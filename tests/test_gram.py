@@ -644,7 +644,7 @@ def test_readers_ignore_the_ambient_width(two_piece_domain):
 
     calls = [cold_escalated, columns, lambda: _inverse_block(g, idx),
              lambda: [[v._mpf_ for v in diags] for diags in _inverse_diagonals(g, sizes, range(10))],
-             lambda: _smallest_eigenvalue(_factored(g.entry_rows, prec), prec)._mpf_,
+             lambda: _smallest_eigenvalue(_factored(g.entry_rows, prec), prec),
              *(lambda solve=solve, rhs=rhs: [v._mpf_ for v in solve(g, rhs)]
                for solve in (solve_spd, forward_substitution) for rhs in RHS_KINDS)]
 
@@ -778,7 +778,7 @@ def test_smallest_eigenvalue_of_hilbert_matrix(bits):
         hilbert = mp.hilbert(8)
         want = min(mp.eigsy(hilbert, eigvals_only=True))
     with workbits(bits):
-        got = _smallest_eigenvalue(_eigenvalue_args(hilbert, bits), bits)
+        got = mp.make_mpf(_smallest_eigenvalue(_eigenvalue_args(hilbert, bits), bits))
     assert rel_err(got, want) < mp.mpf(2) ** (-(bits // 2))
 
 
@@ -790,7 +790,7 @@ def test_smallest_eigenvalue_repeated():
         a = _reflected([tenth, tenth, mp.mpf(1) / 2, 1, 2, 3], [1, 2, 3, -1, 2, 5], 320)
         want = min(mp.eigsy(a, eigvals_only=True))
     with workbits(256):
-        got = _smallest_eigenvalue(_eigenvalue_args(a, 256), 256)
+        got = mp.make_mpf(_smallest_eigenvalue(_eigenvalue_args(a, 256), 256))
     assert rel_err(got, Fraction(1, 10)) < mp.mpf(2) ** -128
     assert rel_err(got, want) < mp.mpf(2) ** -128
 
@@ -810,5 +810,5 @@ def test_smallest_eigenvalue_diagonally_dominant():
         a = _reflected([mp.mpf("0.9"), mp.mpf("0.95"), mp.mpf("1.1")], [1, 20, 300], 320)
         want = min(mp.eigsy(a, eigvals_only=True))
     with workbits(256):
-        got = _smallest_eigenvalue(_eigenvalue_args(a, 256), 256)
+        got = mp.make_mpf(_smallest_eigenvalue(_eigenvalue_args(a, 256), 256))
     assert rel_err(got, want) < mp.mpf(2) ** -128

@@ -100,12 +100,39 @@ def _names_global_width(sub):
             or isinstance(sub, ast.alias) and sub.name == "workbits")
 
 
+# the modules that grow or consume a factor with their width passed in
+WIDTH_EXPLICIT = ("gram.py", "operator.py")
+
+
 def test_gram_reads_no_global_width():
-    # every function of gram.py takes its width as an argument and neither
-    # reads ``mp.prec`` nor sets it through ``workbits``, so none gives
-    # other bits when called at another ambient width
-    assert sorted(_naming_functions(ast.parse((SRC / "gram.py").read_text()),
-                                    _names_global_width)) == []
+    # every function of gram.py and operator.py takes its width as an
+    # argument and neither reads ``mp.prec`` nor sets it through
+    # ``workbits``, so none gives other bits when called at another
+    # ambient width
+    hits = sorted(f"{name}:{fn}" for name in WIDTH_EXPLICIT
+                  for fn in _naming_functions(ast.parse((SRC / name).read_text()),
+                                              _names_global_width))
+    assert hits == []
+
+
+def test_forked_callers_read_no_global_width():
+    # a forked child computes at the width its caller passes down, not at
+    # the ambient one the fork copies: no function that calls
+    # ``_forked_map`` names ``mp.prec`` or ``workbits``
+    def calls_forked_map(sub):
+        return isinstance(sub, ast.Name) and sub.id == "_forked_map"
+
+    callers, hits = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        width = _naming_functions(tree, _names_global_width)
+        for fn in sorted(_naming_functions(tree, calls_forked_map)):
+            callers.append(f"{path.name}:{fn}")
+            if fn in width:
+                hits.append(f"{path.name}:{fn}")
+    assert callers == ["duals.py:dual_family", "operator.py:hereditary_sweep",
+                       "series.py:christoffel_remez"]
+    assert hits == []
 
 
 def test_one_function_reads_the_gram_store():

@@ -12,8 +12,10 @@ from muntz import (
     MuntzSeries,
     apply,
     build_weighted_domain,
+    christoffel_remez,
     diagonal_operator,
     dilation_operator,
+    dual_family,
     eigen_check,
     evaluate,
     explicit_exponents,
@@ -23,6 +25,7 @@ from muntz import (
     hereditary_check,
     hereditary_sweep,
     power_exponents,
+    to_mpf,
     workbits,
 )
 from muntz.errors import (
@@ -324,7 +327,7 @@ def test_grown_block_equals_factoring_from_scratch(family):
     rng = random.Random(family)
     with workbits(g.precision_bits):
         prec = mp.prec
-        scaled, diag = operator_module._jacobi_scaled(g.entry_rows)
+        scaled, diag = operator_module._jacobi_scaled(g.entry_rows, prec)
         for _ in range(6):
             idx = sorted(rng.sample(range(8), rng.randint(1, 8)))
             rows = [[scaled[i][j] for j in idx[:a + 1]] for a, i in enumerate(idx)]
@@ -341,8 +344,8 @@ def test_grown_block_equals_factoring_from_scratch(family):
             assert factor.inv_cols == cols
             assert factor.inv_rows == [[col[i - j] for j, col in enumerate(cols[:i + 1])]
                                        for i in range(k)]
-            assert squares == mp.fprod(mp.make_mpf(r[a]) ** 2 for a, r in enumerate(chol))
-            assert diagonals == mp.fprod(diag[i] for i in idx)
+            assert squares == mp.fprod(mp.make_mpf(r[a]) ** 2 for a, r in enumerate(chol))._mpf_
+            assert diagonals == mp.fprod(mp.make_mpf(diag[i]) for i in idx)._mpf_
 
 
 def _block_key(rows):
@@ -497,6 +500,67 @@ def test_forked_sweep_recomputes_a_failed_child(monkeypatch):
     for cores in (2, 4):
         force_sweep_forking(monkeypatch, cores)
         assert _report_bits(hereditary_sweep(g)) == serial, cores
+
+
+def _raw(value):
+    """The raw mpfs in a nest of lists, tuples, dicts and reports, the
+    rest as it is."""
+    if hasattr(value, "_mpf_"):
+        return value._mpf_
+    if isinstance(value, dict):
+        value = sorted(value.items())
+    elif hasattr(value, "__dataclass_fields__"):
+        value = [getattr(value, name) for name in value.__dataclass_fields__]
+    elif not isinstance(value, (list, tuple)):
+        return value
+    return [_raw(v) for v in value]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_factor_consumers_ignore_the_ambient_width(monkeypatch):
+    # the operator checks, the hereditary blocks and the three forked
+    # callers take the section's width, not mp.prec: inside workbits(53)
+    # they give the bits they give at P, forked children included, and
+    # leave mp.prec as it was
+    import muntz.duals as duals_module
+    import muntz.series as series_module
+
+    lam = power_exponents(1, "1/2", 7)
+    g = gram(TWO_PIECE, lam, 7)
+    prec = g.precision_bits
+    spec = dilation_operator(lam, "0.7", 7, prec)
+    # u_n / 2: Tf and f(rho x) differ in their leading bits, so |Tf - f|
+    # rounded at another width would read differently
+    halved = diagonal_operator([mp.ldexp(u, -1) for u in spec.u], "0.7", prec)
+    series = MuntzSeries(lam, tuple(to_mpf(Fraction(k + 1, 3), prec) for k in range(7)),
+                         mpf_(1), prec)
+    force_sweep_forking(monkeypatch, 2)
+    monkeypatch.setattr(series_module, "_MIN_CHUNK_PRODUCTS", 1)
+    monkeypatch.setattr(duals_module, "_MIN_CHUNK_COLUMNS", 1)
+    scaled, diag = operator_module._jacobi_scaled(g.entry_rows, prec)
+    idx = (1, 3, 4)
+    block = [[g.entry_rows[i][j] for j in idx[:a + 1]] for a, i in enumerate(idx)]
+    calls = [lambda: hereditary_check(g, ([1, 3, 4], [2, 5, 6, 7])),
+             lambda: hereditary_sweep(g),
+             lambda: eigen_check(spec, g),
+             lambda: finite_sections(spec, g),
+             lambda: apply(spec, series),
+             lambda: operator_module.apply_demo(spec, g),
+             lambda: operator_module.apply_demo(halved, g),
+             lambda: christoffel_remez(g, "0.9", 101),
+             lambda: dual_family(g),
+             lambda: operator_module._block_spectrum(block, prec),
+             lambda: operator_module._subtree_spectra(scaled, diag, 2, prec)]
+
+    def reads(width):
+        got = []
+        for call in calls:
+            with workbits(width):
+                got.append(_raw(call()))
+                assert mp.prec == width
+        return got
+
+    assert reads(53) == reads(prec)
 
 
 @settings(max_examples=5, deadline=None)
