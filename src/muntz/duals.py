@@ -26,12 +26,13 @@ from typing import Iterable, List, Tuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fone, fzero, mpf_abs
+from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_pow, mpf_shift,
+                          mpf_sqrt, mpf_sub, round_nearest)
 
 from .errors import BadEpsilon, IndexOutOfRange
 from .exponents import ExponentSequence
 from .gram import GramMatrix, _mpfs, _residual, _unit_columns, gram_inverse_diagonals
-from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
+from .precision import DEFAULT_PRECISION_BITS, Real, _shown, to_mpf
 from .series import _forked_map
 
 
@@ -72,8 +73,8 @@ class DistanceReport:
     def exponent_slopes(self) -> List[Tuple[int, mpmath.mpf]]:
         """(N, log D_n^(N) / lam_n) pairs; the effective decay base is
         exp of the slope.  Reported for inspection only."""
-        with workbits(self.precision_bits):
-            return [(N, mp.log(d) / self.lam_n) for N, d in self.sections]
+        bits = self.precision_bits
+        return [(N, mp.fdiv(mp.ln(d, prec=bits), self.lam_n, prec=bits)) for N, d in self.sections]
 
 
 @dataclass(frozen=True)
@@ -141,9 +142,8 @@ def dual_family(g: GramMatrix) -> DualFamily:
 
 def distance(g: GramMatrix, n: int) -> mpmath.mpf:
     """Distance from the n-th section power to the span of the others."""
-    diag = gram_inverse_diagonals(g, n, [g.n])[0]
-    with workbits(g.precision_bits):
-        return 1 / mp.sqrt(diag)
+    diag, bits = gram_inverse_diagonals(g, n, [g.n])[0], g.precision_bits
+    return mp.fdiv(1, mp.sqrt(diag, prec=bits), prec=bits)
 
 
 def oracle_distance(
@@ -159,16 +159,16 @@ def oracle_distance(
     """
     if not 1 <= n <= section <= len(lam):
         raise IndexOutOfRange(f"need 1 <= n <= section <= {len(lam)}")
-    lams = lam.values_at(precision_bits, section)
-    with workbits(precision_bits):
-        ln = lams[n - 1]
-        val = 1 / mp.sqrt(2 * ln + 1)
-        for k in range(section):
-            if k == n - 1:
-                continue
-            lk = lams[k]
-            val *= abs(ln - lk) / (ln + lk + 1)
-        return val
+    bits, rnd = precision_bits, round_nearest
+    lams = [v._mpf_ for v in lam.values_at(bits, section)]
+    ln = lams[n - 1]
+    val = mpf_div(fone, mpf_sqrt(mpf_add(mpf_shift(ln, 1), fone, bits, rnd), bits, rnd), bits, rnd)
+    for k, lk in enumerate(lams):
+        if k != n - 1:
+            val = mpf_mul(val, mpf_div(mpf_abs(mpf_sub(ln, lk, bits, rnd)),
+                                       mpf_add(mpf_add(ln, lk, bits, rnd), fone, bits, rnd),
+                                       bits, rnd), bits, rnd)
+    return mp.make_mpf(val)
 
 
 def distance_sweep(g: GramMatrix, sizes: Iterable[int], n: int, rel_tol: Real) -> DistanceReport:
@@ -185,21 +185,22 @@ def distance_sweep(g: GramMatrix, sizes: Iterable[int], n: int, rel_tol: Real) -
     bits = g.precision_bits
     sizes = list(sizes)
     diags = gram_inverse_diagonals(g, n, sizes)
-    with workbits(bits):
-        distances = [(m, 1 / mp.sqrt(diag)) for m, diag in zip(sizes, diags)]
-        stabilized = False
-        if len(distances) >= 2:
-            d_prev, d_last = distances[-2][1], distances[-1][1]
-            stabilized = (d_prev - d_last) / d_prev < to_mpf(rel_tol, bits)
-        return DistanceReport(
-            n=n,
-            lam_n=g.lams[n - 1],
-            r_w=g.domain.r_a,
-            sections=tuple(distances),
-            stabilized=stabilized,
-            limit_estimate=distances[-1][1],
-            precision_bits=bits,
-        )
+    distances = [(m, mp.fdiv(1, mp.sqrt(diag, prec=bits), prec=bits))
+                 for m, diag in zip(sizes, diags)]
+    stabilized = False
+    if len(distances) >= 2:
+        d_prev, d_last = distances[-2][1], distances[-1][1]
+        stabilized = mp.fdiv(mp.fsub(d_prev, d_last, prec=bits), d_prev,
+                             prec=bits) < to_mpf(rel_tol, bits)
+    return DistanceReport(
+        n=n,
+        lam_n=g.lams[n - 1],
+        r_w=g.domain.r_a,
+        sections=tuple(distances),
+        stabilized=stabilized,
+        limit_estimate=distances[-1][1],
+        precision_bits=bits,
+    )
 
 
 def lower_bound_certificate(report: DistanceReport, epsilon: Real) -> LowerBoundCertificate:
@@ -210,18 +211,19 @@ def lower_bound_certificate(report: DistanceReport, epsilon: Real) -> LowerBound
     sections) is reported alongside rather than asserted.
     """
     bits = report.precision_bits
-    with workbits(bits):
-        eps = to_mpf(epsilon, bits)
-        if not 0 < eps < report.r_w:
-            raise BadEpsilon(f"epsilon must lie strictly between 0 and r_w = {report.r_w}")
-        base = (report.r_w - eps) ** report.lam_n
-        ratios = tuple((N, d / base) for N, d in report.sections)
-        u = min(r for _, r in ratios)
-        hi = max(r for _, r in ratios)
-        stable = (hi - u) / hi < mp.mpf(1) / 2 if hi > 0 else False
-        return LowerBoundCertificate(
-            u_epsilon=u,
-            passed=u > 0,
-            stable=stable,
-            section_ratios=ratios,
-        )
+    eps = to_mpf(epsilon, bits)
+    if not 0 < eps < report.r_w:
+        raise BadEpsilon("epsilon must lie strictly between 0 and r_w = "
+                         + _shown(report.r_w._mpf_, bits))
+    base = mp.make_mpf(mpf_pow(mpf_sub(report.r_w._mpf_, eps._mpf_, bits, round_nearest),
+                               report.lam_n._mpf_, bits, round_nearest))
+    ratios = tuple((N, mp.fdiv(d, base, prec=bits)) for N, d in report.sections)
+    u = min(r for _, r in ratios)
+    hi = max(r for _, r in ratios)
+    stable = hi > 0 and mp.fdiv(mp.fsub(hi, u, prec=bits), hi, prec=bits) < mp.mpf("0.5")
+    return LowerBoundCertificate(
+        u_epsilon=u,
+        passed=u > 0,
+        stable=stable,
+        section_ratios=ratios,
+    )

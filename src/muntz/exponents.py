@@ -14,6 +14,7 @@ from typing import Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_int, mpf_mul, mpf_pow, round_nearest
 
 from .errors import MalformedConfig, NonIncreasing, NonPositive, ValidationError
 from .precision import (
@@ -23,7 +24,6 @@ from .precision import (
     mpf_from_fraction,
     to_fraction,
     to_int,
-    workbits,
 )
 
 # Past 10**4 exponents a section of them would take ~N**3/3 = 3 * 10**11
@@ -72,10 +72,11 @@ class ExponentSequence:
 
 
 def _materialize(c: Fraction, beta: Fraction, count: int, bits: int):
-    with workbits(bits):
-        c_m = mpf_from_fraction(c, bits)
-        b_m = mpf_from_fraction(beta, bits)
-        return tuple(c_m * mp.mpf(n) ** b_m for n in range(1, count + 1))
+    """c * n**beta for n = 1..count, the power and the product each
+    rounded at ``bits``."""
+    c_m, b_m = mpf_from_fraction(c, bits)._mpf_, mpf_from_fraction(beta, bits)._mpf_
+    return tuple(mp.make_mpf(mpf_mul(c_m, mpf_pow(from_int(n), b_m, bits, round_nearest), bits,
+                                     round_nearest)) for n in range(1, count + 1))
 
 
 def _validate(fracs_or_mpfs) -> None:
@@ -139,10 +140,8 @@ def power_exponents(
 
 
 def _min_gap(vals, bits: int):
-    with workbits(bits):
-        if len(vals) == 1:
-            return vals[0]  # degenerate: one element; gap proxy is lam_1 itself
-        return min(b - a for a, b in zip(vals, vals[1:]))
+    # a single exponent has no gap; lam_1 itself stands in for it
+    return min((mp.fsub(b, a, prec=bits) for a, b in zip(vals, vals[1:])), default=vals[0])
 
 
 def exponents_from_json(obj: dict,

@@ -14,13 +14,15 @@ from typing import Iterable, List, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import (from_int, fzero, mpf_abs, mpf_div, mpf_exp, mpf_log, mpf_mul,
+                          mpf_sqrt, mpf_sub, mpf_sum, round_nearest)
 
 from .domain import WeightedDomain, _powers
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .exponents import ExponentSequence
 from .gram import (GramMatrix, _inverse_diagonals, _mpfs, _residual, leading_sections,
                    solve_spd)
-from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
+from .precision import DEFAULT_PRECISION_BITS, Real, _fsum_products, to_mpf
 from .series import MuntzSeries
 
 
@@ -44,35 +46,35 @@ def fit_growth(
     The base comes from a least-squares line through (lam_n, log |d_n|)
     over the nonzero entries, then C is maximized over all entries so
     the envelope actually covers the data.  Exactly geometric data is
-    recovered exactly: d_n = C0 * a0**lam_n gives back (a0, C0).
+    recovered exactly: d_n = C0 * a0**lam_n gives back (a0, C0).  Where
+    the exponents of the nonzero entries all round to one value, no line
+    fits, and the fit raises NumericalError: more precision separates
+    them.
     """
     if not list(d):
         raise ValidationError("moment data is empty")
     if len(d) > len(lam):
         raise ValidationError("more moment values than exponents")
-    bits = precision_bits
-    with workbits(bits):
-        dv = [to_mpf(x, bits) for x in d]
-        lams = lam.values_at(bits, len(dv))
-        points = [(lams[i], mp.log(abs(v))) for i, v in enumerate(dv) if v != 0]
-        if not points:
-            return mp.mpf(0), mp.mpf(0)
-        if len(points) == 1:
-            lam_n, logd = points[0]
-            a = mp.exp(logd / lam_n)
-            return a, mp.mpf(1)
-        # least squares slope of log|d| against lam
-        m = mp.mpf(len(points))
-        sx = mp.fsum(x for x, _ in points)
-        sy = mp.fsum(y for _, y in points)
-        sxx = mp.fsum(x * x for x, _ in points)
-        sxy = mp.fsum(x * y for x, y in points)
-        slope = (m * sxy - sx * sy) / (m * sxx - sx * sx)
-        a = mp.exp(slope)
-        nonzero = [i for i, v in enumerate(dv) if v != 0]
-        powers = _powers(a._mpf_, [lams[i]._mpf_ for i in nonzero], bits)
-        c = max(abs(dv[i]) / mp.make_mpf(p) for i, p in zip(nonzero, powers))
-        return a, c
+    bits, rnd = precision_bits, round_nearest
+    dv = [mpf_abs(to_mpf(x, bits)._mpf_) for x in d]
+    # (lam_n, |d_n|) over the nonzero entries, raw
+    points = [(lam_n._mpf_, v) for lam_n, v in zip(lam.values_at(bits, len(dv)), dv) if v != fzero]
+    if not points:
+        return mp.zero, mp.zero
+    xs, ds = zip(*points)
+    ys = [mpf_log(v, bits, rnd) for v in ds]
+    if len(xs) == 1:
+        return mp.make_mpf(mpf_exp(mpf_div(ys[0], xs[0], bits, rnd), bits, rnd)), mp.one
+    # least squares slope of log|d| against lam: (m sxy - sx sy) / (m sxx - sx sx)
+    m, sx, sy = from_int(len(xs)), mpf_sum(xs, bits, rnd), mpf_sum(ys, bits, rnd)
+    num, den = (mpf_sub(mpf_mul(m, _fsum_products(xs, zs, bits), bits, rnd),
+                        mpf_mul(sx, sz, bits, rnd), bits, rnd) for zs, sz in ((ys, sy), (xs, sx)))
+    if den == fzero:
+        raise NumericalError(f"the exponents of the nonzero moments coincide at {bits} bits; "
+                             "more precision separates them")
+    a = mpf_exp(mpf_div(num, den, bits, rnd), bits, rnd)
+    c = max((mpf_div(v, p, bits, rnd) for v, p in zip(ds, _powers(a, xs, bits))), key=mp.make_mpf)
+    return mp.make_mpf(a), mp.make_mpf(c)
 
 
 def build_moment_data(
@@ -146,14 +148,16 @@ def convergence_certificate(
     sums = []
     norms = []
     diagonals = _inverse_diagonals(g, sizes, range(sizes[-1]))
-    with workbits(g.precision_bits):
-        for s, diags in zip(sections, diagonals):
-            size = s.n
-            sums.append(mp.fsum(abs(data.d[k]) * mp.sqrt(diag) for k, diag in enumerate(diags)))
-            coeffs = solve_spd(s, list(data.d[:size]))
-            norm_sq = mp.fsum(coeffs[k] * data.d[k] for k in range(size))
-            norms.append(mp.sqrt(norm_sq) if norm_sq > 0 else mp.mpf(0))
-        ratios = tuple(b / a if a != 0 else mp.mpf(0) for a, b in zip(sums, sums[1:]))
+    bits = g.precision_bits
+    d = [v._mpf_ for v in data.d]
+    for s, diags in zip(sections, diagonals):
+        roots = [mpf_sqrt(diag._mpf_, bits, round_nearest) for diag in diags]
+        sums.append(mp.make_mpf(_fsum_products(map(mpf_abs, d), roots, bits)))
+        coeffs = solve_spd(s, list(data.d[:s.n]))
+        norm_sq = mp.make_mpf(_fsum_products([c._mpf_ for c in coeffs], d, bits))
+        norms.append(mp.sqrt(norm_sq, prec=bits) if norm_sq > 0 else mp.zero)
+    ratios = tuple(mp.fdiv(b, a, prec=bits) if a != 0 else mp.zero
+                   for a, b in zip(sums, sums[1:]))
     return ConvergenceCertificate(
         section_sizes=tuple(sizes),
         partial_sums=tuple(sums),

@@ -31,8 +31,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import mpmath
 from mpmath import mp
 from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul,
-                          mpf_shift, mpf_sqrt, mpf_sub, mpf_sum, prec_to_dps, round_nearest,
-                          to_str)
+                          mpf_shift, mpf_sqrt, mpf_sub, mpf_sum, round_nearest)
 
 from .domain import _powers
 from .errors import (
@@ -49,7 +48,7 @@ from .errors import (
 from .exponents import ExponentSequence
 from .gram import (GramMatrix, _Factor, _grown, _inverse_block, _mpfs, _smallest_eigenvalue,
                    _unit_columns, solve_spd)
-from .precision import DEFAULT_PRECISION_BITS, Real, to_int, to_mpf
+from .precision import DEFAULT_PRECISION_BITS, Real, _fsum_products, _shown, to_int, to_mpf
 from .series import MuntzSeries, _Result, _forked_map, evaluate
 
 
@@ -125,8 +124,7 @@ def _validate_against(spec: OperatorSpec, g: GramMatrix) -> Tuple[mpmath.mpf, ..
     bounds = _powers(spec.rho._mpf_, [lam_n._mpf_ for lam_n in g.lams], g.precision_bits)
     for v, bound in zip(u, bounds):
         if mpf_gt(mpf_abs(v._mpf_), bound):
-            # printed as str() prints an mpf at the section's width
-            shown = [to_str(x, prec_to_dps(g.precision_bits)) for x in (mpf_abs(v._mpf_), bound)]
+            shown = [_shown(x, g.precision_bits) for x in (mpf_abs(v._mpf_), bound)]
             raise BoundViolation(f"|u| = {shown[0]} exceeds rho**lam = {shown[1]}")
     return u
 
@@ -172,9 +170,7 @@ def eigen_check(spec: OperatorSpec, g: GramMatrix) -> EigenReport:
         scale = mpf_add(mpf_mul(_largest(map(mpf_abs, col)), mpf_abs(u[k]), bits, round_nearest),
                         fone, bits, round_nearest)
         for i in range(n):
-            # mp.fsum of the rounded products a * c
-            got = mpf_sum([mpf_mul(a, c, bits, round_nearest) for a, c in zip(adj[i], col)],
-                          bits, round_nearest)
+            got = _fsum_products(adj[i], col, bits)
             resid = mpf_sub(got, mpf_mul(u[k], col[i], bits, round_nearest), bits, round_nearest)
             resid = mpf_div(mpf_abs(resid), scale, bits, round_nearest)
             if mpf_gt(resid, worst):

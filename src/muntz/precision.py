@@ -4,17 +4,17 @@ Inputs arrive as decimal strings, ints, floats or Fractions and are held
 exactly as rationals wherever possible, so that recomputing at a higher
 mantissa width never inherits rounding from an earlier, coarser parse.
 
-``gram``, ``operator`` and the three callers of ``series._forked_map``
-(``christoffel_remez``, ``hereditary_sweep`` and ``dual_family``) take
-their width as an argument, the section's ``precision_bits``: each step
-is a raw ``mpf_*`` call at that width, or ``mp.fmul``, ``mp.fsub``,
-``mp.fdiv`` or ``mp.sqrt`` with ``prec=``, and none of them reads or sets
-``mp.prec``.  The mpf glue of the other modules still computes inside
-``workbits`` blocks, which set the process-global ``mp.prec``; mpf values
-created inside keep their full mantissa when the block exits.
-Comparisons of mpfs are exact at any width, but unary ``abs()``, ``-``
-and ``+`` on an mpf round it at ``mp.prec``: width-explicit code takes
-``mpf_abs`` of the raw value instead.
+Every library function takes its width as an argument, a section's
+``precision_bits`` or a ``precision_bits`` parameter: each step is a raw
+``mpf_*`` call at that width, or ``mp.fmul``, ``mp.fdiv``, ``mp.sqrt``,
+``mp.ln`` and the like with ``prec=``, and no module reads or sets the
+process-global ``mp.prec``.  So a value is the same bits at any ambient
+width, and a forked child computes at the width it was handed.
+``workbits`` is for callers that post-process results with mpmath's
+operators.  Comparisons of mpfs are exact at any width, but unary
+``abs()``, ``-`` and ``+`` on an mpf round it at ``mp.prec``: outside a
+``workbits`` block of the result's width, take ``mpf_abs`` of the raw
+value instead.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from typing import Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_rational, mpf_pos, round_nearest, to_str
+from mpmath.libmp import (from_rational, mpf_mul, mpf_pos, mpf_sum, prec_to_dps, round_nearest,
+                          to_str)
 
 from .errors import NotANumber, ValidationError
 
@@ -41,7 +42,8 @@ Real = Union[int, float, str, Fraction, mpmath.mpf]
 
 
 def workbits(bits: int):
-    """Context manager setting the working mantissa width in bits."""
+    """Context manager setting ``mp.prec``, the width of mpmath's
+    operators, for callers; the library itself never enters one."""
     return mp.workprec(bits)
 
 
@@ -120,10 +122,20 @@ def decimal_digits(bits: int) -> int:
 def fmt(x, bits: int = DEFAULT_PRECISION_BITS) -> str:
     """Decimal-string rendering at significance derived from the precision.
 
-    An mpf is rounded to ``bits`` and rendered on its raw value, which is
-    what ``mp.nstr(mpmath.mpf(x))`` at that width gives."""
-    if isinstance(x, mpmath.mpf):
-        return to_str(mpf_pos(x._mpf_, bits, round_nearest), decimal_digits(bits),
-                      strip_zeros=True)
-    with workbits(bits):
-        return mp.nstr(mpmath.mpf(x), decimal_digits(bits), strip_zeros=True)
+    The value, an mpf or anything ``mpmath.mpf`` takes, is rounded to
+    ``bits`` and rendered on its raw value: what ``mp.nstr(mpmath.mpf(x))``
+    gives inside ``workbits(bits)``."""
+    raw = x._mpf_ if isinstance(x, mpmath.mpf) else mpmath.mpf(x, prec=bits)._mpf_
+    return to_str(mpf_pos(raw, bits, round_nearest), decimal_digits(bits), strip_zeros=True)
+
+
+def _fsum_products(xs, ys, bits: int) -> tuple:
+    """``mp.fsum(x * y for ...)`` at width ``bits`` on raw values: each
+    product rounded, then their sum rounded once."""
+    return mpf_sum([mpf_mul(x, y, bits, round_nearest) for x, y in zip(xs, ys)], bits,
+                   round_nearest)
+
+
+def _shown(raw, bits: int) -> str:
+    """A raw mpf in a message, as ``str()`` prints it at width ``bits``."""
+    return to_str(raw, prec_to_dps(bits))

@@ -24,8 +24,8 @@ reads of the section from the ``gram`` readers before the fork (the
 grid the rows of L^-1, the sweep a block of G^-1, the dual family its
 column and residual readers), so that the section's stored L^-1 is
 grown once, in the calling process.  Each caller hands its chunks the
-section's width and none reads ``mp.prec``, so a child computes at that
-width, not at the ambient one its fork copied.  Children
+section's width, so a child computes at that width, as no function
+reads the ambient one its fork copied.  Children
 send their results back as ``marshal`` bytes, and a chunk whose results
 hold an error is recomputed in the calling process, which raises it as
 the serial run does.
@@ -37,14 +37,15 @@ import marshal
 import os
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import reduce
 from itertools import repeat
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (MPZ, from_int, fzero, mpf_div, mpf_gt, mpf_lt, mpf_mul, mpf_shift,
-                          round_nearest)
+from mpmath.libmp import (MPZ, from_int, fzero, mpf_add, mpf_div, mpf_gt, mpf_lt, mpf_mul,
+                          mpf_shift, mpf_sub, round_nearest)
 
 from .domain import WeightedDomain, _moments, _powers
 from .errors import (
@@ -57,7 +58,7 @@ from .errors import (
 )
 from .exponents import ExponentSequence
 from .gram import GramMatrix, _dot, _inverse_rows, leading_sections, solve_spd
-from .precision import DEFAULT_PRECISION_BITS, Real, to_mpf, workbits
+from .precision import DEFAULT_PRECISION_BITS, Real, _fsum_products, _shown, to_mpf
 
 
 @dataclass(frozen=True)
@@ -128,31 +129,35 @@ def target_from_json(
     raise MalformedConfig(f"unknown target kind {kind!r}")
 
 
+def _running_sum(terms, bits: int) -> mpmath.mpf:
+    """The raw terms added left to right from 0, each sum rounded at
+    ``bits``: Python's ``sum`` of the mpfs inside a block of that width."""
+    return mp.make_mpf(reduce(lambda acc, t: mpf_add(acc, t, bits, round_nearest), terms, fzero))
+
+
 def evaluate(s: MuntzSeries, x: Real) -> mpmath.mpf:
     """Pointwise value sum a_k * x**lam_k for 0 <= x < radius, at the
     series' own width."""
     bits = s.precision_bits
-    with workbits(bits):
-        xv = x if isinstance(x, mpmath.mpf) else to_mpf(x, bits)
-        if xv < 0 or xv >= s.radius:
-            raise OutsideRadius(f"x = {xv} outside [0, {s.radius})")
-        lams = s.lam_ref.values_at(bits, len(s.coeffs))
-        total = mp.mpf(0)
-        for a, lam_k in zip(s.coeffs, lams):
-            total += a * xv ** lam_k
-        return total
+    xv = x if isinstance(x, mpmath.mpf) else to_mpf(x, bits)
+    if xv < 0 or xv >= s.radius:
+        raise OutsideRadius(f"x = {_shown(xv._mpf_, bits)} outside "
+                            f"[0, {_shown(s.radius._mpf_, bits)})")
+    lams = [lam_k._mpf_ for lam_k in s.lam_ref.values_at(bits, len(s.coeffs))]
+    return _running_sum([mpf_mul(a._mpf_, p, bits, round_nearest)
+                         for a, p in zip(s.coeffs, _powers(xv._mpf_, lams, bits))], bits)
 
 
 def _settle_residual_sq(value, bits: int):
-    """Residuals squared must be nonnegative; tiny negatives are rounding
-    debris and clamp to zero, anything larger aborts loudly."""
+    """Residuals squared must be nonnegative; tiny negatives, above
+    -2**(-bits // 2), are rounding debris and clamp to zero, anything
+    larger aborts loudly."""
     if value >= 0:
         return value
-    with workbits(bits):
-        if abs(value) < mp.mpf(2) ** (-(bits // 2)):
-            return mp.mpf(0)
+    if mp.ldexp(value, bits // 2) > -1:
+        return mp.zero
     raise NegativeResidualSquared(
-        f"residual^2 = {value} is negative beyond the rounding floor"
+        f"residual^2 = {_shown(value._mpf_, bits)} is negative beyond the rounding floor"
     )
 
 
@@ -165,23 +170,22 @@ def project(g: GramMatrix, f: TargetFunction) -> Tuple[MuntzSeries, mpmath.mpf]:
     exponents followed by the section's, so a target exponent equal to
     lam_k gives exactly the Gram entries of column k.
     """
-    wd, bits = g.domain, g.precision_bits
-    with workbits(bits):
-        terms = f.terms(bits)
-        moment = _moments(wd.pieces, [e for _, e in terms] + list(g.lams), bits)
-        pairs = list(enumerate(a for a, _ in terms))
-        # sums taken left to right from 0, one rounding per term
-        b = [sum((a * mp.make_mpf(moment(i, k)) for i, a in pairs), mp.mpf(0))
-             for k in range(len(terms), len(terms) + g.n)]
-        norm_sq = sum((a * a_j * mp.make_mpf(moment(i, j)) for i, a in pairs for j, a_j in pairs),
-                      mp.mpf(0))
-        c = solve_spd(g, b)
-        res_sq = norm_sq - mp.fsum(bk * ck for bk, ck in zip(b, c))
-        res = mp.sqrt(_settle_residual_sq(res_sq, bits))
-        series = MuntzSeries(
-            lam_ref=g.lam, coeffs=tuple(c), radius=wd.r_a, precision_bits=bits
-        )
-        return series, res
+    wd, bits, rnd = g.domain, g.precision_bits, round_nearest
+    terms = f.terms(bits)
+    moment = _moments(wd.pieces, [e for _, e in terms] + list(g.lams), bits)
+    pairs = list(enumerate(a._mpf_ for a, _ in terms))
+    b = [_running_sum([mpf_mul(a, moment(i, k), bits, rnd) for i, a in pairs], bits)
+         for k in range(len(terms), len(terms) + g.n)]
+    norm_sq = _running_sum([mpf_mul(mpf_mul(a, a_j, bits, rnd), moment(i, j), bits, rnd)
+                            for i, a in pairs for j, a_j in pairs], bits)
+    c = solve_spd(g, b)
+    bc = _fsum_products([v._mpf_ for v in b], [v._mpf_ for v in c], bits)
+    res_sq = mp.make_mpf(mpf_sub(norm_sq._mpf_, bc, bits, rnd))
+    res = mp.sqrt(_settle_residual_sq(res_sq, bits), prec=bits)
+    series = MuntzSeries(
+        lam_ref=g.lam, coeffs=tuple(c), radius=wd.r_a, precision_bits=bits
+    )
+    return series, res
 
 
 @dataclass(frozen=True)
@@ -211,12 +215,12 @@ def coefficient_convergence(
     n_tracked = rows[0][0]
     diffs = []
     flags = []
-    with workbits(g.precision_bits):
-        for k in range(n_tracked):
-            track = [coeffs[k] for _, coeffs in rows]
-            dk = tuple(abs(b - a) for a, b in zip(track, track[1:]))
-            diffs.append(dk)
-            flags.append(all(b <= a for a, b in zip(dk, dk[1:])))
+    for k in range(n_tracked):
+        track = [coeffs[k] for _, coeffs in rows]
+        dk = tuple(mp.fsub(max(a, b), min(a, b), prec=g.precision_bits)
+                   for a, b in zip(track, track[1:]))
+        diffs.append(dk)
+        flags.append(all(b <= a for a, b in zip(dk, dk[1:])))
     return ConvergenceTable(
         section_sizes=tuple(size for size, _ in rows),
         rows=tuple(rows),

@@ -73,7 +73,7 @@ def test_overlapping_intervals_exit_2(tmp_path):
     assert rc == 2
 
 
-def test_numerical_failure_exits_3(tmp_path):
+def test_numerical_failure_exits_3(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
         exponents={
@@ -83,8 +83,30 @@ def test_numerical_failure_exits_3(tmp_path):
         precision_bits=64,
         max_precision_bits=64,
     )
-    rc, _ = invoke(["gram", "--config", cfg])
-    assert rc == 3
+    assert invoke(["gram", "--config", cfg]) == (3, "")
+    assert capsys.readouterr().err.startswith("error[NotPositiveDefinite]: ")
+    # both exponents round to 1 at 256 bits, so the growth fit of the
+    # moment data has no line to draw; more precision separates them
+    values = ["1", "1." + "0" * 90 + "1"]
+    cfg = write_config(tmp_path, exponents={"kind": "explicit", "values": values}, d=["1", "2"])
+    assert invoke(["moments", "--config", cfg]) == (3, "")
+    assert capsys.readouterr().err.startswith("error[NumericalError]: ")
+
+
+def test_bad_epsilon_prints_r_w_at_the_section_width(tmp_path, capsys):
+    # r_w is printed to the digits of the width the section settled at,
+    # as str() prints it inside workbits of that width, not to the 15
+    # digits of the ambient 53 bits
+    third = {"intervals": [{"lo": "0", "hi": "1/3"}], "weights": [{"coeff": "1", "power": "0"}]}
+    squares = {"kind": "power", "c": "1", "beta": "2", "count": 8}
+    cfg = write_config(tmp_path, domain=third, exponents=squares, N_list=[4, 8], epsilon="0.5")
+    assert run(["distances", "--config", cfg]) == 2
+    g = gram(build_weighted_domain([(0, Fraction(1, 3))], [(1, 0)]), power_exponents(1, 2, 8), 8)
+    assert g.precision_bits > 256
+    with workbits(g.precision_bits):
+        r_w = str(g.domain.r_a)
+    assert capsys.readouterr() == ("", "error[BadEpsilon]: epsilon must lie strictly between 0 "
+                                       f"and r_w = {r_w}\n")
 
 
 def test_distances_with_oracle_column(tmp_path):

@@ -91,48 +91,35 @@ def _functions_naming(ident):
                   for name in _naming_functions(ast.parse(path.read_text()), named))
 
 
+# the context managers that set the process-global width, ``mp.prec``
+GLOBAL_WIDTH = {"workprec", "workdps", "workbits"}
+
+
 def _names_global_width(sub):
-    # ``mp.prec``, or ``workbits``, which sets it
-    return (isinstance(sub, ast.Attribute) and sub.attr == "prec"
-            and isinstance(sub.value, ast.Name) and sub.value.id == "mp"
-            or isinstance(sub, ast.Name) and sub.id == "workbits"
-            or isinstance(sub, ast.Attribute) and sub.attr == "workbits"
-            or isinstance(sub, ast.alias) and sub.name == "workbits")
+    # ``mp.prec``, ``mp.dps`` or a context manager that sets them
+    if isinstance(sub, ast.Attribute):
+        return (sub.attr in GLOBAL_WIDTH or sub.attr in ("prec", "dps")
+                and isinstance(sub.value, ast.Name) and sub.value.id == "mp")
+    return (isinstance(sub, ast.Name) and sub.id in GLOBAL_WIDTH
+            or isinstance(sub, ast.alias) and sub.name in GLOBAL_WIDTH)
 
 
-# the modules that grow or consume a factor with their width passed in
-WIDTH_EXPLICIT = ("gram.py", "operator.py")
+def test_no_module_reads_the_global_width():
+    # every function takes its width as an argument and neither reads
+    # ``mp.prec`` nor sets it, so none gives other bits when called at
+    # another ambient width, and a forked child computes at the width its
+    # caller passes down, not at the ambient one the fork copies;
+    # ``workbits`` itself stays, for callers, with its re-export
+    hits = sorted(f"{path.name}:{fn}" for path in sorted(SRC.glob("*.py"))
+                  for fn in _naming_functions(ast.parse(path.read_text()), _names_global_width))
+    assert hits == ["__init__.py:<module>", "precision.py:workbits"]
 
 
-def test_gram_reads_no_global_width():
-    # every function of gram.py and operator.py takes its width as an
-    # argument and neither reads ``mp.prec`` nor sets it through
-    # ``workbits``, so none gives other bits when called at another
-    # ambient width
-    hits = sorted(f"{name}:{fn}" for name in WIDTH_EXPLICIT
-                  for fn in _naming_functions(ast.parse((SRC / name).read_text()),
-                                              _names_global_width))
-    assert hits == []
-
-
-def test_forked_callers_read_no_global_width():
-    # a forked child computes at the width its caller passes down, not at
-    # the ambient one the fork copies: no function that calls
-    # ``_forked_map`` names ``mp.prec`` or ``workbits``
-    def calls_forked_map(sub):
-        return isinstance(sub, ast.Name) and sub.id == "_forked_map"
-
-    callers, hits = [], []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        width = _naming_functions(tree, _names_global_width)
-        for fn in sorted(_naming_functions(tree, calls_forked_map)):
-            callers.append(f"{path.name}:{fn}")
-            if fn in width:
-                hits.append(f"{path.name}:{fn}")
-    assert callers == ["duals.py:dual_family", "operator.py:hereditary_sweep",
-                       "series.py:christoffel_remez"]
-    assert hits == []
+def test_three_functions_call_the_fork_map():
+    # besides the imports of the helper
+    assert _functions_naming("_forked_map") == [
+        "duals.py:<module>", "duals.py:dual_family", "operator.py:<module>",
+        "operator.py:hereditary_sweep", "series.py:christoffel_remez"]
 
 
 def test_one_function_reads_the_gram_store():

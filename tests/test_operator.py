@@ -10,21 +10,31 @@ from mpmath.libmp import fone, fzero
 
 from muntz import (
     MuntzSeries,
+    TargetFunction,
     apply,
+    build_moment_data,
     build_weighted_domain,
     christoffel_remez,
+    coefficient_convergence,
+    convergence_certificate,
     diagonal_operator,
     dilation_operator,
+    distance,
+    distance_sweep,
     dual_family,
     eigen_check,
     evaluate,
     explicit_exponents,
     finite_sections,
+    fmt,
     gram,
     gram_inverse_column,
     hereditary_check,
     hereditary_sweep,
+    lower_bound_certificate,
+    oracle_distance,
     power_exponents,
+    project,
     to_mpf,
     workbits,
 )
@@ -34,6 +44,7 @@ from muntz.errors import (
     DuplicateEigenvalue,
     LengthMismatch,
     NotPositiveDefinite,
+    OutsideRadius,
     PrecisionExhausted,
     ValidationError,
     ZeroEigenvalue,
@@ -518,10 +529,13 @@ def _raw(value):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_factor_consumers_ignore_the_ambient_width(monkeypatch):
-    # the operator checks, the hereditary blocks and the three forked
-    # callers take the section's width, not mp.prec: inside workbits(53)
-    # they give the bits they give at P, forked children included, and
-    # leave mp.prec as it was
+    # the operator checks, the hereditary blocks, the three forked
+    # callers, the distance, series and moment glue, the exponents and
+    # fmt take their width as an argument, not mp.prec: inside
+    # workbits(53) they give the bits they give at P, forked children
+    # included, and leave mp.prec as it was.  Signed data and
+    # coefficients that are not 53-bit values catch a unary abs() or a
+    # difference rounded at the ambient width
     import muntz.duals as duals_module
     import muntz.series as series_module
 
@@ -540,6 +554,23 @@ def test_factor_consumers_ignore_the_ambient_width(monkeypatch):
     scaled, diag = operator_module._jacobi_scaled(g.entry_rows, prec)
     idx = (1, 3, 4)
     block = [[g.entry_rows[i][j] for j in idx[:a + 1]] for a, i in enumerate(idx)]
+    target = TargetFunction.muntz_combo(series)
+    data = ["1", "-1/3", "0.1", "-0.7", "0", "2/7"]
+
+    def sweep():
+        report = distance_sweep(g, [3, 5, 7], 2, "0.01")
+        return report, report.exponent_slopes(), lower_bound_certificate(report, "0.1")
+
+    def outside():
+        # the message prints x and the radius to the digits of P
+        with pytest.raises(OutsideRadius) as exc:
+            evaluate(series, "1.1")
+        return str(exc.value)
+
+    def moments():
+        moment_data = build_moment_data(TWO_PIECE, lam, data, prec)
+        return moment_data, convergence_certificate(g, [2, 4, 6], moment_data)
+
     calls = [lambda: hereditary_check(g, ([1, 3, 4], [2, 5, 6, 7])),
              lambda: hereditary_sweep(g),
              lambda: eigen_check(spec, g),
@@ -550,7 +581,15 @@ def test_factor_consumers_ignore_the_ambient_width(monkeypatch):
              lambda: christoffel_remez(g, "0.9", 101),
              lambda: dual_family(g),
              lambda: operator_module._block_spectrum(block, prec),
-             lambda: operator_module._subtree_spectra(scaled, diag, 2, prec)]
+             lambda: operator_module._subtree_spectra(scaled, diag, 2, prec),
+             lambda: evaluate(series, "0.3"),
+             lambda: project(g, TargetFunction.pure_power("2.5", prec)),
+             lambda: coefficient_convergence(g, [3, 5, 7], target),
+             lambda: distance(g, 3),
+             lambda: oracle_distance(lam, 3, 7, prec),
+             sweep, moments, outside,
+             lambda: power_exponents(1, "1/2", 7, prec),
+             lambda: [fmt(2 ** 70 + 1, prec), fmt("0.1", prec)]]
 
     def reads(width):
         got = []
