@@ -29,6 +29,7 @@ from .errors import (
 from .precision import (
     DEFAULT_PRECISION_BITS,
     Real,
+    _dot,
     frac_str,
     mpf_from_fraction,
     to_fraction,
@@ -144,23 +145,22 @@ def _moments(pieces, exps: Sequence[mpmath.mpf], bits: int):
 
     gens = []
     for lo, hi, coeff, power in pieces:
-        p1, ends = raw(power + 1), []
+        p1, scaled, powers = raw(power + 1), [], []
         for x, c in ((hi, coeff), (lo, -coeff)):
             if x:
                 # the exact products (+-c x**(p+1)) x**e_i, and x**e_i
                 scale = mpf_mul(raw(c), mpf_pow(raw(x), p1, bits, round_nearest),
                                 bits, round_nearest)
-                powers = _powers(raw(x), exps, bits)
-                ends.append(([mpf_mul(scale, u) for u in powers], powers))
-        gens.append((p1, ends))
+                powers.append(_powers(raw(x), exps, bits))
+                scaled.append([mpf_mul(scale, u) for u in powers[-1]])
+        # by exponent index, its values at the piece's ends
+        gens.append((p1, list(zip(*scaled)), list(zip(*powers))))
 
     def moment(i: int, j: int) -> tuple:
         s = mpf_add(exps[i], exps[j], bits, round_nearest)
-        return mpf_sum([
-            mpf_div(mpf_sum([mpf_mul(scaled[i], powers[j]) for scaled, powers in ends],
-                            bits, round_nearest),
-                    mpf_add(s, p1, bits, round_nearest), bits, round_nearest)
-            for p1, ends in gens], bits, round_nearest)
+        return mpf_sum([mpf_div(_dot(scaled[i], powers[j], bits),
+                                mpf_add(s, p1, bits, round_nearest), bits, round_nearest)
+                        for p1, scaled, powers in gens], bits, round_nearest)
 
     return moment
 

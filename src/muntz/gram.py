@@ -35,7 +35,8 @@ for the readers and the public solves, and none reads or sets mpmath's
 working precision: each gives the same bits at any ambient width and
 leaves it as it was.  The assembly keeps its guard raw, and the public
 solves round a right-hand side entry that is not an mpf at the
-section's width.
+section's width.  Every dot here, of a factor row, a solve or a
+residual, is ``precision._dot``.
 
 This module alone grows a factor, too.  A ``_Factor`` holds the raw
 lower rows of a symmetric matrix, their Cholesky rows and L^-1 by rows
@@ -49,19 +50,17 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (fnone, fone, fzero, from_man_exp, mpf_abs, mpf_add, mpf_div, mpf_gt,
-                          mpf_lt, mpf_mul, mpf_neg, mpf_shift, mpf_sqrt, mpf_sub, mpf_sum,
-                          round_nearest)
+from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_lt, mpf_mul, mpf_neg,
+                          mpf_shift, mpf_sqrt, mpf_sub, mpf_sum, round_nearest)
 
 from .domain import WeightedDomain, _moments
 from .errors import IndexOutOfRange, NotPositiveDefinite, PrecisionExhausted, ValidationError
 from .exponents import ExponentSequence
-from .precision import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS, to_mpf
+from .precision import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS, _dot, to_mpf
 
 
 @dataclass(frozen=True)
@@ -483,46 +482,6 @@ def _shifted(rows, shift, prec) -> List[List[tuple]]:
     """The raw lower rows of A - shift I."""
     return [[mpf_sub(v, shift, prec, round_nearest) if i == j else v for j, v in enumerate(row)]
             for i, row in enumerate(rows)]
-
-
-def _dot(a, b, prec, minus=None) -> tuple:
-    """sum(a_i b_i) of raw values, less the raw ``minus`` when given:
-    exact products, rounded once.
-
-    Bit for bit ``mpf_sum`` of the ``mpf_mul`` products followed by
-    ``mpf_neg(minus)``, at ``prec`` and round-to-nearest: its loop, drop
-    branch past 2 * prec included, fed each product's mantissa and
-    exponent directly, with -minus taken as minus times -1.  An inf or
-    nan operand takes the list form.
-    """
-    pairs = zip(a, b) if minus is None else chain(zip(a, b), ((minus, fnone),))
-    limit = prec * 2 or 1000000
-    man = exp = 0
-    for (xsign, xman, xexp, xbc), (ysign, yman, yexp, ybc) in pairs:
-        if not (xman and yman):
-            if (not xman and xexp) or (not yman and yexp):
-                terms = [mpf_mul(p, q) for p, q in zip(a, b)]
-                if minus is not None:
-                    terms.append(mpf_neg(minus))
-                return mpf_sum(terms, prec, round_nearest)
-            continue
-        pman = xman * yman
-        if xsign != ysign:
-            pman = -pman
-        pexp = xexp + yexp
-        delta = pexp - exp
-        if delta >= 0:
-            if delta > limit and (not man or delta - abs(man).bit_length() > limit):
-                man, exp = pman, pexp
-            else:
-                man += pman << delta
-        elif -delta > limit and -delta - abs(pman).bit_length() > limit:
-            if not man:
-                man, exp = pman, pexp
-        else:
-            man = (man << -delta) + pman
-            exp = pexp
-    return from_man_exp(man, exp, prec, round_nearest)
 
 
 def _full_rows(rows) -> List[List[tuple]]:

@@ -22,7 +22,7 @@ from .errors import NumericalError, ValidationError
 from .exponents import ExponentSequence
 from .gram import (GramMatrix, _inverse_diagonals, _mpfs, _residual, leading_sections,
                    solve_spd)
-from .precision import DEFAULT_PRECISION_BITS, Real, _fsum_products, to_mpf
+from .precision import DEFAULT_PRECISION_BITS, Real, _dot, to_mpf
 from .series import MuntzSeries
 
 
@@ -67,7 +67,7 @@ def fit_growth(
         return mp.make_mpf(mpf_exp(mpf_div(ys[0], xs[0], bits, rnd), bits, rnd)), mp.one
     # least squares slope of log|d| against lam: (m sxy - sx sy) / (m sxx - sx sx)
     m, sx, sy = from_int(len(xs)), mpf_sum(xs, bits, rnd), mpf_sum(ys, bits, rnd)
-    num, den = (mpf_sub(mpf_mul(m, _fsum_products(xs, zs, bits), bits, rnd),
+    num, den = (mpf_sub(mpf_mul(m, _dot(xs, zs, bits), bits, rnd),
                         mpf_mul(sx, sz, bits, rnd), bits, rnd) for zs, sz in ((ys, sy), (xs, sx)))
     if den == fzero:
         raise NumericalError(f"the exponents of the nonzero moments coincide at {bits} bits; "
@@ -150,11 +150,12 @@ def convergence_certificate(
     diagonals = _inverse_diagonals(g, sizes, range(sizes[-1]))
     bits = g.precision_bits
     d = [v._mpf_ for v in data.d]
+    abs_d = [mpf_abs(v) for v in d]
     for s, diags in zip(sections, diagonals):
         roots = [mpf_sqrt(diag._mpf_, bits, round_nearest) for diag in diags]
-        sums.append(mp.make_mpf(_fsum_products(map(mpf_abs, d), roots, bits)))
+        sums.append(mp.make_mpf(_dot(abs_d, roots, bits)))
         coeffs = solve_spd(s, list(data.d[:s.n]))
-        norm_sq = mp.make_mpf(_fsum_products([c._mpf_ for c in coeffs], d, bits))
+        norm_sq = mp.make_mpf(_dot([c._mpf_ for c in coeffs], d, bits))
         norms.append(mp.sqrt(norm_sq, prec=bits) if norm_sq > 0 else mp.zero)
     ratios = tuple(mp.fdiv(b, a, prec=bits) if a != 0 else mp.zero
                    for a, b in zip(sums, sums[1:]))

@@ -48,7 +48,7 @@ from .errors import (
 from .exponents import ExponentSequence
 from .gram import (GramMatrix, _Factor, _grown, _inverse_block, _mpfs, _smallest_eigenvalue,
                    _unit_columns, solve_spd)
-from .precision import DEFAULT_PRECISION_BITS, Real, _fsum_products, _shown, to_int, to_mpf
+from .precision import DEFAULT_PRECISION_BITS, Real, _dot, _shown, to_int, to_mpf
 from .series import MuntzSeries, _Result, _forked_map, evaluate
 
 
@@ -170,8 +170,8 @@ def eigen_check(spec: OperatorSpec, g: GramMatrix) -> EigenReport:
         scale = mpf_add(mpf_mul(_largest(map(mpf_abs, col)), mpf_abs(u[k]), bits, round_nearest),
                         fone, bits, round_nearest)
         for i in range(n):
-            got = _fsum_products(adj[i], col, bits)
-            resid = mpf_sub(got, mpf_mul(u[k], col[i], bits, round_nearest), bits, round_nearest)
+            # (adj col)_i - u_k col_i over exact products, rounded once
+            resid = _dot(adj[i], col, bits, mpf_mul(u[k], col[i]))
             resid = mpf_div(mpf_abs(resid), scale, bits, round_nearest)
             if mpf_gt(resid, worst):
                 worst = resid

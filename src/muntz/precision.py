@@ -9,7 +9,9 @@ Every library function takes its width as an argument, a section's
 ``mpf_*`` call at that width, or ``mp.fmul``, ``mp.fdiv``, ``mp.sqrt``,
 ``mp.ln`` and the like with ``prec=``, and no module reads or sets the
 process-global ``mp.prec``.  So a value is the same bits at any ambient
-width, and a forked child computes at the width it was handed.
+width, and a forked child computes at the width it was handed.  Every
+sum of products in the library is one ``_dot``: the exact products,
+summed exactly and rounded once at the width passed.
 ``workbits`` is for callers that post-process results with mpmath's
 operators.  Comparisons of mpfs are exact at any width, but unary
 ``abs()``, ``-`` and ``+`` on an mpf round it at ``mp.prec``: outside a
@@ -21,12 +23,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from typing import Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (from_rational, mpf_mul, mpf_pos, mpf_sum, prec_to_dps, round_nearest,
-                          to_str)
+from mpmath.libmp import (fnone, from_man_exp, from_rational, mpf_mul, mpf_neg, mpf_pos, mpf_sum,
+                          prec_to_dps, round_nearest, to_str)
 
 from .errors import NotANumber, ValidationError
 
@@ -122,18 +125,51 @@ def decimal_digits(bits: int) -> int:
 def fmt(x, bits: int = DEFAULT_PRECISION_BITS) -> str:
     """Decimal-string rendering at significance derived from the precision.
 
-    The value, an mpf or anything ``mpmath.mpf`` takes, is rounded to
-    ``bits`` and rendered on its raw value: what ``mp.nstr(mpmath.mpf(x))``
-    gives inside ``workbits(bits)``."""
-    raw = x._mpf_ if isinstance(x, mpmath.mpf) else mpmath.mpf(x, prec=bits)._mpf_
+    The value, an mpf or any input ``to_mpf`` takes, is rounded to
+    ``bits`` and rendered on its raw value: what ``mp.nstr`` gives for
+    that rounding inside ``workbits(bits)``."""
+    raw = (x if isinstance(x, mpmath.mpf) else to_mpf(x, bits))._mpf_
     return to_str(mpf_pos(raw, bits, round_nearest), decimal_digits(bits), strip_zeros=True)
 
 
-def _fsum_products(xs, ys, bits: int) -> tuple:
-    """``mp.fsum(x * y for ...)`` at width ``bits`` on raw values: each
-    product rounded, then their sum rounded once."""
-    return mpf_sum([mpf_mul(x, y, bits, round_nearest) for x, y in zip(xs, ys)], bits,
-                   round_nearest)
+def _dot(a, b, prec, minus=None) -> tuple:
+    """sum(a_i b_i) of raw values, less the raw ``minus`` when given:
+    exact products, rounded once.
+
+    Bit for bit ``mpf_sum`` of the ``mpf_mul`` products followed by
+    ``mpf_neg(minus)``, at ``prec`` and round-to-nearest: its loop, drop
+    branch past 2 * prec included, fed each product's mantissa and
+    exponent directly, with -minus taken as minus times -1.  An inf or
+    nan operand takes the list form.
+    """
+    pairs = zip(a, b) if minus is None else chain(zip(a, b), ((minus, fnone),))
+    limit = prec * 2 or 1000000
+    man = exp = 0
+    for (xsign, xman, xexp, xbc), (ysign, yman, yexp, ybc) in pairs:
+        if not (xman and yman):
+            if (not xman and xexp) or (not yman and yexp):
+                terms = [mpf_mul(p, q) for p, q in zip(a, b)]
+                if minus is not None:
+                    terms.append(mpf_neg(minus))
+                return mpf_sum(terms, prec, round_nearest)
+            continue
+        pman = xman * yman
+        if xsign != ysign:
+            pman = -pman
+        pexp = xexp + yexp
+        delta = pexp - exp
+        if delta >= 0:
+            if delta > limit and (not man or delta - abs(man).bit_length() > limit):
+                man, exp = pman, pexp
+            else:
+                man += pman << delta
+        elif -delta > limit and -delta - abs(pman).bit_length() > limit:
+            if not man:
+                man, exp = pman, pexp
+        else:
+            man = (man << -delta) + pman
+            exp = pexp
+    return from_man_exp(man, exp, prec, round_nearest)
 
 
 def _shown(raw, bits: int) -> str:

@@ -37,15 +37,14 @@ import marshal
 import os
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import reduce
 from itertools import repeat
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (MPZ, from_int, fzero, mpf_add, mpf_div, mpf_gt, mpf_lt, mpf_mul,
-                          mpf_shift, mpf_sub, round_nearest)
+from mpmath.libmp import (MPZ, from_int, fzero, mpf_div, mpf_gt, mpf_lt, mpf_mul, mpf_shift,
+                          mpf_sub, round_nearest)
 
 from .domain import WeightedDomain, _moments, _powers
 from .errors import (
@@ -57,8 +56,8 @@ from .errors import (
     ValidationError,
 )
 from .exponents import ExponentSequence
-from .gram import GramMatrix, _dot, _inverse_rows, leading_sections, solve_spd
-from .precision import DEFAULT_PRECISION_BITS, Real, _fsum_products, _shown, to_mpf
+from .gram import GramMatrix, _inverse_rows, _mpfs, leading_sections, solve_spd
+from .precision import DEFAULT_PRECISION_BITS, Real, _dot, _shown, to_mpf
 
 
 @dataclass(frozen=True)
@@ -129,12 +128,6 @@ def target_from_json(
     raise MalformedConfig(f"unknown target kind {kind!r}")
 
 
-def _running_sum(terms, bits: int) -> mpmath.mpf:
-    """The raw terms added left to right from 0, each sum rounded at
-    ``bits``: Python's ``sum`` of the mpfs inside a block of that width."""
-    return mp.make_mpf(reduce(lambda acc, t: mpf_add(acc, t, bits, round_nearest), terms, fzero))
-
-
 def evaluate(s: MuntzSeries, x: Real) -> mpmath.mpf:
     """Pointwise value sum a_k * x**lam_k for 0 <= x < radius, at the
     series' own width."""
@@ -144,8 +137,7 @@ def evaluate(s: MuntzSeries, x: Real) -> mpmath.mpf:
         raise OutsideRadius(f"x = {_shown(xv._mpf_, bits)} outside "
                             f"[0, {_shown(s.radius._mpf_, bits)})")
     lams = [lam_k._mpf_ for lam_k in s.lam_ref.values_at(bits, len(s.coeffs))]
-    return _running_sum([mpf_mul(a._mpf_, p, bits, round_nearest)
-                         for a, p in zip(s.coeffs, _powers(xv._mpf_, lams, bits))], bits)
+    return mp.make_mpf(_dot([a._mpf_ for a in s.coeffs], _powers(xv._mpf_, lams, bits), bits))
 
 
 def _settle_residual_sq(value, bits: int):
@@ -170,17 +162,17 @@ def project(g: GramMatrix, f: TargetFunction) -> Tuple[MuntzSeries, mpmath.mpf]:
     exponents followed by the section's, so a target exponent equal to
     lam_k gives exactly the Gram entries of column k.
     """
-    wd, bits, rnd = g.domain, g.precision_bits, round_nearest
+    wd, bits = g.domain, g.precision_bits
     terms = f.terms(bits)
     moment = _moments(wd.pieces, [e for _, e in terms] + list(g.lams), bits)
-    pairs = list(enumerate(a._mpf_ for a, _ in terms))
-    b = [_running_sum([mpf_mul(a, moment(i, k), bits, rnd) for i, a in pairs], bits)
-         for k in range(len(terms), len(terms) + g.n)]
-    norm_sq = _running_sum([mpf_mul(mpf_mul(a, a_j, bits, rnd), moment(i, j), bits, rnd)
-                            for i, a in pairs for j, a_j in pairs], bits)
-    c = solve_spd(g, b)
-    bc = _fsum_products([v._mpf_ for v in b], [v._mpf_ for v in c], bits)
-    res_sq = mp.make_mpf(mpf_sub(norm_sq._mpf_, bc, bits, rnd))
+    a, t = [coeff._mpf_ for coeff, _ in terms], range(len(terms))
+    b = [_dot(a, [moment(i, k) for i in t], bits) for k in range(len(t), len(t) + g.n)]
+    # <f, f> = sum a_i a_j m_ij over the exact products a_i a_j
+    norm_sq = _dot([mpf_mul(a_i, a_j) for a_i in a for a_j in a],
+                   [moment(i, j) for i in t for j in t], bits)
+    c = solve_spd(g, _mpfs(b))
+    bc = _dot(b, [v._mpf_ for v in c], bits)
+    res_sq = mp.make_mpf(mpf_sub(norm_sq, bc, bits, round_nearest))
     res = mp.sqrt(_settle_residual_sq(res_sq, bits), prec=bits)
     series = MuntzSeries(
         lam_ref=g.lam, coeffs=tuple(c), radius=wd.r_a, precision_bits=bits

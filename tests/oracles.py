@@ -26,8 +26,8 @@ from muntz.domain import _moments, _powers
 from muntz.errors import (BadPartition, IndexOutOfRange, NotPositiveDefinite,
                           PrecisionExhausted, ValidationError)
 from muntz.exponents import ExponentSequence
-from muntz.gram import GramMatrix, _Attempt, _append_row, _dot, _inverse_cut
-from muntz.precision import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, to_mpf
+from muntz.gram import GramMatrix, _Attempt, _append_row, _inverse_cut
+from muntz.precision import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, _dot, to_mpf
 
 
 def inverse_principal_minor(g: GramMatrix, n2: Iterable[int]) -> mpmath.mpf:

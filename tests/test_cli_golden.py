@@ -124,7 +124,7 @@ DIGESTS = {
     "duals_escalated": "18f83b9ac4c0d8beca3e6274ebf210c60c1e609253f5253f537624f8070084e3",
     "expand": "df2e6b52b1af92842cf989111e45254fb0db305f033f7337c7fb0c92ff4b2f50",
     "expand_combo_csv": "e27245ac6bb5b5e22ac2591afe0e76c1a592f5d44ed6e2848612c6872f790b48",
-    "expand_escalated": "c3a071e2c6e72b49f32eabbdfc467f0049eb8f457dd03bfd377469a7438fe5b1",
+    "expand_escalated": "af3beaf99175bcfa6f3cdcd96bbcbda74a66bc04a4c1975698b4960b2fb669d8",
     "gram": "ef364927028ae449bde48a71321c25a464b32e72d86c8a737533f0cc75dab683",
     "gram_csv": "1b230961592e017d8a52383e40261f826da9858f89fe44e118ddc117252b7600",
     "gram_escalated": "abd9b87b98c622fc7275988befdc3b9c0c7c208faf8a24408d082e0e7928f918",
@@ -136,9 +136,9 @@ DIGESTS = {
     "moments": "18df652919dc04353daaade92f188bea7de400c5813f996f358274c642a1fd81",
     "moments_csv": "e744d005bde2762862f5c3e311c69cc2b7da1034ba69feb2b69c6e7e2a2374b9",
     "moments_escalated": "ef232154ba04b7906c62c23c0ffb3373ffa953be5e83d310c22c603d8ccac503",
-    "operator": "c5cb6ba6ae95b3068cb91a26568415327eec8fde04d2d87d240ab31aed0cc439",
+    "operator": "f102ce5e8fa8f861972c794b7d06d51ef9f1e65d4df505cf102e59df7873ca6a",
     "operator_csv": "d340db346f182731c8ea7cbeab88459c8a64d6cb910fb5157876ecb2454cebca",
-    "operator_escalated": "8e1da5d63816c36b0525f35059fd54643fe4315fa3ef250123d20964cc361200",
+    "operator_escalated": "3c053b536c9a99858aee86e2a62519ba13fbafffea192809819b8396ec52f2fe",
     "remez": "ba850c08949e48307874aa00bc0ce2b626af04f50ba0a9e33132b6de47231d7f",
     "remez_csv": "1573f021592101df786f25fe5b69de8f46cdc85a38d1d9a792463f777f2b57bc",
     "remez_escalated": "cf0239cf95ad9a20419ce219cf5dd5a6d1fa80bf1e20402ddcf3ca7d52be75ac",

@@ -18,7 +18,8 @@ from muntz import (
     workbits,
 )
 from muntz.errors import BadEpsilon, IndexOutOfRange, ValidationError
-from muntz.gram import _dot, _full_rows
+from muntz.gram import _full_rows
+from muntz.precision import _dot
 
 from conftest import rel_err
 

@@ -34,9 +34,10 @@ from muntz.errors import (
     ValidationError,
 )
 from muntz.domain import _moments
-from muntz.gram import (_append_row, _dot, _factored, _grown, _inverse_block, _inverse_cut,
+from muntz.gram import (_append_row, _factored, _grown, _inverse_block, _inverse_cut,
                         _inverse_diagonals, _smallest_eigenvalue, _substitute_forward,
                         _unit_columns, forward_substitution)
+from muntz.precision import _dot
 
 from conftest import rel_err
 from oracles import gram_every_row

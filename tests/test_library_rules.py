@@ -21,15 +21,6 @@ def test_no_dense_mpmath_in_library():
     assert hits == []
 
 
-# a sum of products rounded per term, or summed from a list of products
-ROUNDED_MAC = re.compile(r"mpf_sub\(\s*acc\s*,\s*mpf_mul\(|mpf_sum\(\s*\[\s*mpf_mul\(")
-
-
-def test_gram_sums_products_through_dot():
-    # every sum of products in gram.py is one exact ``_dot``, rounded once
-    assert ROUNDED_MAC.findall((SRC / "gram.py").read_text()) == []
-
-
 # process pools and threads: the fork-map helper forks by hand, and importing
 # multiprocessing alone costs about a quarter of the library's import time
 POOLS = re.compile(r"^\s*(?:import|from)\s+(?:multiprocessing|concurrent|threading)\b")
@@ -77,6 +68,45 @@ def test_one_function_forks():
     hits = sorted(f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
                   for name in _naming_functions(ast.parse(path.read_text()), _names_fork))
     assert hits == ["series.py:_forked_map"]
+
+
+def _calls(sub, *names):
+    return (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+            and sub.func.id in names)
+
+
+def _folds(node, acc):
+    # acc + t or acc - t, rounded: one step of a running sum
+    return (_calls(node, "mpf_add", "mpf_sub") and bool(node.args)
+            and isinstance(node.args[0], ast.Name) and node.args[0].id == acc)
+
+
+def _rounds_a_sum_of_products(sub):
+    """``mpf_sum`` of a list of products, a running fold that rounds each
+    partial sum (``acc = mpf_add(acc, ...)`` in a loop, or the same in a
+    ``reduce`` lambda), or mpmath's ``fsum``/``fdot``."""
+    if _calls(sub, "mpf_sum") and sub.args:
+        terms = sub.args[0]
+        elts = ([terms.elt] if isinstance(terms, (ast.ListComp, ast.GeneratorExp))
+                else getattr(terms, "elts", []))
+        return any(_calls(elt, "mpf_mul") for elt in elts)
+    if isinstance(sub, (ast.For, ast.While)):
+        return any(isinstance(step, ast.Assign) and isinstance(step.targets[0], ast.Name)
+                   and _folds(step.value, step.targets[0].id) for step in ast.walk(sub))
+    if _calls(sub, "reduce") and sub.args and isinstance(sub.args[0], ast.Lambda):
+        fn = sub.args[0]
+        return bool(fn.args.args) and _folds(fn.body, fn.args.args[0].arg)
+    return (isinstance(sub, ast.Attribute) and sub.attr in ("fsum", "fdot")
+            and isinstance(sub.value, ast.Name) and sub.value.id in ("mp", "mpmath"))
+
+
+def test_every_sum_of_products_is_one_dot():
+    # one rounding rule for every sum of products in the library:
+    # ``precision._dot``, the exact products rounded once
+    hits = sorted(f"{path.name}:{fn}" for path in sorted(SRC.glob("*.py"))
+                  for fn in _naming_functions(ast.parse(path.read_text()),
+                                              _rounds_a_sum_of_products))
+    assert hits == []
 
 
 def _functions_naming(ident):

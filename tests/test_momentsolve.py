@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
+from mpmath.libmp import mpf_abs, mpf_sqrt, round_nearest
 
 from muntz import (
     build_moment_data,
@@ -18,6 +19,7 @@ from muntz import (
     workbits,
 )
 from muntz.errors import ValidationError
+from muntz.precision import _dot
 
 from conftest import rel_err
 
@@ -183,6 +185,6 @@ def test_certificate_dual_norms_equal_per_section_solves(pieces, family):
     for m in sizes:
         s = leading_section(g, m)
         diags = [gram_inverse_diagonals(s, k, [m])[0] for k in range(1, m + 1)]
-        with workbits(bits):
-            want.append(mp.fsum(abs(data.d[k]) * mp.sqrt(diags[k]) for k in range(m)))
-    assert [v._mpf_ for v in cert.partial_sums] == [v._mpf_ for v in want]
+        want.append(_dot([mpf_abs(data.d[k]._mpf_) for k in range(m)],
+                         [mpf_sqrt(diags[k]._mpf_, bits, round_nearest) for k in range(m)], bits))
+    assert [v._mpf_ for v in cert.partial_sums] == want

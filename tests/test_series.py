@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
+from mpmath.libmp import mpf_sub, round_nearest
 
 from muntz import (
     MuntzSeries,
@@ -18,6 +19,7 @@ from muntz import (
     workbits,
 )
 from muntz.errors import NegativeResidualSquared, OutsideRadius, ValidationError
+from muntz.precision import _dot
 import muntz.series as series_module
 from muntz.series import MAX_GRID_POINTS, _powers, _settle_residual_sq
 
@@ -306,6 +308,6 @@ def test_target_moments_on_section_exponents_are_gram_entries(wd, beta, monkeypa
         project(g, f)
         column = [g.entry_rows[max(i, k)][min(i, k)] for i in range(n)]
         assert [b._mpf_ for b in seen["b"]] == column
-        with workbits(g.precision_bits):
-            want = mp.make_mpf(column[k]) - mp.fsum(b * c for b, c in zip(seen["b"], seen["c"]))
-        assert seen["res_sq"] == want
+        bc = _dot([b._mpf_ for b in seen["b"]], [c._mpf_ for c in seen["c"]], g.precision_bits)
+        want = mpf_sub(column[k], bc, g.precision_bits, round_nearest)
+        assert seen["res_sq"]._mpf_ == want
