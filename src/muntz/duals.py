@@ -10,7 +10,7 @@ classical closed form
 
 is an independent oracle for everything the linear algebra produces.
 
-``dual_family`` solves each column of G^-1 (``gram._unit_columns``)
+``dual_family`` solves each column of G^-1 (``gram._column_reader``)
 together with its part of the biorthogonality residual max |G C - I|
 (``gram._residual``), and hands the columns to ``series._forked_map``
 in contiguous chunks: with the forward halves cut from the section's
@@ -31,7 +31,8 @@ from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_p
 
 from .errors import BadEpsilon, IndexOutOfRange
 from .exponents import ExponentSequence
-from .gram import GramMatrix, _mpfs, _residual, _unit_columns, gram_inverse_diagonals
+from .gram import (GramMatrix, _column_reader, _inverse_columns, _mpfs, _residual,
+                   gram_inverse_diagonals)
 from .precision import DEFAULT_PRECISION_BITS, Real, _shown, to_mpf
 from .series import _forked_map
 
@@ -92,41 +93,49 @@ class LowerBoundCertificate:
     section_ratios: Tuple[Tuple[int, mpmath.mpf], ...]
 
 
-# A fork, its pipe and its wait cost about 2 ms on a 2-core x86 VM.
-# Split over both cores there, with the forward halves cut from a stored
-# L^-1, the family takes 1.2-3.0 times its serial time at N 10-15,
-# 0.85-1.22 at N = 20 (median 0.96 over seven runs of the three
-# families) and 0.53-0.77 at N 30-40 (scripts/fork_floors.py --repeats
-# 9); ten columns a process fork from N = 20.
+# A pool round trip costs about 0.05 ms on a 2-core x86 VM, but each
+# call also hands a worker the section's factor rows, L^-1 and entry
+# rows.  Split over both cores there through the started pool, the
+# family took 1.29-1.69 times its serial time at N = 4, 0.72-1.11 at
+# N = 10, 0.56-1.11 at N = 15 and 0.65-1.04 at N = 20, and 0.57-0.89 at
+# N = 30 (scripts/fork_floors.py --repeats 7 and 9, three runs); ten
+# columns a process still split from N = 20, where two runs in three
+# gained.
 _MIN_CHUNK_COLUMNS = 10
+
+
+def _family_columns(rows, cols, entry_rows, prec: int, lo: int, hi: int) -> List[List[tuple]]:
+    """[column j raw..., its residual maximum] for each j in lo..hi-1,
+    from the raw factor rows, the columns of L^-1 and the raw entry rows
+    of one section at ``prec``, read through ``gram._column_reader`` and
+    ``gram._residual``."""
+    n = len(rows)
+    column, residuals = _column_reader(rows, cols, prec), _residual(entry_rows, prec)
+    out = []
+    for j in range(lo, hi):
+        col = column(j)
+        unit = [fone if m == j else fzero for m in range(n)]
+        out.append(col + [max(map(mpf_abs, residuals(col, unit)), key=mp.make_mpf)])
+    return out
 
 
 def dual_family(g: GramMatrix) -> DualFamily:
     """All dual-function coefficient columns of one section, and their
     biorthogonality residual.
 
-    Column j comes from the reader ``gram._unit_columns`` and its
+    Column j comes from the reader ``gram._column_reader`` and its
     residual, the largest |(G C)_mj - delta_mj| over the rows m, from the
-    reader ``gram._residual``, both made here, before any fork, so that
-    the section's L^-1 and symmetric rows are built once.  The
-    columns run in contiguous chunks through ``series._forked_map``, at
-    ``_MIN_CHUNK_COLUMNS`` or more per process; the residual is the
-    largest of the column maxima.  Every value is bit for bit the serial
-    one.
+    reader ``gram._residual`` (``_family_columns``), both made in each
+    process from the factor rows, the columns of L^-1 and the entry rows
+    read here, before the split, so that the section's L^-1 is grown
+    once, in this process.  The columns run in contiguous chunks through
+    ``series._forked_map``, at ``_MIN_CHUNK_COLUMNS`` or more per
+    process; the residual is the largest of the column maxima.  Every
+    value is bit for bit the serial one.
     """
     n, prec = g.n, g.precision_bits
-    column, residuals = _unit_columns(g), _residual(g)
-
-    def columns(lo: int, hi: int) -> List[List[tuple]]:
-        # [column j raw..., its residual maximum] for each j in lo..hi-1
-        out = []
-        for j in range(lo, hi):
-            col = column(j)
-            unit = [fone if m == j else fzero for m in range(n)]
-            out.append(col + [max(map(mpf_abs, residuals(col, unit)), key=mp.make_mpf)])
-        return out
-
-    results = _forked_map(columns, n, _MIN_CHUNK_COLUMNS)
+    parts = (g.chol_rows, _inverse_columns(g), g.entry_rows, prec)
+    results = _forked_map(_family_columns, parts, n, _MIN_CHUNK_COLUMNS)
     inv = [_mpfs(result[:n]) for result in results]
     norms = tuple(mp.sqrt(inv[k][k], prec=prec) for k in range(n))
     distances = tuple(mp.fdiv(1, v, prec=prec) for v in norms)

@@ -22,13 +22,18 @@ by column from the diagonal down, grown on request up to the rows
 asked for: every forward solve of a unit vector is a cut of it.  This
 module alone reads that layout, the lower entry and factor rows
 included; the other modules read a section through its properties and
-five readers: ``_unit_columns`` (columns of G^-1, each from a stop
+its readers: ``_unit_columns`` (columns of G^-1, each from a stop
 entry down, whole by default), ``_inverse_block`` (a principal block of
 G^-1, lower rows, cut from those columns each read from its diagonal
 down), ``_inverse_diagonals`` (the diagonal of G_m^-1 over leading
-sizes m), ``_inverse_rows`` (the rows of L^-1) and ``_residual``
-(G x - b).  Forked children inherit a copy of the store; a one-shot
-process gains nothing from it across reports.
+sizes m), ``_inverse_rows`` and ``_inverse_columns`` (the rows and the
+columns of L^-1).  Two readers work on raw parts alone, so that a
+worker of ``series._forked_map`` can run them on what it was sent:
+``_column_reader`` (the columns of G^-1 from the factor rows and the
+columns of L^-1) and ``_residual`` (G x - b from the entry rows).  The
+pool's workers inherit a copy of the store as it was when they forked
+and never read it; a one-shot process gains nothing from it across
+reports.
 
 Every function here takes its width as an argument, the section's own
 for the readers and the public solves, and none reads or sets mpmath's
@@ -521,8 +526,8 @@ def _inverse_cut(g: GramMatrix) -> List[List[tuple]]:
     raw: a cut to g.n rows of the L^-1 of g's attempt, grown first to
     g.n rows when it has fewer, never further.  Column j is bit for bit
     the forward solve of e_j from entry j against those rows.  A caller
-    that forks takes the cut first, so that the inverse is grown once, in
-    this process."""
+    that splits its work takes the cut first, so that the inverse is grown
+    once, in this process."""
     n, cols = g.n, g._attempt.inverse
     # each row is computed whole before any column takes an entry of it, so
     # an interrupt leaves the columns a whole number of rows long
@@ -536,13 +541,28 @@ def _inverse_cut(g: GramMatrix) -> List[List[tuple]]:
 
 def _unit_columns(g: GramMatrix) -> Callable[..., List[tuple]]:
     """The reader (k, stop=0) -> column k (0-based) of the inverse of g,
-    raw, from its last entry down to entry ``stop``, zeros above: the
-    back solve of column k of ``_inverse_cut(g)``, the forward solve of
-    e_k, each entry bit for bit what ``solve_spd`` gives for e_k.  The
-    cut and the columns of L below the diagonal are taken here, once, so
-    a caller that forks makes the reader first and the L^-1 is grown in
-    this process."""
-    rows, cols, bits = g.chol_rows, _inverse_cut(g), g.precision_bits
+    raw, from its last entry down to entry ``stop``, zeros above:
+    ``_column_reader`` of g's factor rows and ``_inverse_cut(g)``.
+    A caller that splits its work makes the reader first, so that the
+    L^-1 is grown in this process."""
+    return _column_reader(g.chol_rows, _inverse_cut(g), g.precision_bits)
+
+
+def _inverse_columns(g: GramMatrix) -> List[List[tuple]]:
+    """The columns of L^-1 for g's factor, raw, column j from entry j
+    down: ``_inverse_cut(g)``, grown in this process, for a caller that
+    hands them to ``_column_reader`` in a worker."""
+    return _inverse_cut(g)
+
+
+def _column_reader(rows, cols, bits: int) -> Callable[..., List[tuple]]:
+    """The reader (k, stop=0) -> column k of the inverse of L L^T, for the
+    raw factor rows of L and the columns ``cols`` of its L^-1, each from
+    its diagonal entry down (``_inverse_columns``), at ``bits``: the back
+    solve of column k of L^-1, the forward solve of e_k, from the last
+    entry down to entry ``stop``, zeros above, each entry bit for bit
+    what ``solve_spd`` gives for e_k.  The columns of L below the
+    diagonal are taken here, once a reader."""
     below = _columns_below(rows)
     return lambda k, stop=0: _substitute_back(rows, below, [fzero] * k + cols[k], bits, stop)
 
@@ -577,13 +597,13 @@ def _inverse_rows(g: GramMatrix) -> List[List[tuple]]:
     return [[col[i - j] for j, col in enumerate(cols[:i + 1])] for i in range(g.n)]
 
 
-def _residual(g: GramMatrix) -> Callable[[List[tuple], List[tuple]], List[tuple]]:
-    """The reader (x, b) -> G x - b for raw x and b, raw: each entry one
-    ``_dot`` of the exact products G_mk x_k less b_m, rounded once, the
-    residual of the stored values with no rounding of its own.  The
-    symmetric rows are built here, once, so a caller that forks makes
-    the reader first."""
-    rows, bits = _full_rows(g.entry_rows), g.precision_bits
+def _residual(entry_rows, bits: int) -> Callable[[List[tuple], List[tuple]], List[tuple]]:
+    """The reader (x, b) -> G x - b for the raw lower entry rows of G and
+    raw x and b, raw, at ``bits``: each entry one ``_dot`` of the exact
+    products G_mk x_k less b_m, rounded once, the residual of the stored
+    values with no rounding of its own.  The symmetric rows are built
+    here, once a reader."""
+    rows = _full_rows(entry_rows)
     return lambda x, b: [_dot(row, x, bits, b_m) for row, b_m in zip(rows, b)]
 
 

@@ -108,7 +108,8 @@ def solve_moments(g: GramMatrix, data: MomentData) -> Tuple[MuntzSeries, List[mp
     rhs = list(data.d[:section])
     coeffs = solve_spd(g, rhs)
     # <f, x**lam_i> - d_i: one sum of exact products, rounded once
-    residuals = _mpfs(_residual(g)([c._mpf_ for c in coeffs], [d._mpf_ for d in rhs]))
+    residual = _residual(g.entry_rows, bits)
+    residuals = _mpfs(residual([c._mpf_ for c in coeffs], [d._mpf_ for d in rhs]))
     series = MuntzSeries(
         lam_ref=g.lam, coeffs=tuple(coeffs), radius=g.domain.r_a, precision_bits=bits
     )

@@ -391,18 +391,27 @@ def _report(g: GramMatrix, n1: Tuple[int, ...], n2: Tuple[int, ...],
     )
 
 
-# The sweep forks from N = 4 on, 2N subtree tasks at 4 or more per
-# process: its two walks take about 15 ms there against a fork's 2-3 ms,
-# and about 5 ms at N = 3.  Split over 2 cores (scripts/fork_floors.py
-# --repeats 9) it took 0.78-0.90 of its serial time at N = 4 for squares
-# and sqrt (linear 0.84-1.06), and 0.63-0.69 at N = 5.
-_MIN_SWEEP_TASKS = 4
+# The sweep splits from N = 3 on, 2N subtree tasks at 3 or more per
+# process: a pool round trip costs about 0.05 ms, and its two walks take
+# about 3 ms at N = 3 and 0.7 ms at N = 2.  Split over 2 cores through
+# the started pool (scripts/fork_floors.py --repeats 7 and 9, three
+# runs) it took 0.63-0.99 of its serial time at N = 3, 0.61-0.94 at
+# N = 4 and 0.53-0.80 at N = 6, but 0.84-1.10 at N = 2.
+_MIN_SWEEP_TASKS = 3
+
+
+def _sweep_tasks(walks, prec: int, lo: int, hi: int) -> List[_Result]:
+    """The ``_subtree_spectra`` of tasks lo..hi-1 of the two walks, each
+    (``_jacobi_scaled`` rows, diagonal) of an N-by-N block: task t walks
+    the subsets of walk t // N whose smallest index is t % N."""
+    n = len(walks[0][1])
+    return [r for t in range(lo, hi) for r in _subtree_spectra(*walks[t // n], t % n, prec)]
 
 
 def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
     """hereditary_check over all 2**N partitions of the section, each
     inverse column read once, as far as ``hereditary_check`` reads it,
-    here before any fork, through ``gram._inverse_block``, and each
+    here before the split, through ``gram._inverse_block``, and each
     block grown from a smaller one (``_subtree_spectra``): the
     same reports, and the error the first failing partition raises.
 
@@ -414,18 +423,15 @@ def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
 
     The two subset walks, of S G S and of T G^-1 T, are cut into 2N
     tasks, one per walk and smallest index, and ``series._forked_map``
-    runs them at ``_MIN_SWEEP_TASKS`` or more per process: on 2 usable
-    cores the powers walk runs here and the duals walk in one child.
+    runs them (``_sweep_tasks``) at ``_MIN_SWEEP_TASKS`` or more per
+    process, handing a worker the two Jacobi-scaled walks: on 2 usable
+    cores the powers walk runs here and the duals walk in a worker.
     The results are combined by mask, so every report and the raised
     error are bit for bit the serial sweep's.
     """
     n, bits = g.n, g.precision_bits
     walks = [_jacobi_scaled(rows, bits) for rows in (g.entry_rows, _inverse_block(g, range(n)))]
-
-    def tasks(lo: int, hi: int) -> List[_Result]:
-        return [r for t in range(lo, hi) for r in _subtree_spectra(*walks[t // n], t % n, bits)]
-
-    results = iter(_forked_map(tasks, 2 * n, _MIN_SWEEP_TASKS))
+    results = iter(_forked_map(_sweep_tasks, (walks, bits), 2 * n, _MIN_SWEEP_TASKS))
     powers, duals = tables = {}, {}
     for table in tables:
         for i in range(n):

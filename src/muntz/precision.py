@@ -9,9 +9,9 @@ Every library function takes its width as an argument, a section's
 ``mpf_*`` call at that width, or ``mp.fmul``, ``mp.fdiv``, ``mp.sqrt``,
 ``mp.ln`` and the like with ``prec=``, and no module reads or sets the
 process-global ``mp.prec``.  So a value is the same bits at any ambient
-width, and a forked child computes at the width it was handed.  Every
-sum of products in the library is one ``_dot``: the exact products,
-summed exactly and rounded once at the width passed.
+width, and a worker of the fork-map pool computes at the width it was
+handed.  Every sum of products in the library is one ``_dot``: the
+exact products, summed exactly and rounded once at the width passed.
 ``workbits`` is for callers that post-process results with mpmath's
 operators.  Comparisons of mpfs are exact at any width, but unary
 ``abs()``, ``-`` and ``+`` on an mpf round it at ``mp.prec``: outside a

@@ -11,30 +11,36 @@ grid points, one binary64 product per entry of L^-1 and point, and
 makes each bound an mpf only when the kernel loop reaches it.
 
 ``_forked_map`` is the one place the library runs more than one
-process: it splits a range of independent work items over forked
-children, one per usable core, and returns their results in index
-order.  ``christoffel_remez`` splits its grid points with it, by
-interleaved residue classes, each process bounding its own (at least
-``_MIN_CHUNK_PRODUCTS`` products of the bound pass a process),
-``operator.hereditary_sweep`` its subset walks
-(``operator._MIN_SWEEP_TASKS``) and ``duals.dual_family`` its inverse
-columns with their residual maxima (``duals._MIN_CHUNK_COLUMNS``);
-each value is bit for bit the serial one.  Each caller takes what it
-reads of the section from the ``gram`` readers before the fork (the
-grid the rows of L^-1, the sweep a block of G^-1, the dual family its
-column and residual readers), so that the section's stored L^-1 is
-grown once, in the calling process.  Each caller hands its chunks the
-section's width, so a child computes at that width, as no function
-reads the ambient one its fork copied.  Children
-send their results back as ``marshal`` bytes, and a chunk whose results
-hold an error is recomputed in the calling process, which raises it as
-the serial run does.
+process: it splits a range of independent work items over this process
+and the workers of a pool, one per usable core, and returns their
+results in index order.  ``christoffel_remez`` splits its grid points
+with it, by interleaved residue classes, each process bounding its own
+(``_MIN_CHUNK_PRODUCTS``), ``operator.hereditary_sweep`` its subset
+walks (``operator._MIN_SWEEP_TASKS``) and ``duals.dual_family`` its
+inverse columns with their residual maxima
+(``duals._MIN_CHUNK_COLUMNS``); each value is bit for bit the serial
+one.  Each caller hands the map a module-level function and, as
+``marshal`` values, what it read of the section before the split (so
+that the stored L^-1 is grown once, in the calling process) and the
+section's width, at which a worker computes.
+
+The pool's lifecycle: the first call that splits forks one worker per
+extra usable core, and each waits on a pipe for the next request, so a
+later call pays a round trip of about 0.05 ms where a fork cost about
+5 ms.  A worker runs the library as it was when it forked, ignores
+SIGINT and leaves through ``os._exit`` when its request pipe reads EOF;
+a dead one is reaped and its chunk computed here.  Any exception during
+a call stops the whole pool with SIGTERM, any forked child closes the
+pool fds it inherited and runs its calls serially, and at exit
+``_stop_pool`` closes the pipes and reaps the workers.
 """
 
 from __future__ import annotations
 
+import atexit
 import marshal
 import os
+import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import repeat
@@ -235,24 +241,28 @@ def check_grid_points(grid_points: int) -> int:
 
 # A process of the remez grid takes at least this many binary64 products
 # of the bound pass, one per entry of L^-1 and point: N (N + 1) / 2 a
-# point, so 482 points at N = 16 and 313 at N = 20.  That is about 5 ms
-# of bounding, near what a fork, its pipe, its wait and the child's first
-# touches of its pages cost on a 2-core x86 VM.  There, for squares at
-# N 6-20 and rho = 0.9, whose bounds leave the kernel one point or two,
-# the whole call split over 2 cores took 0.99-1.37 of its serial time at
-# 18 000-39 000 products a process and 0.71-0.95 from 52 000 on; sqrt(n)
-# at N = 20, whose bounds leave the kernel nearly every point, took
-# 0.50-0.56 from 125 points a process on.  Both were measured on shares
-# of contiguous points; with residue shares sqrt(n) at N = 16, whose
-# bounds leave the kernel hundreds of points, took 0.54-0.86 at rho = 0.9
-# and 0.63-0.75 at rho = 0.5 from 241 points a process on, where
-# contiguous shares took up to 0.99 and 2.28 (scripts/fork_floors.py
-# --repeats 7, three runs).
-_MIN_CHUNK_PRODUCTS = 2 ** 16
+# point, so 98 points at N = 6 and 16 at N = 16, and every grid of 201
+# points or more at N <= 16 splits on 2 cores.  A round trip through the
+# started pool costs about 0.05 ms on a 2-core x86 VM, where a fork per
+# call cost about 5 ms and kept the floor at 2^16.  There, at 2^11
+# products a process, the whole call took 0.83-1.00 of its serial time
+# for squares at N = 6 and rho = 0.9, 0.86-1.15 for sqrt(n) and
+# 0.65-0.82 for sqrt(n) at N = 16; at 2^9 it took 1.2-1.9 at N = 6
+# (scripts/fork_floors.py --repeats 7 and 9, three runs).  Squares at
+# N = 16, whose bounds leave the kernel a point or two, took 1.1-1.7 up
+# to 2^13 products a process: each process repeats the bound pass's
+# set-up over the rows of L^-1, about 0.5 ms there.
+_MIN_CHUNK_PRODUCTS = 2 ** 11
 
 # What one index of a ``_forked_map`` gives: a list of raw mpfs, or the
 # NumericalError computing them raised.
 _Result = Union[List[tuple], NumericalError]
+
+# The live workers of this process, (pid, request fd, reply fd) each,
+# started by the first call that needs them.
+_POOL: List[Tuple[int, int, int]] = []
+# Set in every forked child, the workers included: it runs each call serially.
+_forked_child = False
 
 
 def _usable_cores() -> int:
@@ -276,84 +286,195 @@ def _other_cores() -> List[int]:
         return []
 
 
-def _forked_map(chunk_fn: Callable[[int, int], List[_Result]], count: int,
+def _send(fd: int, *messages: bytes) -> None:
+    """Write the messages to the pipe ``fd``, each after its length in 8 bytes."""
+    view = memoryview(b"".join(len(m).to_bytes(8, "little") + m for m in messages))
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read(fd: int, size: int) -> bytes:
+    """``size`` bytes from the pipe ``fd``; EOFError where it closes first."""
+    parts = []
+    while size:
+        part = os.read(fd, min(size, 1 << 20))
+        if not part:
+            raise EOFError("the pipe closed mid-message")
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def _receive(fd: int) -> bytes:
+    """The next message ``_send`` wrote to the other end of the pipe ``fd``."""
+    return _read(fd, int.from_bytes(_read(fd, 8), "little"))
+
+
+def _serve(requests: int, replies: int) -> None:
+    """A worker's loop, until its request pipe reads EOF.  A request is
+    two messages: the ``marshal`` bytes of (core, module, function name,
+    lo, hi), then those of the arguments.  The worker pins itself to the
+    core, where it is not None, and replies with the ``marshal`` bytes of
+    the function's results for lo..hi, each mantissa a plain int, or,
+    where the function raises or its results hold an error, with an
+    empty message, the marker that the caller computes the chunk itself.
+    SIGINT is ignored, as an interrupt is the caller's to handle, and
+    SIGTERM, the caller's stop, has its default action."""
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    while True:
+        try:
+            head = _receive(requests)
+        except EOFError:
+            return
+        core, module, name, lo, hi = marshal.loads(head)
+        args, reply = _receive(requests), b""
+        with suppress(Exception):
+            if core is not None:
+                with suppress(OSError):
+                    os.sched_setaffinity(0, {core})
+            results = getattr(sys.modules[module], name)(*marshal.loads(args), lo, hi)
+            # a NumericalError result is not iterable: the marker goes back
+            reply = marshal.dumps([[(s, int(m), e, b) for s, m, e, b in r] for r in results])
+        _send(replies, reply)
+
+
+def _start_worker() -> Optional[Tuple[int, int, int]]:
+    """A new worker, forked from this process, as (pid, request fd, reply
+    fd), or None where a pipe or the fork fails.  The worker runs
+    ``_serve`` and leaves through ``os._exit``: status 0 at EOF, 1 on
+    any error."""
+    fds = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    request_r, request_w, reply_r, reply_w = fds
+    if pid == 0:
+        status = 1
+        try:
+            os.close(request_w)
+            os.close(reply_r)
+            _serve(request_r, reply_w)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(request_r)
+    os.close(reply_w)
+    return pid, request_w, reply_r
+
+
+def _workers(count: int) -> List[Tuple[int, int, int]]:
+    """The first ``count`` workers of the pool, started where missing;
+    fewer where a fork fails."""
+    while len(_POOL) < count and (worker := _start_worker()) is not None:
+        _POOL.append(worker)
+    return _POOL[:count]
+
+
+def _stop(workers, terminate: bool) -> None:
+    """Take the workers out of the pool, close their pipes and reap them:
+    each reads EOF and leaves, or first gets SIGTERM where ``terminate``
+    is set, so that none is left at work on a request."""
+    if terminate:
+        # imported here: only this path signals, and the import costs ~1 ms
+        from signal import SIGTERM
+    for worker in workers:
+        pid, request, reply = worker
+        _POOL.remove(worker)
+        if terminate:
+            with suppress(OSError):
+                os.kill(pid, SIGTERM)
+        for fd in (request, reply):
+            with suppress(OSError):
+                os.close(fd)
+    for pid, _, _ in workers:
+        with suppress(ChildProcessError):
+            os.waitpid(pid, 0)
+
+
+def _stop_pool(terminate: bool = False) -> None:
+    """Stop every worker of the pool (``_stop``); the next call that
+    splits starts a new one.  Run at exit."""
+    _stop(list(_POOL), terminate)
+
+
+def _forget_pool() -> None:
+    """In a forked child: close the pool fds it inherited, which are its
+    parent's (``_stop``, whose reaping finds no child of its own), and
+    run every later call serially."""
+    global _forked_child
+    _forked_child = True
+    _stop(list(_POOL), False)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+atexit.register(_stop_pool)
+
+
+def _forked_map(fn: Callable[..., List[_Result]], args: tuple, count: int,
                 min_chunk: int) -> List[_Result]:
-    """The lists ``chunk_fn(lo, hi)`` gives for the indices lo..hi-1 of
+    """The lists ``fn(*args, lo, hi)`` gives for the indices lo..hi-1 of
     contiguous chunks of 0..count-1, concatenated in index order.
 
-    The range is cut into one chunk per usable core, at most one per
-    ``min_chunk`` indices.  This process takes the first chunk and a
-    forked child each other one, each child on its own core of
-    ``_other_cores`` where it has one.  A child writes its results to a
-    pipe as ``marshal`` bytes, each mantissa a plain int read back
-    through ``MPZ``, and leaves through ``os._exit``: status 0 once
-    written, 1 on any error.  Where ``os.fork`` is missing or fails, or a
-    child exits non-zero or writes what ``marshal.loads`` cannot read,
-    this process computes the chunk itself.  ``marshal`` cannot write an
-    exception, so a chunk with a NumericalError among its results exits
-    1 in the child and is recomputed here; ``chunk_fn`` is deterministic,
-    so it gives the same error, type and message, as a serial run.  The
-    cost: a report that fails this way (exit 3) takes up to its serial
-    time.  On any exception here the live children are sent SIGTERM and
-    reaped before it propagates, so no process outlives the call.
+    ``fn`` is a module-level function and ``args`` are ``marshal``
+    values, raw mpfs among them.  The range is cut into one chunk per
+    usable core, at most one per ``min_chunk`` indices.  This process
+    takes the first chunk and a worker of the pool (``_workers``,
+    ``_serve``) each other one, pinned to its own core of
+    ``_other_cores`` where it has one.  A worker sends back its results
+    as ``marshal`` bytes, each mantissa a plain int read back through
+    ``MPZ``.  Where ``os.fork`` is missing or fails, the arguments are
+    not ``marshal`` values, or a worker has died or sends what
+    ``marshal.loads`` cannot read, this process computes the chunk
+    itself.  ``marshal`` cannot write an exception, so a chunk with a
+    NumericalError among its results comes back as the marker and is
+    recomputed here; ``fn`` is deterministic, so it gives the same error,
+    type and message, as a serial run.  The cost: a report that fails
+    this way (exit 3) takes up to its serial time.  On any exception
+    here the whole pool gets SIGTERM and is reaped before it propagates,
+    so no reply to this call is read by a later one.
     """
-    cores = _usable_cores() if hasattr(os, "fork") else 1
-    workers = max(1, min(cores, count // min_chunk))
-    bounds = [count * k // workers for k in range(workers + 1)]
-    others = _other_cores() if workers > 1 else []
-    children = {}  # chunk index -> (pid, read fd), until reaped
+    cores = 1 if _forked_child or not hasattr(os, "fork") else _usable_cores()
+    chunks = max(1, min(cores, count // min_chunk))
+    bounds = [count * k // chunks for k in range(chunks + 1)]
+    busy = {}  # chunk index -> the worker computing it, until its reply is read
     try:
-        for k in range(1, workers):
-            with suppress(OSError):
-                read_fd, write_fd = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:
-                    os.close(read_fd)
-                    os.close(write_fd)
-                    raise
-                if pid == 0:
-                    status = 1
+        if chunks > 1:
+            with suppress(ValueError):  # a value marshal cannot write: all run here
+                payload, others = marshal.dumps(args), _other_cores()
+                for k, worker in enumerate(_workers(chunks - 1), 1):
+                    core = others[k - 1] if k <= len(others) else None
                     try:
-                        os.close(read_fd)
-                        with suppress(OSError, IndexError):
-                            os.sched_setaffinity(0, {others[k - 1]})
-                        # a NumericalError result is not iterable: the child exits 1
-                        # and the caller recomputes its chunk, error and all
-                        data = marshal.dumps([[(s, int(m), e, b) for s, m, e, b in r]
-                                              for r in chunk_fn(bounds[k], bounds[k + 1])])
-                        with open(write_fd, "wb") as pipe:
-                            pipe.write(data)
-                        status = 0
-                    finally:
-                        os._exit(status)
-                os.close(write_fd)
-                children[k] = pid, read_fd
-        results = list(chunk_fn(bounds[0], bounds[1]))
-        for k in range(1, workers):
+                        _send(worker[1], marshal.dumps((core, fn.__module__, fn.__name__,
+                                                        bounds[k], bounds[k + 1])), payload)
+                    except OSError:  # the worker has died
+                        _stop([worker], True)
+                    else:
+                        busy[k] = worker
+        results = list(fn(*args, bounds[0], bounds[1]))
+        for k in range(1, chunks):
             chunk = None
-            if k in children:
-                pid, fd = children[k]
-                with open(fd, "rb", closefd=False) as pipe:
-                    data = pipe.read()
-                os.close(fd)
-                if os.waitpid(pid, 0)[1] == 0:
+            if k in busy:
+                worker = busy.pop(k)
+                try:
+                    data = _receive(worker[2])
+                except (OSError, EOFError):  # the worker has died
+                    _stop([worker], True)
+                else:
                     with suppress(ValueError, EOFError, TypeError):
                         chunk = [[(s, MPZ(m), e, b) for s, m, e, b in r]
                                  for r in marshal.loads(data)]
-                del children[k]
-            results += chunk if chunk is not None else chunk_fn(bounds[k], bounds[k + 1])
-    finally:
-        if children:
-            # imported here: only this path signals, and the import costs ~1 ms
-            from signal import SIGTERM
-        for pid, fd in children.values():
-            with suppress(OSError):
-                os.kill(pid, SIGTERM)
-            with suppress(OSError):
-                os.close(fd)
-            with suppress(ChildProcessError):
-                os.waitpid(pid, 0)
+            results += chunk if chunk is not None else fn(*args, bounds[k], bounds[k + 1])
+    except BaseException:
+        _stop_pool(terminate=True)
+        raise
     return results
 
 
@@ -487,6 +608,26 @@ def _kernel_bounds(inv_rows, lams, rho, grid_points: int, points: Iterable[int],
     return ((points[i], from_float(bounds[i])) for i in order)
 
 
+def _remez_chunk(inv_rows, lams, rho, grid_points: int, order: List[int], bits: int,
+                 lo: int, hi: int) -> List[List[tuple]]:
+    """[[K]], K the largest raw kernel over the grid points order[lo:hi],
+    from the raw rows of L^-1, raw exponents and raw rho at ``bits``; the
+    bounds come in decreasing order, so the first below the best ends the
+    chunk."""
+    best = fzero
+    for j, bound in _kernel_bounds(inv_rows, lams, rho, grid_points, order[lo:hi], bits):
+        if mpf_lt(bound, best):
+            break
+        x = mpf_div(mpf_mul(rho, from_int(j), bits, round_nearest), from_int(grid_points - 1),
+                    bits, round_nearest)
+        v = _powers(x, lams, bits)
+        y = [_dot(row, v, bits) for row in inv_rows]
+        kernel = _dot(y, y, bits)
+        if mpf_gt(kernel, best):
+            best = kernel
+    return [[best]]
+
+
 def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
     """Grid maximum of the section's pointwise-to-norm constant on [0, rho].
 
@@ -500,7 +641,7 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
     grids of 101, 1001 and 10001 points give 10.75, 27.07 and 60.01.
 
     L^-1 of the factor G = L L^T is cut from the one of the section's
-    stored attempt, grown here before any fork when it falls short.  At
+    stored attempt, grown here before the split when it falls short.  At
     width P a grid point's kernel costs its powers and one dot per entry:
     K(x) = ||L^-1 v(x)||^2, every dot of exact products rounded once.
     Point 0 has v = 0 and K = 0, never the maximum, as every exponent is
@@ -528,7 +669,7 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
       the best kernel computed so far.
     Every point skipped has a kernel below one its own process computed,
     so the largest of the processes' maxima is bit for bit the maximum
-    over the whole grid, forked or not.  Where L^-1 v cancels past about
+    over the whole grid, split or not.  Where L^-1 v cancels past about
     2^50 (sqrt(n) exponents from N = 20) the bounds rule out few points,
     and nearly every point pays for its bound as well as its kernel.
     """
@@ -545,25 +686,8 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
     while step < cores:
         step, residues = 2 * step, [2 * r for r in residues] + [2 * r + 1 for r in residues]
     order = [j for r in residues for j in range(r or step, grid_points, step)]
-
-    def chunk_max(lo, hi):
-        # the best raw K over grid points order[lo:hi]; the bounds come in
-        # decreasing order, so the first below the best ends the chunk
-        best = fzero
-        for j, bound in _kernel_bounds(inv_rows, lams, rho_m._mpf_, grid_points,
-                                       order[lo:hi], bits):
-            if mpf_lt(bound, best):
-                break
-            x = mpf_div(mpf_mul(rho_m._mpf_, from_int(j), bits, round_nearest),
-                        from_int(grid_points - 1), bits, round_nearest)
-            v = _powers(x, lams, bits)
-            y = [_dot(row, v, bits) for row in inv_rows]
-            kernel = _dot(y, y, bits)
-            if mpf_gt(kernel, best):
-                best = kernel
-        return [[best]]
-
     min_points = -(-_MIN_CHUNK_PRODUCTS // (g.n * (g.n + 1) // 2))
-    maxima = _forked_map(chunk_max, grid_points - 1, min_points)
+    maxima = _forked_map(_remez_chunk, (inv_rows, lams, rho_m._mpf_, grid_points, order, bits),
+                         grid_points - 1, min_points)
     best = max((m for (m,) in maxima), key=mp.make_mpf)
     return mp.sqrt(mp.make_mpf(best), prec=bits)

@@ -7,6 +7,7 @@ from mpmath import mp
 from muntz import build_weighted_domain, explicit_exponents, workbits
 from muntz.cli import _PARSED
 from muntz.gram import _ATTEMPTS
+from muntz.series import _stop_pool
 
 CHECK_BITS = 320  # headroom above the default working precision
 
@@ -30,6 +31,17 @@ def cold_stores():
     block kept from another."""
     _ATTEMPTS.clear()
     _PARSED.clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_pool():
+    """Every test starts and ends with no worker of the fork-map pool
+    alive.  A worker runs the library as it was when it forked, so the
+    monkeypatches a test makes before its first split call reach the
+    workers that call starts, and none outlives the test's."""
+    _stop_pool()
+    yield
+    _stop_pool()
 
 
 def force_sweep_forking(monkeypatch, cores):

@@ -1,7 +1,7 @@
 """The dual family's columns split over ``series._forked_map``: every
 column, norm, distance and the biorthogonality residual bit for bit the
-serial ones, serially where ``os.fork`` fails, nothing left behind, and
-no fork below the size floor."""
+serial ones, serially where ``os.fork`` fails, nothing left behind once
+the pool stops, and no split below the size floor."""
 
 import contextlib
 import io
@@ -14,9 +14,10 @@ from muntz import dual_family, gram, power_exponents
 from muntz.cli import run
 import muntz.duals as duals_module
 
-from test_remez_split import TWO_PIECE, UNIT, assert_no_children, open_fds, use_cores
+from test_remez_split import (TWO_PIECE, UNIT, assert_no_children, assert_pool_stops_clean,
+                              open_fds, record_dispatches, use_cores)
 
-FLOOR = 2 * duals_module._MIN_CHUNK_COLUMNS  # the smallest N that forks
+FLOOR = 2 * duals_module._MIN_CHUNK_COLUMNS  # the smallest N that splits
 FAMILIES = {"squares": (1, 2), "linear": (1, 1), "sqrt": (1, "1/2")}
 
 
@@ -37,8 +38,7 @@ def test_forked_family_equals_serial_bits(wd, family, n, monkeypatch):
     for cores in (2, 3, 4):
         use_cores(monkeypatch, cores)
         assert family_bits(dual_family(g)) == serial, cores
-    assert open_fds() == fds
-    assert_no_children()
+    assert_pool_stops_clean(fds)
 
 
 def test_fork_failure_gives_the_serial_family(monkeypatch):
@@ -83,17 +83,19 @@ def test_report_below_the_floor_never_forks(tmp_path, monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_report_at_the_floor_forks_once(tmp_path, monkeypatch):
-    forks = []
-    real_fork = os.fork
+    use_cores(monkeypatch, 1)
+    serial = duals_report(tmp_path, FLOOR)
+    dispatched, forks, real_fork = record_dispatches(monkeypatch), [], os.fork
 
     def fork():
         forks.append(1)
         return real_fork()
 
-    use_cores(monkeypatch, 1)
-    serial = duals_report(tmp_path, FLOOR)
     monkeypatch.setattr(os, "fork", fork)
+    fds = open_fds()
     use_cores(monkeypatch, 2)
     assert duals_report(tmp_path, FLOOR) == serial
-    assert forks == [1]
-    assert_no_children()
+    assert dispatched == [1] and forks == [1]
+    assert duals_report(tmp_path, FLOOR) == serial
+    assert dispatched == [1, 1] and forks == [1]
+    assert_pool_stops_clean(fds)

@@ -41,10 +41,11 @@ from muntz.precision import _dot
 
 from conftest import rel_err
 from oracles import gram_every_row
-from test_remez_split import TWO_PIECE, assert_no_children, use_cores
+from test_remez_split import TWO_PIECE, assert_pool_stops_clean, open_fds, use_cores
 
 # the package exports the function ``gram`` under the module's name
 GRAM_MODULE = importlib.import_module("muntz.gram")
+SERIES_MODULE = importlib.import_module("muntz.series")
 
 
 def test_entries_fixture_unit_interval(unit_domain, lam23):
@@ -500,9 +501,9 @@ def test_an_attempt_whose_extension_raises_is_dropped(unit_domain, monkeypatch):
                                        ("christoffel_remez", 16)])
 def test_forking_callers_grow_the_stored_inverse_first(caller, n, monkeypatch):
     # on a cold store each caller grows the section's L^-1 in this process
-    # before it forks, so that the store keeps it; the value is bit for
-    # bit the serial one.  The remez grid forks its 1000 points past
-    # point 0
+    # before it hands chunks to the pool's workers, so that the store
+    # keeps it; the value is bit for bit the serial one.  The remez grid
+    # splits its 1000 points past point 0
     call = {"dual_family": dual_family, "hereditary_sweep": hereditary_sweep,
             "christoffel_remez": lambda g: christoffel_remez(g, "0.9", 1001)}[caller]
     lam = power_exponents(1, "0.5", n)
@@ -510,19 +511,20 @@ def test_forking_callers_grow_the_stored_inverse_first(caller, n, monkeypatch):
     serial = call(gram(TWO_PIECE, lam, n))
     GRAM_MODULE._ATTEMPTS.clear()
     g = gram(TWO_PIECE, lam, n)
-    grown, real_fork = [], os.fork
+    grown, real_workers = [], SERIES_MODULE._workers
 
-    def fork():
+    def workers(count):
         grown.append(len(g._attempt.inverse))
-        return real_fork()
+        return real_workers(count)
 
-    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(SERIES_MODULE, "_workers", workers)
+    fds = open_fds()
     use_cores(monkeypatch, 2)
     assert call(g) == serial
     assert grown == [n]
     (attempt,) = GRAM_MODULE._ATTEMPTS.values()
     assert attempt.inverse is g._attempt.inverse
-    assert_no_children()
+    assert_pool_stops_clean(fds)
 
 
 @pytest.mark.parametrize("sizes", [[], [2, 2], [3, 2], [1, 5], [0, 1]])

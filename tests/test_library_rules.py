@@ -21,7 +21,7 @@ def test_no_dense_mpmath_in_library():
     assert hits == []
 
 
-# process pools and threads: the fork-map helper forks by hand, and importing
+# process pools and threads: the fork-map helper forks its workers by hand, and importing
 # multiprocessing alone costs about a quarter of the library's import time
 POOLS = re.compile(r"^\s*(?:import|from)\s+(?:multiprocessing|concurrent|threading)\b")
 
@@ -64,10 +64,11 @@ def _names_fork(sub):
 
 
 def test_one_function_forks():
-    # every process the library starts comes from the one fork-map helper
+    # every process the library starts is a worker of the fork-map pool,
+    # forked by its one start function
     hits = sorted(f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
                   for name in _naming_functions(ast.parse(path.read_text()), _names_fork))
-    assert hits == ["series.py:_forked_map"]
+    assert hits == ["series.py:_start_worker"]
 
 
 def _calls(sub, *names):
@@ -150,6 +151,32 @@ def test_three_functions_call_the_fork_map():
     assert _functions_naming("_forked_map") == [
         "duals.py:<module>", "duals.py:dual_family", "operator.py:<module>",
         "operator.py:hereditary_sweep", "series.py:christoffel_remez"]
+
+
+def test_the_fork_map_gets_module_level_defs():
+    # a worker looks up what it runs by module and name, so each call of
+    # the helper hands it a def at its module's top level, by name, never
+    # a lambda, a nested def or a name the calling function rebinds
+    handed = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for caller in ast.walk(tree):
+            if not isinstance(caller, ast.FunctionDef):
+                continue
+            bound = {sub.id for sub in ast.walk(caller)
+                     if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)}
+            bound |= {sub.name for sub in ast.walk(caller)
+                      if isinstance(sub, ast.FunctionDef) and sub is not caller}
+            bound |= {arg.arg for arg in ast.walk(caller.args) if isinstance(arg, ast.arg)}
+            for sub in ast.walk(caller):
+                if _calls(sub, "_forked_map"):
+                    fn = sub.args[0] if sub.args else None
+                    ok = (isinstance(fn, ast.Name) and fn.id in top and fn.id not in bound)
+                    handed[f"{path.name}:{caller.name}"] = fn.id if ok else ast.dump(fn)
+    assert handed == {"duals.py:dual_family": "_family_columns",
+                      "operator.py:hereditary_sweep": "_sweep_tasks",
+                      "series.py:christoffel_remez": "_remez_chunk"}
 
 
 def test_one_function_reads_the_gram_store():

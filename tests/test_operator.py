@@ -51,6 +51,7 @@ from muntz.errors import (
 )
 
 import muntz.operator as operator_module
+import muntz.series as series_module
 from muntz.gram import _factored, _substitute_forward
 from conftest import force_sweep_forking, mpf_, rel_err
 from oracles import inverse_principal_minor
@@ -472,9 +473,10 @@ def test_forked_sweep_equals_serial_bits(domain, family, monkeypatch):
 def test_forked_sweep_raises_the_child_error(monkeypatch):
     # every 2x2 block fails in whichever process computes it, named by its
     # off-diagonal entry; the first failing partition is mask 3, whose N1
-    # block {3, 4} is powers task 2, a child's on 3 and 4 cores.  A child
-    # chunk with an error is recomputed here, so the raised error is the
-    # serial sweep's
+    # block {3, 4} is powers task 2, a worker's on 3 and 4 cores.  A
+    # worker's chunk with an error comes back as the marker and is
+    # recomputed here, so the raised error is the serial sweep's; the
+    # pool's workers, forked after the patch, stay alive through it
     g = gram(UNIT, power_exponents(1, 2, 4), 4)
     original = operator_module._smallest_eigenvalue
 
@@ -491,12 +493,13 @@ def test_forked_sweep_raises_the_child_error(monkeypatch):
     for cores in (2, 3, 4):
         force_sweep_forking(monkeypatch, cores)
         assert _sweep_error(g) == want, cores
+        assert len(series_module._POOL) == cores - 1
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_sweep_recomputes_a_failed_child(monkeypatch):
-    # a child that raises anything but a NumericalError exits 1, and its
-    # tasks run again here
+    # a worker whose tasks raise anything but a NumericalError replies with
+    # the marker, and its tasks run again here; it stays in the pool
     g = gram(TWO_PIECE, power_exponents(1, 1, 5), 5)
     force_sweep_forking(monkeypatch, 1)
     serial = _report_bits(hereditary_sweep(g))
@@ -511,6 +514,7 @@ def test_forked_sweep_recomputes_a_failed_child(monkeypatch):
     for cores in (2, 4):
         force_sweep_forking(monkeypatch, cores)
         assert _report_bits(hereditary_sweep(g)) == serial, cores
+        assert len(series_module._POOL) == cores - 1
 
 
 def _raw(value):
@@ -537,7 +541,6 @@ def test_factor_consumers_ignore_the_ambient_width(monkeypatch):
     # coefficients that are not 53-bit values catch a unary abs() or a
     # difference rounded at the ambient width
     import muntz.duals as duals_module
-    import muntz.series as series_module
 
     lam = power_exponents(1, "1/2", 7)
     g = gram(TWO_PIECE, lam, 7)

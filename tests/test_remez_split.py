@@ -1,14 +1,26 @@
-"""The fork-map helper ``series._forked_map``: results in index order,
-raw values crossing from a child as ``marshal`` bytes bit for bit, a
-chunk that holds an error or arrives unreadable recomputed in the
-caller, and no process or pipe outliving a call; and the remez grid
-split over it, each process bounding its own points, bit for bit the
-serial value."""
+"""The fork-map helper ``series._forked_map`` and its pool of forked
+workers: results in index order, raw values crossing from a worker as
+``marshal`` bytes bit for bit, a chunk that holds an error, arrives
+unreadable or meets a dead worker recomputed in the caller, and no
+worker, pipe or stale reply left once the pool stops or a call raises;
+and the remez grid split over it, each process bounding its own points,
+bit for bit the serial value.
 
+The chunk functions a test hands to the helper are module-level defs,
+looked up by name in the worker, with their arguments passed as
+``marshal`` values.  Every test starts with no worker alive (the
+``fresh_pool`` fixture), so the monkeypatches it makes before its first
+split call reach the workers that call starts."""
+
+import builtins
 import marshal
 import os
 import signal
+import subprocess
+import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath.libmp import MPZ, finf, fnan, fninf, from_int, from_str, fzero
@@ -22,6 +34,10 @@ from oracles import remez_every_point
 UNIT = build_weighted_domain([(0, 1)], [(1, 0)])
 TWO_PIECE = build_weighted_domain([("0", "0.5"), ("0.6", "1")], [(1, 0), (2, "0.5")])
 forked_map = series_module._forked_map
+stop_pool = series_module._stop_pool
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+# the affinity call itself, before any test replaces it
+REAL_AFFINITY = getattr(os, "sched_getaffinity", None)
 
 
 def use_cores(monkeypatch, count):
@@ -42,6 +58,33 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+def assert_pool_stops_clean(fds):
+    """Stopping the pool leaves the fds ``fds`` open and no child."""
+    stop_pool()
+    assert series_module._POOL == []
+    assert open_fds() == fds
+    assert_no_children()
+
+
+def record_dispatches(monkeypatch):
+    """The number of chunks each split call of this process hands to
+    workers, one entry a call that splits."""
+    counts, real = [], series_module._workers
+
+    def record(count):
+        counts.append(count)
+        return real(count)
+
+    monkeypatch.setattr(series_module, "_workers", record)
+    return counts
+
+
+def fail_fork():
+    raise OSError("no more processes")
+
+
+# -- chunk functions, each f(*args, lo, hi) ---------------------------------
+
 def squares(lo, hi):
     """One result per index: [j, j**2] as raw mpfs."""
     return [[from_int(j), from_int(j * j)] for j in range(lo, hi)]
@@ -50,87 +93,125 @@ def squares(lo, hi):
 SQUARES = squares(0, 201)
 
 
-def record_waits(monkeypatch, convert=lambda status: status):
-    statuses = []
-    waitpid = os.waitpid
-
-    def record(pid, options):
-        got = waitpid(pid, options)
-        statuses.append(convert(got[1]))
-        return got
-
-    monkeypatch.setattr(os, "waitpid", record)
-    return statuses
+def where(parent, lo, hi):
+    """One result per chunk: its bounds and whether a worker computed it."""
+    return [[from_int(lo), from_int(hi), from_int(os.getpid() != parent)]]
 
 
-def fail_fork():
-    raise OSError("no more processes")
+def squares_noting(parent, path, lo, hi):
+    """``squares``, each index the caller computes appended to the file
+    ``path``, one line each."""
+    if os.getpid() == parent:
+        with open(path, "a") as out:
+            out.writelines(f"{j}\n" for j in range(lo, hi))
+    return squares(lo, hi)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def noted(path):
+    return [int(line) for line in Path(path).read_text().split()]
+
+
+def caller_raises(parent, error, lo, hi):
+    """Raises the builtin ``error`` in the caller; a worker is still at
+    work when it is stopped."""
+    if os.getpid() == parent:
+        raise getattr(builtins, error)("caller chunk")
+    time.sleep(5)
+    return squares(lo, hi)
+
+
+def worker_raises(parent, lo, hi):
+    if os.getpid() != parent:
+        raise RuntimeError("worker chunk")
+    return squares(lo, hi)
+
+
+def worker_dies(parent, lo, hi):
+    if os.getpid() != parent:
+        os._exit(7)
+    return squares(lo, hi)
+
+
+RAW = [fzero, finf, fninf, fnan, from_str("-1.25e-300", 256), from_int(-(7 ** 200))]
+
+
+def raw_values(parent, lo, hi):
+    """Odd indices give an empty result; the last value is 1 in a worker."""
+    return [[] if j % 2 else [*RAW, from_int(os.getpid() != parent)] for j in range(lo, hi)]
+
+
+def errors_in_odd_chunks(parent, lo, hi):
+    """Chunk k holds indices 2k and 2k + 1; every odd chunk ends in an
+    error, and the values say whether a worker computed them."""
+    here = "worker" if os.getpid() != parent else "caller"
+    return [PrecisionExhausted(f"{j} from the {here}") if j % 4 == 3
+            else [from_int(j), from_int(here == "worker")] for j in range(lo, hi)]
+
+
+def cores_of(lo, hi):
+    """One result per chunk: the cores its process may run on."""
+    return [[from_int(c) for c in sorted(REAL_AFFINITY(0))]]
+
+
+def pid_of(lo, hi):
+    return [[from_int(os.getpid())] for _ in range(lo, hi)]
+
+
+# -- the remez grid -----------------------------------------------------------
+
+@needs_fork
 @pytest.mark.parametrize("wd", [UNIT, TWO_PIECE], ids=["unit", "two_piece"])
 @pytest.mark.parametrize("beta", ["2", "1", "1/2"])
 def test_split_equals_serial_bits(wd, beta, monkeypatch):
     # one point per chunk allowed, so every grid point past 0 can be a
-    # process of its own, bounded there; rho = 1.5 lies past r_A = 1 on
-    # both domains
+    # process's own, bounded there; rho = 1.5 lies past r_A = 1 on both
+    # domains
     monkeypatch.setattr(series_module, "_MIN_CHUNK_PRODUCTS", 1)
     g = gram(wd, power_exponents(1, beta, 6), 6)
-    forks, real_fork = [], os.fork
-
-    def fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
+    dispatched = record_dispatches(monkeypatch)
+    fds = open_fds()
     for points in (2, 3, 31, 201):
         for rho in ("0.9", "1.5"):
             serial = remez_bits(monkeypatch, g, rho, points, 1)
             for cores in (2, 3, 4):
-                forks.clear()
+                dispatched.clear()
                 assert remez_bits(monkeypatch, g, rho, points, cores) == serial, (points, rho, cores)
-                assert len(forks) == max(1, min(cores, points - 1)) - 1
-    assert_no_children()
+                assert sum(dispatched) == max(1, min(cores, points - 1)) - 1
+    assert len(series_module._POOL) == 3
+    assert_pool_stops_clean(fds)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.parametrize("wd, beta, n, children",
-                         [(UNIT, "1/2", 16, [1, 1]), (TWO_PIECE, "1/2", 16, [1, 1]),
+@needs_fork
+@pytest.mark.parametrize("wd, beta, n, workers",
+                         [(UNIT, "1/2", 16, [1, 2]), (TWO_PIECE, "1/2", 16, [1, 2]),
                           (UNIT, "1", 24, [1, 2]), (UNIT, "1/2", 20, [1, 2])],
                          ids=["unit-sqrt-16", "two_piece-sqrt-16", "unit-linear-24",
                               "unit-sqrt-20"])
-def test_many_survivors_fork_bit_for_bit(wd, beta, n, children, monkeypatch):
+def test_many_survivors_fork_bit_for_bit(wd, beta, n, workers, monkeypatch):
     # at rho = 0.9 on 1001 points the bounds leave the kernel hundreds of
     # points of the sqrt(n) N = 16 and linear N = 24 grids, and nearly
-    # every point at sqrt(n) N = 20; each is forked at the library's own
-    # floor, which gives a process at least 482 points at N = 16, 313 at
-    # N = 20 and 219 at N = 24: the children forked on 2 and 3 cores
+    # every point at sqrt(n) N = 20; each is split at the library's own
+    # floor, which gives a process at least 16 points at N = 16, 10 at
+    # N = 20 and 7 at N = 24: the workers used on 2 and 3 cores
     g = gram(wd, power_exponents(1, beta, n), n)
-    forks, real_fork = [], os.fork
-
-    def fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
+    dispatched, fds = record_dispatches(monkeypatch), open_fds()
     use_cores(monkeypatch, 1)
     serial = christoffel_remez(g, "0.9", 1001)
-    assert forks == []
+    assert dispatched == []
     assert serial == remez_every_point(g, "0.9", 1001)
-    for cores, forked in zip((2, 3), children):
+    for cores, used in zip((2, 3), workers):
         use_cores(monkeypatch, cores)
         assert christoffel_remez(g, "0.9", 1001) == serial
-        assert len(forks) == forked
-        forks.clear()
-    assert_no_children()
+        assert dispatched == [used]
+        dispatched.clear()
+    assert_pool_stops_clean(fds)
 
 
 def test_each_process_bounds_its_own_points(monkeypatch):
     # one bound call per process, over that process's residue share alone:
     # on one core this process bounds points 1..1000 once; on two it bounds
-    # the even points and the child the odd ones (at N = 16 a process takes
-    # at least 482 points), and with the fork failing this process bounds
-    # both shares, every point once
+    # the even points and a worker the odd ones, and with the fork failing
+    # at pool start this process bounds both shares, every point once
     calls, real = [], series_module._kernel_bounds
 
     def record(inv_rows, lams, rho, grid_points, points, bits):
@@ -146,6 +227,7 @@ def test_each_process_bounds_its_own_points(monkeypatch):
     assert remez_bits(monkeypatch, g, "0.9", 1001, 2) == serial
     assert calls == ([evens] if hasattr(os, "fork") else [evens, odds])
     calls.clear()
+    stop_pool()
     monkeypatch.setattr(os, "fork", fail_fork, raising=False)
     assert remez_bits(monkeypatch, g, "0.9", 1001, 2) == serial
     assert calls == [evens, odds]
@@ -176,194 +258,317 @@ def test_split_runs_few_kernels_where_the_maximum_sits_in_one_share(points, monk
     assert serial == remez_every_point(g, "0.9", points)._mpf_
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@needs_fork
+def test_fork_failure_at_pool_start_gives_the_serial_bits(monkeypatch):
+    # sqrt(n) at N = 16 on 1001 points splits at the library's floor
+    g = gram(TWO_PIECE, power_exponents(1, "1/2", 16), 16)
+    serial = remez_bits(monkeypatch, g, "0.9", 1001, 1)
+    fds = open_fds()
+    monkeypatch.setattr(os, "fork", fail_fork)
+    for cores in (2, 4):
+        assert remez_bits(monkeypatch, g, "0.9", 1001, cores) == serial, cores
+        assert series_module._POOL == []
+    assert open_fds() == fds
+    assert_no_children()
+
+
+@needs_fork
+def test_killed_worker_gives_the_serial_bits(monkeypatch):
+    # a worker killed between calls is found dead by the next call, which
+    # reaps it and computes its chunk here; the call after starts another
+    g = gram(TWO_PIECE, power_exponents(1, "1/2", 16), 16)
+    serial = remez_bits(monkeypatch, g, "0.9", 1001, 1)
+    fds = open_fds()
+    assert remez_bits(monkeypatch, g, "0.9", 1001, 2) == serial
+    (first,) = series_module._POOL
+    os.kill(first[0], signal.SIGKILL)
+    assert remez_bits(monkeypatch, g, "0.9", 1001, 2) == serial
+    assert first not in series_module._POOL
+    with pytest.raises(ChildProcessError):
+        os.waitpid(first[0], os.WNOHANG)
+    assert remez_bits(monkeypatch, g, "0.9", 1001, 2) == serial
+    assert len(series_module._POOL) == 1
+    assert_pool_stops_clean(fds)
+
+
+@needs_fork
+def test_split_remez_leaves_no_worker_after_exit():
+    # a process that splits a remez call and exits normally reaps its
+    # workers at exit: none of their pids is alive afterwards
+    code = "\n".join([
+        "import os",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "import muntz.series as series",
+        "from muntz import build_weighted_domain, christoffel_remez, gram, power_exponents",
+        "g = gram(build_weighted_domain([(0, 1)], [(1, 0)]), power_exponents(1, '1/2', 16), 16)",
+        "christoffel_remez(g, '0.9', 1001)",
+        "print(*[pid for pid, _, _ in series._POOL])",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(series_module.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    pids = [int(pid) for pid in out.split()]
+    assert len(pids) == 1
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+# -- the helper ---------------------------------------------------------------
+
+@needs_fork
 @pytest.mark.parametrize("cores", [2, 3, 4])
 @pytest.mark.parametrize("count", [1, 2, 3, 7, 201])
 def test_results_come_in_index_order(cores, count, monkeypatch):
     use_cores(monkeypatch, cores)
-    assert forked_map(squares, count, 1) == SQUARES[:count]
-    assert_no_children()
+    fds = open_fds()
+    assert forked_map(squares, (), count, 1) == SQUARES[:count]
+    assert len(series_module._POOL) == min(cores, count) - 1
+    assert forked_map(squares, (), count, 1) == SQUARES[:count]
+    assert_pool_stops_clean(fds)
 
 
 def test_chunk_floor_caps_the_processes(monkeypatch):
-    parent = os.getpid()
-
-    def chunks(lo, hi):
-        # one result per chunk: its bounds and whether a child computed it
-        return [[from_int(lo), from_int(hi), from_int(os.getpid() != parent)]]
-
     use_cores(monkeypatch, 4)
     # 201 indices hold three chunks of at least 64, 100 indices one
-    forked = hasattr(os, "fork")
-    assert forked_map(chunks, 201, 64) == [[from_int(v) for v in chunk] for chunk in
-                                           [(0, 67, 0), (67, 134, forked), (134, 201, forked)]]
-    assert forked_map(chunks, 100, 64) == [[from_int(0), from_int(100), from_int(0)]]
+    split = hasattr(os, "fork")
+    parent = os.getpid()
+    assert forked_map(where, (parent,), 201, 64) == [
+        [from_int(v) for v in chunk] for chunk in [(0, 67, 0), (67, 134, split),
+                                                   (134, 201, split)]]
+    assert forked_map(where, (parent,), 100, 64) == [[from_int(0), from_int(100), from_int(0)]]
 
 
+@needs_fork
+def test_workers_outlive_the_call_and_serve_the_next(monkeypatch):
+    # the pool's workers wait for the next call: the same pids compute
+    # the same chunks, and no fork happens after the first call
+    use_cores(monkeypatch, 3)
+    fds = open_fds()
+    first = forked_map(pid_of, (), 3, 1)
+    pids = [pid for pid, _, _ in series_module._POOL]
+    assert first == [[from_int(pid)] for pid in [os.getpid(), *pids]]
+    monkeypatch.setattr(os, "fork", fail_fork)
+    assert forked_map(pid_of, (), 3, 1) == first
+    assert forked_map(squares, (), 201, 64) == SQUARES
+    assert_pool_stops_clean(fds)
+
+
+@needs_fork
 def test_normal_return_leaves_nothing(monkeypatch):
+    # a normal return leaves the worker waiting on its two pipes, and
+    # nothing once the pool stops
     use_cores(monkeypatch, 2)
     fds = open_fds()
-    assert forked_map(squares, 201, 64) == SQUARES
-    assert open_fds() == fds
-    assert_no_children()
+    assert forked_map(squares, (), 201, 64) == SQUARES
+    assert len(open_fds()) == len(fds) + 2
+    assert_pool_stops_clean(fds)
 
 
-@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-def test_parent_error_stops_children(error, monkeypatch):
-    parent = os.getpid()
-
-    def chunk(lo, hi):
-        if os.getpid() == parent:
-            raise error("parent chunk")
-        time.sleep(5)  # each child is still at work when stopped
-        return squares(lo, hi)
-
-    statuses = record_waits(monkeypatch)
+@needs_fork
+def test_stopping_a_four_core_pool_leaves_nothing(monkeypatch):
     use_cores(monkeypatch, 4)
     fds = open_fds()
-    with pytest.raises(error, match="parent chunk"):
-        forked_map(chunk, 201, 64)
-    assert len(statuses) == (2 if hasattr(os, "fork") else 0)
+    assert forked_map(squares, (), 201, 1) == SQUARES
+    pids = [pid for pid, _, _ in series_module._POOL]
+    assert len(pids) == 3
+    start = time.perf_counter()
+    assert_pool_stops_clean(fds)
+    assert time.perf_counter() - start < 5
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+@needs_fork
+@pytest.mark.parametrize("error", ["RuntimeError", "KeyboardInterrupt"])
+def test_parent_error_stops_children(error, monkeypatch):
+    # the caller's own chunk raises while both workers are at work: they
+    # get SIGTERM and are reaped before the error propagates, so no
+    # worker, fd or reply is left, and the next call starts a new pool
+    statuses, waitpid = [], os.waitpid
+
+    def record(pid, options):
+        got = waitpid(pid, options)
+        statuses.append(got[1])
+        return got
+
+    monkeypatch.setattr(os, "waitpid", record)
+    use_cores(monkeypatch, 4)
+    fds = open_fds()
+    with pytest.raises(getattr(builtins, error), match="caller chunk"):
+        forked_map(caller_raises, (os.getpid(), error), 201, 64)
+    assert len(statuses) == 2
     assert all(os.WIFSIGNALED(st) and os.WTERMSIG(st) == signal.SIGTERM for st in statuses)
+    assert series_module._POOL == []
     assert open_fds() == fds
     assert_no_children()
+    assert forked_map(squares, (), 201, 64) == SQUARES
+    assert_pool_stops_clean(fds)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_failed_child_chunk_is_recomputed(monkeypatch):
-    parent = os.getpid()
-
-    def chunk(lo, hi):
-        if os.getpid() != parent:
-            raise RuntimeError("child chunk")
-        return squares(lo, hi)
-
-    statuses = record_waits(monkeypatch, os.waitstatus_to_exitcode)
+@needs_fork
+def test_failed_child_chunk_is_recomputed(monkeypatch, tmp_path):
+    # a chunk that raises in the worker comes back as the marker and runs
+    # again here; the worker stays in the pool
+    parent, path = os.getpid(), str(tmp_path / "indices")
     use_cores(monkeypatch, 2)
     fds = open_fds()
-    assert forked_map(chunk, 201, 64) == SQUARES
-    assert statuses == [1]
+    assert forked_map(worker_raises, (parent,), 201, 64) == SQUARES
+    (worker,) = series_module._POOL
+    assert forked_map(squares_noting, (parent, path), 201, 64) == SQUARES
+    assert noted(path) == list(range(100))
+    assert series_module._POOL == [worker]
+    assert_pool_stops_clean(fds)
+
+
+@needs_fork
+def test_non_zero_exit_discards_what_the_child_wrote(monkeypatch, tmp_path):
+    # a worker that exits 7 mid-chunk sends no reply: it is reaped, its
+    # chunk recomputed here, and the next call starts another
+    parent, path = os.getpid(), str(tmp_path / "indices")
+    use_cores(monkeypatch, 2)
+    fds = open_fds()
+    assert forked_map(worker_dies, (parent,), 201, 64) == SQUARES
+    assert series_module._POOL == []
     assert open_fds() == fds
     assert_no_children()
+    assert forked_map(squares_noting, (parent, path), 201, 64) == SQUARES
+    assert noted(path) == list(range(100))
+    assert_pool_stops_clean(fds)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_non_zero_exit_discards_what_the_child_wrote(monkeypatch):
-    parent = os.getpid()
-    parent_indices = []
-    real_exit = os._exit
-
-    def chunk(lo, hi):
-        if os.getpid() == parent:
-            parent_indices.extend(range(lo, hi))
-        return squares(lo, hi)
-
-    monkeypatch.setattr(os, "_exit", lambda status: real_exit(7))
-    use_cores(monkeypatch, 2)
-    assert forked_map(chunk, 201, 64) == SQUARES
-    assert parent_indices == list(range(201))
-    assert_no_children()
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@needs_fork
 def test_raw_values_cross_bit_for_bit(monkeypatch):
-    parent = os.getpid()
-    raw = [fzero, finf, fninf, fnan, from_str("-1.25e-300", 256), from_int(-(7 ** 200))]
-
-    def chunk(lo, hi):
-        # odd indices give an empty result; the last value is 1 in a child
-        return [[] if j % 2 else [*raw, from_int(os.getpid() != parent)] for j in range(lo, hi)]
-
     use_cores(monkeypatch, 2)
-    got = forked_map(chunk, 4, 2)
-    assert got == [[*raw, from_int(0)], [], [*raw, from_int(1)], []]
+    fds = open_fds()
+    got = forked_map(raw_values, (os.getpid(),), 4, 2)
+    assert got == [[*RAW, from_int(0)], [], [*RAW, from_int(1)], []]
     assert all(type(m) is MPZ for _, m, _, _ in got[2])
-    assert_no_children()
+    assert_pool_stops_clean(fds)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@needs_fork
+def test_raw_arguments_cross_bit_for_bit(monkeypatch):
+    # a worker gets the arguments of the call as the caller has them
+    use_cores(monkeypatch, 2)
+    assert forked_map(raw_echo, (RAW, 3), 2, 1) == [[*RAW, from_int(3)]] * 2
+
+
+def raw_echo(values, extra, lo, hi):
+    return [[*values, from_int(int(extra))] for _ in range(lo, hi)]
+
+
+@needs_fork
 @pytest.mark.parametrize("cores", [2, 3, 4])
 def test_error_chunks_are_recomputed_here(cores, monkeypatch):
-    # chunk k holds indices 2k and 2k + 1; every odd chunk ends in an
-    # error, and the values say whether a child computed them
-    parent = os.getpid()
-
-    def chunk(lo, hi):
-        where = "child" if os.getpid() != parent else "caller"
-        return [PrecisionExhausted(f"{j} from the {where}") if j % 4 == 3
-                else [from_int(j), from_int(where == "child")] for j in range(lo, hi)]
-
-    statuses = record_waits(monkeypatch, os.waitstatus_to_exitcode)
     use_cores(monkeypatch, cores)
     fds = open_fds()
-    got = forked_map(chunk, 2 * cores, 2)
+    got = forked_map(errors_in_odd_chunks, (os.getpid(),), 2 * cores, 2)
     assert [(type(r), str(r)) if isinstance(r, PrecisionExhausted) else r for r in got] == [
         (PrecisionExhausted, f"{j} from the caller") if j % 4 == 3
         else [from_int(j), from_int(j // 2 % 2 == 0 and j > 1)] for j in range(2 * cores)]
-    assert statuses == [k % 2 for k in range(1, cores)]
-    assert open_fds() == fds
-    assert_no_children()
+    assert len(series_module._POOL) == cores - 1
+    assert_pool_stops_clean(fds)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@needs_fork
 @pytest.mark.parametrize("sent", [b"", b"\x00", marshal.dumps(7), marshal.dumps([[(1, 2)]])],
                          ids=["empty", "bad_code", "not_a_list", "short_value"])
-def test_unreadable_bytes_are_recomputed(sent, monkeypatch):
-    # the child exits 0 after writing bytes that marshal.loads rejects or
-    # that do not unpack into raw mpfs
-    parent = os.getpid()
-    parent_indices = []
-
-    def chunk(lo, hi):
-        if os.getpid() == parent:
-            parent_indices.extend(range(lo, hi))
-        return squares(lo, hi)
-
-    statuses = record_waits(monkeypatch, os.waitstatus_to_exitcode)
+def test_unreadable_bytes_are_recomputed(sent, monkeypatch, tmp_path):
+    # the worker replies with bytes that marshal.loads rejects or that do
+    # not unpack into raw mpfs; the caller's own marshal is untouched
+    parent, path, real = os.getpid(), str(tmp_path / "indices"), marshal.dumps
+    monkeypatch.setattr(marshal, "dumps",
+                        lambda value: real(value) if os.getpid() == parent else sent)
     use_cores(monkeypatch, 2)
-    monkeypatch.setattr(marshal, "dumps", lambda value: sent)
-    assert forked_map(chunk, 201, 64) == SQUARES
-    assert statuses == [0]
-    assert parent_indices == list(range(201))
-    assert_no_children()
+    fds = open_fds()
+    assert forked_map(squares_noting, (parent, path), 201, 64) == SQUARES
+    assert noted(path) == list(range(201))
+    assert len(series_module._POOL) == 1
+    assert_pool_stops_clean(fds)
+
+
+@needs_fork
+def test_workers_ignore_sigint(monkeypatch):
+    use_cores(monkeypatch, 2)
+    assert forked_map(squares, (), 201, 64) == SQUARES
+    (worker,) = series_module._POOL
+    os.kill(worker[0], signal.SIGINT)
+    assert forked_map(pid_of, (), 2, 1)[1] == [from_int(worker[0])]
+    assert series_module._POOL == [worker]
+
+
+@needs_fork
+def test_a_forked_child_closes_the_pool_fds_and_runs_serially(monkeypatch):
+    use_cores(monkeypatch, 2)
+    assert forked_map(squares, (), 201, 64) == SQUARES
+    (worker,) = series_module._POOL
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            closed = 0
+            for fd in worker[1:]:
+                try:
+                    os.fstat(fd)
+                except OSError:
+                    closed += 1
+            child = os.getpid()
+            serial = forked_map(where, (child,), 201, 64) == [
+                [from_int(0), from_int(201), from_int(0)]]
+            status = 0 if closed == 2 and series_module._POOL == [] and serial else 1
+        finally:
+            os._exit(status)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    assert series_module._POOL == [worker]
+    assert forked_map(squares, (), 201, 64) == SQUARES
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs two usable cores")
 def test_children_run_on_the_other_cores(monkeypatch):
-    real = os.sched_getaffinity
-
-    def chunk(lo, hi):
-        # the cores each chunk's process may run on
-        return [[from_int(c) for c in sorted(real(0))]]
-
     other_cores = series_module._other_cores
-    cores = sorted(real(0))
+    cores = sorted(REAL_AFFINITY(0))
     others = other_cores()
     assert len(others) == len(cores) - 1 and set(others) < set(cores)
     monkeypatch.setattr(series_module, "_other_cores", lambda: cores[1:])
     use_cores(monkeypatch, 2)
-    got = forked_map(chunk, 2, 1)
+    fds = open_fds()
+    got = forked_map(cores_of, (), 2, 1)
     assert got == [[from_int(c) for c in cores], [from_int(cores[1])]]
-    assert real(0) == set(cores)
+    assert REAL_AFFINITY(0) == set(cores)
     monkeypatch.delattr(os, "sched_getaffinity")
     assert other_cores() == []
-    assert_no_children()
+    assert_pool_stops_clean(fds)
 
 
 def test_fork_failure_runs_serially(monkeypatch):
     monkeypatch.setattr(os, "fork", fail_fork, raising=False)
     use_cores(monkeypatch, 4)
     fds = open_fds()
-    assert forked_map(squares, 201, 1) == SQUARES
+    assert forked_map(squares, (), 201, 1) == SQUARES
+    assert series_module._POOL == []
     assert open_fds() == fds
     assert_no_children()
+
+
+def test_arguments_marshal_cannot_write_run_serially(monkeypatch):
+    def fork():
+        raise AssertionError("forked for arguments no worker can read")
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    use_cores(monkeypatch, 4)
+    # a Fraction, as a mantissa marshal cannot write would be
+    assert forked_map(raw_echo, (RAW, Fraction(3)), 4, 1) == [[*RAW, from_int(3)]] * 4
 
 
 def test_missing_fork_runs_serially(monkeypatch):
     monkeypatch.delattr(os, "fork", raising=False)
     use_cores(monkeypatch, 4)
-    assert forked_map(squares, 201, 1) == SQUARES
+    assert forked_map(squares, (), 201, 1) == SQUARES
 
 
 def test_single_core_never_forks(monkeypatch):
@@ -372,7 +577,7 @@ def test_single_core_never_forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork, raising=False)
     use_cores(monkeypatch, 1)
-    assert forked_map(squares, 1001, 1) == squares(0, 1001)
+    assert forked_map(squares, (), 1001, 1) == squares(0, 1001)
 
 
 def test_cores_without_affinity(monkeypatch):
