@@ -2,13 +2,14 @@
 """Serial against pooled wall time for each caller of the fork-map helper.
 
 ``series._forked_map`` splits a caller's work over the usable cores,
-handing every chunk but the first to a long-lived worker of its pool,
-only when each process gets at least a floor of work: binary64 products
+in pieces that this process and the long-lived workers of its pool
+claim one at a time, only when each process gets at least a floor of
+work: binary64 products
 of the bound pass for ``christoffel_remez``, N (N + 1) / 2 for each grid
 point past point 0 (``series._MIN_CHUNK_PRODUCTS``), subtree tasks for
 ``hereditary_sweep`` (``operator._MIN_SWEEP_TASKS``) and columns for
 ``dual_family`` (``duals._MIN_CHUNK_COLUMNS``).  This first prints the
-median round trip of one empty chunk through a started pool, then, for
+median round trip of one empty call through a started pool, then, for
 sizes around where each floor starts splitting on this host, the median
 wall time with every item in this process and with the items split over
 all usable cores through the started pool (the floor lowered to one
@@ -67,9 +68,10 @@ def forked_items(call, module, name) -> int:
     return sum(counts)
 
 
-def empty_chunk(lo, hi):
-    """No work: one empty result per index."""
-    return [[] for _ in range(lo, hi)]
+def empty_pieces(spans):
+    """No work: one empty result per index of each span."""
+    for lo, hi in spans:
+        yield [[] for _ in range(lo, hi)]
 
 
 def seconds(call) -> float:
@@ -125,11 +127,11 @@ def main() -> int:
           f"{args.bits} bits; median of {args.repeats}")
     if cores < 2:
         print("one usable core: the pooled column runs serially too")
-    # starts the pool, then times the round trip of one empty chunk
-    series_module._forked_map(empty_chunk, (), 2, 1)
-    trips = [seconds(lambda: series_module._forked_map(empty_chunk, (), 2, 1))
+    # starts the pool, then times the round trip of one empty call
+    series_module._forked_map(empty_pieces, (), 2, 1)
+    trips = [seconds(lambda: series_module._forked_map(empty_pieces, (), 2, 1))
              for _ in range(max(50, 10 * args.repeats))]
-    print(f"dispatch round trip of an empty chunk: {1000 * statistics.median(trips):.3f} ms")
+    print(f"dispatch round trip of an empty call: {1000 * statistics.median(trips):.3f} ms")
     print(f"{'caller':>7}  {'floor':>5}  {'size':>5}  {'items':>5}  {'serial ms':>10}  "
           f"{'pooled ms':>10}  {'ratio':>6}  size is")
     for key, size, call_at, unit in cases:

@@ -13,8 +13,9 @@ is an independent oracle for everything the linear algebra produces.
 ``dual_family`` solves each column of G^-1 (``gram._column_reader``)
 together with its part of the biorthogonality residual max |G C - I|
 (``gram._residual``), and hands the columns to ``series._forked_map``
-in contiguous chunks: with the forward halves cut from the section's
-stored L^-1, every column costs the same.  At
+in contiguous pieces, which the processes claim one at a time: with the
+forward halves cut from the section's stored L^-1, every column costs
+the same.  At
 ``_MIN_CHUNK_COLUMNS`` or more per process the split starts at N = 20,
 and the family is bit for bit the serial one.
 """
@@ -22,7 +23,7 @@ and the family is bit for bit the serial one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import mpmath
 from mpmath import mp
@@ -34,7 +35,7 @@ from .exponents import ExponentSequence
 from .gram import (GramMatrix, _column_reader, _inverse_columns, _mpfs, _residual,
                    gram_inverse_diagonals)
 from .precision import DEFAULT_PRECISION_BITS, Real, _shown, to_mpf
-from .series import _forked_map
+from .series import _Span, _forked_map
 
 
 @dataclass(frozen=True)
@@ -104,19 +105,22 @@ class LowerBoundCertificate:
 _MIN_CHUNK_COLUMNS = 10
 
 
-def _family_columns(rows, cols, entry_rows, prec: int, lo: int, hi: int) -> List[List[tuple]]:
-    """[column j raw..., its residual maximum] for each j in lo..hi-1,
-    from the raw factor rows, the columns of L^-1 and the raw entry rows
-    of one section at ``prec``, read through ``gram._column_reader`` and
+def _family_columns(rows, cols, entry_rows, prec: int,
+                    spans: Iterable[_Span]) -> Iterator[List[List[tuple]]]:
+    """[column j raw..., its residual maximum] for each j in lo..hi-1, a
+    list for each span (lo, hi) drawn from ``spans``, from the raw factor
+    rows, the columns of L^-1 and the raw entry rows of one section at
+    ``prec``, read through ``gram._column_reader`` and
     ``gram._residual``."""
     n = len(rows)
     column, residuals = _column_reader(rows, cols, prec), _residual(entry_rows, prec)
-    out = []
-    for j in range(lo, hi):
-        col = column(j)
-        unit = [fone if m == j else fzero for m in range(n)]
-        out.append(col + [max(map(mpf_abs, residuals(col, unit)), key=mp.make_mpf)])
-    return out
+    for lo, hi in spans:
+        out = []
+        for j in range(lo, hi):
+            col = column(j)
+            unit = [fone if m == j else fzero for m in range(n)]
+            out.append(col + [max(map(mpf_abs, residuals(col, unit)), key=mp.make_mpf)])
+        yield out
 
 
 def dual_family(g: GramMatrix) -> DualFamily:
@@ -128,7 +132,7 @@ def dual_family(g: GramMatrix) -> DualFamily:
     reader ``gram._residual`` (``_family_columns``), both made in each
     process from the factor rows, the columns of L^-1 and the entry rows
     read here, before the split, so that the section's L^-1 is grown
-    once, in this process.  The columns run in contiguous chunks through
+    once, in this process.  The columns run in contiguous pieces through
     ``series._forked_map``, at ``_MIN_CHUNK_COLUMNS`` or more per
     process; the residual is the largest of the column maxima.  Every
     value is bit for bit the serial one.

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
@@ -49,7 +49,7 @@ from .exponents import ExponentSequence
 from .gram import (GramMatrix, _Factor, _grown, _inverse_block, _mpfs, _smallest_eigenvalue,
                    _unit_columns, solve_spd)
 from .precision import DEFAULT_PRECISION_BITS, Real, _dot, _shown, to_int, to_mpf
-from .series import MuntzSeries, _Result, _forked_map, evaluate
+from .series import MuntzSeries, _Result, _Span, _forked_map, evaluate
 
 
 @dataclass(frozen=True)
@@ -400,12 +400,14 @@ def _report(g: GramMatrix, n1: Tuple[int, ...], n2: Tuple[int, ...],
 _MIN_SWEEP_TASKS = 3
 
 
-def _sweep_tasks(walks, prec: int, lo: int, hi: int) -> List[_Result]:
-    """The ``_subtree_spectra`` of tasks lo..hi-1 of the two walks, each
+def _sweep_tasks(walks, prec: int, spans: Iterable[_Span]) -> Iterator[List[_Result]]:
+    """The ``_subtree_spectra`` of tasks lo..hi-1 of the two walks for
+    each span (lo, hi) drawn from ``spans``, each walk
     (``_jacobi_scaled`` rows, diagonal) of an N-by-N block: task t walks
     the subsets of walk t // N whose smallest index is t % N."""
     n = len(walks[0][1])
-    return [r for t in range(lo, hi) for r in _subtree_spectra(*walks[t // n], t % n, prec)]
+    for lo, hi in spans:
+        yield [r for t in range(lo, hi) for r in _subtree_spectra(*walks[t // n], t % n, prec)]
 
 
 def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
@@ -424,8 +426,8 @@ def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
     The two subset walks, of S G S and of T G^-1 T, are cut into 2N
     tasks, one per walk and smallest index, and ``series._forked_map``
     runs them (``_sweep_tasks``) at ``_MIN_SWEEP_TASKS`` or more per
-    process, handing a worker the two Jacobi-scaled walks: on 2 usable
-    cores the powers walk runs here and the duals walk in a worker.
+    process, handing a worker the two Jacobi-scaled walks, each process
+    claiming contiguous pieces of the tasks until none is left.
     The results are combined by mask, so every report and the raised
     error are bit for bit the serial sweep's.
     """

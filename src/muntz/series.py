@@ -11,15 +11,19 @@ grid points, one binary64 product per entry of L^-1 and point, and
 makes each bound an mpf only when the kernel loop reaches it.
 
 ``_forked_map`` is the one place the library runs more than one
-process: it splits a range of independent work items over this process
-and the workers of a pool, one per usable core, and returns their
-results in index order.  ``christoffel_remez`` splits its grid points
-with it, by interleaved residue classes, each process bounding its own
+process: it cuts a range of independent work items into pieces, which
+this process and the workers of a pool, one per usable core, claim one
+at a time, and returns their results in index order.  A worker stops
+claiming once it holds an even share, so a call waits on a core that
+runs slow for at most the piece it is on, and this process always runs
+its own share: the call's time follows the calling core.
+``christoffel_remez`` splits its grid points with it, by interleaved
+residue classes, each process bounding the points of its pieces
 (``_MIN_CHUNK_PRODUCTS``), ``operator.hereditary_sweep`` its subset
 walks (``operator._MIN_SWEEP_TASKS``) and ``duals.dual_family`` its
-inverse columns with their residual maxima
-(``duals._MIN_CHUNK_COLUMNS``); each value is bit for bit the serial
-one.  Each caller hands the map a module-level function and, as
+inverse columns with their residual maxima (``duals._MIN_CHUNK_COLUMNS``);
+each value is bit for bit the serial one, whichever process runs which
+piece.  Each caller hands the map a module-level function and, as
 ``marshal`` values, what it read of the section before the split (so
 that the stored L^-1 is grown once, in the calling process) and the
 section's width, at which a worker computes.
@@ -29,8 +33,9 @@ extra usable core, and each waits on a pipe for the next request, so a
 later call pays a round trip of about 0.05 ms where a fork cost about
 5 ms.  A worker runs the library as it was when it forked, ignores
 SIGINT and leaves through ``os._exit`` when its request pipe reads EOF;
-a dead one is reaped and its chunk computed here.  Any exception during
-a call stops the whole pool with SIGTERM, any forked child closes the
+a dead one is reaped and the pieces it claimed computed here.  Any
+exception during a call stops the whole pool with SIGTERM and closes
+the claim pipe with any token left in it, any forked child closes the
 pool fds it inherited and runs its calls serially, and at exit
 ``_stop_pool`` closes the pipes and reaps the workers.
 """
@@ -257,10 +262,17 @@ _MIN_CHUNK_PRODUCTS = 2 ** 11
 # What one index of a ``_forked_map`` gives: a list of raw mpfs, or the
 # NumericalError computing them raised.
 _Result = Union[List[tuple], NumericalError]
+# The indices lo..hi-1 of a ``_forked_map``, as (lo, hi).
+_Span = Tuple[int, int]
 
 # The live workers of this process, (pid, request fd, reply fd) each,
 # started by the first call that needs them.
 _POOL: List[Tuple[int, int, int]] = []
+# The pool's claim pipe, [read fd, write fd], while it is being started
+# or has a worker: a call writes one token a piece to it, and each
+# process of the call reads the tokens of the pieces it runs.  Reads
+# from it do not block.
+_CLAIMS: List[int] = []
 # Set in every forked child, the workers included: it runs each call serially.
 _forked_child = False
 
@@ -286,11 +298,16 @@ def _other_cores() -> List[int]:
         return []
 
 
-def _send(fd: int, *messages: bytes) -> None:
-    """Write the messages to the pipe ``fd``, each after its length in 8 bytes."""
-    view = memoryview(b"".join(len(m).to_bytes(8, "little") + m for m in messages))
+def _write(fd: int, data: bytes) -> None:
+    """Write all of ``data`` to the pipe ``fd``."""
+    view = memoryview(data)
     while view:
         view = view[os.write(fd, view):]
+
+
+def _send(fd: int, *messages: bytes) -> None:
+    """Write the messages to the pipe ``fd``, each after its length in 8 bytes."""
+    _write(fd, b"".join(len(m).to_bytes(8, "little") + m for m in messages))
 
 
 def _read(fd: int, size: int) -> bytes:
@@ -310,16 +327,40 @@ def _receive(fd: int) -> bytes:
     return _read(fd, int.from_bytes(_read(fd, 8), "little"))
 
 
-def _serve(requests: int, replies: int) -> None:
+def _claimed(fd: int, bounds: List[int], share: int, taken: List[int]) -> Iterator[_Span]:
+    """The spans of the pieces this process claims from the claim pipe
+    ``fd``, piece k being the indices bounds[k]..bounds[k + 1]-1.  A
+    claim reads one 4-byte token, k, and appends k to ``taken``; the
+    claims end where the pipe is empty or the pieces taken hold
+    ``share`` indices or more.  Each read takes a whole token, as every
+    read asks for 4 bytes of a pipe that holds whole tokens."""
+    held = 0
+    while held < share:
+        try:
+            token = os.read(fd, 4)
+        except BlockingIOError:
+            return
+        if len(token) < 4:  # EOF: the calling process has closed the pipe
+            return
+        k = int.from_bytes(token, "little")
+        taken.append(k)
+        held += bounds[k + 1] - bounds[k]
+        yield bounds[k], bounds[k + 1]
+
+
+def _serve(requests: int, replies: int, claims: int) -> None:
     """A worker's loop, until its request pipe reads EOF.  A request is
     two messages: the ``marshal`` bytes of (core, module, function name,
-    lo, hi), then those of the arguments.  The worker pins itself to the
-    core, where it is not None, and replies with the ``marshal`` bytes of
-    the function's results for lo..hi, each mantissa a plain int, or,
-    where the function raises or its results hold an error, with an
-    empty message, the marker that the caller computes the chunk itself.
-    SIGINT is ignored, as an interrupt is the caller's to handle, and
-    SIGTERM, the caller's stop, has its default action."""
+    piece bounds, share), then those of the arguments.  The worker pins
+    itself to the core, where it is not None, runs the function over the
+    pieces it claims from the claim pipe ``claims`` (``_claimed``, up to
+    ``share`` indices), and replies with the ``marshal`` bytes of a list
+    of (piece, its results), each mantissa a plain int.  A piece whose
+    results hold an error, or in which the function raises, is left out
+    of the list, and the worker claims nothing after it: the caller runs
+    what it left out.  SIGINT is ignored, as an interrupt is the
+    caller's to handle, and SIGTERM, the caller's stop, has its default
+    action."""
     import signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -328,59 +369,78 @@ def _serve(requests: int, replies: int) -> None:
             head = _receive(requests)
         except EOFError:
             return
-        core, module, name, lo, hi = marshal.loads(head)
-        args, reply = _receive(requests), b""
+        core, module, name, bounds, share = marshal.loads(head)
+        args, taken, done = _receive(requests), [], []
         with suppress(Exception):
             if core is not None:
                 with suppress(OSError):
                     os.sched_setaffinity(0, {core})
-            results = getattr(sys.modules[module], name)(*marshal.loads(args), lo, hi)
-            # a NumericalError result is not iterable: the marker goes back
-            reply = marshal.dumps([[(s, int(m), e, b) for s, m, e, b in r] for r in results])
-        _send(replies, reply)
+            fn = getattr(sys.modules[module], name)
+            for results in fn(*marshal.loads(args), _claimed(claims, bounds, share, taken)):
+                # a NumericalError result is not iterable: its piece is left out
+                done.append([[(s, int(m), e, b) for s, m, e, b in r] for r in results])
+        _send(replies, marshal.dumps(list(zip(taken, done))))
 
 
 def _start_worker() -> Optional[Tuple[int, int, int]]:
     """A new worker, forked from this process, as (pid, request fd, reply
-    fd), or None where a pipe or the fork fails.  The worker runs
-    ``_serve`` and leaves through ``os._exit``: status 0 at EOF, 1 on
-    any error."""
+    fd), or None where a pipe or the fork fails.  The worker gets its own
+    copy of the claim pipe's read end, which ``_forget_pool`` leaves open
+    there, runs ``_serve`` and leaves through ``os._exit``: status 0 at
+    EOF, 1 on any error."""
     fds = []
     try:
         fds += os.pipe()
         fds += os.pipe()
+        fds.append(os.dup(_CLAIMS[0]))
         pid = os.fork()
     except OSError:
         for fd in fds:
             os.close(fd)
         return None
-    request_r, request_w, reply_r, reply_w = fds
+    request_r, request_w, reply_r, reply_w, claims = fds
     if pid == 0:
         status = 1
         try:
             os.close(request_w)
             os.close(reply_r)
-            _serve(request_r, reply_w)
+            _serve(request_r, reply_w, claims)
             status = 0
         finally:
             os._exit(status)
-    os.close(request_r)
-    os.close(reply_w)
+    for fd in (request_r, reply_w, claims):
+        os.close(fd)
     return pid, request_w, reply_r
 
 
 def _workers(count: int) -> List[Tuple[int, int, int]]:
     """The first ``count`` workers of the pool, started where missing;
-    fewer where a fork fails."""
-    while len(_POOL) < count and (worker := _start_worker()) is not None:
-        _POOL.append(worker)
+    fewer where a pipe or a fork fails.  The claim pipe is made before
+    the first worker and closed where none could start."""
+    with suppress(OSError):
+        if not _CLAIMS:
+            _CLAIMS.extend(os.pipe())
+            os.set_blocking(_CLAIMS[0], False)
+        while len(_POOL) < count and (worker := _start_worker()) is not None:
+            _POOL.append(worker)
+    if not _POOL:
+        _close_claims()
     return _POOL[:count]
 
 
+def _close_claims() -> None:
+    """Close the claim pipe, with any token left in it."""
+    for fd in _CLAIMS:
+        with suppress(OSError):
+            os.close(fd)
+    _CLAIMS.clear()
+
+
 def _stop(workers, terminate: bool) -> None:
-    """Take the workers out of the pool, close their pipes and reap them:
-    each reads EOF and leaves, or first gets SIGTERM where ``terminate``
-    is set, so that none is left at work on a request."""
+    """Take the workers out of the pool, close their pipes, and the claim
+    pipe with the last of them, and reap them: each reads EOF and leaves,
+    or first gets SIGTERM where ``terminate`` is set, so that none is
+    left at work on a request."""
     if terminate:
         # imported here: only this path signals, and the import costs ~1 ms
         from signal import SIGTERM
@@ -393,6 +453,8 @@ def _stop(workers, terminate: bool) -> None:
         for fd in (request, reply):
             with suppress(OSError):
                 os.close(fd)
+    if not _POOL:
+        _close_claims()
     for pid, _, _ in workers:
         with suppress(ChildProcessError):
             os.waitpid(pid, 0)
@@ -418,77 +480,117 @@ if hasattr(os, "register_at_fork"):
 atexit.register(_stop_pool)
 
 
-def _forked_map(fn: Callable[..., List[_Result]], args: tuple, count: int,
-                min_chunk: int) -> List[_Result]:
-    """The lists ``fn(*args, lo, hi)`` gives for the indices lo..hi-1 of
-    contiguous chunks of 0..count-1, concatenated in index order.
-
-    ``fn`` is a module-level function and ``args`` are ``marshal``
-    values, raw mpfs among them.  The range is cut into one chunk per
-    usable core, at most one per ``min_chunk`` indices.  This process
-    takes the first chunk and a worker of the pool (``_workers``,
-    ``_serve``) each other one, pinned to its own core of
-    ``_other_cores`` where it has one.  A worker sends back its results
-    as ``marshal`` bytes, each mantissa a plain int read back through
-    ``MPZ``.  Where ``os.fork`` is missing or fails, the arguments are
-    not ``marshal`` values, or a worker has died or sends what
-    ``marshal.loads`` cannot read, this process computes the chunk
-    itself.  ``marshal`` cannot write an exception, so a chunk with a
-    NumericalError among its results comes back as the marker and is
-    recomputed here; ``fn`` is deterministic, so it gives the same error,
-    type and message, as a serial run.  The cost: a report that fails
-    this way (exit 3) takes up to its serial time.  On any exception
-    here the whole pool gets SIGTERM and is reaped before it propagates,
-    so no reply to this call is read by a later one.
-    """
+def _processes(count: int, min_chunk: int) -> int:
+    """The processes a ``_forked_map`` of ``count`` indices runs on: one
+    per usable core, at most one per ``min_chunk`` indices, and this one
+    alone in a forked child or where ``os.fork`` is missing."""
     cores = 1 if _forked_child or not hasattr(os, "fork") else _usable_cores()
-    chunks = max(1, min(cores, count // min_chunk))
-    bounds = [count * k // chunks for k in range(chunks + 1)]
-    busy = {}  # chunk index -> the worker computing it, until its reply is read
+    return max(1, min(cores, count // min_chunk))
+
+
+def _pieces(count: int, processes: int) -> List[int]:
+    """The bounds of the pieces a ``_forked_map`` of ``count`` indices on
+    ``processes`` processes cuts them into, piece k being the indices
+    bounds[k]..bounds[k + 1]-1: one piece on one process, else in
+    quarters of an even share, one piece of three quarters per process
+    and then one of a quarter per process, so that the small pieces come
+    last, and no piece empty.  With 1000 indices on 2 processes: 0..374,
+    375..749, 750..874 and 875..999."""
+    if processes == 1:
+        return [0, count]
+    cuts = [*range(0, 3 * processes, 3), *range(3 * processes, 4 * processes + 1)]
+    return sorted({count * u // (4 * processes) for u in cuts})
+
+
+def _forked_map(fn: Callable[..., Iterator[List[_Result]]], args: tuple, count: int,
+                min_chunk: int) -> List[_Result]:
+    """The lists ``fn(*args, spans)`` yields for the pieces of the indices
+    0..count-1, concatenated in index order.
+
+    ``fn`` is a module-level generator function, and ``args`` are
+    ``marshal`` values, raw mpfs among them.  It draws spans (lo, hi)
+    from ``spans`` one at a time and yields a list for each before it
+    draws the next: the results of the indices lo..hi-1, or what its
+    caller combines over the pieces whichever way they fall
+    (``_remez_chunk``'s running maximum).  The indices are cut into
+    pieces (``_pieces``) for the processes ``_processes`` gives: this
+    one, and a worker of the pool (``_workers``, ``_serve``) for each
+    other one, pinned to its own core of ``_other_cores`` where it has
+    one.  The call writes one token a piece to the claim pipe, and each
+    process claims pieces from it (``_claimed``) until none is left, so
+    a worker on a core that runs slow holds the call up by at most the
+    piece it is on.  A worker stops claiming once it holds an even share
+    of the indices, and this process takes what is left: it never gives
+    away its own share, so the call's time follows this process's core,
+    however fast the others run.  A worker sends back its pieces'
+    results as ``marshal`` bytes, each mantissa a plain int read back
+    through ``MPZ``.  Where ``os.fork`` is missing or fails, the
+    arguments are not ``marshal`` values, or a worker has died, sends
+    what ``marshal.loads`` cannot read or leaves out a piece it claimed,
+    this process runs the pieces missing, in index order, in one more
+    call of ``fn``.  ``marshal`` cannot write an exception, so a piece
+    with a NumericalError among its results is left out and run here;
+    ``fn`` is deterministic, so it gives the same error, type and
+    message, as a serial run.  The cost: a report that fails this way
+    (exit 3) takes up to its serial time.  On any exception here the
+    whole pool gets SIGTERM and is reaped before it propagates, so no
+    reply or token of this call is read by a later one.
+    """
+    processes = _processes(count, min_chunk)
+    bounds = _pieces(count, processes)
+    pieces = len(bounds) - 1
+    done = {}  # piece -> its results, from whichever process ran it
     try:
-        if chunks > 1:
+        busy, claiming = [], False  # the workers given the request; tokens written
+        if processes > 1:
             with suppress(ValueError):  # a value marshal cannot write: all run here
                 payload, others = marshal.dumps(args), _other_cores()
-                for k, worker in enumerate(_workers(chunks - 1), 1):
-                    core = others[k - 1] if k <= len(others) else None
+                workers = _workers(processes - 1)
+                if workers:
+                    _write(_CLAIMS[1], b"".join(k.to_bytes(4, "little") for k in range(pieces)))
+                    claiming = True
+                for k, worker in enumerate(workers):
+                    core = others[k] if k < len(others) else None
                     try:
                         _send(worker[1], marshal.dumps((core, fn.__module__, fn.__name__,
-                                                        bounds[k], bounds[k + 1])), payload)
+                                                        bounds, count // processes)), payload)
                     except OSError:  # the worker has died
                         _stop([worker], True)
                     else:
-                        busy[k] = worker
-        results = list(fn(*args, bounds[0], bounds[1]))
-        for k in range(1, chunks):
-            chunk = None
-            if k in busy:
-                worker = busy.pop(k)
-                try:
-                    data = _receive(worker[2])
-                except (OSError, EOFError):  # the worker has died
-                    _stop([worker], True)
-                else:
-                    with suppress(ValueError, EOFError, TypeError):
-                        chunk = [[(s, MPZ(m), e, b) for s, m, e, b in r]
-                                 for r in marshal.loads(data)]
-            results += chunk if chunk is not None else fn(*args, bounds[k], bounds[k + 1])
+                        busy.append(worker)
+        if claiming and _CLAIMS:
+            # no cap here: this process drains the pipe, so no token outlives the call
+            taken = []
+            for results in fn(*args, _claimed(_CLAIMS[0], bounds, count, taken)):
+                done[taken[-1]] = results
+        for worker in busy:
+            try:
+                data = _receive(worker[2])
+            except (OSError, EOFError):  # the worker has died
+                _stop([worker], True)
+            else:
+                with suppress(ValueError, EOFError, TypeError):
+                    done.update({k: [[(s, MPZ(m), e, b) for s, m, e, b in r] for r in part]
+                                 for k, part in marshal.loads(data)})
+        missing = [k for k in range(pieces) if k not in done]
+        done.update(zip(missing, fn(*args, [(bounds[k], bounds[k + 1]) for k in missing])))
     except BaseException:
         _stop_pool(terminate=True)
         raise
-    return results
+    return [r for k in range(pieces) for r in done[k]]
 
 
-def _kernel_bounds(inv_rows, lams, rho, grid_points: int, points: Iterable[int],
-                   bits: int) -> Iterator[Tuple[int, tuple]]:
-    """(j, U_j) for each index j >= 1 in ``points`` of the grid of
-    ``grid_points`` points on [0, rho], rho raw, in decreasing order of
-    U_j, a raw mpf that holds a binary64 value exactly: U_j >= K_j, the
-    kernel ``christoffel_remez`` computes at its x_j = rho j /
-    (grid_points - 1) from the raw rows of L^-1 and raw exponents at
-    ``bits`` = P.  U_j is inf where no finite bound was found.  The U_j
-    are sorted as binary64 values and come as an iterator that makes each
-    raw mpf only when it is reached, so a chunk that stops early converts
-    few of them.
+def _kernel_bounds(inv_rows, lams, rho, grid_points: int,
+                   bits: int) -> Callable[[Iterable[int]], Iterator[Tuple[int, tuple]]]:
+    """The bound pass of the grid of ``grid_points`` points on [0, rho],
+    rho raw, made once for the raw rows of L^-1 and raw exponents at
+    ``bits`` = P: a function that gives, for the indices j >= 1 of the
+    grid it is handed, (j, U_j) in decreasing order of U_j, a raw mpf
+    that holds a binary64 value exactly: U_j >= K_j, the kernel
+    ``christoffel_remez`` computes at its x_j = rho j / (grid_points - 1).
+    U_j is inf where no finite bound was found.  The U_j are sorted as
+    binary64 values and come as an iterator that makes each raw mpf only
+    when it is reached, so a piece that stops early converts few of them.
 
     Binary64 serves here alone.  Each row m of L^-1 is shifted by 2^-e_m,
     its largest entry brought into [1/2, 1), and rounded to binary64:
@@ -516,7 +618,8 @@ def _kernel_bounds(inv_rows, lams, rho, grid_points: int, points: Iterable[int],
     The rows are then bounded together, norm-wise.  With F_m = 2^e_m f_m,
     Minkowski gives ||L^-1 v|| <= ||F|| + c ||(2^e_m a_m)_m|| +
     floor ||(2^e_m)_m||, and ||(2^e_m a_m)_m|| <= sum_k w_k v_k, with w_k
-    the l2 norm of column k of |L^-1|, entries 2^e_m |r_mk|.  Once a call:
+    the l2 norm of column k of |L^-1|, entries 2^e_m |r_mk|.  Once, as the
+    function is made:
     the w_k, taken relative to 2^E, E the largest e_m, so that an entry
     that underflows errs by far less than floor, and ||(2^e_m)_m|| come
     from ``hypot`` rounded up by 1 + 2^-50; sum_k w_k v_k, a recursive sum
@@ -532,7 +635,7 @@ def _kernel_bounds(inv_rows, lams, rho, grid_points: int, points: Iterable[int],
     below that.  A point gets U_j = inf where x is not a normal binary64
     value, where eta + p would exceed 2^-20, or where its largest power
     would overflow (lam log x >= 709), all outside an interval of x found
-    once a call, and where its arithmetic overflows; every point does
+    once, and where its arithmetic overflows; every point does
     when a row's 2^e_m lies outside 2^+-1000.
 
     The points go in blocks of at most 1024, so that memory stays
@@ -548,10 +651,10 @@ def _kernel_bounds(inv_rows, lams, rho, grid_points: int, points: Iterable[int],
     import math
     from mpmath.libmp import from_float, to_float
 
-    n, points = len(lams), list(points)
-    bounds = [math.inf] * len(points)
+    n = len(lams)
     exps = [max(r[2] + r[3] for r in row if r[1]) for row in inv_rows]
-    if all(-1000 <= e <= 1000 for e in exps):
+    usable = all(-1000 <= e <= 1000 for e in exps)
+    if usable:
         lam_f = [to_float(lam, rnd=round_nearest) for lam in lams]
         # an upper bound on the largest exponent that no division meets as 0
         lam_max = max(lam_f + [2.0 ** -1000])
@@ -583,49 +686,60 @@ def _kernel_bounds(inv_rows, lams, rho, grid_points: int, points: Iterable[int],
         # floor ||(2^e_m)_m|| with max v taken at the largest bounded x
         floor = n * 2.0 ** -1062 * max(1.0, math.pow(min(rho_f, x_hi), lam_max)) * sigma
         grow, tiny = 1 + 2.0 ** -40, n * 2.0 ** -1070
-        for start in range(0, len(points), 1024):
-            live = [(i, x) for i in range(start, min(start + 1024, len(points)))
-                    if x_lo <= (x := rho_f * points[i] / step) <= x_hi]
-            xs = [x for _, x in live]
-            powers = [list(map(math.pow, xs, repeat(lam))) for lam in lam_f]
-            # f_m for each row, then sum_k w_k v_k the same way: one
-            # multiply-add pass over the block per entry
-            sums = []
-            for row in rows + [w]:
-                f = [0.0] * len(xs)
-                for r, v in zip(row, powers):
-                    f = list(map(add, f, map(mul, v, repeat(r))))
-                sums.append(f)
-            weighted = sums.pop()
-            fs = [map(mul, f, repeat(scale)) for f, scale in zip(sums, scales)]
-            for (i, x), norm, s in zip(live, map(math.hypot, *fs), weighted):
-                t = norm + (c0 + c1 * abs(math.log(x))) * s * top_scale + floor
-                bound = t * t * grow + tiny
-                # a nan, from arithmetic that overflowed, bounds nothing either
-                if bound < math.inf:
-                    bounds[i] = bound
-    order = sorted(range(len(points)), key=bounds.__getitem__, reverse=True)
-    return ((points[i], from_float(bounds[i])) for i in order)
+
+    def bound_pass(points: Iterable[int]) -> Iterator[Tuple[int, tuple]]:
+        points = list(points)
+        bounds = [math.inf] * len(points)
+        if usable:
+            for start in range(0, len(points), 1024):
+                live = [(i, x) for i in range(start, min(start + 1024, len(points)))
+                        if x_lo <= (x := rho_f * points[i] / step) <= x_hi]
+                xs = [x for _, x in live]
+                powers = [list(map(math.pow, xs, repeat(lam))) for lam in lam_f]
+                # f_m for each row, then sum_k w_k v_k the same way: one
+                # multiply-add pass over the block per entry
+                sums = []
+                for row in rows + [w]:
+                    f = [0.0] * len(xs)
+                    for r, v in zip(row, powers):
+                        f = list(map(add, f, map(mul, v, repeat(r))))
+                    sums.append(f)
+                weighted = sums.pop()
+                fs = [map(mul, f, repeat(scale)) for f, scale in zip(sums, scales)]
+                for (i, x), norm, s in zip(live, map(math.hypot, *fs), weighted):
+                    t = norm + (c0 + c1 * abs(math.log(x))) * s * top_scale + floor
+                    bound = t * t * grow + tiny
+                    # a nan, from arithmetic that overflowed, bounds nothing either
+                    if bound < math.inf:
+                        bounds[i] = bound
+        order = sorted(range(len(points)), key=bounds.__getitem__, reverse=True)
+        return ((points[i], from_float(bounds[i])) for i in order)
+
+    return bound_pass
 
 
 def _remez_chunk(inv_rows, lams, rho, grid_points: int, order: List[int], bits: int,
-                 lo: int, hi: int) -> List[List[tuple]]:
-    """[[K]], K the largest raw kernel over the grid points order[lo:hi],
-    from the raw rows of L^-1, raw exponents and raw rho at ``bits``; the
-    bounds come in decreasing order, so the first below the best ends the
-    chunk."""
+                 spans: Iterable[_Span]) -> Iterator[List[List[tuple]]]:
+    """[[K]] for each span (lo, hi) drawn from ``spans``, K the largest raw
+    kernel over the grid points order[lo:hi] and those of the spans drawn
+    before it here, from the raw rows of L^-1, raw exponents and raw rho
+    at ``bits``.  A span's bounds come in decreasing order, so the first
+    below the best ends it, and the best carries over to the next span:
+    a process that runs several skips every point one of them beat."""
+    bound_pass = _kernel_bounds(inv_rows, lams, rho, grid_points, bits)
     best = fzero
-    for j, bound in _kernel_bounds(inv_rows, lams, rho, grid_points, order[lo:hi], bits):
-        if mpf_lt(bound, best):
-            break
-        x = mpf_div(mpf_mul(rho, from_int(j), bits, round_nearest), from_int(grid_points - 1),
-                    bits, round_nearest)
-        v = _powers(x, lams, bits)
-        y = [_dot(row, v, bits) for row in inv_rows]
-        kernel = _dot(y, y, bits)
-        if mpf_gt(kernel, best):
-            best = kernel
-    return [[best]]
+    for lo, hi in spans:
+        for j, bound in bound_pass(order[lo:hi]):
+            if mpf_lt(bound, best):
+                break
+            x = mpf_div(mpf_mul(rho, from_int(j), bits, round_nearest),
+                        from_int(grid_points - 1), bits, round_nearest)
+            v = _powers(x, lams, bits)
+            y = [_dot(row, v, bits) for row in inv_rows]
+            kernel = _dot(y, y, bits)
+            if mpf_gt(kernel, best):
+                best = kernel
+        yield [[best]]
 
 
 def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
@@ -648,14 +762,18 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
     positive.  Points 1..grid_points-1 are split by ``_forked_map`` in one
     pass: one process per usable core, this one included, and at least
     ``_MIN_CHUNK_PRODUCTS`` products of the bound pass a process, one per
-    entry of L^-1 and point.  The points go to it as residue classes
-    modulo 2^k, the smallest power of two with a class per usable core,
-    the classes in bit-reversed order: on 2 cores one process takes the
-    even points and the other the odd ones, and on one core the order is
-    the grid's own.  So every process's points spread over the whole of
-    [0, rho] and meet a kernel near the grid maximum early, where a share
-    of contiguous points without it ran kernels the serial pass skips.
-    Each process finds the largest kernel over its own points:
+    entry of L^-1 and point, each process claiming pieces of the points
+    (``_pieces``) until none is left.  The points go to it as residue
+    classes modulo 2^k, the smallest power of two with four classes per
+    process, the classes in bit-reversed order: on 2 processes the
+    classes 0, 4, 2, 6, 1, 5, 3, 7 modulo 8, so that the two large pieces
+    are the classes {0, 4, 2} and {6, 1, 5} and the two small ones 3 and
+    7, and on one process the order is the grid's own.  So every piece's
+    points spread over the whole of [0, rho] and meet a kernel near the
+    grid maximum early, where a piece of contiguous points without it ran
+    kernels the serial pass skips.  Each process finds the largest kernel
+    over the points of its pieces, its best carried from one to the next
+    (``_remez_chunk``):
     - a bound pass, ``_kernel_bounds``: binary64 rows of L^-1, scaled by
       powers of two, against binary64 powers, in C-level passes over
       blocks of points at one binary64 product per entry of L^-1 and
@@ -668,10 +786,11 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
       only when reached, from the first point on until a bound lies below
       the best kernel computed so far.
     Every point skipped has a kernel below one its own process computed,
-    so the largest of the processes' maxima is bit for bit the maximum
-    over the whole grid, split or not.  Where L^-1 v cancels past about
-    2^50 (sqrt(n) exponents from N = 20) the bounds rule out few points,
-    and nearly every point pays for its bound as well as its kernel.
+    so the largest of the pieces' maxima is bit for bit the maximum over
+    the whole grid, split or not, whichever process runs which piece.
+    Where L^-1 v cancels past about 2^50 (sqrt(n) exponents from N = 20)
+    the bounds rule out few points, and nearly every point pays for its
+    bound as well as its kernel.
     """
     check_grid_points(grid_points)
     bits = g.precision_bits
@@ -680,13 +799,14 @@ def christoffel_remez(g: GramMatrix, rho: Real, grid_points: int) -> mpmath.mpf:
         raise ValidationError("rho must be positive")
     inv_rows = _inverse_rows(g)
     lams = [lam._mpf_ for lam in g.lams]
+    min_points = -(-_MIN_CHUNK_PRODUCTS // (g.n * (g.n + 1) // 2))
+    processes = _processes(grid_points - 1, min_points)
     # points 1..grid_points-1 by residue modulo step, the classes in
-    # bit-reversed order: 0, 2, 1, 3 for step = 4
-    step, residues, cores = 1, [0], _usable_cores()
-    while step < cores:
+    # bit-reversed order: 0, 4, 2, 6, 1, 5, 3, 7 for step = 8
+    step, residues = 1, [0]
+    while step < (4 * processes if processes > 1 else 1):
         step, residues = 2 * step, [2 * r for r in residues] + [2 * r + 1 for r in residues]
     order = [j for r in residues for j in range(r or step, grid_points, step)]
-    min_points = -(-_MIN_CHUNK_PRODUCTS // (g.n * (g.n + 1) // 2))
     maxima = _forked_map(_remez_chunk, (inv_rows, lams, rho_m._mpf_, grid_points, order, bits),
                          grid_points - 1, min_points)
     best = max((m for (m,) in maxima), key=mp.make_mpf)

@@ -501,7 +501,7 @@ def test_an_attempt_whose_extension_raises_is_dropped(unit_domain, monkeypatch):
                                        ("christoffel_remez", 16)])
 def test_forking_callers_grow_the_stored_inverse_first(caller, n, monkeypatch):
     # on a cold store each caller grows the section's L^-1 in this process
-    # before it hands chunks to the pool's workers, so that the store
+    # before it hands pieces to the pool's workers, so that the store
     # keeps it; the value is bit for bit the serial one.  The remez grid
     # splits its 1000 points past point 0
     call = {"dual_family": dual_family, "hereditary_sweep": hereditary_sweep,

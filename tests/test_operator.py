@@ -473,8 +473,8 @@ def test_forked_sweep_equals_serial_bits(domain, family, monkeypatch):
 def test_forked_sweep_raises_the_child_error(monkeypatch):
     # every 2x2 block fails in whichever process computes it, named by its
     # off-diagonal entry; the first failing partition is mask 3, whose N1
-    # block {3, 4} is powers task 2, a worker's on 3 and 4 cores.  A
-    # worker's chunk with an error comes back as the marker and is
+    # block {3, 4} is powers task 2, in whichever piece a process claims.
+    # A worker leaves a piece with an error out of its reply and it is
     # recomputed here, so the raised error is the serial sweep's; the
     # pool's workers, forked after the patch, stay alive through it
     g = gram(UNIT, power_exponents(1, 2, 4), 4)
@@ -498,8 +498,9 @@ def test_forked_sweep_raises_the_child_error(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_sweep_recomputes_a_failed_child(monkeypatch):
-    # a worker whose tasks raise anything but a NumericalError replies with
-    # the marker, and its tasks run again here; it stays in the pool
+    # a worker whose tasks raise anything but a NumericalError leaves the
+    # piece out of its reply, and its tasks run again here; it stays in
+    # the pool
     g = gram(TWO_PIECE, power_exponents(1, 1, 5), 5)
     force_sweep_forking(monkeypatch, 1)
     serial = _report_bits(hereditary_sweep(g))

@@ -19,8 +19,8 @@ def bounds_and_kernels(g, rho, points):
     """(j, U_j) for every point j >= 1, in the order the bound pass gives
     them, and the P-bit kernel at every point."""
     rows, lams, rho_raw, kernels = remez_grid(g, rho, points)
-    bounds = list(series_module._kernel_bounds(rows, lams, rho_raw, points, range(1, points),
-                                               g.precision_bits))
+    bounds = list(series_module._kernel_bounds(rows, lams, rho_raw, points,
+                                               g.precision_bits)(range(1, points)))
     return bounds, kernels
 
 
@@ -110,7 +110,7 @@ def test_remez_is_the_exhaustive_maximum(wd, beta, monkeypatch):
 
 def test_bounds_become_mpf_only_when_reached(monkeypatch):
     # the bounds are sorted as binary64 values, and each becomes a raw mpf
-    # only when the chunk reaches it: the first of 1000 makes one
+    # only when the kernel loop reaches it: the first of 1000 makes one
     calls, real = [], libmp.from_float
 
     def record(x, *args, **kwargs):
@@ -120,8 +120,8 @@ def test_bounds_become_mpf_only_when_reached(monkeypatch):
     monkeypatch.setattr(libmp, "from_float", record)
     g = gram(UNIT, power_exponents(1, 2, 6), 6)
     rows, lams, rho_raw, _ = remez_grid(g, "0.9", 2)
-    bounds = series_module._kernel_bounds(rows, lams, rho_raw, 1001, range(1, 1001),
-                                          g.precision_bits)
+    bounds = series_module._kernel_bounds(rows, lams, rho_raw, 1001,
+                                          g.precision_bits)(range(1, 1001))
     assert calls == []
     _, first = next(bounds)
     assert len(calls) == 1 and first == real(calls[0])
@@ -131,14 +131,15 @@ def test_bounds_become_mpf_only_when_reached(monkeypatch):
 @pytest.mark.parametrize("beta", ["2", "1/2"])
 def test_blocks_give_the_same_bounds(beta):
     # points 1..3000 run in blocks of 1024, 1024 and 952 points; one call
-    # per 1000 points cuts them elsewhere, and gives each point its bound;
+    # per 1000 points of the same bound pass cuts them elsewhere, as the
+    # pieces of a split remez call do, and gives each point its bound;
     # rho = 1.5 puts the last third past r_A = 1
     g = gram(TWO_PIECE, power_exponents(1, beta, 8), 8)
     rows, lams, rho_raw, _ = remez_grid(g, "1.5", 2)
+    bound_pass = series_module._kernel_bounds(rows, lams, rho_raw, 3001, g.precision_bits)
 
     def bounds(points):
-        return dict(series_module._kernel_bounds(rows, lams, rho_raw, 3001, points,
-                                                 g.precision_bits))
+        return dict(bound_pass(points))
 
     whole = bounds(range(1, 3001))
     parts = {**bounds(range(1, 1001)), **bounds(range(1001, 2001)), **bounds(range(2001, 3001))}
