@@ -15,9 +15,13 @@ together with its part of the biorthogonality residual max |G C - I|
 (``gram._residual``), and hands the columns to ``series._forked_map``
 in contiguous pieces, which the processes claim one at a time: with the
 forward halves cut from the section's stored L^-1, every column costs
-the same.  At
-``_MIN_CHUNK_COLUMNS`` or more per process the split starts at N = 20,
-and the family is bit for bit the serial one.
+the same.  Each process makes both readers once: they align the
+columns of L below the diagonal and the rows of G once, and each
+solution as it grows, so that every dot of a back solve or a residual
+is one C-level integer sum (``precision._exact_dot``), ``_dot``'s bits
+wherever its products fit ``_dot``'s window of 2P bits and ``_dot``
+itself elsewhere.  At ``_MIN_CHUNK_COLUMNS`` or more per process the
+split starts at N = 20, and the family is bit for bit the serial one.
 """
 
 from __future__ import annotations

@@ -26,8 +26,9 @@ its readers: ``_unit_columns`` (columns of G^-1, each from a stop
 entry down, whole by default), ``_inverse_block`` (a principal block of
 G^-1, lower rows, cut from those columns each read from its diagonal
 down), ``_inverse_diagonals`` (the diagonal of G_m^-1 over leading
-sizes m), ``_inverse_rows`` and ``_inverse_columns`` (the rows and the
-columns of L^-1).  Two readers work on raw parts alone, so that a
+sizes m), ``_leading_solves`` (the solves of one right-hand side over
+leading sizes m), ``_inverse_rows`` and ``_inverse_columns`` (the rows
+and the columns of L^-1).  Two readers work on raw parts alone, so that a
 worker of ``series._forked_map`` can run them on what it was sent:
 ``_column_reader`` (the columns of G^-1 from the factor rows and the
 columns of L^-1) and ``_residual`` (G x - b from the entry rows).  The
@@ -41,7 +42,17 @@ working precision: each gives the same bits at any ambient width and
 leaves it as it was.  The assembly keeps its guard raw, and the public
 solves round a right-hand side entry that is not an mpf at the
 section's width.  Every dot here, of a factor row, a solve or a
-residual, is ``precision._dot``.
+residual, is ``precision._dot``'s bits.  The readers that reuse an
+operand across dots align it once (``precision._aligned``) and take
+each dot as ``precision._exact_dot``: the back solves of
+``_column_reader`` align the columns of L below the diagonal once and
+keep the solution aligned as it grows, and ``_residual`` aligns G's
+rows once and x once a call.  The other solves align nothing: an
+alignment costs about what it saves one dot.  An exact dot is
+one C-level integer sum, rounded once, where the exponents of its
+products and right-hand side span at most ``_dot``'s window of 2P
+bits, inside which ``_dot`` drops nothing, and ``_dot`` itself where
+they do not.
 
 This module alone grows a factor, too.  A ``_Factor`` holds the raw
 lower rows of a symmetric matrix, their Cholesky rows and L^-1 by rows
@@ -65,7 +76,8 @@ from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_lt
 from .domain import WeightedDomain, _moments
 from .errors import IndexOutOfRange, NotPositiveDefinite, PrecisionExhausted, ValidationError
 from .exponents import ExponentSequence
-from .precision import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS, _dot, to_mpf
+from .precision import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS, _aligned,
+                        _dot, _exact_dot, _prepended, to_mpf)
 
 
 @dataclass(frozen=True)
@@ -346,7 +358,7 @@ def _checked_sizes(g: GramMatrix, sizes: Iterable[int]) -> List[int]:
 # The substitutions run on raw mpf values at the width ``prec`` passed in:
 # each entry is one ``_dot`` of exact products less its right-hand side,
 # rounded once, then one rounded divide by the diagonal, as ``_append_row``
-# does.
+# does; ``_column_reader`` takes the back solve's dots as ``_exact_dot``.
 
 
 def _substitute_forward(rows, rhs, prec) -> List[tuple]:
@@ -360,10 +372,11 @@ def _substitute_forward(rows, rhs, prec) -> List[tuple]:
 
 
 def _substitute_back(rows, below, rhs, prec, stop: int = 0) -> List[tuple]:
-    """Solve L^T x = rhs for the raw factor rows of L, with ``below`` its
-    ``_columns_below(rows)``, and raw rhs, from the last entry down to
-    entry ``stop``; the entries above ``stop`` are left zero."""
-    n = len(rows)
+    """Solve L^T x = rhs for the leading len(rhs) raw factor rows of L,
+    with ``below`` its ``_columns_below(rows)``, and raw rhs, from the last
+    entry down to entry ``stop``; the entries above ``stop`` are left
+    zero."""
+    n = len(rhs)
     x = [fzero] * n
     for i in range(n - 1, stop - 1, -1):
         x[i] = mpf_div(_dot(below[i], x[i + 1:], prec, rhs[i]), mpf_neg(rows[i][i]),
@@ -521,6 +534,22 @@ def solve_spd(g: GramMatrix, rhs: List[mpmath.mpf]) -> List[mpmath.mpf]:
     return _mpfs(_substitute_back(rows, _columns_below(rows), y, bits))
 
 
+def _leading_solves(g: GramMatrix, rhs: List[tuple], sizes: Iterable[int]) -> List[List[tuple]]:
+    """For each of the strictly increasing sizes m, the solution, raw, of
+    the leading m-section against the first m entries of the raw ``rhs``:
+    bit for bit ``solve_spd(leading_section(g, m), rhs[:m])``.  The
+    forward solve is taken once, against the rows of the largest size,
+    since its first m entries are the solve against the leading m rows,
+    and the columns of L below the diagonal are taken once; each size
+    takes its own back solve.  A size's columns of L serve its back solve
+    alone, so nothing is aligned here (``_column_reader``): an alignment
+    costs about what it saves one dot."""
+    sizes = _checked_sizes(g, sizes)
+    rows, bits = g.chol_rows[:sizes[-1]], g.precision_bits
+    y, below = _substitute_forward(rows, rhs, bits), _columns_below(rows)
+    return [_substitute_back(rows, below, y[:m], bits) for m in sizes]
+
+
 def _inverse_cut(g: GramMatrix) -> List[List[tuple]]:
     """The columns of L^-1 for g's factor, column j from entry j down,
     raw: a cut to g.n rows of the L^-1 of g's attempt, grown first to
@@ -562,9 +591,27 @@ def _column_reader(rows, cols, bits: int) -> Callable[..., List[tuple]]:
     solve of column k of L^-1, the forward solve of e_k, from the last
     entry down to entry ``stop``, zeros above, each entry bit for bit
     what ``solve_spd`` gives for e_k.  The columns of L below the
-    diagonal are taken here, once a reader."""
-    below = _columns_below(rows)
-    return lambda k, stop=0: _substitute_back(rows, below, [fzero] * k + cols[k], bits, stop)
+    diagonal are taken and aligned here, once a reader, and each solution
+    is kept aligned as it grows (``_prepended``), rescaled when an entry
+    has a new smallest exponent, so that each entry is one
+    ``_exact_dot``: ``_dot``'s bits, in one C-level integer sum wherever
+    the column, the solution so far and the right-hand side entry fit
+    its window of 2 * ``bits``, and ``_dot`` itself elsewhere."""
+    n = len(rows)
+    below = [_aligned(col) for col in _columns_below(rows)]
+    pivots = [mpf_neg(row[i]) for i, row in enumerate(rows)]
+
+    def column(k, stop=0):
+        rhs, x = [fzero] * k + cols[k], [fzero] * n
+        part = (), [], None, 0   # the aligned form of no entry
+        for i in range(n - 1, stop - 1, -1):
+            if i < n - 1:
+                part = _prepended(part, x[i + 1])
+            x[i] = mpf_div(_exact_dot(below[i], part, bits, rhs[i]), pivots[i], bits,
+                           round_nearest)
+        return x
+
+    return column
 
 
 def _inverse_block(g: GramMatrix, idx: Sequence[int]) -> List[List[tuple]]:
@@ -601,10 +648,17 @@ def _residual(entry_rows, bits: int) -> Callable[[List[tuple], List[tuple]], Lis
     """The reader (x, b) -> G x - b for the raw lower entry rows of G and
     raw x and b, raw, at ``bits``: each entry one ``_dot`` of the exact
     products G_mk x_k less b_m, rounded once, the residual of the stored
-    values with no rounding of its own.  The symmetric rows are built
-    here, once a reader."""
-    rows = _full_rows(entry_rows)
-    return lambda x, b: [_dot(row, x, bits, b_m) for row, b_m in zip(rows, b)]
+    values with no rounding of its own.  The symmetric rows are built and
+    aligned here, once a reader, and x once a call, so that each entry is
+    an ``_exact_dot``: ``_dot``'s bits, in one C-level sum where the row,
+    x and b_m fit its window."""
+    rows = [_aligned(row) for row in _full_rows(entry_rows)]
+
+    def residual(x, b):
+        x = _aligned(x)
+        return [_exact_dot(row, x, bits, b_m) for row, b_m in zip(rows, b)]
+
+    return residual
 
 
 def gram_inverse_column(g: GramMatrix, n: int) -> List[mpmath.mpf]:

@@ -20,8 +20,8 @@ from mpmath.libmp import (from_int, fzero, mpf_abs, mpf_div, mpf_exp, mpf_log, m
 from .domain import WeightedDomain, _powers
 from .errors import NumericalError, ValidationError
 from .exponents import ExponentSequence
-from .gram import (GramMatrix, _inverse_diagonals, _mpfs, _residual, leading_sections,
-                   solve_spd)
+from .gram import (GramMatrix, _checked_sizes, _inverse_diagonals, _leading_solves, _mpfs,
+                   _residual, solve_spd)
 from .precision import DEFAULT_PRECISION_BITS, Real, _dot, to_mpf
 from .series import MuntzSeries
 
@@ -141,22 +141,24 @@ def convergence_certificate(
 
     ||r_n^(N)||^2 = (G_N^-1)_nn, as in the dual family, is read from the
     L^-1 of the section's stored attempt, cut to (and grown no further
-    than) the largest size, by ``gram._inverse_diagonals``."""
+    than) the largest size, by ``gram._inverse_diagonals``.  Each size's
+    solution is bit for bit ``solve_moments``' on its section, cut from
+    one forward solve of the data (``gram._leading_solves``)."""
     sizes = list(sizes)
     if sizes and sizes[-1] > len(data.d):
         raise ValidationError(f"section {sizes[-1]} exceeds {len(data.d)} moment values")
-    sections = list(leading_sections(g, sizes))
-    sums = []
-    norms = []
+    sizes = _checked_sizes(g, sizes)
+    d = [v._mpf_ for v in data.d]
+    solutions = _leading_solves(g, d[:sizes[-1]], sizes)
     diagonals = _inverse_diagonals(g, sizes, range(sizes[-1]))
     bits = g.precision_bits
-    d = [v._mpf_ for v in data.d]
     abs_d = [mpf_abs(v) for v in d]
-    for s, diags in zip(sections, diagonals):
+    sums = []
+    norms = []
+    for coeffs, diags in zip(solutions, diagonals):
         roots = [mpf_sqrt(diag._mpf_, bits, round_nearest) for diag in diags]
         sums.append(mp.make_mpf(_dot(abs_d, roots, bits)))
-        coeffs = solve_spd(s, list(data.d[:s.n]))
-        norm_sq = mp.make_mpf(_dot([c._mpf_ for c in coeffs], d, bits))
+        norm_sq = mp.make_mpf(_dot(coeffs, d, bits))
         norms.append(mp.sqrt(norm_sq, prec=bits) if norm_sq > 0 else mp.zero)
     ratios = tuple(mp.fdiv(b, a, prec=bits) if a != 0 else mp.zero
                    for a, b in zip(sums, sums[1:]))

@@ -12,6 +12,11 @@ process-global ``mp.prec``.  So a value is the same bits at any ambient
 width, and a worker of the fork-map pool computes at the width it was
 handed.  Every sum of products in the library is one ``_dot``: the
 exact products, summed exactly and rounded once at the width passed.
+Where an operand serves many dots, its reader aligns it once
+(``_aligned``: the signed mantissas shifted to one exponent) and takes
+each dot as ``_exact_dot``, ``_dot``'s bits from one C-level integer
+sum whenever no part of the sum could be dropped.  This module alone
+rounds a raw integer sum.
 ``workbits`` is for callers that post-process results with mpmath's
 operators.  Comparisons of mpfs are exact at any width, but unary
 ``abs()``, ``-`` and ``+`` on an mpf round it at ``mp.prec``: outside a
@@ -23,13 +28,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
+from operator import lshift, mul
 from typing import Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (fnone, from_man_exp, from_rational, mpf_mul, mpf_neg, mpf_pos, mpf_sum,
-                          prec_to_dps, round_nearest, to_str)
+from mpmath.libmp import (fnone, from_man_exp, from_rational, fzero, mpf_mul, mpf_neg, mpf_pos,
+                          mpf_sum, prec_to_dps, round_nearest, to_str)
 
 from .errors import NotANumber, ValidationError
 
@@ -140,7 +146,10 @@ def _dot(a, b, prec, minus=None) -> tuple:
     ``mpf_neg(minus)``, at ``prec`` and round-to-nearest: its loop, drop
     branch past 2 * prec included, fed each product's mantissa and
     exponent directly, with -minus taken as minus times -1.  An inf or
-    nan operand takes the list form.
+    nan operand takes the list form.  The drop branch fires only where
+    the exponents of the nonzero products and ``minus`` span more than
+    2 * prec: inside that window the sum is exact, and ``_exact_dot``
+    forms it from operands aligned once (``_aligned``).
     """
     pairs = zip(a, b) if minus is None else chain(zip(a, b), ((minus, fnone),))
     limit = prec * 2 or 1000000
@@ -170,6 +179,86 @@ def _dot(a, b, prec, minus=None) -> tuple:
             man = (man << -delta) + pman
             exp = pexp
     return from_man_exp(man, exp, prec, round_nearest)
+
+
+def _aligned(raw) -> tuple:
+    """The aligned form (raw, mans, exp, spread) of the raw vector ``raw``,
+    for ``_exact_dot``: ``raw`` itself, ``mans`` its signed mantissas,
+    each shifted to ``exp``, the smallest exponent of a nonzero entry, so
+    that entry i is mans[i] * 2**exp exactly, and ``spread`` the largest
+    such exponent less ``exp``.  ``exp`` is None when no entry is nonzero
+    or an entry is inf or nan, and ``spread`` None in the second case
+    alone.  One shift per entry, which costs about what an exact dot
+    saves on one product, so it pays only for a vector that serves many
+    dots.  A plain tuple, as ``_prepended`` makes one per entry of a back
+    solve."""
+    exps = [exp for _, man, exp, _ in raw if man]
+    if len(exps) < len(raw) and any(exp for _, man, exp, _ in raw if not man):
+        return raw, [], None, None
+    if not exps:
+        return raw, [0] * len(raw), None, 0
+    lo = min(exps)
+    return raw, [((-man if sign else man) << (exp - lo)) if man else 0
+                 for sign, man, exp, _ in raw], lo, max(exps) - lo
+
+
+def _prepended(a: tuple, v) -> tuple:
+    """The aligned form of [v, *raw] from the aligned form ``a`` of raw:
+    v's mantissa shifted to a's exponent, or a's mantissas shifted to v's
+    when v's exponent is the new smallest."""
+    sign, man, exp, _ = v
+    raw, mans, lo, spread = a
+    if not man or spread is None:
+        if exp and not man:   # inf or nan
+            return [v, *raw], [], None, None
+        return [v, *raw], [0, *mans], lo, spread
+    if sign:
+        man = -man
+    if lo is None:
+        return [v, *raw], [man, *mans], exp, 0
+    shift = exp - lo
+    if shift >= 0:
+        return [v, *raw], [man << shift, *mans], lo, shift if shift > spread else spread
+    return [v, *raw], [man, *map(lshift, mans, repeat(-shift))], exp, spread - shift
+
+
+def _exact_dot(a: tuple, b: tuple, prec, minus=None) -> tuple:
+    """``_dot(raw_a, raw_b, prec, minus)`` for the aligned forms a and b
+    of raw_a and raw_b (``_aligned``), bit for bit.  Where the nonzero
+    products, whose exponents lie in [a.exp + b.exp, a.exp + b.exp +
+    a.spread + b.spread], and ``minus`` span at most ``_dot``'s window of
+    2 * prec, no part of the sum is dropped, and it is one C-level
+    ``sum(map(mul, ...))`` of the aligned mantissas, ``minus`` shifted
+    in, rounded once; where an operand has no nonzero entry, it is
+    -minus rounded, as ``_dot`` takes it alone.  Otherwise, and for an
+    inf or nan operand, it is ``_dot`` itself."""
+    araw, amans, exp, aspread = a
+    braw, bmans, bexp, bspread = b
+    if minus is not None and not minus[1]:
+        if minus[2]:   # inf or nan
+            return _dot(araw, braw, prec, minus)
+        minus = None
+    if exp is None or bexp is None:
+        if aspread is None or bspread is None:
+            return _dot(araw, braw, prec, minus)
+        # every product is zero, and the sum is -minus alone
+        return fzero if minus is None else mpf_neg(minus, prec, round_nearest)
+    exp += bexp
+    span = aspread + bspread
+    window = prec * 2 or 1000000   # _dot's limit
+    if minus is None:
+        if span > window:
+            return _dot(araw, braw, prec)
+        return from_man_exp(sum(map(mul, amans, bmans)), exp, prec, round_nearest)
+    msign, mman, mexp, _ = minus
+    # the span of the products and minus together
+    span = max(span, mexp - exp) if mexp > exp else span + exp - mexp
+    if span > window:
+        return _dot(araw, braw, prec, minus)
+    man, mman = sum(map(mul, amans, bmans)), mman if msign else -mman
+    if mexp >= exp:
+        return from_man_exp(man + (mman << (mexp - exp)), exp, prec, round_nearest)
+    return from_man_exp((man << (exp - mexp)) + mman, mexp, prec, round_nearest)
 
 
 def _shown(raw, bits: int) -> str:

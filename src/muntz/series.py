@@ -67,8 +67,9 @@ from .errors import (
     ValidationError,
 )
 from .exponents import ExponentSequence
-from .gram import GramMatrix, _inverse_rows, _mpfs, leading_sections, solve_spd
-from .precision import DEFAULT_PRECISION_BITS, Real, _dot, _shown, to_mpf
+from .gram import (GramMatrix, _checked_sizes, _inverse_rows, _leading_solves, _mpfs,
+                   leading_section, solve_spd)
+from .precision import DEFAULT_PRECISION_BITS, Real, _aligned, _dot, _exact_dot, _shown, to_mpf
 
 
 @dataclass(frozen=True)
@@ -164,29 +165,38 @@ def _settle_residual_sq(value, bits: int):
     )
 
 
-def project(g: GramMatrix, f: TargetFunction) -> Tuple[MuntzSeries, mpmath.mpf]:
-    """Best approximation of the target in the span of a factored section.
-
-    Coefficients solve G c = b with b_k = <f, x**lam_k>; the squared
-    residual is <f, f> - b^T c, which vanishes for targets already in
-    the span.  Every moment comes from one kernel call over the target's
-    exponents followed by the section's, so a target exponent equal to
-    lam_k gives exactly the Gram entries of column k.
-    """
-    wd, bits = g.domain, g.precision_bits
+def _target_products(g: GramMatrix, f: TargetFunction) -> Tuple[List[tuple], tuple]:
+    """b_k = <f, x**lam_k> over the section's exponents, and <f, f>, raw.
+    Every moment comes from one kernel call over the target's exponents
+    followed by the section's, so a target exponent equal to lam_k gives
+    exactly the Gram entries of column k, and b_k is the same bits for
+    any section that holds lam_k."""
+    bits = g.precision_bits
     terms = f.terms(bits)
-    moment = _moments(wd.pieces, [e for _, e in terms] + list(g.lams), bits)
+    moment = _moments(g.domain.pieces, [e for _, e in terms] + list(g.lams), bits)
     a, t = [coeff._mpf_ for coeff, _ in terms], range(len(terms))
     b = [_dot(a, [moment(i, k) for i in t], bits) for k in range(len(t), len(t) + g.n)]
     # <f, f> = sum a_i a_j m_ij over the exact products a_i a_j
     norm_sq = _dot([mpf_mul(a_i, a_j) for a_i in a for a_j in a],
                    [moment(i, j) for i in t for j in t], bits)
+    return b, norm_sq
+
+
+def project(g: GramMatrix, f: TargetFunction) -> Tuple[MuntzSeries, mpmath.mpf]:
+    """Best approximation of the target in the span of a factored section.
+
+    Coefficients solve G c = b with b_k = <f, x**lam_k>; the squared
+    residual is <f, f> - b^T c, which vanishes for targets already in
+    the span.  The inner products come from ``_target_products``.
+    """
+    bits = g.precision_bits
+    b, norm_sq = _target_products(g, f)
     c = solve_spd(g, _mpfs(b))
     bc = _dot(b, [v._mpf_ for v in c], bits)
     res_sq = mp.make_mpf(mpf_sub(norm_sq, bc, bits, round_nearest))
     res = mp.sqrt(_settle_residual_sq(res_sq, bits), prec=bits)
     series = MuntzSeries(
-        lam_ref=g.lam, coeffs=tuple(c), radius=wd.r_a, precision_bits=bits
+        lam_ref=g.lam, coeffs=tuple(c), radius=g.domain.r_a, precision_bits=bits
     )
     return series, res
 
@@ -212,9 +222,15 @@ def coefficient_convergence(
     """Project onto the leading sections of g of these strictly
     increasing sizes and track per-index coefficients.
 
-    The coefficient differences are taken at g's precision.
+    Each size's coefficients are bit for bit ``project``'s on its
+    section: the inner products are taken once, at the largest size
+    (``_target_products``), whose first m are the m-section's, and the
+    solves cut from one forward solve (``gram._leading_solves``).  The
+    coefficient differences are taken at g's precision.
     """
-    rows = [(s.n, project(s, f)[0].coeffs) for s in leading_sections(g, sizes)]
+    sizes = _checked_sizes(g, sizes)
+    b, _ = _target_products(leading_section(g, sizes[-1]), f)
+    rows = [(m, tuple(_mpfs(c))) for m, c in zip(sizes, _leading_solves(g, b, sizes))]
     n_tracked = rows[0][0]
     diffs = []
     flags = []
@@ -725,8 +741,12 @@ def _remez_chunk(inv_rows, lams, rho, grid_points: int, order: List[int], bits: 
     before it here, from the raw rows of L^-1, raw exponents and raw rho
     at ``bits``.  A span's bounds come in decreasing order, so the first
     below the best ends it, and the best carries over to the next span:
-    a process that runs several skips every point one of them beat."""
+    a process that runs several skips every point one of them beat.
+    The rows of L^-1 are aligned once a call and v(x) once a point, so
+    that each entry of y is an ``_exact_dot``; K, y's one dot with
+    itself, stays a ``_dot``."""
     bound_pass = _kernel_bounds(inv_rows, lams, rho, grid_points, bits)
+    rows = [_aligned(row) for row in inv_rows]
     best = fzero
     for lo, hi in spans:
         for j, bound in bound_pass(order[lo:hi]):
@@ -734,8 +754,8 @@ def _remez_chunk(inv_rows, lams, rho, grid_points: int, order: List[int], bits: 
                 break
             x = mpf_div(mpf_mul(rho, from_int(j), bits, round_nearest),
                         from_int(grid_points - 1), bits, round_nearest)
-            v = _powers(x, lams, bits)
-            y = [_dot(row, v, bits) for row in inv_rows]
+            v = _aligned(_powers(x, lams, bits))
+            y = [_exact_dot(row, v, bits) for row in rows]
             kernel = _dot(y, y, bits)
             if mpf_gt(kernel, best):
                 best = kernel

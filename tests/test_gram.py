@@ -34,9 +34,10 @@ from muntz.errors import (
     ValidationError,
 )
 from muntz.domain import _moments
-from muntz.gram import (_append_row, _factored, _grown, _inverse_block, _inverse_cut,
-                        _inverse_diagonals, _smallest_eigenvalue, _substitute_forward,
-                        _unit_columns, forward_substitution)
+from muntz.gram import (_append_row, _column_reader, _factored, _grown, _inverse_block,
+                        _inverse_cut, _inverse_diagonals, _leading_solves, _residual,
+                        _smallest_eigenvalue, _substitute_forward, _unit_columns,
+                        forward_substitution)
 from muntz.precision import _dot
 
 from conftest import rel_err
@@ -45,6 +46,7 @@ from test_remez_split import TWO_PIECE, assert_pool_stops_clean, open_fds, use_c
 
 # the package exports the function ``gram`` under the module's name
 GRAM_MODULE = importlib.import_module("muntz.gram")
+PRECISION_MODULE = importlib.import_module("muntz.precision")
 SERIES_MODULE = importlib.import_module("muntz.series")
 
 
@@ -620,6 +622,64 @@ def test_unit_solves_equal_solve_spd(two_piece_domain):
     assert [v._mpf_ for v in solve_spd(g, rhs)] == want
     with pytest.raises(IndexOutOfRange):
         gram_inverse_diagonals(g, 11, [10])
+
+
+def _dot_only_readers(rows, cols, entry_rows, prec):
+    """The column and residual readers as they read before the aligned
+    form: every dot a ``_dot`` of raw values."""
+    n = len(rows)
+    below = [[rows[j][i] for j in range(i + 1, n)] for i in range(n)]
+    full = [row + [entry_rows[j][i] for j in range(i + 1, n)] for i, row in enumerate(entry_rows)]
+
+    def column(k):
+        rhs, x = [fzero] * k + cols[k], [fzero] * n
+        for i in range(n - 1, -1, -1):
+            x[i] = mpf_div(_dot(below[i], x[i + 1:], prec, rhs[i]), mpf_neg(rows[i][i]), prec,
+                           round_nearest)
+        return x
+
+    return column, lambda x, b: [_dot(row, x, prec, b_m) for row, b_m in zip(full, b)]
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_aligned_readers_give_the_dot_only_bits(two_piece_domain, family, forced, monkeypatch):
+    # the back solves and the residual take each dot as an ``_exact_dot``
+    # of operands aligned once; forced past the window, by a spread of 4P
+    # on every operand the readers align, each dot whose operands have a
+    # nonzero entry falls back to ``_dot``, and either way every column
+    # and residual is what the readers with every dot a ``_dot`` give
+    g = gram(two_piece_domain, power_exponents(*FAMILIES[family], 16), 16)
+    prec, n = g.precision_bits, g.n
+    rows, cols, entry_rows = g.chol_rows, _inverse_cut(g), g.entry_rows
+    fallbacks = []
+    if forced:
+        aligned, dot = GRAM_MODULE._aligned, PRECISION_MODULE._dot
+        monkeypatch.setattr(GRAM_MODULE, "_aligned", lambda raw: (*aligned(raw)[:3], 4 * prec))
+        monkeypatch.setattr(PRECISION_MODULE, "_dot",
+                            lambda *args: fallbacks.append(args) or dot(*args))
+    column, residual = _column_reader(rows, cols, prec), _residual(entry_rows, prec)
+    want_column, want_residual = _dot_only_readers(rows, cols, entry_rows, prec)
+    for k in range(n):
+        x = column(k)
+        assert x == want_column(k)
+        unit = [fone if m == k else fzero for m in range(n)]
+        assert residual(x, unit) == want_residual(x, unit)
+    # the back solve's first entry has no product; every other dot fell back
+    assert len(fallbacks) == (n * (n - 1) + n * n if forced else 0)
+
+
+def test_leading_solves_equal_solve_spd_on_each_section(two_piece_domain):
+    # one forward solve at the largest size, cut for each: each size's
+    # solution is the solve on its own leading section
+    g = gram(two_piece_domain, power_exponents(1, "0.5", 12), 12)
+    with workbits(g.precision_bits):
+        rhs = [mp.mpf(k + 1) / 3 for k in range(12)]
+    sizes = [2, 5, 9, 11]
+    want = [[v._mpf_ for v in solve_spd(leading_section(g, m), rhs[:m])] for m in sizes]
+    assert _leading_solves(g, [v._mpf_ for v in rhs[:11]], sizes) == want
+    with pytest.raises(ValidationError):
+        _leading_solves(g, [v._mpf_ for v in rhs], [5, 3])
 
 
 # right-hand sides of ints, floats, decimal strings and Fractions

@@ -122,6 +122,14 @@ def _functions_naming(ident):
                   for name in _naming_functions(ast.parse(path.read_text()), named))
 
 
+def test_only_precision_rounds_a_raw_integer_sum():
+    # ``_dot`` and its exact-sum case ``_exact_dot``, for operands aligned
+    # once, round a raw integer sum through ``from_man_exp``; no other
+    # function names it, so the aligned path is no second rounding rule
+    assert _functions_naming("from_man_exp") == [
+        "precision.py:<module>", "precision.py:_dot", "precision.py:_exact_dot"]
+
+
 # the context managers that set the process-global width, ``mp.prec``
 GLOBAL_WIDTH = {"workprec", "workdps", "workbits"}
 
@@ -237,7 +245,8 @@ FACTOR_LAYOUT = {"_Attempt", "_attempt", "_columns_below", "_substitute_back", "
 def test_factor_layout_is_read_in_gram_only():
     # every other module reads a section through its properties and the
     # gram readers: ``_unit_columns``, ``_inverse_block``,
-    # ``_inverse_diagonals``, ``_inverse_rows`` and ``_residual``; and it
+    # ``_inverse_diagonals``, ``_leading_solves``, ``_inverse_rows`` and
+    # ``_residual``; and it
     # grows a factor only through ``_grown`` and ``_factored``
     hits = sorted(f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
                   if path.name != "gram.py"

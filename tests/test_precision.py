@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+from unittest import mock
+
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,9 @@ from mpmath.libmp import finf, fnan, fninf, from_man_exp, from_rational, fzero, 
 
 from muntz import fmt, workbits
 from muntz.errors import NotANumber
-from muntz.precision import MIN_PRECISION_BITS, _dot, decimal_digits
+import muntz.precision as precision_module
+from muntz.precision import (MIN_PRECISION_BITS, _aligned, _dot, _exact_dot, _prepended,
+                             decimal_digits)
 
 
 def _nstr_at(x, bits):
@@ -104,3 +108,87 @@ def test_dot_is_the_exact_sum_rounded_once(operands):
         exact -= _exact(minus)
     want = from_rational(exact.numerator, exact.denominator, bits, round_nearest)
     assert _dot(a, b, bits, minus) == want
+
+
+@st.composite
+def _window_operands(draw):
+    """Raw vectors a and b of one length and a raw ``minus`` at a width P
+    whose nonzero products span just inside or just past ``_dot``'s window
+    of 2P bits: a's nonzero entries have exponents in [ea, ea + sa], the
+    ends among them, b's in [eb, eb + sb], with sa + sb within 3 of 2P,
+    and ``minus`` an exponent at or just past either end of the products'.
+    Entries are zero or of either sign with odd mantissas, so each keeps
+    the exponent drawn; now and then an operand holds inf or nan."""
+    bits = draw(st.integers(MIN_PRECISION_BITS, 512))
+    span = 2 * bits + draw(st.integers(-3, 3))
+    sa = draw(st.integers(0, span))
+    ea, eb = draw(st.integers(-2000, 2000)), draw(st.integers(-2000, 2000))
+
+    def odd(e, width):
+        half = draw(st.integers(0, 2 ** (width - 1) - 1))
+        return from_man_exp(-(2 * half + 1) if draw(st.booleans()) else 2 * half + 1, e)
+
+    def vector(n, lo, spread):
+        # zeros here and there; of the nonzero entries the first has
+        # exponent lo and the last lo + spread
+        nonzero = [i for i in range(n) if draw(st.integers(0, 3))]
+        exps = {i: draw(st.integers(lo, lo + spread)) for i in nonzero}
+        if nonzero:
+            exps[nonzero[0]], exps[nonzero[-1]] = lo, lo + spread
+        return [odd(exps[i], bits) if i in exps else fzero for i in range(n)]
+
+    n = draw(st.integers(0, 8))
+    a, b = vector(n, ea, sa), vector(n, eb, span - sa)
+    low, high = ea + eb, ea + eb + span
+    minus = draw(st.sampled_from([None, fzero, "low", "high"]))
+    if minus in ("low", "high"):
+        minus = odd(draw(st.integers(low - 2, low)) if minus == "low"
+                    else draw(st.integers(high, high + 2)), 2 * bits)
+    special = draw(st.sampled_from([None, None, None, "a", "b", "minus"]))
+    value = draw(st.sampled_from([finf, fninf, fnan]))
+    if special == "minus":
+        minus = value
+    elif special and n:
+        (a if special == "a" else b)[draw(st.integers(0, n - 1))] = value
+    else:
+        special = None
+    return a, b, bits, minus, special
+
+
+@settings(max_examples=500, deadline=None)
+@given(operands=_window_operands())
+def test_exact_dot_is_dot_on_aligned_operands(operands):
+    # the aligned exact dot is ``_dot`` bit for bit: one integer sum where
+    # the products and minus fit the window of 2P bits, and ``_dot`` itself
+    # past it and for inf or nan
+    a, b, bits, minus, special = operands
+    with mock.patch.object(precision_module, "_dot", wraps=_dot) as fallback:
+        got = _exact_dot(_aligned(a), _aligned(b), bits, minus)
+    assert got == _dot(a, b, bits, minus)
+    (_, _, ea, sa), (_, _, eb, sb) = _aligned(a), _aligned(b)
+    if special:
+        assert fallback.called
+    elif ea is not None and eb is not None:
+        lo, hi = ea + eb, ea + eb + sa + sb
+        if minus is not None and minus[1]:
+            lo, hi = min(lo, minus[2]), max(hi, minus[2])
+        assert fallback.called == (hi - lo > 2 * bits)
+    else:
+        assert not fallback.called   # every product is zero: -minus alone
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.lists(st.one_of(st.just(fzero), st.sampled_from([finf, fnan]), st.builds(
+    lambda sign, man, exp: from_man_exp(-man if sign else man, exp),
+    st.booleans(), st.integers(1, 2 ** 300), st.integers(-600, 600))), max_size=10))
+def test_prepending_keeps_the_aligned_form(raw):
+    # a back solve grows its solution from the last entry up, each entry
+    # prepended to the aligned form of those after it, rescaling them when
+    # it has a new smallest exponent: the same form as aligning it whole
+    grown = (), [], None, 0
+    for v in reversed(raw):
+        grown = _prepended(grown, v)
+    whole = _aligned(raw)
+    assert list(grown[0]) == raw and grown[2:] == whole[2:]
+    if whole[3] is not None:
+        assert grown[1] == whole[1]

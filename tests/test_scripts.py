@@ -19,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ["distance_bound_experiment.py", "--max-N", "3", "--json"],
     ["christoffel_contrast.py", "--grid", "3"],
     ["fork_floors.py", "--tiny", "--repeats", "1"],
+    ["aligned_dots.py", "--tiny"],
     ["code_lines.py"],
 ])
 def test_script_runs(argv):
