@@ -8,7 +8,9 @@
 one C-level integer sum where the operands fit ``_dot``'s window of
 2P bits.  The reference here is the same ``dual_family`` with its
 columns read by ``dot_columns``, every dot a ``precision._dot`` over
-the raw values, as the readers took it before the aligned form.
+the raw values, as the readers took it before the aligned form
+(``dot_readers``, which the library's tests also check the readers
+against).
 
 For each cell, a domain (the unit interval, or the bench's two pieces
 [0, 1/2] with weight 1 and [0.6, 1] with weight 2), an exponent family
@@ -41,23 +43,37 @@ DOMAINS = {"unit": ([("0", "1")], [(1, 0)]),
 FAMILIES = {"n^2": 2, "n": 1, "sqrt(n)": "1/2"}
 
 
-def dot_columns(rows, cols, entry_rows, bits, spans):
-    """``duals._family_columns`` as the readers took it with every dot a
-    ``_dot`` of raw values: for each column k of a span, the back solve
-    of column k of L^-1, then the largest |G x - e_k|."""
+def dot_readers(rows, cols, entry_rows, bits):
+    """``gram._column_reader(rows, cols, bits)`` (read whole) and
+    ``gram._residual(entry_rows, bits)`` as they were with every dot a
+    ``_dot`` of raw values: the readers (k) -> the back solve of column k
+    of L^-1, and (x, b) -> G x - b."""
     n = len(rows)
     below = [[rows[j][i] for j in range(i + 1, n)] for i in range(n)]
     full = [row + [entry_rows[j][i] for j in range(i + 1, n)] for i, row in enumerate(entry_rows)]
+
+    def column(k):
+        rhs, x = [fzero] * k + cols[k], [fzero] * n
+        for i in range(n - 1, -1, -1):
+            x[i] = mpf_div(_dot(below[i], x[i + 1:], bits, rhs[i]), mpf_neg(rows[i][i]),
+                           bits, round_nearest)
+        return x
+
+    return column, lambda x, b: [_dot(row, x, bits, b_m) for row, b_m in zip(full, b)]
+
+
+def dot_columns(rows, cols, entry_rows, bits, spans):
+    """``duals._family_columns`` on the readers of ``dot_readers``: for
+    each column k of a span, the back solve of column k of L^-1, then
+    the largest |G x - e_k|."""
+    n = len(rows)
+    column, residual = dot_readers(rows, cols, entry_rows, bits)
     for lo, hi in spans:
         out = []
         for k in range(lo, hi):
-            rhs, x = [fzero] * k + cols[k], [fzero] * n
-            for i in range(n - 1, -1, -1):
-                x[i] = mpf_div(_dot(below[i], x[i + 1:], bits, rhs[i]), mpf_neg(rows[i][i]),
-                               bits, round_nearest)
+            x = column(k)
             unit = [fone if m == k else fzero for m in range(n)]
-            residuals = [_dot(row, x, bits, b_m) for row, b_m in zip(full, unit)]
-            out.append(x + [max(map(mpf_abs, residuals), key=mp.make_mpf)])
+            out.append(x + [max(map(mpf_abs, residual(x, unit)), key=mp.make_mpf)])
         yield out
 
 

@@ -52,7 +52,8 @@ alignment costs about what it saves one dot.  An exact dot is
 one C-level integer sum, rounded once, where the exponents of its
 products and right-hand side span at most ``_dot``'s window of 2P
 bits, inside which ``_dot`` drops nothing, and ``_dot`` itself where
-they do not.
+they do not; an operand whose own exponents spread past that window is
+not shifted at all, so an alignment costs at most the window in bits.
 
 This module alone grows a factor, too.  A ``_Factor`` holds the raw
 lower rows of a symmetric matrix, their Cholesky rows and L^-1 by rows
@@ -371,14 +372,12 @@ def _substitute_forward(rows, rhs, prec) -> List[tuple]:
     return y
 
 
-def _substitute_back(rows, below, rhs, prec, stop: int = 0) -> List[tuple]:
+def _substitute_back(rows, below, rhs, prec) -> List[tuple]:
     """Solve L^T x = rhs for the leading len(rhs) raw factor rows of L,
-    with ``below`` its ``_columns_below(rows)``, and raw rhs, from the last
-    entry down to entry ``stop``; the entries above ``stop`` are left
-    zero."""
+    with ``below`` its ``_columns_below(rows)``, and raw rhs."""
     n = len(rhs)
     x = [fzero] * n
-    for i in range(n - 1, stop - 1, -1):
+    for i in range(n - 1, -1, -1):
         x[i] = mpf_div(_dot(below[i], x[i + 1:], prec, rhs[i]), mpf_neg(rows[i][i]),
                        prec, round_nearest)
     return x
@@ -598,7 +597,7 @@ def _column_reader(rows, cols, bits: int) -> Callable[..., List[tuple]]:
     the column, the solution so far and the right-hand side entry fit
     its window of 2 * ``bits``, and ``_dot`` itself elsewhere."""
     n = len(rows)
-    below = [_aligned(col) for col in _columns_below(rows)]
+    below = [_aligned(col, bits) for col in _columns_below(rows)]
     pivots = [mpf_neg(row[i]) for i, row in enumerate(rows)]
 
     def column(k, stop=0):
@@ -606,7 +605,7 @@ def _column_reader(rows, cols, bits: int) -> Callable[..., List[tuple]]:
         part = (), [], None, 0   # the aligned form of no entry
         for i in range(n - 1, stop - 1, -1):
             if i < n - 1:
-                part = _prepended(part, x[i + 1])
+                part = _prepended(part, x[i + 1], bits)
             x[i] = mpf_div(_exact_dot(below[i], part, bits, rhs[i]), pivots[i], bits,
                            round_nearest)
         return x
@@ -652,10 +651,10 @@ def _residual(entry_rows, bits: int) -> Callable[[List[tuple], List[tuple]], Lis
     aligned here, once a reader, and x once a call, so that each entry is
     an ``_exact_dot``: ``_dot``'s bits, in one C-level sum where the row,
     x and b_m fit its window."""
-    rows = [_aligned(row) for row in _full_rows(entry_rows)]
+    rows = [_aligned(row, bits) for row in _full_rows(entry_rows)]
 
     def residual(x, b):
-        x = _aligned(x)
+        x = _aligned(x, bits)
         return [_exact_dot(row, x, bits, b_m) for row, b_m in zip(rows, b)]
 
     return residual

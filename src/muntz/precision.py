@@ -15,8 +15,9 @@ exact products, summed exactly and rounded once at the width passed.
 Where an operand serves many dots, its reader aligns it once
 (``_aligned``: the signed mantissas shifted to one exponent) and takes
 each dot as ``_exact_dot``, ``_dot``'s bits from one C-level integer
-sum whenever no part of the sum could be dropped.  This module alone
-rounds a raw integer sum.
+sum whenever no part of the sum could be dropped; a vector whose
+exponents spread past that window is not shifted, and its dots are
+``_dot``'s.  This module alone rounds a raw integer sum.
 ``workbits`` is for callers that post-process results with mpmath's
 operators.  Comparisons of mpfs are exact at any width, but unary
 ``abs()``, ``-`` and ``+`` on an mpf round it at ``mp.prec``: outside a
@@ -181,45 +182,58 @@ def _dot(a, b, prec, minus=None) -> tuple:
     return from_man_exp(man, exp, prec, round_nearest)
 
 
-def _aligned(raw) -> tuple:
+def _aligned(raw, prec) -> tuple:
     """The aligned form (raw, mans, exp, spread) of the raw vector ``raw``,
-    for ``_exact_dot``: ``raw`` itself, ``mans`` its signed mantissas,
-    each shifted to ``exp``, the smallest exponent of a nonzero entry, so
-    that entry i is mans[i] * 2**exp exactly, and ``spread`` the largest
-    such exponent less ``exp``.  ``exp`` is None when no entry is nonzero
-    or an entry is inf or nan, and ``spread`` None in the second case
-    alone.  One shift per entry, which costs about what an exact dot
-    saves on one product, so it pays only for a vector that serves many
-    dots.  A plain tuple, as ``_prepended`` makes one per entry of a back
-    solve."""
+    for ``_exact_dot`` at ``prec``: ``raw`` itself, ``mans`` its signed
+    mantissas, each shifted to ``exp``, the smallest exponent of a
+    nonzero entry, so that entry i is mans[i] * 2**exp exactly, and
+    ``spread`` the largest such exponent less ``exp``.  ``exp`` is None
+    when no entry is nonzero (``spread`` 0 then).  Where an entry is inf
+    or nan, or the spread is past ``_dot``'s window of 2 * ``prec``, no
+    shift is made, since every dot of the vector falls back to ``_dot``:
+    the form is (raw, [], None, None).  So a shift costs at most the
+    window in bits, however far apart the exponents lie.  One shift per
+    entry, which costs about what an exact dot saves on one product, so
+    it pays only for a vector that serves many dots.  A plain tuple, as
+    ``_prepended`` makes one per entry of a back solve."""
     exps = [exp for _, man, exp, _ in raw if man]
     if len(exps) < len(raw) and any(exp for _, man, exp, _ in raw if not man):
         return raw, [], None, None
     if not exps:
         return raw, [0] * len(raw), None, 0
-    lo = min(exps)
+    lo, hi = min(exps), max(exps)
+    if hi - lo > (prec * 2 or 1000000):   # past _dot's limit
+        return raw, [], None, None
     return raw, [((-man if sign else man) << (exp - lo)) if man else 0
-                 for sign, man, exp, _ in raw], lo, max(exps) - lo
+                 for sign, man, exp, _ in raw], lo, hi - lo
 
 
-def _prepended(a: tuple, v) -> tuple:
-    """The aligned form of [v, *raw] from the aligned form ``a`` of raw:
-    v's mantissa shifted to a's exponent, or a's mantissas shifted to v's
-    when v's exponent is the new smallest."""
+def _prepended(a: tuple, v, prec) -> tuple:
+    """The aligned form at ``prec`` of [v, *raw] from the aligned form
+    ``a`` of raw: v's mantissa shifted to a's exponent, or a's mantissas
+    shifted to v's when v's exponent is the new smallest; the form of no
+    shift, as ``_aligned`` gives it, once an entry is inf or nan or the
+    spread is past the window."""
     sign, man, exp, _ = v
     raw, mans, lo, spread = a
-    if not man or spread is None:
-        if exp and not man:   # inf or nan
-            return [v, *raw], [], None, None
-        return [v, *raw], [0, *mans], lo, spread
+    raw = [v, *raw]
+    if spread is None or (exp and not man):   # no shift, or v inf or nan
+        return raw, [], None, None
+    if not man:
+        return raw, [0, *mans], lo, spread
     if sign:
         man = -man
     if lo is None:
-        return [v, *raw], [man, *mans], exp, 0
-    shift = exp - lo
+        return raw, [man, *mans], exp, 0
+    shift, window = exp - lo, prec * 2 or 1000000   # _dot's limit
     if shift >= 0:
-        return [v, *raw], [man << shift, *mans], lo, shift if shift > spread else spread
-    return [v, *raw], [man, *map(lshift, mans, repeat(-shift))], exp, spread - shift
+        if shift <= spread:
+            return raw, [man << shift, *mans], lo, spread
+        if shift <= window:
+            return raw, [man << shift, *mans], lo, shift
+    elif spread - shift <= window:
+        return raw, [man, *map(lshift, mans, repeat(-shift))], exp, spread - shift
+    return raw, [], None, None
 
 
 def _exact_dot(a: tuple, b: tuple, prec, minus=None) -> tuple:
@@ -231,7 +245,8 @@ def _exact_dot(a: tuple, b: tuple, prec, minus=None) -> tuple:
     ``sum(map(mul, ...))`` of the aligned mantissas, ``minus`` shifted
     in, rounded once; where an operand has no nonzero entry, it is
     -minus rounded, as ``_dot`` takes it alone.  Otherwise, and for an
-    inf or nan operand, it is ``_dot`` itself."""
+    operand in the form of no shift (an inf or nan entry, or a spread
+    past the window), it is ``_dot`` itself."""
     araw, amans, exp, aspread = a
     braw, bmans, bexp, bspread = b
     if minus is not None and not minus[1]:

@@ -182,6 +182,13 @@ def _target_products(g: GramMatrix, f: TargetFunction) -> Tuple[List[tuple], tup
     return b, norm_sq
 
 
+def _residual_sq(norm_sq, b, c, bits: int) -> mpmath.mpf:
+    """<f, f> - b^T c for the raw <f, f>, b and solution c, rounded once
+    and settled (``_settle_residual_sq``)."""
+    res_sq = mp.make_mpf(mpf_sub(norm_sq, _dot(b, c, bits), bits, round_nearest))
+    return _settle_residual_sq(res_sq, bits)
+
+
 def project(g: GramMatrix, f: TargetFunction) -> Tuple[MuntzSeries, mpmath.mpf]:
     """Best approximation of the target in the span of a factored section.
 
@@ -192,9 +199,7 @@ def project(g: GramMatrix, f: TargetFunction) -> Tuple[MuntzSeries, mpmath.mpf]:
     bits = g.precision_bits
     b, norm_sq = _target_products(g, f)
     c = solve_spd(g, _mpfs(b))
-    bc = _dot(b, [v._mpf_ for v in c], bits)
-    res_sq = mp.make_mpf(mpf_sub(norm_sq, bc, bits, round_nearest))
-    res = mp.sqrt(_settle_residual_sq(res_sq, bits), prec=bits)
+    res = mp.sqrt(_residual_sq(norm_sq, b, [v._mpf_ for v in c], bits), prec=bits)
     series = MuntzSeries(
         lam_ref=g.lam, coeffs=tuple(c), radius=g.domain.r_a, precision_bits=bits
     )
@@ -225,12 +230,18 @@ def coefficient_convergence(
     Each size's coefficients are bit for bit ``project``'s on its
     section: the inner products are taken once, at the largest size
     (``_target_products``), whose first m are the m-section's, and the
-    solves cut from one forward solve (``gram._leading_solves``).  The
+    solves cut from one forward solve (``gram._leading_solves``).  Each
+    size's residual squared <f, f> - b^T c is settled as ``project``
+    settles it, so a negative one beyond the rounding floor raises.  The
     coefficient differences are taken at g's precision.
     """
     sizes = _checked_sizes(g, sizes)
-    b, _ = _target_products(leading_section(g, sizes[-1]), f)
-    rows = [(m, tuple(_mpfs(c))) for m, c in zip(sizes, _leading_solves(g, b, sizes))]
+    bits = g.precision_bits
+    b, norm_sq = _target_products(leading_section(g, sizes[-1]), f)
+    rows = []
+    for m, c in zip(sizes, _leading_solves(g, b, sizes)):
+        _residual_sq(norm_sq, b[:m], c, bits)
+        rows.append((m, tuple(_mpfs(c))))
     n_tracked = rows[0][0]
     diffs = []
     flags = []
@@ -746,7 +757,7 @@ def _remez_chunk(inv_rows, lams, rho, grid_points: int, order: List[int], bits: 
     that each entry of y is an ``_exact_dot``; K, y's one dot with
     itself, stays a ``_dot``."""
     bound_pass = _kernel_bounds(inv_rows, lams, rho, grid_points, bits)
-    rows = [_aligned(row) for row in inv_rows]
+    rows = [_aligned(row, bits) for row in inv_rows]
     best = fzero
     for lo, hi in spans:
         for j, bound in bound_pass(order[lo:hi]):
@@ -754,7 +765,7 @@ def _remez_chunk(inv_rows, lams, rho, grid_points: int, order: List[int], bits: 
                 break
             x = mpf_div(mpf_mul(rho, from_int(j), bits, round_nearest),
                         from_int(grid_points - 1), bits, round_nearest)
-            v = _aligned(_powers(x, lams, bits))
+            v = _aligned(_powers(x, lams, bits), bits)
             y = [_exact_dot(row, v, bits) for row in rows]
             kernel = _dot(y, y, bits)
             if mpf_gt(kernel, best):

@@ -2,6 +2,7 @@ import importlib
 import os
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -624,21 +625,12 @@ def test_unit_solves_equal_solve_spd(two_piece_domain):
         gram_inverse_diagonals(g, 11, [10])
 
 
-def _dot_only_readers(rows, cols, entry_rows, prec):
-    """The column and residual readers as they read before the aligned
-    form: every dot a ``_dot`` of raw values."""
-    n = len(rows)
-    below = [[rows[j][i] for j in range(i + 1, n)] for i in range(n)]
-    full = [row + [entry_rows[j][i] for j in range(i + 1, n)] for i, row in enumerate(entry_rows)]
-
-    def column(k):
-        rhs, x = [fzero] * k + cols[k], [fzero] * n
-        for i in range(n - 1, -1, -1):
-            x[i] = mpf_div(_dot(below[i], x[i + 1:], prec, rhs[i]), mpf_neg(rows[i][i]), prec,
-                           round_nearest)
-        return x
-
-    return column, lambda x, b: [_dot(row, x, prec, b_m) for row, b_m in zip(full, b)]
+def _dot_only_readers(monkeypatch):
+    """``dot_readers`` of scripts/aligned_dots.py, which times the readers
+    against it: the column and residual readers as they read before the
+    aligned form, every dot a ``_dot`` of raw values."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+    return importlib.import_module("aligned_dots").dot_readers
 
 
 @pytest.mark.parametrize("forced", [False, True])
@@ -652,14 +644,17 @@ def test_aligned_readers_give_the_dot_only_bits(two_piece_domain, family, forced
     g = gram(two_piece_domain, power_exponents(*FAMILIES[family], 16), 16)
     prec, n = g.precision_bits, g.n
     rows, cols, entry_rows = g.chol_rows, _inverse_cut(g), g.entry_rows
+    # imported before ``_dot`` is wrapped below, so that the reference
+    # binds the real one and its dots are not counted
+    want_column, want_residual = _dot_only_readers(monkeypatch)(rows, cols, entry_rows, prec)
     fallbacks = []
     if forced:
         aligned, dot = GRAM_MODULE._aligned, PRECISION_MODULE._dot
-        monkeypatch.setattr(GRAM_MODULE, "_aligned", lambda raw: (*aligned(raw)[:3], 4 * prec))
+        monkeypatch.setattr(GRAM_MODULE, "_aligned",
+                            lambda raw, prec: (*aligned(raw, prec)[:3], 4 * prec))
         monkeypatch.setattr(PRECISION_MODULE, "_dot",
                             lambda *args: fallbacks.append(args) or dot(*args))
     column, residual = _column_reader(rows, cols, prec), _residual(entry_rows, prec)
-    want_column, want_residual = _dot_only_readers(rows, cols, entry_rows, prec)
     for k in range(n):
         x = column(k)
         assert x == want_column(k)

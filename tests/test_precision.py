@@ -113,14 +113,15 @@ def test_dot_is_the_exact_sum_rounded_once(operands):
 @st.composite
 def _window_operands(draw):
     """Raw vectors a and b of one length and a raw ``minus`` at a width P
-    whose nonzero products span just inside or just past ``_dot``'s window
-    of 2P bits: a's nonzero entries have exponents in [ea, ea + sa], the
-    ends among them, b's in [eb, eb + sb], with sa + sb within 3 of 2P,
-    and ``minus`` an exponent at or just past either end of the products'.
+    whose nonzero products span just inside, just past or far past
+    ``_dot``'s window of 2P bits: a's nonzero entries have exponents in
+    [ea, ea + sa], the ends among them, b's in [eb, eb + sb], with sa + sb
+    within 3 of 2P or 10**30 past it, and ``minus`` an exponent at or just
+    past either end of the products'.
     Entries are zero or of either sign with odd mantissas, so each keeps
     the exponent drawn; now and then an operand holds inf or nan."""
     bits = draw(st.integers(MIN_PRECISION_BITS, 512))
-    span = 2 * bits + draw(st.integers(-3, 3))
+    span = 2 * bits + draw(st.one_of(st.integers(-3, 3), st.just(10 ** 30)))
     sa = draw(st.integers(0, span))
     ea, eb = draw(st.integers(-2000, 2000)), draw(st.integers(-2000, 2000))
 
@@ -163,32 +164,42 @@ def test_exact_dot_is_dot_on_aligned_operands(operands):
     # past it and for inf or nan
     a, b, bits, minus, special = operands
     with mock.patch.object(precision_module, "_dot", wraps=_dot) as fallback:
-        got = _exact_dot(_aligned(a), _aligned(b), bits, minus)
+        got = _exact_dot(_aligned(a, bits), _aligned(b, bits), bits, minus)
     assert got == _dot(a, b, bits, minus)
-    (_, _, ea, sa), (_, _, eb, sb) = _aligned(a), _aligned(b)
+    ea, eb = ([e for _, man, e, _ in v if man] for v in (a, b))
     if special:
         assert fallback.called
-    elif ea is not None and eb is not None:
-        lo, hi = ea + eb, ea + eb + sa + sb
+    elif ea and eb:
+        lo, hi = min(ea) + min(eb), max(ea) + max(eb)
         if minus is not None and minus[1]:
             lo, hi = min(lo, minus[2]), max(hi, minus[2])
         assert fallback.called == (hi - lo > 2 * bits)
     else:
-        assert not fallback.called   # every product is zero: -minus alone
+        # every product is zero: -minus alone, but for an operand whose
+        # spread past the window left it unshifted
+        assert fallback.called == any(e and max(e) - min(e) > 2 * bits for e in (ea, eb))
 
 
 @settings(max_examples=300, deadline=None)
 @given(raw=st.lists(st.one_of(st.just(fzero), st.sampled_from([finf, fnan]), st.builds(
     lambda sign, man, exp: from_man_exp(-man if sign else man, exp),
-    st.booleans(), st.integers(1, 2 ** 300), st.integers(-600, 600))), max_size=10))
-def test_prepending_keeps_the_aligned_form(raw):
+    st.booleans(), st.integers(1, 2 ** 300),
+    st.one_of(st.integers(-600, 600), st.sampled_from([-10 ** 30, 10 ** 30])))), max_size=10),
+    bits=st.integers(MIN_PRECISION_BITS, 700))
+def test_prepending_keeps_the_aligned_form(raw, bits):
     # a back solve grows its solution from the last entry up, each entry
     # prepended to the aligned form of those after it, rescaling them when
-    # it has a new smallest exponent: the same form as aligning it whole
+    # it has a new smallest exponent: the same form as aligning it whole,
+    # the form of no shift once the spread passes the window of 2P bits
     grown = (), [], None, 0
     for v in reversed(raw):
-        grown = _prepended(grown, v)
-    whole = _aligned(raw)
+        grown = _prepended(grown, v, bits)
+    whole = _aligned(raw, bits)
+    exps = [exp for _, man, exp, _ in raw if man]
+    if exps and max(exps) - min(exps) > 2 * bits:
+        # not shifted: at 10**30 bits apart a mantissa would not fit an int
+        assert whole[1:] == ([], None, None)
     assert list(grown[0]) == raw and grown[2:] == whole[2:]
     if whole[3] is not None:
         assert grown[1] == whole[1]
+

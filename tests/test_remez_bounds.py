@@ -7,7 +7,7 @@ import pytest
 from mpmath import libmp
 from mpmath.libmp import finf, mpf_lt
 
-from muntz import (build_weighted_domain, christoffel_remez, explicit_exponents, gram,
+from muntz import (build_weighted_domain, christoffel_remez, explicit_exponents, fmt, gram,
                    power_exponents)
 import muntz.series as series_module
 
@@ -74,6 +74,21 @@ def test_exponent_below_binary64_range():
     bounds = assert_bounds_hold(g, "0.9", 101)
     assert finf not in dict(bounds).values()
     assert christoffel_remez(g, "0.9", 101) == remez_every_point(g, "0.9", 101)
+
+
+@pytest.mark.parametrize("lam, digits", [
+    (10 ** 9, "1.55884573148852674928720758499189612995099111887738314098629455299348683122487"),
+    (10 ** 30, "1.55884572681198956417470170735996166742896069712186667037229681343466572537189")])
+def test_exponents_far_apart(lam, digits):
+    # at x = 0.9 j / 100 the powers x and x^lam lie at least lam / 7 bits
+    # apart, far past the exact dot's window of 2P: v(x) is not shifted to
+    # one exponent, which at 10**30 would not fit an int, and each entry
+    # of L^-1 v is a ``_dot``; the digits are the grid maximum as every
+    # entry a ``_dot`` gives it
+    g = gram(UNIT, explicit_exponents([1, lam]), 2)
+    got = christoffel_remez(g, "0.9", 101)
+    assert got == remez_every_point(g, "0.9", 101)
+    assert fmt(got, g.precision_bits) == digits
 
 
 @pytest.mark.parametrize("coeff, unbounded", [("1e600", 0), ("1e700", 100)])

@@ -1,7 +1,8 @@
 """The experiment scripts run end to end at tiny sizes.
 
-No test imports them, so this is what notices a library signature they
-still call in an old form."""
+Apart from aligned_dots, whose reference readers test_gram checks the
+library's against, no test imports them, so this is what notices a
+library signature they still call in an old form."""
 
 import os
 import subprocess

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
-from mpmath.libmp import mpf_sub, round_nearest
+from mpmath.libmp import fzero, mpf_sub, round_nearest
 
 from muntz import (
     MuntzSeries,
@@ -19,6 +19,7 @@ from muntz import (
     workbits,
 )
 from muntz.errors import NegativeResidualSquared, OutsideRadius, ValidationError
+from muntz.gram import leading_section
 from muntz.precision import _dot
 import muntz.series as series_module
 from muntz.series import MAX_GRID_POINTS, _powers, _settle_residual_sq
@@ -121,6 +122,33 @@ def test_coefficient_convergence_zero_target(unit_domain, lam23):
     f = TargetFunction.muntz_combo(mk_series(lam23, [0, 0]))
     table = coefficient_convergence(gram(unit_domain, lam23, 2), [1, 2], f)
     assert all(c == 0 for _, coeffs in table.rows for c in coeffs)
+
+
+def test_coefficient_convergence_settles_each_residual(unit_domain, monkeypatch):
+    # each size's <f, f> - b^T c is settled as ``project`` settles it on
+    # that section; with <f, f> taken as 0 it is -b^T G^-1 b, negative
+    # beyond the rounding floor, and both raise
+    g, f = gram(unit_domain, power_exponents(1, 2, 6), 6), TargetFunction.pure_power("1/2")
+    sizes = [2, 4, 6]
+    seen = []
+    real_settle, real_products = series_module._settle_residual_sq, series_module._target_products
+
+    def settle(value, bits):
+        seen.append(value)
+        return real_settle(value, bits)
+
+    monkeypatch.setattr(series_module, "_settle_residual_sq", settle)
+    for m in sizes:
+        project(leading_section(g, m), f)
+    want, seen[:] = seen[:], []
+    coefficient_convergence(g, sizes, f)
+    assert seen == want
+    monkeypatch.setattr(series_module, "_target_products",
+                        lambda g, f: (real_products(g, f)[0], fzero))
+    with pytest.raises(NegativeResidualSquared):
+        project(g, f)
+    with pytest.raises(NegativeResidualSquared):
+        coefficient_convergence(g, sizes, f)
 
 
 def test_removal_trivial_cases(unit_domain, lam23):
