@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Serial against pooled wall time for each caller of the fork-map helper.
 
-``series._forked_map`` splits a caller's work over the usable cores,
+``forkmap._forked_map`` splits a caller's work over the usable cores,
 in pieces that this process and the long-lived workers of its pool
 claim one at a time, only when each process gets at least a floor of
 work: binary64 products
@@ -35,6 +35,7 @@ from contextlib import contextmanager
 from muntz import (build_weighted_domain, christoffel_remez, dual_family, gram,
                    hereditary_sweep, power_exponents)
 import muntz.duals as duals_module
+import muntz.forkmap as forkmap_module
 import muntz.operator as operator_module
 import muntz.series as series_module
 
@@ -90,7 +91,7 @@ def main() -> int:
                     help="one tiny size per caller, to check that the script runs")
     args = ap.parse_args()
 
-    cores = series_module._usable_cores()
+    cores = forkmap_module._usable_cores()
     floors = {key: getattr(module, name) for key, (module, name) in FLOORS.items()}
     wd = build_weighted_domain([("0", "0.5"), ("0.6", "1")], [(1, 0), (2, "0.5")], args.bits)
     beta = FAMILIES[args.family]
@@ -128,8 +129,8 @@ def main() -> int:
     if cores < 2:
         print("one usable core: the pooled column runs serially too")
     # starts the pool, then times the round trip of one empty call
-    series_module._forked_map(empty_pieces, (), 2, 1)
-    trips = [seconds(lambda: series_module._forked_map(empty_pieces, (), 2, 1))
+    forkmap_module._forked_map(empty_pieces, (), 2, 1)
+    trips = [seconds(lambda: forkmap_module._forked_map(empty_pieces, (), 2, 1))
              for _ in range(max(50, 10 * args.repeats))]
     print(f"dispatch round trip of an empty call: {1000 * statistics.median(trips):.3f} ms")
     print(f"{'caller':>7}  {'floor':>5}  {'size':>5}  {'items':>5}  {'serial ms':>10}  "
@@ -142,7 +143,7 @@ def main() -> int:
         times = {"serial": [], "pooled": []}
         for _ in range(args.repeats):
             # alternated, so a host that drifts in speed moves both alike
-            with patched(series_module, "_usable_cores", lambda: 1):
+            with patched(forkmap_module, "_usable_cores", lambda: 1):
                 times["serial"].append(seconds(call))
             with patched(module, name, 1):
                 times["pooled"].append(seconds(call))

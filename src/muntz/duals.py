@@ -12,7 +12,7 @@ is an independent oracle for everything the linear algebra produces.
 
 ``dual_family`` solves each column of G^-1 (``gram._column_reader``)
 together with its part of the biorthogonality residual max |G C - I|
-(``gram._residual``), and hands the columns to ``series._forked_map``
+(``gram._residual``), and hands the columns to ``forkmap._forked_map``
 in contiguous pieces, which the processes claim one at a time: with the
 forward halves cut from the section's stored L^-1, every column costs
 the same.  Each process makes both readers once: they align the
@@ -36,10 +36,10 @@ from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_p
 
 from .errors import BadEpsilon, IndexOutOfRange
 from .exponents import ExponentSequence
+from .forkmap import _Span, _forked_map
 from .gram import (GramMatrix, _column_reader, _inverse_columns, _mpfs, _residual,
                    gram_inverse_diagonals)
 from .precision import DEFAULT_PRECISION_BITS, Real, _shown, to_mpf
-from .series import _Span, _forked_map
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def dual_family(g: GramMatrix) -> DualFamily:
     process from the factor rows, the columns of L^-1 and the entry rows
     read here, before the split, so that the section's L^-1 is grown
     once, in this process.  The columns run in contiguous pieces through
-    ``series._forked_map``, at ``_MIN_CHUNK_COLUMNS`` or more per
+    ``forkmap._forked_map``, at ``_MIN_CHUNK_COLUMNS`` or more per
     process; the residual is the largest of the column maxima.  Every
     value is bit for bit the serial one.
     """

@@ -29,7 +29,7 @@ down), ``_inverse_diagonals`` (the diagonal of G_m^-1 over leading
 sizes m), ``_leading_solves`` (the solves of one right-hand side over
 leading sizes m), ``_inverse_rows`` and ``_inverse_columns`` (the rows
 and the columns of L^-1).  Two readers work on raw parts alone, so that a
-worker of ``series._forked_map`` can run them on what it was sent:
+worker of ``forkmap._forked_map`` can run them on what it was sent:
 ``_column_reader`` (the columns of G^-1 from the factor rows and the
 columns of L^-1) and ``_residual`` (G x - b from the entry rows).  The
 pool's workers inherit a copy of the store as it was when they forked

@@ -46,10 +46,11 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .exponents import ExponentSequence
+from .forkmap import _Result, _Span, _forked_map
 from .gram import (GramMatrix, _Factor, _grown, _inverse_block, _mpfs, _smallest_eigenvalue,
                    _unit_columns, solve_spd)
 from .precision import DEFAULT_PRECISION_BITS, Real, _dot, _shown, to_int, to_mpf
-from .series import MuntzSeries, _Result, _Span, _forked_map, evaluate
+from .series import MuntzSeries, evaluate
 
 
 @dataclass(frozen=True)
@@ -424,7 +425,7 @@ def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
     over all partitions is that of N2 empty or of N1 empty.
 
     The two subset walks, of S G S and of T G^-1 T, are cut into 2N
-    tasks, one per walk and smallest index, and ``series._forked_map``
+    tasks, one per walk and smallest index, and ``forkmap._forked_map``
     runs them (``_sweep_tasks``) at ``_MIN_SWEEP_TASKS`` or more per
     process, handing a worker the two Jacobi-scaled walks, each process
     claiming contiguous pieces of the tasks until none is left.

@@ -7,7 +7,7 @@ from mpmath import mp
 from muntz import build_weighted_domain, explicit_exponents, workbits
 from muntz.cli import _PARSED
 from muntz.gram import _ATTEMPTS
-from muntz.series import _stop_pool
+from muntz.forkmap import _stop_pool
 
 CHECK_BITS = 320  # headroom above the default working precision
 

@@ -1,4 +1,4 @@
-"""The dual family's columns split over ``series._forked_map``: every
+"""The dual family's columns split over ``forkmap._forked_map``: every
 column, norm, distance and the biorthogonality residual bit for bit the
 serial ones, serially where ``os.fork`` fails, nothing left behind once
 the pool stops, and no split below the size floor."""

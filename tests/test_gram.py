@@ -48,7 +48,7 @@ from test_remez_split import TWO_PIECE, assert_pool_stops_clean, open_fds, use_c
 # the package exports the function ``gram`` under the module's name
 GRAM_MODULE = importlib.import_module("muntz.gram")
 PRECISION_MODULE = importlib.import_module("muntz.precision")
-SERIES_MODULE = importlib.import_module("muntz.series")
+FORKMAP_MODULE = importlib.import_module("muntz.forkmap")
 
 
 def test_entries_fixture_unit_interval(unit_domain, lam23):
@@ -514,13 +514,13 @@ def test_forking_callers_grow_the_stored_inverse_first(caller, n, monkeypatch):
     serial = call(gram(TWO_PIECE, lam, n))
     GRAM_MODULE._ATTEMPTS.clear()
     g = gram(TWO_PIECE, lam, n)
-    grown, real_workers = [], SERIES_MODULE._workers
+    grown, real_workers = [], FORKMAP_MODULE._workers
 
     def workers(count):
         grown.append(len(g._attempt.inverse))
         return real_workers(count)
 
-    monkeypatch.setattr(SERIES_MODULE, "_workers", workers)
+    monkeypatch.setattr(FORKMAP_MODULE, "_workers", workers)
     fds = open_fds()
     use_cores(monkeypatch, 2)
     assert call(g) == serial

@@ -68,7 +68,30 @@ def test_one_function_forks():
     # forked by its one start function
     hits = sorted(f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
                   for name in _naming_functions(ast.parse(path.read_text()), _names_fork))
-    assert hits == ["series.py:_start_worker"]
+    assert hits == ["forkmap.py:_start_worker"]
+
+
+# what only the pool may name: its fork, its pipes, its fork and exit
+# hooks, and its wire format
+POOL_OS_CALLS = {"fork", "pipe", "register_at_fork"}
+POOL_MODULES = {"atexit", "marshal"}
+
+
+def _names_pool_machinery(sub):
+    return (isinstance(sub, ast.Attribute) and sub.attr in POOL_OS_CALLS
+            and isinstance(sub.value, ast.Name) and sub.value.id == "os"
+            or isinstance(sub, ast.ImportFrom) and sub.module == "os"
+            and any(alias.name in POOL_OS_CALLS for alias in sub.names)
+            or isinstance(sub, ast.Name) and sub.id in POOL_MODULES
+            or isinstance(sub, ast.alias) and sub.name in POOL_MODULES)
+
+
+def test_only_forkmap_names_the_pool_machinery():
+    # the pool's processes, pipes, hooks and ``marshal`` bytes stay behind
+    # ``forkmap._forked_map``, so no other module holds process code
+    hits = sorted(path.name for path in sorted(SRC.glob("*.py"))
+                  if any(map(_names_pool_machinery, ast.walk(ast.parse(path.read_text())))))
+    assert hits == ["forkmap.py"]
 
 
 def _calls(sub, *names):
@@ -158,7 +181,7 @@ def test_three_functions_call_the_fork_map():
     # besides the imports of the helper
     assert _functions_naming("_forked_map") == [
         "duals.py:<module>", "duals.py:dual_family", "operator.py:<module>",
-        "operator.py:hereditary_sweep", "series.py:christoffel_remez"]
+        "operator.py:hereditary_sweep", "series.py:<module>", "series.py:christoffel_remez"]
 
 
 def test_the_fork_map_gets_module_level_defs():

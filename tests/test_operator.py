@@ -50,6 +50,7 @@ from muntz.errors import (
     ZeroEigenvalue,
 )
 
+import muntz.forkmap as forkmap_module
 import muntz.operator as operator_module
 import muntz.series as series_module
 from muntz.gram import _factored, _substitute_forward
@@ -493,7 +494,7 @@ def test_forked_sweep_raises_the_child_error(monkeypatch):
     for cores in (2, 3, 4):
         force_sweep_forking(monkeypatch, cores)
         assert _sweep_error(g) == want, cores
-        assert len(series_module._POOL) == cores - 1
+        assert len(forkmap_module._POOL) == cores - 1
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -515,7 +516,7 @@ def test_forked_sweep_recomputes_a_failed_child(monkeypatch):
     for cores in (2, 4):
         force_sweep_forking(monkeypatch, cores)
         assert _report_bits(hereditary_sweep(g)) == serial, cores
-        assert len(series_module._POOL) == cores - 1
+        assert len(forkmap_module._POOL) == cores - 1
 
 
 def _raw(value):

@@ -1,4 +1,4 @@
-"""The fork-map helper ``series._forked_map`` and its pool of forked
+"""The fork-map helper ``forkmap._forked_map`` and its pool of forked
 workers: results in index order, pieces claimed one at a time, a worker
 that stops at an even share and a slow one that leaves the rest to the
 caller, raw values crossing from a worker as ``marshal`` bytes bit for
@@ -31,14 +31,15 @@ from mpmath.libmp import MPZ, finf, fnan, fninf, from_int, from_str, fzero
 
 from muntz import build_weighted_domain, christoffel_remez, gram, power_exponents
 from muntz.errors import PrecisionExhausted
+import muntz.forkmap as forkmap_module
 import muntz.series as series_module
 
 from oracles import remez_every_point
 
 UNIT = build_weighted_domain([(0, 1)], [(1, 0)])
 TWO_PIECE = build_weighted_domain([("0", "0.5"), ("0.6", "1")], [(1, 0), (2, "0.5")])
-forked_map = series_module._forked_map
-stop_pool = series_module._stop_pool
+forked_map = forkmap_module._forked_map
+stop_pool = forkmap_module._stop_pool
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 # the affinity call itself, before any test replaces it
 REAL_AFFINITY = getattr(os, "sched_getaffinity", None)
@@ -66,8 +67,8 @@ def assert_pool_stops_clean(fds):
     """Stopping the pool leaves the fds ``fds`` open, no claim pipe and
     no child."""
     stop_pool()
-    assert series_module._POOL == []
-    assert series_module._CLAIMS == []
+    assert forkmap_module._POOL == []
+    assert forkmap_module._CLAIMS == []
     assert open_fds() == fds
     assert_no_children()
 
@@ -75,19 +76,19 @@ def assert_pool_stops_clean(fds):
 def assert_no_token_left():
     """The claim pipe of a live pool is empty between calls."""
     with pytest.raises(BlockingIOError):
-        os.read(series_module._CLAIMS[0], 4)
+        os.read(forkmap_module._CLAIMS[0], 4)
 
 
 def record_dispatches(monkeypatch):
     """The number of workers each split call of this process asks the
     pool for, one entry a call that splits."""
-    counts, real = [], series_module._workers
+    counts, real = [], forkmap_module._workers
 
     def record(count):
         counts.append(count)
         return real(count)
 
-    monkeypatch.setattr(series_module, "_workers", record)
+    monkeypatch.setattr(forkmap_module, "_workers", record)
     return counts
 
 
@@ -251,7 +252,7 @@ def test_split_equals_serial_bits(wd, beta, monkeypatch):
                 dispatched.clear()
                 assert remez_bits(monkeypatch, g, rho, points, cores) == serial, (points, rho, cores)
                 assert sum(dispatched) == max(1, min(cores, points - 1)) - 1
-    assert len(series_module._POOL) == 3
+    assert len(forkmap_module._POOL) == 3
     assert_pool_stops_clean(fds)
 
 
@@ -353,7 +354,7 @@ def test_fork_failure_at_pool_start_gives_the_serial_bits(monkeypatch):
     monkeypatch.setattr(os, "fork", fail_fork)
     for cores in (2, 4):
         assert remez_bits(monkeypatch, g, "0.9", 1001, cores) == serial, cores
-        assert series_module._POOL == []
+        assert forkmap_module._POOL == []
     assert open_fds() == fds
     assert_no_children()
 
@@ -366,14 +367,14 @@ def test_killed_worker_gives_the_serial_bits(monkeypatch):
     serial = remez_bits(monkeypatch, g, "0.9", 1001, 1)
     fds = open_fds()
     assert remez_bits(monkeypatch, g, "0.9", 1001, 2) == serial
-    (first,) = series_module._POOL
+    (first,) = forkmap_module._POOL
     os.kill(first[0], signal.SIGKILL)
     assert remez_bits(monkeypatch, g, "0.9", 1001, 2) == serial
-    assert first not in series_module._POOL
+    assert first not in forkmap_module._POOL
     with pytest.raises(ChildProcessError):
         os.waitpid(first[0], os.WNOHANG)
     assert remez_bits(monkeypatch, g, "0.9", 1001, 2) == serial
-    assert len(series_module._POOL) == 1
+    assert len(forkmap_module._POOL) == 1
     assert_pool_stops_clean(fds)
 
 
@@ -384,11 +385,11 @@ def test_split_remez_leaves_no_worker_after_exit():
     code = "\n".join([
         "import os",
         "os.sched_getaffinity = lambda pid: {0, 1}",
-        "import muntz.series as series",
+        "import muntz.forkmap as forkmap",
         "from muntz import build_weighted_domain, christoffel_remez, gram, power_exponents",
         "g = gram(build_weighted_domain([(0, 1)], [(1, 0)]), power_exponents(1, '1/2', 16), 16)",
         "christoffel_remez(g, '0.9', 1001)",
-        "print(*[pid for pid, _, _ in series._POOL])",
+        "print(*[pid for pid, _, _ in forkmap._POOL])",
     ])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(series_module.__file__).parents[1]),
@@ -405,7 +406,7 @@ def test_split_remez_leaves_no_worker_after_exit():
 # -- the helper ---------------------------------------------------------------
 
 def test_pieces_cut_quarters_of_an_even_share():
-    pieces = series_module._pieces
+    pieces = forkmap_module._pieces
     assert pieces(1000, 1) == [0, 1000]
     assert pieces(1000, 2) == [0, 375, 750, 875, 1000]
     assert pieces(201, 3) == [0, 50, 100, 150, 167, 184, 201]
@@ -423,13 +424,13 @@ def test_claims_end_at_the_share_or_an_empty_pipe():
         os.set_blocking(read, False)
         os.write(write, b"".join(k.to_bytes(4, "little") for k in range(4)))
         taken = []
-        assert list(series_module._claimed(read, bounds, 500, taken)) == [(0, 375), (375, 750)]
+        assert list(forkmap_module._claimed(read, bounds, 500, taken)) == [(0, 375), (375, 750)]
         assert taken == [0, 1]
         taken = []
-        assert list(series_module._claimed(read, bounds, 1000, taken)) == [(750, 875),
+        assert list(forkmap_module._claimed(read, bounds, 1000, taken)) == [(750, 875),
                                                                           (875, 1000)]
         assert taken == [2, 3]
-        assert list(series_module._claimed(read, bounds, 1000, [])) == []
+        assert list(forkmap_module._claimed(read, bounds, 1000, [])) == []
     finally:
         os.close(read)
         os.close(write)
@@ -442,9 +443,9 @@ def test_results_come_in_index_order(cores, count, monkeypatch):
     use_cores(monkeypatch, cores)
     fds = open_fds()
     assert forked_map(squares, (), count, 1) == SQUARES[:count]
-    assert len(series_module._POOL) == min(cores, count) - 1
+    assert len(forkmap_module._POOL) == min(cores, count) - 1
     assert forked_map(squares, (), count, 1) == SQUARES[:count]
-    if series_module._POOL:
+    if forkmap_module._POOL:
         assert_no_token_left()
     assert_pool_stops_clean(fds)
 
@@ -497,11 +498,11 @@ def test_workers_outlive_the_call_and_serve_the_next(monkeypatch):
     fds = open_fds()
     parent = os.getpid()
     first = forked_map(pid_of, (parent,), 3, 1)
-    pids = [pid for pid, _, _ in series_module._POOL]
+    pids = [pid for pid, _, _ in forkmap_module._POOL]
     assert len(pids) == 2 and {r[0] for r in first} <= {from_int(p) for p in [parent, *pids]}
     monkeypatch.setattr(os, "fork", fail_fork)
     second = forked_map(pid_of, (parent,), 3, 1)
-    assert [pid for pid, _, _ in series_module._POOL] == pids
+    assert [pid for pid, _, _ in forkmap_module._POOL] == pids
     assert {r[0] for r in second} - {from_int(parent)} <= {from_int(p) for p in pids}
     assert len({r[0] for r in second} - {from_int(parent)}) >= 1
     assert forked_map(squares, (), 201, 64) == SQUARES
@@ -525,7 +526,7 @@ def test_stopping_a_four_core_pool_leaves_nothing(monkeypatch):
     use_cores(monkeypatch, 4)
     fds = open_fds()
     assert forked_map(squares, (), 201, 1) == SQUARES
-    pids = [pid for pid, _, _ in series_module._POOL]
+    pids = [pid for pid, _, _ in forkmap_module._POOL]
     assert len(pids) == 3
     start = time.perf_counter()
     assert_pool_stops_clean(fds)
@@ -556,8 +557,8 @@ def test_parent_error_stops_children(error, monkeypatch):
         forked_map(caller_raises, (os.getpid(), error), 201, 64)
     assert len(statuses) == 2
     assert all(os.WIFSIGNALED(st) and os.WTERMSIG(st) == signal.SIGTERM for st in statuses)
-    assert series_module._POOL == []
-    assert series_module._CLAIMS == []
+    assert forkmap_module._POOL == []
+    assert forkmap_module._CLAIMS == []
     assert open_fds() == fds
     assert_no_children()
     assert forked_map(squares, (), 201, 64) == SQUARES
@@ -572,10 +573,10 @@ def test_failed_child_chunk_is_recomputed(monkeypatch):
     use_cores(monkeypatch, 2)
     fds = open_fds()
     assert forked_map(worker_raises, (parent,), 201, 64) == SQUARES
-    (worker,) = series_module._POOL
+    (worker,) = forkmap_module._POOL
     got = forked_map(marked, (parent, CALLER_DELAY), 201, 64)
     assert unmarked(got) == SQUARES and by_worker(got)
-    assert series_module._POOL == [worker]
+    assert forkmap_module._POOL == [worker]
     assert_pool_stops_clean(fds)
 
 
@@ -588,7 +589,7 @@ def test_non_zero_exit_discards_what_the_child_wrote(monkeypatch, tmp_path):
     use_cores(monkeypatch, 2)
     fds = open_fds()
     assert forked_map(worker_dies, (parent,), 201, 64) == SQUARES
-    assert series_module._POOL == []
+    assert forkmap_module._POOL == []
     assert open_fds() == fds
     assert_no_children()
     got = forked_map(marked, (parent, CALLER_DELAY), 201, 64)
@@ -634,7 +635,7 @@ def test_error_chunks_are_recomputed_here(cores, monkeypatch):
         (PrecisionExhausted, f"{j} from the caller") if j % 4 == 3 else from_int(j)
         for j in range(count)]
     assert all(r[1] == from_int(0) for r in got if not isinstance(r, PrecisionExhausted))
-    assert len(series_module._POOL) == cores - 1
+    assert len(forkmap_module._POOL) == cores - 1
     assert_pool_stops_clean(fds)
 
 
@@ -652,7 +653,7 @@ def test_unreadable_bytes_are_recomputed(sent, monkeypatch, tmp_path):
     fds = open_fds()
     assert forked_map(squares_noting, (parent, path), 201, 64) == SQUARES
     assert sorted(noted(path)) == list(range(201))
-    assert len(series_module._POOL) == 1
+    assert len(forkmap_module._POOL) == 1
     assert_pool_stops_clean(fds)
 
 
@@ -660,19 +661,19 @@ def test_unreadable_bytes_are_recomputed(sent, monkeypatch, tmp_path):
 def test_workers_ignore_sigint(monkeypatch):
     use_cores(monkeypatch, 2)
     assert forked_map(squares, (), 201, 64) == SQUARES
-    (worker,) = series_module._POOL
+    (worker,) = forkmap_module._POOL
     os.kill(worker[0], signal.SIGINT)
     got = forked_map(pid_of, (os.getpid(),), 2, 1)
     assert [from_int(worker[0])] in got
-    assert series_module._POOL == [worker]
+    assert forkmap_module._POOL == [worker]
 
 
 @needs_fork
 def test_a_forked_child_closes_the_pool_fds_and_runs_serially(monkeypatch):
     use_cores(monkeypatch, 2)
     assert forked_map(squares, (), 201, 64) == SQUARES
-    (worker,) = series_module._POOL
-    claims = list(series_module._CLAIMS)
+    (worker,) = forkmap_module._POOL
+    claims = list(forkmap_module._CLAIMS)
     pid = os.fork()
     if pid == 0:
         status = 1
@@ -686,23 +687,23 @@ def test_a_forked_child_closes_the_pool_fds_and_runs_serially(monkeypatch):
             child = os.getpid()
             serial = forked_map(where, (child,), 201, 64) == [
                 [from_int(0), from_int(201), from_int(0)]]
-            status = 0 if (closed == 4 and series_module._POOL == []
-                           and series_module._CLAIMS == [] and serial) else 1
+            status = 0 if (closed == 4 and forkmap_module._POOL == []
+                           and forkmap_module._CLAIMS == [] and serial) else 1
         finally:
             os._exit(status)
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-    assert series_module._POOL == [worker]
+    assert forkmap_module._POOL == [worker]
     assert forked_map(squares, (), 201, 64) == SQUARES
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs two usable cores")
 def test_children_run_on_the_other_cores(monkeypatch):
-    other_cores = series_module._other_cores
+    other_cores = forkmap_module._other_cores
     cores = sorted(REAL_AFFINITY(0))
     others = other_cores()
     assert len(others) == len(cores) - 1 and set(others) < set(cores)
-    monkeypatch.setattr(series_module, "_other_cores", lambda: cores[1:])
+    monkeypatch.setattr(forkmap_module, "_other_cores", lambda: cores[1:])
     use_cores(monkeypatch, 2)
     fds = open_fds()
     # two pieces of one index: the slow caller takes one, the worker the other
@@ -719,8 +720,8 @@ def test_fork_failure_runs_serially(monkeypatch):
     use_cores(monkeypatch, 4)
     fds = open_fds()
     assert forked_map(squares, (), 201, 1) == SQUARES
-    assert series_module._POOL == []
-    assert series_module._CLAIMS == []
+    assert forkmap_module._POOL == []
+    assert forkmap_module._CLAIMS == []
     assert open_fds() == fds
     assert_no_children()
 
@@ -753,6 +754,6 @@ def test_single_core_never_forks(monkeypatch):
 def test_cores_without_affinity(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert series_module._usable_cores() == 3
+    assert forkmap_module._usable_cores() == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert series_module._usable_cores() == 1
+    assert forkmap_module._usable_cores() == 1
