@@ -27,12 +27,13 @@ split starts at N = 20, and the family is bit for bit the serial one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import Iterable, Iterator, List, Tuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_pow, mpf_shift,
-                          mpf_sqrt, mpf_sub, round_nearest)
+from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_pow,
+                          mpf_shift, mpf_sqrt, mpf_sub, round_nearest)
 
 from .errors import BadEpsilon, IndexOutOfRange
 from .exponents import ExponentSequence
@@ -123,7 +124,7 @@ def _family_columns(rows, cols, entry_rows, prec: int,
         for j in range(lo, hi):
             col = column(j)
             unit = [fone if m == j else fzero for m in range(n)]
-            out.append(col + [max(map(mpf_abs, residuals(col, unit)), key=mp.make_mpf)])
+            out.append(col + [max(map(mpf_abs, residuals(col, unit)), key=cmp_to_key(mpf_cmp))])
         yield out
 
 

@@ -7,16 +7,17 @@ at a time, and returns their results in index order.  A worker stops
 claiming once it holds an even share, so a call waits on a core that
 runs slow for at most the piece it is on, and this process always runs
 its own share: the call's time follows the calling core.
-``christoffel_remez`` splits its grid points with it, by interleaved
-residue classes, each process bounding the points of its pieces
-(``_MIN_CHUNK_PRODUCTS``), ``operator.hereditary_sweep`` its subset
-walks (``operator._MIN_SWEEP_TASKS``) and ``duals.dual_family`` its
-inverse columns with their residual maxima (``duals._MIN_CHUNK_COLUMNS``);
-each value is bit for bit the serial one, whichever process runs which
-piece.  Each caller hands the map a module-level function and, as
-``marshal`` values, what it read of the section before the split (so
-that the stored L^-1 is grown once, in the calling process) and the
-section's width, at which a worker computes.
+``series.christoffel_remez`` splits its grid points with it, by
+interleaved residue classes, each process bounding the points of its
+pieces (``series._MIN_CHUNK_PRODUCTS``), ``operator.hereditary_sweep``
+its subset walks (``operator._MIN_SWEEP_TASKS``) and
+``duals.dual_family`` its inverse columns with their residual maxima
+(``duals._MIN_CHUNK_COLUMNS``); each value is bit for bit the serial
+one, whichever process runs which piece.  Each caller hands the map a
+module-level function and, as ``marshal`` values, what it read of the
+section before the split (so that the stored L^-1 is grown once, in
+the calling process) and the section's width, at which a worker
+computes.
 
 The pool's lifecycle: the first call that splits forks one worker per
 extra usable core, and each waits on a pipe for the next request, so a
@@ -25,9 +26,9 @@ later call pays a round trip of about 0.05 ms where a fork cost about
 SIGINT and leaves through ``os._exit`` when its request pipe reads EOF;
 a dead one is reaped and the pieces it claimed computed here.  Any
 exception during a call stops the whole pool with SIGTERM and closes
-the claim pipe with any token left in it, any forked child closes the
-pool fds it inherited and runs its calls serially, and at exit
-``_stop_pool`` closes the pipes and reaps the workers.
+the claim pipe with any token left in it.  Any forked child drops the
+pool it inherited, closing its parent's pool fds, and may start its
+own, and at exit ``_stop_pool`` closes the pipes and reaps the workers.
 """
 
 from __future__ import annotations
@@ -58,8 +59,6 @@ _POOL: List[Tuple[int, int, int]] = []
 # process of the call reads the tokens of the pieces it runs.  Reads
 # from it do not block.
 _CLAIMS: List[int] = []
-# Set in every forked child, the workers included: it runs each call serially.
-_forked_child = False
 
 
 def _usable_cores() -> int:
@@ -170,8 +169,8 @@ def _serve(requests: int, replies: int, claims: int) -> None:
 def _start_worker() -> Optional[Tuple[int, int, int]]:
     """A new worker, forked from this process, as (pid, request fd, reply
     fd), or None where a pipe or the fork fails.  The worker gets its own
-    copy of the claim pipe's read end, which ``_forget_pool`` leaves open
-    there, runs ``_serve`` and leaves through ``os._exit``: status 0 at
+    copy of the claim pipe's read end, which the fork hook (``_stop_pool``)
+    leaves open there, runs ``_serve`` and leaves through ``os._exit``: status 0 at
     EOF, 1 on any error."""
     fds = []
     try:
@@ -201,7 +200,7 @@ def _start_worker() -> Optional[Tuple[int, int, int]]:
 def _workers(count: int) -> List[Tuple[int, int, int]]:
     """The first ``count`` workers of the pool, started where missing;
     fewer where a pipe or a fork fails.  The claim pipe is made before
-    the first worker and closed where none could start."""
+    the first worker and closed where none could start (``_stop``)."""
     with suppress(OSError):
         if not _CLAIMS:
             _CLAIMS.extend(os.pipe())
@@ -209,37 +208,30 @@ def _workers(count: int) -> List[Tuple[int, int, int]]:
         while len(_POOL) < count and (worker := _start_worker()) is not None:
             _POOL.append(worker)
     if not _POOL:
-        _close_claims()
+        _stop([], False)
     return _POOL[:count]
-
-
-def _close_claims() -> None:
-    """Close the claim pipe, with any token left in it."""
-    for fd in _CLAIMS:
-        with suppress(OSError):
-            os.close(fd)
-    _CLAIMS.clear()
 
 
 def _stop(workers, terminate: bool) -> None:
     """Take the workers out of the pool, close their pipes, and the claim
-    pipe with the last of them, and reap them: each reads EOF and leaves,
-    or first gets SIGTERM where ``terminate`` is set, so that none is
-    left at work on a request."""
+    pipe, with any token left in it, once the pool is empty, and reap
+    them: each reads EOF and leaves, or first gets SIGTERM where
+    ``terminate`` is set, so that none is left at work on a request."""
     if terminate:
         # imported here: only this path signals, and the import costs ~1 ms
         from signal import SIGTERM
     for worker in workers:
-        pid, request, reply = worker
         _POOL.remove(worker)
         if terminate:
             with suppress(OSError):
-                os.kill(pid, SIGTERM)
-        for fd in (request, reply):
-            with suppress(OSError):
-                os.close(fd)
+                os.kill(worker[0], SIGTERM)
+    closing = [fd for _, *pipes in workers for fd in pipes]
     if not _POOL:
-        _close_claims()
+        closing += _CLAIMS
+        _CLAIMS.clear()
+    for fd in closing:
+        with suppress(OSError):
+            os.close(fd)
     for pid, _, _ in workers:
         with suppress(ChildProcessError):
             os.waitpid(pid, 0)
@@ -247,29 +239,23 @@ def _stop(workers, terminate: bool) -> None:
 
 def _stop_pool(terminate: bool = False) -> None:
     """Stop every worker of the pool (``_stop``); the next call that
-    splits starts a new one.  Run at exit."""
+    splits starts a new one.  Run at exit, and in every forked child,
+    where it closes the pool fds the child inherited, which are its
+    parent's, and finds no worker of its own to reap: the child may
+    start its own pool."""
     _stop(list(_POOL), terminate)
 
 
-def _forget_pool() -> None:
-    """In a forked child: close the pool fds it inherited, which are its
-    parent's (``_stop``, whose reaping finds no child of its own), and
-    run every later call serially."""
-    global _forked_child
-    _forked_child = True
-    _stop(list(_POOL), False)
-
-
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_stop_pool)
 atexit.register(_stop_pool)
 
 
 def _processes(count: int, min_chunk: int) -> int:
     """The processes a ``_forked_map`` of ``count`` indices runs on: one
     per usable core, at most one per ``min_chunk`` indices, and this one
-    alone in a forked child or where ``os.fork`` is missing."""
-    cores = 1 if _forked_child or not hasattr(os, "fork") else _usable_cores()
+    alone where ``os.fork`` is missing."""
+    cores = _usable_cores() if hasattr(os, "fork") else 1
     return max(1, min(cores, count // min_chunk))
 
 

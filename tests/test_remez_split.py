@@ -669,8 +669,14 @@ def test_workers_ignore_sigint(monkeypatch):
 
 
 @needs_fork
-def test_a_forked_child_closes_the_pool_fds_and_runs_serially(monkeypatch):
+def test_a_forked_child_closes_the_pool_fds_and_starts_its_own(monkeypatch):
+    # a child forked from a process with a live pool closes the four pool
+    # fds it inherited, starts a pool of its own for its first split call,
+    # whose worker takes part in it, and leaves no worker once that pool
+    # stops; the parent's worker still serves the parent.  The child
+    # exits with the number of the first check that fails, else 0
     use_cores(monkeypatch, 2)
+    fds = open_fds()
     assert forked_map(squares, (), 201, 64) == SQUARES
     (worker,) = forkmap_module._POOL
     claims = list(forkmap_module._CLAIMS)
@@ -684,16 +690,28 @@ def test_a_forked_child_closes_the_pool_fds_and_runs_serially(monkeypatch):
                     os.fstat(fd)
                 except OSError:
                     closed += 1
-            child = os.getpid()
-            serial = forked_map(where, (child,), 201, 64) == [
-                [from_int(0), from_int(201), from_int(0)]]
-            status = 0 if (closed == 4 and forkmap_module._POOL == []
-                           and forkmap_module._CLAIMS == [] and serial) else 1
+            checks = [closed == 4, forkmap_module._POOL == [] and forkmap_module._CLAIMS == []]
+            got = forked_map(marked, (os.getpid(), CALLER_DELAY), 1000, 1)
+            own = [p for p, _, _ in forkmap_module._POOL]
+            checks += [unmarked(got) == unmarked(flat(marked, 0, 0, count=1000)),
+                       len(by_worker(got)) > 0, len(own) == 1 and own != [worker[0]]]
+            stop_pool()
+            alive = []
+            for p in own:
+                try:
+                    os.kill(p, 0)
+                    alive.append(p)
+                except ProcessLookupError:
+                    pass
+            checks.append(alive == [] and forkmap_module._POOL == [])
+            status = next((k for k, ok in enumerate(checks, 1) if not ok), 0)
         finally:
             os._exit(status)
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
     assert forkmap_module._POOL == [worker]
-    assert forked_map(squares, (), 201, 64) == SQUARES
+    got = forked_map(pid_of, (os.getpid(),), 2, 1)
+    assert [from_int(worker[0])] in got
+    assert_pool_stops_clean(fds)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
