@@ -94,19 +94,18 @@ def _send(fd: int, *messages: bytes) -> None:
     _write(fd, b"".join(len(m).to_bytes(8, "little") + m for m in messages))
 
 
-def _read(fd: int, size: int) -> bytes:
+def _read(fd: int, size: int) -> bytearray:
     """``size`` bytes from the pipe ``fd``; EOFError where it closes first."""
-    parts = []
-    while size:
-        part = os.read(fd, min(size, 1 << 20))
+    data = bytearray()
+    while len(data) < size:
+        part = os.read(fd, min(size - len(data), 1 << 20))
         if not part:
             raise EOFError("the pipe closed mid-message")
-        parts.append(part)
-        size -= len(part)
-    return b"".join(parts)
+        data += part
+    return data
 
 
-def _receive(fd: int) -> bytes:
+def _receive(fd: int) -> bytearray:
     """The next message ``_send`` wrote to the other end of the pipe ``fd``."""
     return _read(fd, int.from_bytes(_read(fd, 8), "little"))
 
@@ -312,14 +311,13 @@ def _forked_map(fn: Callable[..., Iterator[List[_Result]]], args: tuple, count: 
     pieces = len(bounds) - 1
     done = {}  # piece -> its results, from whichever process ran it
     try:
-        busy, claiming = [], False  # the workers given the request; tokens written
+        busy, workers = [], []  # the workers the request reached; the workers of the call
         if processes > 1:
             with suppress(ValueError):  # a value marshal cannot write: all run here
                 payload, others = marshal.dumps(args), _other_cores()
                 workers = _workers(processes - 1)
                 if workers:
                     _write(_CLAIMS[1], b"".join(k.to_bytes(4, "little") for k in range(pieces)))
-                    claiming = True
                 for k, worker in enumerate(workers):
                     core = others[k] if k < len(others) else None
                     try:
@@ -329,7 +327,7 @@ def _forked_map(fn: Callable[..., Iterator[List[_Result]]], args: tuple, count: 
                         _stop([worker], True)
                     else:
                         busy.append(worker)
-        if claiming and _CLAIMS:
+        if workers and _CLAIMS:
             # no cap here: this process drains the pipe, so no token outlives the call
             taken = []
             for results in fn(*args, _claimed(_CLAIMS[0], bounds, count, taken)):
