@@ -169,8 +169,8 @@ def _start_worker() -> Optional[Tuple[int, int, int]]:
     """A new worker, forked from this process, as (pid, request fd, reply
     fd), or None where a pipe or the fork fails.  The worker gets its own
     copy of the claim pipe's read end, which the fork hook (``_stop_pool``)
-    leaves open there, runs ``_serve`` and leaves through ``os._exit``: status 0 at
-    EOF, 1 on any error."""
+    leaves open there, runs ``_serve`` and leaves through ``os._exit``:
+    status 0 at EOF, 1 on any error."""
     fds = []
     try:
         fds += os.pipe()
@@ -282,9 +282,9 @@ def _forked_map(fn: Callable[..., Iterator[List[_Result]]], args: tuple, count: 
     from ``spans`` one at a time and yields a list for each before it
     draws the next: the results of the indices lo..hi-1, or what its
     caller combines over the pieces whichever way they fall
-    (``_remez_chunk``'s running maximum).  The indices are cut into
-    pieces (``_pieces``) for the processes ``_processes`` gives: this
-    one, and a worker of the pool (``_workers``, ``_serve``) for each
+    (``series._remez_chunk``'s running maximum).  The indices are cut
+    into pieces (``_pieces``) for the processes ``_processes`` gives:
+    this one, and a worker of the pool (``_workers``, ``_serve``) for each
     other one, pinned to its own core of ``_other_cores`` where it has
     one.  The call writes one token a piece to the claim pipe, and each
     process claims pieces from it (``_claimed``) until none is left, so

@@ -428,7 +428,7 @@ def test_claims_end_at_the_share_or_an_empty_pipe():
         assert taken == [0, 1]
         taken = []
         assert list(forkmap_module._claimed(read, bounds, 1000, taken)) == [(750, 875),
-                                                                          (875, 1000)]
+                                                                           (875, 1000)]
         assert taken == [2, 3]
         assert list(forkmap_module._claimed(read, bounds, 1000, [])) == []
     finally:
