@@ -6,8 +6,12 @@ as decimal strings at a digit count derived from the working precision;
 binary floats never appear in the output.
 
 One pipeline serves every command: load the config, resolve the
-precision, parse and validate every input the command reads (listed in
-``COMMANDS``), factor its one Gram section, compute, and emit.
+precision, resolve every input the command reads in the order
+``COMMANDS`` lists them, compute, and emit.  A command's one Gram
+section is one of those inputs, factored after the domain, exponents and
+sizes at the requested precision; the blocks whose values hang on the
+width (target, moment data, operator) come after it and are parsed once,
+at the width it settles at.
 
 A process that reports more than once (a script or server calling ``run``)
 keeps, as ``gram`` keeps factored sections, the config blocks it has
@@ -88,10 +92,11 @@ def _expect(raw, kind: type, name: str):
 @dataclass(frozen=True)
 class Param:
     """One input of a command: its config ``key`` ("block.key" inside a
-    block), the argparse keywords of its overriding ``--name`` flag (or
-    None), ``parse(raw, inputs)`` for a given value (None is not given),
-    the ``default`` (a value, a function of the inputs, or REQUIRED), and
-    ``echo``, which writes the value into the report's config."""
+    block, empty where no config value feeds it), the argparse keywords
+    of its overriding ``--name`` flag (or None), ``parse(raw, inputs)``
+    for a given value (None is not given), the ``default`` (a value, a
+    function of the inputs, or REQUIRED), and ``echo``, which writes the
+    value into the report's config."""
 
     name: str
     key: str
@@ -113,23 +118,25 @@ _PARSED: OrderedDict[tuple, Any] = OrderedDict()
 
 class _Inputs:
     """One report's inputs, resolved in the order the command lists them,
-    so that a parser reads only inputs listed before its own.  Every
-    value is parsed at ``width``: the requested ``bits`` unless given.
+    so that a parser reads only inputs listed before its own.  Each is
+    parsed once, at ``width``: the requested ``bits`` until the section
+    ``g`` (``SECTION``) is factored, the width it settles at after.
 
     A config block (an input with no flag) parsed before in this process
     is taken from ``_PARSED``.  A parser reads only the width and earlier
-    inputs, each fixed by the raws before it, so the key fixes the value;
-    a parse that raises is not kept, and raises again on the next report.
+    inputs, of a domain or exponents only what no width rounds, each fixed
+    by the raws before it, so the key fixes the value; a parse that raises
+    is not kept, and raises again on the next report.
     """
 
-    def __init__(self, cfg: dict, args, params, width: Optional[int] = None):
-        self.cfg, self.params = cfg, params
+    def __init__(self, cfg: dict, args, params):
+        self.cfg, self.params, self.g = cfg, params, None
         self.bits, self.max_bits = _resolve_precision(cfg, args)
-        self.width = width or self.bits
+        self.width = self.bits
         raws = []
         for param in params:
             raw = getattr(args, param.name) if param.flag is not None else None
-            if raw is None:
+            if raw is None and param.key:
                 block, _, key = param.key.rpartition(".")
                 section = cfg.get(block) if block else cfg
                 raw = None if section is None else _expect(section, dict, block).get(key)
@@ -159,10 +166,6 @@ class _Inputs:
                 (blocks.setdefault(block, {}) if block else config)[key] = param.echo(value)
         config.update(blocks)
         return config
-
-    def largest_size(self) -> int:
-        """N, or the last N_list entry when that is larger or there is no N."""
-        return max(getattr(self, "N", 0), (getattr(self, "N_list", None) or [0])[-1])
 
 
 def _ints(raw) -> list:
@@ -207,10 +210,21 @@ def _partition_side(raw, inputs):
     return None if inputs.sweep else sorted(set(_ints(raw)))
 
 
+def _section(inputs) -> GramMatrix:
+    """The one section a command factors, of the largest size it reads:
+    N, or the last N_list entry when that is larger or there is no N.
+    Every input after it is parsed at the width it settles at."""
+    size = max(getattr(inputs, "N", 0), (getattr(inputs, "N_list", None) or [0])[-1])
+    g = gram(inputs.wd, inputs.lam, size, inputs.bits, inputs.max_bits)
+    inputs.width = g.precision_bits
+    return g
+
+
 WD = Param("wd", "domain", lambda raw, i: domain_from_json(raw, i.width), REQUIRED)
 LAM = Param("lam", "exponents", lambda raw, i: exponents_from_json(raw, i.width), REQUIRED)
 N = Param("N", "N", lambda raw, i: _bounded(to_int(raw), len(i.lam)), lambda i: len(i.lam),
           {"type": int}, int)
+N_DATA = replace(N, default=lambda i: len(_expect(i.cfg.get("d"), list, "d")))
 N_LIST = Param("N_list", "N_list", _sizes, None, {}, list)
 N_LIST_ALL = replace(N_LIST, default=lambda i: [len(i.lam)])
 INDEX = Param("n", "n", lambda raw, i: _bounded(to_int(raw), i.N_list[0]), 1, {"type": int}, int)
@@ -219,6 +233,7 @@ EPSILON = Param("epsilon", "epsilon", _real, None, {}, str)
 RHO = Param("rho", "rho", _real, REQUIRED, {}, str)
 GRID = Param("grid_points", "grid_points", lambda raw, i: series.check_grid_points(to_int(raw)),
              1000, {"type": int}, int)
+SECTION = Param("g", "", None, _section)
 TARGET = Param("target", "target", lambda raw, i: series.target_from_json(
     raw, i.lam, i.wd, i.width), REQUIRED)
 DATA = Param("data", "d", lambda raw, i: momentsolve.build_moment_data(
@@ -347,8 +362,8 @@ def _render(results: dict, bits: int) -> dict:
 @dataclass(frozen=True)
 class Command:
     """A command's results function, every input it reads, and the column
-    names of its table.  A command with a table factors one section, of
-    the largest size it reads, and cuts every other size from it."""
+    names of its table.  A command with a table lists one section among
+    its inputs (``SECTION``) and cuts every other size from it."""
 
     results: Callable[[_Inputs, Optional[GramMatrix]], dict]
     params: tuple
@@ -358,16 +373,16 @@ class Command:
 COMMANDS = {
     "validate": Command(_validate, (replace(WD, echo=domain_to_json),
                                     replace(LAM, echo=exponents_to_json))),
-    "gram": Command(_gram, (WD, LAM, N), ["i", "j", "value"]),
-    "distances": Command(_distances, (WD, LAM, N_LIST_ALL, INDEX, REL_TOL, EPSILON),
+    "gram": Command(_gram, (WD, LAM, N, SECTION), ["i", "j", "value"]),
+    "distances": Command(_distances, (WD, LAM, N_LIST_ALL, INDEX, REL_TOL, EPSILON, SECTION),
                          ["N", "distance"]),
-    "duals": Command(_duals, (WD, LAM, N), ["n", "norm", "distance"]),
-    "expand": Command(_expand, (WD, LAM, N, N_LIST, TARGET), ["n", "coefficient"]),
-    "remez": Command(_remez, (WD, LAM, N_LIST_ALL, RHO, GRID), ["N", "c_N"]),
-    "moments": Command(_moments, (WD, LAM, DATA, replace(N, default=lambda i: len(i.data.d)),
-                                  N_LIST), ["n", "coefficient", "residual"]),
-    "operator": Command(_operator, (WD, LAM, N, OPERATOR), ["m", "tail_bound"]),
-    "hereditary": Command(_hereditary, (WD, LAM, N, SWEEP, N1, N2),
+    "duals": Command(_duals, (WD, LAM, N, SECTION), ["n", "norm", "distance"]),
+    "expand": Command(_expand, (WD, LAM, N, N_LIST, SECTION, TARGET), ["n", "coefficient"]),
+    "remez": Command(_remez, (WD, LAM, N_LIST_ALL, RHO, GRID, SECTION), ["N", "c_N"]),
+    "moments": Command(_moments, (WD, LAM, N_DATA, N_LIST, SECTION, DATA),
+                       ["n", "coefficient", "residual"]),
+    "operator": Command(_operator, (WD, LAM, N, SECTION, OPERATOR), ["m", "tail_bound"]),
+    "hereditary": Command(_hereditary, (WD, LAM, N, SWEEP, N1, N2, SECTION),
                           ["N1", "N2", "det", "min_singular_value", "nonsingular"]),
 }
 
@@ -419,18 +434,14 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     command = COMMANDS[args.command]
     try:
-        cfg = _load_config(args.config)
-        inputs, g = _Inputs(cfg, args, command.params), None
-        if command.columns:
-            g = gram(inputs.wd, inputs.lam, inputs.largest_size(), inputs.bits, inputs.max_bits)
-            if g.precision_bits != inputs.width:
-                inputs = _Inputs(cfg, args, command.params, g.precision_bits)
+        inputs = _Inputs(_load_config(args.config), args, command.params)
+        g = inputs.g
         results = command.results(inputs, g)
         if g is not None:
             own = leading_section(g, getattr(inputs, "N", g.n))
             results.update(precision_bits_used=g.precision_bits, cond_estimate=own.cond_estimate,
                            columns=command.columns)
-        results = _render(results, g.precision_bits if g else inputs.bits)
+        results = _render(results, inputs.width)
         _emit({"command": args.command, "config": inputs.echo(), "results": results}, args)
         return 0
     except MuntzError as exc:

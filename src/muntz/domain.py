@@ -63,6 +63,10 @@ class WeightedDomain:
         """True when the domain is exactly [0, 1] with weight 1."""
         return self.pieces == (((Fraction(0), Fraction(1), Fraction(1), Fraction(0))),)
 
+    def r_a_at(self, bits: int) -> mpmath.mpf:
+        """r_A rounded at ``bits``, as a domain built at that width holds it."""
+        return mpf_from_fraction(max(hi for _, hi, _, _ in self.pieces), bits)
+
 
 def build_weighted_domain(
     intervals: Sequence[Tuple[Real, Real]],

@@ -38,7 +38,7 @@ from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_m
 from .errors import BadEpsilon, IndexOutOfRange
 from .exponents import ExponentSequence
 from .forkmap import _Span, _forked_map
-from .gram import (GramMatrix, _column_reader, _inverse_columns, _mpfs, _residual,
+from .gram import (GramMatrix, _column_reader, _inverse_cut, _mpfs, _residual,
                    gram_inverse_diagonals)
 from .precision import DEFAULT_PRECISION_BITS, Real, _shown, to_mpf
 
@@ -143,7 +143,7 @@ def dual_family(g: GramMatrix) -> DualFamily:
     value is bit for bit the serial one.
     """
     n, prec = g.n, g.precision_bits
-    parts = (g.chol_rows, _inverse_columns(g), g.entry_rows, prec)
+    parts = (g.chol_rows, _inverse_cut(g), g.entry_rows, prec)
     results = _forked_map(_family_columns, parts, n, _MIN_CHUNK_COLUMNS)
     inv = [_mpfs(result[:n]) for result in results]
     norms = tuple(mp.sqrt(inv[k][k], prec=prec) for k in range(n))

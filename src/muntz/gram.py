@@ -27,8 +27,8 @@ entry down, whole by default), ``_inverse_block`` (a principal block of
 G^-1, lower rows, cut from those columns each read from its diagonal
 down), ``_inverse_diagonals`` (the diagonal of G_m^-1 over leading
 sizes m), ``_leading_solves`` (the solves of one right-hand side over
-leading sizes m), ``_inverse_rows`` and ``_inverse_columns`` (the rows
-and the columns of L^-1).  Two readers work on raw parts alone, so that a
+leading sizes m), ``_inverse_rows`` and ``_inverse_cut`` (the rows and
+the columns of L^-1).  Two readers work on raw parts alone, so that a
 worker of ``forkmap._forked_map`` can run them on what it was sent:
 ``_column_reader`` (the columns of G^-1 from the factor rows and the
 columns of L^-1) and ``_residual`` (G x - b from the entry rows).  The
@@ -527,10 +527,9 @@ def forward_substitution(g: GramMatrix, rhs: List[mpmath.mpf]) -> List[mpmath.mp
 
 
 def solve_spd(g: GramMatrix, rhs: List[mpmath.mpf]) -> List[mpmath.mpf]:
-    """Solve entries * x = rhs by two triangular solves against the factor."""
-    rows, bits = g.chol_rows, g.precision_bits
-    y = _substitute_forward(rows, _checked_rhs(g, rhs), bits)
-    return _mpfs(_substitute_back(rows, _columns_below(rows), y, bits))
+    """Solve entries * x = rhs by two triangular solves against the factor:
+    ``_leading_solves`` at the one size g.n."""
+    return _mpfs(_leading_solves(g, _checked_rhs(g, rhs), [g.n])[0])
 
 
 def _leading_solves(g: GramMatrix, rhs: List[tuple], sizes: Iterable[int]) -> List[List[tuple]]:
@@ -576,17 +575,10 @@ def _unit_columns(g: GramMatrix) -> Callable[..., List[tuple]]:
     return _column_reader(g.chol_rows, _inverse_cut(g), g.precision_bits)
 
 
-def _inverse_columns(g: GramMatrix) -> List[List[tuple]]:
-    """The columns of L^-1 for g's factor, raw, column j from entry j
-    down: ``_inverse_cut(g)``, grown in this process, for a caller that
-    hands them to ``_column_reader`` in a worker."""
-    return _inverse_cut(g)
-
-
 def _column_reader(rows, cols, bits: int) -> Callable[..., List[tuple]]:
     """The reader (k, stop=0) -> column k of the inverse of L L^T, for the
     raw factor rows of L and the columns ``cols`` of its L^-1, each from
-    its diagonal entry down (``_inverse_columns``), at ``bits``: the back
+    its diagonal entry down (``_inverse_cut``), at ``bits``: the back
     solve of column k of L^-1, the forward solve of e_k, from the last
     entry down to entry ``stop``, zeros above, each entry bit for bit
     what ``solve_spd`` gives for e_k.  The columns of L below the

@@ -89,7 +89,7 @@ def build_moment_data(
         d=dv,
         fitted_a=a,
         fitted_c=c,
-        growth_ok=a < wd.r_a,
+        growth_ok=a < wd.r_a_at(precision_bits),
     )
 
 

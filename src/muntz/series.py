@@ -103,7 +103,8 @@ def target_from_json(
         if not isinstance(obj.get("coeffs"), list):
             raise MalformedConfig("muntz_combo target needs a coeffs list")
         coeffs = tuple(to_mpf(v, precision_bits) for v in obj["coeffs"])
-        return TargetFunction.muntz_combo(MuntzSeries(lam, coeffs, wd.r_a, precision_bits))
+        series = MuntzSeries(lam, coeffs, wd.r_a_at(precision_bits), precision_bits)
+        return TargetFunction.muntz_combo(series)
     raise MalformedConfig(f"unknown target kind {kind!r}")
 
 

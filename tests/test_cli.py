@@ -13,7 +13,7 @@ from mpmath import mp
 from muntz import (build_moment_data, build_weighted_domain, convergence_certificate,
                    dilation_operator, distance, fmt, gram, leading_section, power_exponents,
                    solve_moments, workbits)
-from muntz.cli import _PARSED, COMMANDS, DATA, MAX_PARSED_INPUTS, run
+from muntz.cli import _PARSED, COMMANDS, DATA, LAM, MAX_PARSED_INPUTS, WD, run
 from muntz.gram import _ATTEMPTS
 
 from conftest import rel_err
@@ -85,12 +85,26 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     )
     assert invoke(["gram", "--config", cfg]) == (3, "")
     assert capsys.readouterr().err.startswith("error[NotPositiveDefinite]: ")
-    # both exponents round to 1 at 256 bits, so the growth fit of the
-    # moment data has no line to draw; more precision separates them
+    # the one-term section settles at 256 bits, where the exponents 2 and
+    # 2 + 1e-91 of the nonzero moments round to one value: the growth fit
+    # has no line to draw
+    values = ["1", "2", "2." + "0" * 90 + "1"]
+    cfg = write_config(tmp_path, exponents={"kind": "explicit", "values": values},
+                       d=["0", "1", "2"])
+    assert invoke(["moments", "--config", cfg, "--N", "1"]) == (3, "")
+    assert capsys.readouterr().err.startswith("error[NumericalError]: ")
+
+
+def test_moment_data_is_fitted_at_the_section_width(tmp_path):
+    # both exponents round to 1 at the requested 256 bits, where the growth
+    # fit would have no line to draw; the section escalates until they
+    # part, and the data is fitted at the width it settles at
     values = ["1", "1." + "0" * 90 + "1"]
     cfg = write_config(tmp_path, exponents={"kind": "explicit", "values": values}, d=["1", "2"])
-    assert invoke(["moments", "--config", cfg]) == (3, "")
-    assert capsys.readouterr().err.startswith("error[NumericalError]: ")
+    reports = [invoke([command, "--config", cfg]) for command in ("gram", "moments")]
+    assert [rc for rc, _ in reports] == [0, 0]
+    bits = [json.loads(out)["results"]["precision_bits_used"] for _, out in reports]
+    assert bits == [2048, 2048]
 
 
 def test_bad_epsilon_prints_r_w_at_the_section_width(tmp_path, capsys):
@@ -445,7 +459,8 @@ def test_kept_data_follows_the_exponents_it_was_fitted_to(tmp_path):
 
 def test_kept_inputs_follow_the_width(tmp_path):
     # non-dyadic values round differently at each width; linear exponents
-    # at N = 9 escalate from 64 to 128 bits, so that report parses twice
+    # at N = 9 escalate from 64 to 128 bits, so that report parses its
+    # domain and exponents at 64 bits and its data at 128
     cfg = write_config(tmp_path, domain={"intervals": [{"lo": "0.1", "hi": "0.7"}],
                                          "weights": [{"coeff": "0.3", "power": "0.1"}]},
                        exponents={"kind": "power", "c": "0.3", "beta": "1", "count": 9},
@@ -455,6 +470,16 @@ def test_kept_inputs_follow_the_width(tmp_path):
     cold = [_cold(argv) for argv in argvs]
     assert warm == cold + cold[::-1]
     assert [json.loads(out)["results"]["precision_bits_used"] for _, out in cold] == [128, 256]
+
+
+def test_an_escalated_report_parses_each_block_once(tmp_path):
+    # the domain and exponents are parsed at the requested 64 bits, before
+    # the section, and the data once, at the 128 bits the section settles at
+    linear_9 = {"kind": "power", "c": "1", "beta": "1", "count": 9}
+    cfg = write_config(tmp_path, exponents=linear_9, precision_bits=64, d=["1"] * 9)
+    rc, out = _cold(["moments", "--config", cfg, "--N", "9"])
+    assert rc == 0 and json.loads(out)["results"]["precision_bits_used"] == 128
+    assert [memo[:2] for memo in _PARSED] == [(WD.parse, 64), (LAM.parse, 64), (DATA.parse, 128)]
 
 
 def test_a_failing_parse_is_not_kept(tmp_path, capsys):

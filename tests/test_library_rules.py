@@ -222,6 +222,14 @@ def test_one_function_reads_the_input_memo():
     assert _functions_naming("_PARSED") == ["cli.py:<module>", "cli.py:_Inputs.__init__"]
 
 
+def test_cli_builds_one_input_set_and_one_section_per_report():
+    # a report's inputs are one ordered pass with its section among them,
+    # so no block is parsed again at the width the section settles at
+    tree = ast.parse((SRC / "cli.py").read_text())
+    sites = [sub.func.id for sub in ast.walk(tree) if _calls(sub, "_Inputs", "gram")]
+    assert sorted(sites) == ["_Inputs", "gram"]
+
+
 def test_binary64_in_the_bound_helper_only():
     # the remez bound pass is the library's one use of binary64, so no
     # float reaches a reported value: only ``_kernel_bounds`` names
@@ -259,17 +267,17 @@ def test_every_private_helper_has_a_library_caller():
 
 
 # the layout of a factored attempt: its class, a section's field naming it,
-# the helpers that read its rows, its symmetric entries and its L^-1
-# column by column, and the row steps that grow a factor and its L^-1
-FACTOR_LAYOUT = {"_Attempt", "_attempt", "_columns_below", "_substitute_back", "_inverse_cut",
-                 "_full_rows", "_append_row", "_inverse_row", "_trace"}
+# the helpers that read its rows and its symmetric entries, and the row
+# steps that grow a factor and its L^-1
+FACTOR_LAYOUT = {"_Attempt", "_attempt", "_columns_below", "_substitute_back", "_full_rows",
+                 "_append_row", "_inverse_row", "_trace"}
 
 
 def test_factor_layout_is_read_in_gram_only():
     # every other module reads a section through its properties and the
     # gram readers: ``_unit_columns``, ``_inverse_block``,
-    # ``_inverse_diagonals``, ``_leading_solves``, ``_inverse_rows`` and
-    # ``_residual``; and it
+    # ``_inverse_diagonals``, ``_leading_solves``, ``_inverse_rows``,
+    # ``_inverse_cut`` and ``_residual``; and it
     # grows a factor only through ``_grown`` and ``_factored``
     hits = sorted(f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
                   if path.name != "gram.py"
