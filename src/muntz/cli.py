@@ -16,9 +16,9 @@ at the width it settles at.
 A process that reports more than once (a script or server calling ``run``)
 keeps, as ``gram`` keeps factored sections, the config blocks it has
 parsed: the domain, exponents, moment data, target and operator.  A block
-met again at the same width after the same earlier inputs is not parsed
-again; inputs with a flag are cheap and always parsed.  A one-shot
-``muntz`` run does the same work as before.
+met again at the same width, with the same inputs its parser reads, is
+not parsed again; inputs with a flag are cheap and always parsed.  A
+one-shot ``muntz`` run does the same work as before.
 
 Exit codes: 0 success, 2 validation or config problems, 3 numerical
 failures that more precision might fix.  No config, however malformed,
@@ -95,8 +95,10 @@ class Param:
     block, empty where no config value feeds it), the argparse keywords
     of its overriding ``--name`` flag (or None), ``parse(raw, inputs)``
     for a given value (None is not given), the ``default`` (a value, a
-    function of the inputs, or REQUIRED), and ``echo``, which writes the
-    value into the report's config."""
+    function of the inputs, or REQUIRED), ``echo``, which writes the
+    value into the report's config, and ``reads``: the earlier inputs its
+    parser reads besides the width, and any their defaults read, whose
+    raws key, with its own, the value ``_PARSED`` keeps."""
 
     name: str
     key: str
@@ -104,14 +106,15 @@ class Param:
     default: Any = None
     flag: Optional[dict] = None
     echo: Optional[Callable[[Any], Any]] = None
+    reads: tuple = ()
 
 
 # A process reporting on a few domains and exponent families, with their
-# data and targets at each width they settle at: the bench's section_sweep
-# run (seed 1) parses 74 distinct blocks, and an LRU of 51 keeps every one
-# that is parsed again.  Each is a few tuples of mpf.
+# data and targets at each width they settle at: the 5 rounds of the
+# bench's section_sweep run (seed 1) parse 35 distinct blocks, and an LRU
+# of 31 keeps every one that is parsed again.  Each is a few tuples of mpf.
 MAX_PARSED_INPUTS = 64
-# (parser, width, canonical JSON of this input's raw and every earlier one)
+# (parser, width, canonical JSON of this input's raw and of each it reads)
 # -> parsed value, least recently used first
 _PARSED: OrderedDict[tuple, Any] = OrderedDict()
 
@@ -122,38 +125,41 @@ class _Inputs:
     parsed once, at ``width``: the requested ``bits`` until the section
     ``g`` (``SECTION``) is factored, the width it settles at after.
 
-    A config block (an input with no flag) parsed before in this process
-    is taken from ``_PARSED``.  A parser reads only the width and earlier
-    inputs, of a domain or exponents only what no width rounds, each fixed
-    by the raws before it, so the key fixes the value; a parse that raises
-    is not kept, and raises again on the next report.
+    Every required input is looked up before any is parsed, so an absent
+    one is reported first.  A config block (an input with no flag) parsed
+    before in this process is taken from ``_PARSED``.  A parser reads only
+    the width and the earlier inputs it names, of a domain or exponents
+    only what no width rounds, so the raws of those key its value; a
+    parse that raises is not kept, and raises again on the next report.
     """
 
     def __init__(self, cfg: dict, args, params):
         self.cfg, self.params, self.g = cfg, params, None
         self.bits, self.max_bits = _resolve_precision(cfg, args)
-        self.width = self.bits
-        raws = []
+        raws, texts = {}, {}
         for param in params:
             raw = getattr(args, param.name) if param.flag is not None else None
             if raw is None and param.key:
                 block, _, key = param.key.rpartition(".")
                 section = cfg.get(block) if block else cfg
                 raw = None if section is None else _expect(section, dict, block).get(key)
-            raws.append(json.dumps(raw, sort_keys=True))
+            if raw is None and param.default is REQUIRED:
+                raise MalformedConfig(f"config is missing required block {param.key!r}")
+            raws[param.name], texts[param.name] = raw, json.dumps(raw, sort_keys=True)
+        for param, raw in zip(params, raws.values()):
             if raw is not None and param.flag is None:
-                memo = (param.parse, self.width, *raws)
+                memo = (param.parse, self.width, *map(texts.get, (param.name, *param.reads)))
                 value = _PARSED.pop(memo) if memo in _PARSED else param.parse(raw, self)
                 _PARSED[memo] = value
                 if len(_PARSED) > MAX_PARSED_INPUTS:
                     _PARSED.popitem(last=False)
             elif raw is not None:
                 value = param.parse(raw, self)
-            elif param.default is REQUIRED:
-                raise MalformedConfig(f"config is missing required block {param.key!r}")
             else:
                 value = param.default(self) if callable(param.default) else param.default
             setattr(self, param.name, value)
+
+    width = property(lambda self: self.bits if self.g is None else self.g.precision_bits)
 
     def echo(self) -> dict:
         """The config as given, with every resolved input written back."""
@@ -215,16 +221,14 @@ def _section(inputs) -> GramMatrix:
     N, or the last N_list entry when that is larger or there is no N.
     Every input after it is parsed at the width it settles at."""
     size = max(getattr(inputs, "N", 0), (getattr(inputs, "N_list", None) or [0])[-1])
-    g = gram(inputs.wd, inputs.lam, size, inputs.bits, inputs.max_bits)
-    inputs.width = g.precision_bits
-    return g
+    return gram(inputs.wd, inputs.lam, size, inputs.bits, inputs.max_bits)
 
 
 WD = Param("wd", "domain", lambda raw, i: domain_from_json(raw, i.width), REQUIRED)
 LAM = Param("lam", "exponents", lambda raw, i: exponents_from_json(raw, i.width), REQUIRED)
 N = Param("N", "N", lambda raw, i: _bounded(to_int(raw), len(i.lam)), lambda i: len(i.lam),
           {"type": int}, int)
-N_DATA = replace(N, default=lambda i: len(_expect(i.cfg.get("d"), list, "d")))
+N_DATA = replace(N, default=lambda i: len(_expect(i.cfg["d"], list, "d")))
 N_LIST = Param("N_list", "N_list", _sizes, None, {}, list)
 N_LIST_ALL = replace(N_LIST, default=lambda i: [len(i.lam)])
 INDEX = Param("n", "n", lambda raw, i: _bounded(to_int(raw), i.N_list[0]), 1, {"type": int}, int)
@@ -235,11 +239,11 @@ GRID = Param("grid_points", "grid_points", lambda raw, i: series.check_grid_poin
              1000, {"type": int}, int)
 SECTION = Param("g", "", None, _section)
 TARGET = Param("target", "target", lambda raw, i: series.target_from_json(
-    raw, i.lam, i.wd, i.width), REQUIRED)
+    raw, i.lam, i.wd, i.width), REQUIRED, reads=("lam", "wd"))
 DATA = Param("data", "d", lambda raw, i: momentsolve.build_moment_data(
-    i.wd, i.lam, _expect(raw, list, "d"), i.width), REQUIRED)
+    i.wd, i.lam, _expect(raw, list, "d"), i.width), REQUIRED, reads=("wd", "lam"))
 OPERATOR = Param("operator", "operator", lambda raw, i: operator.operator_from_json(
-    raw, i.lam, i.N, i.width), REQUIRED)
+    raw, i.lam, i.N, i.width), REQUIRED, reads=("lam", "N"))
 N1 = Param("n1", "partition.N1", _partition_side, lambda i: _partition_side([], i),
            {"help": "comma-separated power indices"}, list)
 N2 = replace(N1, name="n2", key="partition.N2", flag={"help": "comma-separated dual indices"})

@@ -5,6 +5,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,9 @@ from mpmath import mp
 from muntz import (build_moment_data, build_weighted_domain, convergence_certificate,
                    dilation_operator, distance, fmt, gram, leading_section, power_exponents,
                    solve_moments, workbits)
-from muntz.cli import _PARSED, COMMANDS, DATA, LAM, MAX_PARSED_INPUTS, WD, run
+from muntz import cli, momentsolve
+from muntz.cli import (_PARSED, COMMANDS, DATA, LAM, MAX_PARSED_INPUTS, WD, _build_parser,
+                       _Inputs, _load_config, run)
 from muntz.gram import _ATTEMPTS
 
 from conftest import rel_err
@@ -482,6 +485,53 @@ def test_an_escalated_report_parses_each_block_once(tmp_path):
     assert [memo[:2] for memo in _PARSED] == [(WD.parse, 64), (LAM.parse, 64), (DATA.parse, 128)]
 
 
+def test_kept_data_serves_every_size(tmp_path, monkeypatch):
+    # d is keyed by the domain and exponents its fit reads, not by N or
+    # N_list: reports of other sizes that settle at one width fit it once
+    fits = []
+    fit = momentsolve.build_moment_data
+    monkeypatch.setattr(momentsolve, "build_moment_data", lambda *a: fits.append(a) or fit(*a))
+    cfg = write_config(tmp_path, exponents={**SQUARES_4, "count": 6}, d=["1"] * 6)
+    argvs = [["moments", "--config", cfg, "--N", "4", "--N-list", "2,4"],
+             ["moments", "--config", cfg, "--N", "6", "--N-list", "3,6"]]
+    warm = [invoke(argv) for argv in argvs]
+    assert len(fits) == 1
+    assert warm == [_cold(argv) for argv in argvs]
+    assert {json.loads(out)["results"]["precision_bits_used"] for _, out in warm} == {256}
+
+
+def test_a_block_parser_reads_only_the_inputs_it_names(tmp_path):
+    # handed the width and only the earlier inputs its Param names in
+    # reads, every block parser gives the value the report parsed, so
+    # those inputs' raws, with the width, fix the value the memo keeps
+    cfg = write_config(tmp_path, exponents={**SQUARES_4, "count": 6}, d=["1"] * 6,
+                       target={"kind": "muntz_combo", "coeffs": ["1", "0.5"]},
+                       operator={"kind": "dilation", "rho": "0.5"}, rho="0.5")
+    config, checked = _load_config(cfg), set()
+    for name, command in COMMANDS.items():
+        args = _build_parser().parse_args([name, "--config", cfg])
+        inputs = _Inputs(config, args, command.params)
+        assert inputs.width == 256
+        for param in command.params:
+            if param.parse is not None and param.flag is None:
+                view = SimpleNamespace(width=256, **{r: getattr(inputs, r) for r in param.reads})
+                assert param.parse(config[param.key], view) == getattr(inputs, param.name)
+                checked.add(param.key)
+    assert checked == {"domain", "exponents", "d", "target", "operator"}
+
+
+def test_an_absent_block_is_reported_before_the_section(tmp_path, capsys, monkeypatch):
+    def unreached(*args):
+        raise AssertionError("the section was factored")
+
+    monkeypatch.setattr(cli, "gram", unreached)
+    cfg = write_config(tmp_path)
+    for sizes in ([], ["--N", "2"]):
+        assert run(["moments", "--config", cfg, *sizes]) == 2
+        assert capsys.readouterr().err == \
+            "error[MalformedConfig]: config is missing required block 'd'\n"
+
+
 def test_a_failing_parse_is_not_kept(tmp_path, capsys):
     cfg = write_config(tmp_path, exponents=SQUARES_4, d=["1", "0.5", "q"])
     runs = [(run(["moments", "--config", cfg]), capsys.readouterr()) for _ in range(2)]
@@ -492,7 +542,7 @@ def test_a_failing_parse_is_not_kept(tmp_path, capsys):
 
 
 def test_the_input_memo_is_bounded(tmp_path):
-    # every report keeps its domain, and its exponents keyed by that domain
+    # every report keeps its own domain, and all share one exponents block
     for k in range(MAX_PARSED_INPUTS + 1):
         domain = {"intervals": [{"lo": "0", "hi": str(k + 1)}],
                   "weights": [{"coeff": "1", "power": "0"}]}
