@@ -16,9 +16,9 @@ at the width it settles at.
 A process that reports more than once (a script or server calling ``run``)
 keeps, as ``gram`` keeps factored sections, the config blocks it has
 parsed: the domain, exponents, moment data, target and operator.  A block
-met again at the same width, with the same inputs its parser reads, is
-not parsed again; inputs with a flag are cheap and always parsed.  A
-one-shot ``muntz`` run does the same work as before.
+met again at the same width, after the same blocks, is not parsed again;
+inputs with a flag are cheap and always parsed.  A one-shot ``muntz`` run
+does the same work as before.
 
 Exit codes: 0 success, 2 validation or config problems, 3 numerical
 failures that more precision might fix.  No config, however malformed,
@@ -95,10 +95,8 @@ class Param:
     block, empty where no config value feeds it), the argparse keywords
     of its overriding ``--name`` flag (or None), ``parse(raw, inputs)``
     for a given value (None is not given), the ``default`` (a value, a
-    function of the inputs, or REQUIRED), ``echo``, which writes the
-    value into the report's config, and ``reads``: the earlier inputs its
-    parser reads besides the width, and any their defaults read, whose
-    raws key, with its own, the value ``_PARSED`` keeps."""
+    function of the inputs, or REQUIRED), and ``echo``, which writes the
+    value into the report's config."""
 
     name: str
     key: str
@@ -106,16 +104,16 @@ class Param:
     default: Any = None
     flag: Optional[dict] = None
     echo: Optional[Callable[[Any], Any]] = None
-    reads: tuple = ()
 
 
 # A process reporting on a few domains and exponent families, with their
-# data and targets at each width they settle at: the 5 rounds of the
-# bench's section_sweep run (seed 1) parse 35 distinct blocks, and an LRU
-# of 31 keeps every one that is parsed again.  Each is a few tuples of mpf.
+# data, targets and operators at each width they settle at: the bench's
+# seed-1 runs parse 38 distinct blocks in 5 rounds of section_sweep, 20 in
+# 7 of partition_sweep and 8 in 6 of grid, and an LRU of 34, 20 and 8
+# keeps every one that is parsed again.  Each is a few tuples of mpf.
 MAX_PARSED_INPUTS = 64
-# (parser, width, canonical JSON of this input's raw and of each it reads)
-# -> parsed value, least recently used first
+# (parser, width, canonical JSON of each config block the command lists,
+# up to and including this one) -> parsed value, least recently used first
 _PARSED: OrderedDict[tuple, Any] = OrderedDict()
 
 
@@ -127,16 +125,17 @@ class _Inputs:
 
     Every required input is looked up before any is parsed, so an absent
     one is reported first.  A config block (an input with no flag) parsed
-    before in this process is taken from ``_PARSED``.  A parser reads only
-    the width and the earlier inputs it names, of a domain or exponents
-    only what no width rounds, so the raws of those key its value; a
+    before in this process is taken from ``_PARSED``.  A block parser
+    reads only the width, the domain and the exponents, which every
+    command lists first, and of those two only what no width rounds, so
+    the width and the raws of the blocks up to its own key its value.  A
     parse that raises is not kept, and raises again on the next report.
     """
 
     def __init__(self, cfg: dict, args, params):
         self.cfg, self.params, self.g = cfg, params, None
         self.bits, self.max_bits = _resolve_precision(cfg, args)
-        raws, texts = {}, {}
+        raws = []
         for param in params:
             raw = getattr(args, param.name) if param.flag is not None else None
             if raw is None and param.key:
@@ -145,18 +144,20 @@ class _Inputs:
                 raw = None if section is None else _expect(section, dict, block).get(key)
             if raw is None and param.default is REQUIRED:
                 raise MalformedConfig(f"config is missing required block {param.key!r}")
-            raws[param.name], texts[param.name] = raw, json.dumps(raw, sort_keys=True)
-        for param, raw in zip(params, raws.values()):
-            if raw is not None and param.flag is None:
-                memo = (param.parse, self.width, *map(texts.get, (param.name, *param.reads)))
+            raws.append(raw)
+        blocks = ()  # the canonical JSON of each config block so far, all required
+        for param, raw in zip(params, raws):
+            if raw is None:
+                value = param.default(self) if callable(param.default) else param.default
+            elif param.flag is not None:
+                value = param.parse(raw, self)
+            else:
+                blocks += (json.dumps(raw, sort_keys=True),)
+                memo = (param.parse, self.width, *blocks)
                 value = _PARSED.pop(memo) if memo in _PARSED else param.parse(raw, self)
                 _PARSED[memo] = value
                 if len(_PARSED) > MAX_PARSED_INPUTS:
                     _PARSED.popitem(last=False)
-            elif raw is not None:
-                value = param.parse(raw, self)
-            else:
-                value = param.default(self) if callable(param.default) else param.default
             setattr(self, param.name, value)
 
     width = property(lambda self: self.bits if self.g is None else self.g.precision_bits)
@@ -239,11 +240,11 @@ GRID = Param("grid_points", "grid_points", lambda raw, i: series.check_grid_poin
              1000, {"type": int}, int)
 SECTION = Param("g", "", None, _section)
 TARGET = Param("target", "target", lambda raw, i: series.target_from_json(
-    raw, i.lam, i.wd, i.width), REQUIRED, reads=("lam", "wd"))
+    raw, i.lam, i.wd, i.width), REQUIRED)
 DATA = Param("data", "d", lambda raw, i: momentsolve.build_moment_data(
-    i.wd, i.lam, _expect(raw, list, "d"), i.width), REQUIRED, reads=("wd", "lam"))
+    i.wd, i.lam, _expect(raw, list, "d"), i.width), REQUIRED)
 OPERATOR = Param("operator", "operator", lambda raw, i: operator.operator_from_json(
-    raw, i.lam, i.N, i.width), REQUIRED, reads=("lam", "N"))
+    raw, i.lam, i.width), REQUIRED)
 N1 = Param("n1", "partition.N1", _partition_side, lambda i: _partition_side([], i),
            {"help": "comma-separated power indices"}, list)
 N2 = replace(N1, name="n2", key="partition.N2", flag={"help": "comma-separated dual indices"})

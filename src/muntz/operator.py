@@ -92,19 +92,20 @@ def diagonal_operator(
 def operator_from_json(
     obj: dict,
     lam: ExponentSequence,
-    n: int,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> OperatorSpec:
     """Build from {"kind": "dilation", "rho": "0.5", "count": 20}, whose
-    count defaults to and is raised to n, or from
-    {"kind": "diagonal_list", "rho": "0.5", "u": [...]}."""
+    count defaults to and is raised to the exponent count, so that it
+    holds a multiplier for every exponent and serves a section of any
+    size, or from {"kind": "diagonal_list", "rho": "0.5", "u": [...]}.
+    A count above the exponent count raises ValidationError."""
     if not isinstance(obj, dict):
         raise MalformedConfig("operator must be a JSON object")
     kind, rho = obj.get("kind", "dilation"), obj.get("rho")
     if rho is None:
         raise MalformedConfig("operator block needs a rho value")
     if kind == "dilation":
-        count = n if obj.get("count") is None else max(n, to_int(obj["count"]))
+        count = len(lam) if obj.get("count") is None else max(len(lam), to_int(obj["count"]))
         return dilation_operator(lam, rho, count, precision_bits)
     if kind == "diagonal_list":
         if not isinstance(obj.get("u"), list):

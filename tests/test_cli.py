@@ -14,7 +14,7 @@ from mpmath import mp
 from muntz import (build_moment_data, build_weighted_domain, convergence_certificate,
                    dilation_operator, distance, fmt, gram, leading_section, power_exponents,
                    solve_moments, workbits)
-from muntz import cli, momentsolve
+from muntz import cli, momentsolve, operator
 from muntz.cli import (_PARSED, COMMANDS, DATA, LAM, MAX_PARSED_INPUTS, WD, _build_parser,
                        _Inputs, _load_config, run)
 from muntz.gram import _ATTEMPTS
@@ -500,10 +500,11 @@ def test_kept_data_serves_every_size(tmp_path, monkeypatch):
     assert {json.loads(out)["results"]["precision_bits_used"] for _, out in warm} == {256}
 
 
-def test_a_block_parser_reads_only_the_inputs_it_names(tmp_path):
-    # handed the width and only the earlier inputs its Param names in
-    # reads, every block parser gives the value the report parsed, so
-    # those inputs' raws, with the width, fix the value the memo keeps
+def test_a_block_parser_reads_only_the_width_and_earlier_blocks(tmp_path):
+    # handed the width and only the config blocks its command lists before
+    # it, every block parser gives the value the report parsed, so the
+    # raws of those blocks and its own, with the width, fix the value the
+    # memo keeps
     cfg = write_config(tmp_path, exponents={**SQUARES_4, "count": 6}, d=["1"] * 6,
                        target={"kind": "muntz_combo", "coeffs": ["1", "0.5"]},
                        operator={"kind": "dilation", "rho": "0.5"}, rho="0.5")
@@ -512,10 +513,13 @@ def test_a_block_parser_reads_only_the_inputs_it_names(tmp_path):
         args = _build_parser().parse_args([name, "--config", cfg])
         inputs = _Inputs(config, args, command.params)
         assert inputs.width == 256
+        earlier = {}
         for param in command.params:
-            if param.parse is not None and param.flag is None:
-                view = SimpleNamespace(width=256, **{r: getattr(inputs, r) for r in param.reads})
-                assert param.parse(config[param.key], view) == getattr(inputs, param.name)
+            if param.flag is None and param.key:
+                view = SimpleNamespace(width=256, **earlier)
+                value = param.parse(config[param.key], view)
+                assert value == getattr(inputs, param.name)
+                earlier[param.name] = value
                 checked.add(param.key)
     assert checked == {"domain", "exponents", "d", "target", "operator"}
 
@@ -621,6 +625,39 @@ def test_escalated_operator_parses_its_block_at_the_section_width(tmp_path, beta
     assert res["precision_bits_used"] == 128
     want = dilation_operator(power_exponents(1, Fraction(beta), 9, 128), rho, 9, 128)
     assert res["u"] == [fmt(u, 128) for u in want.u]
+
+
+def test_kept_operator_serves_every_size(tmp_path, monkeypatch):
+    # a dilation holds a multiplier for every exponent, so its block is
+    # keyed by the domain and exponents, not by N: three sizes parse it once
+    parses = []
+    parse = operator.operator_from_json
+    monkeypatch.setattr(operator, "operator_from_json", lambda *a: parses.append(a) or parse(*a))
+    cfg = write_config(tmp_path, exponents={**SQUARES_4, "count": 6},
+                       operator={"kind": "dilation", "rho": "0.5"})
+    argvs = [["operator", "--config", cfg, "--N", str(n)] for n in (3, 4, 5)]
+    warm = [invoke(argv) for argv in argvs]
+    assert len(parses) == 1
+    assert warm == [_cold(argv) for argv in argvs]
+    assert [len(json.loads(out)["results"]["u"]) for _, out in warm] == [3, 4, 5]
+
+
+def test_operator_count_past_the_exponents_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, exponents={**SQUARES_4, "count": 6},
+                       operator={"kind": "dilation", "rho": "0.5", "count": 7})
+    for n in ("3", "6"):
+        assert run(["operator", "--config", cfg, "--N", n]) == 2
+        assert capsys.readouterr().err == \
+            "error[ValidationError]: count exceeds exponent prefix\n"
+
+
+def test_operator_count_below_n_is_raised_to_it(tmp_path):
+    cfg = write_config(tmp_path, exponents={**SQUARES_4, "count": 6},
+                       operator={"kind": "dilation", "rho": "0.5", "count": 2})
+    rc, out = invoke(["operator", "--config", cfg, "--N", "4"])
+    assert rc == 0
+    want = dilation_operator(power_exponents(1, 2, 4, 256), "0.5", 4, 256)
+    assert json.loads(out)["results"]["u"] == [fmt(u, 256) for u in want.u]
 
 
 JUNK = st.one_of(

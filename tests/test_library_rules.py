@@ -230,6 +230,53 @@ def test_cli_builds_one_input_set_and_one_section_per_report():
     assert sorted(sites) == ["_Inputs", "gram"]
 
 
+# what the parser of a kept config block may read of a report's inputs
+BLOCK_READS = {"width", "wd", "lam"}
+
+
+def _block_parsers(tree):
+    """The parse argument of each top-level ``NAME = Param(...)`` of a
+    module with a config key and no flag, by NAME."""
+    parsers = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and _calls(node.value, "Param"):
+            args = dict(zip(("name", "key", "parse", "default", "flag"), node.value.args))
+            args.update((kw.arg, kw.value) for kw in node.value.keywords)
+            flag = args.get("flag", ast.Constant(None))
+            if ast.literal_eval(args["key"]) and isinstance(flag, ast.Constant) \
+                    and flag.value is None:
+                parsers[node.targets[0].id] = args["parse"]
+    return parsers
+
+
+def test_a_kept_block_reads_only_the_width_domain_and_exponents():
+    # ``_PARSED`` keys a config block by the width and the raws of every
+    # block its command lists up to it.  Each block parser is a lambda that
+    # reads only the width, the domain and the exponents, every command
+    # lists those two blocks first, and every block is required, so no
+    # absent block drops out of a key: the key holds all its value hangs on
+    from muntz import cli
+
+    parsers = _block_parsers(ast.parse((SRC / "cli.py").read_text()))
+    assert set(parsers) == {"WD", "LAM", "TARGET", "DATA", "OPERATOR"}
+    reads = {}
+    for name, fn in parsers.items():
+        assert isinstance(fn, ast.Lambda) and len(fn.args.args) == 2, name
+        inputs = fn.args.args[1].arg
+        uses = [sub for sub in ast.walk(fn.body) if isinstance(sub, ast.Name) and sub.id == inputs]
+        read = [sub.attr for sub in ast.walk(fn.body) if isinstance(sub, ast.Attribute)
+                and isinstance(sub.value, ast.Name) and sub.value.id == inputs]
+        assert len(read) == len(uses), f"{name} hands its inputs on whole"
+        reads[name] = set(read) - BLOCK_READS
+    assert reads == {name: set() for name in parsers}
+    kept = {getattr(cli, name).parse for name in parsers}
+    for command in cli.COMMANDS.values():
+        blocks = [param for param in command.params if param.flag is None and param.key]
+        assert {param.parse for param in blocks} <= kept
+        assert all(param.default is cli.REQUIRED for param in blocks)
+        assert [param.name for param in blocks[:2]] == ["wd", "lam"]
+
+
 def test_binary64_in_the_bound_helper_only():
     # the remez bound pass is the library's one use of binary64, so no
     # float reaches a reported value: only ``_kernel_bounds`` names

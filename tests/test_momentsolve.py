@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,3 +189,24 @@ def test_certificate_dual_norms_equal_per_section_solves(pieces, family):
         want.append(_dot([mpf_abs(data.d[k]._mpf_) for k in range(m)],
                          [mpf_sqrt(diags[k]._mpf_, bits, round_nearest) for k in range(m)], bits))
     assert [v._mpf_ for v in cert.partial_sums] == want
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the section's rounding at 256 bits leaves the partial sum at "
+                          "2^-102.3 and the solution norm at 2^-106.5")
+def test_certificate_keeps_its_promise_on_linear_n32():
+    # d_k = 3 * 0.6^k as 30-digit strings; the section settles at the
+    # requested P = 256 bits, so the solution norm and the partial sum
+    # should lie within 2^(-P/2) relative of the same certificate on the
+    # same section at 2P bits
+    with localcontext() as ctx:
+        ctx.prec = 30
+        d = [str(3 * Decimal("0.6") ** k) for k in range(1, 33)]
+    lam = power_exponents(1, 1, 32, 256)
+    g = gram(UNIT, lam, 32, 256)
+    bits = g.precision_bits
+    got, want = (convergence_certificate(s, [32], build_moment_data(UNIT, lam, d, s.precision_bits))
+                 for s in (g, gram(UNIT, lam, 32, 2 * bits)))
+    worst = max(rel_err(getattr(got, field)[0], getattr(want, field)[0])
+                for field in ("solution_norms", "partial_sums"))
+    assert worst < mp.mpf(2) ** -(bits // 2)
