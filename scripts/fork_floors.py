@@ -6,8 +6,7 @@ in pieces that this process and the long-lived workers of its pool
 claim one at a time, only when each process gets at least a floor of
 work: binary64 products
 of the bound pass for ``christoffel_remez``, N (N + 1) / 2 for each grid
-point past point 0 (``series._MIN_CHUNK_PRODUCTS``), subtree tasks for
-``hereditary_sweep`` (``operator._MIN_SWEEP_TASKS``) and columns for
+point past point 0 (``series._MIN_CHUNK_PRODUCTS``), and columns for
 ``dual_family`` (``duals._MIN_CHUNK_COLUMNS``).  This first prints the
 median round trip of one empty call through a started pool, then, for
 sizes around where each floor starts splitting on this host, the median
@@ -32,16 +31,13 @@ import sys
 import time
 from contextlib import contextmanager
 
-from muntz import (build_weighted_domain, christoffel_remez, dual_family, gram,
-                   hereditary_sweep, power_exponents)
+from muntz import build_weighted_domain, christoffel_remez, dual_family, gram, power_exponents
 import muntz.duals as duals_module
 import muntz.forkmap as forkmap_module
-import muntz.operator as operator_module
 import muntz.series as series_module
 
 FAMILIES = {"squares": 2, "linear": 1, "sqrt": "1/2"}
 FLOORS = {"remez": (series_module, "_MIN_CHUNK_PRODUCTS"),
-          "sweep": (operator_module, "_MIN_SWEEP_TASKS"),
           "duals": (duals_module, "_MIN_CHUNK_COLUMNS")}
 
 
@@ -100,13 +96,12 @@ def main() -> int:
         return gram(wd, power_exponents(1, beta, n, args.bits), n, args.bits)
 
     # the remez sizes in grid points past point 0, at 2^9..2^13 products
-    # of the bound pass a process; the sweep around N = floor, where its
-    # 2N tasks split, and the family from a few columns a process up
+    # of the bound pass a process, and the family from a few columns a
+    # process up
     if args.tiny:
-        sizes = {"remez": [2 ** 9], "sweep": [2], "duals": [2]}
+        sizes = {"remez": [2 ** 9], "duals": [2]}
     else:
         sizes = {"remez": [2 ** e for e in range(9, 14)],
-                 "sweep": sorted({max(2, floors["sweep"] + d) for d in (-2, -1, 0, 1, 2)}),
                  "duals": [4, 6, 8, 10, 15, 20, 30]}
     cases = []
     for n in (6, 16):
@@ -119,8 +114,6 @@ def main() -> int:
                            f"grid points past 0, {label} N = {n}, rho = {rho}, "
                            f"2^{products.bit_length() - 1} products a process")
                           for products in sizes["remez"]]
-    cases += [("sweep", size, lambda n, g=section(size): hereditary_sweep(g), "N")
-              for size in sizes["sweep"]]
     cases += [("duals", size, lambda n, g=section(size): dual_family(g), "N")
               for size in sizes["duals"]]
 

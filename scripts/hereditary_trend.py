@@ -7,8 +7,9 @@ survives as sections grow.  The margin is the L2 smallest singular value
 of the normalized mixed system (each function scaled to unit norm): the
 square root of its lower Riesz constant, which does not depend on how
 the powers are scaled.  For each section size this prints the worst
-margin over all partitions (by Cauchy interlacing, the smaller of the
-all-powers and all-duals margins), and the margin of two fixed partition
+margin over all partitions, the smallest over ``hereditary_sweep``'s
+head/tail rows (by Cauchy interlacing, the smaller of the all-powers
+and all-duals margins), and the margin of two fixed partition
 patterns, N2 = the even indices and N2 = every third index, on domains
 with and without a gap below the right endpoint.
 """
@@ -16,7 +17,7 @@ with and without a gap below the right endpoint.
 import argparse
 import sys
 
-from muntz import build_weighted_domain, gram, hereditary_check, power_exponents
+from muntz import build_weighted_domain, gram, hereditary_check, hereditary_sweep, power_exponents
 
 
 DOMAINS = {
@@ -44,10 +45,7 @@ def main() -> int:
         wd = build_weighted_domain(intervals, [(1, 0)] * len(intervals), args.bits)
         for section in range(2, args.max_N + 1):
             g = gram(wd, lam, section, args.bits)
-            # by Cauchy interlacing the worst partition is all powers or all duals
-            everything = list(range(1, section + 1))
-            worst = min(hereditary_check(g, (everything, [])).min_singular_value,
-                        hereditary_check(g, ([], everything)).min_singular_value)
+            worst = min(rep.min_singular_value for rep in hereditary_sweep(g))
             rows = [(f"all {2 ** section}", worst)]
             for name, is_dual in PATTERNS.items():
                 n2 = [i for i in range(1, section + 1) if is_dual(i)]

@@ -207,8 +207,6 @@ def _sizes(raw, inputs) -> list:
 def _sweep(raw, inputs):
     if not isinstance(raw, bool):
         raise MalformedConfig("sweep must be true or false")
-    if raw and inputs.N > 12:
-        raise MalformedConfig("partition sweep limited to N <= 12")
     return raw or None
 
 

@@ -9,9 +9,8 @@ runs slow for at most the piece it is on, and this process always runs
 its own share: the call's time follows the calling core.
 ``series.christoffel_remez`` splits its grid points with it, by
 interleaved residue classes, each process bounding the points of its
-pieces (``series._MIN_CHUNK_PRODUCTS``), ``operator.hereditary_sweep``
-its subset walks (``operator._MIN_SWEEP_TASKS``) and
-``duals.dual_family`` its inverse columns with their residual maxima
+pieces (``series._MIN_CHUNK_PRODUCTS``), and ``duals.dual_family``
+its inverse columns with their residual maxima
 (``duals._MIN_CHUNK_COLUMNS``); each value is bit for bit the serial
 one, whichever process runs which piece.  Each caller hands the map a
 module-level function and, as ``marshal`` values, what it read of the

@@ -59,8 +59,8 @@ This module alone grows a factor, too.  A ``_Factor`` holds the raw
 lower rows of a symmetric matrix, their Cholesky rows and L^-1 by rows
 and by columns; ``_grown`` adds one index to it, sharing the parts of
 the factor it grows, and ``_factored`` folds it over a matrix's rows.
-The mixed-system blocks of ``operator`` grow through it, and so do the
-shifted matrices of the inverse iteration, ``_smallest_eigenvalue``.
+The mixed-system blocks of ``operator`` are factored through it, and so
+are the shifted matrices of the inverse iteration, ``_smallest_eigenvalue``.
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ mixed system is diag(G[N1,N1], G^-1[N2,N2]).  Its reported
 mixed system (each function scaled to unit norm) as a map from l2 into
 L2_w(A): the square root of the smaller lambda_min of the two
 Jacobi-scaled principal blocks.  It does not depend on how the powers
-are scaled.
+are scaled.  ``hereditary_sweep`` reports the N + 1 head/tail
+partitions N1 = {1..m}; by Cauchy interlacing the worst margin over all
+2**N partitions is among them.
 
 Everything here computes at the section's width, ``precision_bits``,
 passed to each step, and none of it reads or sets mpmath's working
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
@@ -41,13 +43,11 @@ from .errors import (
     LengthMismatch,
     MalformedConfig,
     NotPositiveDefinite,
-    NumericalError,
     ValidationError,
     ZeroEigenvalue,
 )
 from .exponents import ExponentSequence
-from .forkmap import _Result, _Span, _forked_map
-from .gram import (GramMatrix, _Factor, _grown, _inverse_block, _mpfs, _smallest_eigenvalue,
+from .gram import (GramMatrix, _factored, _inverse_block, _mpfs, _smallest_eigenvalue,
                    _unit_columns, solve_spd)
 from .precision import DEFAULT_PRECISION_BITS, Real, _dot, _shown, to_int, to_mpf
 from .series import MuntzSeries, evaluate
@@ -282,45 +282,21 @@ def hereditary_check(
             f"index sets {n1} and {n2} must split 1..{g.n} disjointly"
         )
     rows, bits = g.entry_rows, g.precision_bits
-    powers = _block_spectrum([[rows[i - 1][j - 1] for j in n1[:a + 1]]
-                              for a, i in enumerate(n1)], bits) if n1 else None
-    duals = _block_spectrum(_inverse_block(g, [j - 1 for j in n2]), bits) if n2 else None
-    return _report(g, n1, n2, powers, duals)
-
-
-# A mixed-system block is the tuple (factor, prod L_aa**2, prod A_aa) of raw
-# values: the ``gram._Factor`` of the Jacobi-scaled block S A S of a
-# symmetric A on a set of indices, grown one index at a time by ``_grow``,
-# and two products, each multiplied up in index order as ``mp.fprod`` does,
-# whose product is det A.  ``_EMPTY`` is the block on no index, and None one
-# whose factor did not extend.
-_EMPTY = (_Factor(), fone, fone)
-
-
-def _grow(block: Optional[tuple], row, diagonal: tuple, prec: int) -> Optional[tuple]:
-    """The block with one index more, after its own: ``row`` is the raw
-    scaled lower row of that index, diagonal last, and ``diagonal`` its
-    raw unscaled A_ii.  Its factor is ``gram._grown``; None when that
-    does not extend, or the block is None already."""
-    if block is None:
-        return None
-    factor, squares, diagonals = block
-    factor = _grown(factor, row, prec)
-    if factor is None:
-        return None
-    pivot = factor.chol[-1][-1]
-    return (factor,
-            mpf_mul(squares, mpf_mul(pivot, pivot, prec, round_nearest), prec, round_nearest),
-            mpf_mul(diagonals, diagonal, prec, round_nearest))
-
-
-def _spectrum(block: Optional[tuple], size: int, prec: int) -> Tuple[tuple, tuple]:
-    """Raw (lambda_min(S A S), det A) of a grown block of ``size`` indices,
-    at ``prec``."""
-    if block is None:
-        raise NotPositiveDefinite(f"a {size}x{size} mixed-system block does not factor")
-    factor, squares, diagonals = block
-    return _smallest_eigenvalue(factor, prec), mpf_mul(squares, diagonals, prec, round_nearest)
+    spectra, det = [], fone
+    if n1:
+        spectra.append(_block_spectrum([[rows[i - 1][j - 1] for j in n1[:a + 1]]
+                                        for a, i in enumerate(n1)], bits)[0])
+    if n2:
+        lam_min, det = _block_spectrum(_inverse_block(g, [j - 1 for j in n2]), bits)
+        spectra.append(lam_min)
+    smin = mpf_sqrt(min(spectra, key=mp.make_mpf), bits, round_nearest)
+    return MixedSystemReport(
+        n1=n1,
+        n2=n2,
+        mixed_matrix_det=mp.make_mpf(det),
+        min_singular_value=mp.make_mpf(smin),
+        nonsingular=mpf_gt(smin, mpf_shift(fone, -(bits // 2))),
+    )
 
 
 def _jacobi_scaled(rows, prec: int) -> Tuple[List[List[tuple]], List[tuple]]:
@@ -336,115 +312,34 @@ def _jacobi_scaled(rows, prec: int) -> Tuple[List[List[tuple]], List[tuple]]:
 
 def _block_spectrum(rows, prec: int) -> Tuple[tuple, tuple]:
     """Raw (lambda_min(S A S), det A) at ``prec`` for the raw lower rows of
-    a symmetric block A, the block grown over its indices in order;
-    lambda_min comes from ``_smallest_eigenvalue``.  Raises
-    NotPositiveDefinite when S A S does not factor."""
+    a symmetric block A: S A S is factored by ``gram._factored`` and
+    lambda_min comes from ``_smallest_eigenvalue``; det A is
+    prod L_aa**2 times prod A_aa, each multiplied up in index order as
+    ``mp.fprod`` does.  Raises NotPositiveDefinite when S A S does not
+    factor."""
     scaled, diag = _jacobi_scaled(rows, prec)
-    block = _EMPTY
-    for row, d in zip(scaled, diag):
-        block = _grow(block, row, d, prec)
-    return _spectrum(block, len(rows), prec)
-
-
-def _subtree_spectra(scaled, diag, top: int, prec: int) -> List[_Result]:
-    """``_block_spectrum`` at ``prec`` of the principal block of S A S on
-    every index subset whose smallest index is ``top``, in increasing
-    bitmask order (bit i for index i), or the error it raises; ``scaled``
-    and ``diag`` are ``_jacobi_scaled`` of A.
-
-    Depth first: a subset's block is grown from its parent's, the subset
-    less its largest index, by that index, so its parts are those the
-    fold in ``_block_spectrum`` reaches.  Only the blocks on the current
-    path are alive.
-    """
-    n, out = len(diag), {}
-
-    def visit(mask: int, idx: Tuple[int, ...], block: Optional[tuple]) -> None:
-        i = idx[-1]
-        block = _grow(block, [scaled[i][j] for j in idx], diag[i], prec)
-        try:
-            out[mask] = _spectrum(block, len(idx), prec)
-        except NumericalError as exc:
-            out[mask] = exc
-        for j in range(i + 1, n):
-            visit(mask | 1 << j, idx + (j,), block)
-
-    visit(1 << top, (top,), _EMPTY)
-    return [out[mask] for mask in sorted(out)]
-
-
-def _report(g: GramMatrix, n1: Tuple[int, ...], n2: Tuple[int, ...],
-            powers: Optional[_Result], duals: Optional[_Result]) -> MixedSystemReport:
-    """The report for the sorted index sets n1 and n2 that split 1..N, from
-    the raw spectra of their blocks of S G S and T G^-1 T (None for an
-    empty set); a block's error is raised instead, the N1 block's first."""
-    spectra = [s for s in (powers, duals) if s is not None]
-    for s in spectra:
-        if isinstance(s, NumericalError):
-            raise s
-    bits = g.precision_bits
-    smin = mpf_sqrt(min((lam_min for lam_min, _ in spectra), key=mp.make_mpf), bits, round_nearest)
-    return MixedSystemReport(
-        n1=n1,
-        n2=n2,
-        mixed_matrix_det=mp.make_mpf(duals[1] if duals is not None else fone),
-        min_singular_value=mp.make_mpf(smin),
-        nonsingular=mpf_gt(smin, mpf_shift(fone, -(bits // 2))),
-    )
-
-
-# The sweep splits from N = 3 on, 2N subtree tasks at 3 or more per
-# process: a pool round trip costs about 0.05 ms, and its two walks take
-# about 3 ms at N = 3 and 0.7 ms at N = 2.  Split over 2 cores through
-# the started pool (scripts/fork_floors.py --repeats 7 and 9, three
-# runs) it took 0.63-0.99 of its serial time at N = 3, 0.61-0.94 at
-# N = 4 and 0.53-0.80 at N = 6, but 0.84-1.10 at N = 2.
-_MIN_SWEEP_TASKS = 3
-
-
-def _sweep_tasks(walks, prec: int, spans: Iterable[_Span]) -> Iterator[List[_Result]]:
-    """The ``_subtree_spectra`` of tasks lo..hi-1 of the two walks for
-    each span (lo, hi) drawn from ``spans``, each walk
-    (``_jacobi_scaled`` rows, diagonal) of an N-by-N block: task t walks
-    the subsets of walk t // N whose smallest index is t % N."""
-    n = len(walks[0][1])
-    for lo, hi in spans:
-        yield [r for t in range(lo, hi) for r in _subtree_spectra(*walks[t // n], t % n, prec)]
+    factor = _factored(scaled, prec)
+    if factor is None:
+        raise NotPositiveDefinite(f"a {len(rows)}x{len(rows)} mixed-system block does not factor")
+    squares = diagonals = fone
+    for row, d in zip(factor.chol, diag):
+        squares = mpf_mul(squares, mpf_mul(row[-1], row[-1], prec, round_nearest), prec,
+                          round_nearest)
+        diagonals = mpf_mul(diagonals, d, prec, round_nearest)
+    return _smallest_eigenvalue(factor, prec), mpf_mul(squares, diagonals, prec, round_nearest)
 
 
 def hereditary_sweep(g: GramMatrix) -> List[MixedSystemReport]:
-    """hereditary_check over all 2**N partitions of the section, each
-    inverse column read once, as far as ``hereditary_check`` reads it,
-    here before the split, through ``gram._inverse_block``, and each
-    block grown from a smaller one (``_subtree_spectra``): the
-    same reports, and the error the first failing partition raises.
+    """``hereditary_check`` over the N + 1 head/tail partitions of the
+    section, N1 = {1..m} and N2 = {m+1..N} for m = 0..N, in m order; the
+    first failing partition's error propagates.
 
-    Partition ``mask`` puts index i + 1 in N2 (duals) when bit i is set,
-    and the reports come in increasing mask order.  By Cauchy interlacing
-    every block is a principal block of S G S or of T G^-1 T (S and T
-    scale each to unit diagonal), so the smallest ``min_singular_value``
-    over all partitions is that of N2 empty or of N1 empty.
-
-    The two subset walks, of S G S and of T G^-1 T, are cut into 2N
-    tasks, one per walk and smallest index, and ``forkmap._forked_map``
-    runs them (``_sweep_tasks``) at ``_MIN_SWEEP_TASKS`` or more per
-    process, handing a worker the two Jacobi-scaled walks, each process
-    claiming contiguous pieces of the tasks until none is left.
-    The results are combined by mask, so every report and the raised
-    error are bit for bit the serial sweep's.
+    The powers' block of each is a leading section of S G S and its
+    duals' block a trailing block of T G^-1 T (S and T scale each to unit
+    diagonal).  By Cauchy interlacing every other mixed system's blocks
+    are principal blocks of these two, so the smallest
+    ``min_singular_value`` over all 2**N partitions is that of m = 0 or
+    m = N, both of which are here.
     """
-    n, bits = g.n, g.precision_bits
-    walks = [_jacobi_scaled(rows, bits) for rows in (g.entry_rows, _inverse_block(g, range(n)))]
-    results = iter(_forked_map(_sweep_tasks, (walks, bits), 2 * n, _MIN_SWEEP_TASKS))
-    powers, duals = tables = {}, {}
-    for table in tables:
-        for i in range(n):
-            # task i of a walk: the masks whose lowest set bit is i
-            for mask in range(1 << i, 1 << n, 2 << i):
-                table[mask] = next(results)
-    reports = []
-    for mask in range(2 ** n):
-        n2 = tuple(i + 1 for i in range(n) if mask & (1 << i))
-        n1 = tuple(i + 1 for i in range(n) if not mask & (1 << i))
-        reports.append(_report(g, n1, n2, powers.get(mask ^ (2 ** n - 1)), duals.get(mask)))
-    return reports
+    idx = range(1, g.n + 1)
+    return [hereditary_check(g, (idx[:m], idx[m:])) for m in range(g.n + 1)]

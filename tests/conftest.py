@@ -46,11 +46,8 @@ def fresh_pool():
 
 def force_sweep_forking(monkeypatch, cores):
     """Let ``hereditary_sweep`` run as on a host with ``cores`` usable
-    cores, down to one subtree task per process."""
-    import muntz.operator as operator_module
-
+    cores."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-    monkeypatch.setattr(operator_module, "_MIN_SWEEP_TASKS", 1)
 
 
 def mpf_(x, bits=CHECK_BITS):

@@ -27,7 +27,7 @@ from muntz import (
     evaluate,
     explicit_exponents,
     gram,
-    hereditary_sweep,
+    hereditary_check,
     oracle_distance,
     power_exponents,
     project,
@@ -233,7 +233,10 @@ def test_criterion_07_hereditary_completeness():
     worst = mp.mpf(0)
     for wd in (UNIT, two_piece):
         g = gram(wd, SQUARES, 8, 256)
-        reports = hereditary_sweep(g)
+        # every split of 1..8, index i + 1 a dual when bit i of the mask is set
+        reports = [hereditary_check(g, ([i + 1 for i in range(8) if not mask >> i & 1],
+                                        [i + 1 for i in range(8) if mask >> i & 1]))
+                   for mask in range(2 ** 8)]
         ok = ok and len(reports) == 2 ** 8
         for rep in reports:
             ok = ok and rep.nonsingular and rep.mixed_matrix_det > 0

@@ -243,7 +243,22 @@ def test_hereditary_sweep_csv(tmp_path):
     assert rc == 0
     lines = out.strip().splitlines()
     assert lines[0] == "N1,N2,det,min_singular_value,nonsingular"
-    assert len(lines) == 5  # header + 2**2 partitions
+    assert len(lines) == 4  # header + the N + 1 = 3 head/tail partitions
+
+
+def test_hereditary_sweep_runs_past_sixteen(tmp_path):
+    # --sweep takes any N: at N = 16 its 17 rows are the head/tail
+    # partitions N1 = 1..m, N2 = m+1..16 in m order
+    cfg = write_config(tmp_path, exponents={"kind": "power", "c": "1", "beta": "1",
+                                            "count": 16})
+    rc, out = invoke(["hereditary", "--config", cfg, "--sweep", "--N", "16"])
+    assert rc == 0
+    res = json.loads(out)["results"]
+    idx = [str(i) for i in range(1, 17)]
+    assert res["partitions"] == 17
+    assert [row[:2] for row in res["rows"]] == [
+        [",".join(idx[:m]) or "-", ",".join(idx[m:]) or "-"] for m in range(17)]
+    assert all(row[4] is True for row in res["rows"])
 
 
 def test_operator_cli(tmp_path):

@@ -25,6 +25,7 @@ import tempfile
 
 import pytest
 
+import muntz.forkmap as forkmap_module
 from muntz.cli import _build_parser, run
 from conftest import force_sweep_forking
 
@@ -131,8 +132,8 @@ DIGESTS = {
     "hereditary": "3705f05803958e0696ec5ae873db468abbb94276fc5ede5e4dc79193eb804fac",
     "hereditary_csv": "7e6ece3c2be82189b544a70be2ab65a6056edd853dfa251fa891bb0f9f0557e5",
     "hereditary_escalated": "44af8e8464cab794030826bf730e88cf08a9914788054a8df9834e77d8153e51",
-    "hereditary_sweep": "25a576dd54b299db6efe5df0abcc5a7acd6a340f81c7700aeaa9acefa0ea925e",
-    "hereditary_sweep_csv": "e0a8e0bfd1595a94a6b45e2f3d430cfcd94c0421dab1c8680906baf929c1ef0e",
+    "hereditary_sweep": "78a0e97e49988937c36b1e3af505a0b1cd6ea90bebdb40dce8043284700350ce",
+    "hereditary_sweep_csv": "911cd5df0629446722458229ab895f3644c48105688b591fd35d920d3d4f906e",
     "moments": "18df652919dc04353daaade92f188bea7de400c5813f996f358274c642a1fd81",
     "moments_csv": "e744d005bde2762862f5c3e311c69cc2b7da1034ba69feb2b69c6e7e2a2374b9",
     "moments_escalated": "ef232154ba04b7906c62c23c0ffb3373ffa953be5e83d310c22c603d8ccac503",
@@ -180,10 +181,12 @@ def test_report_bytes_with_a_warm_store(tmp_path, monkeypatch):
 @pytest.mark.parametrize("cores", [2, 3, 4])
 @pytest.mark.parametrize("case", ["hereditary_sweep", "hereditary_sweep_csv"])
 def test_forked_sweep_report_bytes(case, cores, tmp_path, monkeypatch):
-    # the sweep's subtree tasks over several processes, one task each allowed
+    # the sweep's bytes do not depend on the usable core count, and it
+    # starts no worker of the fork-map pool
     monkeypatch.delenv("MUNTZ_PRECISION_BITS", raising=False)
     force_sweep_forking(monkeypatch, cores)
     assert _digest(case, tmp_path) == DIGESTS[case]
+    assert forkmap_module._POOL == []
 
 
 def test_parser_reused_after_a_rejected_argv(tmp_path, monkeypatch):

@@ -506,7 +506,8 @@ def test_forking_callers_grow_the_stored_inverse_first(caller, n, monkeypatch):
     # on a cold store each caller grows the section's L^-1 in this process
     # before it hands pieces to the pool's workers, so that the store
     # keeps it; the value is bit for bit the serial one.  The remez grid
-    # splits its 1000 points past point 0
+    # splits its 1000 points past point 0; the sweep grows it and starts
+    # no worker
     call = {"dual_family": dual_family, "hereditary_sweep": hereditary_sweep,
             "christoffel_remez": lambda g: christoffel_remez(g, "0.9", 1001)}[caller]
     lam = power_exponents(1, "0.5", n)
@@ -524,7 +525,8 @@ def test_forking_callers_grow_the_stored_inverse_first(caller, n, monkeypatch):
     fds = open_fds()
     use_cores(monkeypatch, 2)
     assert call(g) == serial
-    assert grown == [n]
+    assert grown == ([] if caller == "hereditary_sweep" else [n])
+    assert len(g._attempt.inverse) == n
     (attempt,) = GRAM_MODULE._ATTEMPTS.values()
     assert attempt.inverse is g._attempt.inverse
     assert_pool_stops_clean(fds)

@@ -177,11 +177,11 @@ def test_no_module_reads_the_global_width():
     assert hits == ["__init__.py:<module>", "precision.py:workbits"]
 
 
-def test_three_functions_call_the_fork_map():
+def test_two_functions_call_the_fork_map():
     # besides the imports of the helper
     assert _functions_naming("_forked_map") == [
-        "duals.py:<module>", "duals.py:dual_family", "operator.py:<module>",
-        "operator.py:hereditary_sweep", "series.py:<module>", "series.py:christoffel_remez"]
+        "duals.py:<module>", "duals.py:dual_family", "series.py:<module>",
+        "series.py:christoffel_remez"]
 
 
 def test_the_fork_map_gets_module_level_defs():
@@ -206,7 +206,6 @@ def test_the_fork_map_gets_module_level_defs():
                     ok = (isinstance(fn, ast.Name) and fn.id in top and fn.id not in bound)
                     handed[f"{path.name}:{caller.name}"] = fn.id if ok else ast.dump(fn)
     assert handed == {"duals.py:dual_family": "_family_columns",
-                      "operator.py:hereditary_sweep": "_sweep_tasks",
                       "series.py:christoffel_remez": "_remez_chunk"}
 
 

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
-from mpmath.libmp import fone, fzero
 
 from muntz import (
     MuntzSeries,
@@ -53,7 +52,7 @@ from muntz.errors import (
 import muntz.forkmap as forkmap_module
 import muntz.operator as operator_module
 import muntz.series as series_module
-from muntz.gram import _factored, _substitute_forward
+from muntz.gram import _factored, _smallest_eigenvalue
 from conftest import force_sweep_forking, mpf_, rel_err
 from oracles import inverse_principal_minor
 
@@ -319,12 +318,13 @@ def test_min_singular_value_against_eigsy_oracle(domain, family):
 @pytest.mark.parametrize("domain", ["unit", "two_piece"])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_sweep_rows_equal_single_checks(domain, family):
-    # 128 rows per cell, 768 over the six: the sweep's inverse columns are
-    # bit for bit the ones hereditary_check solves for, and each block
-    # grown from its parent subset is the one folded over its indices
+    # 8 rows per cell: the head/tail partitions N1 = {1..m}, m = 0..7 in
+    # order, each bit for bit hereditary_check's
     wd = {"unit": UNIT, "two_piece": TWO_PIECE}[domain]
     g = gram(wd, power_exponents(*FAMILIES[family], 7), 7)
-    for rep in hereditary_sweep(g):
+    reports = hereditary_sweep(g)
+    assert [(rep.n1, rep.n2) for rep in reports] == _head_tail(7)
+    for rep in reports:
         one = hereditary_check(g, (rep.n1, rep.n2))
         assert rep.mixed_matrix_det == one.mixed_matrix_det
         assert rep.min_singular_value == one.min_singular_value
@@ -333,9 +333,10 @@ def test_sweep_rows_equal_single_checks(domain, family):
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_grown_block_equals_factoring_from_scratch(family):
-    # a block grown one index at a time has the factor, L^-1 (the forward
-    # solves of the unit vectors) and the determinant products that
-    # factoring its rows at once gives
+    # a principal block's spectrum is that of the Jacobi-scaled block cut
+    # from the whole, factored at once, and its determinant the product of
+    # the squared pivots and of the diagonal, each multiplied up in index
+    # order as mp.fprod does
     g = gram(TWO_PIECE, power_exponents(*FAMILIES[family], 8), 8)
     rng = random.Random(family)
     with workbits(g.precision_bits):
@@ -343,34 +344,32 @@ def test_grown_block_equals_factoring_from_scratch(family):
         scaled, diag = operator_module._jacobi_scaled(g.entry_rows, prec)
         for _ in range(6):
             idx = sorted(rng.sample(range(8), rng.randint(1, 8)))
+            block = [[g.entry_rows[i][j] for j in idx[:a + 1]] for a, i in enumerate(idx)]
             rows = [[scaled[i][j] for j in idx[:a + 1]] for a, i in enumerate(idx)]
-            block = operator_module._EMPTY
-            for a, i in enumerate(idx):
-                block = operator_module._grow(block, rows[a], diag[i], prec)
-            factor, squares, diagonals = block
-            chol = _factored(rows, prec).chol
-            assert factor.rows == rows
-            assert factor.chol == chol
-            k = len(idx)
-            cols = [_substitute_forward(chol, [fone if i == j else fzero for i in range(k)],
-                                        prec)[j:] for j in range(k)]
-            assert factor.inv_cols == cols
-            assert factor.inv_rows == [[col[i - j] for j, col in enumerate(cols[:i + 1])]
-                                       for i in range(k)]
-            assert squares == mp.fprod(mp.make_mpf(r[a]) ** 2 for a, r in enumerate(chol))._mpf_
-            assert diagonals == mp.fprod(mp.make_mpf(diag[i]) for i in idx)._mpf_
+            assert operator_module._jacobi_scaled(block, prec) == (rows, [diag[i] for i in idx])
+            lam_min, det = operator_module._block_spectrum(block, prec)
+            factor = _factored(rows, prec)
+            assert lam_min == _smallest_eigenvalue(factor, prec)
+            squares = mp.fprod(mp.make_mpf(r[-1]) ** 2 for r in factor.chol)
+            assert det == (squares * mp.fprod(mp.make_mpf(diag[i]) for i in idx))._mpf_
 
 
 def _block_key(rows):
     return tuple(map(tuple, rows))
 
 
+def _head_tail(n):
+    """The head/tail partitions N1 = {1..m}, N2 = {m+1..n}, m = 0..n."""
+    idx = tuple(range(1, n + 1))
+    return [(idx[:m], idx[m:]) for m in range(n + 1)]
+
+
 def _first_check_error(g):
     """The type and message of the error hereditary_check raises on the
-    first partition, in increasing mask order, that raises one."""
-    for mask in range(2 ** g.n):
+    first head/tail partition, in m order, that raises one."""
+    for part in _head_tail(g.n):
         try:
-            hereditary_check(g, _split(mask, g.n))
+            hereditary_check(g, part)
         except (NotPositiveDefinite, PrecisionExhausted) as exc:
             return type(exc), str(exc)
     return None
@@ -386,10 +385,9 @@ def _sweep_error(g):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_sweep_raises_the_first_failing_partition_error(seed, monkeypatch):
-    # blocks chosen at random fail in _smallest_eigenvalue; the sweep,
-    # which computes every block before it reports, must raise what
-    # hereditary_check over increasing masks raises first, the N1
-    # block's error before the N2 block's
+    # blocks chosen at random fail in _smallest_eigenvalue; the sweep must
+    # raise what hereditary_check over the head/tail partitions in m
+    # order raises first, the N1 block's error before the N2 block's
     g = gram(UNIT, power_exponents(1, 2, 4), 4)
     original = operator_module._smallest_eigenvalue
     blocks = []
@@ -399,20 +397,20 @@ def test_sweep_raises_the_first_failing_partition_error(seed, monkeypatch):
         return original(a, prec)
 
     monkeypatch.setattr(operator_module, "_smallest_eigenvalue", recording)
-    for mask in range(2 ** 4):
-        hereditary_check(g, _split(mask, 4))
-    # two blocks per partition but mask 0 and 15; blocks with the same rows
+    for part in _head_tail(4):
+        hereditary_check(g, part)
+    # two blocks per partition but m = 0 and 4; blocks with the same rows
     # (the scaled 1x1 blocks are all [[1]]) fail together
-    assert len(blocks) == 2 * (2 ** 4 - 1)
+    assert len(blocks) == 2 * 4
     distinct = sorted(set(blocks), key=blocks.index)
 
     rng = random.Random(seed)
     errors = (NotPositiveDefinite, PrecisionExhausted)
     failing = {key: (rng.choice(errors), f"forced on block {n}")
                for n, key in enumerate(rng.sample(distinct, rng.randint(1, 4)))}
-    if seed == 0:   # both 2x2 blocks of mask 5: the N1 block's error wins
-        failing = {blocks[9]: (PrecisionExhausted, "N1 block"),
-                   blocks[10]: (NotPositiveDefinite, "N2 block")}
+    if seed == 0:   # both 2x2 blocks of m = 2: the N1 block's error wins
+        failing = {blocks[3]: (PrecisionExhausted, "N1 block"),
+                   blocks[4]: (NotPositiveDefinite, "N2 block")}
 
     def failing_on_chosen(a, prec):
         if _block_key(a.rows) in failing:
@@ -426,15 +424,16 @@ def test_sweep_raises_the_first_failing_partition_error(seed, monkeypatch):
     assert _sweep_error(g) == want
     if seed == 0:
         assert want == (PrecisionExhausted, "N1 block")
-    # forked, a child's error comes back with its type and message
+    # the usable core count changes nothing, and no worker starts
     for cores in (2, 3, 4):
         force_sweep_forking(monkeypatch, cores)
         assert _sweep_error(g) == want, cores
+        assert forkmap_module._POOL == []
 
 
 def test_sweep_raises_the_check_error_when_a_block_does_not_factor(unit_domain, monkeypatch):
-    # G[{2,3},{2,3}] indefinite: every N1 block holding both fails, the
-    # 3x3 of mask 0 first
+    # G[{2,3},{2,3}] indefinite: the one head/tail N1 block holding both,
+    # the 3x3 of m = 3, fails
     g = gram(unit_domain, power_exponents(1, 2, 3), 3)
     with workbits(g.precision_bits):
         rows = [list(row) for row in g.entry_rows]
@@ -446,6 +445,7 @@ def test_sweep_raises_the_check_error_when_a_block_does_not_factor(unit_domain, 
     for cores in (2, 3, 4):
         force_sweep_forking(monkeypatch, cores)
         assert _sweep_error(bad) == want, cores
+        assert forkmap_module._POOL == []
 
 
 def _report_bits(reports):
@@ -457,66 +457,19 @@ def _report_bits(reports):
 @pytest.mark.parametrize("domain", ["unit", "two_piece"])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_forked_sweep_equals_serial_bits(domain, family, monkeypatch):
-    # 2N subtree tasks over 2, 3 and 4 processes, one task each allowed
+    # the N + 1 rows on hosts of 1 to 4 usable cores: the same bits, and
+    # the sweep starts no worker of the fork-map pool
     wd = {"unit": UNIT, "two_piece": TWO_PIECE}[domain]
     lam = power_exponents(*FAMILIES[family], 7)
     for n in (1, 2, 7):
         g = gram(wd, lam, n)
         force_sweep_forking(monkeypatch, 1)
         serial = _report_bits(hereditary_sweep(g))
-        assert len(serial) == 2 ** n
+        assert len(serial) == n + 1
         for cores in (2, 3, 4):
             force_sweep_forking(monkeypatch, cores)
             assert _report_bits(hereditary_sweep(g)) == serial, (n, cores)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_sweep_raises_the_child_error(monkeypatch):
-    # every 2x2 block fails in whichever process computes it, named by its
-    # off-diagonal entry; the first failing partition is mask 3, whose N1
-    # block {3, 4} is powers task 2, in whichever piece a process claims.
-    # A worker leaves a piece with an error out of its reply and it is
-    # recomputed here, so the raised error is the serial sweep's; the
-    # pool's workers, forked after the patch, stay alive through it
-    g = gram(UNIT, power_exponents(1, 2, 4), 4)
-    original = operator_module._smallest_eigenvalue
-
-    def failing_on_pairs(a, prec):
-        if len(a.rows) == 2:
-            raise PrecisionExhausted(f"2x2 block {mp.make_mpf(a.rows[1][0])}")
-        return original(a, prec)
-
-    monkeypatch.setattr(operator_module, "_smallest_eigenvalue", failing_on_pairs)
-    force_sweep_forking(monkeypatch, 1)
-    want = _sweep_error(g)
-    assert want == _first_check_error(g)
-    assert want[0] is PrecisionExhausted and want[1].startswith("2x2 block ")
-    for cores in (2, 3, 4):
-        force_sweep_forking(monkeypatch, cores)
-        assert _sweep_error(g) == want, cores
-        assert len(forkmap_module._POOL) == cores - 1
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_sweep_recomputes_a_failed_child(monkeypatch):
-    # a worker whose tasks raise anything but a NumericalError leaves the
-    # piece out of its reply, and its tasks run again here; it stays in
-    # the pool
-    g = gram(TWO_PIECE, power_exponents(1, 1, 5), 5)
-    force_sweep_forking(monkeypatch, 1)
-    serial = _report_bits(hereditary_sweep(g))
-    original, parent = operator_module._smallest_eigenvalue, os.getpid()
-
-    def failing_in_children(a, prec):
-        if os.getpid() != parent:
-            raise RuntimeError("child")
-        return original(a, prec)
-
-    monkeypatch.setattr(operator_module, "_smallest_eigenvalue", failing_in_children)
-    for cores in (2, 4):
-        force_sweep_forking(monkeypatch, cores)
-        assert _report_bits(hereditary_sweep(g)) == serial, cores
-        assert len(forkmap_module._POOL) == cores - 1
+            assert forkmap_module._POOL == []
 
 
 def _raw(value):
@@ -535,7 +488,7 @@ def _raw(value):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_factor_consumers_ignore_the_ambient_width(monkeypatch):
-    # the operator checks, the hereditary blocks, the three forked
+    # the operator checks, the hereditary blocks and sweep, the two forked
     # callers, the distance, series and moment glue, the exponents and
     # fmt take their width as an argument, not mp.prec: inside
     # workbits(53) they give the bits they give at P, forked children
@@ -556,7 +509,6 @@ def test_factor_consumers_ignore_the_ambient_width(monkeypatch):
     force_sweep_forking(monkeypatch, 2)
     monkeypatch.setattr(series_module, "_MIN_CHUNK_PRODUCTS", 1)
     monkeypatch.setattr(duals_module, "_MIN_CHUNK_COLUMNS", 1)
-    scaled, diag = operator_module._jacobi_scaled(g.entry_rows, prec)
     idx = (1, 3, 4)
     block = [[g.entry_rows[i][j] for j in idx[:a + 1]] for a, i in enumerate(idx)]
     target = TargetFunction.muntz_combo(series)
@@ -586,7 +538,6 @@ def test_factor_consumers_ignore_the_ambient_width(monkeypatch):
              lambda: christoffel_remez(g, "0.9", 101),
              lambda: dual_family(g),
              lambda: operator_module._block_spectrum(block, prec),
-             lambda: operator_module._subtree_spectra(scaled, diag, 2, prec),
              lambda: evaluate(series, "0.3"),
              lambda: project(g, TargetFunction.pure_power("2.5", prec)),
              lambda: coefficient_convergence(g, [3, 5, 7], target),
@@ -615,16 +566,30 @@ def test_factor_consumers_ignore_the_ambient_width(monkeypatch):
        family=st.sampled_from(sorted(FAMILIES)))
 def test_worst_partition_is_all_powers_or_all_duals(cuts, weights, family):
     # by Cauchy interlacing each Jacobi-scaled block is a principal block
-    # of S G S or of T G^-1 T, so no partition sits below both extremes
-    # by more than rounding
+    # of S G S or of T G^-1 T, so none of the 2^6 partitions sits below
+    # both extremes by more than rounding
     ends = sorted(Fraction(c, 10) for c in cuts)
     intervals = list(zip(ends[::2], ends[1::2]))
     wd = build_weighted_domain(intervals, weights[:len(intervals)])
     g = gram(wd, power_exponents(*FAMILIES[family], 6), 6)
-    reports = hereditary_sweep(g)
+    reports = [hereditary_check(g, _split(mask, 6)) for mask in range(2 ** 6)]
+    # mask 0 is all powers, the last mask all duals
     worst = min(reports[0].min_singular_value, reports[-1].min_singular_value)
     smallest = min(rep.min_singular_value for rep in reports)
     assert rel_err(smallest, worst) < mpf_(2) ** (-(g.precision_bits // 2))
+
+
+@pytest.mark.parametrize("domain", ["unit", "two_piece"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_sweep_minimum_equals_the_all_partition_minimum(domain, family):
+    # the smallest margin of the 7 head/tail rows, the report's
+    # min_over_partitions, is bit for bit the smallest over all 2^6
+    # partitions checked one by one
+    wd = {"unit": UNIT, "two_piece": TWO_PIECE}[domain]
+    g = gram(wd, power_exponents(*FAMILIES[family], 6), 6)
+    every = [hereditary_check(g, _split(mask, 6)) for mask in range(2 ** 6)]
+    swept = min(rep.min_singular_value for rep in hereditary_sweep(g))
+    assert swept._mpf_ == min(rep.min_singular_value for rep in every)._mpf_
 
 
 def test_block_that_does_not_factor_raises(unit_domain, lam23):
