@@ -5,6 +5,12 @@ that block reproduces the report byte for byte.  All numbers serialize
 as decimal strings at a digit count derived from the working precision;
 binary floats never appear in the output.
 
+A report is written in one pass (``_json``): each distinct mpf is
+formatted once, by ``precision.fmt``, and the indented JSON is written
+directly, byte for byte what ``json.dumps(report, indent=2,
+sort_keys=True)`` writes once the mpfs are strings.  A CSV report formats
+the rows of its table through the same memo of texts.
+
 One pipeline serves every command: load the config, resolve the
 precision, resolve every input the command reads in the order
 ``COMMANDS`` lists them, compute, and emit.  A command's one Gram
@@ -36,6 +42,7 @@ import os
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional
 
 from mpmath import mp
@@ -309,14 +316,19 @@ def _remez(i: _Inputs, g: GramMatrix) -> dict:
 
 
 def _moments(i: _Inputs, g: GramMatrix) -> dict:
-    solution, residuals = momentsolve.solve_moments(leading_section(g, i.N), i.data)
+    # one forward solve serves the section and every size of the certificate
+    solutions = {} if i.N_list is None else momentsolve.moment_solutions(
+        g, i.data, [i.N, *i.N_list])
+    solution, residuals = momentsolve.solve_moments(leading_section(g, i.N), i.data,
+                                                    solutions.get(i.N))
     results = {
         "fitted_a": i.data.fitted_a, "fitted_C": i.data.fitted_c, "growth_ok": i.data.growth_ok,
         "coefficients": solution.coeffs, "residuals": residuals,
         "rows": [[k + 1, solution.coeffs[k], residuals[k]] for k in range(i.N)],
     }
     if i.N_list is not None:
-        results["certificate"] = vars(momentsolve.convergence_certificate(g, i.N_list, i.data))
+        results["certificate"] = vars(momentsolve.convergence_certificate(
+            g, i.N_list, i.data, solutions))
     return results
 
 
@@ -342,24 +354,89 @@ def _hereditary(i: _Inputs, g: GramMatrix) -> dict:
             "nonsingular": reports[0].nonsingular}
 
 
-def _render(results: dict, bits: int) -> dict:
-    """The results with every mpf as a decimal string at ``bits``.  A
-    value that recurs (a named block and its ``rows``) is formatted once."""
-    texts = {}
+class _Texts(dict):
+    """The decimal text at ``bits`` of each mpf of one report, by raw
+    value, formatted on its first lookup: a value that recurs (a named
+    block and its ``rows``, the two halves of a symmetric section) costs
+    one ``fmt``."""
 
-    def render(obj):
-        if isinstance(obj, mp.mpf):
-            text = texts.get(obj._mpf_)
-            if text is None:
-                text = texts[obj._mpf_] = fmt(obj, bits)
-            return text
-        if isinstance(obj, dict):
-            return {key: render(value) for key, value in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [render(value) for value in obj]
-        return obj
+    def __init__(self, bits: int):
+        super().__init__()
+        self.bits = bits
 
-    return render(results)
+    def __missing__(self, raw) -> str:
+        text = self[raw] = fmt(mp.make_mpf(raw), self.bits)
+        return text
+
+
+# what the JSON encoder writes for None, the bools and the special floats
+_CONSTANTS = {None: "null", True: "true", False: "false",
+              "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(obj, texts: _Texts, out: list, pad: str = "\n") -> None:
+    """Append to ``out`` the text of ``obj``, every mpf its text in
+    ``texts``, as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it,
+    each line after its first led by ``pad``.  One walk, one frame per
+    level of nesting, so every config the decoder reads is echoed, and
+    each piece of text is copied once, into the final join.  The mpfs and
+    ints of a list are written in its own loop."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for value in obj:
+            kind = type(value)
+            if kind is mp.mpf:
+                out.append(sep + '"' + texts[value._mpf_] + '"')
+            elif kind is int:
+                out.append(sep + int.__repr__(value))
+            else:
+                out.append(sep)
+                _json(value, texts, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + encode_basestring_ascii(key if isinstance(key, str) else _key(key))
+                       + ": ")
+            _json(value, texts, out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    else:
+        out.append(_leaf(obj, texts))
+
+
+def _leaf(obj, texts: _Texts) -> str:
+    """A value that is not a list or a dict, as the JSON encoder writes it,
+    an mpf as its text; ``json.dumps`` raises the encoder's TypeError for
+    what it cannot write."""
+    if isinstance(obj, mp.mpf):
+        return '"' + texts[obj._mpf_] + '"'
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return _CONSTANTS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _CONSTANTS.get(text, text)
+    return json.dumps(obj)
+
+
+def _key(key) -> str:
+    """A dict key that is not a string, as the JSON encoder writes it."""
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 @dataclass(frozen=True)
@@ -390,16 +467,20 @@ COMMANDS = {
 }
 
 
-def _emit(report: dict, args) -> None:
-    results = report["results"]
-    if args.format == "csv":
-        if "rows" not in results:
-            raise MalformedConfig("this command has no tabular output; use --format json")
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows([results["columns"], *results["rows"]])
-        text = buf.getvalue()
+def _emit(report: dict, args, bits: int) -> None:
+    texts, results = _Texts(bits), report["results"]
+    if args.format == "json":
+        out = []
+        _json(report, texts, out)
+        text = "".join(out) + "\n"
+    elif "rows" not in results:
+        raise MalformedConfig("this command has no tabular output; use --format json")
     else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([results["columns"], *(
+            [texts[v._mpf_] if isinstance(v, mp.mpf) else v for v in row]
+            for row in results["rows"])])
+        text = buf.getvalue()
     if not args.out:
         sys.stdout.write(text)
         return
@@ -444,8 +525,8 @@ def run(argv) -> int:
             own = leading_section(g, getattr(inputs, "N", g.n))
             results.update(precision_bits_used=g.precision_bits, cond_estimate=own.cond_estimate,
                            columns=command.columns)
-        results = _render(results, inputs.width)
-        _emit({"command": args.command, "config": inputs.echo(), "results": results}, args)
+        _emit({"command": args.command, "config": inputs.echo(), "results": results}, args,
+              inputs.width)
         return 0
     except MuntzError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ convergent infinite-section limit (a below the domain radius).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
@@ -93,20 +93,43 @@ def build_moment_data(
     )
 
 
-def solve_moments(g: GramMatrix, data: MomentData) -> Tuple[MuntzSeries, List[mpmath.mpf]]:
+def _check_covered(data: MomentData, size: int) -> None:
+    if size > len(data.d):
+        raise ValidationError(f"section {size} exceeds {len(data.d)} moment values")
+
+
+def moment_solutions(g: GramMatrix, data: MomentData, sizes: Sequence[int]) -> Dict[int, list]:
+    """The solution, raw, of the moment equations on the leading m-section
+    of g for each m in ``sizes`` (in any order, repeats allowed), by m:
+    one forward solve of the data against the largest and one back solve
+    for each size (``gram._leading_solves``), each bit for bit the
+    coefficients ``solve_moments`` takes on its section.  The data must
+    cover the first size, then the largest, checked in that order, as
+    ``solve_moments`` on the first and ``convergence_certificate`` on the
+    rest would check them."""
+    _check_covered(data, sizes[0])
+    _check_covered(data, max(sizes))
+    sizes = sorted(set(sizes))
+    d = [v._mpf_ for v in data.d[:sizes[-1]]]
+    return dict(zip(sizes, _leading_solves(g, d, sizes)))
+
+
+def solve_moments(g: GramMatrix, data: MomentData,
+                  coeffs: Optional[list] = None) -> Tuple[MuntzSeries, List[mpmath.mpf]]:
     """Solve the moment equations of a factored section exactly.
 
     Returns the coefficient-form solution and the per-equation residuals
     <f, x**lam_n> - d_n, which sit at rounding level for any data.  The
     solver runs regardless of growth_ok; the flag only predicts whether
-    growing sections stay bounded.
+    growing sections stay bounded.  A caller that has the raw solution
+    from ``moment_solutions`` passes it as ``coeffs``, and no solve is
+    taken again.
     """
     section = g.n
-    if section > len(data.d):
-        raise ValidationError(f"section {section} exceeds {len(data.d)} moment values")
+    _check_covered(data, section)
     bits = g.precision_bits
     rhs = list(data.d[:section])
-    coeffs = solve_spd(g, rhs)
+    coeffs = solve_spd(g, rhs) if coeffs is None else _mpfs(coeffs)
     # <f, x**lam_i> - d_i: one sum of exact products, rounded once
     residual = _residual(g.entry_rows, bits)
     residuals = _mpfs(residual([c._mpf_ for c in coeffs], [d._mpf_ for d in rhs]))
@@ -133,7 +156,8 @@ class ConvergenceCertificate:
 
 
 def convergence_certificate(
-    g: GramMatrix, sizes: Iterable[int], data: MomentData
+    g: GramMatrix, sizes: Iterable[int], data: MomentData,
+    solutions: Optional[Dict[int, list]] = None,
 ) -> ConvergenceCertificate:
     """Tabulate sum_{n<=N} |d_n| ||r_n^(N)|| and solution norms over the
     leading sections of g of these strictly increasing sizes.  The ratios
@@ -143,13 +167,16 @@ def convergence_certificate(
     L^-1 of the section's stored attempt, cut to (and grown no further
     than) the largest size, by ``gram._inverse_diagonals``.  Each size's
     solution is bit for bit ``solve_moments``' on its section, cut from
-    one forward solve of the data (``gram._leading_solves``)."""
+    one forward solve of the data (``gram._leading_solves``), or taken
+    from ``solutions``, ``moment_solutions``' over these sizes and others,
+    when the caller has them."""
     sizes = list(sizes)
-    if sizes and sizes[-1] > len(data.d):
-        raise ValidationError(f"section {sizes[-1]} exceeds {len(data.d)} moment values")
+    if sizes:
+        _check_covered(data, sizes[-1])
     sizes = _checked_sizes(g, sizes)
     d = [v._mpf_ for v in data.d]
-    solutions = _leading_solves(g, d[:sizes[-1]], sizes)
+    solutions = (_leading_solves(g, d[:sizes[-1]], sizes) if solutions is None
+                 else [solutions[m] for m in sizes])
     diagonals = _inverse_diagonals(g, sizes, range(sizes[-1]))
     bits = g.precision_bits
     abs_d = [mpf_abs(v) for v in d]

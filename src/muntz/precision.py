@@ -129,14 +129,67 @@ def decimal_digits(bits: int) -> int:
     return max(17, int(bits * 0.3010299956639812) + 1)
 
 
+# log2(10) as mpmath's decimal conversion takes it, the binary64 math.log(10, 2)
+_LOG2_10 = 3.3219280948873626
+
+
 def fmt(x, bits: int = DEFAULT_PRECISION_BITS) -> str:
     """Decimal-string rendering at significance derived from the precision.
 
     The value, an mpf or any input ``to_mpf`` takes, is rounded to
     ``bits`` and rendered on its raw value: what ``mp.nstr`` gives for
-    that rounding inside ``workbits(bits)``."""
-    raw = (x if isinstance(x, mpmath.mpf) else to_mpf(x, bits))._mpf_
-    return to_str(mpf_pos(raw, bits, round_nearest), decimal_digits(bits), strip_zeros=True)
+    that rounding inside ``workbits(bits)``, that is mpmath's
+    ``to_str(raw, decimal_digits(bits), strip_zeros=True)``.
+
+    Where mpmath takes its plain path, a nonzero value whose binary
+    magnitude |exp + bc| is at most 3500 and a digit string shorter than
+    250 (``decimal_digits(bits) + 3``, up to 817 bits), its steps are
+    taken here inline, on the same integers and the same binary64 digit
+    counts: one multiply of the mantissa by a power of ten, one shift and
+    one ``str``, then mpmath's rounding on the digit string, its choice
+    of fixed or scientific notation and its stripped zeros.  Zero, inf,
+    nan, a wider digit string (mpmath splits its ``str``) and a magnitude
+    past 3500 (mpmath scales by a rounded power of ten first) go to
+    mpmath itself."""
+    sign, man, exp, bc = raw = (x if isinstance(x, mpmath.mpf) else to_mpf(x, bits))._mpf_
+    if bc > bits:   # a normalized value of at most ``bits`` bits is its own rounding
+        sign, man, exp, bc = raw = mpf_pos(raw, bits, round_nearest)
+    dps = decimal_digits(bits)
+    if not man or dps + 3 >= 250 or not -3500 <= exp + bc <= 3500:
+        return to_str(raw, dps, strip_zeros=True)
+    # to_digits_exp at dps + 3 digits: man * 2**exp as a fixed-point number
+    # of fixprec bits (exact, as fixprec + exp >= 0 at this width), taken
+    # to fixdps decimal digits, rounded down
+    fixprec = max(int((dps + 3) * _LOG2_10) + 10 - exp - bc, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    man *= 10 ** fixdps
+    digits = str(man << exp if exp >= 0 else man >> -exp)
+    point = len(digits) - fixdps - 1   # the decimal exponent of the first digit
+    # to_str: dps digits, rounded half up on the next one, digits[dps] > "4"
+    if digits[dps:dps + 1] > "4":
+        head = digits[:dps].rstrip("9")
+        if head:
+            digits = head[:-1] + str(int(head[-1]) + 1) + "0" * (dps - len(head))
+        else:
+            digits, point = "1" + "0" * (dps - 1), point + 1
+    else:
+        digits = digits[:dps]
+    # fixed notation strictly between min(-(dps // 3), -5) and dps, where
+    # dps >= 17; trailing zeros stripped down to one after the point
+    if -(dps // 3) < point < dps:
+        if point < 0:
+            text = "0." + "0" * (-point - 1) + digits
+        else:
+            text = digits[:point + 1] + "." + digits[point + 1:]
+        point = 0
+    else:
+        text = digits[:1] + "." + digits[1:]
+    text = text.rstrip("0")
+    if text[-1] == ".":
+        text += "0"
+    if sign:
+        text = "-" + text
+    return f"{text}e{point:+d}" if point else text
 
 
 def _dot(a, b, prec, minus=None) -> tuple:

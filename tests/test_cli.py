@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -402,6 +403,21 @@ def test_each_section_factored_once(tmp_path, monkeypatch):
     assert built == [4]
 
 
+@pytest.mark.parametrize("n_list", ["2,3,4", "4"])
+def test_moments_takes_one_forward_solve(tmp_path, monkeypatch, n_list):
+    # the section's own solution comes from the certificate's solves, so a
+    # report whose N_list ends at N takes one forward solve, of size N (its
+    # bytes are locked in test_cli_golden)
+    calls, gram_module = [], importlib.import_module("muntz.gram")
+    forward = gram_module._substitute_forward
+    monkeypatch.setattr(gram_module, "_substitute_forward",
+                        lambda rows, rhs, prec: calls.append(len(rows)) or forward(rows, rhs, prec))
+    cfg = write_config(tmp_path, exponents=SQUARES_4, d=["1", "0.5", "0.25", "0.125"])
+    rc, _ = invoke(["moments", "--config", cfg, "--N", "4", "--N-list", n_list])
+    assert rc == 0
+    assert calls == [4]
+
+
 @pytest.mark.parametrize("argv, size", [
     (["gram", "--N", "3"], 3),
     (["distances", "--N-list", "2,4"], 4),
@@ -607,6 +623,30 @@ def test_deeply_nested_config_exits_2(tmp_path, capsys):
                 assert err.startswith("error[MalformedConfig]")
             messages.add("nested too deeply" in err)
     assert messages == {True, False}  # the depths straddle the decoder's limit
+
+
+@pytest.mark.parametrize("nest", ["[@]", '{"a": @}'])
+@pytest.mark.parametrize("leaf", ["[]", "1.5", "NaN", "true", '"\\u00fc"', '{"b": [null, -1e300]}'])
+def test_a_deeply_nested_unknown_block_is_echoed(tmp_path, capsys, nest, leaf):
+    # the report writer takes one frame per level, so a config the decoder
+    # reads is echoed whole, whatever its deepest level holds, and one it
+    # cannot read exits 2
+    limit = _decoder_limit()
+    shape = ('{"domain": %s, "exponents": {"kind": "explicit", "values": ["2", "3"]}, "junk": @}'
+             % json.dumps(UNIT))
+    open_, close = nest.split("@")
+    path = tmp_path / "nested.json"
+    echoed = []
+    for depth in range(limit - 12, limit + 3):
+        path.write_text(shape.replace("@", open_ * depth + leaf + close * depth))
+        rc = run(["validate", "--config", str(path)])
+        out, err = capsys.readouterr()
+        if rc == 0:
+            echoed.append(out)
+        else:
+            assert rc == 2 and err.startswith("error[MalformedConfig]: config is nested too deeply")
+    assert 0 < len(echoed) < 15   # the depths straddle the decoder's limit
+    assert json.dumps(json.loads(echoed[-1]), indent=2, sort_keys=True) + "\n" == echoed[-1]
 
 
 def test_escalated_moments_parse_data_at_the_section_width(tmp_path):

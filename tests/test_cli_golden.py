@@ -66,6 +66,11 @@ CONFIGS = {
         operator={"kind": "diagonal_list", "rho": "0.5", "u": ["0.4", "0.1", "0.05", "0.01"]},
     ),
     "two_piece_explicit": _config(TWO_PIECE, EXPLICIT, d=["2", "-1", "0.5", "0"]),
+    # unknown blocks are echoed as given: a float, NaN, non-ASCII text,
+    # quotes and control characters, and empty and nested containers
+    "unit_squares_echo": _config(UNIT, SQUARES, notes="Müntz \u2211 \"x\"\t\u0001", scale=0.1,
+                                 missing=float("nan"), big=-1e300,
+                                 extra={"nested": [1, {"b": [None, True, []]}], "empty": {}}),
     "unit_linear_64": dict(_config(UNIT, LINEAR_9, rho="0.75", grid_points=41),
                            precision_bits=64),
     "two_piece_sqrt_64": dict(_config(TWO_PIECE, SQRT_9, rho="0.9", grid_points=21),
@@ -85,6 +90,7 @@ CASES = {
     "validate_explicit": ("two_piece_explicit", ["validate"]),
     "gram": ("two_piece_sqrt", ["gram", "--N", "4"]),
     "gram_csv": ("two_piece_sqrt", ["gram", "--N", "3", "--format", "csv"]),
+    "gram_config_echo": ("unit_squares_echo", ["gram", "--N", "3"]),
     "distances": ("unit_squares", ["distances", "--n", "2", "--N-list", "3,4,6",
                                    "--epsilon", "0.1"]),
     "distances_csv": ("two_piece_sqrt", ["distances", "--n", "1", "--N-list", "2,5",
@@ -128,6 +134,7 @@ DIGESTS = {
     "expand_escalated": "af3beaf99175bcfa6f3cdcd96bbcbda74a66bc04a4c1975698b4960b2fb669d8",
     "gram": "ef364927028ae449bde48a71321c25a464b32e72d86c8a737533f0cc75dab683",
     "gram_csv": "1b230961592e017d8a52383e40261f826da9858f89fe44e118ddc117252b7600",
+    "gram_config_echo": "ff474ee2cfe1f871cb6c1f79176848e04a04b140aaaea3623b30279ee067afe3",
     "gram_escalated": "abd9b87b98c622fc7275988befdc3b9c0c7c208faf8a24408d082e0e7928f918",
     "hereditary": "3705f05803958e0696ec5ae873db468abbb94276fc5ede5e4dc79193eb804fac",
     "hereditary_csv": "7e6ece3c2be82189b544a70be2ab65a6056edd853dfa251fa891bb0f9f0557e5",
@@ -210,6 +217,6 @@ if __name__ == "__main__":
         print("DIGESTS = {")
         for case in sorted(CASES):
             digest = _digest(case, directory)
-            mark = "" if digest == DIGESTS[case] else "  # changed"
+            mark = "" if digest == DIGESTS.get(case) else "  # changed"
             print(f'    "{case}": "{digest}",{mark}')
         print("}")

@@ -285,6 +285,29 @@ def test_binary64_in_the_bound_helper_only():
     assert hits == ["series.py:_kernel_bounds"]
 
 
+# mpmath's decimal conversions
+DECIMAL_TEXT = ("to_str", "nstr", "to_digits_exp")
+
+
+def _indented_dumps(sub):
+    # json.dumps or json.dump given an indent: the pure-Python encoder
+    return (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+            and sub.func.attr in ("dumps", "dump")
+            and any(kw.arg == "indent" for kw in sub.keywords))
+
+
+def test_one_writer_writes_every_report():
+    # only ``precision`` names mpmath's decimal conversions, so ``fmt``
+    # formats every mpf a report shows; and no module calls json.dumps with
+    # an indent (``cli`` calls it for its memo keys and for a leaf its
+    # writer does not take), so ``cli._json`` writes every report
+    hits = sorted({hit for ident in DECIMAL_TEXT for hit in _functions_naming(ident)})
+    assert hits and all(hit.startswith("precision.py:") for hit in hits), hits
+    assert sorted(f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
+                  for name in _naming_functions(ast.parse(path.read_text()),
+                                                _indented_dumps)) == []
+
+
 def _names_used(tree, skip=None):
     """Every name a module reads, as a bare name, an attribute or an
     import, outside the top-level node ``skip``."""

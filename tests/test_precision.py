@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 from unittest import mock
@@ -6,7 +7,8 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
-from mpmath.libmp import finf, fnan, fninf, from_man_exp, from_rational, fzero, round_nearest
+from mpmath.libmp import (finf, fnan, fninf, from_man_exp, from_rational, fzero, mpf_pos,
+                          round_nearest, to_str)
 
 from muntz import fmt, workbits
 from muntz.errors import NotANumber
@@ -71,6 +73,66 @@ def test_fmt_renders_ints_strings_and_floats_as_mpmath_parses_them(x, bits):
 def test_fmt_rejects_what_to_mpf_rejects(x):
     with pytest.raises(NotANumber):
         fmt(x, 64)
+
+
+def test_the_log2_10_literal_is_mpmaths():
+    # mpmath counts its digits with the binary64 math.log(10, 2), which is
+    # not math.log2(10); the library names no ``math`` outside its bound pass
+    assert precision_module._LOG2_10 == math.log(10, 2) != math.log2(10)
+
+
+def _mpmath_text(raw, bits):
+    """mpmath's text of ``raw`` rounded to ``bits``, what ``fmt`` promises."""
+    return to_str(mpf_pos(raw, bits, round_nearest), decimal_digits(bits), strip_zeros=True)
+
+
+# the widths on either side of mpmath's split str: a digit string, of
+# decimal_digits + 3 digits, of 249 (the widest fmt converts itself) or 250
+CUT = {n: [b for b in range(MIN_PRECISION_BITS, 4097) if decimal_digits(b) + 3 == n]
+       for n in (249, 250)}
+
+
+@st.composite
+def _widths_and_raws(draw):
+    """A width and a raw value about ``fmt``'s branch points: a binary
+    magnitude exp + bc about +-3500, about the decimal exponents where the
+    notation turns from fixed to scientific, or anywhere; all-ones
+    mantissas; values just below a power of ten, whose run of 9s rounds up
+    into the exponent; either sign, and zero."""
+    bits = draw(st.one_of(st.integers(MIN_PRECISION_BITS, 4096), st.sampled_from(CUT[249] + CUT[250])))
+    dps = decimal_digits(bits)
+    sign = draw(st.booleans())
+    kind = draw(st.sampled_from(["magnitude", "nines", "zero"]))
+    if kind == "zero":
+        return bits, fzero
+    if kind == "nines":
+        k, s, d = draw(st.integers(-40, 40)), draw(st.integers(200, 4200)), draw(st.integers(0, 3))
+        man = (10 ** k << s) - d if k >= 0 else (1 << s) // 10 ** -k - d
+        return bits, from_man_exp(-man if sign else man, -s)
+    bc = draw(st.integers(1, bits + 64))
+    man = draw(st.one_of(st.just(2 ** bc - 1), st.integers(2 ** (bc - 1), 2 ** bc - 1)))
+    switch = round(draw(st.sampled_from([-(dps // 3), dps])) * math.log2(10))
+    magnitude = draw(st.one_of(st.integers(-3503, -3497), st.integers(3497, 3503),
+                               st.integers(switch - 8, switch + 8), st.integers(-4200, 4200)))
+    return bits, from_man_exp(-man if sign else man, magnitude - bc)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(case=_widths_and_raws())
+def test_fmt_is_mpmaths_text_about_its_branch_points(case):
+    bits, raw = case
+    assert fmt(mp.make_mpf(raw), bits) == _mpmath_text(raw, bits)
+
+
+@pytest.mark.parametrize("bits, magnitude, mpmath_calls", [
+    (256, 0, 0), (256, 3500, 0), (256, -3500, 0), (256, 3501, 1), (256, -3501, 1),
+    (max(CUT[249]), 100, 0), (min(CUT[250]), 100, 1), (4096, 0, 1),
+])
+def test_fmt_leaves_to_mpmath_only_past_its_branch_points(bits, magnitude, mpmath_calls):
+    raw = from_man_exp(2 ** 60 + 1, magnitude - 61)
+    with mock.patch.object(precision_module, "to_str", wraps=to_str) as spy:
+        assert fmt(mp.make_mpf(raw), bits) == _mpmath_text(raw, bits)
+    assert spy.call_count == mpmath_calls
 
 
 def _exact(raw):
